@@ -8,12 +8,12 @@ variant used by oracles:
 * two-char:     sum_{d|n} d^z chi1(d) chi2(n/d)
 * unit:         coefficient 1 for every n
 
-Values for a single n come from trial division against a memoized
-smallest-prime-factor sieve; whole coefficient ranges are filled by a
-divisor-convolution sweep (numpy slice adds), which is what the series
-evaluators consume.  The generating Dirichlet series have closed forms
-built from zeta and L: these anchor both the cross-checks here and the
-tail continuation used by the series module.
+Values for a single n come from its divisors, found by trial division;
+whole coefficient ranges are filled by a divisor-convolution sweep
+(numpy slice adds), which is what the series evaluators consume.  The
+generating Dirichlet series have closed forms built from zeta and L:
+these anchor both the cross-checks here and the tail continuation used
+by the series module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character
+from .characters import Character, _divisors
 from .errors import DomainError
 from .specfun import L_derivative, dirichlet_L, riemann_zeta, zeta_derivative
 
@@ -74,49 +74,11 @@ class DivisorSumSpec:
         return max(complex(self.weight).real, 0.0)
 
 
-_spf = np.zeros(2, dtype=np.int64)
-
-
-def _ensure_sieve(n: int) -> np.ndarray:
-    global _spf
-    if len(_spf) > n:
-        return _spf
-    size = max(n + 1, 2 * len(_spf), 1 << 14)
-    spf = np.zeros(size, dtype=np.int64)
-    for p in range(2, size):
-        if spf[p] == 0:
-            seg = spf[p::p]
-            seg[seg == 0] = p
-        if p * p >= size:
-            break
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest  # remaining zeros are primes (and 0, 1)
-    spf[1] = 1
-    _spf = spf
-    return _spf
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 via the smallest-prime-factor sieve."""
-    if n < 1:
-        raise DomainError(f"factorize needs n >= 1, got {n}")
-    spf = _ensure_sieve(n)
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    """The divisors of n >= 1, ascending."""
+    if n < 1:
+        raise DomainError(f"divisors needs n >= 1, got {n}")
+    return _divisors(n)
 
 
 def _dpow(d: int, z: complex) -> complex:
@@ -157,6 +119,11 @@ def _chi_values(chi: Character, count: int) -> np.ndarray:
 
 def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
     """f_z(1..count) as a complex array (index 0 unused)."""
+    if spec.kind == TWO_CHAR and 1 in (spec.chi.modulus, spec.chi2.modulus):
+        # the trivial character mod 1 in one slot leaves a one-character
+        # sum, whose sweep needs no cofactor array
+        spec = (DivisorSumSpec(TWISTED, spec.weight, spec.chi) if spec.chi2.modulus == 1
+                else DivisorSumSpec(BAR_TWISTED, spec.weight, spec.chi2))
     arr = np.zeros(count + 1, dtype=complex)
     if spec.kind == UNIT:
         arr[1:] = 1.0

@@ -163,18 +163,23 @@ def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     return (vals @ _GL_W) * T
 
 
-def _k_asym(nu: float, x: float) -> float:
+def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
+    """The superasymptotic expansion of K_nu, each series stopped before
+    its smallest term."""
     mu = 4.0 * nu * nu
-    term = 1.0
-    acc = 1.0
-    prev = abs(term)
+    term = np.ones_like(xb)
+    acc = np.ones_like(xb)
+    alive = np.ones_like(xb, dtype=bool)
+    prev = np.abs(term)
     for k in range(1, 40):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * x * k)
-        if abs(term) >= prev:
+        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
+        now = np.abs(term)
+        alive &= now < prev
+        if not alive.any() or now.max() < 1e-17:
             break
-        acc += term
-        prev = abs(term)
-    return math.sqrt(0.5 * math.pi / x) * math.exp(-x) * acc
+        acc = np.where(alive, acc + term, acc)
+        prev = now
+    return np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
 
 
 def bessel_I(nu: float, x: float) -> float:
@@ -188,12 +193,7 @@ def bessel_K(nu: float, x: float) -> float:
     """Modified Bessel function K_nu(x), x > 0; even in nu."""
     if x <= 0:
         raise DomainError(f"bessel_K needs x > 0, got {x}")
-    nu = abs(nu)
-    if x <= K_SERIES_CUT:
-        return _k_small(nu, x)
-    if x < K_ASYM_CUT:
-        return float(_k_bridge_arr(nu, np.array([x]))[0])
-    return _k_asym(nu, x)
+    return float(k_values(nu, np.array([x]))[0])
 
 
 def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
@@ -211,21 +211,7 @@ def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
     if mid.any():
         out[mid] = _k_bridge_arr(nu, xs[mid])
     if big.any():
-        xb = xs[big]
-        mu = 4.0 * nu * nu
-        term = np.ones_like(xb)
-        acc = np.ones_like(xb)
-        alive = np.ones_like(xb, dtype=bool)
-        prev = np.abs(term)
-        for k in range(1, 40):
-            term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
-            now = np.abs(term)
-            alive &= now < prev
-            if not alive.any() or now.max() < 1e-17:
-                break
-            acc = np.where(alive, acc + term, acc)
-            prev = now
-        out[big] = np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
+        out[big] = _k_asym_arr(nu, xs[big])
     return out
 
 
@@ -245,23 +231,31 @@ def _j_series(nu: float, x: float) -> float:
         n += 1
 
 
-def _jy_hankel(nu: float, x: float) -> tuple[float, float]:
+def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_nu, Y_nu) from the Hankel amplitude/phase expansions, each
+    series stopped before its smallest term."""
     mu = 4.0 * nu * nu
-    d = 1.0
-    p, q = 1.0, 0.0
-    prev = 1.0
+    d = np.ones_like(xb)
+    p = np.ones_like(xb)
+    q = np.zeros_like(xb)
+    alive = np.ones_like(xb, dtype=bool)
+    prev = np.abs(d)
     for k in range(1, 40):
-        d *= (mu - (2 * k - 1) ** 2) / (8.0 * x * k)
-        if abs(d) >= prev:
+        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
+        now = np.abs(d)
+        alive &= now < prev
+        if not alive.any() or now.max() < 1e-17:
             break
+        sgn = 1.0 if k % 4 in (0, 1) else -1.0
         if k % 2 == 1:
-            q += d if k % 4 == 1 else -d
+            q = np.where(alive, q + sgn * d, q)
         else:
-            p += d if k % 4 == 0 else -d
-        prev = abs(d)
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * x))
-    cw, sw = math.cos(omega), math.sin(omega)
+            p = np.where(alive, p + sgn * d, p)
+        prev = now
+    del d, prev, now  # free them before both results are built at once
+    omega = xb - (0.5 * nu + 0.25) * np.pi
+    amp = np.sqrt(2.0 / (np.pi * xb))
+    cw, sw = np.cos(omega), np.sin(omega)
     return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
 
 
@@ -308,16 +302,14 @@ def bessel_J(nu: float, x: float) -> float:
         raise DomainError(f"bessel_J needs x >= 0, got {x}")
     if x <= JY_CUT:
         return _j_series(nu, x)
-    return _jy_hankel(nu, x)[0]
+    return float(jy_values(nu, np.array([x]))[0][0])
 
 
 def bessel_Y(nu: float, x: float) -> float:
     """Weber/Neumann Bessel function of the second kind, nu >= 0, x > 0."""
     if x <= 0:
         raise DomainError(f"bessel_Y needs x > 0, got {x}")
-    if x <= JY_CUT:
-        return _y_small(nu, x)
-    return _jy_hankel(nu, x)[1]
+    return float(jy_values(nu, np.array([x]))[1][0])
 
 
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,28 +325,5 @@ def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y[small] = [_y_small(nu, float(x)) for x in xs[small]]
     big = ~small
     if big.any():
-        xb = xs[big]
-        mu = 4.0 * nu * nu
-        d = np.ones_like(xb)
-        p = np.ones_like(xb)
-        q = np.zeros_like(xb)
-        alive = np.ones_like(xb, dtype=bool)
-        prev = np.abs(d)
-        for k in range(1, 40):
-            d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
-            now = np.abs(d)
-            alive &= now < prev
-            if not alive.any() or now.max() < 1e-17:
-                break
-            sgn = 1.0 if k % 4 in (0, 1) else -1.0
-            if k % 2 == 1:
-                q = np.where(alive, q + sgn * d, q)
-            else:
-                p = np.where(alive, p + sgn * d, p)
-            prev = now
-        omega = xb - (0.5 * nu + 0.25) * np.pi
-        amp = np.sqrt(2.0 / (np.pi * xb))
-        cw, sw = np.cos(omega), np.sin(omega)
-        j[big] = amp * (p * cw - q * sw)
-        y[big] = amp * (p * sw + q * cw)
+        j[big], y[big] = _jy_hankel_arr(nu, xs[big])
     return j, y

@@ -18,16 +18,16 @@ Identity tags:
 * T4_1..T4_8, C4_1, C4_2: summation formulas equating a finite sum
   against a main integral plus an oscillatory Bessel-kernel expansion.
 
-Hypotheses are enforced before any numerics run: violating a parity,
-primitivity, range or excluded-parameter clause raises HypothesisError
-or ExcludedParameter naming the clause, never a silent wrong answer.
+Hypotheses are registry data, checked before any numerics run: violating
+a parity, primitivity, range or excluded-parameter clause raises
+HypothesisError or ExcludedParameter naming the clause, never a silent
+wrong answer.  Each formula family shares one evaluator.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -47,6 +47,7 @@ from .series import (
     log_kernel_series,
     oscillatory_kernel_integrals,
     shifted_power_series,
+    term_cap,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -147,17 +148,12 @@ VORONOI_KERNEL_TERMS = 20000
 VORONOI_RIESZ_ORDER = 3
 
 
-# -- hypothesis helpers ----------------------------------------------------
+# -- hypotheses ------------------------------------------------------------
 
 
 def _req(cond: bool, clause: str) -> None:
     if not cond:
         raise HypothesisError(clause)
-
-
-def _req_not_positive_integer(value: float, name: str) -> None:
-    if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
-        raise ExcludedParameter(f"{name} = {value:.6g} must not be a positive integer")
 
 
 def _get_char(q: int | None, idx: int | None, what: str) -> Character:
@@ -172,72 +168,126 @@ def _get_char(q: int | None, idx: int | None, what: str) -> Character:
     return chars[idx]
 
 
-def _req_odd_primitive(chi: Character, name: str) -> None:
-    _req(chi.is_odd, f"{name} must be an odd character")
+def _req_character(chi: Character, need: str | None, name: str) -> None:
+    if need is None:
+        return
+    if need == "odd":
+        _req(chi.is_odd, f"{name} must be an odd character")
+    elif need == "even":
+        _req(chi.is_even, f"{name} must be an even character")
+    if need != "odd":
+        _req(not chi.is_principal, f"{name} must be non-principal")
     _req(chi.is_primitive, f"{name} must be primitive")
 
 
-def _req_even_primitive(chi: Character, name: str) -> None:
-    _req(chi.is_even, f"{name} must be an even character")
-    _req(not chi.is_principal, f"{name} must be non-principal")
-    _req(chi.is_primitive, f"{name} must be primitive")
-
-
-def _req_positive(value, name: str) -> None:
-    _req(value is not None and value > 0, f"{name} must be positive")
-
-
-def _req_k(case: IdentityCase, parity: str, minimum: int) -> int:
-    k = case.k
-    _req(k is not None and k == int(k) and k >= minimum,
-         f"k must be an integer >= {minimum}")
-    if parity == "even":
-        _req(k % 2 == 0, "k must be an even integer")
+def _req_pair(relation: str, chi1: Character, chi2: Character) -> None:
+    _req(chi1.is_primitive and chi2.is_primitive, "chi1 and chi2 must be primitive")
+    if relation == "matched":
+        if chi1.is_even or chi2.is_even:
+            _req(chi1.is_even and chi2.is_even and
+                 not chi1.is_principal and not chi2.is_principal,
+                 "chi1 and chi2 must be both non-principal even or both odd")
     else:
-        _req(k % 2 == 1, "k must be an odd integer")
-    return int(k)
+        even = chi1 if chi1.is_even else chi2
+        _req(chi1.parity != chi2.parity,
+             "one character must be even and the other odd")
+        _req(not even.is_principal, "the even character must be non-principal")
 
 
-def _req_nu_positive(case: IdentityCase) -> float:
-    _req(case.nu is not None and case.nu > 0, "nu must have positive real part")
-    return float(case.nu)
+def _c_shift(a: float, x: float, modulus_product: int) -> float:
+    return a * a * modulus_product * x / (16.0 * PI * PI)
 
 
-def _req_cohen_nu_N(case: IdentityCase) -> tuple[float, int]:
-    nu, N = case.nu, case.N
-    _req(nu is not None and nu >= 0, "nu must have non-negative real part")
-    _req(abs(nu - round(nu)) > 1e-8, "nu must not be an integer")
-    _req(N is not None and N >= math.floor((nu + 1.0) / 2.0),
-         "N must be an integer >= floor((nu + 1)/2)")
-    return float(nu), int(N)
+# each excluded-parameter clause, by the expression it names
+_EXCLUDED: dict[str, Callable[[dict], float]] = {
+    "x": lambda r: r["x"],
+    "q*x": lambda r: r["q"] * r["x"],
+    "q^2*x": lambda r: r["q"] * r["q"] * r["x"],
+    "p^2*x": lambda r: r["p"] * r["p"] * r["x"],
+    "p*q*x": lambda r: r["p"] * r["q"] * r["x"],
+    "a^2*q*x/(16*pi^2)": lambda r: _c_shift(r["a"], r["x"], r["q"]),
+    "a^2*p*q*x/(16*pi^2)": lambda r: _c_shift(r["a"], r["x"], r["p"] * r["q"]),
+}
 
 
-def _req_voronoi(case: IdentityCase) -> tuple[float, float, float, Callable]:
+def _check(entry: TheoremEntry, case: IdentityCase) -> dict:
+    """Enforce entry's hypotheses on case, in the order the fields of
+    TheoremEntry list them, and return the resolved parameters by name;
+    an evaluator takes those it uses and ignores the rest.  One character
+    gives chi = chi1 = chi2 and p = q, so an equal-character corollary
+    reads as its two-character theorem."""
+    r = {"twist": entry.twist}
+    if len(entry.chars) == 1:
+        m = getattr(case, entry.modulus)
+        chi = _get_char(m, case.char_index, entry.tid)
+        _req_character(chi, entry.chars[0], "chi")
+        r.update(chi=chi, chi1=chi, chi2=chi, p=m, q=m)
+    elif entry.chars:
+        chi1 = _get_char(case.p, case.char_index, entry.tid + " (chi1)")
+        chi2 = _get_char(case.q, case.char2_index, entry.tid + " (chi2)")
+        _req_character(chi1, entry.chars[0], "chi1")
+        _req_character(chi2, entry.chars[1], "chi2")
+        if entry.pair:
+            _req_pair(entry.pair, chi1, chi2)
+        r.update(chi1=chi1, chi2=chi2, p=case.p, q=case.q)
+    if entry.k:
+        parity, minimum = entry.k
+        k = case.k
+        _req(k is not None and k == int(k) and k >= minimum,
+             f"k must be an integer >= {minimum}")
+        _req(k % 2 == (parity == "odd"), f"k must be an {parity} integer")
+        r["k"] = int(k)
     nu = case.nu
-    _req(nu is not None and 0.0 < nu < 0.5, "nu must lie strictly between 0 and 1/2")
-    alpha, beta = case.alpha, case.beta
-    _req(alpha is not None and beta is not None and 0 < alpha < beta,
-         "the interval must satisfy 0 < alpha < beta")
-    for val, name in ((alpha, "alpha"), (beta, "beta")):
-        if abs(val - round(val)) <= 1e-9:
-            raise ExcludedParameter(f"{name} = {val} must not be an integer")
-    if case.f not in TEST_FUNCTIONS:
-        raise DomainError(
-            f"unknown test function {case.f!r}; choose from {sorted(TEST_FUNCTIONS)}")
-    return float(nu), float(alpha), float(beta), TEST_FUNCTIONS[case.f]
-
-
-def _ax(case: IdentityCase) -> tuple[float, float]:
-    _req_positive(case.a, "a")
-    _req_positive(case.x, "x")
-    return float(case.a), float(case.x)
+    if entry.nu == "positive":
+        _req(nu is not None and nu > 0, "nu must have positive real part")
+    elif entry.nu == "cohen":
+        _req(nu is not None and nu >= 0, "nu must have non-negative real part")
+        _req(abs(nu - round(nu)) > 1e-8, "nu must not be an integer")
+        _req(case.N is not None and case.N >= math.floor((nu + 1.0) / 2.0),
+             "N must be an integer >= floor((nu + 1)/2)")
+        r["N"] = int(case.N)
+    elif entry.nu == "voronoi":
+        _req(nu is not None and 0.0 < nu < 0.5, "nu must lie strictly between 0 and 1/2")
+        alpha, beta = case.alpha, case.beta
+        _req(alpha is not None and beta is not None and 0 < alpha < beta,
+             "the interval must satisfy 0 < alpha < beta")
+        for val, name in ((alpha, "alpha"), (beta, "beta")):
+            if abs(val - round(val)) <= 1e-9:
+                raise ExcludedParameter(f"{name} = {val} must not be an integer")
+        if case.f not in TEST_FUNCTIONS:
+            raise DomainError(
+                f"unknown test function {case.f!r}; choose from {sorted(TEST_FUNCTIONS)}")
+        r.update(alpha=float(alpha), beta=float(beta), f=TEST_FUNCTIONS[case.f])
+    else:
+        nu = 0.5 if entry.nu == "half" else 0.0
+    r["nu"] = float(nu)
+    if entry.nu in ("positive", "zero"):
+        _req(case.a is not None and case.a > 0, "a must be positive")
+        r["a"] = float(case.a)
+    if entry.nu != "voronoi":
+        _req(case.x is not None and case.x > 0, "x must be positive")
+        r["x"] = float(case.x)
+    if entry.excluded:
+        value = _EXCLUDED[entry.excluded](r)
+        if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
+            raise ExcludedParameter(
+                f"{entry.excluded} = {value:.6g} must not be a positive integer")
+    return r
 
 
 # -- common building blocks ------------------------------------------------
 
 
+_OTHER_TWIST = {TWISTED: BAR_TWISTED, BAR_TWISTED: TWISTED}
+
+
 def _tau(chi: Character) -> complex:
     return gauss_sum(chi).value
+
+
+def _unit(k: int) -> complex:
+    """(-1)^{floor(k/2)}, times i for even k (an odd character product)."""
+    return (-1.0) ** (k // 2) * (1j if k % 2 == 0 else 1.0)
 
 
 def _lhs_bessel(spec: DivisorSumSpec, a: float, x: float, nu: float,
@@ -245,6 +295,13 @@ def _lhs_bessel(spec: DivisorSumSpec, a: float, x: float, nu: float,
     res = bessel_series(spec, SeriesParams(
         a, x, nu, tol=min(1e-12, tol * 1e-3), rel_tol=min(1e-11, tol * 1e-3)))
     return res.value, res.terms
+
+
+def _cohen_lhs(spec: DivisorSumSpec, nu: float, x: float,
+               tol: float) -> tuple[complex, int]:
+    """8 pi x^{nu/2} sum f(n) n^{nu/2} K_nu(4 pi sqrt(n x))."""
+    series, terms = _lhs_bessel(spec, 4.0 * PI, x, nu, tol)
+    return 8.0 * PI * x ** (nu / 2.0) * series, terms
 
 
 def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
@@ -256,379 +313,124 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
 
 
-def _c_shift(a: float, x: float, modulus_product: int) -> float:
-    return a * a * modulus_product * x / (16.0 * PI * PI)
+def _with_trivial(twist: str, chi: Character, q: int) -> dict:
+    """The two-character slots of a one-character series side: chi as
+    chi1 (on d) under the plain twist, as chi2 (on n/d) under the bar
+    twist, and the trivial character mod 1 (L = zeta) in the other."""
+    one = enumerate_characters(1)[0]
+    if twist == TWISTED:
+        return dict(chi1=chi, chi2=one, p=q, q=1)
+    return dict(chi1=one, chi2=chi, p=1, q=q)
 
 
 # ===================== weight-k identities (nu > 0) ======================
 
 
-def _t2_1(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_1")
-    _req_odd_primitive(chi, "chi")
-    k = _req_k(case, "even", 0)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, k, chi), a, x, nu, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
-    sgn = (-1.0) ** (k // 2)
-    delta_k = 1.0 if k == 0 else 0.0
-    tail = shifted_power_series(
-        DivisorSumSpec(BAR_TWISTED, k, chi.conjugate()), nu + k + 1.0, c)
-    rhs = (delta_k * 2.0 ** (nu + 1.0) / a ** (nu + 2.0)
-           * gamma(1.0 + nu) * dirichlet_L(1.0, chi) * x ** (-nu / 2.0 - 1.0))
-    rhs += (sgn * 1j * q ** k / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
-            * gamma(nu) * tau * math.factorial(k)
-            * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0))
-    rhs -= (sgn * 1j * a ** nu * q ** (nu + k) * x ** (nu / 2.0)
-            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-            * gamma(nu + k + 1.0) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_3(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_3")
-    _req_odd_primitive(chi, "chi")
-    k = _req_k(case, "even", 2)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, k, chi), a, x, nu, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
-    sgn = (-1.0) ** (k // 2)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWISTED, k, chi.conjugate()), nu + k + 1.0, c)
-    rhs = (2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
-           * math.factorial(k) * gamma(nu + k + 1.0)
-           * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0))
-    rhs -= (sgn * 1j * (a * q) ** nu * x ** (nu / 2.0)
-            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-            * gamma(nu + k + 1.0) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_5(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_5")
-    _req_even_primitive(chi, "chi")
-    k = _req_k(case, "odd", 1)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, k, chi), a, x, nu, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
-    # the tail twist pairs opposite to the series side (bar against plain),
-    # matching the nu = 0 specialization
-    tail = shifted_power_series(
-        DivisorSumSpec(BAR_TWISTED, k, chi.conjugate()), nu + k + 1.0, c)
-    rhs = ((-1.0) ** ((k - 1) // 2) * q ** k
-           / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
-           * gamma(nu) * tau * math.factorial(k)
-           * dirichlet_L(1.0 + k, chi.conjugate()) * x ** (-nu / 2.0))
-    rhs += ((-1.0) ** ((k + 1) // 2) * a ** nu * q ** (nu + k) * x ** (nu / 2.0)
-            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-            * gamma(nu + k + 1.0) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_7(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_7")
-    _req_even_primitive(chi, "chi")
-    k = _req_k(case, "odd", 1)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, k, chi), a, x, nu, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWISTED, k, chi.conjugate()), nu + k + 1.0, c)
-    rhs = (2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
-           * math.factorial(k) * gamma(nu + k + 1.0)
-           * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0))
-    rhs += ((-1.0) ** ((k + 1) // 2) * (a * q) ** nu * x ** (nu / 2.0)
-            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-            * gamma(nu + k + 1.0) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _two_char_pair(case, what) -> tuple[Character, Character]:
-    chi1 = _get_char(case.p, case.char_index, what + " (chi1)")
-    chi2 = _get_char(case.q, case.char2_index, what + " (chi2)")
-    return chi1, chi2
-
-
-def _t2_10(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_10")
-    _req(chi1.is_primitive and chi2.is_primitive, "chi1 and chi2 must be primitive")
-    if chi1.is_even or chi2.is_even:
-        _req(chi1.is_even and chi2.is_even and
-             not chi1.is_principal and not chi2.is_principal,
-             "chi1 and chi2 must be both non-principal even or both odd")
-    k = _req_k(case, "odd", 1)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    p, q = case.p, case.q
+def _pair_nu(tol, chi1, chi2, p, q, k, nu, a, x, **_):
+    """T2_10, T2_14, and C2_1 with chi1 = chi2: weight-k series of two
+    characters."""
     lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, nu, tol)
-    c = _c_shift(a, x, p * q)
     tail = shifted_power_series(
         DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
-        nu + k + 1.0, c)
-    rhs = ((-1.0) ** ((k + 1) // 2) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
+        nu + k + 1.0, _c_shift(a, x, p * q))
+    rhs = (-_unit(k) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-           * _tau(chi1) * _tau(chi2) * gamma(nu + k + 1.0) * tail.value)
+           * gamma(nu + k + 1.0) * _tau(chi1) * _tau(chi2) * tail.value)
     return lhs, rhs, lterms, tail.terms
 
 
-def _t2_14(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_14")
-    _req(chi1.is_primitive and chi2.is_primitive, "chi1 and chi2 must be primitive")
-    even = chi1 if chi1.is_even else chi2
-    _req(chi1.parity != chi2.parity,
-         "one character must be even and the other odd")
-    _req(not even.is_principal, "the even character must be non-principal")
-    k = _req_k(case, "even", 0)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    p, q = case.p, case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, nu, tol)
-    c = _c_shift(a, x, p * q)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
-        nu + k + 1.0, c)
-    rhs = ((-1.0) ** (k // 2) * (-1j) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
-           / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-           * _tau(chi1) * _tau(chi2) * gamma(nu + k + 1.0) * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c2_1(case, tol):
-    chi = _get_char(case.q, case.char_index, "C2_1")
-    _req(not chi.is_principal, "chi must be non-principal")
-    _req(chi.is_primitive, "chi must be primitive")
-    k = _req_k(case, "odd", 1)
-    nu = _req_nu_positive(case)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi, chi), a, x, nu, tol)
-    c = _c_shift(a, x, q * q)
-    cb = chi.conjugate()
-    tail = shifted_power_series(DivisorSumSpec(TWO_CHAR, k, cb, cb), nu + k + 1.0, c)
-    rhs = ((-1.0) ** ((k + 1) // 2) * a ** nu * q ** (2.0 * nu + k) * x ** (nu / 2.0)
-           / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-           * _tau(chi) ** 2 * gamma(nu + k + 1.0) * tail.value)
-    return lhs, rhs, lterms, tail.terms
+def _single_nu(tol, twist, chi, q, k, nu, a, x, **_):
+    """T2_1, T2_3, T2_5, T2_7: T2_10 and T2_14 with the trivial character
+    in one slot, plus the terms of its zeta(s)."""
+    lhs, rhs, lterms, rterms = _pair_nu(tol, k=k, nu=nu, a=a, x=x,
+                                        **_with_trivial(twist, chi, q))
+    if twist == TWISTED:
+        zeta_terms = (_unit(k) * q ** k / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
+                      * gamma(nu) * _tau(chi) * math.factorial(k)
+                      * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0))
+        if k == 0:  # T2_1: the pole term, proportional to L(1, chi)
+            zeta_terms += (2.0 ** (nu + 1.0) / a ** (nu + 2.0) * gamma(1.0 + nu)
+                           * dirichlet_L(1.0, chi) * x ** (-nu / 2.0 - 1.0))
+    else:
+        zeta_terms = (2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
+                      * math.factorial(k) * gamma(nu + k + 1.0)
+                      * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0))
+    return lhs, zeta_terms + rhs, lterms, rterms
 
 
 # ===================== weight-k identities (nu = 0) ======================
 
 
-def _log_const_block(chi: Character, k: int, a: float, x: float) -> complex:
-    # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
-    lval = dirichlet_L(-float(k), chi)
-    lder = L_derivative(-float(k), chi)
-    return -0.25 * (lval * (math.log(8.0 * PI / (a * a)) - 2.0 * EULER_GAMMA
-                            - math.log(x)) + lder)
-
-
-def _t2_2(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_2")
-    _req_odd_primitive(chi, "chi")
-    k = _req_k(case, "even", 0)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, k, chi), a, x, 0.0, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
+def _single_nu0(tol, twist, chi, q, k, a, x, **_):
+    """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7,
+    whose zeta(s) terms replace the product-rule constant of T2_11."""
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(twist, k, chi), a, x, 0.0, tol)
     tail = shifted_power_series(
-        DivisorSumSpec(BAR_TWISTED, k, chi.conjugate()), k + 1.0, c,
-        difference_form=True)
-    delta_k = 1.0 if k == 0 else 0.0
-    rhs = delta_k * 2.0 / (a * a * x) * dirichlet_L(1.0, chi)
-    rhs += _log_const_block(chi, k, a, x)
-    rhs += ((-1.0) ** (k // 2) * 1j * math.factorial(k) * q ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * tau * tail.value)
+        DivisorSumSpec(_OTHER_TWIST[twist], k, chi.conjugate()), k + 1.0,
+        _c_shift(a, x, q), difference_form=True)
+    if twist == TWISTED:
+        # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
+        rhs = -0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
+                       - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))
+        if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
+            rhs += 2.0 / (a * a * x) * dirichlet_L(1.0, chi)
+        qk = q ** k
+    else:
+        rhs = (2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
+               * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0))
+        # full product-rule constant; for the odd-character case the second
+        # summand vanishes (zeta trivial zero), for the even-character case
+        # the first does (L(0, chi) = 0)
+        rhs += 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
+                      + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
+        qk = 1
+    rhs += (_unit(k) * math.factorial(k) * qk
+            / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi) * tail.value)
     return lhs, rhs, lterms, tail.terms
 
 
-def _t2_4(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_4")
-    _req_odd_primitive(chi, "chi")
-    k = _req_k(case, "even", 2)
-    a, x = _ax(case)
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, k, chi), a, x, 0.0, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, case.q)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWISTED, k, chi.conjugate()), k + 1.0, c,
-        difference_form=True)
-    rhs = (2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
-           * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0))
-    # full product-rule constant; for the odd-character case the second
-    # summand vanishes (zeta trivial zero), for the even-character case
-    # the first does (L(0, chi) = 0)
-    rhs += 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
-                  + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
-    rhs += ((-1.0) ** (k // 2) * 1j * math.factorial(k)
-            / (2.0 * TWO_PI ** (k + 1.0)) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_6(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_6")
-    _req_even_primitive(chi, "chi")
-    k = _req_k(case, "odd", 1)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, k, chi), a, x, 0.0, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, q)
-    tail = shifted_power_series(
-        DivisorSumSpec(BAR_TWISTED, k, chi.conjugate()), k + 1.0, c,
-        difference_form=True)
-    rhs = _log_const_block(chi, k, a, x)
-    rhs += ((-1.0) ** ((k - 1) // 2) * math.factorial(k) * q ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_8(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_8")
-    _req_even_primitive(chi, "chi")
-    k = _req_k(case, "odd", 1)
-    a, x = _ax(case)
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, k, chi), a, x, 0.0, tol)
-    tau = _tau(chi)
-    c = _c_shift(a, x, case.q)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWISTED, k, chi.conjugate()), k + 1.0, c,
-        difference_form=True)
-    rhs = (2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
-           * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0))
-    # full product-rule constant; for the odd-character case the second
-    # summand vanishes (zeta trivial zero), for the even-character case
-    # the first does (L(0, chi) = 0)
-    rhs += 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
-                  + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
-    rhs += ((-1.0) ** ((k - 1) // 2) * math.factorial(k)
-            / (2.0 * TWO_PI ** (k + 1.0)) * tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _matched_parity_constant(k: int, chi1: Character, chi2: Character) -> complex:
-    if chi1.is_even and chi2.is_even:
-        return dirichlet_L(-float(k), chi1) * L_derivative(0.0, chi2)
-    return L_derivative(-float(k), chi1) * dirichlet_L(0.0, chi2)
-
-
-def _t2_11(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_11")
-    _req(chi1.is_primitive and chi2.is_primitive, "chi1 and chi2 must be primitive")
-    if chi1.is_even or chi2.is_even:
-        _req(chi1.is_even and chi2.is_even and
-             not chi1.is_principal and not chi2.is_principal,
-             "chi1 and chi2 must be both non-principal even or both odd")
-    k = _req_k(case, "odd", 1)
-    a, x = _ax(case)
-    p, q = case.p, case.q
+def _pair_nu0(tol, chi1, chi2, p, q, k, a, x, **_):
+    """T2_11, T2_15, and C2_2 with chi1 = chi2: the nu = 0 forms of T2_10,
+    T2_14 and C2_1."""
     lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, 0.0, tol)
-    c = _c_shift(a, x, p * q)
     tail = shifted_power_series(
         DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
-        k + 1.0, c, difference_form=True)
-    rhs = 0.5 * _matched_parity_constant(k, chi1, chi2)
-    rhs += ((-1.0) ** ((k - 1) // 2) * math.factorial(k) * p ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi1) * _tau(chi2) * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c2_2(case, tol):
-    chi = _get_char(case.q, case.char_index, "C2_2")
-    _req(not chi.is_principal, "chi must be non-principal")
-    _req(chi.is_primitive, "chi must be primitive")
-    k = _req_k(case, "odd", 1)
-    a, x = _ax(case)
-    q = case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi, chi), a, x, 0.0, tol)
-    c = _c_shift(a, x, q * q)
-    cb = chi.conjugate()
-    tail = shifted_power_series(DivisorSumSpec(TWO_CHAR, k, cb, cb), k + 1.0, c,
-                                difference_form=True)
-    rhs = 0.5 * _matched_parity_constant(k, chi, chi)
-    rhs += ((-1.0) ** ((k - 1) // 2) * math.factorial(k) * q ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi) ** 2 * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t2_15(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_15")
-    _req(chi1.is_primitive and chi2.is_primitive, "chi1 and chi2 must be primitive")
-    even = chi1 if chi1.is_even else chi2
-    _req(chi1.parity != chi2.parity, "one character must be even and the other odd")
-    _req(not even.is_principal, "the even character must be non-principal")
-    k = _req_k(case, "even", 0)
-    a, x = _ax(case)
-    p, q = case.p, case.q
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, 0.0, tol)
-    c = _c_shift(a, x, p * q)
-    tail = shifted_power_series(
-        DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
-        k + 1.0, c, difference_form=True)
-    if chi1.is_odd:
+        k + 1.0, _c_shift(a, x, p * q), difference_form=True)
+    # of the product-rule constant L'(-k, chi1) L(0, chi2) + L(-k, chi1)
+    # L'(0, chi2) one summand vanishes: L(0, chi2) = 0 for an even chi2,
+    # and L(-k, chi1) = 0 (a trivial zero) for an odd one
+    if chi2.is_even:
         const = dirichlet_L(-float(k), chi1) * L_derivative(0.0, chi2)
     else:
         const = L_derivative(-float(k), chi1) * dirichlet_L(0.0, chi2)
     rhs = 0.5 * const
-    rhs += ((-1.0) ** (k // 2) * 1j * math.factorial(k) * p ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi1) * _tau(chi2) * tail.value)
+    rhs += (_unit(k) * math.factorial(k) * p ** k
+            / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)) * tail.value)
     return lhs, rhs, lterms, tail.terms
 
 
 # ================== log-kernel identities (k = 0, nu = 0) ================
 
 
-def _t2_13(case, tol):
-    chi = _get_char(case.q, case.char_index, "T2_13")
-    _req_even_primitive(chi, "chi")
-    a, x = _ax(case)
-    q = case.q
-    c = _c_shift(a, x, q)
-    _req_not_positive_integer(c, "a^2*q*x/(16*pi^2)")
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, 0, chi), a, x, 0.0, tol)
-    tau = _tau(chi)
-    kernel = log_kernel_series(DivisorSumSpec(TWISTED, 0, chi.conjugate()), c)
-    rhs = (2.0 / (a * a * x) * dirichlet_L(1.0, chi)
-           - tau / 8.0 * dirichlet_L(1.0, chi.conjugate())
-           + tau * c / (2.0 * PI * PI) * kernel.value)
-    return lhs, rhs, lterms, kernel.terms
-
-
-def _t2_12(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_12")
-    _req_even_primitive(chi1, "chi1")
-    _req_even_primitive(chi2, "chi2")
-    a, x = _ax(case)
-    p, q = case.p, case.q
-    c = _c_shift(a, x, p * q)
-    _req_not_positive_integer(c, "a^2*p*q*x/(16*pi^2)")
+def _t2_12(tol, chi1, chi2, p, q, a, x, **_):
     lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, 0, chi1, chi2), a, x, 0.0, tol)
+    c = _c_shift(a, x, p * q)
     kernel = log_kernel_series(
         DivisorSumSpec(TWO_CHAR, 0, chi1.conjugate(), chi2.conjugate()), c)
     rhs = _tau(chi1) * _tau(chi2) * c / (2.0 * PI * PI) * kernel.value
     return lhs, rhs, lterms, kernel.terms
 
 
-def _t2_9(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T2_9")
-    _req_odd_primitive(chi1, "chi1")
-    _req_odd_primitive(chi2, "chi2")
-    a, x = _ax(case)
-    p, q = case.p, case.q
+def _t2_13(tol, chi, q, a, x, **_):
+    """T2_12 with chi2 the trivial character, plus the terms of its zeta(s)."""
+    lhs, rhs, lterms, rterms = _t2_12(tol, a=a, x=x, **_with_trivial(TWISTED, chi, q))
+    zeta_terms = (2.0 / (a * a * x) * dirichlet_L(1.0, chi)
+                  - _tau(chi) / 8.0 * dirichlet_L(1.0, chi.conjugate()))
+    return lhs, zeta_terms + rhs, lterms, rterms
+
+
+def _t2_9(tol, chi1, chi2, p, q, a, x, **_):
     c = _c_shift(a, x, p * q)
-    _req_not_positive_integer(c, "a^2*p*q*x/(16*pi^2)")
     lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, 0, chi1, chi2), a, x, 0.0, tol)
     kernel = log_kernel_series(
         DivisorSumSpec(TWO_CHAR, 0, chi1.conjugate(), chi2.conjugate()), c,
@@ -645,15 +447,9 @@ def _t2_9(case, tol):
 # =================== weight -nu identities (Cohen type) ==================
 
 
-def _p1_1(case, tol):
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x = float(case.x)
-    _req_not_positive_integer(x, "x")
-    triv = enumerate_characters(1)[0]
-    spec = DivisorSumSpec(TWISTED, -nu, triv)
-    series, lterms = _lhs_bessel(spec, 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
+def _p1_1(tol, nu, N, x, **_):
+    spec = DivisorSumSpec(TWISTED, -nu, enumerate_characters(1)[0])
+    lhs, lterms = _cohen_lhs(spec, nu, x, tol)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     tail = cohen_tail_series(spec, nu, N, x)
     rhs = (-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0)
@@ -667,321 +463,120 @@ def _p1_1(case, tol):
     return lhs, rhs, lterms, tail.terms
 
 
-def _t3_1(case, tol):
-    chi = _get_char(case.q, case.char_index, "T3_1")
-    _req_even_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, q = float(case.x), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, -nu, cb), 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn = math.sin(PI * nu / 2.0)
-    tau = _tau(chi)
-    qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(BAR_TWISTED, -nu, chi), nu, N, qx)
-    rhs = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
-           + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
-           / (TWO_PI ** (nu + 1.0) * x))
-    inner = sum(riemann_zeta(2.0 * j) * dirichlet_L(2.0 * j - nu, chi)
-                * qx ** (2 * j - 1) for j in range(1, N + 1))
-    inner += qx ** (2 * N + 1) * tail.value
-    rhs += 2.0 * q ** (1.0 - nu) / (tau * sn) * inner
-    return lhs, rhs, lterms, tail.terms
+def _cohen_head(chi2: Character, chi1: Character, nu: float, Q: float, N: int,
+                odd: bool) -> tuple[complex, float]:
+    """The head sum of L(s, chi2) L(s - nu, chi1) Q^{s-1} over s = 2j, j <= N
+    (or s = 2j + 1, j < N, when odd), and the power of Q on the tail."""
+    if odd:
+        ladder, last = [2.0 * j + 1.0 for j in range(1, N)], 2 * N
+    else:
+        ladder, last = [2.0 * j for j in range(1, N + 1)], 2 * N + 1
+    return (sum(dirichlet_L(s, chi2) * dirichlet_L(s - nu, chi1) * Q ** (s - 1.0)
+                for s in ladder), Q ** last)
 
 
-def _t3_2(case, tol):
-    chi = _get_char(case.q, case.char_index, "T3_2")
-    _req_even_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, q = float(case.x), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, -nu, cb),
-                                 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
-    qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -nu, chi), nu, N, qx)
-    inner = (dirichlet_L(nu, chi) * qx ** (nu - 1.0) / sn
-             - PI * dirichlet_L(1.0 + nu, chi) * qx ** nu / cs)
-    inner += 2.0 / sn * sum(riemann_zeta(2.0 * j - nu) * dirichlet_L(2.0 * j, chi)
-                            * qx ** (2 * j - 1) for j in range(1, N + 1))
-    inner += 2.0 / sn * qx ** (2 * N + 1) * tail.value
-    rhs = case.q / _tau(chi) * inner
-    return lhs, rhs, lterms, tail.terms
+def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
+    """T3_1..T3_4: weight -nu series of one character.
 
-
-def _t3_3(case, tol):
-    chi = _get_char(case.q, case.char_index, "T3_3")
-    _req_odd_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, q = float(case.x), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(TWISTED, -nu, cb), 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    cs = math.cos(PI * nu / 2.0)
-    qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(BAR_TWISTED, -nu, chi), nu, N, qx,
-                             inner_power_offset=1, divide_by_n=True)
-    rhs = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
-           + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
-           / (TWO_PI ** (nu + 1.0) * x))
-    inner = riemann_zeta(nu + 1.0) * dirichlet_L(1.0, chi) * qx ** nu
-    inner -= sum(riemann_zeta(2.0 * j) * dirichlet_L(2.0 * j - nu, chi)
-                 * qx ** (2 * j - 1) for j in range(1, N + 1))
-    inner -= qx ** (2 * N + 1) * tail.value
-    rhs += 2.0j * q ** (1.0 - nu) / (_tau(chi) * cs) * inner
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t3_4(case, tol):
-    chi = _get_char(case.q, case.char_index, "T3_4")
-    _req_odd_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, q = float(case.x), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(BAR_TWISTED, -nu, cb),
-                                 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
+    The plain twist (T3_1, T3_3) is T3_5..T3_8 with chi2 the trivial
+    character, plus the terms from the pole of its zeta(s).  Under the
+    bar twist (T3_2, T3_4) the pole terms join the head sum inside one
+    bracket, which cancels to far below its terms, so it is summed as
+    stated; an odd chi takes cos for sin, a factor i and the odd ladder.
+    """
+    cb, odd = chi.conjugate(), chi.is_odd
+    if twist == TWISTED:
+        lhs, rhs, lterms, rterms = _cohen_pair(tol, nu=nu, N=N, x=x,
+                                               **_with_trivial(twist, chi, q))
+        pole = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
+                + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
+                / (TWO_PI ** (nu + 1.0) * x))
+        return lhs, pole + rhs, lterms, rterms
+    lhs, lterms = _cohen_lhs(DivisorSumSpec(BAR_TWISTED, -nu, cb), nu, x, tol)
     qx = q * x
     tail = cohen_tail_series(DivisorSumSpec(TWISTED, -nu, chi), nu, N, qx,
-                             inner_power_offset=1)
-    rhs = 2.0 * gamma(nu) * riemann_zeta(nu) * dirichlet_L(0.0, cb) / TWO_PI ** (nu - 1.0)
-    inner = (dirichlet_L(nu, chi) * qx ** (nu - 1.0) / cs
-             + PI * dirichlet_L(1.0 + nu, chi) * qx ** nu / sn)
-    inner += 2.0 / cs * sum(riemann_zeta(2.0 * j + 1.0 - nu)
-                            * dirichlet_L(2.0 * j + 1.0, chi) * qx ** (2 * j)
-                            for j in range(1, N))
-    inner += 2.0 / cs * qx ** (2 * N) * tail.value
-    rhs += 1j * q / _tau(chi) * inner
+                             inner_power_offset=int(odd))
+    head, qlast = _cohen_head(chi, enumerate_characters(1)[0], nu, qx, N, odd)
+    sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
+    trig, cotrig = (cs, sn) if odd else (sn, cs)
+    inner = (dirichlet_L(nu, chi) * qx ** (nu - 1.0) / trig
+             + (1.0 if odd else -1.0) * PI * dirichlet_L(1.0 + nu, chi) * qx ** nu / cotrig)
+    inner += 2.0 / trig * head
+    inner += 2.0 / trig * qlast * tail.value
+    if odd:  # T3_4
+        rhs = (2.0 * gamma(nu) * riemann_zeta(nu) * dirichlet_L(0.0, cb)
+               / TWO_PI ** (nu - 1.0))
+        rhs += 1j * q / _tau(chi) * inner
+    else:  # T3_2
+        rhs = q / _tau(chi) * inner
     return lhs, rhs, lterms, tail.terms
 
 
-def _t3_5(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T3_5")
-    _req_even_primitive(chi1, "chi1")
-    _req_even_primitive(chi2, "chi2")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, p, q = float(case.x), case.p, case.q
-    _req_not_positive_integer(p * q * x, "p*q*x")
-    series, lterms = _lhs_bessel(
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn = math.sin(PI * nu / 2.0)
-    pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), nu, N, pqx)
-    inner = sum(dirichlet_L(2.0 * j, chi2) * dirichlet_L(2.0 * j - nu, chi1)
-                * pqx ** (2 * j - 1) for j in range(1, N + 1))
-    inner += pqx ** (2 * N + 1) * tail.value
-    rhs = 2.0 * p ** (1.0 - nu) * q / (_tau(chi1) * _tau(chi2) * sn) * inner
-    return lhs, rhs, lterms, tail.terms
+def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
+    """T3_5..T3_8, and C3_5, C3_6 with chi1 = chi2: weight -nu series of
+    two characters.
 
-
-def _t3_6(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T3_6")
-    _req_odd_primitive(chi1, "chi1")
-    _req_odd_primitive(chi2, "chi2")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, p, q = float(case.x), case.p, case.q
-    _req_not_positive_integer(p * q * x, "p*q*x")
-    series, lterms = _lhs_bessel(
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn = math.sin(PI * nu / 2.0)
+    The parities tell the formulas apart.  An odd chi1 chi2 takes cos for
+    sin and a factor i; an odd chi2 the odd ladder and the L(nu, chi1-bar)
+    L(0, chi2-bar) term; an odd chi1 the L(1 + nu, chi2) L(1, chi1) term
+    and the 1/n tail.
+    """
+    lhs, lterms = _cohen_lhs(
+        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()), nu, x, tol)
     pqx = p * q * x
     tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), nu, N, pqx,
-                             inner_power_offset=2, divide_by_n=True)
-    rhs = (2.0 * gamma(nu) * dirichlet_L(nu, chi1.conjugate())
-           * dirichlet_L(0.0, chi2.conjugate()) / TWO_PI ** (nu - 1.0))
-    inner = -dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu
-    inner += sum(dirichlet_L(2.0 * j + 1.0, chi2) * dirichlet_L(2.0 * j + 1.0 - nu, chi1)
-                 * pqx ** (2 * j) for j in range(1, N))
-    inner += pqx ** (2 * N) * tail.value
-    rhs -= 2.0 * p ** (1.0 - nu) * q / (_tau(chi1) * _tau(chi2) * sn) * inner
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t3_7(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T3_7")
-    _req_even_primitive(chi1, "chi1")
-    _req_odd_primitive(chi2, "chi2")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, p, q = float(case.x), case.p, case.q
-    _req_not_positive_integer(p * q * x, "p*q*x")
-    series, lterms = _lhs_bessel(
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    cs = math.cos(PI * nu / 2.0)
-    pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), nu, N, pqx,
-                             inner_power_offset=1)
-    rhs = (2.0 * gamma(nu) * dirichlet_L(nu, chi1.conjugate())
-           * dirichlet_L(0.0, chi2.conjugate()) / TWO_PI ** (nu - 1.0))
-    inner = sum(dirichlet_L(2.0 * j + 1.0, chi2) * dirichlet_L(2.0 * j + 1.0 - nu, chi1)
-                * pqx ** (2 * j) for j in range(1, N))
-    inner += pqx ** (2 * N) * tail.value
-    rhs += 2.0j * p ** (1.0 - nu) * q / (_tau(chi1) * _tau(chi2) * cs) * inner
-    return lhs, rhs, lterms, tail.terms
-
-
-def _t3_8(case, tol):
-    chi1, chi2 = _two_char_pair(case, "T3_8")
-    _req_odd_primitive(chi1, "chi1")
-    _req_even_primitive(chi2, "chi2")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, p, q = float(case.x), case.p, case.q
-    _req_not_positive_integer(p * q * x, "p*q*x")
-    series, lterms = _lhs_bessel(
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    cs = math.cos(PI * nu / 2.0)
-    pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), nu, N, pqx,
-                             inner_power_offset=1, divide_by_n=True)
-    inner = dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu
-    inner -= sum(dirichlet_L(2.0 * j, chi2) * dirichlet_L(2.0 * j - nu, chi1)
-                 * pqx ** (2 * j - 1) for j in range(1, N + 1))
-    inner -= pqx ** (2 * N + 1) * tail.value
-    rhs = 2.0j * p ** (1.0 - nu) * q / (_tau(chi1) * _tau(chi2) * cs) * inner
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c3_5(case, tol):
-    chi = _get_char(case.q, case.char_index, "C3_5")
-    _req_even_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, q = float(case.x), case.q
-    _req_not_positive_integer(q * q * x, "q^2*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, -nu, cb, cb),
-                                 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn = math.sin(PI * nu / 2.0)
-    qqx = q * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi, chi), nu, N, qqx)
-    inner = sum(dirichlet_L(2.0 * j, chi) * dirichlet_L(2.0 * j - nu, chi)
-                * qqx ** (2 * j - 1) for j in range(1, N + 1))
-    inner += qqx ** (2 * N + 1) * tail.value
-    rhs = 2.0 * q ** (2.0 - nu) / (_tau(chi) ** 2 * sn) * inner
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c3_6(case, tol):
-    chi = _get_char(case.p, case.char_index, "C3_6")
-    _req_odd_primitive(chi, "chi")
-    nu, N = _req_cohen_nu_N(case)
-    _req_positive(case.x, "x")
-    x, p = float(case.x), case.p
-    _req_not_positive_integer(p * p * x, "p^2*x")
-    cb = chi.conjugate()
-    series, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, -nu, cb, cb),
-                                 4.0 * PI, x, nu, tol)
-    lhs = 8.0 * PI * x ** (nu / 2.0) * series
-    sn = math.sin(PI * nu / 2.0)
-    ppx = p * p * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi, chi), nu, N, ppx,
-                             inner_power_offset=2, divide_by_n=True)
-    rhs = (2.0 * gamma(nu) * dirichlet_L(nu, cb) * dirichlet_L(0.0, cb)
-           / TWO_PI ** (nu - 1.0))
-    inner = -dirichlet_L(nu + 1.0, chi) * dirichlet_L(1.0, chi) * ppx ** nu
-    inner += sum(dirichlet_L(2.0 * j + 1.0, chi) * dirichlet_L(2.0 * j + 1.0 - nu, chi)
-                 * ppx ** (2 * j) for j in range(1, N))
-    inner += ppx ** (2 * N) * tail.value
-    rhs -= 2.0 * p ** (2.0 - nu) / (_tau(chi) ** 2 * sn) * inner
+                             inner_power_offset=int(chi1.is_odd) + int(chi2.is_odd),
+                             divide_by_n=chi1.is_odd)
+    head, plast = _cohen_head(chi2, chi1, nu, pqx, N, chi2.is_odd)
+    if chi1.is_odd:
+        inner = dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu
+        inner -= head
+        inner -= plast * tail.value
+    else:
+        inner = head + plast * tail.value
+    rhs = 0.0
+    if chi2.is_odd:
+        rhs = (2.0 * gamma(nu) * dirichlet_L(nu, chi1.conjugate())
+               * dirichlet_L(0.0, chi2.conjugate()) / TWO_PI ** (nu - 1.0))
+    if chi1.parity == chi2.parity:
+        rhs += (2.0 * p ** (1.0 - nu) * q
+                / (_tau(chi1) * _tau(chi2) * math.sin(PI * nu / 2.0)) * inner)
+    else:
+        rhs += (2.0j * p ** (1.0 - nu) * q
+                / (_tau(chi1) * _tau(chi2) * math.cos(PI * nu / 2.0)) * inner)
     return lhs, rhs, lterms, tail.terms
 
 
 # ---- elementary nu = 1/2 specializations --------------------------------
 
 
-def _half_case_x(case) -> float:
-    _req_positive(case.x, "x")
-    return float(case.x)
-
-
-def _c3_1(case, tol):
-    chi = _get_char(case.q, case.char_index, "C3_1")
-    _req_even_primitive(chi, "chi")
-    x, q = _half_case_x(case), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(TWISTED, -0.5, cb), x)
+def _cohen_half(tol, twist, chi, q, x, **_):
+    """C3_1..C3_4: the elementary nu = 1/2 forms of T3_1..T3_4."""
+    cb, odd, tau = chi.conjugate(), chi.is_odd, _tau(chi)
+    lhs, lterms = _exp_half_sum(DivisorSumSpec(twist, -0.5, cb), x)
     qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(BAR_TWISTED, -0.5, chi), 0.5, 0, qx)
-    rhs = (-PI * dirichlet_L(0.5, cb)
-           + dirichlet_L(1.5, cb) / (4.0 * PI * x)
-           + 2.0 * q ** 1.5 * x / _tau(chi) * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c3_2(case, tol):
-    chi = _get_char(case.q, case.char_index, "C3_2")
-    _req_even_primitive(chi, "chi")
-    x, q = _half_case_x(case), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(BAR_TWISTED, -0.5, cb), x)
-    qx = q * x
-    tau = _tau(chi)
-    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -0.5, chi), 0.5, 0, qx)
-    rhs = (q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
-           - PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
-           + 2.0 * q * q * x / tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c3_3(case, tol):
-    chi = _get_char(case.q, case.char_index, "C3_3")
-    _req_odd_primitive(chi, "chi")
-    x, q = _half_case_x(case), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(TWISTED, -0.5, cb), x)
-    qx = q * x
-    tau = _tau(chi)
-    tail = cohen_tail_series(DivisorSumSpec(BAR_TWISTED, -0.5, chi), 0.5, 0, qx,
-                             inner_power_offset=1, divide_by_n=True)
-    rhs = (-PI * dirichlet_L(0.5, cb)
-           + dirichlet_L(1.5, cb) / (4.0 * PI * x)
-           + 2.0j * q / tau * riemann_zeta(1.5) * dirichlet_L(1.0, chi) * math.sqrt(x)
-           - 2.0j * q ** 1.5 * x / tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
-
-
-def _c3_4(case, tol):
-    # stated with the minimal admissible truncation index; this variant
-    # uses the first index for which the rational tail converges
-    chi = _get_char(case.q, case.char_index, "C3_4")
-    _req_odd_primitive(chi, "chi")
-    x, q = _half_case_x(case), case.q
-    _req_not_positive_integer(q * x, "q*x")
-    cb = chi.conjugate()
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(BAR_TWISTED, -0.5, cb), x)
-    qx = q * x
-    tau = _tau(chi)
-    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -0.5, chi), 0.5, 1, qx,
-                             inner_power_offset=1)
-    rhs = (TWO_PI * riemann_zeta(0.5) * dirichlet_L(0.0, cb)
-           + 1j * q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
-           + 1j * PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
-           + 2.0j * q * qx * qx / tau * tail.value)
+    # C3_4 is stated with the minimal admissible truncation index; this
+    # variant uses the first index for which the rational tail converges
+    tail = cohen_tail_series(DivisorSumSpec(_OTHER_TWIST[twist], -0.5, chi), 0.5,
+                             int(odd and twist == BAR_TWISTED), qx,
+                             inner_power_offset=int(odd),
+                             divide_by_n=odd and twist == TWISTED)
+    if twist == TWISTED:
+        rhs = -PI * dirichlet_L(0.5, cb) + dirichlet_L(1.5, cb) / (4.0 * PI * x)
+        if odd:  # C3_3
+            rhs += 2.0j * q / tau * riemann_zeta(1.5) * dirichlet_L(1.0, chi) * math.sqrt(x)
+            rhs -= 2.0j * q ** 1.5 * x / tau * tail.value
+        else:  # C3_1
+            rhs += 2.0 * q ** 1.5 * x / tau * tail.value
+    elif odd:  # C3_4
+        rhs = (TWO_PI * riemann_zeta(0.5) * dirichlet_L(0.0, cb)
+               + 1j * q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
+               + 1j * PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
+               + 2.0j * q * qx * qx / tau * tail.value)
+    else:  # C3_2
+        rhs = (q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
+               - PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
+               + 2.0 * q * q * x / tau * tail.value)
     return lhs, rhs, lterms, tail.terms
 
 
@@ -990,15 +585,12 @@ def _c3_4(case, tol):
 
 def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
                  over_j: bool) -> tuple[complex, int]:
-    from .arith import divisor_sum
-    js = range(math.floor(alpha) + 1, math.ceil(beta))
-    acc = 0j
-    for j in js:
-        wj = divisor_sum(spec, j)
-        if over_j:
-            wj = wj / j
-        acc += wj * float(f(np.array([float(j)]))[0])
-    return acc, len(js)
+    lo, hi = math.floor(alpha) + 1, math.ceil(beta)
+    js = np.arange(lo, hi, dtype=float)
+    weights = coefficient_array(spec, max(hi - 1, 0))[lo:]
+    if over_j:
+        weights = weights / js
+    return complex(np.sum(weights * f(js))), len(js)
 
 
 def _riesz_mean(terms: np.ndarray, order: float) -> complex:
@@ -1019,7 +611,7 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     """Riesz mean sum_{n<=N} a_n (1 - n/N)^kappa of the conditionally
     convergent kernel series sum_n a_n, a_n = f(n) n^{nu/2} I_n, with
     kappa = VORONOI_RIESZ_ORDER and N = VORONOI_KERNEL_TERMS terms (or
-    the TBL_MAX_TERMS cap).
+    the smaller series.term_cap()).
 
     Integrals are evaluated in batches sharing one t-grid.  The weights
     damp the endpoint oscillation of the partial sums (quasi-period
@@ -1029,7 +621,7 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     oscillation of up to 7e-3 and kappa = 4 a bias of up to 9.5e-4;
     kappa = 3 keeps both below 7.2e-4.
     """
-    n_terms = min(VORONOI_KERNEL_TERMS, _kernel_term_cap())
+    n_terms = min(VORONOI_KERNEL_TERMS, term_cap())
     coef = coefficient_array(spec, n_terms)[1:]
     ns = np.arange(1, n_terms + 1, dtype=float)
     terms = np.zeros(n_terms, dtype=complex)
@@ -1047,72 +639,21 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     return _riesz_mean(terms, VORONOI_RIESZ_ORDER), n_terms
 
 
-def _kernel_term_cap() -> int:
-    return int(os.environ.get("TBL_MAX_TERMS", VORONOI_KERNEL_TERMS))
+# the kernel variant and prefactor of the expansion, by the parities
+# (chi1 odd, chi2 odd); an odd chi1 also puts 1/j on the finite sum
+_VORONOI_KERNELS = {
+    (False, False): ("even-cos", TWO_PI),
+    (True, True): ("plus-y-cos", -TWO_PI),
+    (False, True): ("plus-y-sin", 2j * PI),
+    (True, False): ("odd-sin", -2j * PI),
+}
 
 
-def _voronoi_single(case, tol, parity: str, *, bar_side: bool, over_j: bool,
-                    variant: str, series_pref: complex):
-    """Common assembly of the four single-character summation formulas.
-
-    bar_side selects which twist carries the finite sum (and with it the
-    q^{1 -+ nu/2} prefactor, the L(1 -+ nu) main term and the opposite
-    twist in the kernel series).
-    """
-    chi = _get_char(case.q, case.char_index, case.theorem)
-    if parity == "even":
-        _req_even_primitive(chi, "chi")
-    else:
-        _req_odd_primitive(chi, "chi")
-    nu, alpha, beta, f = _req_voronoi(case)
-    q = case.q
-    pref = q ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
-    lhs_kind, ser_kind = (BAR_TWISTED, TWISTED) if bar_side else (TWISTED, BAR_TWISTED)
-    fin, n_j = _finite_side(f, alpha, beta, DivisorSumSpec(lhs_kind, -nu, chi), over_j)
-    lhs = pref * fin
-
-    main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
-    lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
-    main = adaptive_integral(
-        lambda t: float(f(np.array([t]))[0]) * t ** main_power,
-        QuadratureSpec(alpha, beta, tol=1e-11))
-    kern, n_terms = _kernel_expansion(
-        f, alpha, beta, nu, DivisorSumSpec(ser_kind, -nu, chi.conjugate()),
-        4.0 * PI / math.sqrt(q), -nu / 2.0 - (1.0 if over_j else 0.0), variant)
-    rhs = pref * lmain * main + series_pref * kern
-    return lhs, rhs, n_j, n_terms
-
-
-def _t4_1(case, tol):
-    return _voronoi_single(case, tol, "even", bar_side=True, over_j=False,
-                           variant="even-cos", series_pref=TWO_PI)
-
-
-def _t4_2(case, tol):
-    return _voronoi_single(case, tol, "even", bar_side=False, over_j=False,
-                           variant="even-cos", series_pref=TWO_PI)
-
-
-def _t4_3(case, tol):
-    return _voronoi_single(case, tol, "odd", bar_side=True, over_j=True,
-                           variant="odd-sin", series_pref=-2j * PI)
-
-
-def _t4_4(case, tol):
-    return _voronoi_single(case, tol, "odd", bar_side=False, over_j=False,
-                           variant="plus-y-sin", series_pref=2j * PI)
-
-
-def _voronoi_two(case, tol, parity1, parity2, variant, series_pref, over_j):
-    chi1 = _get_char(case.p, case.char_index, case.theorem + " (chi1)")
-    chi2 = _get_char(case.q, case.char2_index, case.theorem + " (chi2)")
-    for chi, parity, name in ((chi1, parity1, "chi1"), (chi2, parity2, "chi2")):
-        if parity == "even":
-            _req_even_primitive(chi, name)
-        else:
-            _req_odd_primitive(chi, name)
-    nu, alpha, beta, f = _req_voronoi(case)
-    p, q = case.p, case.q
+def _voronoi_pair(tol, chi1, chi2, p, q, nu, alpha, beta, f, **_):
+    """T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2: summation formulas of
+    two characters."""
+    over_j = chi1.is_odd
+    variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
     pref = p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2))
     fin, n_j = _finite_side(f, alpha, beta,
                             DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), over_j)
@@ -1125,49 +666,24 @@ def _voronoi_two(case, tol, parity1, parity2, variant, series_pref, over_j):
     return lhs, rhs, n_j, n_terms
 
 
-def _t4_5(case, tol):
-    return _voronoi_two(case, tol, "even", "even", "even-cos", TWO_PI, False)
+def _voronoi_single(tol, twist, chi, q, nu, alpha, beta, f, **_):
+    """T4_1..T4_4: T4_5..T4_8 with the trivial character in one slot,
+    plus the main term from the pole of its zeta(s).
 
-
-def _t4_6(case, tol):
-    return _voronoi_two(case, tol, "odd", "odd", "plus-y-cos", -TWO_PI, True)
-
-
-def _t4_7(case, tol):
-    return _voronoi_two(case, tol, "even", "odd", "plus-y-sin", 2j * PI, False)
-
-
-def _t4_8(case, tol):
-    return _voronoi_two(case, tol, "odd", "even", "odd-sin", -2j * PI, True)
-
-
-def _voronoi_equal(case, tol, parity):
-    chi = _get_char(case.q, case.char_index, case.theorem)
-    if parity == "even":
-        _req_even_primitive(chi, "chi")
-        variant, series_pref, over_j = "even-cos", TWO_PI, False
-    else:
-        _req_odd_primitive(chi, "chi")
-        variant, series_pref, over_j = "plus-y-cos", -TWO_PI, True
-    nu, alpha, beta, f = _req_voronoi(case)
-    q = case.q
-    fin, n_j = _finite_side(f, alpha, beta,
-                            DivisorSumSpec(TWO_CHAR, -nu, chi, chi), over_j)
-    lhs = q * q / _tau(chi) ** 2 * fin
-    cb = chi.conjugate()
-    kern, n_terms = _kernel_expansion(
-        f, alpha, beta, nu, DivisorSumSpec(TWO_CHAR, -nu, cb, cb),
-        4.0 * PI / q, -nu / 2.0 - (1.0 if over_j else 0.0), variant)
-    rhs = series_pref * kern
-    return lhs, rhs, n_j, n_terms
-
-
-def _c4_1(case, tol):
-    return _voronoi_equal(case, tol, "even")
-
-
-def _c4_2(case, tol):
-    return _voronoi_equal(case, tol, "odd")
+    twist is that of the kernel series; the finite sum takes the other
+    one, and with it the q^{1 -+ nu/2} prefactor and L(1 -+ nu, chi).
+    """
+    lhs, rhs, n_j, n_terms = _voronoi_pair(tol, nu=nu, alpha=alpha, beta=beta, f=f,
+                                           **_with_trivial(twist, chi, q))
+    bar_side = twist == TWISTED
+    over_j = bar_side and chi.is_odd
+    pref = q ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
+    main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
+    lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
+    main = adaptive_integral(
+        lambda t: float(f(np.array([t]))[0]) * t ** main_power,
+        QuadratureSpec(alpha, beta, tol=1e-11))
+    return lhs, pref * lmain * main + rhs, n_j, n_terms
 
 
 # ========================== registry and driver ==========================
@@ -1175,15 +691,36 @@ def _c4_2(case, tol):
 
 @dataclass(frozen=True)
 class TheoremEntry:
+    """A registered identity: its evaluator, default points and hypotheses.
+
+    chars: per character slot, "odd" (odd primitive), "even" (even
+      primitive non-principal), "primitive" (primitive non-principal) or
+      None (pair alone).  One slot reads (modulus, char_index), modulus
+      naming the field; two read (p, char_index) and (q, char2_index).
+    pair: "matched" or "mixed" parities of the two characters.
+    k: (parity, minimum) of the weight k.
+    nu: "positive", "zero" or "half" (nu > 0 as given, 0 or 1/2), "cohen"
+      (non-integer, with N >= floor((nu + 1)/2)) or "voronoi" (0 < nu <
+      1/2, a non-integer interval and a known test function).  a is
+      required for "positive" and "zero", x for all but "voronoi".
+    excluded: the expression, a key of _EXCLUDED, that must not be a
+      positive integer.
+    twist: the twist of a one-character series side, passed to the
+      evaluator with the resolved parameters.
+    """
+
     tid: str
     section: str
     description: str
     evaluate: Callable
     points: tuple[dict, ...]
-
-
-def _pts(*dicts) -> tuple[dict, ...]:
-    return tuple(dicts)
+    chars: tuple[str | None, ...] = ()
+    pair: str | None = None
+    k: tuple[str, int] | None = None
+    nu: str = "zero"
+    excluded: str | None = None
+    modulus: str = "q"
+    twist: str | None = None
 
 
 _COHEN_GRID = tuple((nuv, Nv) for nuv in (0.25, 0.3, 0.45) for Nv in (1, 2))
@@ -1194,223 +731,263 @@ def _cohen_points(base: dict) -> tuple[dict, ...]:
 
 
 def _voronoi_points(base: dict) -> tuple[dict, ...]:
-    out = []
-    for fn in ("exp", "t2", "gauss"):
-        for (al, be) in ((0.5, 3.4), (1.3, 5.7)):
-            out.append(dict(base, nu=0.25, alpha=al, beta=be, f=fn))
-    return tuple(out)
+    return tuple(dict(base, nu=0.25, alpha=al, beta=be, f=fn)
+                 for fn in ("exp", "t2", "gauss") for al, be in ((0.5, 3.4), (1.3, 5.7)))
 
 
 THEOREMS: dict[str, TheoremEntry] = {}
 
 
-def _register(tid, section, description, evaluate, points):
-    THEOREMS[tid] = TheoremEntry(tid, section, description, evaluate, points)
+def _register(tid, section, description, evaluate, points, **hypotheses):
+    THEOREMS[tid] = TheoremEntry(tid, section, description, evaluate, points,
+                                 **hypotheses)
 
 
 _register("T2_1", "sec2",
           "weight-k series, odd chi, even k >= 0, nu > 0: shifted-power tail",
-          _t2_1, _pts(
+          _single_nu, (
               dict(q=4, char_index=1, k=0, nu=0.6, a=1.0, x=0.75),
               dict(q=3, char_index=1, k=2, nu=0.25, a=1.0, x=0.3),
               dict(q=5, char_index=1, k=2, nu=1.3, a=2.0, x=1.9),
-              dict(q=7, char_index=3, k=4, nu=0.5, a=2.0, x=0.3)))
+              dict(q=7, char_index=3, k=4, nu=0.5, a=2.0, x=0.3)),
+          chars=("odd",), k=("even", 0), nu="positive", twist=TWISTED)
 _register("T2_2", "sec2",
           "weight-k series, odd chi, even k >= 0, nu = 0: difference tail",
-          _t2_2, _pts(
+          _single_nu0, (
               dict(q=4, char_index=1, k=0, a=1.0, x=0.3),
               dict(q=3, char_index=1, k=2, a=0.5, x=1.9),
               dict(q=7, char_index=3, k=4, a=2.0, x=0.75),
-              dict(q=5, char_index=3, k=6, a=2.0, x=1.9)))
+              dict(q=5, char_index=3, k=6, a=2.0, x=1.9)),
+          chars=("odd",), k=("even", 0), twist=TWISTED)
 _register("T2_3", "sec2",
           "bar-twist series, odd chi, even k >= 2, nu > 0",
-          _t2_3, _pts(
+          _single_nu, (
               dict(q=4, char_index=1, k=2, nu=0.25, a=1.0, x=0.75),
               dict(q=3, char_index=1, k=2, nu=0.7, a=0.5, x=1.9),
-              dict(q=5, char_index=1, k=4, nu=1.0, a=2.0, x=0.3)))
+              dict(q=5, char_index=1, k=4, nu=1.0, a=2.0, x=0.3)),
+          chars=("odd",), k=("even", 2), nu="positive", twist=BAR_TWISTED)
 _register("T2_4", "sec2",
           "bar-twist series, odd chi, even k >= 2, nu = 0",
-          _t2_4, _pts(
+          _single_nu0, (
               dict(q=4, char_index=1, k=2, a=1.0, x=0.3),
               dict(q=3, char_index=1, k=4, a=1.0, x=0.75),
-              dict(q=7, char_index=3, k=6, a=2.0, x=1.9)))
+              dict(q=7, char_index=3, k=6, a=2.0, x=1.9)),
+          chars=("odd",), k=("even", 2), twist=BAR_TWISTED)
 _register("T2_5", "sec2",
           "weight-k series, even chi, odd k >= 1, nu > 0",
-          _t2_5, _pts(
+          _single_nu, (
               dict(q=5, char_index=2, k=1, nu=0.6, a=1.0, x=0.75),
               dict(q=8, char_index=1, k=3, nu=0.25, a=1.0, x=0.3),
               dict(q=7, char_index=2, k=5, nu=1.3, a=2.0, x=1.9),
-              dict(q=7, char_index=4, k=1, nu=0.5, a=0.5, x=0.75)))
+              dict(q=7, char_index=4, k=1, nu=0.5, a=0.5, x=0.75)),
+          chars=("even",), k=("odd", 1), nu="positive", twist=TWISTED)
 _register("T2_6", "sec2",
           "weight-k series, even chi, odd k >= 1, nu = 0",
-          _t2_6, _pts(
+          _single_nu0, (
               dict(q=5, char_index=2, k=1, a=1.0, x=0.3),
               dict(q=8, char_index=1, k=3, a=0.5, x=1.9),
-              dict(q=7, char_index=2, k=5, a=2.0, x=0.75)))
+              dict(q=7, char_index=2, k=5, a=2.0, x=0.75)),
+          chars=("even",), k=("odd", 1), twist=TWISTED)
 _register("T2_7", "sec2",
           "bar-twist series, even chi, odd k >= 1, nu > 0",
-          _t2_7, _pts(
+          _single_nu, (
               dict(q=5, char_index=2, k=1, nu=0.25, a=1.0, x=0.75),
               dict(q=8, char_index=1, k=3, nu=0.7, a=2.0, x=0.3),
-              dict(q=7, char_index=4, k=5, nu=0.5, a=2.0, x=1.9)))
+              dict(q=7, char_index=4, k=5, nu=0.5, a=2.0, x=1.9)),
+          chars=("even",), k=("odd", 1), nu="positive", twist=BAR_TWISTED)
 _register("T2_8", "sec2",
           "bar-twist series, even chi, odd k >= 1, nu = 0",
-          _t2_8, _pts(
+          _single_nu0, (
               dict(q=5, char_index=2, k=1, a=1.0, x=0.75),
               dict(q=8, char_index=1, k=3, a=0.5, x=1.9),
-              dict(q=7, char_index=2, k=5, a=2.0, x=0.3)))
+              dict(q=7, char_index=2, k=5, a=2.0, x=0.3)),
+          chars=("even",), k=("odd", 1), twist=BAR_TWISTED)
 _register("T2_9", "sec2",
           "two odd characters, k = 0, nu = 0: log kernel over n(n^2-c^2)",
-          _t2_9, _pts(
+          _t2_9, (
               dict(p=3, char_index=1, q=4, char2_index=1, a=1.0, x=0.75),
               dict(p=3, char_index=1, q=5, char2_index=1, a=0.5, x=1.9),
-              dict(p=4, char_index=1, q=7, char2_index=3, a=1.0, x=0.3)))
+              dict(p=4, char_index=1, q=7, char2_index=3, a=1.0, x=0.3)),
+          chars=("odd", "odd"), excluded="a^2*p*q*x/(16*pi^2)")
 _register("T2_10", "sec2",
           "two matched-parity characters, odd k, nu > 0",
-          _t2_10, _pts(
+          _pair_nu, (
               dict(p=5, char_index=2, q=7, char2_index=2, k=1, nu=0.6, a=1.0, x=0.75),
               dict(p=3, char_index=1, q=4, char2_index=1, k=3, nu=0.25, a=1.0, x=0.3),
-              dict(p=8, char_index=1, q=5, char2_index=2, k=5, nu=1.0, a=2.0, x=1.9)))
+              dict(p=8, char_index=1, q=5, char2_index=2, k=5, nu=1.0, a=2.0, x=1.9)),
+          chars=(None, None), pair="matched", k=("odd", 1), nu="positive")
 _register("T2_11", "sec2",
           "two matched-parity characters, odd k, nu = 0",
-          _t2_11, _pts(
+          _pair_nu0, (
               dict(p=5, char_index=2, q=7, char2_index=2, k=1, a=1.0, x=0.3),
               dict(p=3, char_index=1, q=4, char2_index=1, k=3, a=1.0, x=1.9),
-              dict(p=8, char_index=1, q=5, char2_index=2, k=5, a=2.0, x=0.75)))
+              dict(p=8, char_index=1, q=5, char2_index=2, k=5, a=2.0, x=0.75)),
+          chars=(None, None), pair="matched", k=("odd", 1))
 _register("T2_12", "sec2",
           "two even characters, k = 0, nu = 0: log kernel over (n^2-c^2)",
-          _t2_12, _pts(
+          _t2_12, (
               dict(p=5, char_index=2, q=8, char2_index=1, a=1.0, x=0.75),
               dict(p=5, char_index=2, q=7, char2_index=2, a=0.5, x=1.9),
-              dict(p=7, char_index=2, q=7, char2_index=4, a=1.0, x=0.3)))
+              dict(p=7, char_index=2, q=7, char2_index=4, a=1.0, x=0.3)),
+          chars=("even", "even"), excluded="a^2*p*q*x/(16*pi^2)")
 _register("T2_13", "sec2",
           "single even character, k = 0, nu = 0: log kernel identity",
-          _t2_13, _pts(
+          _t2_13, (
               dict(q=5, char_index=2, a=1.0, x=0.3),
               dict(q=8, char_index=1, a=0.5, x=1.9),
               dict(q=7, char_index=2, a=1.0, x=0.75),
-              dict(q=7, char_index=4, a=2.0, x=0.3)))
+              dict(q=7, char_index=4, a=2.0, x=0.3)),
+          chars=("even",), excluded="a^2*q*x/(16*pi^2)")
 _register("T2_14", "sec2",
           "two mixed-parity characters, even k >= 0, nu > 0",
-          _t2_14, _pts(
+          _pair_nu, (
               dict(p=5, char_index=2, q=4, char2_index=1, k=0, nu=0.6, a=1.0, x=0.75),
               dict(p=3, char_index=1, q=5, char2_index=2, k=2, nu=0.25, a=1.0, x=0.3),
-              dict(p=8, char_index=3, q=7, char2_index=2, k=4, nu=1.0, a=2.0, x=1.9)))
+              dict(p=8, char_index=3, q=7, char2_index=2, k=4, nu=1.0, a=2.0, x=1.9)),
+          chars=(None, None), pair="mixed", k=("even", 0), nu="positive")
 _register("T2_15", "sec2",
           "two mixed-parity characters, even k >= 0, nu = 0",
-          _t2_15, _pts(
+          _pair_nu0, (
               dict(p=5, char_index=2, q=4, char2_index=1, k=0, a=1.0, x=0.3),
               dict(p=3, char_index=1, q=5, char2_index=2, k=2, a=1.0, x=1.9),
-              dict(p=8, char_index=1, q=3, char2_index=1, k=4, a=2.0, x=0.75)))
+              dict(p=8, char_index=1, q=3, char2_index=1, k=4, a=2.0, x=0.75)),
+          chars=(None, None), pair="mixed", k=("even", 0))
 _register("C2_1", "sec2",
           "equal characters: chi(n) sigma_k(n) series, odd k, nu > 0",
-          _c2_1, _pts(
+          _pair_nu, (
               dict(q=5, char_index=2, k=1, nu=0.6, a=1.0, x=0.75),
               dict(q=4, char_index=1, k=3, nu=0.25, a=1.0, x=0.3),
-              dict(q=7, char_index=3, k=1, nu=1.3, a=2.0, x=1.9)))
+              dict(q=7, char_index=3, k=1, nu=1.3, a=2.0, x=1.9)),
+          chars=("primitive",), k=("odd", 1), nu="positive")
 _register("C2_2", "sec2",
           "equal characters: chi(n) sigma_k(n) series, odd k, nu = 0",
-          _c2_2, _pts(
+          _pair_nu0, (
               dict(q=5, char_index=2, k=1, a=1.0, x=0.3),
               dict(q=4, char_index=1, k=3, a=1.0, x=1.9),
-              dict(q=7, char_index=3, k=5, a=2.0, x=0.75)))
+              dict(q=7, char_index=3, k=5, a=2.0, x=0.75)),
+          chars=("primitive",), k=("odd", 1))
 _register("P1_1", "classical",
           "character-free weight -nu identity with rational Cohen tail",
-          _p1_1, _pts(
+          _p1_1, (
               dict(nu=0.25, N=1, x=0.3),
               dict(nu=0.3, N=2, x=0.75),
               dict(nu=1.3, N=2, x=1.9),
-              dict(nu=2.5, N=2, x=0.45)))
+              dict(nu=2.5, N=2, x=0.45)),
+          nu="cohen", excluded="x")
 _register("T3_1", "cohen",
           "weight -nu series, even chi: zeta * L head and rational tail",
-          _t3_1, _cohen_points(dict(q=5, char_index=2, x=0.21)))
+          _cohen_single, _cohen_points(dict(q=5, char_index=2, x=0.21)),
+          chars=("even",), nu="cohen", excluded="q*x", twist=TWISTED)
 _register("T3_2", "cohen",
           "bar-twist weight -nu series, even chi",
-          _t3_2, _cohen_points(dict(q=5, char_index=2, x=0.21)))
+          _cohen_single, _cohen_points(dict(q=5, char_index=2, x=0.21)),
+          chars=("even",), nu="cohen", excluded="q*x", twist=BAR_TWISTED)
 _register("T3_3", "cohen",
           "weight -nu series, odd chi",
-          _t3_3, _cohen_points(dict(q=5, char_index=1, x=0.21)))
+          _cohen_single, _cohen_points(dict(q=5, char_index=1, x=0.21)),
+          chars=("odd",), nu="cohen", excluded="q*x", twist=TWISTED)
 _register("T3_4", "cohen",
           "bar-twist weight -nu series, odd chi",
-          _t3_4, _cohen_points(dict(q=3, char_index=1, x=0.41)))
+          _cohen_single, _cohen_points(dict(q=3, char_index=1, x=0.41)),
+          chars=("odd",), nu="cohen", excluded="q*x", twist=BAR_TWISTED)
 _register("T3_5", "cohen",
           "two even characters, weight -nu",
-          _t3_5, _cohen_points(dict(p=5, char_index=2, q=7, char2_index=2, x=0.021)))
+          _cohen_pair, _cohen_points(dict(p=5, char_index=2, q=7, char2_index=2, x=0.021)),
+          chars=("even", "even"), nu="cohen", excluded="p*q*x")
 _register("T3_6", "cohen",
           "two odd characters, weight -nu",
-          _t3_6, _cohen_points(dict(p=3, char_index=1, q=4, char2_index=1, x=0.11)))
+          _cohen_pair, _cohen_points(dict(p=3, char_index=1, q=4, char2_index=1, x=0.11)),
+          chars=("odd", "odd"), nu="cohen", excluded="p*q*x")
 _register("T3_7", "cohen",
           "even chi1 with odd chi2, weight -nu",
-          _t3_7, _cohen_points(dict(p=5, char_index=2, q=4, char2_index=1, x=0.061)))
+          _cohen_pair, _cohen_points(dict(p=5, char_index=2, q=4, char2_index=1, x=0.061)),
+          chars=("even", "odd"), nu="cohen", excluded="p*q*x")
 _register("T3_8", "cohen",
           "odd chi1 with even chi2, weight -nu",
-          _t3_8, _cohen_points(dict(p=3, char_index=1, q=5, char2_index=2, x=0.081)))
+          _cohen_pair, _cohen_points(dict(p=3, char_index=1, q=5, char2_index=2, x=0.081)),
+          chars=("odd", "even"), nu="cohen", excluded="p*q*x")
 _register("C3_1", "cohen-half",
           "nu = 1/2 exponential form, even chi, plain twist",
-          _c3_1, _pts(
+          _cohen_half, (
               dict(q=5, char_index=2, x=0.21),
               dict(q=7, char_index=2, x=0.13),
-              dict(q=8, char_index=1, x=0.33)))
+              dict(q=8, char_index=1, x=0.33)),
+          chars=("even",), nu="half", excluded="q*x", twist=TWISTED)
 _register("C3_2", "cohen-half",
           "nu = 1/2 exponential form, even chi, bar twist",
-          _c3_2, _pts(
+          _cohen_half, (
               dict(q=5, char_index=2, x=0.21),
               dict(q=7, char_index=4, x=0.13),
-              dict(q=8, char_index=1, x=0.33)))
+              dict(q=8, char_index=1, x=0.33)),
+          chars=("even",), nu="half", excluded="q*x", twist=BAR_TWISTED)
 _register("C3_3", "cohen-half",
           "nu = 1/2 exponential form, odd chi, plain twist",
-          _c3_3, _pts(
+          _cohen_half, (
               dict(q=5, char_index=1, x=0.21),
               dict(q=4, char_index=1, x=0.13),
-              dict(q=3, char_index=1, x=0.33)))
+              dict(q=3, char_index=1, x=0.33)),
+          chars=("odd",), nu="half", excluded="q*x", twist=TWISTED)
 _register("C3_4", "cohen-half",
           "nu = 1/2 exponential form, odd chi, bar twist",
-          _c3_4, _pts(
+          _cohen_half, (
               dict(q=5, char_index=1, x=0.21),
               dict(q=4, char_index=1, x=0.13),
-              dict(q=3, char_index=1, x=0.33)))
+              dict(q=3, char_index=1, x=0.33)),
+          chars=("odd",), nu="half", excluded="q*x", twist=BAR_TWISTED)
 _register("C3_5", "cohen",
           "equal even characters, weight -nu",
-          _c3_5, tuple(dict(q=5, char_index=2, x=0.021, nu=nuv, N=Nv)
-                       for nuv, Nv in ((0.25, 1), (0.3, 2), (0.45, 1))))
+          _cohen_pair, tuple(dict(q=5, char_index=2, x=0.021, nu=nuv, N=Nv)
+                                 for nuv, Nv in ((0.25, 1), (0.3, 2), (0.45, 1))),
+          chars=("even",), nu="cohen", excluded="q^2*x")
 _register("C3_6", "cohen",
           "equal odd characters, weight -nu",
-          _c3_6, tuple(dict(p=4, char_index=1, x=0.051, nu=nuv, N=Nv)
-                       for nuv, Nv in ((0.25, 1), (0.3, 2), (0.45, 1))))
+          _cohen_pair, tuple(dict(p=4, char_index=1, x=0.051, nu=nuv, N=Nv)
+                                 for nuv, Nv in ((0.25, 1), (0.3, 2), (0.45, 1))),
+          chars=("odd",), modulus="p", nu="cohen", excluded="p^2*x")
 _register("T4_1", "voronoi",
           "summation formula, even chi, bar-twist finite sum",
-          _t4_1, _voronoi_points(dict(q=5, char_index=2)))
+          _voronoi_single, _voronoi_points(dict(q=5, char_index=2)),
+          chars=("even",), nu="voronoi", twist=TWISTED)
 _register("T4_2", "voronoi",
           "summation formula, even chi, plain-twist finite sum",
-          _t4_2, _voronoi_points(dict(q=5, char_index=2)))
+          _voronoi_single, _voronoi_points(dict(q=5, char_index=2)),
+          chars=("even",), nu="voronoi", twist=BAR_TWISTED)
 _register("T4_3", "voronoi",
           "summation formula, odd chi, bar twist over j",
-          _t4_3, _voronoi_points(dict(q=5, char_index=1)))
+          _voronoi_single, _voronoi_points(dict(q=5, char_index=1)),
+          chars=("odd",), nu="voronoi", twist=TWISTED)
 _register("T4_4", "voronoi",
           "summation formula, odd chi, plain twist",
-          _t4_4, _voronoi_points(dict(q=5, char_index=1)))
+          _voronoi_single, _voronoi_points(dict(q=5, char_index=1)),
+          chars=("odd",), nu="voronoi", twist=BAR_TWISTED)
 _register("T4_5", "voronoi",
           "summation formula, two even characters",
-          _t4_5, _voronoi_points(dict(p=5, char_index=2, q=7, char2_index=2)))
+          _voronoi_pair, _voronoi_points(dict(p=5, char_index=2, q=7, char2_index=2)),
+          chars=("even", "even"), nu="voronoi")
 _register("T4_6", "voronoi",
           "summation formula, two odd characters, over j",
-          _t4_6, _voronoi_points(dict(p=3, char_index=1, q=4, char2_index=1)))
+          _voronoi_pair, _voronoi_points(dict(p=3, char_index=1, q=4, char2_index=1)),
+          chars=("odd", "odd"), nu="voronoi")
 _register("T4_7", "voronoi",
           "summation formula, even chi1 with odd chi2",
-          _t4_7, _voronoi_points(dict(p=5, char_index=2, q=4, char2_index=1)))
+          _voronoi_pair, _voronoi_points(dict(p=5, char_index=2, q=4, char2_index=1)),
+          chars=("even", "odd"), nu="voronoi")
 _register("T4_8", "voronoi",
           "summation formula, odd chi1 with even chi2",
-          _t4_8, _voronoi_points(dict(p=4, char_index=1, q=5, char2_index=2)))
+          _voronoi_pair, _voronoi_points(dict(p=4, char_index=1, q=5, char2_index=2)),
+          chars=("odd", "even"), nu="voronoi")
 _register("C4_1", "voronoi",
           "equal even characters summation formula",
-          _c4_1, _pts(
+          _voronoi_pair, (
               dict(q=5, char_index=2, nu=0.25, alpha=0.5, beta=3.4, f="exp"),
-              dict(q=5, char_index=2, nu=0.25, alpha=1.3, beta=5.7, f="t2")))
+              dict(q=5, char_index=2, nu=0.25, alpha=1.3, beta=5.7, f="t2")),
+          chars=("even",), nu="voronoi")
 _register("C4_2", "voronoi",
           "equal odd characters summation formula",
-          _c4_2, _pts(
+          _voronoi_pair, (
               dict(q=5, char_index=1, nu=0.25, alpha=0.5, beta=3.4, f="exp"),
-              dict(q=3, char_index=1, nu=0.25, alpha=1.3, beta=5.7, f="gauss")))
+              dict(q=3, char_index=1, nu=0.25, alpha=1.3, beta=5.7, f="gauss")),
+          chars=("odd",), nu="voronoi")
 
 
 def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
@@ -1422,7 +999,7 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     if tol is None:
         tol = DEFAULT_TOLERANCES[entry.section]
     t0 = time.perf_counter()
-    lhs, rhs, lterms, rterms = entry.evaluate(case, tol)
+    lhs, rhs, lterms, rterms = entry.evaluate(tol, **_check(entry, case))
     wall = (time.perf_counter() - t0) * 1000.0
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(lhs) if lhs != 0 else math.inf

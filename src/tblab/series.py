@@ -11,7 +11,7 @@ F given by its zeta/L product.  That reaches ~1e-12 where plain
 truncation of exponents as low as 1.25 could not reach 1e-9.
 
 An environment variable TBL_MAX_TERMS caps the term budget of every
-series operation.
+series operation; term_cap() is its one reader.
 """
 
 from __future__ import annotations
@@ -51,14 +51,27 @@ __all__ = [
     "voronoi_kernel_values",
     "oscillatory_kernel_integral",
     "VORONOI_VARIANTS",
+    "term_cap",
 ]
 
 DEFAULT_MAX_TERMS = 10 ** 6
 DEFAULT_HEAD = 1000
 
 
-def _term_cap() -> int:
-    return int(os.environ.get("TBL_MAX_TERMS", DEFAULT_MAX_TERMS))
+def term_cap() -> int:
+    """The term budget of every series operation: TBL_MAX_TERMS when set,
+    else DEFAULT_MAX_TERMS.  Anything but a positive integer raises
+    DomainError."""
+    text = os.environ.get("TBL_MAX_TERMS")
+    if text is None:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"TBL_MAX_TERMS must be a positive integer, got {text!r}")
+    return cap
 
 
 @dataclass
@@ -127,7 +140,7 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     max(tol, rel_tol * |partial sum|); raises ConvergenceError if the term
     budget is exhausted first.
     """
-    cap = min(params.max_terms or DEFAULT_MAX_TERMS, _term_cap())
+    cap = min(params.max_terms or DEFAULT_MAX_TERMS, term_cap())
     lam = params.a * math.sqrt(params.x)
     nu = params.nu
     w = spec.weight_real_max
@@ -254,7 +267,7 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
         raise DivergenceError(
             f"shifted_power_series diverges: p={p} too small for weight bound {w}")
     D = _expansion_head(head, c)
-    if D > _term_cap():
+    if D > term_cap():
         raise ConvergenceError("head length exceeds the term budget")
     tc = _TailContinuation(spec, D)
     if difference_form:
@@ -298,7 +311,7 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
     if spec.weight_real_max >= 1.0 + delta:
         raise DivergenceError("log_kernel_series needs weight below 1 + delta")
     D = _expansion_head(head, c)
-    if D > _term_cap():
+    if D > term_cap():
         raise ConvergenceError("head length exceeds the term budget")
     tc = _TailContinuation(spec, D)
 
@@ -361,7 +374,7 @@ def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
         raise DivergenceError(
             f"cohen tail diverges: exponent {wexp} too large for N={N}")
     D = _expansion_head(head, Q)
-    if D > _term_cap():
+    if D > term_cap():
         raise ConvergenceError("head length exceeds the term budget")
     tc = _TailContinuation(spec, D)
 

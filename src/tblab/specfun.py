@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import Character, enumerate_characters, gauss_sum
+from .characters import Character, _factorize, enumerate_characters, gauss_sum
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -261,16 +261,8 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
             raise PoleError("L(s, principal chi) pole at s=1")
         # L(s, chi_0) = zeta(s) * prod_{p|q} (1 - p^{-s})
         val = riemann_zeta(s)
-        n = q
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                val *= 1.0 - p ** (-s)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            val *= 1.0 - n ** (-s)
+        for p, _ in _factorize(q):
+            val *= 1.0 - p ** (-s)
         return val
     acc = 0j
     reflect = s.real < _REFLECT_RE

@@ -110,17 +110,19 @@ def test_criterion_3_bessel_layer():
         jp = (bessel_J(nu, x + h) - bessel_J(nu, x - h)) / (2 * h)
         wron = bessel_J(nu, x) * yp - jp * bessel_Y(nu, x)
         worst_w = max(worst_w, abs(wron - 2 / (PI * x)))
-    from tblab.bessel import _j_series, _jy_hankel, _k_asym, _k_bridge_arr, _k_small, _y_small
+    from tblab.bessel import (
+        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _k_small, _y_small)
     worst_c = 0.0
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
+        jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
         worst_c = max(
             worst_c,
             abs(_k_small(nu, K_SERIES_CUT)
                 - float(_k_bridge_arr(nu, np.array([K_SERIES_CUT]))[0])),
             abs(float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
-                - _k_asym(nu, K_ASYM_CUT)),
-            abs(_j_series(nu, JY_CUT) - _jy_hankel(nu, JY_CUT)[0]),
-            abs(_y_small(nu, JY_CUT) - _jy_hankel(nu, JY_CUT)[1]),
+                - float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])),
+            abs(_j_series(nu, JY_CUT) - jh),
+            abs(_y_small(nu, JY_CUT) - yh),
         )
     elapsed = time.perf_counter() - t0
     ok = (worst_half < 1e-11 and worst_int < 1e-10 and worst_w < 1e-9

@@ -66,6 +66,17 @@ def test_coefficient_array_matches_direct(chi4, chi3):
             assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
 
 
+def test_trivial_character_slot_matches_direct(chi4, chi3):
+    # a two-character sum with the trivial character mod 1 in one slot is
+    # swept as the one-character sum; the direct sum keeps both slots
+    one = enumerate_characters(1)[0]
+    for spec in (DivisorSumSpec(TWO_CHAR, 2, chi4, one),
+                 DivisorSumSpec(TWO_CHAR, -0.3, one, chi3)):
+        arr = coefficient_array(spec, 400)
+        for n in (1, 2, 17, 36, 399, 400):
+            assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
+
+
 def test_dirichlet_series_checks(chi4, chi3):
     # the residual is the genuine series tail (~4e-9 at 1e4 terms), always
     # inside the analytic bound returned alongside it

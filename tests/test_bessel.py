@@ -122,15 +122,16 @@ def test_half_order_closed_forms_across_range():
 
 
 def test_branch_continuity_at_cutoffs():
-    from tblab.bessel import _jy_hankel, _j_series, _k_asym, _k_bridge_arr, _k_small, _y_small
+    from tblab.bessel import (
+        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _k_small, _y_small)
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
         a = _k_small(nu, K_SERIES_CUT)
         b = float(_k_bridge_arr(nu, np.array([K_SERIES_CUT]))[0])
         assert abs(a - b) < 1e-9
         c = float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
-        d = _k_asym(nu, K_ASYM_CUT)
+        d = float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])
         assert abs(c - d) < 1e-9
-        jh, yh = _jy_hankel(nu, JY_CUT)
+        jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
         assert abs(_j_series(nu, JY_CUT) - jh) < 1e-9
         assert abs(_y_small(nu, JY_CUT) - yh) < 1e-9
 

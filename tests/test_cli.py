@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from tblab.cli import main
 
 
@@ -89,4 +91,18 @@ def test_max_terms_env(monkeypatch, capsys):
     rc = main(["verify", "--theorem", "T2_13", "--q", "5", "--char", "2",
                "--a", "1", "--x", "0.3"])
     assert rc == 2
-    assert "budget" in capsys.readouterr().err or True
+    err = capsys.readouterr().err
+    assert "tail bound" in err and "after 100 terms" in err
+
+
+@pytest.mark.parametrize("value, theorem", [
+    ("abc", ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"]),
+    ("-5", ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"]),
+    ("0", ["--theorem", "T4_1", "--q", "5", "--char", "2", "--nu", "0.25",
+           "--alpha", "0.5", "--beta", "3.4", "--f", "exp"]),
+])
+def test_max_terms_env_must_be_a_positive_integer(monkeypatch, capsys, value, theorem):
+    monkeypatch.setenv("TBL_MAX_TERMS", value)
+    assert main(["verify", *theorem]) == 2
+    err = capsys.readouterr().err
+    assert "TBL_MAX_TERMS" in err and repr(value) in err

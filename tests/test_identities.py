@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,27 @@ def test_parallel_runner_matches_sequential():
     assert [r.case for r in seq] == [r.case for r in par]
     for a, b in zip(seq, par):
         assert abs(a.lhs - b.lhs) < 1e-13 and abs(a.rhs - b.rhs) < 1e-13
+
+
+GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"
+
+
+def test_registry_matches_golden_records():
+    # every registered point outside the voronoi section, against the
+    # records of the hand-written evaluators the registry tables replaced
+    golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    tids = [tid for tid, entry in THEOREMS.items() if entry.section != "voronoi"]
+    reports = run_suite(tids)
+    assert len(reports) == len(golden) == 125
+    for rep, gold in zip(reports, golden):
+        rec = report_record(rep)
+        key = (gold["theorem_id"], gold["params"])
+        assert (rec["theorem_id"], rec["params"]) == key
+        assert (rec["pass"], rec["terms"]) == (gold["pass"], gold["terms"]), key
+        lhs = complex(gold["lhs_re"], gold["lhs_im"])
+        rhs = complex(gold["rhs_re"], gold["rhs_im"])
+        assert abs(rep.lhs - lhs) <= 1e-14 * abs(lhs), key
+        assert abs(rep.rhs - rhs) <= 1e-14 * abs(lhs), key
 
 
 class TestHypothesisEnforcement:
