@@ -138,7 +138,8 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
 
     Stops at the first N whose analytic tail bound drops below
     max(tol, rel_tol * |partial sum|); raises ConvergenceError if the term
-    budget is exhausted first.
+    budget is exhausted first, and before any term is summed when the
+    terms are still growing at the budget.
     """
     cap = min(params.max_terms or DEFAULT_MAX_TERMS, term_cap())
     lam = params.a * math.sqrt(params.x)
@@ -150,6 +151,10 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     while (_bessel_tail_bound(n_est, w, nu, lam) > params.tol
            and n_est < cap):
         n_est *= 2
+    if n_est >= cap and math.isinf(_bessel_tail_bound(cap, w, nu, lam)):
+        # the terms are still growing at the cap: no budget can certify it
+        raise ConvergenceError(
+            f"bessel_series: terms still grow after the {cap}-term budget")
     coef = coefficient_array(spec, min(max(2 * n_est, 1024), cap))
 
     acc = 0j

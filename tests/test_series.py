@@ -82,6 +82,17 @@ class TestBesselSeries:
             bessel_series(spec, SeriesParams(0.05, 0.05, 0.0, tol=1e-12,
                                              max_terms=500))
 
+    def test_hopeless_budget_fails_fast(self, unit, monkeypatch):
+        # at x = 1e-7 the terms still grow at the 10^6-term cap
+        import tblab.series
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients built for a hopeless series")
+
+        monkeypatch.setattr(tblab.series, "coefficient_array", refuse)
+        with pytest.raises(ConvergenceError):
+            bessel_series(unit, SeriesParams(1.0, 1e-7))
+
     def test_honest_certificate(self, chi5e):
         spec = DivisorSumSpec(TWISTED, -0.25, chi5e)
         r = bessel_series(spec, SeriesParams(0.6, 0.4, 0.25, tol=1e-10))
