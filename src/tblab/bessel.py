@@ -4,21 +4,20 @@ Branch layout per function:
 
 * I: ascending power series everywhere (terms summed until they fall
   below 1e-17 of the partial sum).
-* K: the I-difference form (pi/2)(I_{-nu}-I_nu)/sin(pi nu) below
-  K_SERIES_CUT, the monotone integral representation
-  int_0^inf exp(-x cosh t) cosh(nu t) dt on a fixed Gauss-Legendre grid
-  in the mid range, and the superasymptotic expansion beyond K_ASYM_CUT.
-  The I-difference loses eps*e^{2x} to cancellation, which caps its use
-  near x ~ 5 in doubles; the bridge covers the gap to the asymptotic
-  regime.
-* J/Y: ascending series (Y through the J_{+-nu} combination) below
-  JY_CUT, Hankel amplitude/phase expansions beyond.
+* K: below K_ASYM_CUT, int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF
+  10.32.9) on a fixed Gauss-Legendre grid; beyond, the superasymptotic
+  expansion.
+* J: ascending series up to JY_CUT; beyond, the Hankel expansions.
+* Y: up to JY_CUT, Schlaefli's integral (DLMF 10.9.7)
+  (1/pi) int_0^pi sin(x sin th - nu th) dth
+  - (1/pi) int_0^inf (e^{nu t} + cos(nu pi) e^{-nu t}) e^{-x sinh t} dt
+  on the same grid; beyond, the Hankel expansions.
 
-Integer and near-integer orders: within 1e-8 of an integer the integer
-(logarithmic/digamma) series is used; distances in [1e-8, 1e-3] are
-filled by quadratic extrapolation in nu from clean offsets, since the
-1/sin(pi nu) forms are catastrophically ill-conditioned there.
-K is even in nu, so only |nu| is ever evaluated.
+The integration limits follow nu and x (see _limits), so no order,
+integer or not, takes a path of its own.  An asymptotic expansion whose
+smallest term is still above 1e-12 of its leading one (a large order
+just past its cut) raises DomainError instead of returning the truncated
+sum.  K is even in nu, so only |nu| is ever evaluated.
 """
 
 from __future__ import annotations
@@ -41,16 +40,15 @@ __all__ = [
     "jy_values",
 ]
 
-# The I-difference form loses eps*e^{2x} to cancellation, so it hands over
-# to the integral representation early; the asymptotic series takes over
-# once its superasymptotic error e^{-2x} clears double precision.
+# No branch of K changes at K_SERIES_CUT any more; it is kept only because
+# the benchmark's tracing still counts K arguments on either side of it.
 K_SERIES_CUT = 2.0
+# The asymptotic series take over once their superasymptotic error clears
+# double precision for the orders the registry uses.
 K_ASYM_CUT = 18.0
 JY_CUT = 14.0
-
-_INT_EXACT = 1e-8
-_INT_RICH = 1e-3
-_RICH_H = 7.5e-4
+# An asymptotic sum whose smallest term is above this share of it is refused.
+_ASYM_REL = 1e-12
 
 
 def _i_series(nu: float, x: float) -> float:
@@ -69,103 +67,76 @@ def _i_series(nu: float, x: float) -> float:
         n += 1
 
 
-def _harmonic_psi(n: int) -> float:
-    # psi(n+1) = -gamma + sum_{k<=n} 1/k
-    acc = -0.5772156649015328606
-    for k in range(1, n + 1):
-        acc += 1.0 / k
-    return acc
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+_GL_U, _GL_W = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # mapped to [0, 1]
+# arguments per block, so that no (arguments x nodes) temporary tops 4 MB
+_BLOCK = 4096
 
 
-def _k_int_series(n: int, x: float) -> float:
-    """K_n(x) by the logarithmic series with digamma terms."""
-    xh = 0.5 * x
-    x2 = xh * xh
-    acc = 0.0
-    if n > 0:
-        # finite sum: (1/2)(x/2)^{-n} sum_{k<n} ((n-k-1)!/k!)(-x^2/4)^k
-        term = 0.5 * xh ** (-n) * math.factorial(n - 1)
-        acc += term
-        for k in range(1, n):
-            term *= -x2 / (k * (n - k))
-            acc += term
-    acc += (-1.0) ** (n + 1) * math.log(xh) * _i_series(float(n), x)
-    # (-1)^n (1/2)(x/2)^n sum_k (psi(k+1)+psi(n+k+1)) (x^2/4)^k /(k!(n+k)!)
-    coef = (-1.0) ** n * 0.5 * xh ** n / math.factorial(n)
-    p1, p2 = _harmonic_psi(0), _harmonic_psi(n)
-    term = coef
-    acc += term * (p1 + p2)
-    k = 1
-    while True:
-        term *= x2 / (k * (n + k))
-        p1 += 1.0 / k
-        p2 += 1.0 / (n + k)
-        inc = term * (p1 + p2)
-        acc += inc
-        if abs(inc) < 1e-17 * max(abs(acc), 1e-300) or k > 400:
-            return acc
-        k += 1
+def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.ndarray:
+    """int_lo^hi integrand(x, t) dt for each x, on the Gauss-Legendre grid."""
+    out = np.empty_like(xs)
+    for i in range(0, xs.size, _BLOCK):
+        b = slice(i, i + _BLOCK)
+        t = lo[b, None] + np.outer(hi[b] - lo[b], _GL_U)
+        out[b] = (integrand(xs[b, None], t) @ _GL_W) * (hi[b] - lo[b])
+    return out
 
 
-def _near_int_nodes(m: int) -> list[float]:
-    # every node keeps |nu - m| >= 2h > _INT_RICH, outside this zone
-    h = _RICH_H
-    if m == 0:
-        return [2 * h, 3 * h, 4 * h, 5 * h]
-    return [m + k * h for k in (-4, -3, -2, 2, 3, 4)]
-
-
-def _lagrange(xs, ys, t):
-    acc = 0.0
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        w = yi
-        for j, xj in enumerate(xs):
-            if j != i:
-                w *= (t - xj) / (xi - xj)
-        acc += w
-    return acc
-
-
-def _k_small(nu: float, x: float) -> float:
-    d = nu - round(nu)
-    if abs(d) < _INT_EXACT:
-        return _k_int_series(round(nu), x)
-    if abs(d) < _INT_RICH:
-        m = round(nu)
-        nodes = _near_int_nodes(m)
-        vals = [_k_small(t, x) for t in nodes]
-        if m == 0:
-            # K is even in nu: interpolate in nu^2, anchored by the exact
-            # integer-series value at nu = 0
-            us = [0.0] + [t * t for t in nodes]
-            vs = [_k_int_series(0, x)] + vals
-            return _lagrange(us, vs, nu * nu)
-        return _lagrange(nodes, vals, nu)
-    return (0.5 * math.pi) * (_i_series(-nu, x) - _i_series(nu, x)) \
-        / math.sin(math.pi * nu)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-# mapped to [0, 1]
-_GL_U = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]:
+    """Limits outside which e^{nu t - x cosh t} (inverse=arccosh, for K) or
+    e^{nu t - x sinh t} (arcsinh, for Y) is e^{-45} below its integral.
+    Below the peak t*, the log-slope is over nu/2 from t* - 2 down, so the
+    lower limit leaves 0 only where nu/x is large and the peak narrow."""
+    lo = np.maximum(np.arcsinh(nu / xs) - 2.0 - 90.0 / max(nu, 1e-300), 0.0)
+    hi = inverse(1.0 + (45.0 + nu * np.log1p((45.0 + nu) / xs) + nu) / xs)
+    return lo, hi
 
 
 def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
-    """Integral representation on a fixed Gauss-Legendre grid, vectorized.
+    """K_nu by its integral representation, vectorized."""
+    def integrand(x, t):
+        return np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
+    return _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
 
-    The upper limit T = acosh(1 + 45/x) puts the discarded tail below
-    e^{-45} relative to the result.
-    """
-    T = np.arccosh(1.0 + 45.0 / xs)
-    t = np.outer(T, _GL_U)
-    vals = np.exp(-xs[:, None] * np.cosh(t)) * np.cosh(nu * t)
-    return (vals @ _GL_W) * T
+
+def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
+    """Y_nu by Schlaefli's integral, vectorized."""
+    c = math.cos(math.pi * nu)
+
+    def decaying(x, t):
+        return np.exp(-x * np.sinh(t)) * (np.exp(nu * t) + c * np.exp(-nu * t))
+
+    def oscillating(x, th):
+        return np.sin(x * np.sin(th) - nu * th)
+
+    osc = _on_grid(np.zeros_like(xs), np.full_like(xs, math.pi), xs, oscillating)
+    tail = _on_grid(*_limits(nu, xs, np.arcsinh), xs, decaying)
+    return (osc - tail) / math.pi
+
+
+def _refuse_short_asym(nu: float, xb: np.ndarray, name: str) -> None:
+    """Raise DomainError unless the expansion in 1/x reaches a term below
+    _ASYM_REL of its leading one before its terms grow.  That smallest
+    term falls as x grows, so the least argument speaks for all."""
+    x = float(xb.min())
+    d = least = 1.0
+    for k in range(1, 40):
+        d *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if abs(d) >= least or least < _ASYM_REL:
+            break
+        least = abs(d)
+    if least > _ASYM_REL:
+        raise DomainError(
+            f"{name}: the asymptotic expansion at nu={nu}, x={x:g} stops at a "
+            f"term {least:.1e} of its leading one; the order is too large for "
+            f"this argument")
 
 
 def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
     """The superasymptotic expansion of K_nu, each series stopped before
     its smallest term."""
+    _refuse_short_asym(nu, xb, "K")
     mu = 4.0 * nu * nu
     term = np.ones_like(xb)
     acc = np.ones_like(xb)
@@ -203,15 +174,12 @@ def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
         raise DomainError("k_values needs x > 0")
     nu = abs(nu)
     out = np.empty_like(xs)
-    small = xs <= K_SERIES_CUT
-    mid = (xs > K_SERIES_CUT) & (xs < K_ASYM_CUT)
     big = xs >= K_ASYM_CUT
-    if small.any():
-        out[small] = [_k_small(nu, float(x)) for x in xs[small]]
-    if mid.any():
-        out[mid] = _k_bridge_arr(nu, xs[mid])
     if big.any():
         out[big] = _k_asym_arr(nu, xs[big])
+    small = ~big
+    if small.any():
+        out[small] = _k_bridge_arr(nu, xs[small])
     return out
 
 
@@ -234,6 +202,7 @@ def _j_series(nu: float, x: float) -> float:
 def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(J_nu, Y_nu) from the Hankel amplitude/phase expansions, each
     series stopped before its smallest term."""
+    _refuse_short_asym(nu, xb, "J/Y")
     mu = 4.0 * nu * nu
     d = np.ones_like(xb)
     p = np.ones_like(xb)
@@ -259,43 +228,6 @@ def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
 
 
-def _y_int_series(n: int, x: float) -> float:
-    xh = 0.5 * x
-    x2 = xh * xh
-    acc = 2.0 / math.pi * math.log(xh) * _j_series(float(n), x)
-    if n > 0:
-        term = xh ** (-n) / math.pi * math.factorial(n - 1)
-        acc -= term
-        for k in range(1, n):
-            term *= x2 / (k * (n - k))
-            acc -= term
-    coef = xh ** n / (math.pi * math.factorial(n))
-    p1, p2 = _harmonic_psi(0), _harmonic_psi(n)
-    term = coef
-    acc -= term * (p1 + p2)
-    k = 1
-    while True:
-        term *= -x2 / (k * (n + k))
-        p1 += 1.0 / k
-        p2 += 1.0 / (n + k)
-        inc = term * (p1 + p2)
-        acc -= inc
-        if abs(inc) < 1e-17 * max(abs(acc), 1e-300) or k > 400:
-            return acc
-        k += 1
-
-
-def _y_small(nu: float, x: float) -> float:
-    d = nu - round(nu)
-    if abs(d) < _INT_EXACT:
-        return _y_int_series(round(nu), x)
-    if abs(d) < _INT_RICH:
-        nodes = _near_int_nodes(round(nu))
-        return _lagrange(nodes, [_y_small(t, x) for t in nodes], nu)
-    s = math.pi * nu
-    return (_j_series(nu, x) * math.cos(s) - _j_series(-nu, x)) / math.sin(s)
-
-
 def bessel_J(nu: float, x: float) -> float:
     """Bessel function of the first kind, nu >= 0, x >= 0."""
     if x < 0:
@@ -317,12 +249,11 @@ def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0):
         raise DomainError("jy_values needs x > 0")
-    j = np.empty_like(xs)
-    y = np.empty_like(xs)
+    j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT
     if small.any():
         j[small] = [_j_series(nu, float(x)) for x in xs[small]]
-        y[small] = [_y_small(nu, float(x)) for x in xs[small]]
+        y[small] = _y_bridge_arr(nu, xs[small])
     big = ~small
     if big.any():
         j[big], y[big] = _jy_hankel_arr(nu, xs[big])

@@ -167,11 +167,6 @@ class Character:
             return -1 + 0j
         return cmath.exp(2j * cmath.pi * float(r))
 
-    def value_table(self) -> dict[int, Fraction]:
-        """Map residue -> exponent, units only."""
-        return {n: r for n in range(1, self.modulus + 1)
-                if (r := self.log_value(n)) is not None}
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -226,23 +221,8 @@ class Character:
         exps = tuple((-c) % m for c, m in zip(self.exponents, grp.orders))
         return Character(self.modulus, _index_of(grp, exps), exps)
 
-    def __mul__(self, other: "Character") -> "Character":
-        if self.modulus != other.modulus:
-            raise InvalidModulus("can only multiply characters of equal modulus")
-        grp = _unit_group(self.modulus)
-        exps = tuple((a + b) % m for a, b, m in
-                     zip(self.exponents, other.exponents, grp.orders))
-        return Character(self.modulus, _index_of(grp, exps), exps)
-
     def __call__(self, n: int) -> complex:
         return self.value(n)
-
-    def describe(self) -> str:
-        flags = [self.parity,
-                 "principal" if self.is_principal else f"order {self.order}",
-                 f"conductor {self.conductor}",
-                 "primitive" if self.is_primitive else "imprimitive"]
-        return f"chi({self.modulus},{self.index}): " + ", ".join(flags)
 
 
 def _divisors(q: int) -> list[int]:

@@ -9,6 +9,7 @@ the violated clause).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .bessel import bessel_I, bessel_J, bessel_K, bessel_Y
@@ -113,6 +114,15 @@ def _print_report(report) -> None:
           f"[{verdict}] ({report.wall_ms:.0f} ms)")
 
 
+def _emit_records(reports, path: str | None) -> None:
+    """Structured output: JSON lines into path, or onto stdout."""
+    if path:
+        write_reports(reports, path, fmt="jsonl")
+    else:
+        for rec in map(report_record, reports):
+            print(json.dumps(rec, sort_keys=True, allow_nan=False))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -150,11 +160,7 @@ def _dispatch(args) -> int:
         case = _case_from_args(args)
         report = verify(case, tol=args.tol)
         if args.format == "structured":
-            if args.out:
-                write_reports([report], args.out, fmt="jsonl")
-            else:
-                import json
-                print(json.dumps(report_record(report), sort_keys=True))
+            _emit_records([report], args.out)
         else:
             _print_report(report)
         return 0 if report.passed else 1
@@ -167,12 +173,7 @@ def _dispatch(args) -> int:
             return 0
         reports = run_suite(selector, workers=args.workers)
         if args.format == "structured":
-            if args.out:
-                write_reports(reports, args.out, fmt="jsonl")
-            else:
-                import json
-                for rec in map(report_record, reports):
-                    print(json.dumps(rec, sort_keys=True))
+            _emit_records(reports, args.out)
         else:
             for report in reports:
                 _print_report(report)

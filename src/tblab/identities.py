@@ -210,12 +210,25 @@ _EXCLUDED: dict[str, Callable[[dict], float]] = {
 }
 
 
-def _check(entry: TheoremEntry, case: IdentityCase) -> dict:
+class _Reads:
+    """A case's fields, with a record of those that were read."""
+
+    def __init__(self, case: IdentityCase):
+        self.case, self.read = case, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.case, name)
+
+
+def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     """Enforce entry's hypotheses on case, in the order the fields of
     TheoremEntry list them, and return the resolved parameters by name;
     an evaluator takes those it uses and ignores the rest.  One character
     gives chi = chi1 = chi2 and p = q, so an equal-character corollary
-    reads as its two-character theorem."""
+    reads as its two-character theorem.  A field the entry never reads
+    is refused."""
+    case = _Reads(given)
     r = {"twist": entry.twist}
     if len(entry.chars) == 1:
         m = getattr(case, entry.modulus)
@@ -237,7 +250,7 @@ def _check(entry: TheoremEntry, case: IdentityCase) -> dict:
              f"k must be an integer >= {minimum}")
         _req(k % 2 == (parity == "odd"), f"k must be an {parity} integer")
         r["k"] = int(k)
-    nu = case.nu
+    nu = case.nu if entry.nu in ("positive", "cohen", "voronoi") else None
     if entry.nu == "positive":
         _req(nu is not None and nu > 0, "nu must have positive real part")
     elif entry.nu == "cohen":
@@ -272,6 +285,9 @@ def _check(entry: TheoremEntry, case: IdentityCase) -> dict:
         if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
             raise ExcludedParameter(
                 f"{entry.excluded} = {value:.6g} must not be a positive integer")
+    unread = [name for name in given.params() if name not in case.read]
+    if unread:
+        raise DomainError(f"{entry.tid} does not take the parameter(s) {', '.join(unread)}")
     return r
 
 
@@ -1069,6 +1085,7 @@ def positivity_scan(q_max: int) -> list[tuple[int, int, float]]:
 
 
 def report_record(report: VerificationReport) -> dict:
+    """The report as a strict-JSON record: rel_err is None when lhs = 0."""
     return {
         "theorem_id": report.case.theorem,
         "params": report.case.params(),
@@ -1077,7 +1094,7 @@ def report_record(report: VerificationReport) -> dict:
         "rhs_re": report.rhs.real,
         "rhs_im": report.rhs.imag,
         "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
+        "rel_err": report.rel_err if math.isfinite(report.rel_err) else None,
         "pass": report.passed,
         "terms": report.lhs_terms + report.rhs_terms,
         "wall_ms": report.wall_ms,
@@ -1092,9 +1109,10 @@ def write_reports(reports: list[VerificationReport], path: str,
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "jsonl":
             for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
         elif fmt == "json":
-            json.dump({"reports": records}, fh, sort_keys=True, indent=1)
+            json.dump({"reports": records}, fh, sort_keys=True, indent=1,
+                      allow_nan=False)
             fh.write("\n")
         else:
             raise DomainError(f"unknown report format {fmt!r}")

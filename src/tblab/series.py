@@ -49,7 +49,7 @@ __all__ = [
     "adaptive_integral",
     "voronoi_kernel",
     "voronoi_kernel_values",
-    "oscillatory_kernel_integral",
+    "oscillatory_kernel_integrals",
     "VORONOI_VARIANTS",
     "term_cap",
 ]
@@ -98,26 +98,14 @@ class SeriesResult:
     terms: int
     tail_bound: float
 
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-
-def _kernel_bound(nu: float, y: float) -> float:
-    # K_nu(y) <= 2 sqrt(pi/(2y)) exp(-y + nu^2/(2y)), from the integral
-    # representation with cosh t >= 1 + t^2/2 and cosh(nu t) <= e^{nu t}
-    return 2.0 * math.sqrt(0.5 * math.pi / y) * math.exp(-y + nu * nu / (2.0 * y))
-
-
-def _bessel_term_bound(n: float, w: float, nu: float, lam: float) -> float:
-    # |f(n)| <= d(n) n^w <= n^{w+1}
-    y = lam * math.sqrt(n)
-    return n ** (w + 1.0 + 0.5 * nu) * _kernel_bound(nu, y)
-
 
 def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
     """Bound on sum_{n>N} of the term bound, by integral comparison.
 
-    The term bound is A e^{nu^2/(2 lam sqrt(t))} t^g e^{-lam sqrt(t)} with
+    The term bound n^{w+1+nu/2} K_nu(lam sqrt(n)) takes |f(n)| <= d(n) n^w
+    <= n^{w+1}, and K_nu(y) <= 2 sqrt(pi/(2y)) exp(-y + nu^2/(2y)) from
+    the integral representation with cosh t >= 1 + t^2/2 and cosh(nu t)
+    <= e^{nu t}.  It is A e^{nu^2/(2 lam sqrt(t))} t^g e^{-lam sqrt(t)} with
     g = w + 3/4 + nu/2; past its peak the sum is dominated by
     2 A E int_{sqrt N}^inf u^{2g+1} e^{-lam u} du, and the remaining
     incomplete-gamma integral by its leading term over a geometric factor.
@@ -139,7 +127,7 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     Stops at the first N whose analytic tail bound drops below
     max(tol, rel_tol * |partial sum|); raises ConvergenceError if the term
     budget is exhausted first, and before any term is summed when the
-    terms are still growing at the budget.
+    term bound has not begun to decay by the budget.
     """
     cap = min(params.max_terms or DEFAULT_MAX_TERMS, term_cap())
     lam = params.a * math.sqrt(params.x)
@@ -152,9 +140,10 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
            and n_est < cap):
         n_est *= 2
     if n_est >= cap and math.isinf(_bessel_tail_bound(cap, w, nu, lam)):
-        # the terms are still growing at the cap: no budget can certify it
+        # the term bound has not begun to decay by the cap: fail before
+        # building any coefficient
         raise ConvergenceError(
-            f"bessel_series: terms still grow after the {cap}-term budget")
+            f"bessel_series: terms not yet decaying after the {cap}-term budget")
     coef = coefficient_array(spec, min(max(2 * n_est, 1024), cap))
 
     acc = 0j
@@ -522,24 +511,19 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
     return ((2.0 / math.pi) * k + ys * y) * main + jc * j
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+# each panel of the r-grid spans at most 10 radians of kernel phase
+_PHASE_PER_PANEL = 10.0
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
 
 
 def _osc_nodes(f, alpha: float, beta: float, t_exponent: float,
-               max_phase_span: float, *, phase_per_panel: float = 10.0,
-               nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
+               max_phase_span: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre grid in r = sqrt(t), fine enough for the given
     phase span; returns the node positions and the shared weighted
     integrand factor w * f(t) t^{t_exponent} * 2r."""
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
-    panels = max(2, int(math.ceil(max_phase_span / phase_per_panel)))
-    xg, wg = _gl(nodes)
+    panels = max(2, int(math.ceil(max_phase_span / _PHASE_PER_PANEL)))
+    xg, wg = _PANEL_X, _PANEL_W
     edges = np.linspace(ra, rb, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -549,33 +533,19 @@ def _osc_nodes(f, alpha: float, beta: float, t_exponent: float,
     return r, w * f(t) * t ** t_exponent * 2.0 * r
 
 
-def oscillatory_kernel_integral(f: Callable[[np.ndarray], np.ndarray],
-                                alpha: float, beta: float, nu: float,
-                                c: float, t_exponent: float, variant: str,
-                                *, phase_per_panel: float = 10.0,
-                                nodes: int = 16) -> float:
-    """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta].
-
-    Substituting r = sqrt(t) makes the kernel phase linear in r, so fixed
-    Gauss-Legendre panels sized by the phase derivative integrate each
-    oscillation to near machine precision.
-    """
-    span = c * (math.sqrt(beta) - math.sqrt(alpha))
-    r, shared = _osc_nodes(f, alpha, beta, t_exponent, span,
-                           phase_per_panel=phase_per_panel, nodes=nodes)
-    kern = voronoi_kernel_values(variant, nu, c * r)
-    return float(np.dot(shared, kern))
-
-
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
                                  alpha: float, beta: float, nu: float,
                                  cs: np.ndarray, t_exponent: float,
                                  variant: str) -> np.ndarray:
-    """oscillatory_kernel_integral for a whole batch of kernel scales.
+    """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta]
+    for each kernel scale c in cs.
 
-    The t-grid (sized for the largest scale) and the non-kernel integrand
-    factors are shared across the batch, so the batch costs one matrix
-    kernel evaluation plus a matrix-vector product.
+    Substituting r = sqrt(t) makes the kernel phase linear in r, so fixed
+    Gauss-Legendre panels sized by the phase derivative integrate each
+    oscillation to near machine precision.  The t-grid (sized for the
+    largest scale) and the non-kernel integrand factors are shared across
+    the batch, so the batch costs one matrix kernel evaluation plus a
+    matrix-vector product.
     """
     cs = np.asarray(cs, dtype=float)
     if cs.size == 0:

@@ -325,10 +325,8 @@ def _richardson_derivative(f, s0: complex, h0: float = 0.5,
     return best if best is not None else rows[-1][-1]
 
 
-def L_derivative(s0: complex | float, chi: Character, order: int = 1) -> complex:
+def L_derivative(s0: complex | float, chi: Character) -> complex:
     """L'(s0, chi) by Richardson-extrapolated central differences."""
-    if order != 1:
-        raise DomainError("only first derivatives are supported")
     s0 = complex(s0)
     h0 = 0.5
     if chi.is_principal:

@@ -12,7 +12,6 @@ import numpy as np
 from tblab.bessel import (
     JY_CUT,
     K_ASYM_CUT,
-    K_SERIES_CUT,
     bessel_I,
     bessel_J,
     bessel_K,
@@ -111,18 +110,16 @@ def test_criterion_3_bessel_layer():
         wron = bessel_J(nu, x) * yp - jp * bessel_Y(nu, x)
         worst_w = max(worst_w, abs(wron - 2 / (PI * x)))
     from tblab.bessel import (
-        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _k_small, _y_small)
+        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
     worst_c = 0.0
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
         jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
         worst_c = max(
             worst_c,
-            abs(_k_small(nu, K_SERIES_CUT)
-                - float(_k_bridge_arr(nu, np.array([K_SERIES_CUT]))[0])),
             abs(float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
                 - float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])),
             abs(_j_series(nu, JY_CUT) - jh),
-            abs(_y_small(nu, JY_CUT) - yh),
+            abs(float(_y_bridge_arr(nu, np.array([JY_CUT]))[0]) - yh),
         )
     elapsed = time.perf_counter() - t0
     ok = (worst_half < 1e-11 and worst_int < 1e-10 and worst_w < 1e-9

@@ -6,7 +6,6 @@ import pytest
 from tblab.bessel import (
     JY_CUT,
     K_ASYM_CUT,
-    K_SERIES_CUT,
     bessel_I,
     bessel_J,
     bessel_K,
@@ -67,10 +66,9 @@ class TestK:
             bessel_K(0.5, 0.0)
 
     def test_near_integer_routing(self):
-        # within 1e-8 of an integer: integer branch; the interpolated zone
-        # must stay consistent with neighbouring clean orders
+        # orders next to an integer stay consistent with the integer order
+        # (their accuracy is checked against mpmath in test_oracle.py)
         x = 1.3
-        assert bessel_K(1.0 + 1e-9, x) == bessel_K(1.0, x)
         smooth = bessel_K(1.0 + 5e-4, x)
         assert abs(smooth - bessel_K(1.0, x)) < 1e-3 * bessel_K(1.0, x)
 
@@ -123,17 +121,14 @@ def test_half_order_closed_forms_across_range():
 
 def test_branch_continuity_at_cutoffs():
     from tblab.bessel import (
-        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _k_small, _y_small)
+        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
-        a = _k_small(nu, K_SERIES_CUT)
-        b = float(_k_bridge_arr(nu, np.array([K_SERIES_CUT]))[0])
-        assert abs(a - b) < 1e-9
         c = float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
         d = float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])
         assert abs(c - d) < 1e-9
         jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
         assert abs(_j_series(nu, JY_CUT) - jh) < 1e-9
-        assert abs(_y_small(nu, JY_CUT) - yh) < 1e-9
+        assert abs(float(_y_bridge_arr(nu, np.array([JY_CUT]))[0]) - yh) < 1e-9
 
 
 def test_vectorized_matches_scalar():
@@ -145,3 +140,17 @@ def test_vectorized_matches_scalar():
     for i, x in enumerate(xs):
         assert abs(jv[i] - bessel_J(1.3, float(x))) < 1e-13
         assert abs(yv[i] - bessel_Y(1.3, float(x))) < 1e-13
+
+
+def test_asymptotic_branches_refuse_orders_too_large():
+    # 4 nu^2 - 1 > 8x: the first term already grows, so the truncated sum
+    # is the leading term alone (bessel_K(10, 19) would read 1.6e-9, not 2.0e-8)
+    with pytest.raises(DomainError):
+        bessel_K(10, 19)
+    with pytest.raises(DomainError):
+        jy_values(8, [15.0])
+    # nu = 5 still reaches below 1e-12 of the sum at both cuts
+    assert np.all(np.isfinite(k_values(5, np.array([K_ASYM_CUT, 25.0]))))
+    for x in (14.01, 18.0):
+        assert all(np.isfinite(v[0]) for v in jy_values(5, [x]))
+

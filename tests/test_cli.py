@@ -47,6 +47,23 @@ def test_verify_hypothesis_violation_exit_two(capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, field", [
+    (["--theorem", "T2_2", "--q", "4", "--char", "1", "--k", "0", "--a", "1",
+      "--x", "0.3", "--nu", "0.6"], "nu"),
+    (["--theorem", "C3_1", "--q", "5", "--char", "2", "--x", "0.21",
+      "--nu", "0.3", "--N", "3"], "N"),
+])
+def test_verify_unread_parameter_exit_two(capsys, args, field):
+    assert main(["verify", *args]) == 2
+    err = capsys.readouterr().err
+    assert "does not take" in err and field in err
+
+
+def test_bessel_order_too_large_for_the_asymptotic_branch(capsys):
+    assert main(["bessel", "--kind", "K", "--nu", "10", "--x", "19"]) == 2
+    assert "asymptotic" in capsys.readouterr().err
+
+
 def test_unknown_theorem_lists_valid_ids(capsys):
     rc = main(["verify", "--theorem", "T2_99", "--q", "5", "--char", "2"])
     assert rc == 2

@@ -287,3 +287,35 @@ class TestHypothesisEnforcement:
         with pytest.raises(DomainError, match="test function"):
             verify(IdentityCase("T4_1", q=5, char_index=2, nu=0.25,
                                 alpha=0.5, beta=3.4, f="sinc"))
+
+    def test_unread_parameter_rejected(self):
+        # T2_2 is the nu = 0 form; C3_1 fixes nu = 1/2 and has no N
+        with pytest.raises(DomainError, match="nu"):
+            verify(IdentityCase("T2_2", q=4, char_index=1, k=0, a=1.0, x=0.3,
+                                nu=0.6))
+        with pytest.raises(DomainError, match="nu, N"):
+            verify(IdentityCase("C3_1", q=5, char_index=2, x=0.21, nu=0.3, N=3))
+        # a one-character entry reads only its own modulus field
+        with pytest.raises(DomainError, match="p"):
+            verify(IdentityCase("C3_1", q=5, char_index=2, x=0.21, p=5))
+
+
+def test_zero_lhs_record_is_strict_json(tmp_path):
+    # an interval holding no integer makes the finite side exactly 0
+    from tblab.identities import VerificationReport
+    case = IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.2,
+                        beta=0.7, f="exp")
+    report = VerificationReport(case, 0j, 2e-4 + 0j, 2e-4, math.inf,
+                                0, 20000, True, 1e-3, 1.0)
+    assert report_record(report)["rel_err"] is None
+
+    def refuse(name):
+        raise AssertionError(f"non-strict JSON constant {name}")
+
+    for fmt in ("jsonl", "json"):
+        path = tmp_path / f"zero.{fmt}"
+        write_reports([report], str(path), fmt=fmt)
+        rec = json.loads(path.read_text(), parse_constant=refuse)
+        if fmt == "json":
+            rec = rec["reports"][0]
+        assert rec["rel_err"] is None and rec["lhs_re"] == 0.0
