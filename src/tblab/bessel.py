@@ -47,7 +47,8 @@ K_SERIES_CUT = 2.0
 # double precision for the orders the registry uses.
 K_ASYM_CUT = 18.0
 JY_CUT = 14.0
-# An asymptotic sum whose smallest term is above this share of it is refused.
+# An asymptotic sum whose smallest term is above this share of its leading
+# term is refused.
 _ASYM_REL = 1e-12
 
 
@@ -69,8 +70,8 @@ def _i_series(nu: float, x: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
 _GL_U, _GL_W = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # mapped to [0, 1]
-# arguments per block, so that no (arguments x nodes) temporary tops 4 MB
-_BLOCK = 4096
+# arguments per block, so that no (arguments x nodes) temporary tops 1 MB
+_BLOCK = 1024
 
 
 def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.ndarray:
@@ -86,8 +87,9 @@ def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.nd
 def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]:
     """Limits outside which e^{nu t - x cosh t} (inverse=arccosh, for K) or
     e^{nu t - x sinh t} (arcsinh, for Y) is e^{-45} below its integral.
-    Below the peak t*, the log-slope is over nu/2 from t* - 2 down, so the
-    lower limit leaves 0 only where nu/x is large and the peak narrow."""
+    Below the peak t*, the log-slope is about nu/2 or more from t* - 2
+    down, so the lower limit leaves 0 only where nu/x is large and the
+    peak narrow."""
     lo = np.maximum(np.arcsinh(nu / xs) - 2.0 - 90.0 / max(nu, 1e-300), 0.0)
     hi = inverse(1.0 + (45.0 + nu * np.log1p((45.0 + nu) / xs) + nu) / xs)
     return lo, hi

@@ -523,12 +523,11 @@ def _osc_nodes(f, alpha: float, beta: float, t_exponent: float,
     integrand factor w * f(t) t^{t_exponent} * 2r."""
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
     panels = max(2, int(math.ceil(max_phase_span / _PHASE_PER_PANEL)))
-    xg, wg = _PANEL_X, _PANEL_W
     edges = np.linspace(ra, rb, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    r = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+    w = (half[:, None] * _PANEL_W[None, :]).ravel()
     t = r * r
     return r, w * f(t) * t ** t_exponent * 2.0 * r
 
