@@ -95,11 +95,24 @@ def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
+def _exp_pair(e: np.ndarray, nt: np.ndarray, c: float) -> np.ndarray:
+    """e^{e + nt} + c e^{e - nt}, in place of e.  Each exponent is summed
+    before it is raised, so no factor overflows where the integrand does
+    not (e^{nu t} alone overflows for nu t > 709)."""
+    up = np.add(e, nt)
+    np.exp(up, out=up)
+    np.subtract(e, nt, out=e)
+    np.exp(e, out=e)
+    e *= c
+    e += up
+    return e
+
+
 def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     """K_nu by its integral representation, vectorized."""
     def integrand(x, t):
-        return np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-    return _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
+        return _exp_pair(-x * np.cosh(t), nu * t, 1.0)
+    return 0.5 * _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
 
 
 def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
@@ -107,7 +120,7 @@ def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     c = math.cos(math.pi * nu)
 
     def decaying(x, t):
-        return np.exp(-x * np.sinh(t)) * (np.exp(nu * t) + c * np.exp(-nu * t))
+        return _exp_pair(-x * np.sinh(t), nu * t, c)
 
     def oscillating(x, th):
         return np.sin(x * np.sin(th) - nu * th)
