@@ -76,7 +76,7 @@ _BLOCK = 1024
 
 def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.ndarray:
     """int_lo^hi integrand(x, t) dt for each x, on the Gauss-Legendre grid."""
-    out = np.empty_like(xs)
+    out = np.empty(xs.shape)
     for i in range(0, xs.size, _BLOCK):
         b = slice(i, i + _BLOCK)
         t = lo[b, None] + np.outer(hi[b] - lo[b], _GL_U)
@@ -125,7 +125,7 @@ def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     def oscillating(x, th):
         return np.sin(x * np.sin(th) - nu * th)
 
-    osc = _on_grid(np.zeros_like(xs), np.full_like(xs, math.pi), xs, oscillating)
+    osc = _on_grid(np.zeros(xs.shape), np.full(xs.shape, math.pi), xs, oscillating)
     tail = _on_grid(*_limits(nu, xs, np.arcsinh), xs, decaying)
     return (osc - tail) / math.pi
 

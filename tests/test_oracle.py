@@ -56,3 +56,15 @@ def test_j_at_the_seam(nu):
     got = jy_values(nu, xs)[0]
     worst = max(float(abs(g - r)) for g, r in zip(got, ref))
     assert worst < J_SEAM_BOUND
+
+
+@pytest.mark.parametrize("nu, x", [(3.0, 1e-15), (3.0, 1e-12), (12.5, 1e-15),
+                                   (20.0, 1e-12), (45.0, 1e-5), (60.0, 1e-3)])
+def test_large_order_over_tiny_argument(nu, x):
+    # the integrands peak sharply near t = asinh(nu/x); at nu = 60 the factor
+    # e^{nu t} alone would overflow
+    xs = np.array([x])
+    with mpmath.workdps(30):
+        k_ref, y_ref = mpmath.besselk(nu, x), mpmath.bessely(nu, x)
+    assert float(abs(k_values(nu, xs)[0] / k_ref - 1)) < BOUND
+    assert float(abs(jy_values(nu, xs)[1][0] / y_ref - 1)) < BOUND
