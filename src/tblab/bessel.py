@@ -95,23 +95,13 @@ def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _exp_pair(e: np.ndarray, nt: np.ndarray, c: float) -> np.ndarray:
-    """e^{e + nt} + c e^{e - nt}, in place of e.  Each exponent is summed
-    before it is raised, so no factor overflows where the integrand does
-    not (e^{nu t} alone overflows for nu t > 709)."""
-    up = np.add(e, nt)
-    np.exp(up, out=up)
-    np.subtract(e, nt, out=e)
-    np.exp(e, out=e)
-    e *= c
-    e += up
-    return e
-
-
 def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
-    """K_nu by its integral representation, vectorized."""
+    """K_nu by its integral representation, vectorized.  Its integrand,
+    like Y's, raises each exponent whole: e^{nu t} alone overflows once
+    nu t > 709, where the integrand need not."""
     def integrand(x, t):
-        return _exp_pair(-x * np.cosh(t), nu * t, 1.0)
+        e = -x * np.cosh(t)
+        return np.exp(e + nu * t) + np.exp(e - nu * t)
     return 0.5 * _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
 
 
@@ -120,7 +110,8 @@ def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     c = math.cos(math.pi * nu)
 
     def decaying(x, t):
-        return _exp_pair(-x * np.sinh(t), nu * t, c)
+        e = -x * np.sinh(t)
+        return np.exp(e + nu * t) + c * np.exp(e - nu * t)
 
     def oscillating(x, th):
         return np.sin(x * np.sin(th) - nu * th)
