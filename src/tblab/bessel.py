@@ -79,8 +79,9 @@ def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.nd
     out = np.empty(xs.shape)
     for i in range(0, xs.size, _BLOCK):
         b = slice(i, i + _BLOCK)
-        t = lo[b, None] + np.outer(hi[b] - lo[b], _GL_U)
-        out[b] = (integrand(xs[b, None], t) @ _GL_W) * (hi[b] - lo[b])
+        span = hi[b] - lo[b]
+        t = lo[b, None] + np.outer(span, _GL_U)
+        out[b] = (integrand(xs[b, None], t) @ _GL_W) * span
     return out
 
 

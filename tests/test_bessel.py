@@ -149,8 +149,7 @@ def test_asymptotic_branches_refuse_orders_too_large():
         bessel_K(10, 19)
     with pytest.raises(DomainError):
         jy_values(8, [15.0])
-    # nu = 5 still reaches below 1e-12 of the sum at both cuts
+    # nu = 5 still reaches below 1e-12 of the leading term at both cuts
     assert np.all(np.isfinite(k_values(5, np.array([K_ASYM_CUT, 25.0]))))
     for x in (14.01, 18.0):
         assert all(np.isfinite(v[0]) for v in jy_values(5, [x]))
-

@@ -84,12 +84,10 @@ class TestBesselSeries:
 
     def test_hopeless_budget_fails_fast(self, unit, monkeypatch):
         # at x = 1e-7 the term bound has not begun to decay by the 10^6-term cap
-        import tblab.series
-
         def refuse(*args, **kwargs):
             raise AssertionError("coefficients built for a hopeless series")
 
-        monkeypatch.setattr(tblab.series, "coefficient_array", refuse)
+        monkeypatch.setattr("tblab.series.coefficient_array", refuse)
         with pytest.raises(ConvergenceError):
             bessel_series(unit, SeriesParams(1.0, 1e-7))
 
