@@ -2,22 +2,26 @@
 
 Branch layout per function:
 
-* I: ascending power series everywhere (terms summed until they fall
-  below 1e-17 of the partial sum).
+* I: the ascending power series everywhere.
 * K: below K_ASYM_CUT, int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF
   10.32.9) on a fixed Gauss-Legendre grid; beyond, the superasymptotic
   expansion.
-* J: ascending series up to JY_CUT; beyond, the Hankel expansions.
+* J: the ascending series up to JY_CUT; beyond, the Hankel expansions.
 * Y: up to JY_CUT, Schlaefli's integral (DLMF 10.9.7)
   (1/pi) int_0^pi sin(x sin th - nu th) dth
   - (1/pi) int_0^inf (e^{nu t} + cos(nu pi) e^{-nu t}) e^{-x sinh t} dt
   on the same grid; beyond, the Hankel expansions.
 
+I and J share one vectorized ascending series, which stops each argument
+at its first term below 1e-17 of its partial sum.  K and the Hankel P
+and Q share one generator of the terms of their expansion in 1/x (DLMF
+10.40.2, 10.17.1), which stops each argument before its smallest term.
 The integration limits follow nu and x (see _limits), so no order,
 integer or not, takes a path of its own.  An asymptotic expansion whose
 smallest term is still above 1e-12 of its leading one (a large order
 just past its cut) raises DomainError instead of returning the truncated
-sum.  K is even in nu, so only |nu| is ever evaluated.
+sum, as does a value outside the double range.  K is even in nu, so
+only |nu| is ever evaluated.
 """
 
 from __future__ import annotations
@@ -52,20 +56,38 @@ JY_CUT = 14.0
 _ASYM_REL = 1e-12
 
 
-def _i_series(nu: float, x: float) -> float:
-    """Ascending series for I_nu, any real nu (not a negative integer)."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    x2 = 0.25 * x * x
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    acc = term
-    n = 1
-    while True:
-        term *= x2 / (n * (nu + n))
-        acc += term
-        if abs(term) < 1e-17 * abs(acc) or n > 600:
-            return acc
-        n += 1
+@np.errstate(over="ignore", invalid="ignore")
+def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
+    """sum_k sign^k (x/2)^{nu+2k} / (k! Gamma(nu+k+1)), vectorized over
+    x >= 0: I_nu for sign +1, J_nu for sign -1 (nu not a negative
+    integer)."""
+    try:
+        lead = math.gamma(nu + 1.0)
+    except (OverflowError, ValueError):  # too large, or a pole
+        raise DomainError(f"the ascending series of order {nu:g} needs "
+                          f"Gamma({nu + 1.0:g}), which is not finite") from None
+    ratio = sign * (0.25 * xs * xs)
+    term = (0.5 * xs) ** nu / lead
+    acc = term.copy()
+    live = np.arange(xs.size)  # the arguments still adding terms
+    for n in range(1, 602):
+        term = term * (ratio / (n * (nu + n)))
+        acc[live] += term
+        go = np.abs(term) > 1e-17 * np.abs(acc[live])
+        if not go.any():
+            break
+        live, term, ratio = live[go], term[go], ratio[go]
+    _refuse_overflow("I" if sign > 0 else "J", nu, xs, acc)
+    return acc
+
+
+def _refuse_overflow(name: str, nu: float, xs: np.ndarray, *values: np.ndarray) -> None:
+    """Raise DomainError where a value has left the double range."""
+    for v in values:
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise DomainError(
+                f"{name}_{nu:g}({xs[bad][0]:g}) lies outside the double range")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -122,20 +144,31 @@ def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     return (osc - tail) / math.pi
 
 
-def _refuse_short_asym(nu: float, xb: np.ndarray, name: str) -> None:
-    """Raise DomainError unless the expansion in 1/x reaches a term below
-    _ASYM_REL of its leading one before its terms grow.  That smallest
+def _asym_terms(nu: float, xb: np.ndarray, name: str):
+    """Yield (k, d_k, alive), d_k = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j x),
+    alive marking the arguments whose |d| has fallen at every step yet.
+    Then raise DomainError unless the least argument reached a term below
+    _ASYM_REL of the leading one before its terms grew: that smallest
     term falls as x grows, so the least argument speaks for all."""
-    x = float(xb.min())
-    d = least = 1.0
+    mu = 4.0 * nu * nu
+    low = int(np.argmin(xb))
+    least = 1.0
+    d = np.ones_like(xb)
+    alive = np.ones_like(xb, dtype=bool)
+    prev = np.abs(d)
     for k in range(1, 40):
-        d *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(d) >= least or least < _ASYM_REL:
+        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
+        now = np.abs(d)
+        alive &= now < prev
+        if alive[low]:
+            least = float(now[low])
+        if not alive.any() or now.max() < 1e-17:
             break
-        least = abs(d)
+        yield k, d, alive
+        prev = now
     if least > _ASYM_REL:
         raise DomainError(
-            f"{name}: the asymptotic expansion at nu={nu}, x={x:g} stops at a "
+            f"{name}: the asymptotic expansion at nu={nu}, x={xb[low]:g} stops at a "
             f"term {least:.1e} of its leading one; the order is too large for "
             f"this argument")
 
@@ -143,28 +176,36 @@ def _refuse_short_asym(nu: float, xb: np.ndarray, name: str) -> None:
 def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
     """The superasymptotic expansion of K_nu, each series stopped before
     its smallest term."""
-    _refuse_short_asym(nu, xb, "K")
-    mu = 4.0 * nu * nu
-    term = np.ones_like(xb)
     acc = np.ones_like(xb)
-    alive = np.ones_like(xb, dtype=bool)
-    prev = np.abs(term)
-    for k in range(1, 40):
-        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
-        now = np.abs(term)
-        alive &= now < prev
-        if not alive.any() or now.max() < 1e-17:
-            break
-        acc = np.where(alive, acc + term, acc)
-        prev = now
+    for _, d, alive in _asym_terms(nu, xb, "K"):
+        acc = np.where(alive, acc + d, acc)
+        del d, alive  # held while the next pair is formed, they cost time and memory
     return np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
+
+
+def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_nu, Y_nu) from the Hankel amplitude/phase expansions, each
+    series stopped before its smallest term."""
+    p = np.ones_like(xb)
+    q = np.zeros_like(xb)
+    for k, d, alive in _asym_terms(nu, xb, "J/Y"):
+        sgn = 1.0 if k % 4 in (0, 1) else -1.0
+        if k % 2 == 1:
+            q = np.where(alive, q + sgn * d, q)
+        else:
+            p = np.where(alive, p + sgn * d, p)
+        del d, alive
+    omega = xb - (0.5 * nu + 0.25) * np.pi
+    amp = np.sqrt(2.0 / (np.pi * xb))
+    cw, sw = np.cos(omega), np.sin(omega)
+    return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
 
 
 def bessel_I(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x), nu >= 0, x >= 0."""
     if x < 0:
         raise DomainError(f"bessel_I needs x >= 0, got {x}")
-    return _i_series(nu, x)
+    return float(_ascending(nu, np.array([float(x)]), 1.0)[0])
 
 
 def bessel_K(nu: float, x: float) -> float:
@@ -174,6 +215,7 @@ def bessel_K(nu: float, x: float) -> float:
     return float(k_values(nu, np.array([x]))[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized K_nu over an array of positive arguments."""
     xs = np.asarray(xs, dtype=float)
@@ -187,52 +229,8 @@ def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
     small = ~big
     if small.any():
         out[small] = _k_bridge_arr(nu, xs[small])
+    _refuse_overflow("K", nu, xs, out)
     return out
-
-
-def _j_series(nu: float, x: float) -> float:
-    """Ascending series for J_nu, any real nu (not a negative integer)."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    x2 = 0.25 * x * x
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    acc = term
-    n = 1
-    while True:
-        term *= -x2 / (n * (nu + n))
-        acc += term
-        if abs(term) < 1e-17 * max(abs(acc), 1e-12) or n > 600:
-            return acc
-        n += 1
-
-
-def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_nu, Y_nu) from the Hankel amplitude/phase expansions, each
-    series stopped before its smallest term."""
-    _refuse_short_asym(nu, xb, "J/Y")
-    mu = 4.0 * nu * nu
-    d = np.ones_like(xb)
-    p = np.ones_like(xb)
-    q = np.zeros_like(xb)
-    alive = np.ones_like(xb, dtype=bool)
-    prev = np.abs(d)
-    for k in range(1, 40):
-        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
-        now = np.abs(d)
-        alive &= now < prev
-        if not alive.any() or now.max() < 1e-17:
-            break
-        sgn = 1.0 if k % 4 in (0, 1) else -1.0
-        if k % 2 == 1:
-            q = np.where(alive, q + sgn * d, q)
-        else:
-            p = np.where(alive, p + sgn * d, p)
-        prev = now
-    del d, prev, now  # free them before both results are built at once
-    omega = xb - (0.5 * nu + 0.25) * np.pi
-    amp = np.sqrt(2.0 / (np.pi * xb))
-    cw, sw = np.cos(omega), np.sin(omega)
-    return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
 
 
 def bessel_J(nu: float, x: float) -> float:
@@ -240,7 +238,7 @@ def bessel_J(nu: float, x: float) -> float:
     if x < 0:
         raise DomainError(f"bessel_J needs x >= 0, got {x}")
     if x <= JY_CUT:
-        return _j_series(nu, x)
+        return float(_ascending(nu, np.array([float(x)]), -1.0)[0])
     return float(jy_values(nu, np.array([x]))[0][0])
 
 
@@ -251,6 +249,7 @@ def bessel_Y(nu: float, x: float) -> float:
     return float(jy_values(nu, np.array([x]))[1][0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (J_nu, Y_nu) over an array of positive arguments."""
     xs = np.asarray(xs, dtype=float)
@@ -259,9 +258,10 @@ def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT
     if small.any():
-        j[small] = [_j_series(nu, float(x)) for x in xs[small]]
+        j[small] = _ascending(nu, xs[small], -1.0)
         y[small] = _y_bridge_arr(nu, xs[small])
     big = ~small
     if big.any():
         j[big], y[big] = _jy_hankel_arr(nu, xs[big])
+    _refuse_overflow("J/Y", nu, xs, j, y)
     return j, y

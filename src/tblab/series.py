@@ -3,11 +3,14 @@
 Bessel-kernel sums are truncated against a certified analytic tail bound
 (coefficients bounded by d(n) n^w, the kernel by its Gaussian-majorant
 exponential bound).  Algebraically decaying sums (shifted powers, log
-kernels, rational Cohen tails) are summed directly up to a head length
-and completed in closed form: the kernel is expanded binomially or
-geometrically for n beyond the head, which turns the tail into a short
-series of Dirichlet-tail values F(s) - sum_{n<=head} f(n) n^{-s}, with
-F given by its zeta/L product.  That reaches ~1e-12 where plain
+kernels, rational Cohen tails) share one loop, _closed_tail: it sums the
+kernel directly up to a head length and completes the rest in closed
+form.  Each of the three expands its kernel in 1/n beyond the head
+(binomially or geometrically) and hands the loop the expansion order by
+order; the loop turns each order into Dirichlet-tail values
+F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings, from
+-F'), with F given by its zeta/L product, and stops at the first order
+whose certified bound is below tol/10.  That reaches ~1e-12 where plain
 truncation of exponents as low as 1.25 could not reach 1e-9.
 
 An environment variable TBL_MAX_TERMS caps the term budget of every
@@ -16,6 +19,7 @@ series operation; term_cap() is its one reader.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -83,7 +87,6 @@ class SeriesParams:
     nu: float = 0.0
     tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_terms: int | None = None
 
     def __post_init__(self):
         if self.a <= 0 or self.x <= 0:
@@ -129,7 +132,7 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     budget is exhausted first, and before any term is summed when the
     term bound has not begun to decay by the budget.
     """
-    cap = min(params.max_terms or DEFAULT_MAX_TERMS, term_cap())
+    cap = term_cap()
     lam = params.a * math.sqrt(params.x)
     nu = params.nu
     w = spec.weight_real_max
@@ -173,75 +176,85 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
 # -- closed-form Dirichlet tails ----------------------------------------
 
 
-def _coef_tail_bound(w: float, D: int, s: float) -> float:
-    """Rigorous bound on sum_{n>D} d(n) n^{w-s} for s - w > 1."""
-    sigma = s - w
-    if sigma <= 1.0:
-        return math.inf
-    g = sigma / (sigma - 1.0)
-    return g * D ** (1.0 - sigma) * (1.0 + math.log(D) + g)
-
-
-def _log_tail_bound(w: float, D: int, s: float) -> float:
-    # ln n <= 4 n^{1/4}
-    return 4.0 * _coef_tail_bound(w, D, s - 0.25)
-
-
 # F(s) - head is a difference of O(1) quantities: tails below this are
 # double-precision noise and must not be scaled up by expansion coefficients
 _TAIL_RESOLUTION = 1e-15
 
 
-def _expansion_head(head: int, shift: float) -> int:
-    """Head length for a kernel expansion around shift c (or Q).
-
-    For shifts above 1 the expansion coefficients grow like c^m, so the
-    head is stretched until the unresolvable-tail floor is reached at a
-    small m, keeping the noise amplification bounded.
-    """
-    D = max(head, int(math.ceil(2.5 * shift)) + 8)
-    if shift > 1.0:
-        D = max(D, int(math.ceil(2500.0 * shift)))
-    return D
-
-
 class _TailContinuation:
-    """F(s) - sum_{n<=D} f(n) n^{-s}, and its log-weighted sibling."""
+    """The Dirichlet tail sum_{n>D} f(n) n^{-s}, which is F(s) - head, and
+    with log, sum_{n>D} f(n) ln(n) n^{-s} = -F'(s) - head."""
 
     def __init__(self, spec: DivisorSumSpec, head: int):
         self.spec = spec
         self.D = head
         self.coef = coefficient_array(spec, head)[1:]
         self.ns = np.arange(1, head + 1, dtype=float)
-        self.logns = np.log(self.ns)
+        self.logcoef = self.coef * np.log(self.ns)
         self.w = spec.weight_real_max
 
-    def head_sum(self, g: np.ndarray) -> complex:
-        return complex(np.sum(self.coef * g))
+    def value(self, s: float, log: bool) -> complex:
+        head = complex(np.sum((self.logcoef if log else self.coef) * self.ns ** (-s)))
+        return (-closed_form_F_prime(self.spec, s) if log
+                else closed_form_F(self.spec, s)) - head
 
-    def f_tail(self, s: float) -> complex:
-        return closed_form_F(self.spec, s) - complex(np.sum(self.coef * self.ns ** (-s)))
-
-    def f_log_tail(self, s: float) -> complex:
-        """sum_{n>D} f(n) ln(n) n^{-s} = -F'(s) - head part."""
-        head = complex(np.sum(self.coef * self.logns * self.ns ** (-s)))
-        return -closed_form_F_prime(self.spec, s) - head
-
-    def f_tail_bound(self, s: float) -> float:
-        return _coef_tail_bound(self.w, self.D, s)
-
-    def f_log_tail_bound(self, s: float) -> float:
-        return _log_tail_bound(self.w, self.D, s)
+    def bound(self, s: float, log: bool) -> float:
+        """Rigorous bound on the tail, from |f(n)| <= d(n) n^w and, with
+        log, ln n <= 4 n^{1/4}."""
+        if log:
+            return 4.0 * self.bound(s - 0.25, False)
+        sigma = s - self.w
+        if sigma <= 1.0:
+            return math.inf
+        g = sigma / (sigma - 1.0)
+        return g * self.D ** (1.0 - sigma) * (1.0 + math.log(self.D) + g)
 
 
-def _binom_series(p: float):
-    """Coefficients of (1+t)^{-p} = sum b_m t^m, generated lazily."""
-    b = 1.0
-    m = 0
-    while True:
-        yield b
-        b *= -(p + m) / (m + 1)
-        m += 1
+def _closed_tail(spec: DivisorSumSpec, shift: float, head: int, tol: float,
+                 kernel, orders) -> SeriesResult:
+    """sum_n f(n) kernel(n): n <= D directly, n > D by the kernel's
+    expansion in 1/n, which orders(shift / D) yields order by order as
+    (scale, parts, ratio).  An order is scale * sum c * value(s, log) over
+    its parts (c, s, log), and ratio bounds how fast the orders after it
+    shrink.  Stops at the first order whose bound is below tol / 10 or
+    whose tails are below _TAIL_RESOLUTION; its bound, summed
+    geometrically, bounds the rest."""
+    D = max(head, int(math.ceil(2.5 * shift)) + 8)
+    if shift > 1.0:
+        # the expansion's coefficients grow like shift^m: a longer head
+        # reaches the unresolvable-tail floor at a small m, which bounds
+        # the noise they amplify
+        D = max(D, int(math.ceil(2500.0 * shift)))
+    if D > term_cap():
+        raise ConvergenceError("head length exceeds the term budget")
+    tc = _TailContinuation(spec, D)
+    head_val = complex(np.sum(tc.coef * kernel(tc.ns)))
+    tail_val = 0j
+    for scale, parts, ratio in itertools.islice(orders(shift / D), 200):
+        bound = abs(scale) * sum(abs(c) * tc.bound(s, log) for c, s, log in parts)
+        if (bound < 0.1 * tol
+                or tc.bound(min(s for _, s, _ in parts), False) < _TAIL_RESOLUTION):
+            return SeriesResult(head_val + tail_val, D, bound / max(1.0 - ratio, 0.5))
+        tail_val += scale * sum(c * tc.value(s, log) for c, s, log in parts)
+    raise ConvergenceError("tail expansion did not settle")
+
+
+def _refuse_integer(value: float, name: str) -> None:
+    """The summands of the log and Cohen kernels have a pole at n = value."""
+    if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
+        raise ExcludedParameter(f"{name}={value} must not be a positive integer")
+
+
+def _near_pole(ns: np.ndarray, c: float, exact, expansion) -> np.ndarray:
+    """exact(n), but expansion((n - c)/c) for n within 1e-3 max(1, c) of
+    the removable singularity at n = c."""
+    g = np.empty(ns.shape)
+    near = np.abs(ns - c) < 1e-3 * max(1.0, c)
+    far = ~near
+    g[far] = exact(ns[far])
+    if near.any():
+        g[near] = expansion((ns[near] - c) / c)
+    return g
 
 
 def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
@@ -250,8 +263,8 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
     """sum_n f_z(n)/(n+c)^p, or sum_n f_z(n)(n^{-p} - (n+c)^{-p}).
 
     Head terms are summed directly; for n > head the kernel is expanded
-    binomially in c/n and each power sum is completed by the closed-form
-    Dirichlet tail.
+    binomially in c/n, (1 + c/n)^{-p} = sum_m b_m (c/n)^m, and each
+    power sum is completed by the closed-form Dirichlet tail.
     """
     w = spec.weight_real_max
     if c < 0:
@@ -260,32 +273,20 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
     if p <= need + 1e-12:
         raise DivergenceError(
             f"shifted_power_series diverges: p={p} too small for weight bound {w}")
-    D = _expansion_head(head, c)
-    if D > term_cap():
-        raise ConvergenceError("head length exceeds the term budget")
-    tc = _TailContinuation(spec, D)
-    if difference_form:
-        head_val = tc.head_sum(tc.ns ** (-p) - (tc.ns + c) ** (-p))
-    else:
-        head_val = tc.head_sum((tc.ns + c) ** (-p))
+    sign = -1.0 if difference_form else 1.0
 
-    tail_val = 0j
-    bound_left = 0.0
-    cm = 1.0
-    for m, b in enumerate(_binom_series(p)):
-        if m > 200:
-            raise ConvergenceError("binomial tail expansion did not settle")
-        if not (m == 0 and difference_form):
-            ftb = tc.f_tail_bound(p + m)
-            bound = abs(b) * cm * ftb
-            if bound < 0.1 * tol or ftb < _TAIL_RESOLUTION:
-                r = (c / D) * (p + m + 1) / (m + 1)
-                bound_left = bound / max(1.0 - r, 0.5)
-                break
-            term = b * cm * tc.f_tail(p + m)
-            tail_val += -term if difference_form else term
-        cm *= c
-    return SeriesResult(head_val + tail_val, D, bound_left)
+    def kernel(ns):
+        return ns ** (-p) - (ns + c) ** (-p) if difference_form else (ns + c) ** (-p)
+
+    def orders(t):
+        b = cm = 1.0
+        for m in itertools.count():
+            if m or not difference_form:  # n^{-p} cancels the m = 0 order
+                yield b * cm, [(sign, p + m, False)], t * (p + m + 1) / (m + 1)
+            b *= -(p + m) / (m + 1)
+            cm *= c
+
+    return _closed_tail(spec, c, head, tol, kernel, orders)
 
 
 def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
@@ -294,56 +295,32 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
 
     c within 1e-6 of a positive integer is excluded (the summand has a
     pole there); terms with n near c switch to the removable-singularity
-    expansion.
+    expansion.  For n > head the kernel is expanded geometrically in
+    (c/n)^2.
     """
     if c <= 0:
         raise DomainError("log_kernel_series needs c > 0")
-    if abs(c - round(c)) <= 1e-6 and round(c) >= 1:
-        raise ExcludedParameter(
-            f"log-kernel parameter c={c} must not be a positive integer")
+    _refuse_integer(c, "log-kernel parameter c")
     delta = 1 if over_n else 0
     if spec.weight_real_max >= 1.0 + delta:
         raise DivergenceError("log_kernel_series needs weight below 1 + delta")
-    D = _expansion_head(head, c)
-    if D > term_cap():
-        raise ConvergenceError("head length exceeds the term budget")
-    tc = _TailContinuation(spec, D)
-
-    g = np.empty(D, dtype=float)
-    near = np.abs(tc.ns - c) < 1e-3 * max(1.0, c)
-    far = ~near
-    g[far] = np.log(tc.ns[far] / c) / (tc.ns[far] ** 2 - c * c)
-    if near.any():
-        u = (tc.ns[near] - c) / c
-        # log(1+u)/u / (c^2 (2+u)), series in u
-        series = 1.0 - u / 2 + u ** 2 / 3 - u ** 3 / 4 + u ** 4 / 5 - u ** 5 / 6
-        g[near] = series / (c * c * (2.0 + u))
-    if over_n:
-        g = g / tc.ns
-    head_val = tc.head_sum(g)
-
-    tail_val = 0j
-    bound_left = 0.0
     logc = math.log(c)
-    c2m = 1.0
-    for m in range(0, 200):
-        s = 2.0 * m + 2.0 + delta
-        bound = c2m * (tc.f_log_tail_bound(s) + abs(logc) * tc.f_tail_bound(s))
-        if bound < 0.1 * tol or tc.f_tail_bound(s) < _TAIL_RESOLUTION:
-            bound_left = bound / max(1.0 - (c / D) ** 2, 0.5)
-            break
-        tail_val += c2m * (tc.f_log_tail(s) - logc * tc.f_tail(s))
-        c2m *= c * c
-    else:
-        raise ConvergenceError("geometric tail expansion did not settle")
-    return SeriesResult(head_val + tail_val, D, bound_left)
 
+    def kernel(ns):
+        # log(1+u)/u / (c^2 (2+u)), series in u
+        return _near_pole(
+            ns, c, lambda n: np.log(n / c) / (n ** 2 - c * c),
+            lambda u: (1.0 - u / 2 + u ** 2 / 3 - u ** 3 / 4 + u ** 4 / 5 - u ** 5 / 6)
+            / (c * c * (2.0 + u))) / ns ** delta
 
-def _general_binom(w: float, j: int) -> float:
-    acc = 1.0
-    for i in range(j):
-        acc *= (w - i) / (i + 1)
-    return acc
+    def orders(t):
+        c2m = 1.0
+        for m in itertools.count():
+            s = 2.0 * m + 2.0 + delta
+            yield c2m, [(1.0, s, True), (-logc, s, False)], t ** 2
+            c2m *= c * c
+
+    return _closed_tail(spec, c, head, tol, kernel, orders)
 
 
 def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
@@ -356,49 +333,34 @@ def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
     leave that below -1; otherwise the series diverges and
     DivergenceError is raised.  Q within 1e-6 of a positive integer is
     excluded; near-coincident n uses the difference-quotient expansion.
+    For n > head the kernel is expanded geometrically in (Q/n)^2.
     """
     if Q <= 0:
         raise DomainError("cohen_tail_series needs Q > 0")
-    if abs(Q - round(Q)) <= 1e-6 and round(Q) >= 1:
-        raise ExcludedParameter(
-            f"tail parameter Q={Q} must not be a positive integer")
+    _refuse_integer(Q, "tail parameter Q")
     delta = 1 if divide_by_n else 0
     wexp = nu - 2 * N + inner_power_offset
     if wexp + spec.weight_real_max - 2.0 - delta >= -1.0 - 1e-12:
         raise DivergenceError(
             f"cohen tail diverges: exponent {wexp} too large for N={N}")
-    D = _expansion_head(head, Q)
-    if D > term_cap():
-        raise ConvergenceError("head length exceeds the term budget")
-    tc = _TailContinuation(spec, D)
+    Qw = Q ** wexp
+    binoms = np.cumprod((wexp - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
 
-    g = np.empty(D, dtype=float)
-    near = np.abs(tc.ns - Q) < 1e-3 * max(1.0, Q)
-    far = ~near
-    g[far] = (tc.ns[far] ** wexp - Q ** wexp) / (tc.ns[far] ** 2 - Q * Q)
-    if near.any():
-        u = (tc.ns[near] - Q) / Q
-        series = sum(_general_binom(wexp, j) * u ** (j - 1) for j in range(1, 7))
-        g[near] = Q ** (wexp - 2.0) * series / (2.0 + u)
-    if divide_by_n:
-        g = g / tc.ns
-    head_val = tc.head_sum(g)
+    def kernel(ns):
+        # ((1+u)^w - 1)/u / (Q^{2-w} (2+u)) by the binomial series near n = Q
+        return _near_pole(
+            ns, Q, lambda n: (n ** wexp - Qw) / (n ** 2 - Q * Q),
+            lambda u: Q ** (wexp - 2.0) * sum(b * u ** i for i, b in enumerate(binoms))
+            / (2.0 + u)) / ns ** delta
 
-    tail_val = 0j
-    bound_left = 0.0
-    q2m = 1.0
-    for m in range(0, 200):
-        s = 2.0 * m + 2.0 + delta
-        bound = q2m * (tc.f_tail_bound(s - wexp) + Q ** wexp * tc.f_tail_bound(s))
-        if (bound < 0.1 * tol
-                or tc.f_tail_bound(min(s - wexp, s)) < _TAIL_RESOLUTION):
-            bound_left = bound / max(1.0 - (Q / D) ** 2, 0.5)
-            break
-        tail_val += q2m * (tc.f_tail(s - wexp) - Q ** wexp * tc.f_tail(s))
-        q2m *= Q * Q
-    else:
-        raise ConvergenceError("geometric tail expansion did not settle")
-    return SeriesResult(head_val + tail_val, D, bound_left)
+    def orders(t):
+        q2m = 1.0
+        for m in itertools.count():
+            s = 2.0 * m + 2.0 + delta
+            yield q2m, [(1.0, s - wexp, False), (-Qw, s, False)], t ** 2
+            q2m *= Q * Q
+
+    return _closed_tail(spec, Q, head, tol, kernel, orders)
 
 
 # -- quadrature ----------------------------------------------------------

@@ -110,7 +110,7 @@ def test_criterion_3_bessel_layer():
         wron = bessel_J(nu, x) * yp - jp * bessel_Y(nu, x)
         worst_w = max(worst_w, abs(wron - 2 / (PI * x)))
     from tblab.bessel import (
-        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
+        _ascending, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
     worst_c = 0.0
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
         jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
@@ -118,7 +118,7 @@ def test_criterion_3_bessel_layer():
             worst_c,
             abs(float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
                 - float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])),
-            abs(_j_series(nu, JY_CUT) - jh),
+            abs(float(_ascending(nu, np.array([JY_CUT]), -1.0)[0]) - jh),
             abs(float(_y_bridge_arr(nu, np.array([JY_CUT]))[0]) - yh),
         )
     elapsed = time.perf_counter() - t0

@@ -121,13 +121,13 @@ def test_half_order_closed_forms_across_range():
 
 def test_branch_continuity_at_cutoffs():
     from tblab.bessel import (
-        _j_series, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
+        _ascending, _jy_hankel_arr, _k_asym_arr, _k_bridge_arr, _y_bridge_arr)
     for nu in (0.0, 0.25, 0.5, 1.0, 1.3):
         c = float(_k_bridge_arr(nu, np.array([K_ASYM_CUT]))[0])
         d = float(_k_asym_arr(nu, np.array([K_ASYM_CUT]))[0])
         assert abs(c - d) < 1e-9
         jh, yh = (float(v[0]) for v in _jy_hankel_arr(nu, np.array([JY_CUT])))
-        assert abs(_j_series(nu, JY_CUT) - jh) < 1e-9
+        assert abs(float(_ascending(nu, np.array([JY_CUT]), -1.0)[0]) - jh) < 1e-9
         assert abs(float(_y_bridge_arr(nu, np.array([JY_CUT]))[0]) - yh) < 1e-9
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -62,6 +63,20 @@ def test_verify_unread_parameter_exit_two(capsys, args, field):
 def test_bessel_order_too_large_for_the_asymptotic_branch(capsys):
     assert main(["bessel", "--kind", "K", "--nu", "10", "--x", "19"]) == 2
     assert "asymptotic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, nu, x", [
+    ("K", "20", "1e-15"),  # 6.4e322
+    ("Y", "20", "1e-15"),
+    ("J", "200", "1"),  # Gamma(201) overflows
+    ("I", "200", "1"),
+])
+def test_bessel_outside_the_double_range_exit_two(capsys, kind, nu, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main(["bessel", "--kind", kind, "--nu", nu, "--x", x]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
 
 def test_unknown_theorem_lists_valid_ids(capsys):

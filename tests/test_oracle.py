@@ -20,6 +20,8 @@ XS = [1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0, 2.01, 3.0,
 BOUND = 5e-14
 # the ascending J series loses ~e^x eps to cancellation near its cut
 J_SEAM_BOUND = 5e-12
+# J at x <= 2 is checked up to order 30, where it is far below 1
+J_ORDERS = NUS + [12.0, 20.0, 30.0]
 
 
 def _grid(nu, cut):
@@ -44,6 +46,18 @@ def test_y_error(nu):
         ref = [mpmath.bessely(nu, x) for x in xs]
     got = jy_values(nu, xs)[1]
     worst = max(float(abs(g - r) / max(1, abs(r))) for g, r in zip(got, ref))
+    assert worst < BOUND
+
+
+@pytest.mark.parametrize("nu", J_ORDERS)
+def test_j_relative_error(nu):
+    # each argument stops at a term below 1e-17 of its own partial sum, so
+    # J keeps its relative accuracy however small it is
+    xs = np.array([x for x in XS if x <= 2.0])
+    with mpmath.workdps(30):
+        ref = [mpmath.besselj(nu, x) for x in xs]
+    got = jy_values(nu, xs)[0]
+    worst = max(float(abs((g - r) / r)) for g, r in zip(got, ref))
     assert worst < BOUND
 
 

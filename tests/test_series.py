@@ -76,11 +76,11 @@ class TestBesselSeries:
         brute = float(np.sum(coefs * ns ** 0.15 * k_values(0.3, np.sqrt(ns))))
         assert abs(r.value.real - brute) < 1e-11
 
-    def test_budget_exhaustion(self, chi5e):
+    def test_budget_exhaustion(self, chi5e, monkeypatch):
+        monkeypatch.setenv("TBL_MAX_TERMS", "500")
         spec = DivisorSumSpec(TWISTED, 0, chi5e)
         with pytest.raises(ConvergenceError):
-            bessel_series(spec, SeriesParams(0.05, 0.05, 0.0, tol=1e-12,
-                                             max_terms=500))
+            bessel_series(spec, SeriesParams(0.05, 0.05, 0.0, tol=1e-12))
 
     def test_hopeless_budget_fails_fast(self, unit, monkeypatch):
         # at x = 1e-7 the term bound has not begun to decay by the 10^6-term cap
@@ -145,11 +145,15 @@ class TestLogKernelSeries:
         with pytest.raises(ExcludedParameter):
             log_kernel_series(spec, 2.0)
 
-    def test_near_pole_expansion(self):
-        # the term at n = c(1 + eps) tends to 1/(2 n^2)
-        c = 2.0 * (1 + 1e-5)
-        val = math.log(2.0 / c) / (4.0 - c * c)
-        assert abs(val - 1.0 / 8.0) < 1e-4
+    def test_near_pole_expansion(self, unit):
+        # n = 2 lies within 1e-3 c of c, so its head term comes from the
+        # removable-singularity expansion
+        c = 2.0005
+        r = log_kernel_series(unit, c)
+        ns = np.arange(1, 10 ** 6 + 1, dtype=float)
+        brute = np.sum(np.log(ns / c) / (ns * ns - c * c))
+        tail = (math.log(1e6 / c) + 1) / 1e6  # integral tail of log(t/c)/t^2
+        assert abs(r.value.real - (brute + tail)) < 1e-9
 
     def test_unit_brute_reference(self, unit):
         r = log_kernel_series(unit, 0.5)
@@ -173,11 +177,15 @@ class TestLogKernelSeries:
 
 
 class TestCohenTailSeries:
-    def test_lhopital_near_coincidence(self):
-        w = 0.25 - 2
-        Q = 3.0 * (1 + 1e-5)
-        val = (3.0 ** w - Q ** w) / (9.0 - Q * Q)
-        assert abs(val - w * 3.0 ** (w - 1) / 6.0) < 1e-4
+    def test_lhopital_near_coincidence(self, unit):
+        # n = 3 lies within 1e-3 Q of Q, so its head term comes from the
+        # difference-quotient expansion
+        Q, w = 3.0004, 0.25 - 2
+        r = cohen_tail_series(unit, 0.25, 1, Q)
+        ns = np.arange(1, 10 ** 6 + 1, dtype=float)
+        brute = np.sum((ns ** w - Q ** w) / (ns * ns - Q * Q))
+        tail = -(Q ** w) / 1e6  # dominant integral tail
+        assert abs(r.value.real - (brute + tail)) < 1e-9
 
     def test_excluded(self, unit):
         with pytest.raises(ExcludedParameter):
