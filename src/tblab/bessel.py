@@ -56,18 +56,23 @@ JY_CUT = 14.0
 _ASYM_REL = 1e-12
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
     """sum_k sign^k (x/2)^{nu+2k} / (k! Gamma(nu+k+1)), vectorized over
     x >= 0: I_nu for sign +1, J_nu for sign -1 (nu not a negative
-    integer)."""
+    integer).  The leading term is exp(nu ln(x/2) - ln|Gamma(nu+1)|), as
+    both factors of (x/2)^nu / Gamma(nu+1) leave the double range on
+    their own from nu of about 171 on."""
     try:
-        lead = math.gamma(nu + 1.0)
-    except (OverflowError, ValueError):  # too large, or a pole
+        log_gamma = math.lgamma(nu + 1.0)
+    except ValueError:  # a pole
         raise DomainError(f"the ascending series of order {nu:g} needs "
                           f"Gamma({nu + 1.0:g}), which is not finite") from None
+    # Gamma is negative on (-1, 0), (-3, -2), ...
+    lead_sign = -1.0 if nu + 1.0 < 0.0 and math.floor(nu + 1.0) % 2 else 1.0
+    log_power = nu * np.log(0.5 * xs) if nu else np.zeros(xs.shape)
     ratio = sign * (0.25 * xs * xs)
-    term = (0.5 * xs) ** nu / lead
+    term = lead_sign * np.exp(log_power - log_gamma)
     acc = term.copy()
     live = np.arange(xs.size)  # the arguments still adding terms
     for n in range(1, 602):

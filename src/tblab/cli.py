@@ -107,6 +107,9 @@ def _print_report(report) -> None:
     case = report.case
     verdict = "pass" if report.passed else "FAIL"
     print(f"{case.theorem} {case.params()}")
+    if report.error is not None:
+        print(f"  error: {report.error}  [{verdict}] ({report.wall_ms:.0f} ms)")
+        return
     print(f"  lhs = {report.lhs:.15g}")
     print(f"  rhs = {report.rhs:.15g}")
     print(f"  abs_err = {report.abs_err:.3e}  rel_err = {report.rel_err:.3e}  "

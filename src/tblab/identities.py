@@ -37,7 +37,7 @@ import numpy as np
 
 from .arith import BAR_TWISTED, TWISTED, TWO_CHAR, DivisorSumSpec, coefficient_array
 from .characters import Character, enumerate_characters, gauss_sum
-from .errors import DomainError, ExcludedParameter, HypothesisError
+from .errors import DomainError, ExcludedParameter, HypothesisError, TblabError
 from .series import (
     QuadratureSpec,
     SeriesParams,
@@ -118,18 +118,26 @@ class VerificationReport:
     passed: bool
     tol: float
     wall_ms: float
+    error: str | None = None  # "ErrorClass: message" when verify raised
+
+
+def _arg(t) -> np.ndarray:
+    """t as an array, float unless it is complex."""
+    t = np.asarray(t)
+    return t if np.iscomplexobj(t) else t.astype(float)
 
 
 # test functions for the summation formulas: entire, so the analyticity
-# hypothesis is satisfied on any interval
+# hypothesis is satisfied on any interval; they take complex arguments,
+# which the kernel integrals' endpoint expansion needs
 TEST_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "one": lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    "t": lambda t: np.asarray(t, dtype=float),
-    "t2": lambda t: np.asarray(t, dtype=float) ** 2,
-    "t3": lambda t: np.asarray(t, dtype=float) ** 3,
-    "t4": lambda t: np.asarray(t, dtype=float) ** 4,
-    "exp": lambda t: np.exp(-np.asarray(t, dtype=float)),
-    "gauss": lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 4.0),
+    "one": lambda t: np.ones_like(_arg(t)),
+    "t": lambda t: _arg(t),
+    "t2": lambda t: _arg(t) ** 2,
+    "t3": lambda t: _arg(t) ** 3,
+    "t4": lambda t: _arg(t) ** 4,
+    "exp": lambda t: np.exp(-_arg(t)),
+    "gauss": lambda t: np.exp(-_arg(t) ** 2 / 4.0),
 }
 
 DEFAULT_TOLERANCES = {
@@ -629,29 +637,27 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     kappa = VORONOI_RIESZ_ORDER and N = VORONOI_KERNEL_TERMS terms (or
     the smaller series.term_cap()).
 
-    Integrals are evaluated in batches sharing one t-grid.  The weights
-    damp the endpoint oscillation of the partial sums (quasi-period
-    ~ sqrt(n q / alpha) terms near the truncation) smoothly to zero and
-    leave a bias of order kappa/N.  Over every registered point, and
-    f = t, t^3 on (1.3, 5.7) for T4_3..T4_8 and C4_1, kappa = 2 leaves
-    oscillation of up to 7e-3 and kappa = 4 a bias of up to 9.5e-4;
-    kappa = 3 keeps both below 7.2e-4.
+    All N integrals I_n, at scales c = kernel_scale sqrt(n), come from
+    one oscillatory_kernel_integrals call: by quadrature while
+    c sqrt(alpha) < series.HANKEL_CUT (the first few hundred n), and in
+    closed form beyond, from the Hankel and endpoint expansions, which
+    take every scale whose truncation they certify below 1e-13 of the
+    leading term (for the registered points, all of them).
+
+    The weights damp the endpoint oscillation of the partial sums
+    (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly
+    to zero and leave a bias of order kappa/N.  Over every registered
+    point, and f = t, t^3 on (1.3, 5.7) for T4_3..T4_8 and C4_1,
+    kappa = 2 leaves oscillation of up to 7e-3 and kappa = 4 a bias of up
+    to 9.5e-4; kappa = 3 keeps both below 7.2e-4.
     """
     n_terms = min(VORONOI_KERNEL_TERMS, term_cap())
     coef = coefficient_array(spec, n_terms)[1:]
     ns = np.arange(1, n_terms + 1, dtype=float)
+    live = coef != 0
     terms = np.zeros(n_terms, dtype=complex)
-    block = 512
-    for lo in range(0, n_terms, block):
-        hi = min(lo + block, n_terms)
-        mask = coef[lo:hi] != 0
-        if not mask.any():
-            continue
-        cs = kernel_scale * np.sqrt(ns[lo:hi][mask])
-        ints = oscillatory_kernel_integrals(f, alpha, beta, nu, cs, t_exp, variant)
-        vals = np.zeros(hi - lo, dtype=complex)
-        vals[mask] = coef[lo:hi][mask] * ns[lo:hi][mask] ** (nu / 2.0) * ints
-        terms[lo:hi] = vals
+    terms[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
+        f, alpha, beta, nu, kernel_scale * np.sqrt(ns[live]), t_exp, variant)
     return _riesz_mean(terms, VORONOI_RIESZ_ORDER), n_terms
 
 
@@ -1049,17 +1055,28 @@ def default_cases(selector=None) -> list[IdentityCase]:
 
 
 def _verify_for_pool(args):
+    """verify, with a TblabError turned into a failed report naming it."""
     case, tol = args
-    return verify(case, tol)
+    t0 = time.perf_counter()
+    try:
+        return verify(case, tol)
+    except TblabError as exc:
+        nan = complex(math.nan, math.nan)
+        return VerificationReport(case, nan, nan, math.nan, math.nan, 0, 0, False, tol,
+                                  (time.perf_counter() - t0) * 1000.0,
+                                  error=f"{type(exc).__name__}: {exc}")
 
 
 def run_suite(selector=None, tol_profile: dict | None = None,
               workers: int = 1) -> list[VerificationReport]:
     """Verify every registered case matching the selector.
 
-    Individual failures are reported, not raised.  Results keep the
-    deterministic registry ordering regardless of worker count.
+    Individual failures are reported, not raised: a case whose
+    evaluation raises a TblabError gets a failed report whose error names
+    it.  Results keep the deterministic registry ordering regardless of
+    worker count.
     """
+    term_cap()  # a bad TBL_MAX_TERMS fails the suite, not each case
     profile = dict(DEFAULT_TOLERANCES)
     if tol_profile:
         profile.update(tol_profile)
@@ -1084,21 +1101,30 @@ def positivity_scan(q_max: int) -> list[tuple[int, int, float]]:
     return out
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def report_record(report: VerificationReport) -> dict:
-    """The report as a strict-JSON record: rel_err is None when lhs = 0."""
-    return {
+    """The report as a strict-JSON record: a number that is not finite
+    (rel_err when lhs = 0, every value of a case that raised) is None,
+    and "error" is there only when the case raised."""
+    record = {
         "theorem_id": report.case.theorem,
         "params": report.case.params(),
-        "lhs_re": report.lhs.real,
-        "lhs_im": report.lhs.imag,
-        "rhs_re": report.rhs.real,
-        "rhs_im": report.rhs.imag,
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err if math.isfinite(report.rel_err) else None,
+        "lhs_re": _finite(report.lhs.real),
+        "lhs_im": _finite(report.lhs.imag),
+        "rhs_re": _finite(report.rhs.real),
+        "rhs_im": _finite(report.rhs.imag),
+        "abs_err": _finite(report.abs_err),
+        "rel_err": _finite(report.rel_err),
         "pass": report.passed,
         "terms": report.lhs_terms + report.rhs_terms,
         "wall_ms": report.wall_ms,
     }
+    if report.error is not None:
+        record["error"] = report.error
+    return record
 
 
 def write_reports(reports: list[VerificationReport], path: str,

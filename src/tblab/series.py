@@ -13,6 +13,19 @@ F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings, from
 whose certified bound is below tol/10.  That reaches ~1e-12 where plain
 truncation of exponents as low as 1.25 could not reach 1e-9.
 
+Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
+[alpha, beta] for a batch of scales c, have two regimes split at
+c sqrt(alpha) = HANKEL_CUT = 40.  Below it they are Gauss-Legendre
+quadrature in r = sqrt(t), which evaluates J, Y and K at every node.
+From it on K is negligible, and they come in closed form from the Hankel
+expansion of J + iY and the endpoint expansion of each Fourier integral,
+whose c-independent endpoint derivatives are read once from an FFT of
+the integrand on two circles; no Bessel function is evaluated.  The sum
+over the triangle k + j <= 27 (Hankel order k, endpoint order j) is
+certified: a scale is expanded only if every term of its last diagonal
+is below 1e-13 of the leading term, and otherwise stays with the
+quadrature.
+
 An environment variable TBL_MAX_TERMS caps the term budget of every
 series operation; term_cap() is its one reader.
 """
@@ -476,22 +489,116 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
 # each panel of the r-grid spans at most 10 radians of kernel phase
 _PHASE_PER_PANEL = 10.0
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
+# scales per kernel matrix, which bounds its memory
+_PANEL_BLOCK = 512
 
 
-def _osc_nodes(f, alpha: float, beta: float, t_exponent: float,
-               max_phase_span: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre grid in r = sqrt(t), fine enough for the given
-    phase span; returns the node positions and the shared weighted
-    integrand factor w * f(t) t^{t_exponent} * 2r."""
+def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
+                     t_exponent: float, variant: str) -> np.ndarray:
+    """The integrals of oscillatory_kernel_integrals by quadrature.
+
+    Substituting r = sqrt(t) makes the kernel phase linear in r, so fixed
+    Gauss-Legendre panels sized by the phase derivative integrate each
+    oscillation to near machine precision.  Each block of _PANEL_BLOCK
+    scales shares one grid (sized for its largest scale) and the
+    non-kernel integrand factors on it, so a block costs one matrix
+    kernel evaluation plus a matrix-vector product.
+    """
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
-    panels = max(2, int(math.ceil(max_phase_span / _PHASE_PER_PANEL)))
-    edges = np.linspace(ra, rb, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
-    w = (half[:, None] * _PANEL_W[None, :]).ravel()
-    t = r * r
-    return r, w * f(t) * t ** t_exponent * 2.0 * r
+    out = np.empty(cs.size)
+    for lo in range(0, cs.size, _PANEL_BLOCK):
+        block = cs[lo:lo + _PANEL_BLOCK]
+        panels = max(2, int(math.ceil(float(block.max()) * (rb - ra) / _PHASE_PER_PANEL)))
+        edges = np.linspace(ra, rb, panels + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        r = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+        t = r * r
+        shared = (half[:, None] * _PANEL_W[None, :]).ravel() * f(t) * t ** t_exponent * 2.0 * r
+        kern = voronoi_kernel_values(variant, nu, np.outer(block, r).ravel())
+        out[lo:lo + _PANEL_BLOCK] = kern.reshape(block.size, r.size) @ shared
+    return out
+
+
+# Scales with c sqrt(alpha) below HANKEL_CUT are integrated by quadrature;
+# above it K is below 1e-17 of J and Y, and the Hankel and endpoint
+# expansions take every scale their certificate covers.
+HANKEL_CUT = 40.0
+# the expansions sum the triangle k + j <= _HANKEL_ORDER (Hankel order k,
+# endpoint order j); they serve a scale only if every term on its last
+# diagonal is below _HANKEL_REL of the leading term there
+_HANKEL_ORDER = 27
+_HANKEL_REL = 1e-13
+# points on each Cauchy circle; the circle's radius is half the distance
+# to the branch point r = 0, so aliasing scales a coefficient by 2^-64
+_CAUCHY_POINTS = 64
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+class _EndpointExpansion:
+    """The integrals of oscillatory_kernel_integrals in closed form, for
+    large scales c.
+
+    Without K, the kernel is Re[C H1_nu(c r)], C = jc - i main ys, and
+    H1_nu(u) = sqrt(2/pi) e^{-i phi} sum_k i^k a_k(nu) u^{-k-1/2} e^{iu}
+    (DLMF 10.17.5).  With h_k(r) = 2 f(r^2) r^{2e + 1/2 - k}, each term
+    is c^{-k-1/2} int h_k(r) e^{icr} dr over [sqrt(alpha), sqrt(beta)],
+    and that integral is its endpoint series
+    sum_j (-1)^j (ic)^{-j-1} [h_k^{(j)}(r) e^{icr}] (integration by parts).
+    The derivatives do not depend on c: they come once, from the FFT of
+    h_k on a circle of radius sqrt(alpha)/2 about each endpoint (Cauchy's
+    formula).  Term (k, j) carries i^{k+j-1} c^{-k-j-3/2}, so each
+    endpoint's triangle k + j <= L is a polynomial in 1/c, and a scale
+    costs O(L) flops.
+
+    The certificate: the largest term of the last diagonal k + j = L over
+    the leading term falls like c^{-L}, so it is below _HANKEL_REL from
+    least_scale on.  least_scale is infinite unless f is finite and the
+    FFT resolves it: the mean of h_0 over each circle must match its value
+    at the centre to 1e-13 of its largest value there.  That fails for a
+    test function that is not analytic, cannot take complex arguments, or
+    grows too fast on the circle for the M points (gauss from alpha of
+    about 5 on).
+    """
+
+    def __init__(self, f, alpha: float, beta: float, nu: float, t_exponent: float):
+        L, M = _HANKEL_ORDER, _CAUCHY_POINTS
+        self.nu = nu
+        self.ends = np.sqrt([alpha, beta])
+        radius = 0.5 * self.ends[0]
+        z = self.ends[:, None] + radius * np.exp(2j * math.pi * np.arange(M) / M)
+        ks = np.arange(L + 1)
+        h = 2.0 * f(z * z) * np.exp((2.0 * t_exponent + 0.5 - ks[:, None, None]) * np.log(z))
+        factorials = np.cumprod(np.maximum(ks, 1.0))
+        # deriv[k, e, j] = h_k^{(j)} at end e
+        deriv = np.fft.fft(h, axis=-1)[..., :L + 1] * (factorials / (M * radius ** ks))
+        h_ends = 2.0 * f(self.ends ** 2) * self.ends ** (2.0 * t_exponent + 0.5)
+        hankel = np.cumprod(np.r_[1.0, (4.0 * nu * nu - (2 * ks[1:] - 1) ** 2) / (8.0 * ks[1:])])
+        # coefs[e, n] = i^{n-1} sum_{k + j = n} a_k h_k^{(j)}(end e)
+        self.coefs = np.zeros((2, L + 1), dtype=complex)
+        for k in ks:
+            self.coefs[:, k:] += hankel[k] * deriv[k, :, :L + 1 - k]
+        self.coefs *= _I_POWERS[(ks - 1) % 4]
+        last = max(np.max(np.abs(hankel[k] * deriv[k, :, L - k])) for k in ks)
+        lead = np.max(np.abs(h_ends))
+        resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(h_ends)) and lead > 0
+                    and np.max(np.abs(deriv[0, :, 0] - h_ends)) <= 1e-13 * np.max(np.abs(h[0])))
+        self.least_scale = (last / (_HANKEL_REL * lead)) ** (1.0 / L) if resolved else math.inf
+
+    def integrals(self, cs: np.ndarray, variant: str) -> np.ndarray:
+        """The integrals at scales cs, all at least least_scale; a smaller
+        one would return a truncated sum and raises DomainError."""
+        main, ys, jc = _variant_coefs(variant, self.nu)
+        if float(cs.min()) < self.least_scale:
+            raise DomainError(
+                f"the Hankel endpoint expansion is not certified at scale {cs.min():g}: "
+                f"it holds from {self.least_scale:g} on")
+        series = np.polynomial.polynomial.polyval(1.0 / cs, self.coefs.T)
+        phases = np.exp(1j * np.outer(self.ends, cs))
+        total = (series[1] * phases[1] - series[0] * phases[0]) * cs ** -1.5
+        phi = (0.5 * self.nu + 0.25) * math.pi
+        return ((jc - 1j * main * ys) * math.sqrt(2.0 / math.pi)
+                * complex(math.cos(phi), -math.sin(phi)) * total).real
 
 
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
@@ -499,20 +606,34 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
                                  cs: np.ndarray, t_exponent: float,
                                  variant: str) -> np.ndarray:
     """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta]
-    for each kernel scale c in cs.
+    for each kernel scale c in cs, 0 < alpha < beta, f real on the real
+    axis.
 
-    Substituting r = sqrt(t) makes the kernel phase linear in r, so fixed
-    Gauss-Legendre panels sized by the phase derivative integrate each
-    oscillation to near machine precision.  The t-grid (sized for the
-    largest scale) and the non-kernel integrand factors are shared across
-    the batch, so the batch costs one matrix kernel evaluation plus a
-    matrix-vector product.
+    Two regimes:
+    * Gauss-Legendre panels in r = sqrt(t) (_panel_integrals), whose
+      kernel values cost one J, Y and K per node and scale;
+    * from c sqrt(alpha) = HANKEL_CUT (40) on, the Hankel and endpoint
+      expansions (_EndpointExpansion), which evaluate no Bessel function:
+      f is read on two circles once per call, and each scale then costs
+      O(L) flops.  They take only the scales their certificate covers
+      (last diagonal below 1e-13 of the leading term), which for the
+      registered test functions, intervals and orders is every scale
+      past the cut; the rest stay with the quadrature.
+    f must accept complex arrays.  Where its values there are not the
+    analytic continuation of f (it drops the imaginary part, say), every
+    scale stays with the quadrature.
     """
+    if not 0.0 < alpha < beta:
+        raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta")
     cs = np.asarray(cs, dtype=float)
-    if cs.size == 0:
-        return np.zeros(0)
-    span = float(cs.max()) * (math.sqrt(beta) - math.sqrt(alpha))
-    r, shared = _osc_nodes(f, alpha, beta, t_exponent, span)
-    args = (cs[:, None] * r[None, :]).ravel()
-    kern = voronoi_kernel_values(variant, nu, args).reshape(cs.size, r.size)
-    return kern @ shared
+    out = np.zeros(cs.size)
+    far = cs * math.sqrt(alpha) >= HANKEL_CUT
+    if far.any():
+        expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
+        far &= cs >= expansion.least_scale
+        if far.any():
+            out[far] = expansion.integrals(cs[far], variant)
+    near = ~far
+    if near.any():
+        out[near] = _panel_integrals(f, alpha, beta, nu, cs[near], t_exponent, variant)
+    return out

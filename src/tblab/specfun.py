@@ -223,7 +223,9 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False,
     Euler-Maclaurin summation with `head` leading terms and 12 Bernoulli
     corrections; for Re s below the cancellation threshold and a
     recognizably rational a, the reflection route takes over.  With
-    regularized=True returns zeta(s, a) - 1/(s-1), entire in s.
+    regularized=True returns zeta(s, a) - 1/(s-1), entire in s.  A value
+    outside the double range (a^{-s} alone is, for a tiny a) raises
+    DomainError.
     """
     s = complex(s)
     if a <= 0:
@@ -235,7 +237,10 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False,
         if rq is not None and s.real < _reflect_threshold(rq[1]):
             val = _hurwitz_reflected(s, *rq)
             return val - 1.0 / (s - 1.0) if regularized else val
-    return _hurwitz_em(s, a, regularized, head)
+    try:
+        return _hurwitz_em(s, a, regularized, head)
+    except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
+        raise DomainError(f"zeta({s:g}, {a:g}) lies outside the double range") from None
 
 
 _EM_COEF = {j: float(bernoulli_number(2 * j) / math.factorial(2 * j))

@@ -68,8 +68,8 @@ def test_bessel_order_too_large_for_the_asymptotic_branch(capsys):
 @pytest.mark.parametrize("kind, nu, x", [
     ("K", "20", "1e-15"),  # 6.4e322
     ("Y", "20", "1e-15"),
-    ("J", "200", "1"),  # Gamma(201) overflows
-    ("I", "200", "1"),
+    ("Y", "200", "1"),  # 1e430
+    ("I", "0.5", "800"),  # 1e346
 ])
 def test_bessel_outside_the_double_range_exit_two(capsys, kind, nu, x):
     with warnings.catch_warnings():
@@ -77,6 +77,16 @@ def test_bessel_outside_the_double_range_exit_two(capsys, kind, nu, x):
         assert main(["bessel", "--kind", kind, "--nu", nu, "--x", x]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_bessel_below_the_double_range_underflows(capsys, kind):
+    # Gamma(201) overflows on its own, but J_200(1) and I_200(1), about
+    # 8e-436, only underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bessel", "--kind", kind, "--nu", "200", "--x", "1"]) == 0
+    assert capsys.readouterr().out == f"{kind}_200(1) = 0\n"
 
 
 def test_unknown_theorem_lists_valid_ids(capsys):
@@ -110,6 +120,17 @@ def test_suite_deterministic_output(tmp_path, capsys):
         outs.append(recs)
         capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_suite_reports_raising_cases_and_goes_on(monkeypatch, capsys):
+    # every T2 case runs out of a 100-term budget; each is reported
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    assert main(["suite", "--filter", "T2", "--format", "structured"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in lines]
+    assert summary == f"{len(records)} cases, 0 passed, {len(records)} failed"
+    assert len({rec["theorem_id"] for rec in records}) == 15
+    assert all(rec["error"].startswith("ConvergenceError: ") for rec in records)
 
 
 def test_positivity(capsys):

@@ -319,3 +319,21 @@ def test_zero_lhs_record_is_strict_json(tmp_path):
         if fmt == "json":
             rec = rec["reports"][0]
         assert rec["rel_err"] is None and rec["lhs_re"] == 0.0
+
+
+def test_run_suite_reports_a_raising_case_as_failed(monkeypatch):
+    # under a 100-term budget every T2_13 case raises ConvergenceError; the
+    # suite reports each as a failed case that names the error class
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    reports = run_suite("T2_13")
+    assert len(reports) == len(THEOREMS["T2_13"].points)
+    for r in reports:
+        assert not r.passed and r.error.startswith("ConvergenceError: ")
+        record = report_record(r)
+        assert record["error"] == r.error and record["lhs_re"] is None
+        json.dumps(record, allow_nan=False)
+
+
+def test_report_record_has_no_error_field_unless_raised():
+    record = report_record(verify(IdentityCase("T2_13", q=5, char_index=2, a=1.0, x=0.3)))
+    assert "error" not in record and record["pass"]

@@ -82,3 +82,19 @@ def test_large_order_over_tiny_argument(nu, x):
         k_ref, y_ref = mpmath.besselk(nu, x), mpmath.bessely(nu, x)
     assert float(abs(k_values(nu, xs)[0] / k_ref - 1)) < BOUND
     assert float(abs(jy_values(nu, xs)[1][0] / y_ref - 1)) < BOUND
+
+
+# The leading term exp(nu ln(x/2) - ln Gamma(nu+1)) of the ascending
+# series differs two numbers near 740 here, whose rounding (740 eps, about
+# 1.6e-13) becomes relative error in J; Y comes from Schlaefli's integral.
+LARGE_ORDER_BOUND = 2e-13
+
+
+@pytest.mark.parametrize("nu, x", [(175.0, 14.0), (180.0, 13.9), (200.0, 10.0)])
+def test_orders_whose_gamma_overflows(nu, x):
+    # Gamma(nu + 1) alone is above the double range, J and Y are not
+    j, y = jy_values(nu, np.array([x]))
+    with mpmath.workdps(30):
+        j_ref, y_ref = mpmath.besselj(nu, x), mpmath.bessely(nu, x)
+    assert float(abs(j[0] / j_ref - 1)) < LARGE_ORDER_BOUND
+    assert float(abs(y[0] / y_ref - 1)) < LARGE_ORDER_BOUND

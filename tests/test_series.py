@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from tblab.errors import (
     ExcludedParameter,
     QuadratureError,
 )
+from tblab.identities import TEST_FUNCTIONS
 from tblab.series import (
+    HANKEL_CUT,
+    VORONOI_VARIANTS,
     QuadratureSpec,
     SeriesParams,
     adaptive_integral,
@@ -29,6 +33,8 @@ from tblab.series import (
     oscillatory_kernel_integrals,
     shifted_power_series,
     voronoi_kernel,
+    _EndpointExpansion,
+    _panel_integrals,
 )
 
 PI = math.pi
@@ -272,6 +278,64 @@ class TestVoronoiKernel:
             lambda t: math.exp(-t) * t ** -0.125 * voronoi_kernel("even-cos", 0.25, c * math.sqrt(t)),
             QuadratureSpec(0.5, 3.4, tol=1e-11))
         assert abs(fast - slow) < 1e-9
+
+
+@pytest.mark.parametrize("variant", sorted(VORONOI_VARIANTS))
+@pytest.mark.parametrize("fname", ["exp", "t2", "gauss"])
+@pytest.mark.parametrize("alpha, beta", [(0.5, 3.4), (1.3, 5.7)])
+@pytest.mark.parametrize("nu, t_exp", [(0.25, -0.125), (0.25, -1.125), (0.45, 0.225)])
+def test_hankel_expansion_against_quadrature(variant, fname, alpha, beta, nu, t_exp):
+    # just above the cut, where the expansion's truncation is largest
+    f = TEST_FUNCTIONS[fname]
+    cs = np.array([40.0, 40.5, 45.0, 52.0, 60.0]) / math.sqrt(alpha)
+    expanded = _EndpointExpansion(f, alpha, beta, nu, t_exp).integrals(cs, variant)
+    quadrature = _panel_integrals(f, alpha, beta, nu, cs, t_exp, variant)
+    assert np.max(np.abs(expanded - quadrature)) < 1e-13
+
+
+def test_hankel_expansion_refuses_a_truncated_sum():
+    # at c sqrt(alpha) = 10 the last diagonal reaches 6e-2 of the leading term
+    expansion = _EndpointExpansion(TEST_FUNCTIONS["exp"], 0.5, 3.4, 0.25, -0.125)
+    assert 10.0 / math.sqrt(0.5) < expansion.least_scale < 40.0 / math.sqrt(0.5)
+    with pytest.raises(DomainError, match="not certified"):
+        expansion.integrals(np.array([10.0, 80.0]) / math.sqrt(0.5), "even-cos")
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.exp(-np.asarray(t, dtype=float)),  # cannot take complex arguments
+    lambda t: np.exp(-np.abs(t) ** 2 / 4.0),  # not analytic
+])
+def test_oscillatory_integrals_keep_quadrature_when_f_cannot_be_expanded(f):
+    cs = np.array([100.0, 300.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        assert _EndpointExpansion(f, 0.5, 3.4, 0.25, -0.125).least_scale == math.inf
+        got = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
+        assert np.array_equal(got, _panel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos"))
+
+
+def test_oscillatory_integrals_split_at_the_cut_and_the_certificate():
+    # one batch across the cut gives what each regime gives alone
+    f = TEST_FUNCTIONS["gauss"]
+    cs = np.array([5.0, 60.0, 30.0, 400.0]) / math.sqrt(1.3)
+    both = oscillatory_kernel_integrals(f, 1.3, 5.7, 0.25, cs, -1.125, "odd-sin")
+    far = cs * math.sqrt(1.3) >= HANKEL_CUT
+    near = _panel_integrals(f, 1.3, 5.7, 0.25, cs[~far], -1.125, "odd-sin")
+    assert np.array_equal(both[~far], near)
+    expansion = _EndpointExpansion(f, 1.3, 5.7, 0.25, -1.125)
+    assert np.array_equal(both[far], expansion.integrals(cs[far], "odd-sin"))
+    # on (3, 4) gauss varies too fast for the expansion at the cut: the
+    # scales it does not certify stay with the quadrature
+    cs = np.array([45.0, 2000.0]) / math.sqrt(3.0)
+    expansion = _EndpointExpansion(f, 3.0, 4.0, 0.25, -0.125)
+    assert cs[0] < expansion.least_scale < cs[1]
+    got = oscillatory_kernel_integrals(f, 3.0, 4.0, 0.25, cs, -0.125, "even-cos")
+    assert got[0] == _panel_integrals(f, 3.0, 4.0, 0.25, cs[:1], -0.125, "even-cos")[0]
+    assert got[1] == expansion.integrals(cs[1:], "even-cos")[0]
+    # on (20, 21) 64 points do not resolve it on the circles at all
+    assert _EndpointExpansion(f, 20.0, 21.0, 0.25, -0.125).least_scale == math.inf
+    with pytest.raises(DomainError):
+        oscillatory_kernel_integrals(f, 0.0, 5.7, 0.25, cs, -1.125, "odd-sin")
 
 
 def test_tolerance_monotonicity(chi5e):
