@@ -1,19 +1,20 @@
 """Twisted divisor-sum arithmetic.
 
-Three weighted divisor sums are supported, plus a unit-coefficient
-variant used by oracles:
+Every weighted divisor sum here is one Dirichlet convolution
+f_z(n) = sum_{de=n} d^z chi1(d) chi2(e); a kind only says which slots
+its characters fill, and the trivial character mod 1 (L = zeta) fills
+an empty one:
 
-* twisted:      sum_{d|n} d^z chi(d)
-* bar-twisted:  sum_{d|n} d^z chi(n/d)
+* twisted:      sum_{d|n} d^z chi(d)             (chi2 trivial)
+* bar-twisted:  sum_{d|n} d^z chi(n/d)           (chi1 trivial)
 * two-char:     sum_{d|n} d^z chi1(d) chi2(n/d)
-* unit:         coefficient 1 for every n
+* unit:         coefficient 1 for every n, used by oracles
 
 Values for a single n come from its divisors, found by trial division;
-whole coefficient ranges are filled by a divisor-convolution sweep
-(numpy slice adds), which is what the series evaluators consume.  The
-generating Dirichlet series have closed forms built from zeta and L:
-these anchor both the cross-checks here and the tail continuation used
-by the series module.
+whole coefficient ranges, which the series evaluators consume, from one
+convolution sweep in two halves split at sqrt(count).  The generating
+Dirichlet series L(s - z, chi1) L(s, chi2) anchors both the cross-checks
+here and the tail continuation used by the series module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _divisors
+from .characters import Character, _divisors, enumerate_characters
 from .errors import DomainError
 from .specfun import L_derivative, dirichlet_L, riemann_zeta, zeta_derivative
 
@@ -83,110 +84,97 @@ def divisors(n: int) -> list[int]:
 
 def _dpow(d: int, z: complex) -> complex:
     z = complex(z)
-    if z == 0:
-        return 1.0 + 0j
-    if z.imag == 0.0:
-        return complex(d ** z.real)
-    return cmath.exp(z * math.log(d))
+    return complex(d ** z.real) if z.imag == 0.0 else cmath.exp(z * math.log(d))
+
+
+def _slots(spec: DivisorSumSpec) -> tuple[Character, Character]:
+    """(chi1, chi2) of f_z(n) = sum_{de=n} d^z chi1(d) chi2(e): the one
+    character of a twisted sum goes on d, of a bar-twisted sum on e, and
+    the trivial character mod 1 (whose L is zeta) fills the empty slot."""
+    one = enumerate_characters(1)[0]
+    if spec.kind == TWISTED:
+        return spec.chi, one
+    if spec.kind == BAR_TWISTED:
+        return one, spec.chi
+    return spec.chi, spec.chi2
 
 
 def divisor_sum(spec: DivisorSumSpec, n: int) -> complex:
-    """f_z(n) by direct divisor enumeration."""
+    """f_z(n) = sum_{d|n} d^z chi1(d) chi2(n/d) by direct divisor enumeration."""
     if n < 1:
         raise DomainError(f"divisor sums need n >= 1, got {n}")
     if spec.kind == UNIT:
         return 1.0 + 0j
+    chi1, chi2 = _slots(spec)
     acc = 0j
     for d in divisors(n):
-        if spec.kind == TWISTED:
-            w = spec.chi.value(d)
-        elif spec.kind == BAR_TWISTED:
-            w = spec.chi.value(n // d)
-        else:
-            w = spec.chi.value(d) * spec.chi2.value(n // d)
+        w = chi1.value(d) * chi2.value(n // d)
         if w:
             acc += _dpow(d, spec.weight) * w
     return acc
 
 
-def _chi_values(chi: Character, count: int) -> np.ndarray:
-    """chi(1..count) as a complex array (period-tiled)."""
-    q = chi.modulus
-    period = np.array([chi.value(r) for r in range(q)], dtype=complex)
-    idx = np.arange(1, count + 1) % q
-    return period[idx]
+def _char_values(chi: Character, count: int, z: complex = 0) -> np.ndarray:
+    """d^z chi(d) for d = 0..count as a complex array (chi period-tiled;
+    entry 0 is chi(0))."""
+    arr = np.empty(count + 1, dtype=complex)
+    for r in range(chi.modulus):
+        arr[r::chi.modulus] = chi.value(r)
+    if z != 0:
+        powers = np.arange(1, count + 1, dtype=float)
+        if z.imag == 0.0:
+            powers **= z.real
+        else:
+            powers = np.exp(z * np.log(powers, out=powers))
+        np.multiply(powers, arr[1:], out=arr[1:])
+    return arr
 
 
 def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
-    """f_z(1..count) as a complex array (index 0 unused)."""
-    if spec.kind == TWO_CHAR and 1 in (spec.chi.modulus, spec.chi2.modulus):
-        # the trivial character mod 1 in one slot leaves a one-character
-        # sum, whose sweep needs no cofactor array
-        spec = (DivisorSumSpec(TWISTED, spec.weight, spec.chi) if spec.chi2.modulus == 1
-                else DivisorSumSpec(BAR_TWISTED, spec.weight, spec.chi2))
+    """f_z(1..count) as a complex array (index 0 unused).
+
+    The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) in two
+    sweeps split at S = isqrt(count) (Dirichlet's hyperbola method):
+    each d <= S adds a(d) b(1..count/d) at the multiples of d, then each
+    e <= count/(S+1), descending, adds a(S+1..count/e) b(e) at the
+    multiples of e.  So every n gets its terms in ascending d, and the
+    work is 2 sqrt(count) slice updates.
+    """
     arr = np.zeros(count + 1, dtype=complex)
     if spec.kind == UNIT:
         arr[1:] = 1.0
         return arr
-    z = complex(spec.weight)
-    dvals = np.arange(1, count + 1, dtype=float)
-    if z == 0:
-        powers = np.ones(count, dtype=float)
-    elif z.imag == 0.0:
-        powers = dvals ** z.real
-    else:
-        powers = np.exp(z * np.log(dvals))
-    if spec.kind == TWISTED:
-        q = spec.chi.modulus
-        period = [spec.chi.value(r) for r in range(q)]
-        for d in range(1, count + 1):
-            w = period[d % q]
-            if w:
-                arr[d::d] += powers[d - 1] * w
-        return arr
-    cofactor_chi = spec.chi if spec.kind == BAR_TWISTED else spec.chi2
-    lead_chi = None if spec.kind == BAR_TWISTED else spec.chi
-    cof = _chi_values(cofactor_chi, count)
-    if lead_chi is None:
-        for d in range(1, count + 1):
-            arr[d::d] += powers[d - 1] * cof[: count // d]
-        return arr
-    q = lead_chi.modulus
-    period = [lead_chi.value(r) for r in range(q)]
-    for d in range(1, count + 1):
-        lw = period[d % q]
-        if lw:
-            arr[d::d] += (powers[d - 1] * lw) * cof[: count // d]
+    chi1, chi2 = _slots(spec)
+    a = _char_values(chi1, count, complex(spec.weight))
+    b = _char_values(chi2, count)
+    root = math.isqrt(count)
+    for d in range(1, root + 1):
+        if a[d]:
+            arr[d::d] += a[d] * b[1:count // d + 1]
+    for e in range(count // (root + 1), 0, -1):
+        if b[e]:
+            arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
     return arr
 
 
 def closed_form_F(spec: DivisorSumSpec, s: complex) -> complex:
-    """Value of sum_n f_z(n) n^{-s} as a product of zeta/L factors."""
+    """sum_n f_z(n) n^{-s} = L(s - z, chi1) L(s, chi2)."""
     s = complex(s)
-    z = complex(spec.weight)
     if spec.kind == UNIT:
         return riemann_zeta(s)
-    if spec.kind == TWISTED:
-        return riemann_zeta(s) * dirichlet_L(s - z, spec.chi)
-    if spec.kind == BAR_TWISTED:
-        return riemann_zeta(s - z) * dirichlet_L(s, spec.chi)
-    return dirichlet_L(s - z, spec.chi) * dirichlet_L(s, spec.chi2)
+    chi1, chi2 = _slots(spec)
+    return dirichlet_L(s - complex(spec.weight), chi1) * dirichlet_L(s, chi2)
 
 
 def closed_form_F_prime(spec: DivisorSumSpec, s: complex) -> complex:
     """d/ds of closed_form_F by the product rule."""
     s = complex(s)
-    z = complex(spec.weight)
     if spec.kind == UNIT:
         return zeta_derivative(s)
-    if spec.kind == TWISTED:
-        return (zeta_derivative(s) * dirichlet_L(s - z, spec.chi)
-                + riemann_zeta(s) * L_derivative(s - z, spec.chi))
-    if spec.kind == BAR_TWISTED:
-        return (zeta_derivative(s - z) * dirichlet_L(s, spec.chi)
-                + riemann_zeta(s - z) * L_derivative(s, spec.chi))
-    return (L_derivative(s - z, spec.chi) * dirichlet_L(s, spec.chi2)
-            + dirichlet_L(s - z, spec.chi) * L_derivative(s, spec.chi2))
+    chi1, chi2 = _slots(spec)
+    sz = s - complex(spec.weight)
+    return (L_derivative(sz, chi1) * dirichlet_L(s, chi2)
+            + dirichlet_L(sz, chi1) * L_derivative(s, chi2))
 
 
 def dirichlet_series_check(spec: DivisorSumSpec, s: complex,

@@ -95,14 +95,16 @@ def _refuse_overflow(name: str, nu: float, xs: np.ndarray, *values: np.ndarray) 
                 f"{name}_{nu:g}({xs[bad][0]:g}) lies outside the double range")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
-_GL_U, _GL_W = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # mapped to [0, 1]
-# arguments per block, so that no (arguments x nodes) temporary tops 1 MB
-_BLOCK = 1024
+# arguments per block: an (arguments x nodes) temporary of 64 kB stays
+# below glibc's 128 kB mmap threshold, so a block reuses heap memory
+# instead of mapping and faulting in fresh pages, and OpenBLAS computes
+# a product this small on the calling thread
+_BLOCK = 64
 
 
 def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.ndarray:
-    """int_lo^hi integrand(x, t) dt for each x, on the Gauss-Legendre grid."""
+    """int_lo^hi integrand(x, t) dt for each x, on the Gauss-Legendre grid
+    (_GL_U, _GL_W, at the end of the module)."""
     out = np.empty(xs.shape)
     for i in range(0, xs.size, _BLOCK):
         b = slice(i, i + _BLOCK)
@@ -270,3 +272,47 @@ def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j[big], y[big] = _jy_hankel_arr(nu, xs[big])
     _refuse_overflow("J/Y", nu, xs, j, y)
     return j, y
+
+
+# The 128-point Gauss-Legendre rule of _on_grid: the output of numpy's
+# leggauss(128) (numpy 2.4, OpenBLAS 0.3.31, x86-64), its positive nodes
+# and their weights as hex floats; the rule is symmetric.  leggauss solves
+# a LAPACK eigenproblem, after which OpenBLAS's worker thread spins on
+# another core for about 0.13 s, into the first calls of a fresh process.
+_GL_POS = np.array([float.fromhex(h) for h in """
+    0x1.908bd1a2d0b24p-7 0x1.2c598ae50f13ep-5 0x1.f4622cba66c5ep-5 0x1.5e0f1f4f6c861p-4
+    0x1.c1b7987fb91e8p-4 0x1.128da12b4f582p-3 0x1.441573e1f4942p-3 0x1.756bb0492ac34p-3
+    0x1.a688c9dca27fdp-3 0x1.d7653cd60ede7p-3 0x1.03fcc7a9bfafdp-2 0x1.1c1f293e1b34fp-2
+    0x1.341611d1e7bdfp-2 0x1.4bddd6b5c446dp-2 0x1.6372d470c12d1p-2 0x1.7ad16f4ee5d00p-2
+    0x1.91f613ee85dddp-2 0x1.a8dd37cc50acdp-2 0x1.bf8359ce0533dp-2 0x1.d5e502cbb5677p-2
+    0x1.ebfec61783fd1p-2 0x1.00e6a101e3e69p-1 0x1.0ba69033c0282p-1 0x1.163d8b9083787p-1
+    0x1.20a9f44b749a8p-1 0x1.2aea321b6c02bp-1 0x1.34fcb3794c554p-1 0x1.3edfeddd722ebp-1
+    0x1.48925dfc11d0fp-1 0x1.521288007978bp-1 0x1.5b5ef7c72f491p-1 0x1.64764116e1ea7p-1
+    0x1.6d56ffd82324dp-1 0x1.75ffd84be3f0bp-1 0x1.7e6f7740a9a6cp-1 0x1.86a49246742bep-1
+    0x1.8e9de7e14d281p-1 0x1.965a3fba788d3p-1 0x1.9dd86ad03ee66p-1 0x1.a51743a44a226p-1
+    0x1.ac15ae688dc0bp-1 0x1.b2d2992ab385ep-1 0x1.b94cfbfe06132p-1 0x1.bf83d923d2fb8p-1
+    0x1.c5763d323e2f1p-1 0x1.cb233f3980d20p-1 0x1.d08a00e78dd91p-1 0x1.d5a9aeaa170b3p-1
+    0x1.da817fceed4fep-1 0x1.df10b6a2b787ap-1 0x1.e356a08dfb8c0p-1 0x1.e752963075723p-1
+    0x1.eb03fb7ab9db3p-1 0x1.ee6a3fc621396p-1 0x1.f184ddeafbf60p-1 0x1.f4535c5513770p-1
+    0x1.f6d54d1685438p-1 0x1.f90a4df91ca9ep-1 0x1.faf2088e904b2p-1 0x1.fc8c3240da01bp-1
+    0x1.fdd88c6700b37p-1 0x1.fed6e471f4f37p-1 0x1.ff8714b18c128p-1 0x1.ffe90c36eb6a6p-1
+    0x1.9086b61d1fdc6p-6 0x1.90496d90f984fp-6 0x1.8fcee5d922baap-6 0x1.8f1731b517fbep-6
+    0x1.8e226d407e074p-6 0x1.8cf0bdeed4e07p-6 0x1.8b825285bcd83p-6 0x1.89d76315ce814p-6
+    0x1.87f030f206a64p-6 0x1.85cd06a5c7874p-6 0x1.836e37e970fcep-6 0x1.80d4219591213p-6
+    0x1.7dff2994af96ap-6 0x1.7aefbed3b579bp-6 0x1.77a65930f4704p-6 0x1.74237969cf7b2p-6
+    0x1.7067a9070830ap-6 0x1.6c737a47b39acp-6 0x1.6847880ad9bc1p-6 0x1.63e475b7c34e6p-6
+    0x1.5f4aef24f9425p-6 0x1.5a7ba87df9f0cp-6 0x1.55775e27a7cf8p-6 0x1.503ed4a3762cbp-6
+    0x1.4ad2d8715803fp-6 0x1.45343df075e81p-6 0x1.3f63e13eaf525p-6 0x1.3962a616ecdc9p-6
+    0x1.333177ae480e9p-6 0x1.2cd148900e679p-6 0x1.26431278a5049p-6 0x1.1f87d62f52871p-6
+    0x1.18a09b5ef54d7p-6 0x1.118e706dab987p-6 0x1.0a526a53745b3p-6 0x1.02eda46fce78cp-6
+    0x1.f6c280bcbad65p-7 0x1.e75ccb9533133p-7 0x1.d7ac8485267cdp-7 0x1.c7b412119f450p-7
+    0x1.b775e5ca8bc82p-7 0x1.a6f47beb09524p-7 0x1.96325af80dc15p-7 0x1.8532135d7fa34p-7
+    0x1.73f63f09cb3d9p-7 0x1.628181080604ep-7 0x1.50d68518b1871p-7 0x1.3ef7ff492d874p-7
+    0x1.2ce8ab89efb54p-7 0x1.1aab4d439576ap-7 0x1.0842aeeaeabcbp-7 0x1.eb63432816e71p-8
+    0x1.c5f5f909a8f96p-8 0x1.a043398e0388dp-8 0x1.7a50c97551397p-8 0x1.5424775511324p-8
+    0x1.2dc41acb51ef9p-8 0x1.073593cebc0abp-8 0x1.c0fd94a276188p-9 0x1.734b5ddaefd73p-9
+    0x1.25607f3851ef9p-9 0x1.ae9282feba3eep-10 0x1.12274d05a32e7p-10 0x1.d735c8726349ep-12
+""".split()]).reshape(2, 64)
+_GL_NODES = np.concatenate([-_GL_POS[0, ::-1], _GL_POS[0]])
+_GL_WEIGHTS = np.concatenate([_GL_POS[1, ::-1], _GL_POS[1]])
+_GL_U, _GL_W = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # mapped to [0, 1]

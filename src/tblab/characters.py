@@ -116,19 +116,12 @@ def _unit_group(q: int) -> _UnitGroup:
             orders.append(o)
     # Discrete logs by direct enumeration of the group; q is desk scale.
     dlog: dict[int, tuple[int, ...]] = {}
-    radix = orders
-    total = math.prod(radix) if radix else 1
-    for idx in range(total):
-        vec = []
-        rem = idx
-        for m in reversed(radix):
-            vec.append(rem % m)
-            rem //= m
-        vec.reverse()
+    for idx in range(math.prod(orders)):
+        vec = _digits(idx, orders)
         u = 1 % q
         for g, c in zip(gens, vec):
             u = (u * pow(g, c, q)) % q
-        dlog[u] = tuple(vec)
+        dlog[u] = vec
     return _UnitGroup(q, tuple(gens), tuple(orders), dlog)
 
 
@@ -232,6 +225,16 @@ def _divisors(q: int) -> list[int]:
     return sorted(divs)
 
 
+def _digits(idx: int, radix) -> tuple[int, ...]:
+    """The mixed-radix digits of idx, most significant first; the inverse
+    of _index_of."""
+    vec = []
+    for m in reversed(radix):
+        idx, c = divmod(idx, m)
+        vec.append(c)
+    return tuple(reversed(vec))
+
+
 def _index_of(grp: _UnitGroup, exps: tuple[int, ...]) -> int:
     idx = 0
     for c, m in zip(exps, grp.orders):
@@ -244,17 +247,8 @@ def enumerate_characters(q: int) -> list[Character]:
     if q < 1:
         raise InvalidModulus(f"modulus must be a positive integer, got {q}")
     grp = _unit_group(q)
-    out = []
-    total = math.prod(grp.orders) if grp.orders else 1
-    for idx in range(total):
-        vec = []
-        rem = idx
-        for m in reversed(grp.orders):
-            vec.append(rem % m)
-            rem //= m
-        vec.reverse()
-        out.append(Character(q, idx, tuple(vec)))
-    return out
+    return [Character(q, idx, _digits(idx, grp.orders))
+            for idx in range(math.prod(grp.orders))]
 
 
 def character_value(chi: Character, n: int) -> complex:

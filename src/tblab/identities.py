@@ -37,7 +37,8 @@ import numpy as np
 
 from .arith import BAR_TWISTED, TWISTED, TWO_CHAR, DivisorSumSpec, coefficient_array
 from .characters import Character, enumerate_characters, gauss_sum
-from .errors import DomainError, ExcludedParameter, HypothesisError, TblabError
+from .errors import (ConvergenceError, DomainError, ExcludedParameter, HypothesisError,
+                     TblabError)
 from .series import (
     QuadratureSpec,
     SeriesParams,
@@ -332,9 +333,17 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     """2 pi sum f(n) e^{-4 pi sqrt(n x)}: the elementary nu = 1/2 shape."""
     lam = 4.0 * PI * math.sqrt(x)
     n_max = max(64, int((45.0 / lam) ** 2) + 8)
+    _within_budget(n_max, "the e^{-4 pi sqrt(n x)} sum")
     coef = coefficient_array(spec, n_max)[1:]
     ns = np.arange(1, n_max + 1, dtype=float)
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
+
+
+def _within_budget(count: int, what: str) -> None:
+    """Refuse, before allocating, a sum of more terms than term_cap()."""
+    cap = term_cap()
+    if count > cap:
+        raise ConvergenceError(f"{what} needs {count} terms, over the term budget of {cap}")
 
 
 def _with_trivial(twist: str, chi: Character, q: int) -> dict:
@@ -610,6 +619,7 @@ def _cohen_half(tol, twist, chi, q, x, **_):
 def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
                  over_j: bool) -> tuple[complex, int]:
     lo, hi = math.floor(alpha) + 1, math.ceil(beta)
+    _within_budget(hi - 1, "the finite sum over j < beta")
     js = np.arange(lo, hi, dtype=float)
     weights = coefficient_array(spec, max(hi - 1, 0))[lo:]
     if over_j:
@@ -626,7 +636,9 @@ def _riesz_mean(terms: np.ndarray, order: float) -> complex:
     """
     n = len(terms)
     weights = (1.0 - np.arange(1, n + 1, dtype=float) / n) ** order
-    return complex(np.dot(terms, weights))
+    # not np.dot: OpenBLAS hands a dot product this long to worker threads,
+    # which then spin on another core for about 0.13 s after it returns
+    return complex(np.einsum("i,i->", terms, weights))
 
 
 def _kernel_expansion(f, alpha: float, beta: float, nu: float,
@@ -1020,6 +1032,8 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
             f"unknown theorem id {case.theorem!r}; valid ids: {', '.join(sorted(THEOREMS))}")
     if tol is None:
         tol = DEFAULT_TOLERANCES[entry.section]
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
     t0 = time.perf_counter()
     lhs, rhs, lterms, rterms = entry.evaluate(tol, **_check(entry, case))
     wall = (time.perf_counter() - t0) * 1000.0

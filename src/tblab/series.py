@@ -489,8 +489,12 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
 # each panel of the r-grid spans at most 10 radians of kernel phase
 _PHASE_PER_PANEL = 10.0
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
-# scales per kernel matrix, which bounds its memory
+# scales per shared grid
 _PANEL_BLOCK = 512
+# kernel values per Bessel evaluation: 8192 doubles are 64 kB, below
+# glibc's 128 kB mmap threshold, so the temporaries reuse heap memory
+# instead of faulting in fresh pages
+_KERNEL_POINTS = 8192
 
 
 def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
@@ -501,8 +505,9 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
     Gauss-Legendre panels sized by the phase derivative integrate each
     oscillation to near machine precision.  Each block of _PANEL_BLOCK
     scales shares one grid (sized for its largest scale) and the
-    non-kernel integrand factors on it, so a block costs one matrix
-    kernel evaluation plus a matrix-vector product.
+    non-kernel integrand factors on it; its kernel matrix is evaluated
+    _KERNEL_POINTS values at a time, and einsum sums each row against
+    them on the calling thread (see identities._riesz_mean).
     """
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
     out = np.empty(cs.size)
@@ -515,8 +520,12 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
         r = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
         t = r * r
         shared = (half[:, None] * _PANEL_W[None, :]).ravel() * f(t) * t ** t_exponent * 2.0 * r
-        kern = voronoi_kernel_values(variant, nu, np.outer(block, r).ravel())
-        out[lo:lo + _PANEL_BLOCK] = kern.reshape(block.size, r.size) @ shared
+        rows = max(1, _KERNEL_POINTS // r.size)
+        for i in range(0, block.size, rows):
+            part = block[i:i + rows]
+            kern = voronoi_kernel_values(variant, nu, np.outer(part, r).ravel())
+            out[lo + i:lo + i + part.size] = np.einsum(
+                "ij,j->i", kern.reshape(part.size, r.size), shared)
     return out
 
 
@@ -593,12 +602,18 @@ class _EndpointExpansion:
             raise DomainError(
                 f"the Hankel endpoint expansion is not certified at scale {cs.min():g}: "
                 f"it holds from {self.least_scale:g} on")
-        series = np.polynomial.polynomial.polyval(1.0 / cs, self.coefs.T)
-        phases = np.exp(1j * np.outer(self.ends, cs))
-        total = (series[1] * phases[1] - series[0] * phases[0]) * cs ** -1.5
         phi = (0.5 * self.nu + 0.25) * math.pi
-        return ((jc - 1j * main * ys) * math.sqrt(2.0 / math.pi)
-                * complex(math.cos(phi), -math.sin(phi)) * total).real
+        lead = ((jc - 1j * main * ys) * math.sqrt(2.0 / math.pi)
+                * complex(math.cos(phi), -math.sin(phi)))
+        out = np.empty(cs.size)
+        # in blocks whose (2 x scales) complex temporaries stay at 64 kB
+        for lo in range(0, cs.size, _KERNEL_POINTS // 4):
+            c = cs[lo:lo + _KERNEL_POINTS // 4]
+            series = np.polynomial.polynomial.polyval(1.0 / c, self.coefs.T)
+            phases = np.exp(1j * np.outer(self.ends, c))
+            total = (series[1] * phases[1] - series[0] * phases[0]) * c ** -1.5
+            out[lo:lo + c.size] = (lead * total).real
+        return out
 
 
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],

@@ -11,6 +11,8 @@ from tblab.arith import (
     TWO_CHAR,
     UNIT,
     DivisorSumSpec,
+    closed_form_F,
+    closed_form_F_prime,
     coefficient_array,
     dirichlet_series_check,
     divisor_sum,
@@ -40,6 +42,8 @@ def test_twisted_examples(chi4):
     assert divisor_sum(spec, 5) == 2  # chi(1) + chi(5)
     spec2 = DivisorSumSpec(TWISTED, 2, chi4)
     assert divisor_sum(spec2, 6) == -8  # 1*1 + 4*0 + 9*(-1) + 36*0
+    bar2 = DivisorSumSpec(BAR_TWISTED, 2, chi4)
+    assert divisor_sum(bar2, 6) == 32  # 1*0 + 4*(-1) + 9*0 + 36*1
     # n = 1 always gives chi(1) = 1
     for kind in (TWISTED, BAR_TWISTED):
         assert divisor_sum(DivisorSumSpec(kind, 3.7, chi4), 1) == 1
@@ -54,21 +58,41 @@ def test_spec_validation(chi4, chi3):
         divisor_sum(DivisorSumSpec(UNIT), 0)
 
 
-def test_coefficient_array_matches_direct(chi4, chi3):
+# counts on both sides of a square, where the sweep's split isqrt(count)
+# moves: 8 | 9, 10; 399 | 400, 401, 420
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 10, 399, 400, 401, 420, 1009])
+def test_coefficient_array_matches_direct(chi4, chi3, count):
     specs = [DivisorSumSpec(TWISTED, 2, chi4),
              DivisorSumSpec(BAR_TWISTED, 1, chi3),
              DivisorSumSpec(TWO_CHAR, 0, chi3, chi4),
              DivisorSumSpec(TWISTED, -0.3, chi4),
+             DivisorSumSpec(TWO_CHAR, 0.3 + 0.7j, chi4, enumerate_characters(5)[1]),
              DivisorSumSpec(UNIT)]
     for spec in specs:
-        arr = coefficient_array(spec, 400)
-        for n in (1, 2, 17, 36, 399, 400):
+        arr = coefficient_array(spec, count)
+        assert len(arr) == count + 1
+        for n in range(1, count + 1):
             assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
 
 
+def test_one_character_kinds_are_two_char_with_a_trivial_slot(chi4, chi3):
+    # the trivial character mod 1 fills the slot a twist leaves empty, so
+    # both specs are the same computation, to the last bit
+    one = enumerate_characters(1)[0]
+    for weight in (2, -0.25, 0.3 + 0.7j):
+        for spec, same in ((DivisorSumSpec(TWISTED, weight, chi4),
+                            DivisorSumSpec(TWO_CHAR, weight, chi4, one)),
+                           (DivisorSumSpec(BAR_TWISTED, weight, chi3),
+                            DivisorSumSpec(TWO_CHAR, weight, one, chi3))):
+            assert np.array_equal(coefficient_array(spec, 500), coefficient_array(same, 500))
+            for s in (2.5, 3.1 + 0.4j):
+                assert closed_form_F(spec, s) == closed_form_F(same, s)
+                assert closed_form_F_prime(spec, s) == closed_form_F_prime(same, s)
+
+
 def test_trivial_character_slot_matches_direct(chi4, chi3):
-    # a two-character sum with the trivial character mod 1 in one slot is
-    # swept as the one-character sum; the direct sum keeps both slots
+    # a two-character sum with the trivial character mod 1 in one slot;
+    # the sweep and the direct sum both keep the two slots
     one = enumerate_characters(1)[0]
     for spec in (DivisorSumSpec(TWO_CHAR, 2, chi4, one),
                  DivisorSumSpec(TWO_CHAR, -0.3, one, chi3)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tblab import bessel
 from tblab.bessel import (
     JY_CUT,
     K_ASYM_CUT,
@@ -153,3 +154,11 @@ def test_asymptotic_branches_refuse_orders_too_large():
     assert np.all(np.isfinite(k_values(5, np.array([K_ASYM_CUT, 25.0]))))
     for x in (14.01, 18.0):
         assert all(np.isfinite(v[0]) for v in jy_values(5, [x]))
+
+
+def test_gauss_legendre_table_is_numpys_rule():
+    # the table holds leggauss(128)'s output; another LAPACK may round
+    # its end weights differently, which are 1.4e-11 off their exact values
+    x, w = np.polynomial.legendre.leggauss(128)
+    np.testing.assert_allclose(bessel._GL_NODES, x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bessel._GL_WEIGHTS, w, rtol=1e-10)

@@ -148,6 +148,28 @@ def test_max_terms_env(monkeypatch, capsys):
     assert "tail bound" in err and "after 100 terms" in err
 
 
+@pytest.mark.parametrize("case", [
+    ["--theorem", "C3_1", "--q", "5", "--char", "2", "--x", "0.001"],
+    ["--theorem", "T4_1", "--q", "5", "--char", "2", "--nu", "0.25",
+     "--alpha", "0.5", "--beta", "3000.5", "--f", "exp"],
+])
+def test_sum_past_the_term_budget_exits_two(monkeypatch, capsys, case):
+    monkeypatch.setenv("TBL_MAX_TERMS", "1000")
+    assert main(["verify", *case]) == 2
+    assert "term budget of 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("case", [
+    ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"],
+    ["--theorem", "T4_1", "--q", "5", "--char", "2", "--nu", "0.25",
+     "--alpha", "0.5", "--beta", "3.4", "--f", "exp"],
+])
+def test_meaningless_tolerance_exits_two(capsys, case, tol):
+    assert main(["verify", *case, f"--tol={tol}"]) == 2
+    assert "tol must be a finite number > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value, theorem", [
     ("abc", ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"]),
     ("-5", ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"]),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tblab.characters import enumerate_characters
-from tblab.errors import DomainError, ExcludedParameter, HypothesisError
+from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
 from tblab.identities import (
     THEOREMS,
     IdentityCase,
@@ -152,6 +152,36 @@ def test_kernel_series_mean_under_a_short_term_cap(monkeypatch):
                               alpha=0.5, beta=3.4, f="exp"))
     assert rep.rhs_terms == 3000
     assert rep.passed, rep.rel_err
+
+
+# a sum whose length the parameters fix: 12,831 terms at x = 0.001, and
+# 3,000 coefficients below beta = 3000.5
+_LONG_SUMS = (IdentityCase("C3_1", q=5, char_index=2, x=0.001),
+              IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.5, beta=3000.5,
+                           f="exp"))
+
+
+@pytest.mark.parametrize("case", _LONG_SUMS, ids=lambda c: c.theorem)
+def test_sum_past_the_term_budget_fails_before_allocating(monkeypatch, case):
+    def refuse(spec, count):
+        raise AssertionError(f"coefficient_array({count}) ran past the budget")
+
+    monkeypatch.setenv("TBL_MAX_TERMS", "1000")
+    monkeypatch.setattr("tblab.identities.coefficient_array", refuse)
+    with pytest.raises(ConvergenceError, match="term budget of 1000"):
+        verify(case)
+
+
+_SEC2_CASE = IdentityCase("T2_13", q=5, char_index=2, a=1.0, x=0.3)
+_VORONOI_CASE = IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.5, beta=3.4,
+                             f="exp")
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("case", [_SEC2_CASE, _VORONOI_CASE], ids=lambda c: c.theorem)
+def test_tolerance_must_be_finite_and_positive(case, tol):
+    with pytest.raises(DomainError, match="tol must be a finite number > 0"):
+        verify(case, tol)
 
 
 def test_every_registered_c4_point_passes():
