@@ -3,7 +3,9 @@
 A character value is stored as a rational exponent r with the meaning
 chi(n) = e^{2*pi*i*r}; multiplication, conjugation and parity are exact
 rational arithmetic, and complex doubles only appear when a value is
-realized numerically.  The unit group (Z/qZ)* is built by CRT over the
+realized numerically.  Each character realizes its values once, as a
+table of q complex numbers shared by every equal Character, and `value`
+reads that table.  The unit group (Z/qZ)* is built by CRT over the
 prime-power factors of q: a primitive root generates each odd prime-power
 factor, and the pair {-1, 5} generates the 2-adic part for 2^k, k >= 3.
 
@@ -151,14 +153,7 @@ class Character:
         return r % 1
 
     def value(self, n: int) -> complex:
-        r = self.log_value(n)
-        if r is None:
-            return 0j
-        if r == 0:
-            return 1 + 0j
-        if 2 * r == 1:
-            return -1 + 0j
-        return cmath.exp(2j * cmath.pi * float(r))
+        return _value_table(self)[n % self.modulus]
 
     # -- structure -------------------------------------------------------
 
@@ -216,6 +211,25 @@ class Character:
 
     def __call__(self, n: int) -> complex:
         return self.value(n)
+
+
+@lru_cache(maxsize=4096)
+def _value_table(chi: Character) -> tuple[complex, ...]:
+    """chi(0), ..., chi(q-1), realized from the exact exponents: 0 off the
+    units, exactly +-1 at r = 0 and 1/2, e^{2*pi*i*r} otherwise.  Keyed by
+    value, so every enumeration of the same character shares one table."""
+    out = []
+    for n in range(chi.modulus):
+        r = chi.log_value(n)
+        if r is None:
+            out.append(0j)
+        elif r == 0:
+            out.append(1 + 0j)
+        elif 2 * r == 1:
+            out.append(-1 + 0j)
+        else:
+            out.append(cmath.exp(2j * cmath.pi * float(r)))
+    return tuple(out)
 
 
 def _divisors(q: int) -> list[int]:

@@ -140,10 +140,11 @@ def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
 def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     """sum_{n>=1} f_z(n) n^{nu/2} K_nu(a sqrt(n x)), certified to tolerance.
 
-    Stops at the first N whose analytic tail bound drops below
-    max(tol, rel_tol * |partial sum|); raises ConvergenceError if the term
-    budget is exhausted first, and before any term is summed when the
-    term bound has not begun to decay by the budget.
+    Sums once up to N, the first of 256, 512, ... whose analytic tail
+    bound is below tol, or the term budget if that comes first.  Raises
+    ConvergenceError if the bound at N is above max(tol, rel_tol * |sum|),
+    which can only happen at the budget, and before any term is summed
+    when the term bound has not begun to decay by the budget.
     """
     cap = term_cap()
     lam = params.a * math.sqrt(params.x)
@@ -160,30 +161,20 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
         # building any coefficient
         raise ConvergenceError(
             f"bessel_series: terms not yet decaying after the {cap}-term budget")
-    coef = coefficient_array(spec, min(max(2 * n_est, 1024), cap))
-
+    n1 = min(n_est, cap)
+    cs = coefficient_array(spec, n1)[1:]
+    ns = np.arange(1, n1 + 1, dtype=float)
     acc = 0j
-    n0 = 1
-    chunk = max(256, n_est)  # first chunk lands near the estimated cutoff
-    while True:
-        n1 = min(n0 + chunk - 1, cap)
-        chunk = 4096
-        if n1 > len(coef) - 1:
-            coef = coefficient_array(spec, min(max(n1, 2 * (len(coef) - 1)), cap))
-        cs = coef[n0:n1 + 1]
-        ns = np.arange(n0, n1 + 1, dtype=float)
-        mask = cs != 0
-        if mask.any():
-            kv = np.zeros_like(ns)
-            kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
-            acc += np.sum(cs * ns ** (0.5 * nu) * kv)
-        tail = _bessel_tail_bound(n1, w, nu, lam)
-        if tail <= max(params.tol, params.rel_tol * abs(acc)):
-            return SeriesResult(acc, n1, tail)
-        if n1 >= cap:
-            raise ConvergenceError(
-                f"bessel_series: tail bound {tail:.2e} above tolerance after {n1} terms")
-        n0 = n1 + 1
+    mask = cs != 0
+    if mask.any():
+        kv = np.zeros_like(ns)
+        kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
+        acc += np.sum(cs * ns ** (0.5 * nu) * kv)
+    tail = _bessel_tail_bound(n1, w, nu, lam)
+    if tail <= max(params.tol, params.rel_tol * abs(acc)):
+        return SeriesResult(acc, n1, tail)
+    raise ConvergenceError(
+        f"bessel_series: tail bound {tail:.2e} above tolerance after {n1} terms")
 
 
 # -- closed-form Dirichlet tails ----------------------------------------

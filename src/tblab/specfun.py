@@ -7,6 +7,14 @@ characters the simple pole of each zeta(s, a/q) cancels in the character
 sum, which is realized exactly by summing the pole-regularized function
 zeta(s, a) - 1/(s-1), so evaluation is stable arbitrarily close to s = 1.
 
+An L-value does its s-dependent work once.  The Euler-Maclaurin routine
+takes one s and a batch of arguments a, forming the head length, the
+exponents and the correction coefficients once per batch (the scalar
+hurwitz_zeta is a batch of one), and all units a of the modulus go into
+one batch.  Left of the reflection threshold the reflection route takes
+the same batch, and its prefactor and q conjugate values zeta(1-s, b/q)
+are computed once per L-value and shared by every a.
+
 Derivatives are Richardson-extrapolated central differences; the table is
 grown until the extrapolant stalls at its roundoff floor, which lands
 around 1e-11 absolute on the window used by the identity layer.
@@ -19,7 +27,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import Character, _factorize, enumerate_characters, gauss_sum
+from .characters import (Character, _factorize, _value_table, enumerate_characters,
+                         gauss_sum)
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -167,46 +176,64 @@ def _em_head_length(s: complex) -> int:
     return m
 
 
-def _hurwitz_em(s: complex, a: float, regularized: bool,
-                head: int | None) -> complex:
+def _hurwitz_em(s: complex, avals, regularized: bool,
+                head: int | None) -> list[complex]:
+    """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
+    head length, the powers' exponents and the correction coefficients
+    depend on s alone and are formed once for the batch."""
     M = head if head is not None else _em_head_length(s)
-    acc = 0j
-    for n in range(M):
-        acc += (n + a) ** (-s)
-    X = M + a
-    lx = math.log(X)
-    if regularized:
-        # [(M+a)^{1-s} - 1]/(s-1): the pole term minus 1/(s-1), stable near s=1
-        w = (1.0 - s) * lx
-        acc += -_cexpm1(w) / (1.0 - s) if s != 1.0 else complex(-lx)
-    else:
-        acc += X ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * X ** (-s)
-    # correction terms: B_{2j}/(2j)! * (s)_{2j-1} * X^{-s-2j+1}
+    ms = -s
+    ps = 1.0 - s
+    ms1 = -s - 1.0
+    # B_{2j}/(2j)! * (s)_{2j-1}, the correction coefficients of X^{-s-2j+1}
+    coefs = []
     poch = s  # (s)_1
-    xpow = X ** (-s - 1.0)
-    invx2 = 1.0 / (X * X)
     for j in range(1, _EM_TERMS + 1):
-        acc += _EM_COEF[j] * poch * xpow
+        coefs.append(_EM_COEF[j] * poch)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
-        xpow *= invx2
-    return acc
+    out = []
+    for a in avals:
+        acc = 0j
+        for n in range(M):
+            acc += (n + a) ** ms
+        X = M + a
+        lx = math.log(X)
+        if regularized:
+            # [(M+a)^{1-s} - 1]/(s-1): the pole term minus 1/(s-1), stable near s=1
+            w = ps * lx
+            acc += -_cexpm1(w) / ps if s != 1.0 else complex(-lx)
+        else:
+            acc += X ** ps / (s - 1.0)
+        acc += 0.5 * X ** ms
+        xpow = X ** ms1
+        invx2 = 1.0 / (X * X)
+        for c in coefs:
+            acc += c * xpow
+            xpow *= invx2
+        out.append(acc)
+    return out
 
 
-def _hurwitz_reflected(s: complex, r: int, q: int) -> complex:
-    """zeta(s, r/q) for Re s < 0 via the expansion over conjugate
-    arguments: zeta(s, r/q) = 2 Gamma(1-s)/(2 pi q)^{1-s}
-    * sum_b zeta(1-s, b/q) sin(pi s/2 + 2 pi b r / q).
+def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
+    """zeta(s, r/q) for each r of rs, for Re s < 0, via the expansion over
+    conjugate arguments: zeta(s, r/q) = 2 Gamma(1-s)/(2 pi q)^{1-s}
+    * sum_b zeta(1-s, b/q) sin(pi s/2 + 2 pi b r / q).  The prefactor and
+    the q conjugate values are formed once for the batch.
 
     Every piece is evaluated in the cancellation-free right half-plane, so
     the result carries relative (not just absolute) accuracy.
     """
     pref = 2.0 * gamma(1.0 - s) * (2.0 * math.pi * q) ** (s - 1.0)
-    acc = 0j
-    for b in range(1, q + 1):
-        acc += (_hurwitz_em(s=1.0 - s, a=b / q, regularized=False, head=None)
-                * cmath.sin(cmath.pi * s / 2.0 + 2.0 * math.pi * b * r / q))
-    return pref * acc
+    conj = _hurwitz_em(1.0 - s, [b / q for b in range(1, q + 1)],
+                       regularized=False, head=None)
+    phase = cmath.pi * s / 2.0
+    out = []
+    for r in rs:
+        acc = 0j
+        for b in range(1, q + 1):
+            acc += conj[b - 1] * cmath.sin(phase + 2.0 * math.pi * b * r / q)
+        out.append(pref * acc)
+    return out
 
 
 def _rationalize(a: float) -> tuple[int, int] | None:
@@ -235,10 +262,10 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False,
     if s.real < _REFLECT_RE and head is None and a <= 1.0:
         rq = _rationalize(a)
         if rq is not None and s.real < _reflect_threshold(rq[1]):
-            val = _hurwitz_reflected(s, *rq)
+            val = _hurwitz_reflected(s, [rq[0]], rq[1])[0]
             return val - 1.0 / (s - 1.0) if regularized else val
     try:
-        return _hurwitz_em(s, a, regularized, head)
+        return _hurwitz_em(s, [a], regularized, head)[0]
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"zeta({s:g}, {a:g}) lies outside the double range") from None
 
@@ -269,15 +296,15 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
         for p, _ in _factorize(q):
             val *= 1.0 - p ** (-s)
         return val
+    table = _value_table(chi)
+    units = [a for a in range(1, q) if table[a]]
+    if s.real < _REFLECT_RE:
+        hzs = _hurwitz_reflected(s, units, q)
+    else:
+        hzs = _hurwitz_em(s, [a / q for a in units], regularized=True, head=None)
     acc = 0j
-    reflect = s.real < _REFLECT_RE
-    for a in range(1, q):
-
-        v = chi.value(a)
-        if v:
-            hz = (_hurwitz_reflected(s, a, q) if reflect
-                  else _hurwitz_em(s, a / q, regularized=True, head=None))
-            acc += v * hz
+    for a, hz in zip(units, hzs):
+        acc += table[a] * hz
     # the regularized pole terms cancel since sum_a chi(a) = 0
     return acc * q ** (-s)
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tblab.characters import (
+    Character,
     character_value,
     conductor,
     enumerate_characters,
@@ -52,6 +54,30 @@ def test_character_values():
             assert chi.value(q) == 0
     principal5 = enumerate_characters(5)[0]
     assert character_value(principal5, 7) == 1
+
+
+def test_value_table_realizes_the_exact_exponents(monkeypatch):
+    for q in range(1, 41):
+        for chi in enumerate_characters(q):
+            for n in range(-q, 2 * q):
+                r = chi.log_value(n)
+                if r is None:
+                    want = 0j
+                elif r == 0:
+                    want = 1 + 0j
+                elif 2 * r == 1:
+                    want = -1 + 0j
+                else:
+                    want = cmath.exp(2j * cmath.pi * float(r))
+                assert chi.value(n) == want, (q, chi.index, n)
+    # a fresh enumeration reads the tables already realized
+    calls = []
+    monkeypatch.setattr(Character, "log_value", lambda chi, n: calls.append(n))
+    for q in range(1, 41):
+        for chi in enumerate_characters(q):
+            for n in range(q):
+                chi.value(n)
+    assert calls == []
 
 
 def test_periodicity_and_multiplicativity():

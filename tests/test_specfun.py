@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from tblab.characters import enumerate_characters, gauss_sum
+from tblab import specfun
+from tblab.characters import enumerate_characters, euler_phi, gauss_sum
 from tblab.errors import PoleError
 from tblab.specfun import (
     EULER_GAMMA,
@@ -126,6 +127,44 @@ class TestDirichletL:
     def test_principal_pole(self):
         with pytest.raises(PoleError):
             dirichlet_L(1.0, enumerate_characters(6)[0])
+
+    @pytest.mark.parametrize("s", [complex(-3.0, 0.0), complex(-3.0, 7.5),
+                                   complex(-1.0, -4.2), complex(-1.0, 10.0),
+                                   complex(0.5, 0.0), complex(0.5, 9.3),
+                                   complex(2.0, -10.0), complex(2.0, 1.7)])
+    def test_assembly_matches_per_residue_hurwitz_values(self, s):
+        # L(s, chi) = q^{-s} sum_a chi(a) zeta(s, a/q), bit for bit: the
+        # pole terms of the regularized zeta(s, a/q) cancel in the sum
+        chars = [chi for q in (5, 8, 12, 21, 40)
+                 for chi in enumerate_characters(q) if not chi.is_principal]
+        assert any(c.is_real for c in chars) and not all(c.is_real for c in chars)
+        assert not all(c.is_primitive for c in chars)
+        for chi in chars:
+            q = chi.modulus
+            acc = 0j
+            for a in range(1, q):
+                v = chi.value(a)
+                if v:
+                    acc += v * hurwitz_zeta(s, a / q, regularized=s.real >= -1.75)
+            assert dirichlet_L(s, chi) == acc * q ** (-s), (q, chi.index)
+
+    def test_reflected_route_evaluates_q_conjugate_values(self, monkeypatch):
+        # the q values zeta(1-s, b/q) are shared by all phi(q) residues
+        batches = []
+        em = specfun._hurwitz_em
+
+        def counting(s, avals, *args, **kwargs):
+            batches.append(len(avals))
+            return em(s, avals, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_hurwitz_em", counting)
+        for q, idx in ((37, 5), (40, 3), (9, 1)):
+            chi = enumerate_characters(q)[idx]
+            for s, count in ((complex(-2.718, 3.14), q), (complex(0.577, -1.41), euler_phi(q))):
+                batches.clear()
+                specfun._dirichlet_L_cached.cache_clear()
+                dirichlet_L(s, chi)
+                assert batches == [count], (q, idx, s)
 
 
 class TestGeneralizedBernoulli:
