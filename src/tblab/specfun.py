@@ -2,7 +2,9 @@
 
 The continuation backbone is Euler-Maclaurin summation for the Hurwitz
 zeta function; every L-value is assembled from it through
-L(s, chi) = q^{-s} * sum_a chi(a) zeta(s, a/q).  For non-principal
+L(s, chi) = q^{-s} * sum_a chi(a) zeta(s, a/q), summed over the units a
+in [1, q].  The Riemann zeta function and the principal L-functions take
+the same assembly: zeta is L for the character mod 1.  For non-principal
 characters the simple pole of each zeta(s, a/q) cancels in the character
 sum, which is realized exactly by summing the pole-regularized function
 zeta(s, a) - 1/(s-1), so evaluation is stable arbitrarily close to s = 1.
@@ -27,8 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import (Character, _factorize, _value_table, enumerate_characters,
-                         gauss_sum)
+from .characters import Character, _value_table, enumerate_characters, gauss_sum
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -276,36 +277,27 @@ _EM_COEF = {j: float(bernoulli_number(2 * j) / math.factorial(2 * j))
 
 def riemann_zeta(s: complex | float) -> complex:
     """zeta(s), continued everywhere except the pole at s = 1."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta pole at s=1")
-    return hurwitz_zeta(s, 1.0)
+    return dirichlet_L(s, enumerate_characters(1)[0])
 
 
 @lru_cache(maxsize=65536)
 def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
     s = complex(sre, sim)
     q = chi.modulus
-    if q == 1:
-        return riemann_zeta(s)
-    if chi.is_principal:
-        if abs(s - 1.0) < 1e-12:
-            raise PoleError("L(s, principal chi) pole at s=1")
-        # L(s, chi_0) = zeta(s) * prod_{p|q} (1 - p^{-s})
-        val = riemann_zeta(s)
-        for p, _ in _factorize(q):
-            val *= 1.0 - p ** (-s)
-        return val
+    if chi.is_principal and abs(s - 1.0) < 1e-12:
+        raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
     table = _value_table(chi)
-    units = [a for a in range(1, q) if table[a]]
-    if s.real < _REFLECT_RE:
+    units = [a for a in range(1, q + 1) if table[a % q]]
+    if s.real < _reflect_threshold(q):
         hzs = _hurwitz_reflected(s, units, q)
     else:
-        hzs = _hurwitz_em(s, [a / q for a in units], regularized=True, head=None)
+        # for a non-principal chi the regularized pole terms cancel, since
+        # sum_a chi(a) = 0
+        hzs = _hurwitz_em(s, [a / q for a in units],
+                          regularized=not chi.is_principal, head=None)
     acc = 0j
     for a, hz in zip(units, hzs):
-        acc += table[a] * hz
-    # the regularized pole terms cancel since sum_a chi(a) = 0
+        acc += table[a % q] * hz
     return acc * q ** (-s)
 
 

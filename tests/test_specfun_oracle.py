@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tblab.characters import enumerate_characters
+from tblab.characters import _factorize, enumerate_characters
 from tblab.errors import DomainError, PoleError
 from tblab.specfun import L_derivative, dirichlet_L, gamma, hurwitz_zeta
 
@@ -29,6 +29,9 @@ CHARS = [chi for q in range(3, 41) for chi in enumerate_characters(q)
 GAMMA_BOUND = 1e-13
 HURWITZ_BOUND = 1e-9
 L_BOUND = 1e-11
+# worst 8.8e-12, chi_0 mod 40 at s = -1.6: the Euler-Maclaurin route just
+# right of the reflection threshold, as for L above
+PRINCIPAL_L_BOUND = 3e-11
 L_DERIVATIVE_BOUND = 1e-9
 
 # s on a grid of step 2^-10, whole numbers included: mpmath's zeta(s, a)
@@ -106,6 +109,26 @@ def test_L_derivative(s, chi):
         h = mpmath.mpf("1e-9")
         value = (L(s + h) - L(s - h)) / (2 * h)
     assert _error(L_derivative(s, chi), value) < L_DERIVATIVE_BOUND
+
+
+# both routes, either side of the threshold -1.75, and around the pole
+PRINCIPAL_POINTS = [complex(-3.0, 0.5), complex(-2.2, -7.1), complex(-1.9, 3.0),
+                    complex(-1.6, 0.0), complex(-1.0, -4.2), 0j, complex(0.5, 9.3),
+                    complex(1.001, 0.0), complex(0.9999, 0.0), complex(1.0, 1e-5),
+                    complex(1 + 1e-7, -1e-7), complex(2.0, -10.0), complex(3.0, 1.7)]
+
+
+@pytest.mark.parametrize("q", range(2, 41))
+def test_principal_L_against_zeta_euler_factors(q):
+    # L(s, chi_0) = zeta(s) prod_{p | q} (1 - p^{-s})
+    chi = enumerate_characters(q)[0]
+    assert chi.is_principal
+    with mpmath.workdps(30):
+        for s in PRINCIPAL_POINTS:
+            value = mpmath.zeta(s)
+            for p, _ in _factorize(q):
+                value *= 1 - mpmath.power(p, -mpmath.mpc(s))
+            assert _error(dirichlet_L(s, chi), value) < PRINCIPAL_L_BOUND, s
 
 
 def test_oracle_characters_and_its_functional_equation_branch():
