@@ -237,6 +237,9 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     gives chi = chi1 = chi2 and p = q, so an equal-character corollary
     reads as its two-character theorem.  A field the entry never reads
     is refused."""
+    for name, val in given.params().items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise DomainError(f"{name} must be a finite number, got {val}")
     case = _Reads(given)
     r = {"twist": entry.twist}
     if len(entry.chars) == 1:
@@ -1024,12 +1027,16 @@ _register("C4_2", "voronoi",
           chars=("odd",), nu="voronoi")
 
 
+def _entry(tid: str) -> TheoremEntry:
+    """The registry entry of theorem id tid; an unknown id is refused."""
+    if tid not in THEOREMS:
+        raise DomainError(f"unknown theorem id {tid!r}; valid ids: {', '.join(sorted(THEOREMS))}")
+    return THEOREMS[tid]
+
+
 def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     """Verify one identity instance and report the residual."""
-    entry = THEOREMS.get(case.theorem)
-    if entry is None:
-        raise DomainError(
-            f"unknown theorem id {case.theorem!r}; valid ids: {', '.join(sorted(THEOREMS))}")
+    entry = _entry(case.theorem)
     if tol is None:
         tol = DEFAULT_TOLERANCES[entry.section]
     if not (math.isfinite(tol) and tol > 0):
@@ -1056,14 +1063,10 @@ def default_cases(selector=None) -> list[IdentityCase]:
     elif isinstance(selector, str):
         wanted = [tid for tid in THEOREMS if tid.startswith(selector)]
     else:
-        wanted = [tid for tid in selector]
-        for tid in wanted:
-            if tid not in THEOREMS:
-                raise DomainError(
-                    f"unknown theorem id {tid!r}; valid ids: {', '.join(sorted(THEOREMS))}")
+        wanted = list(selector)
     out = []
     for tid in wanted:
-        for point in THEOREMS[tid].points:
+        for point in _entry(tid).points:
             out.append(IdentityCase(theorem=tid, **point))
     return out
 
@@ -1081,8 +1084,7 @@ def _verify_for_pool(args):
                                   error=f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(selector=None, tol_profile: dict | None = None,
-              workers: int = 1) -> list[VerificationReport]:
+def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
     """Verify every registered case matching the selector.
 
     Individual failures are reported, not raised: a case whose
@@ -1091,11 +1093,8 @@ def run_suite(selector=None, tol_profile: dict | None = None,
     worker count.
     """
     term_cap()  # a bad TBL_MAX_TERMS fails the suite, not each case
-    profile = dict(DEFAULT_TOLERANCES)
-    if tol_profile:
-        profile.update(tol_profile)
     cases = default_cases(selector)
-    jobs = [(case, profile[THEOREMS[case.theorem].section]) for case in cases]
+    jobs = [(case, DEFAULT_TOLERANCES[THEOREMS[case.theorem].section]) for case in cases]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_for_pool, jobs))

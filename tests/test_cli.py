@@ -89,6 +89,27 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     assert capsys.readouterr().out == f"{kind}_200(1) = 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--q", "5", "--char", "1", "--s", "abc"],
+    ["lvalue", "--q", "5", "--char", "1", "--s", "nan"],
+    ["lvalue", "--q", "5", "--char", "1", "--s", "inf"],
+    ["lvalue", "--q", "5", "--char", "1", "--s", "1e300"],
+    ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
+     "--a", "1", "--x", "inf"],
+    ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
+     "--a", "inf", "--x", "0.75"],
+    ["verify", "--theorem", "T3_1", "--q", "5", "--char", "2", "--nu", "0.3", "--N", "1",
+     "--x", "inf"],
+    ["verify", "--theorem", "T4_1", "--q", "5", "--char", "2", "--nu", "0.25", "--alpha", "0.5",
+     "--beta", "inf", "--f", "exp"],
+])
+def test_non_finite_or_overflowing_input_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_theorem_lists_valid_ids(capsys):
     rc = main(["verify", "--theorem", "T2_99", "--q", "5", "--char", "2"])
     assert rc == 2

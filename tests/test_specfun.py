@@ -199,13 +199,35 @@ class TestDerivatives:
         rhs = tau / 2.0 * dirichlet_L(1.0, chi5.conjugate())
         assert abs(lhs - rhs) < 1e-7
 
-    def test_step_halving_converged(self):
-        chi5 = enumerate_characters(5)[2]
-        d1 = L_derivative(0.0, chi5)
-        # independent richardson run at half the base step
-        from tblab.specfun import _richardson_derivative
-        d2 = _richardson_derivative(lambda s: dirichlet_L(s, chi5), 0j, h0=0.25)
-        assert abs(d1 - d2) < 1e-8
+    def test_registry_rhs_matches_mpmath_derivatives(self, monkeypatch):
+        # every registered record outside voronoi, run again with L' and
+        # zeta' from mpmath in place of the 16-node Cauchy rule: the two
+        # rhs values agree within 1e-12 |lhs|
+        mpmath = pytest.importorskip("mpmath")
+        from tblab import arith, identities
+        tids = [tid for tid, entry in identities.THEOREMS.items()
+                if entry.section != "voronoi"]
+        ours = identities.run_suite(tids)
+        points = set()
+
+        def mp_L_derivative(s0, chi):
+            points.add((complex(s0), chi.modulus, chi.index))
+            values = [0 if r is None else mpmath.expjpi(2 * mpmath.mpf(r.numerator) / r.denominator)
+                      for r in map(chi.log_value, range(chi.modulus))]
+            with mpmath.workdps(30):
+                return complex(mpmath.dirichlet(mpmath.mpc(s0), values, 1))
+
+        def mp_zeta_derivative(s0):
+            return mp_L_derivative(s0, enumerate_characters(1)[0])
+
+        for module in (specfun, arith, identities):
+            monkeypatch.setattr(module, "L_derivative", mp_L_derivative)
+            monkeypatch.setattr(module, "zeta_derivative", mp_zeta_derivative)
+        theirs = identities.run_suite(tids)
+        assert len(points) == 41
+        for a, b in zip(ours, theirs):
+            assert a.case == b.case and a.lhs == b.lhs
+            assert abs(a.rhs - b.rhs) <= 1e-12 * abs(a.lhs), a.case
 
 
 class TestFunctionalEquation:
