@@ -13,8 +13,8 @@ an empty one:
 Values for a single n come from its divisors, found by trial division;
 whole coefficient ranges, which the series evaluators consume, from one
 convolution sweep in two halves split at sqrt(count).  The generating
-Dirichlet series L(s - z, chi1) L(s, chi2) anchors both the cross-checks
-here and the tail continuation used by the series module.
+Dirichlet series L(s - z, chi1) L(s, chi2) anchors the tail continuation
+used by the series module.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "divisor_sum",
     "divisors",
     "coefficient_array",
-    "dirichlet_series_check",
     "closed_form_F",
     "closed_form_F_prime",
 ]
@@ -175,25 +174,3 @@ def closed_form_F_prime(spec: DivisorSumSpec, s: complex) -> complex:
     sz = s - complex(spec.weight)
     return (L_derivative(sz, chi1) * dirichlet_L(s, chi2)
             + dirichlet_L(sz, chi1) * L_derivative(s, chi2))
-
-
-def dirichlet_series_check(spec: DivisorSumSpec, s: complex,
-                           terms: int) -> tuple[float, float]:
-    """|partial Dirichlet series - closed form| plus its analytic tail bound.
-
-    Requires Re(s) > max(Re z + 1, 1) + 0.5 so that the crude coefficient
-    bound |f_z(n)| <= 2 sqrt(n) * n^w makes the tail integrable.
-    """
-    s = complex(s)
-    w = spec.weight_real_max
-    if s.real <= max(w + 1.0, 1.0) + 0.5:
-        raise DomainError(
-            "dirichlet_series_check needs Re(s) > max(Re z + 1, 1) + 0.5")
-    coef = coefficient_array(spec, terms)[1:]
-    n = np.arange(1, terms + 1, dtype=float)
-    partial = np.sum(coef * n ** (-s.real) *
-                     (np.exp(-1j * s.imag * np.log(n)) if s.imag else 1.0))
-    residual = abs(partial - closed_form_F(spec, s))
-    decay = s.real - w - 1.5
-    tail_bound = 2.0 * terms ** (-decay) / decay
-    return float(residual), float(tail_bound)

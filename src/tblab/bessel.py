@@ -13,15 +13,19 @@ Branch layout per function:
   on the same grid; beyond, the Hankel expansions.
 
 I and J share one vectorized ascending series, which stops each argument
-at its first term below 1e-17 of its partial sum.  K and the Hankel P
-and Q share one generator of the terms of their expansion in 1/x (DLMF
-10.40.2, 10.17.1), which stops each argument before its smallest term.
-The integration limits follow nu and x (see _limits), so no order,
-integer or not, takes a path of its own.  An asymptotic expansion whose
-smallest term is still above 1e-12 of its leading one (a large order
-just past its cut) raises DomainError instead of returning the truncated
-sum, as does a value outside the double range.  K is even in nu, so
-only |nu| is ever evaluated.
+at its first term below 1e-17 of its partial sum.  The expansions in 1/x
+(DLMF 10.40.2, 10.17.1) stop each argument before its smallest term.
+K's runs in its own loop over a window of ascending arguments, which
+drops an argument once its terms grow or can no longer move its sum, so
+each argument forms only its own terms.  The Hankel P and Q share one
+generator of terms, which runs until every term is below 1e-17, as
+their small Q sum can still move by such a term.  The integration
+limits follow nu and x (see _limits), so no order, integer or not,
+takes a path of its own.  An asymptotic expansion whose smallest term
+is still above 1e-12 of its leading one (a large order just past its
+cut) raises DomainError instead of returning the truncated sum, as does
+a value outside the double range.  K is even in nu, so only |nu| is
+ever evaluated.
 """
 
 from __future__ import annotations
@@ -151,12 +155,22 @@ def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     return (osc - tail) / math.pi
 
 
-def _asym_terms(nu: float, xb: np.ndarray, name: str):
+def _refuse_short_expansion(name: str, nu: float, x: float, least: float) -> None:
+    """Raise DomainError unless the expansion at its least argument x
+    reached a term below _ASYM_REL of the leading one before its terms
+    grew: that smallest term falls as x grows, so the least argument
+    speaks for all."""
+    if least > _ASYM_REL:
+        raise DomainError(
+            f"{name}: the asymptotic expansion at nu={nu}, x={x:g} stops at a "
+            f"term {least:.1e} of its leading one; the order is too large for "
+            f"this argument")
+
+
+def _asym_terms(nu: float, xb: np.ndarray):
     """Yield (k, d_k, alive), d_k = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j x),
-    alive marking the arguments whose |d| has fallen at every step yet.
-    Then raise DomainError unless the least argument reached a term below
-    _ASYM_REL of the leading one before its terms grew: that smallest
-    term falls as x grows, so the least argument speaks for all."""
+    alive marking the arguments whose |d| has fallen at every step yet,
+    until every term is below 1e-17; then refuse a short expansion."""
     mu = 4.0 * nu * nu
     low = int(np.argmin(xb))
     least = 1.0
@@ -173,20 +187,71 @@ def _asym_terms(nu: float, xb: np.ndarray, name: str):
             break
         yield k, d, alive
         prev = now
-    if least > _ASYM_REL:
-        raise DomainError(
-            f"{name}: the asymptotic expansion at nu={nu}, x={xb[low]:g} stops at a "
-            f"term {least:.1e} of its leading one; the order is too large for "
-            f"this argument")
+    _refuse_short_expansion("J/Y", nu, xb[low], least)
+
+
+# A term of K's expansion below this cannot move its sum, which stays
+# above 1/4, where half an ulp is 2.8e-17.
+_K_TINY = 1e-17
+# A window of at most this many arguments finishes one argument at a time.
+_K_SCALAR = 8
 
 
 def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
     """The superasymptotic expansion of K_nu, each series stopped before
-    its smallest term."""
-    acc = np.ones_like(xb)
-    for _, d, alive in _asym_terms(nu, xb, "K"):
-        acc = np.where(alive, acc + d, acc)
-        del d, alive  # held while the next pair is formed, they cost time and memory
+    its smallest term.
+
+    Step k forms d_k = d_{k-1} (4 nu^2 - (2k-1)^2) / (8 k x) over a window
+    [lo, hi) of the ascending arguments.  An argument is done once its
+    term has grown, for good, or fallen below _K_TINY, and the window
+    drops the done arguments at either end.  Each argument adds the terms
+    of the same steps, in the same order, as a loop over all arguments
+    to step 39 would."""
+    mu = 4.0 * nu * nu
+    coefs = [float((mu - (2 * k - 1) ** 2) / (8.0 * k)) for k in range(1, 40)]
+    order = np.argsort(xb, kind="stable") if (xb[1:] < xb[:-1]).any() else None
+    xs = xb if order is None else xb[order]
+    acc, d, prev = np.ones_like(xs), np.ones_like(xs), np.ones_like(xs)
+    alive = np.ones(xs.size, dtype=bool)
+    least = 1.0  # the last term of xs[0] while its terms fall
+    lo, hi, k = 0, xs.size, 0
+    while k < len(coefs) and hi - lo > _K_SCALAR:
+        d *= coefs[k]
+        d /= xs[lo:hi]
+        k += 1
+        now = np.abs(d)
+        alive &= now < prev
+        if lo == 0 and alive[0]:
+            least = float(now[0])
+        np.add(acc[lo:hi], d, out=acc[lo:hi], where=alive)
+        live = alive & (now >= _K_TINY)
+        first = int(live.argmax())
+        if not live[first]:
+            lo = hi
+            break
+        last = live.size - int(live[::-1].argmax())
+        d, prev, alive = d[first:last], now[first:last], alive[first:last]
+        lo, hi = lo + first, lo + last
+    if k == len(coefs):
+        lo = hi  # every argument has added all its terms
+    for i in range(lo, hi):
+        if not alive[i - lo]:
+            continue
+        x, t, p, a = float(xs[i]), float(d[i - lo]), float(prev[i - lo]), float(acc[i])
+        for c in coefs[k:]:
+            t = t * c / x
+            if not abs(t) < p:
+                break
+            p = abs(t)
+            if i == 0:
+                least = p
+            a += t
+            if p < _K_TINY:
+                break
+        acc[i] = a
+    _refuse_short_expansion("K", nu, xs[0], least)
+    if order is not None:
+        acc[order] = acc.copy()
     return np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
 
 
@@ -195,7 +260,7 @@ def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     series stopped before its smallest term."""
     p = np.ones_like(xb)
     q = np.zeros_like(xb)
-    for k, d, alive in _asym_terms(nu, xb, "J/Y"):
+    for k, d, alive in _asym_terms(nu, xb):
         sgn = 1.0 if k % 4 in (0, 1) else -1.0
         if k % 2 == 1:
             q = np.where(alive, q + sgn * d, q)

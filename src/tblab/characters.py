@@ -192,13 +192,7 @@ class Character:
     @property
     def conductor(self) -> int:
         """Smallest f | q from which the character is induced."""
-        q = self.modulus
-        for f in sorted(_divisors(q)):
-            if all(self.log_value(u) == 0
-                   for u in range(1, q + 1)
-                   if (u - 1) % f == 0 and math.gcd(u, q) == 1):
-                return f
-        return q  # unreachable; f = q always passes
+        return _conductor(self)
 
     @property
     def is_primitive(self) -> bool:
@@ -230,6 +224,20 @@ def _value_table(chi: Character) -> tuple[complex, ...]:
         else:
             out.append(cmath.exp(2j * cmath.pi * float(r)))
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _conductor(chi: Character) -> int:
+    """The conductor, by a scan of the divisors of q; keyed by value like
+    _value_table, so every enumeration of the same character finds it
+    once."""
+    q = chi.modulus
+    for f in sorted(_divisors(q)):
+        if all(chi.log_value(u) == 0
+               for u in range(1, q + 1)
+               if (u - 1) % f == 0 and math.gcd(u, q) == 1):
+            return f
+    return q  # unreachable; f = q always passes
 
 
 def _divisors(q: int) -> list[int]:

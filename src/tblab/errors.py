@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy and term budget shared across the library.
 
 Every error raised on purpose derives from TblabError so callers (and the
 CLI) can distinguish usage/hypothesis problems from genuine bugs.
+
+An environment variable TBL_MAX_TERMS caps the term budget of every
+series operation and Euler-Maclaurin head; term_cap() is its one reader.
 """
+
+import os
+
+DEFAULT_MAX_TERMS = 10 ** 6
 
 
 class TblabError(Exception):
@@ -43,3 +50,19 @@ class HypothesisError(TblabError):
 
 class QuadratureError(TblabError):
     """Adaptive quadrature exceeded its subdivision budget."""
+
+
+def term_cap() -> int:
+    """The term budget of every series operation: TBL_MAX_TERMS when set,
+    else DEFAULT_MAX_TERMS.  Anything but a positive integer raises
+    DomainError."""
+    text = os.environ.get("TBL_MAX_TERMS")
+    if text is None:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"TBL_MAX_TERMS must be a positive integer, got {text!r}")
+    return cap

@@ -30,7 +30,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -101,9 +101,10 @@ class IdentityCase:
 
     def params(self) -> dict:
         out = {}
-        for key, val in asdict(self).items():
-            if key != "theorem" and val is not None:
-                out[key] = val
+        for field in fields(self)[1:]:  # theorem, the one required field, is first
+            val = getattr(self, field.name)
+            if val is not None:
+                out[field.name] = val
         return out
 
 

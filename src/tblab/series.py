@@ -27,14 +27,13 @@ is below 1e-13 of the leading term, and otherwise stays with the
 quadrature.
 
 An environment variable TBL_MAX_TERMS caps the term budget of every
-series operation; term_cap() is its one reader.
+series operation; errors.term_cap(), re-exported here, is its one reader.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,6 +52,7 @@ from .errors import (
     DomainError,
     ExcludedParameter,
     QuadratureError,
+    term_cap,
 )
 
 __all__ = [
@@ -71,24 +71,7 @@ __all__ = [
     "term_cap",
 ]
 
-DEFAULT_MAX_TERMS = 10 ** 6
 DEFAULT_HEAD = 1000
-
-
-def term_cap() -> int:
-    """The term budget of every series operation: TBL_MAX_TERMS when set,
-    else DEFAULT_MAX_TERMS.  Anything but a positive integer raises
-    DomainError."""
-    text = os.environ.get("TBL_MAX_TERMS")
-    if text is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise DomainError(f"TBL_MAX_TERMS must be a positive integer, got {text!r}")
-    return cap
 
 
 @dataclass

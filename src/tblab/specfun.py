@@ -32,12 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import Character, _value_table, enumerate_characters, gauss_sum
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, term_cap
 
 __all__ = [
     "EULER_GAMMA",
     "gamma",
-    "digamma",
     "hurwitz_zeta",
     "riemann_zeta",
     "dirichlet_L",
@@ -95,21 +94,6 @@ def gamma(s: complex | float) -> complex:
     return out
 
 
-def digamma(x: float) -> float:
-    """psi(x) for real x > 0."""
-    if x <= 0:
-        raise DomainError(f"digamma needs x > 0, got {x}")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for c in _DIGAMMA_TAIL:
-        tail = (tail + c) * inv2
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
@@ -123,12 +107,6 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += Fraction(math.comb(n + 1, k)) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-# real coefficients B_{2j}/(2j), j = 1..7, for the digamma asymptotic tail
-_DIGAMMA_TAIL = tuple(
-    float(bernoulli_number(2 * j) / (2 * j)) for j in range(7, 0, -1)
-)
 
 
 def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
@@ -183,8 +161,13 @@ def _hurwitz_em(s: complex, avals, regularized: bool,
                 head: int | None) -> list[complex]:
     """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
     head length, the powers' exponents and the correction coefficients
-    depend on s alone and are formed once for the batch."""
+    depend on s alone and are formed once for the batch.  A head longer
+    than term_cap() raises DomainError before any term is summed."""
     M = head if head is not None else _em_head_length(s)
+    cap = term_cap()
+    if M > cap:
+        raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M} "
+                          f"terms, over the term budget of {cap}")
     ms = -s
     ps = 1.0 - s
     ms1 = -s - 1.0

@@ -14,7 +14,6 @@ from tblab.arith import (
     closed_form_F,
     closed_form_F_prime,
     coefficient_array,
-    dirichlet_series_check,
     divisor_sum,
     divisors,
 )
@@ -99,6 +98,28 @@ def test_trivial_character_slot_matches_direct(chi4, chi3):
         arr = coefficient_array(spec, 400)
         for n in (1, 2, 17, 36, 399, 400):
             assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
+
+
+def dirichlet_series_check(spec: DivisorSumSpec, s: complex,
+                           terms: int) -> tuple[float, float]:
+    """|partial Dirichlet series - closed form| plus its analytic tail bound.
+
+    Requires Re(s) > max(Re z + 1, 1) + 0.5 so that the crude coefficient
+    bound |f_z(n)| <= 2 sqrt(n) * n^w makes the tail integrable.
+    """
+    s = complex(s)
+    w = spec.weight_real_max
+    if s.real <= max(w + 1.0, 1.0) + 0.5:
+        raise DomainError(
+            "dirichlet_series_check needs Re(s) > max(Re z + 1, 1) + 0.5")
+    coef = coefficient_array(spec, terms)[1:]
+    n = np.arange(1, terms + 1, dtype=float)
+    partial = np.sum(coef * n ** (-s.real) *
+                     (np.exp(-1j * s.imag * np.log(n)) if s.imag else 1.0))
+    residual = abs(partial - closed_form_F(spec, s))
+    decay = s.real - w - 1.5
+    tail_bound = 2.0 * terms ** (-decay) / decay
+    return float(residual), float(tail_bound)
 
 
 def test_dirichlet_series_checks(chi4, chi3):

@@ -156,6 +156,77 @@ def test_asymptotic_branches_refuse_orders_too_large():
         assert all(np.isfinite(v[0]) for v in jy_values(5, [x]))
 
 
+def _k_asym_reference(nu, xb):
+    """K's expansion as one loop over every argument, dead ones included,
+    up to a global stop: the loop the windowed one must match bit for bit."""
+    mu = 4.0 * nu * nu
+    low = int(np.argmin(xb))
+    least = 1.0
+    d = np.ones_like(xb)
+    alive = np.ones_like(xb, dtype=bool)
+    prev = np.abs(d)
+    acc = np.ones_like(xb)
+    for k in range(1, 40):
+        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
+        now = np.abs(d)
+        alive &= now < prev
+        if alive[low]:
+            least = float(now[low])
+        if not alive.any() or now.max() < 1e-17:
+            break
+        acc = np.where(alive, acc + d, acc)
+        prev = now
+    if least > 1e-12:
+        raise DomainError(
+            f"K: the asymptotic expansion at nu={nu}, x={xb[low]:g} stops at a "
+            f"term {least:.1e} of its leading one; the order is too large for "
+            f"this argument")
+    return np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
+
+
+def _same_k(nu, xs):
+    """k_values(nu, xs) equals the reference bit for bit, or both raise
+    DomainError with the same text; True when they returned values."""
+    try:
+        want = _k_asym_reference(abs(nu), xs)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            k_values(nu, xs)
+        assert str(got.value) == str(exc)
+        return False
+    got = k_values(nu, xs)
+    assert got.tobytes() == want.tobytes(), nu
+    return True
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.5, 2.5, 4.0, 9.0])
+def test_k_expansion_pinned_bit_for_bit(nu):
+    # the half-integer orders end their series with an exact zero term
+    rng = np.random.default_rng(int(4 * nu))
+    returned = 0
+    for size in (1, 5, 8, 9, 40, 3000):
+        for span in (2.0, 300.0, 5000.0):
+            xs = K_ASYM_CUT + span * rng.random(size)  # unsorted
+            returned += _same_k(nu, xs)
+            returned += _same_k(-nu, xs[::-1].copy())
+    assert returned  # not every case is a refusal
+
+
+def test_k_expansion_pinned_on_a_kernel_series_array():
+    # the ascending lam sqrt(n) arguments bessel_series sends, 16k of them
+    xs = K_ASYM_CUT * np.sqrt(np.arange(1, 16385, dtype=float))
+    for nu in (0.0, 1.0, 2.25, 5.0):
+        assert _same_k(nu, xs)
+
+
+def test_k_expansion_refusal_keeps_its_text():
+    # just past its cut: nu = 9 needs x > 40.4 for its first term to fall
+    for xs in (np.array([19.0]), np.array([60.0, 40.0, 200.0, 41.0, 39.5, 90.0,
+                                           45.0, 50.0, 33.0, 70.0])):
+        assert not _same_k(9.0, xs)
+    assert not _same_k(10.0, np.array([19.0]))
+
+
 def test_gauss_legendre_table_is_numpys_rule():
     # the table holds leggauss(128)'s output; another LAPACK may round
     # its end weights differently, which are 1.4e-11 off their exact values

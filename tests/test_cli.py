@@ -94,6 +94,7 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     ["lvalue", "--q", "5", "--char", "1", "--s", "nan"],
     ["lvalue", "--q", "5", "--char", "1", "--s", "inf"],
     ["lvalue", "--q", "5", "--char", "1", "--s", "1e300"],
+    ["lvalue", "--q", "5", "--char", "1", "--s", "0,1e9"],  # a head past the term budget
     ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
      "--a", "1", "--x", "inf"],
     ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",

@@ -7,11 +7,9 @@ from tblab import specfun
 from tblab.characters import enumerate_characters, euler_phi, gauss_sum
 from tblab.errors import PoleError
 from tblab.specfun import (
-    EULER_GAMMA,
     L_derivative,
     bernoulli_number,
     dirichlet_L,
-    digamma,
     functional_equation_residual,
     gamma,
     generalized_bernoulli,
@@ -243,13 +241,6 @@ class TestFunctionalEquation:
         from tblab.errors import DomainError
         with pytest.raises(DomainError):
             functional_equation_residual(0.5, enumerate_characters(8)[2])
-
-
-def test_digamma_against_harmonic_numbers():
-    acc = -EULER_GAMMA
-    for n in range(1, 12):
-        acc += 1.0 / n
-        assert abs(digamma(n + 1.0) - acc) < 1e-13
 
 
 def test_bernoulli_numbers():
