@@ -13,19 +13,16 @@ Branch layout per function:
   on the same grid; beyond, the Hankel expansions.
 
 I and J share one vectorized ascending series, which stops each argument
-at its first term below 1e-17 of its partial sum.  The expansions in 1/x
-(DLMF 10.40.2, 10.17.1) stop each argument before its smallest term.
-K's runs in its own loop over a window of ascending arguments, which
-drops an argument once its terms grow or can no longer move its sum, so
-each argument forms only its own terms.  The Hankel P and Q share one
-generator of terms, which runs until every term is below 1e-17, as
-their small Q sum can still move by such a term.  The integration
-limits follow nu and x (see _limits), so no order, integer or not,
-takes a path of its own.  An asymptotic expansion whose smallest term
-is still above 1e-12 of its leading one (a large order just past its
-cut) raises DomainError instead of returning the truncated sum, as does
-a value outside the double range.  K is even in nu, so only |nu| is
-ever evaluated.
+at its first term below 1e-17 of its partial sum.  K and the Hankel P and
+Q sum the same expansion in 1/x (DLMF 10.40.2, 10.17.3) in one loop over
+a window of ascending arguments, which drops an argument once its terms
+grow or can no longer move its sums, so each argument forms only its own
+terms and stops before its smallest one.  The integration limits follow
+nu and x (see _limits), so no order, integer or not, takes a path of its
+own.  An asymptotic expansion whose smallest term is still above 1e-12
+of its leading one (a large order just past its cut) raises DomainError
+instead of returning the truncated sum, as does a value outside the
+double range.  K is even in nu, so only |nu| is ever evaluated.
 """
 
 from __future__ import annotations
@@ -167,55 +164,34 @@ def _refuse_short_expansion(name: str, nu: float, x: float, least: float) -> Non
             f"this argument")
 
 
-def _asym_terms(nu: float, xb: np.ndarray):
-    """Yield (k, d_k, alive), d_k = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j x),
-    alive marking the arguments whose |d| has fallen at every step yet,
-    until every term is below 1e-17; then refuse a short expansion."""
-    mu = 4.0 * nu * nu
-    low = int(np.argmin(xb))
-    least = 1.0
-    d = np.ones_like(xb)
-    alive = np.ones_like(xb, dtype=bool)
-    prev = np.abs(d)
-    for k in range(1, 40):
-        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
-        now = np.abs(d)
-        alive &= now < prev
-        if alive[low]:
-            least = float(now[low])
-        if not alive.any() or now.max() < 1e-17:
-            break
-        yield k, d, alive
-        prev = now
-    _refuse_short_expansion("J/Y", nu, xb[low], least)
-
-
-# A term of K's expansion below this cannot move its sum, which stays
-# above 1/4, where half an ulp is 2.8e-17.
-_K_TINY = 1e-17
+# A term below this cannot move K's sum or the Hankel P, which stay above
+# 1/4, where half an ulp is 2.8e-17; in Q, whose sum may be small, it
+# moves J and Y by less than 1e-17 absolute.
+_ASYM_TINY = 1e-17
 # A window of at most this many arguments finishes one argument at a time.
-_K_SCALAR = 8
+_ASYM_SCALAR = 8
 
 
-def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
-    """The superasymptotic expansion of K_nu, each series stopped before
-    its smallest term.
+def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
+               rows: int) -> np.ndarray:
+    """The expansion in 1/x with steps d_k = d_{k-1} coefs[k-1] / x, d_0 = 1,
+    each series stopped before its smallest term: row r of the result sums
+    the d_k with k % rows == r.
 
-    Step k forms d_k = d_{k-1} (4 nu^2 - (2k-1)^2) / (8 k x) over a window
-    [lo, hi) of the ascending arguments.  An argument is done once its
-    term has grown, for good, or fallen below _K_TINY, and the window
-    drops the done arguments at either end.  Each argument adds the terms
-    of the same steps, in the same order, as a loop over all arguments
-    to step 39 would."""
-    mu = 4.0 * nu * nu
-    coefs = [float((mu - (2 * k - 1) ** 2) / (8.0 * k)) for k in range(1, 40)]
+    The steps run over a window [lo, hi) of the ascending arguments.  An
+    argument is done once its term has grown, for good, or fallen below
+    _ASYM_TINY, and the window drops the done arguments at either end.
+    Each argument adds the terms of the same steps, in the same order, as
+    a loop over all arguments to the last step would."""
     order = np.argsort(xb, kind="stable") if (xb[1:] < xb[:-1]).any() else None
     xs = xb if order is None else xb[order]
-    acc, d, prev = np.ones_like(xs), np.ones_like(xs), np.ones_like(xs)
+    acc = np.zeros((rows, xs.size))
+    acc[0] = 1.0
+    d, prev = np.ones_like(xs), np.ones_like(xs)
     alive = np.ones(xs.size, dtype=bool)
     least = 1.0  # the last term of xs[0] while its terms fall
     lo, hi, k = 0, xs.size, 0
-    while k < len(coefs) and hi - lo > _K_SCALAR:
+    while k < len(coefs) and hi - lo > _ASYM_SCALAR:
         d *= coefs[k]
         d /= xs[lo:hi]
         k += 1
@@ -223,8 +199,9 @@ def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
         alive &= now < prev
         if lo == 0 and alive[0]:
             least = float(now[0])
-        np.add(acc[lo:hi], d, out=acc[lo:hi], where=alive)
-        live = alive & (now >= _K_TINY)
+        row = acc[k % rows, lo:hi]
+        np.add(row, d, out=row, where=alive)
+        live = alive & (now >= _ASYM_TINY)
         first = int(live.argmax())
         if not live[first]:
             lo = hi
@@ -237,36 +214,43 @@ def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
     for i in range(lo, hi):
         if not alive[i - lo]:
             continue
-        x, t, p, a = float(xs[i]), float(d[i - lo]), float(prev[i - lo]), float(acc[i])
-        for c in coefs[k:]:
-            t = t * c / x
+        x, t, p = float(xs[i]), float(d[i - lo]), float(prev[i - lo])
+        a = acc[:, i].tolist()
+        for j in range(k, len(coefs)):
+            t = t * coefs[j] / x
             if not abs(t) < p:
                 break
             p = abs(t)
             if i == 0:
                 least = p
-            a += t
-            if p < _K_TINY:
+            a[(j + 1) % rows] += t
+            if p < _ASYM_TINY:
                 break
-        acc[i] = a
-    _refuse_short_expansion("K", nu, xs[0], least)
+        acc[:, i] = a
+    _refuse_short_expansion(name, nu, xs[0], least)
     if order is not None:
-        acc[order] = acc.copy()
+        acc[:, order] = acc.copy()
+    return acc
+
+
+def _asym_coefs(nu: float) -> list[float]:
+    """(4 nu^2 - (2k-1)^2) / (8k) for the 39 steps k of the expansions."""
+    mu = 4.0 * nu * nu
+    return [float((mu - (2 * k - 1) ** 2) / (8.0 * k)) for k in range(1, 40)]
+
+
+def _k_asym_arr(nu: float, xb: np.ndarray) -> np.ndarray:
+    """The superasymptotic expansion of K_nu (DLMF 10.40.2)."""
+    acc = _asym_sums("K", nu, xb, _asym_coefs(nu), 1)[0]
     return np.sqrt(0.5 * np.pi / xb) * np.exp(-xb) * acc
 
 
 def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_nu, Y_nu) from the Hankel amplitude/phase expansions, each
-    series stopped before its smallest term."""
-    p = np.ones_like(xb)
-    q = np.zeros_like(xb)
-    for k, d, alive in _asym_terms(nu, xb):
-        sgn = 1.0 if k % 4 in (0, 1) else -1.0
-        if k % 2 == 1:
-            q = np.where(alive, q + sgn * d, q)
-        else:
-            p = np.where(alive, p + sgn * d, p)
-        del d, alive
+    """(J_nu, Y_nu) from the Hankel amplitude/phase expansions (DLMF
+    10.17.3): P sums the even d_k and Q the odd, with signs alternating in
+    each, which the steps take up by flipping the sign at even k."""
+    coefs = [-c if k % 2 == 0 else c for k, c in enumerate(_asym_coefs(nu), 1)]
+    p, q = _asym_sums("J/Y", nu, xb, coefs, 2)
     omega = xb - (0.5 * nu + 0.25) * np.pi
     amp = np.sqrt(2.0 / (np.pi * xb))
     cw, sw = np.cos(omega), np.sin(omega)

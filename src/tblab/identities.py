@@ -1145,14 +1145,14 @@ def write_reports(reports: list[VerificationReport], path: str,
                   fmt: str = "jsonl") -> None:
     """Serialize reports: 'jsonl' for one record per line, 'json' for a
     single document."""
+    if fmt not in ("jsonl", "json"):
+        raise DomainError(f"unknown report format {fmt!r}")
     records = [report_record(r) for r in reports]
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "jsonl":
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-        elif fmt == "json":
+        else:
             json.dump({"reports": records}, fh, sort_keys=True, indent=1,
                       allow_nan=False)
             fh.write("\n")
-        else:
-            raise DomainError(f"unknown report format {fmt!r}")

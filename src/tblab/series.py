@@ -197,8 +197,8 @@ class _TailContinuation:
         return g * self.D ** (1.0 - sigma) * (1.0 + math.log(self.D) + g)
 
 
-def _closed_tail(spec: DivisorSumSpec, shift: float, head: int, tol: float,
-                 kernel, orders) -> SeriesResult:
+def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
+                 orders) -> SeriesResult:
     """sum_n f(n) kernel(n): n <= D directly, n > D by the kernel's
     expansion in 1/n, which orders(shift / D) yields order by order as
     (scale, parts, ratio).  An order is scale * sum c * value(s, log) over
@@ -206,7 +206,7 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, head: int, tol: float,
     shrink.  Stops at the first order whose bound is below tol / 10 or
     whose tails are below _TAIL_RESOLUTION; its bound, summed
     geometrically, bounds the rest."""
-    D = max(head, int(math.ceil(2.5 * shift)) + 8)
+    D = max(DEFAULT_HEAD, int(math.ceil(2.5 * shift)) + 8)
     if shift > 1.0:
         # the expansion's coefficients grow like shift^m: a longer head
         # reaches the unresolvable-tail floor at a small m, which bounds
@@ -245,11 +245,10 @@ def _near_pole(ns: np.ndarray, c: float, exact, expansion) -> np.ndarray:
 
 
 def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
-                         difference_form: bool = False, tol: float = 1e-12,
-                         head: int = DEFAULT_HEAD) -> SeriesResult:
+                         difference_form: bool = False, tol: float = 1e-12) -> SeriesResult:
     """sum_n f_z(n)/(n+c)^p, or sum_n f_z(n)(n^{-p} - (n+c)^{-p}).
 
-    Head terms are summed directly; for n > head the kernel is expanded
+    Head terms are summed directly; beyond the head the kernel is expanded
     binomially in c/n, (1 + c/n)^{-p} = sum_m b_m (c/n)^m, and each
     power sum is completed by the closed-form Dirichlet tail.
     """
@@ -273,16 +272,16 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
             b *= -(p + m) / (m + 1)
             cm *= c
 
-    return _closed_tail(spec, c, head, tol, kernel, orders)
+    return _closed_tail(spec, c, tol, kernel, orders)
 
 
 def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
-                      tol: float = 1e-12, head: int = DEFAULT_HEAD) -> SeriesResult:
+                      tol: float = 1e-12) -> SeriesResult:
     """sum_n f(n) log(n/c) / (n^2 - c^2), optionally with an extra 1/n.
 
     c within 1e-6 of a positive integer is excluded (the summand has a
     pole there); terms with n near c switch to the removable-singularity
-    expansion.  For n > head the kernel is expanded geometrically in
+    expansion.  Beyond the head the kernel is expanded geometrically in
     (c/n)^2.
     """
     if c <= 0:
@@ -307,12 +306,12 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
             yield c2m, [(1.0, s, True), (-logc, s, False)], t ** 2
             c2m *= c * c
 
-    return _closed_tail(spec, c, head, tol, kernel, orders)
+    return _closed_tail(spec, c, tol, kernel, orders)
 
 
 def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
                       inner_power_offset: int = 0, divide_by_n: bool = False,
-                      tol: float = 1e-12, head: int = DEFAULT_HEAD) -> SeriesResult:
+                      tol: float = 1e-12) -> SeriesResult:
     """sum_n f(n) (n^{w} - Q^{w})/(n^2 - Q^2), w = nu - 2N + offset,
     optionally with an extra 1/n.
 
@@ -320,7 +319,7 @@ def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
     leave that below -1; otherwise the series diverges and
     DivergenceError is raised.  Q within 1e-6 of a positive integer is
     excluded; near-coincident n uses the difference-quotient expansion.
-    For n > head the kernel is expanded geometrically in (Q/n)^2.
+    Beyond the head the kernel is expanded geometrically in (Q/n)^2.
     """
     if Q <= 0:
         raise DomainError("cohen_tail_series needs Q > 0")
@@ -347,7 +346,7 @@ def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
             yield q2m, [(1.0, s - wexp, False), (-Qw, s, False)], t ** 2
             q2m *= Q * Q
 
-    return _closed_tail(spec, Q, head, tol, kernel, orders)
+    return _closed_tail(spec, Q, tol, kernel, orders)
 
 
 # -- quadrature ----------------------------------------------------------

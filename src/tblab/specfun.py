@@ -157,13 +157,12 @@ def _em_head_length(s: complex) -> int:
     return m
 
 
-def _hurwitz_em(s: complex, avals, regularized: bool,
-                head: int | None) -> list[complex]:
+def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
     """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
     head length, the powers' exponents and the correction coefficients
     depend on s alone and are formed once for the batch.  A head longer
     than term_cap() raises DomainError before any term is summed."""
-    M = head if head is not None else _em_head_length(s)
+    M = _em_head_length(s)
     cap = term_cap()
     if M > cap:
         raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M} "
@@ -210,8 +209,7 @@ def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
     the result carries relative (not just absolute) accuracy.
     """
     pref = 2.0 * gamma(1.0 - s) * (2.0 * math.pi * q) ** (s - 1.0)
-    conj = _hurwitz_em(1.0 - s, [b / q for b in range(1, q + 1)],
-                       regularized=False, head=None)
+    conj = _hurwitz_em(1.0 - s, [b / q for b in range(1, q + 1)], regularized=False)
     phase = cmath.pi * s / 2.0
     out = []
     for r in rs:
@@ -229,13 +227,12 @@ def _rationalize(a: float) -> tuple[int, int] | None:
     return None
 
 
-def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False,
-                 head: int | None = None) -> complex:
+def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> complex:
     """zeta(s, a) for a > 0, continued everywhere except s = 1.
 
-    Euler-Maclaurin summation with `head` leading terms and 12 Bernoulli
-    corrections; for Re s below the cancellation threshold and a
-    recognizably rational a, the reflection route takes over.  With
+    Euler-Maclaurin summation with a head of leading terms set by s and
+    12 Bernoulli corrections; for Re s below the cancellation threshold
+    and a recognizably rational a, the reflection route takes over.  With
     regularized=True returns zeta(s, a) - 1/(s-1), entire in s.  A value
     outside the double range (a^{-s} alone is, for a tiny a) raises
     DomainError.
@@ -245,13 +242,13 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False,
         raise DomainError(f"hurwitz_zeta needs a > 0, got {a}")
     if not regularized and abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_zeta pole at s=1")
-    if s.real < _REFLECT_RE and head is None and a <= 1.0:
+    if s.real < _REFLECT_RE and a <= 1.0:
         rq = _rationalize(a)
         if rq is not None and s.real < _reflect_threshold(rq[1]):
             val = _hurwitz_reflected(s, [rq[0]], rq[1])[0]
             return val - 1.0 / (s - 1.0) if regularized else val
     try:
-        return _hurwitz_em(s, [a], regularized, head)[0]
+        return _hurwitz_em(s, [a], regularized)[0]
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"zeta({s:g}, {a:g}) lies outside the double range") from None
 
@@ -278,8 +275,7 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
     else:
         # for a non-principal chi the regularized pole terms cancel, since
         # sum_a chi(a) = 0
-        hzs = _hurwitz_em(s, [a / q for a in units],
-                          regularized=not chi.is_principal, head=None)
+        hzs = _hurwitz_em(s, [a / q for a in units], regularized=not chi.is_principal)
     acc = 0j
     for a, hz in zip(units, hzs):
         acc += table[a % q] * hz

@@ -227,6 +227,65 @@ def test_k_expansion_refusal_keeps_its_text():
     assert not _same_k(10.0, np.array([19.0]))
 
 
+def _jy_hankel_reference(nu, xb):
+    """J and Y from the Hankel expansions as one loop over every argument,
+    dead ones included, up to a global stop once every term is below 1e-17:
+    the loop the windowed one must match to within such a term."""
+    mu = 4.0 * nu * nu
+    low = int(np.argmin(xb))
+    least = 1.0
+    d = np.ones_like(xb)
+    alive = np.ones_like(xb, dtype=bool)
+    prev = np.abs(d)
+    p, q = np.ones_like(xb), np.zeros_like(xb)
+    for k in range(1, 40):
+        d = d * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xb
+        now = np.abs(d)
+        alive &= now < prev
+        if alive[low]:
+            least = float(now[low])
+        if not alive.any() or now.max() < 1e-17:
+            break
+        sgn = 1.0 if k % 4 in (0, 1) else -1.0
+        if k % 2 == 1:
+            q = np.where(alive, q + sgn * d, q)
+        else:
+            p = np.where(alive, p + sgn * d, p)
+        prev = now
+    if least > 1e-12:
+        raise DomainError(
+            f"J/Y: the asymptotic expansion at nu={nu}, x={xb[low]:g} stops at a "
+            f"term {least:.1e} of its leading one; the order is too large for "
+            f"this argument")
+    omega = xb - (0.5 * nu + 0.25) * np.pi
+    amp = np.sqrt(2.0 / (np.pi * xb))
+    cw, sw = np.cos(omega), np.sin(omega)
+    return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.5, 2.5, 4.0])
+def test_hankel_expansion_pinned(nu):
+    # an argument now stops at its own first term below 1e-17 instead of
+    # at the global stop, which moves J and Y by less than such a term
+    rng = np.random.default_rng(int(4 * nu) + 100)
+    for size in (1, 5, 8, 9, 40, 3000):
+        for span in (2.0, 300.0, 5000.0):
+            xs = JY_CUT + span * rng.random(size)  # unsorted
+            for got, want in zip(jy_values(nu, xs), _jy_hankel_reference(nu, xs)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-16)
+
+
+def test_hankel_expansion_refusal_keeps_its_text():
+    # just past its cut: nu = 8 needs x > 31.9 for its first term to fall
+    for xs in (np.array([15.0]), np.array([60.0, 40.0, 200.0, 41.0, 15.0, 90.0,
+                                           45.0, 50.0, 33.0, 70.0])):
+        with pytest.raises(DomainError) as want:
+            _jy_hankel_reference(8.0, xs)
+        with pytest.raises(DomainError) as got:
+            jy_values(8.0, xs)
+        assert str(got.value) == str(want.value)
+
+
 def test_gauss_legendre_table_is_numpys_rule():
     # the table holds leggauss(128)'s output; another LAPACK may round
     # its end weights differently, which are 1.4e-11 off their exact values

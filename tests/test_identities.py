@@ -217,6 +217,14 @@ def test_report_schema_and_serialization(tmp_path):
     assert len(doc["reports"]) == len(reports)
 
 
+def test_unknown_report_format_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "report.xml"
+    path.write_text("keep me")
+    with pytest.raises(DomainError, match="unknown report format"):
+        write_reports(run_suite(["T2_13"]), str(path), fmt="xml")
+    assert path.read_text() == "keep me"
+
+
 def test_determinism_modulo_wall_ms(tmp_path):
     paths = []
     for i in range(2):

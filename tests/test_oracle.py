@@ -1,9 +1,11 @@
 """Bessel K, J and Y against mpmath at 30 digits.
 
 The grid runs from x = 1e-7 up to and across the branch seams at 2, 14
-and 18, over orders at, next to and between the integers.  Orders 6 and
-8 are checked only below the asymptotic cuts: just past them their
-expansions cannot reach 1e-12 and raise DomainError instead.
+and 18, over orders at, next to and between the integers, and on to
+x = 5000 (K to 300, as it underflows to 0 from about 700 on), where the
+expansions drop an argument after a few steps.  Orders 6 and 8 skip the
+points just past the asymptotic cuts: there their expansions cannot
+reach 1e-12 and raise DomainError instead.
 """
 
 import numpy as np
@@ -17,6 +19,9 @@ NUS = [0.0, 1e-9, 1e-6, 1e-3, 0.25, 0.5, 0.9995, 1.0, 1.000003, 1.0005,
        1.3, 2.0, 2.5, 3.0, 4.5, 6.0, 8.0]
 XS = [1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0, 2.01, 3.0,
       5.0, 8.0, 11.0, 13.99, 14.0, 14.01, 16.0, 17.99, 18.0, 18.01, 25.0]
+# far past the cuts
+FAR_XS = [40.0, 100.0, 300.0, 1000.0, 5000.0]
+K_FAR_XS = [40.0, 100.0, 300.0]
 BOUND = 5e-14
 # the ascending J series loses ~e^x eps to cancellation near its cut
 J_SEAM_BOUND = 5e-12
@@ -24,13 +29,13 @@ J_SEAM_BOUND = 5e-12
 J_ORDERS = NUS + [12.0, 20.0, 30.0]
 
 
-def _grid(nu, cut):
-    return np.array([x for x in XS if nu <= 5.0 or x < cut])
+def _grid(nu, cut, far=()):
+    return np.array([x for x in XS if nu <= 5.0 or x < cut] + list(far))
 
 
 @pytest.mark.parametrize("nu", NUS)
 def test_k_relative_error(nu):
-    xs = _grid(nu, K_ASYM_CUT)
+    xs = _grid(nu, K_ASYM_CUT, K_FAR_XS)
     with mpmath.workdps(30):
         ref = [mpmath.besselk(nu, x) for x in xs]
     got = k_values(nu, xs)
@@ -41,7 +46,7 @@ def test_k_relative_error(nu):
 @pytest.mark.parametrize("nu", NUS)
 def test_y_error(nu):
     # absolute error, relative where |Y| > 1
-    xs = _grid(nu, JY_CUT + 1e-9)
+    xs = _grid(nu, JY_CUT + 1e-9, FAR_XS)
     with mpmath.workdps(30):
         ref = [mpmath.bessely(nu, x) for x in xs]
     got = jy_values(nu, xs)[1]
@@ -58,6 +63,16 @@ def test_j_relative_error(nu):
         ref = [mpmath.besselj(nu, x) for x in xs]
     got = jy_values(nu, xs)[0]
     worst = max(float(abs((g - r) / r)) for g, r in zip(got, ref))
+    assert worst < BOUND
+
+
+@pytest.mark.parametrize("nu", NUS)
+def test_j_far_past_the_cut(nu):
+    xs = np.array(FAR_XS)
+    with mpmath.workdps(30):
+        ref = [mpmath.besselj(nu, x) for x in xs]
+    got = jy_values(nu, xs)[0]
+    worst = max(float(abs(g - r)) for g, r in zip(got, ref))
     assert worst < BOUND
 
 
