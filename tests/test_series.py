@@ -120,6 +120,14 @@ class TestShiftedPowerSeries:
         r = shifted_power_series(spec, 1.0, 0.0, difference_form=True)
         assert r.value == 0
 
+    def test_head_doubling(self, unit, monkeypatch):
+        from tblab import series
+        r1 = shifted_power_series(unit, 1.25, 0.7)
+        monkeypatch.setattr(series, "DEFAULT_HEAD", 2 * series.DEFAULT_HEAD)
+        r2 = shifted_power_series(unit, 1.25, 0.7)
+        assert r2.terms > r1.terms
+        assert abs(r1.value - r2.value) < 1e-11
+
     def test_slow_exponent_brute_reference(self, unit):
         # p = 1.25 decays far too slowly for naive truncation; compare
         # against a 2e7-term sum completed by its integral tail
