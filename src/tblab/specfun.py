@@ -17,11 +17,11 @@ one batch.  Left of the reflection threshold the reflection route takes
 the same batch, and its prefactor and q conjugate values zeta(1-s, b/q)
 are computed once per L-value and shared by every a.
 
-Derivatives come from Cauchy's integral formula: L'(s0) is the mean of
-L(s0 + r w) / (r w) over 16 equally spaced points w of the unit circle.
-L is analytic, so this trapezoidal rule converges geometrically (Lyness
-and Moler 1967; Trefethen and Weideman 2014) and one fixed rule serves
-every point, with an error near the rounding error of the L values.
+L'(s0) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0) takes L(s0)
+from the cache and the Hurwitz derivatives from one batch: the
+Euler-Maclaurin sum differentiated term by term in s (Johansson, Numer.
+Algorithms 69, 2015), or left of the reflection threshold the reflected
+expansion differentiated by the product rule.
 """
 
 from __future__ import annotations
@@ -157,25 +157,31 @@ def _em_head_length(s: complex) -> int:
     return m
 
 
-def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
-    """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
-    head length, the powers' exponents and the correction coefficients
-    depend on s alone and are formed once for the batch.  A head longer
-    than term_cap() raises DomainError before any term is summed."""
+def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
+    """The head length M of an Euler-Maclaurin batch at s, refused past
+    term_cap() before any term is summed, and the correction coefficients
+    B_{2j}/(2j)! (s)_{2j-1} of X^{-s-2j+1} with their s-derivatives."""
     M = _em_head_length(s)
     cap = term_cap()
     if M > cap:
         raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M} "
                           f"terms, over the term budget of {cap}")
-    ms = -s
-    ps = 1.0 - s
-    ms1 = -s - 1.0
-    # B_{2j}/(2j)! * (s)_{2j-1}, the correction coefficients of X^{-s-2j+1}
-    coefs = []
-    poch = s  # (s)_1
+    coefs, dcoefs = [], []
+    poch, dpoch = s, 1.0  # (s)_1 and its derivative
     for j in range(1, _EM_TERMS + 1):
         coefs.append(_EM_COEF[j] * poch)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        dcoefs.append(_EM_COEF[j] * dpoch)
+        step = (s + 2 * j - 1) * (s + 2 * j)
+        poch, dpoch = poch * step, dpoch * step + poch * (2.0 * s + 4 * j - 1)
+    return M, coefs, dcoefs
+
+
+def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
+    """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
+    head length, the powers' exponents and the correction coefficients
+    depend on s alone and are formed once for the batch."""
+    M, coefs, _ = _em_setup(s)
+    ms, ps, ms1 = -s, 1.0 - s, -s - 1.0
     out = []
     for a in avals:
         acc = 0j
@@ -190,13 +196,52 @@ def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
         else:
             acc += X ** ps / (s - 1.0)
         acc += 0.5 * X ** ms
-        xpow = X ** ms1
-        invx2 = 1.0 / (X * X)
+        xpow, invx2 = X ** ms1, 1.0 / (X * X)
         for c in coefs:
             acc += c * xpow
             xpow *= invx2
         out.append(acc)
     return out
+
+
+def _hurwitz_em_derivative(s: complex, avals, regularized: bool) -> list[complex]:
+    """d/ds zeta(s, a), or of zeta(s, a) - 1/(s-1) if regularized, for each
+    a of avals: _hurwitz_em's batch differentiated term by term.  A real s
+    takes float powers, rounded by libm within an ulp, where Python's complex
+    power multiplies an integer exponent out."""
+    s = s.real if s.imag == 0.0 else s
+    M, coefs, dcoefs = _em_setup(s)
+    ms, ps, ms1 = -s, 1.0 - s, -s - 1.0
+    out = []
+    for a in avals:
+        acc = -sum(math.log(n + a) * (n + a) ** ms for n in range(M))
+        X = M + a
+        lx = math.log(X)
+        w = ps * lx
+        if regularized and abs(w) <= 2.0:
+            # [(X^{1-s} - 1)/(s-1)]' = lx^2 f'(w) for f(w) = (e^w - 1)/w, by
+            # the series sum_k k w^{k-1}/(k+1)!, as the closed form cancels
+            acc += lx * lx * sum(k * w ** (k - 1) / math.factorial(k + 1) for k in range(1, 28))
+        else:  # [X^{1-s}/(s-1)]', and [-1/(s-1)]' = 1/(s-1)^2 if regularized
+            acc -= X ** ps / (s - 1.0) * (lx + 1.0 / (s - 1.0))
+            acc += 1.0 / (ps * ps) if regularized else 0.0
+        acc -= 0.5 * lx * X ** ms
+        xpow, invx2 = X ** ms1, 1.0 / (X * X)
+        for c, dc in zip(coefs, dcoefs):
+            acc += (dc - c * lx) * xpow
+            xpow *= invx2
+        out.append(acc)
+    return out
+
+
+def _digamma(z: complex) -> complex:
+    """psi(z): shifted to Re z >= 12 by psi(z) = psi(z + 1) - 1/z, then
+    log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k}) (DLMF 5.11.2)."""
+    acc = 0j
+    while z.real < 12.0:
+        acc, z = acc - 1.0 / z, z + 1.0
+    return acc + cmath.log(z) - 0.5 / z - sum(
+        float(bernoulli_number(2 * k)) / (2 * k * z ** (2 * k)) for k in range(1, 9))
 
 
 def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
@@ -216,6 +261,25 @@ def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
         acc = 0j
         for b in range(1, q + 1):
             acc += conj[b - 1] * cmath.sin(phase + 2.0 * math.pi * b * r / q)
+        out.append(pref * acc)
+    return out
+
+
+def _hurwitz_reflected_derivative(s: complex, rs, q: int) -> list[complex]:
+    """d/ds zeta(s, r/q) for each r of rs, for Re s < 0, by the product rule
+    from psi(1-s) and the q conjugate values and derivatives at 1-s."""
+    u = 1.0 - s
+    bs = [b / q for b in range(1, q + 1)]
+    pref = 2.0 * gamma(u) * (2.0 * math.pi * q) ** (s - 1.0)
+    dlog = math.log(2.0 * math.pi * q) - _digamma(u)  # pref'/pref
+    conj = list(zip(_hurwitz_em(u, bs, False), _hurwitz_em_derivative(u, bs, False)))
+    phase = cmath.pi * s / 2.0
+    out = []
+    for r in rs:
+        acc = 0j
+        for b, (c, dc) in enumerate(conj, 1):
+            t = phase + 2.0 * math.pi * b * r / q
+            acc += (dlog * c - dc) * cmath.sin(t) + 0.5 * math.pi * c * cmath.cos(t)
         out.append(pref * acc)
     return out
 
@@ -268,14 +332,21 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
     q = chi.modulus
     if chi.is_principal and abs(s - 1.0) < 1e-12:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
+    return _assemble(s, chi, _hurwitz_em, _hurwitz_reflected)
+
+
+def _assemble(s: complex, chi: Character, em, reflected) -> complex:
+    """q^{-s} sum_a chi(a) f(s, a/q) over the units a, the batch of f (zeta
+    or its s-derivative) from em, or from reflected left of the threshold."""
+    q = chi.modulus
     table = _value_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
     if s.real < _reflect_threshold(q):
-        hzs = _hurwitz_reflected(s, units, q)
+        hzs = reflected(s, units, q)
     else:
         # for a non-principal chi the regularized pole terms cancel, since
         # sum_a chi(a) = 0
-        hzs = _hurwitz_em(s, [a / q for a in units], regularized=not chi.is_principal)
+        hzs = em(s, [a / q for a in units], regularized=not chi.is_principal)
     acc = 0j
     for a, hz in zip(units, hzs):
         acc += table[a % q] * hz
@@ -311,30 +382,19 @@ def generalized_bernoulli(n: int, chi: Character) -> complex:
     return acc * q ** (n - 1)
 
 
-# the nodes of the trapezoidal rule on the unit circle, half a step off
-# the real axis: on the axis, the circle of radius 1/4 about s0 = -2 would
-# put a node on the threshold -1.75 and mix the two routes of L
-_CAUCHY_NODES = tuple(cmath.exp(2j * math.pi * (m + 0.5) / 16) for m in range(16))
-
-
 def L_derivative(s0: complex | float, chi: Character) -> complex:
-    """L'(s0, chi) by Cauchy's integral formula, discretised by the
-    trapezoidal rule on 16 nodes of a circle about s0.
-
-    L is analytic inside the circle, so the rule converges geometrically
-    in the node count.  The radius is 1/4; for a principal chi it is at
-    most |s0 - 1|/8, which keeps the pole well outside.
-    """
+    """L'(s0, chi) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0, chi),
+    with L(s0, chi) from dirichlet_L's cache.  For a principal chi, an s0
+    within 1e-9 of the pole raises PoleError."""
     s0 = complex(s0)
-    r = 0.25
-    if chi.is_principal:
-        if abs(s0 - 1.0) < 1e-9:
-            raise PoleError("derivative requested at the pole s=1")
-        r = min(r, abs(s0 - 1.0) / 8.0)
-    acc = 0j
-    for w in _CAUCHY_NODES:
-        acc += dirichlet_L(s0 + r * w, chi) * w.conjugate()
-    return acc / (16 * r)
+    if chi.is_principal and abs(s0 - 1.0) < 1e-9:
+        raise PoleError("derivative requested at the pole s=1")
+    value = dirichlet_L(s0, chi)
+    try:
+        acc = _assemble(s0, chi, _hurwitz_em_derivative, _hurwitz_reflected_derivative)
+    except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
+        raise DomainError(f"L'({s0:g}, chi) overflows the double range") from None
+    return acc - math.log(chi.modulus) * value
 
 
 def zeta_derivative(s0: complex | float) -> complex:

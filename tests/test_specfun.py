@@ -5,7 +5,7 @@ import pytest
 
 from tblab import specfun
 from tblab.characters import enumerate_characters, euler_phi, gauss_sum
-from tblab.errors import PoleError
+from tblab.errors import DomainError, PoleError
 from tblab.specfun import (
     L_derivative,
     bernoulli_number,
@@ -196,9 +196,42 @@ class TestDerivatives:
         rhs = tau / 2.0 * dirichlet_L(1.0, chi5.conjugate())
         assert abs(lhs - rhs) < 1e-7
 
+    def test_derivative_batches_on_each_route(self, monkeypatch):
+        # L'(s0) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0): one
+        # derivative batch over the units on the Euler-Maclaurin route; on
+        # the reflected route the q conjugate values and derivatives at
+        # 1 - s0; and a warm L(s0) comes from the cache
+        batches = []
+        for name in ("_hurwitz_em", "_hurwitz_em_derivative"):
+            def counting(s, avals, *args, _name=name, _batch=getattr(specfun, name), **kwargs):
+                batches.append((_name, len(avals)))
+                return _batch(s, avals, *args, **kwargs)
+
+            monkeypatch.setattr(specfun, name, counting)
+        for q, idx in ((37, 5), (40, 3), (9, 1), (1, 0)):
+            chi = enumerate_characters(q)[idx]
+            for s, route in ((complex(-3.718, 3.14),
+                              [("_hurwitz_em", q), ("_hurwitz_em_derivative", q)]),
+                             (complex(0.577, -1.41), [("_hurwitz_em_derivative", euler_phi(q))])):
+                dirichlet_L(s, chi)
+                batches.clear()
+                L_derivative(s, chi)
+                assert batches == route, (q, idx, s)
+
+    def test_derivative_refuses_what_L_refuses_and_the_pole(self):
+        chi = enumerate_characters(5)[1]
+        for s in (complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf, -400.0,
+                  complex(0.0, 1e9)):
+            with pytest.raises(DomainError):
+                L_derivative(s, chi)
+        for q in (1, 6):
+            for s in (1.0, 1 + 5e-10, complex(1.0, -9e-10)):
+                with pytest.raises(PoleError):
+                    L_derivative(s, enumerate_characters(q)[0])
+
     def test_registry_rhs_matches_mpmath_derivatives(self, monkeypatch):
         # every registered record outside voronoi, run again with L' and
-        # zeta' from mpmath in place of the 16-node Cauchy rule: the two
+        # zeta' from mpmath in place of the library's derivative: the two
         # rhs values agree within 1e-12 |lhs|
         mpmath = pytest.importorskip("mpmath")
         from tblab import arith, identities

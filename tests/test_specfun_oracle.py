@@ -9,9 +9,10 @@ random draws: 3,000 for Gamma and Hurwitz zeta, and for L and L' 1,600
 over the whole range plus 600 with Re s in [-1.75, -1.27].  The worst
 were 2.7e-14 (Gamma near its pole at -4), 2.9e-10 (zeta(s, a) at Re s
 near -4 with an a that is not a small-denominator rational), 3.2e-12
-(L just right of its reflection threshold at Re s = -1.75) and 2.9e-12
-(L' at s = -1.40 - 2.74i, chi mod 7 index 4, from the L values on its
-circle there).
+(L just right of its reflection threshold at Re s = -1.75) and 9.9e-12
+(L' at s = -1.52 + 0.03i, chi mod 19 index 4, where L' takes log q times
+the error of L(s) just right of that threshold).  So the L' bound, kept
+at 1e-11, is only about 1 times its worst error.
 """
 
 import pytest
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 
 from tblab.characters import _factorize, enumerate_characters
 from tblab.errors import DomainError, PoleError
-from tblab.specfun import L_derivative, dirichlet_L, gamma, hurwitz_zeta
+from tblab.specfun import (
+    L_derivative,
+    _digamma,
+    dirichlet_L,
+    gamma,
+    hurwitz_zeta,
+    zeta_derivative,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -141,3 +149,37 @@ def test_oracle_characters_and_its_functional_equation_branch():
         for chi in CHARS[::29]:
             direct = mpmath.dirichlet(s, [complex(chi.value(n)) for n in range(chi.modulus)])
             assert abs(_mp_L(chi)(s) - direct) < 1e-14 * max(1, abs(direct))
+
+
+# the arguments 1 - s of the reflected route of L': Re s < -1.75
+@oracle
+@given(points.filter(lambda s: s.real < -1.75))
+def test_digamma_on_the_reflected_route(s):
+    with mpmath.workdps(30):
+        assert _error(_digamma(1.0 - s), mpmath.digamma(1 - mpmath.mpc(s))) < 1e-15
+
+
+@pytest.mark.parametrize("s", [1 + 1e-2, 1 + 1e-4, 1 + 1e-6, 1 + 1e-8, complex(1, 1e-3)])
+def test_zeta_derivative_near_its_pole(s):
+    got = zeta_derivative(s)
+    with mpmath.workdps(30):
+        value = mpmath.zeta(mpmath.mpc(s), 1, 1)
+    assert abs(got - complex(value)) < 1e-13 * abs(value)
+    if isinstance(s, float):
+        assert got.imag == 0.0
+
+
+@pytest.mark.parametrize("chi", [chi for chi in CHARS if chi.is_real],
+                         ids=lambda chi: f"{chi.modulus}-{chi.index}")
+def test_L_derivative_around_one(chi):
+    values = [int(chi.value(n).real) for n in range(chi.modulus)]
+    # L is real on the real axis, so L'(x) = Im L(x + ih)/h + O(h^2 L'''):
+    # one mpmath L value per real point, at 40 digits as L(x + ih) ~ 1/h
+    h = mpmath.mpf("1e-10")
+    for x in (1.0, 1 + 1e-6, 1 - 1e-6):
+        with mpmath.workdps(40):
+            value = mpmath.dirichlet(mpmath.mpc(x, h), values).imag / h
+        assert _error(L_derivative(x, chi), value) < 1e-13, x
+    s = complex(1, 1e-4)
+    with mpmath.workdps(30):
+        assert _error(L_derivative(s, chi), mpmath.dirichlet(s, values, 1)) < 1e-13
