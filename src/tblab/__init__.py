@@ -11,12 +11,9 @@ from .bessel import bessel_I, bessel_J, bessel_K, bessel_Y
 from .characters import (
     Character,
     GaussSumValue,
-    character_value,
-    conductor,
     enumerate_characters,
     euler_phi,
     gauss_sum,
-    is_primitive,
 )
 from .errors import (
     ConvergenceError,

@@ -29,9 +29,6 @@ __all__ = [
     "Character",
     "GaussSumValue",
     "enumerate_characters",
-    "character_value",
-    "conductor",
-    "is_primitive",
     "gauss_sum",
     "euler_phi",
 ]
@@ -203,9 +200,6 @@ class Character:
         exps = tuple((-c) % m for c, m in zip(self.exponents, grp.orders))
         return Character(self.modulus, _index_of(grp, exps), exps)
 
-    def __call__(self, n: int) -> complex:
-        return self.value(n)
-
 
 @lru_cache(maxsize=4096)
 def _value_table(chi: Character) -> tuple[complex, ...]:
@@ -232,12 +226,10 @@ def _conductor(chi: Character) -> int:
     _value_table, so every enumeration of the same character finds it
     once."""
     q = chi.modulus
-    for f in sorted(_divisors(q)):
-        if all(chi.log_value(u) == 0
-               for u in range(1, q + 1)
-               if (u - 1) % f == 0 and math.gcd(u, q) == 1):
-            return f
-    return q  # unreachable; f = q always passes
+    return next(f for f in _divisors(q)
+                if all(chi.log_value(u) == 0
+                       for u in range(1, q + 1)
+                       if (u - 1) % f == 0 and math.gcd(u, q) == 1))
 
 
 def _divisors(q: int) -> list[int]:
@@ -271,18 +263,6 @@ def enumerate_characters(q: int) -> list[Character]:
     grp = _unit_group(q)
     return [Character(q, idx, _digits(idx, grp.orders))
             for idx in range(math.prod(grp.orders))]
-
-
-def character_value(chi: Character, n: int) -> complex:
-    return chi.value(n)
-
-
-def conductor(chi: Character) -> int:
-    return chi.conductor
-
-
-def is_primitive(chi: Character) -> bool:
-    return chi.is_primitive
 
 
 class GaussSumValue(NamedTuple):

@@ -9,15 +9,16 @@ the violated clause).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 from .bessel import bessel_I, bessel_J, bessel_K, bessel_Y
 from .characters import enumerate_characters
 from .errors import TblabError
 from .identities import (
     IdentityCase,
-    default_cases,
     positivity_scan,
     report_record,
     run_suite,
@@ -25,6 +26,13 @@ from .identities import (
     write_reports,
 )
 from .specfun import dirichlet_L
+
+
+# verify's flags are IdentityCase's parameter fields, each typed by its
+# annotation (T | None) and named --<field> but for these two
+_CASE_FIELDS = dataclasses.fields(IdentityCase)[1:]  # theorem, the required one, is first
+_CASE_TYPES = typing.get_type_hints(IdentityCase)
+_FLAG_NAMES = {"char_index": "--char", "char2_index": "--char2"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,18 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one identity instance")
     p.add_argument("--theorem", required=True, metavar="ID")
-    p.add_argument("--q", type=int)
-    p.add_argument("--char", type=int, dest="char_index")
-    p.add_argument("--p", type=int)
-    p.add_argument("--char2", type=int, dest="char2_index")
-    p.add_argument("--k", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--f", type=str)
+    for field in _CASE_FIELDS:
+        p.add_argument(_FLAG_NAMES.get(field.name, "--" + field.name), dest=field.name,
+                       type=typing.get_args(_CASE_TYPES[field.name])[0])
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--out", type=str)
@@ -90,13 +89,8 @@ def _parse_s(text: str) -> complex:
 
 
 def _case_from_args(args) -> IdentityCase:
-    fields = {}
-    for name in ("q", "char_index", "p", "char2_index", "k", "nu",
-                 "a", "x", "N", "alpha", "beta", "f"):
-        val = getattr(args, name)
-        if val is not None:
-            fields[name] = val
-    return IdentityCase(theorem=args.theorem, **fields)
+    return IdentityCase(args.theorem, **{field.name: getattr(args, field.name)
+                                         for field in _CASE_FIELDS})
 
 
 def _print_report(report) -> None:
@@ -165,12 +159,10 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "suite":
-        selector = "all" if args.all else args.filter
-        cases = default_cases(selector)
-        if not cases:
+        reports = run_suite("all" if args.all else args.filter, workers=args.workers)
+        if not reports:
             print("no cases match the filter")
             return 0
-        reports = run_suite(selector, workers=args.workers)
         if args.format == "structured":
             _emit_records(reports, args.out)
         else:

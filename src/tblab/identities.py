@@ -38,7 +38,7 @@ import numpy as np
 from .arith import BAR_TWISTED, TWISTED, TWO_CHAR, DivisorSumSpec, coefficient_array
 from .characters import Character, enumerate_characters, gauss_sum
 from .errors import (ConvergenceError, DomainError, ExcludedParameter, HypothesisError,
-                     TblabError)
+                     TblabError, term_cap)
 from .series import (
     QuadratureSpec,
     SeriesParams,
@@ -48,7 +48,6 @@ from .series import (
     log_kernel_series,
     oscillatory_kernel_integrals,
     shifted_power_series,
-    term_cap,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -488,7 +487,7 @@ def _p1_1(tol, nu, N, x, **_):
     spec = DivisorSumSpec(TWISTED, -nu, enumerate_characters(1)[0])
     lhs, lterms = _cohen_lhs(spec, nu, x, tol)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
-    tail = cohen_tail_series(spec, nu, N, x)
+    tail = cohen_tail_series(spec, nu - 2 * N, x)
     rhs = (-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0)
            + gamma(1.0 + nu) * riemann_zeta(1.0 + nu)
            / (PI ** (nu + 1.0) * 2.0 ** nu * x))
@@ -531,8 +530,7 @@ def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
         return lhs, pole + rhs, lterms, rterms
     lhs, lterms = _cohen_lhs(DivisorSumSpec(BAR_TWISTED, -nu, cb), nu, x, tol)
     qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -nu, chi), nu, N, qx,
-                             inner_power_offset=int(odd))
+    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -nu, chi), nu - 2 * N + int(odd), qx)
     head, qlast = _cohen_head(chi, enumerate_characters(1)[0], nu, qx, N, odd)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     trig, cotrig = (cs, sn) if odd else (sn, cs)
@@ -561,9 +559,9 @@ def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
     lhs, lterms = _cohen_lhs(
         DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()), nu, x, tol)
     pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), nu, N, pqx,
-                             inner_power_offset=int(chi1.is_odd) + int(chi2.is_odd),
-                             divide_by_n=chi1.is_odd)
+    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1),
+                             nu - 2 * N + (int(chi1.is_odd) + int(chi2.is_odd)), pqx,
+                             over_n=chi1.is_odd)
     head, plast = _cohen_head(chi2, chi1, nu, pqx, N, chi2.is_odd)
     if chi1.is_odd:
         inner = dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu
@@ -594,10 +592,9 @@ def _cohen_half(tol, twist, chi, q, x, **_):
     qx = q * x
     # C3_4 is stated with the minimal admissible truncation index; this
     # variant uses the first index for which the rational tail converges
-    tail = cohen_tail_series(DivisorSumSpec(_OTHER_TWIST[twist], -0.5, chi), 0.5,
-                             int(odd and twist == BAR_TWISTED), qx,
-                             inner_power_offset=int(odd),
-                             divide_by_n=odd and twist == TWISTED)
+    tail = cohen_tail_series(DivisorSumSpec(_OTHER_TWIST[twist], -0.5, chi),
+                             0.5 - 2 * int(odd and twist == BAR_TWISTED) + int(odd), qx,
+                             over_n=odd and twist == TWISTED)
     if twist == TWISTED:
         rhs = -PI * dirichlet_L(0.5, cb) + dirichlet_L(1.5, cb) / (4.0 * PI * x)
         if odd:  # C3_3
@@ -651,7 +648,7 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     """Riesz mean sum_{n<=N} a_n (1 - n/N)^kappa of the conditionally
     convergent kernel series sum_n a_n, a_n = f(n) n^{nu/2} I_n, with
     kappa = VORONOI_RIESZ_ORDER and N = VORONOI_KERNEL_TERMS terms (or
-    the smaller series.term_cap()).
+    the smaller term_cap()).
 
     All N integrals I_n, at scales c = kernel_scale sqrt(n), come from
     one oscillatory_kernel_integrals call: by quadrature while
@@ -1091,11 +1088,15 @@ def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
     Individual failures are reported, not raised: a case whose
     evaluation raises a TblabError gets a failed report whose error names
     it.  Results keep the deterministic registry ordering regardless of
-    worker count.
+    worker count.  workers > 1 runs the cases in a pool of at most
+    min(workers, cases) processes; workers < 1 raises DomainError.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     term_cap()  # a bad TBL_MAX_TERMS fails the suite, not each case
     cases = default_cases(selector)
     jobs = [(case, DEFAULT_TOLERANCES[THEOREMS[case.theorem].section]) for case in cases]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_for_pool, jobs))

@@ -25,9 +25,6 @@ over the triangle k + j <= 27 (Hankel order k, endpoint order j) is
 certified: a scale is expanded only if every term of its last diagonal
 is below 1e-13 of the leading term, and otherwise stays with the
 quadrature.
-
-An environment variable TBL_MAX_TERMS caps the term budget of every
-series operation; errors.term_cap(), re-exported here, is its one reader.
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ __all__ = [
     "voronoi_kernel_values",
     "oscillatory_kernel_integrals",
     "VORONOI_VARIANTS",
-    "term_cap",
 ]
 
 DEFAULT_HEAD = 1000
@@ -309,41 +305,37 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
     return _closed_tail(spec, c, tol, kernel, orders)
 
 
-def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
-                      inner_power_offset: int = 0, divide_by_n: bool = False,
+def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool = False,
                       tol: float = 1e-12) -> SeriesResult:
-    """sum_n f(n) (n^{w} - Q^{w})/(n^2 - Q^2), w = nu - 2N + offset,
-    optionally with an extra 1/n.
+    """sum_n f(n) (n^w - Q^w)/(n^2 - Q^2), optionally with an extra 1/n.
 
-    Terms decay like n^{w - 2 - [1/n]}, so the exponent combination must
-    leave that below -1; otherwise the series diverges and
-    DivergenceError is raised.  Q within 1e-6 of a positive integer is
-    excluded; near-coincident n uses the difference-quotient expansion.
-    Beyond the head the kernel is expanded geometrically in (Q/n)^2.
+    Terms decay like n^{w - 2 - [1/n]}, so w must leave that below -1;
+    otherwise the series diverges and DivergenceError is raised.  Q
+    within 1e-6 of a positive integer is excluded; near-coincident n uses
+    the difference-quotient expansion.  Beyond the head the kernel is
+    expanded geometrically in (Q/n)^2.
     """
     if Q <= 0:
         raise DomainError("cohen_tail_series needs Q > 0")
     _refuse_integer(Q, "tail parameter Q")
-    delta = 1 if divide_by_n else 0
-    wexp = nu - 2 * N + inner_power_offset
-    if wexp + spec.weight_real_max - 2.0 - delta >= -1.0 - 1e-12:
-        raise DivergenceError(
-            f"cohen tail diverges: exponent {wexp} too large for N={N}")
-    Qw = Q ** wexp
-    binoms = np.cumprod((wexp - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
+    delta = 1 if over_n else 0
+    if w + spec.weight_real_max - 2.0 - delta >= -1.0 - 1e-12:
+        raise DivergenceError(f"cohen tail diverges: exponent {w} too large")
+    Qw = Q ** w
+    binoms = np.cumprod((w - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
 
     def kernel(ns):
         # ((1+u)^w - 1)/u / (Q^{2-w} (2+u)) by the binomial series near n = Q
         return _near_pole(
-            ns, Q, lambda n: (n ** wexp - Qw) / (n ** 2 - Q * Q),
-            lambda u: Q ** (wexp - 2.0) * sum(b * u ** i for i, b in enumerate(binoms))
+            ns, Q, lambda n: (n ** w - Qw) / (n ** 2 - Q * Q),
+            lambda u: Q ** (w - 2.0) * sum(b * u ** i for i, b in enumerate(binoms))
             / (2.0 + u)) / ns ** delta
 
     def orders(t):
         q2m = 1.0
         for m in itertools.count():
             s = 2.0 * m + 2.0 + delta
-            yield q2m, [(1.0, s - wexp, False), (-Qw, s, False)], t ** 2
+            yield q2m, [(1.0, s - w, False), (-Qw, s, False)], t ** 2
             q2m *= Q * Q
 
     return _closed_tail(spec, Q, tol, kernel, orders)
@@ -352,12 +344,15 @@ def cohen_tail_series(spec: DivisorSumSpec, nu: float, N: int, Q: float, *,
 # -- quadrature ----------------------------------------------------------
 
 
+# bisection levels adaptive_integral may take before QuadratureError
+_MAX_DEPTH = 28
+
+
 @dataclass
 class QuadratureSpec:
     alpha: float
     beta: float
     tol: float = 1e-10
-    max_depth: int = 28
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -409,7 +404,7 @@ def adaptive_integral(f: Callable[[float], float], spec: QuadratureSpec) -> floa
         k15, err = rule(a, b)
         if err <= spec.tol * (b - a) / total_len or err == 0.0:
             acc += k15
-        elif depth >= spec.max_depth:
+        elif depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"subdivision limit reached on [{a}, {b}] (err {err:.2e})")
         else:

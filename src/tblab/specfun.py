@@ -45,7 +45,6 @@ __all__ = [
     "zeta_derivative",
     "functional_equation_residual",
     "bernoulli_number",
-    "bernoulli_polynomial",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -107,14 +106,6 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += Fraction(math.comb(n + 1, k)) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """Exact B_n(x) for rational x."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
-    return acc
 
 
 _EM_TERMS = 12
@@ -370,7 +361,8 @@ def dirichlet_L(s: complex | float, chi: Character) -> complex:
 
 
 def generalized_bernoulli(n: int, chi: Character) -> complex:
-    """B_{n,chi} = q^{n-1} sum_a chi(a) B_n(a/q)."""
+    """B_{n,chi} = q^{n-1} sum_a chi(a) B_n(a/q), each B_n(a/q) exact in
+    Fraction."""
     if n < 1:
         raise DomainError("generalized Bernoulli number needs n >= 1")
     q = chi.modulus
@@ -378,7 +370,9 @@ def generalized_bernoulli(n: int, chi: Character) -> complex:
     for a in range(1, q + 1):
         v = chi.value(a)
         if v:
-            acc += v * float(bernoulli_polynomial(n, Fraction(a, q)))
+            x = Fraction(a, q)
+            acc += v * float(sum(math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
+                                 for k in range(n + 1)))
     return acc * q ** (n - 1)
 
 

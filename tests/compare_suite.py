@@ -1,0 +1,77 @@
+"""Diff two `tblab suite --all --format structured` outputs, ignoring wall_ms.
+
+Run it from the repository root as
+
+    python3 tests/compare_suite.py OLD.jsonl NEW.jsonl
+
+Records are matched by theorem id and parameters.  For each record that
+differs in anything but wall_ms it prints |delta lhs|/|lhs| and
+|delta rhs|/|lhs| (|lhs| from the old record), any change of pass or
+terms, and the names of the other fields that changed.  A record present
+in one file only is listed too.  Lines that are not JSON objects, such
+as the count line that `suite` prints after the records on standard
+output, are skipped.  The exit status is 0 when every record
+is identical apart from wall_ms, else 1.
+
+The name does not start with test_, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+
+def _load(path: str) -> dict:
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("{"):
+                rec = json.loads(line)
+                rec.pop("wall_ms", None)
+                out[rec["theorem_id"], json.dumps(rec["params"], sort_keys=True)] = rec
+    return out
+
+
+def _side(rec: dict, name: str) -> complex:
+    re, im = rec[f"{name}_re"], rec[f"{name}_im"]
+    return complex(math.nan if re is None else re, math.nan if im is None else im)
+
+
+def _describe(old: dict, new: dict) -> str:
+    scale = abs(_side(old, "lhs"))
+    parts = [f"|dlhs|/|lhs| = {abs(_side(new, 'lhs') - _side(old, 'lhs')) / scale:.3e}",
+             f"|drhs|/|lhs| = {abs(_side(new, 'rhs') - _side(old, 'rhs')) / scale:.3e}"]
+    for field in ("pass", "terms"):
+        if old[field] != new[field]:
+            parts.append(f"{field} {old[field]} -> {new[field]}")
+    others = sorted(k for k in old.keys() | new.keys()
+                    if k not in ("pass", "terms") and not k.startswith(("lhs_", "rhs_"))
+                    and old.get(k) != new.get(k))
+    if others:
+        parts.append("also changed: " + ", ".join(others))
+    return "  ".join(parts)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: compare_suite.py OLD.jsonl NEW.jsonl", file=sys.stderr)
+        return 2
+    old, new = map(_load, argv)
+    moved = 0
+    for key in sorted(old.keys() | new.keys()):
+        tid, params = key
+        if key not in new or key not in old:
+            print(f"{tid} {params}: only in {'old' if key in old else 'new'}")
+            moved += 1
+        elif old[key] != new[key]:
+            print(f"{tid} {params}: {_describe(old[key], new[key])}")
+            moved += 1
+    print(f"{len(old.keys() | new.keys())} records, {moved} differ apart from wall_ms")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

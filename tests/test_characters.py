@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from tblab.characters import (
     Character,
-    character_value,
-    conductor,
+    _factorize,
+    _primitive_root,
     enumerate_characters,
     euler_phi,
     gauss_sum,
-    is_primitive,
 )
 from tblab.errors import InvalidModulus
 
@@ -46,14 +45,14 @@ def test_invalid_modulus():
 def test_character_values():
     chi4 = enumerate_characters(4)[1]
     assert chi4.is_odd and chi4.is_real
-    assert character_value(chi4, 3) == -1
-    assert character_value(chi4, 7) == -1
+    assert chi4.value(3) == -1
+    assert chi4.value(7) == -1
     # zero off the units, for every modulus > 1
     for q in (2, 6, 9):
         for chi in enumerate_characters(q):
             assert chi.value(q) == 0
     principal5 = enumerate_characters(5)[0]
-    assert character_value(principal5, 7) == 1
+    assert principal5.value(7) == 1
 
 
 def test_value_table_realizes_the_exact_exponents(monkeypatch):
@@ -90,15 +89,26 @@ def test_periodicity_and_multiplicativity():
 
 
 def test_conductors():
-    assert conductor(enumerate_characters(6)[0]) == 1
+    assert enumerate_characters(6)[0].conductor == 1
     chi3 = enumerate_characters(3)[1]
-    assert conductor(chi3) == 3 and is_primitive(chi3)
+    assert chi3.conductor == 3 and chi3.is_primitive
     # mod-8 character agreeing with the mod-4 odd character on odd residues
     chi4 = enumerate_characters(4)[1]
     induced = [c for c in enumerate_characters(8)
                if all(c.value(n) == chi4.value(n) for n in (1, 3, 5, 7))]
     assert len(induced) == 1
-    assert conductor(induced[0]) == 4 and not is_primitive(induced[0])
+    assert induced[0].conductor == 4 and not induced[0].is_primitive
+
+
+def test_primitive_root_lifts_to_the_prime_square():
+    # 5 is the least primitive root mod p = 40487, but 5^(p-1) = 1 mod p^2,
+    # so 5 has order p - 1 mod p^2 and the lift takes 5 + p
+    p = 40487
+    assert _primitive_root(p, 1) == 5 and pow(5, p - 1, p * p) == 1
+    g = _primitive_root(p, 2)
+    order = p * (p - 1)
+    assert g == 40492
+    assert all(pow(g, order // f, p * p) != 1 for f, _ in _factorize(order))
 
 
 def test_gauss_sum_examples():

@@ -155,6 +155,55 @@ def test_suite_reports_raising_cases_and_goes_on(monkeypatch, capsys):
     assert all(rec["error"].startswith("ConvergenceError: ") for rec in records)
 
 
+def test_lvalue_index_out_of_range_exits_two(capsys):
+    assert main(["lvalue", "--q", "5", "--char", "4", "--s", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "character index 4 out of range (phi(5) = 4)" in captured.err
+
+
+T2_13 = ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"]
+
+
+def test_verify_structured_output(tmp_path, capsys):
+    assert main(["verify", *T2_13, "--format", "structured"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    record = json.loads(line)
+    assert record["theorem_id"] == "T2_13" and record["pass"]
+    assert record["params"] == {"q": 5, "char_index": 2, "a": 1.0, "x": 0.3}
+    path = tmp_path / "report.jsonl"
+    assert main(["verify", *T2_13, "--format", "structured", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    (saved,) = map(json.loads, path.read_text().splitlines())
+    saved.pop("wall_ms"), record.pop("wall_ms")
+    assert saved == record
+
+
+def test_suite_text_output(capsys):
+    assert main(["suite", "--filter", "T2_13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4 cases, 4 passed, 0 failed"
+    assert sum(line.startswith("T2_13 {") for line in lines) == 4
+    assert sum(line.endswith(" ms)") and "[pass]" in line for line in lines) == 4
+
+
+def test_suite_text_line_of_a_raising_case(monkeypatch, capsys):
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    assert main(["suite", "--filter", "T2_13"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4 cases, 0 passed, 4 failed"
+    errors = [line for line in lines if line.startswith("  error: ")]
+    assert len(errors) == 4
+    assert all("ConvergenceError: " in line and "[FAIL]" in line for line in errors)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_suite_fewer_than_one_worker_exits_two(capsys, workers):
+    assert main(["suite", "--filter", "T2_13", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "workers must be at least 1" in captured.err
+
+
 def test_positivity(capsys):
     assert main(["positivity", "--qmax", "12"]) == 0
     out = capsys.readouterr().out

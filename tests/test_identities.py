@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tblab import identities
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
 from tblab.identities import (
@@ -244,6 +245,35 @@ def test_parallel_runner_matches_sequential():
     assert [r.case for r in seq] == [r.case for r in par]
     for a, b in zip(seq, par):
         assert abs(a.lhs - b.lhs) < 1e-13 and abs(a.rhs - b.rhs) < 1e-13
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and
+    maps in this process, starting none."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, pools", [(64, [4]), (3, [3]), (1, [])])
+def test_parallel_runner_starts_no_more_processes_than_cases(monkeypatch, workers, pools):
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    reports = run_suite(["T2_13"], workers=workers)  # 4 cases
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    assert _InProcessPool.requested == pools
+
 
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"

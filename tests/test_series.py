@@ -193,7 +193,7 @@ class TestCohenTailSeries:
         # n = 3 lies within 1e-3 Q of Q, so its head term comes from the
         # difference-quotient expansion
         Q, w = 3.0004, 0.25 - 2
-        r = cohen_tail_series(unit, 0.25, 1, Q)
+        r = cohen_tail_series(unit, w, Q)
         ns = np.arange(1, 10 ** 6 + 1, dtype=float)
         brute = np.sum((ns ** w - Q ** w) / (ns * ns - Q * Q))
         tail = -(Q ** w) / 1e6  # dominant integral tail
@@ -201,16 +201,16 @@ class TestCohenTailSeries:
 
     def test_excluded(self, unit):
         with pytest.raises(ExcludedParameter):
-            cohen_tail_series(unit, 0.3, 1, 1.0)
+            cohen_tail_series(unit, 0.3 - 2, 1.0)
 
     def test_divergent_combination(self, chi5e):
         spec = DivisorSumSpec(TWISTED, -0.5, chi5e)
         with pytest.raises(DivergenceError):
-            cohen_tail_series(spec, 0.5, 0, 1.3, inner_power_offset=1)
+            cohen_tail_series(spec, 0.5 + 1, 1.3)
 
     def test_unit_brute_reference(self, unit):
-        r = cohen_tail_series(unit, 0.3, 1, 0.7)
         w = 0.3 - 2
+        r = cohen_tail_series(unit, w, 0.7)
         ns = np.arange(1, 10 ** 6 + 1, dtype=float)
         brute = np.sum((ns ** w - 0.7 ** w) / (ns * ns - 0.49))
         tail = -(0.7 ** w) / 1e6  # dominant integral tail
@@ -218,10 +218,10 @@ class TestCohenTailSeries:
 
     def test_twisted_brute_reference(self, chi5e):
         spec = DivisorSumSpec(BAR_TWISTED, -0.25, chi5e)
-        r = cohen_tail_series(spec, 0.25, 1, 1.05)
+        w = 0.25 - 2
+        r = cohen_tail_series(spec, w, 1.05)
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
         ns = np.arange(1, 2 * 10 ** 6 + 1, dtype=float)
-        w = 0.25 - 2
         brute = np.sum(coefs * (ns ** w - 1.05 ** w) / (ns * ns - 1.05 ** 2))
         assert abs(r.value - brute) < 1e-8
 
@@ -242,8 +242,10 @@ class TestAdaptiveIntegral:
         dense = np.trapezoid(np.cos(40 * np.sqrt(ts)), ts)
         assert abs(val - dense) < 1e-9
 
-    def test_depth_exhaustion(self):
-        spec = QuadratureSpec(0.0, 1.0, tol=1e-14, max_depth=3)
+    def test_depth_exhaustion(self, monkeypatch):
+        from tblab import series
+        monkeypatch.setattr(series, "_MAX_DEPTH", 3)
+        spec = QuadratureSpec(0.0, 1.0, tol=1e-14)
         with pytest.raises(QuadratureError):
             adaptive_integral(lambda t: abs(t - 0.123456) ** -0.5 if t != 0.123456 else 1e8,
                               spec)

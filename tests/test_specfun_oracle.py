@@ -113,8 +113,8 @@ def test_dirichlet_L(s, chi):
 @settings(oracle, max_examples=25)
 @given(points, characters)
 def test_L_derivative(s, chi):
-    L = _mp_L(chi)
     with mpmath.workdps(40):  # a central difference good to about 1e-18
+        L = _mp_L(chi)  # tau and the root number at 40 digits too
         h = mpmath.mpf("1e-9")
         value = (L(s + h) - L(s - h)) / (2 * h)
     assert _error(L_derivative(s, chi), value) < L_DERIVATIVE_BOUND
