@@ -57,6 +57,11 @@ JY_CUT = 14.0
 _ASYM_REL = 1e-12
 
 
+def _refuse_order(nu: float) -> None:
+    if not math.isfinite(nu):
+        raise DomainError(f"the Bessel order must be finite, got {nu}")
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
     """sum_k sign^k (x/2)^{nu+2k} / (k! Gamma(nu+k+1)), vectorized over
@@ -64,6 +69,7 @@ def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
     integer).  The leading term is exp(nu ln(x/2) - ln|Gamma(nu+1)|), as
     both factors of (x/2)^nu / Gamma(nu+1) leave the double range on
     their own from nu of about 171 on."""
+    _refuse_order(nu)
     try:
         log_gamma = math.lgamma(nu + 1.0)
     except ValueError:  # a pole
@@ -259,14 +265,14 @@ def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def bessel_I(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x), nu >= 0, x >= 0."""
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"bessel_I needs x >= 0, got {x}")
     return float(_ascending(nu, np.array([float(x)]), 1.0)[0])
 
 
 def bessel_K(nu: float, x: float) -> float:
     """Modified Bessel function K_nu(x), x > 0; even in nu."""
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"bessel_K needs x > 0, got {x}")
     return float(k_values(nu, np.array([x]))[0])
 
@@ -274,8 +280,9 @@ def bessel_K(nu: float, x: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized K_nu over an array of positive arguments."""
+    _refuse_order(nu)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
+    if not np.all(xs > 0):
         raise DomainError("k_values needs x > 0")
     nu = abs(nu)
     out = np.empty_like(xs)
@@ -291,7 +298,7 @@ def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
 
 def bessel_J(nu: float, x: float) -> float:
     """Bessel function of the first kind, nu >= 0, x >= 0."""
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"bessel_J needs x >= 0, got {x}")
     if x <= JY_CUT:
         return float(_ascending(nu, np.array([float(x)]), -1.0)[0])
@@ -300,7 +307,7 @@ def bessel_J(nu: float, x: float) -> float:
 
 def bessel_Y(nu: float, x: float) -> float:
     """Weber/Neumann Bessel function of the second kind, nu >= 0, x > 0."""
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"bessel_Y needs x > 0, got {x}")
     return float(jy_values(nu, np.array([x]))[1][0])
 
@@ -308,8 +315,9 @@ def bessel_Y(nu: float, x: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (J_nu, Y_nu) over an array of positive arguments."""
+    _refuse_order(nu)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
+    if not np.all(xs > 0):
         raise DomainError("jy_values needs x > 0")
     j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidModulus
+from .errors import ConvergenceError, InvalidModulus, term_cap
 
 __all__ = [
     "Character",
@@ -260,6 +260,8 @@ def enumerate_characters(q: int) -> list[Character]:
     """All phi(q) characters mod q in deterministic order, principal first."""
     if q < 1:
         raise InvalidModulus(f"modulus must be a positive integer, got {q}")
+    if q > term_cap():  # each character's value table has q entries
+        raise ConvergenceError(f"modulus {q} is over the term budget of {term_cap()}")
     grp = _unit_group(q)
     return [Character(q, idx, _digits(idx, grp.orders))
             for idx in range(math.prod(grp.orders))]

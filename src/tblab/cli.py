@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 
@@ -20,7 +19,6 @@ from .errors import TblabError
 from .identities import (
     IdentityCase,
     positivity_scan,
-    report_record,
     run_suite,
     verify,
     write_reports,
@@ -110,10 +108,10 @@ def _print_report(report) -> None:
 def _emit_records(reports, path: str | None) -> None:
     """Structured output: JSON lines into path, or onto stdout."""
     if path:
-        write_reports(reports, path, fmt="jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            write_reports(reports, fh)
     else:
-        for rec in map(report_record, reports):
-            print(json.dumps(rec, sort_keys=True, allow_nan=False))
+        write_reports(reports, sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .characters import Character, enumerate_characters, gauss_sum
 from .errors import (ConvergenceError, DomainError, ExcludedParameter, HypothesisError,
                      TblabError, term_cap)
 from .series import (
-    QuadratureSpec,
-    SeriesParams,
+    _refuse_integer,
     adaptive_integral,
     bessel_series,
     cohen_tail_series,
@@ -293,10 +292,7 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
         _req(case.x is not None and case.x > 0, "x must be positive")
         r["x"] = float(case.x)
     if entry.excluded:
-        value = _EXCLUDED[entry.excluded](r)
-        if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
-            raise ExcludedParameter(
-                f"{entry.excluded} = {value:.6g} must not be a positive integer")
+        _refuse_integer(_EXCLUDED[entry.excluded](r), entry.excluded)
     unread = [name for name in given.params() if name not in case.read]
     if unread:
         raise DomainError(f"{entry.tid} does not take the parameter(s) {', '.join(unread)}")
@@ -320,8 +316,8 @@ def _unit(k: int) -> complex:
 
 def _lhs_bessel(spec: DivisorSumSpec, a: float, x: float, nu: float,
                 tol: float) -> tuple[complex, int]:
-    res = bessel_series(spec, SeriesParams(
-        a, x, nu, tol=min(1e-12, tol * 1e-3), rel_tol=min(1e-11, tol * 1e-3)))
+    res = bessel_series(spec, a, x, nu, tol=min(1e-12, tol * 1e-3),
+                        rel_tol=min(1e-11, tol * 1e-3))
     return res.value, res.terms
 
 
@@ -335,18 +331,20 @@ def _cohen_lhs(spec: DivisorSumSpec, nu: float, x: float,
 def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     """2 pi sum f(n) e^{-4 pi sqrt(n x)}: the elementary nu = 1/2 shape."""
     lam = 4.0 * PI * math.sqrt(x)
-    n_max = max(64, int((45.0 / lam) ** 2) + 8)
-    _within_budget(n_max, "the e^{-4 pi sqrt(n x)} sum")
+    root = 45.0 / lam
+    # root * root is inf where root ** 2 raises OverflowError (x < ~1e-305)
+    _within_budget(max(64.0, root * root + 8), "the e^{-4 pi sqrt(n x)} sum")
+    n_max = max(64, int(root ** 2) + 8)
     coef = coefficient_array(spec, n_max)[1:]
     ns = np.arange(1, n_max + 1, dtype=float)
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
 
 
-def _within_budget(count: int, what: str) -> None:
+def _within_budget(count: float, what: str) -> None:
     """Refuse, before allocating, a sum of more terms than term_cap()."""
     cap = term_cap()
     if count > cap:
-        raise ConvergenceError(f"{what} needs {count} terms, over the term budget of {cap}")
+        raise ConvergenceError(f"{what} needs {count:.3g} terms, over the term budget of {cap}")
 
 
 def _with_trivial(twist: str, chi: Character, q: int) -> dict:
@@ -715,9 +713,8 @@ def _voronoi_single(tol, twist, chi, q, nu, alpha, beta, f, **_):
     pref = q ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
     main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
     lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
-    main = adaptive_integral(
-        lambda t: float(f(np.array([t]))[0]) * t ** main_power,
-        QuadratureSpec(alpha, beta, tol=1e-11))
+    main = adaptive_integral(lambda t: float(f(np.array([t]))[0]) * t ** main_power,
+                             alpha, beta, tol=1e-11)
     return lhs, pref * lmain * main + rhs, n_j, n_terms
 
 
@@ -1142,18 +1139,8 @@ def report_record(report: VerificationReport) -> dict:
     return record
 
 
-def write_reports(reports: list[VerificationReport], path: str,
-                  fmt: str = "jsonl") -> None:
-    """Serialize reports: 'jsonl' for one record per line, 'json' for a
-    single document."""
-    if fmt not in ("jsonl", "json"):
-        raise DomainError(f"unknown report format {fmt!r}")
-    records = [report_record(r) for r in reports]
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "jsonl":
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-        else:
-            json.dump({"reports": records}, fh, sort_keys=True, indent=1,
-                      allow_nan=False)
-            fh.write("\n")
+def write_reports(reports: list[VerificationReport], fh: TextIO) -> None:
+    """Write each report's record to the text stream fh as one line of
+    strict JSON."""
+    for report in reports:
+        fh.write(json.dumps(report_record(report), sort_keys=True, allow_nan=False) + "\n")

@@ -53,38 +53,18 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesParams",
     "SeriesResult",
-    "QuadratureSpec",
     "bessel_series",
     "shifted_power_series",
     "log_kernel_series",
     "cohen_tail_series",
     "adaptive_integral",
-    "voronoi_kernel",
     "voronoi_kernel_values",
     "oscillatory_kernel_integrals",
     "VORONOI_VARIANTS",
 ]
 
 DEFAULT_HEAD = 1000
-
-
-@dataclass
-class SeriesParams:
-    """Parameters of a Bessel-kernel series sum f(n) n^{nu/2} K_nu(a sqrt(n x))."""
-
-    a: float
-    x: float
-    nu: float = 0.0
-    tol: float = 1e-12
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.a <= 0 or self.x <= 0:
-            raise DomainError("series parameters need a > 0 and x > 0")
-        if self.tol <= 0:
-            raise DomainError("tolerance must be positive")
 
 
 @dataclass
@@ -111,12 +91,16 @@ def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
     if z <= m + 1.0:
         return math.inf  # not yet past the decay regime
     A = 2.0 * math.sqrt(0.5 * math.pi / lam)
-    E = math.exp(nu * nu / (2.0 * z))
-    integral = (math.sqrt(N) ** m * math.exp(-z) / lam) / (1.0 - m / z)
+    try:
+        E = math.exp(nu * nu / (2.0 * z))
+        integral = (math.sqrt(N) ** m * math.exp(-z) / lam) / (1.0 - m / z)
+    except OverflowError:
+        return math.inf  # past the double range: treated as not yet decaying
     return 2.0 * A * E * integral
 
 
-def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
+def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
+                  tol: float = 1e-12, rel_tol: float = 1e-12) -> SeriesResult:
     """sum_{n>=1} f_z(n) n^{nu/2} K_nu(a sqrt(n x)), certified to tolerance.
 
     Sums once up to N, the first of 256, 512, ... whose analytic tail
@@ -125,15 +109,17 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
     which can only happen at the budget, and before any term is summed
     when the term bound has not begun to decay by the budget.
     """
+    if not (a > 0 and x > 0):
+        raise DomainError("series parameters need a > 0 and x > 0")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     cap = term_cap()
-    lam = params.a * math.sqrt(params.x)
-    nu = params.nu
+    lam = a * math.sqrt(x)
     w = spec.weight_real_max
 
     # initial truncation estimate by doubling against the tail bound
     n_est = 256
-    while (_bessel_tail_bound(n_est, w, nu, lam) > params.tol
-           and n_est < cap):
+    while _bessel_tail_bound(n_est, w, nu, lam) > tol and n_est < cap:
         n_est *= 2
     if n_est >= cap and math.isinf(_bessel_tail_bound(cap, w, nu, lam)):
         # the term bound has not begun to decay by the cap: fail before
@@ -150,7 +136,7 @@ def bessel_series(spec: DivisorSumSpec, params: SeriesParams) -> SeriesResult:
         kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
         acc += np.sum(cs * ns ** (0.5 * nu) * kv)
     tail = _bessel_tail_bound(n1, w, nu, lam)
-    if tail <= max(params.tol, params.rel_tol * abs(acc)):
+    if tail <= max(tol, rel_tol * abs(acc)):
         return SeriesResult(acc, n1, tail)
     raise ConvergenceError(
         f"bessel_series: tail bound {tail:.2e} above tolerance after {n1} terms")
@@ -223,9 +209,11 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
 
 
 def _refuse_integer(value: float, name: str) -> None:
-    """The summands of the log and Cohen kernels have a pole at n = value."""
+    """Refuse a non-finite value, or a pole: one within 1e-6 of a positive integer."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value} must be finite")
     if abs(value - round(value)) <= 1e-6 and round(value) >= 1:
-        raise ExcludedParameter(f"{name}={value} must not be a positive integer")
+        raise ExcludedParameter(f"{name} = {value:.6g} must not be a positive integer")
 
 
 def _near_pole(ns: np.ndarray, c: float, exact, expansion) -> np.ndarray:
@@ -249,8 +237,8 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
     power sum is completed by the closed-form Dirichlet tail.
     """
     w = spec.weight_real_max
-    if c < 0:
-        raise DomainError("shift c must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"shift c must be >= 0 and finite, got {c}")
     need = w if difference_form else w + 1.0
     if p <= need + 1e-12:
         raise DivergenceError(
@@ -348,17 +336,6 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
 _MAX_DEPTH = 28
 
 
-@dataclass
-class QuadratureSpec:
-    alpha: float
-    beta: float
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.alpha < self.beta:
-            raise DomainError("quadrature needs alpha < beta")
-
-
 # Gauss-Kronrod 7/15 pair on [-1, 1]
 _K15_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -382,10 +359,13 @@ _G7_WEIGHTS = np.array([
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
-def adaptive_integral(f: Callable[[float], float], spec: QuadratureSpec) -> float:
+def adaptive_integral(f: Callable[[float], float], alpha: float, beta: float,
+                      tol: float = 1e-10) -> float:
     """Integral of f over [alpha, beta] by adaptive bisection of an
-    embedded 7/15-point rule, to estimated error below spec.tol."""
-    total_len = spec.beta - spec.alpha
+    embedded 7/15-point rule, to estimated error below tol."""
+    if not alpha < beta:
+        raise DomainError("quadrature needs alpha < beta")
+    total_len = beta - alpha
 
     def rule(a: float, b: float) -> tuple[float, float]:
         mid = 0.5 * (a + b)
@@ -398,11 +378,11 @@ def adaptive_integral(f: Callable[[float], float], spec: QuadratureSpec) -> floa
         return k15, abs(k15 - g7)
 
     acc = 0.0
-    stack = [(spec.alpha, spec.beta, 0)]
+    stack = [(alpha, beta, 0)]
     while stack:
         a, b, depth = stack.pop()
         k15, err = rule(a, b)
-        if err <= spec.tol * (b - a) / total_len or err == 0.0:
+        if err <= tol * (b - a) / total_len or err == 0.0:
             acc += k15
         elif depth >= _MAX_DEPTH:
             raise QuadratureError(
@@ -437,18 +417,12 @@ def _variant_coefs(variant: str, nu: float) -> tuple[float, float, float]:
     return main, ys, js * cotrig
 
 
-def voronoi_kernel(variant: str, nu: float, u: float) -> float:
-    """The theorem-specific combination of K, Y, J at argument u > 0."""
-    if u <= 0:
-        raise DomainError("voronoi_kernel needs u > 0")
-    return float(voronoi_kernel_values(variant, nu, np.array([u]))[0])
-
-
 def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray:
+    """The theorem-specific combination of K, Y, J at each argument u > 0."""
     main, ys, jc = _variant_coefs(variant, nu)
     us = np.asarray(us, dtype=float)
-    if np.any(us <= 0):
-        raise DomainError("voronoi_kernel needs u > 0")
+    if not np.all(us > 0):
+        raise DomainError("voronoi_kernel_values needs u > 0")
     j, y = jy_values(nu, us)
     k = k_values(nu, us)
     return ((2.0 / math.pi) * k + ys * y) * main + jc * j

@@ -155,7 +155,7 @@ def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
     M = _em_head_length(s)
     cap = term_cap()
     if M > cap:
-        raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M} "
+        raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M:.3g} "
                           f"terms, over the term budget of {cap}")
     coefs, dcoefs = [], []
     poch, dpoch = s, 1.0  # (s)_1 and its derivative

@@ -13,7 +13,8 @@ from tblab.characters import (
     euler_phi,
     gauss_sum,
 )
-from tblab.errors import InvalidModulus
+from tblab import characters
+from tblab.errors import ConvergenceError, InvalidModulus
 
 
 def test_enumeration_counts():
@@ -23,6 +24,16 @@ def test_enumeration_counts():
         chars = enumerate_characters(q)
         assert len(chars) == euler_phi(q)
         assert chars[0].is_principal
+
+
+def test_modulus_past_the_term_budget_is_refused_before_the_unit_group(monkeypatch):
+    def refuse(q):
+        raise AssertionError("unit group built for a refused modulus")
+
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    monkeypatch.setattr(characters, "_unit_group", refuse)
+    with pytest.raises(ConvergenceError, match="term budget of 100"):
+        enumerate_characters(101)
 
 
 def test_q5_has_one_real_nonprincipal_and_it_is_even():

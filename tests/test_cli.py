@@ -14,6 +14,12 @@ def test_list_characters(capsys):
     assert out.count("primitive") >= 2
 
 
+def test_list_characters_past_the_term_budget_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    assert main(["list-characters", "--q", "101"]) == 2
+    assert "term budget of 100" in capsys.readouterr().err
+
+
 def test_lvalue(capsys):
     assert main(["lvalue", "--q", "4", "--char", "1", "--s", "1"]) == 0
     out = capsys.readouterr().out
@@ -103,6 +109,15 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
      "--x", "inf"],
     ["verify", "--theorem", "T4_1", "--q", "5", "--char", "2", "--nu", "0.25", "--alpha", "0.5",
      "--beta", "inf", "--f", "exp"],
+    # finite input whose intermediate values leave the double range: the
+    # kernel series' tail bound, the excluded clause's a^2 q x, the shift
+    # c of the closed tail, and the term count (45 / 4 pi sqrt x)^2
+    ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "400",
+     "--a", "1", "--x", "0.75"],
+    ["verify", "--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1e200", "--x", "1e200"],
+    ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
+     "--a", "1e160", "--x", "0.75"],
+    ["verify", "--theorem", "C3_1", "--q", "5", "--char", "2", "--x", "1e-320"],
 ])
 def test_non_finite_or_overflowing_input_exit_two(capsys, argv):
     assert main(argv) == 2

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -202,38 +203,23 @@ def test_positivity_scan():
         positivity_scan(2)
 
 
-def test_report_schema_and_serialization(tmp_path):
+def _jsonl(reports, **loads) -> list[dict]:
+    fh = io.StringIO()
+    write_reports(reports, fh)
+    return [json.loads(line, **loads) for line in fh.getvalue().splitlines()]
+
+
+def test_report_schema_and_serialization():
     reports = run_suite(["T2_13"])
     rec = report_record(reports[0])
     assert set(rec) == {"theorem_id", "params", "lhs_re", "lhs_im", "rhs_re",
                         "rhs_im", "abs_err", "rel_err", "pass", "terms",
                         "wall_ms"}
-    line_path = tmp_path / "report.jsonl"
-    doc_path = tmp_path / "report.json"
-    write_reports(reports, str(line_path), fmt="jsonl")
-    write_reports(reports, str(doc_path), fmt="json")
-    lines = line_path.read_text().splitlines()
-    assert len(lines) == len(reports)
-    doc = json.loads(doc_path.read_text())
-    assert len(doc["reports"]) == len(reports)
+    assert _jsonl(reports) == [json.loads(json.dumps(report_record(r))) for r in reports]
 
 
-def test_unknown_report_format_leaves_the_file_alone(tmp_path):
-    path = tmp_path / "report.xml"
-    path.write_text("keep me")
-    with pytest.raises(DomainError, match="unknown report format"):
-        write_reports(run_suite(["T2_13"]), str(path), fmt="xml")
-    assert path.read_text() == "keep me"
-
-
-def test_determinism_modulo_wall_ms(tmp_path):
-    paths = []
-    for i in range(2):
-        p = tmp_path / f"run{i}.jsonl"
-        write_reports(run_suite(["T3_2"]), str(p), fmt="jsonl")
-        paths.append(p)
-    rec0 = [json.loads(line) for line in paths[0].read_text().splitlines()]
-    rec1 = [json.loads(line) for line in paths[1].read_text().splitlines()]
+def test_determinism_modulo_wall_ms():
+    rec0, rec1 = (_jsonl(run_suite(["T3_2"])) for _ in range(2))
     for a, b in zip(rec0, rec1):
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
@@ -368,7 +354,7 @@ class TestHypothesisEnforcement:
             verify(IdentityCase("C3_1", q=5, char_index=2, x=0.21, p=5))
 
 
-def test_zero_lhs_record_is_strict_json(tmp_path):
+def test_zero_lhs_record_is_strict_json():
     # an interval holding no integer makes the finite side exactly 0
     from tblab.identities import VerificationReport
     case = IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.2,
@@ -380,13 +366,8 @@ def test_zero_lhs_record_is_strict_json(tmp_path):
     def refuse(name):
         raise AssertionError(f"non-strict JSON constant {name}")
 
-    for fmt in ("jsonl", "json"):
-        path = tmp_path / f"zero.{fmt}"
-        write_reports([report], str(path), fmt=fmt)
-        rec = json.loads(path.read_text(), parse_constant=refuse)
-        if fmt == "json":
-            rec = rec["reports"][0]
-        assert rec["rel_err"] is None and rec["lhs_re"] == 0.0
+    (rec,) = _jsonl([report], parse_constant=refuse)
+    assert rec["rel_err"] is None and rec["lhs_re"] == 0.0
 
 
 def test_run_suite_reports_a_raising_case_as_failed(monkeypatch):

@@ -24,15 +24,13 @@ from tblab.identities import TEST_FUNCTIONS
 from tblab.series import (
     HANKEL_CUT,
     VORONOI_VARIANTS,
-    QuadratureSpec,
-    SeriesParams,
     adaptive_integral,
     bessel_series,
     cohen_tail_series,
     log_kernel_series,
     oscillatory_kernel_integrals,
     shifted_power_series,
-    voronoi_kernel,
+    voronoi_kernel_values,
     _EndpointExpansion,
     _panel_integrals,
 )
@@ -53,9 +51,8 @@ def unit():
 class TestBesselSeries:
     def test_doubled_truncation_consistency(self, chi5e):
         spec = DivisorSumSpec(TWISTED, 0, chi5e)
-        r1 = bessel_series(spec, SeriesParams(1.0, 4.0, 0.0, tol=1e-12))
-        r2 = bessel_series(spec, SeriesParams(1.0, 4.0, 0.0, tol=1e-16,
-                                              rel_tol=1e-16))
+        r1 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-12)
+        r2 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-16, rel_tol=1e-16)
         assert abs(r1.value - r2.value) < 1e-12
         assert abs(r1.value - r2.value) <= r1.tail_bound + 1e-15
 
@@ -64,7 +61,7 @@ class TestBesselSeries:
         triv = enumerate_characters(1)[0]
         spec = DivisorSumSpec(TWISTED, -0.5, triv)
         a, x = 2.0, 1.3
-        r = bessel_series(spec, SeriesParams(a, x, 0.5, tol=1e-14))
+        r = bessel_series(spec, a, x, 0.5, tol=1e-14)
         lam = a * math.sqrt(x)
         coefs = coefficient_array(spec, 4000)[1:].real
         ns = np.arange(1, 4001, dtype=float)
@@ -76,7 +73,7 @@ class TestBesselSeries:
     def test_plain_divisor_function_brute_reference(self):
         triv = enumerate_characters(1)[0]
         spec = DivisorSumSpec(TWISTED, 0, triv)
-        r = bessel_series(spec, SeriesParams(1.0, 1.0, 0.3, tol=1e-12))
+        r = bessel_series(spec, 1.0, 1.0, 0.3, tol=1e-12)
         coefs = coefficient_array(spec, 10 ** 5)[1:].real
         ns = np.arange(1, 10 ** 5 + 1, dtype=float)
         brute = float(np.sum(coefs * ns ** 0.15 * k_values(0.3, np.sqrt(ns))))
@@ -86,7 +83,7 @@ class TestBesselSeries:
         monkeypatch.setenv("TBL_MAX_TERMS", "500")
         spec = DivisorSumSpec(TWISTED, 0, chi5e)
         with pytest.raises(ConvergenceError):
-            bessel_series(spec, SeriesParams(0.05, 0.05, 0.0, tol=1e-12))
+            bessel_series(spec, 0.05, 0.05, 0.0, tol=1e-12)
 
     def test_hopeless_budget_fails_fast(self, unit, monkeypatch):
         # at x = 1e-7 the term bound has not begun to decay by the 10^6-term cap
@@ -95,11 +92,11 @@ class TestBesselSeries:
 
         monkeypatch.setattr("tblab.series.coefficient_array", refuse)
         with pytest.raises(ConvergenceError):
-            bessel_series(unit, SeriesParams(1.0, 1e-7))
+            bessel_series(unit, 1.0, 1e-7)
 
     def test_honest_certificate(self, chi5e):
         spec = DivisorSumSpec(TWISTED, -0.25, chi5e)
-        r = bessel_series(spec, SeriesParams(0.6, 0.4, 0.25, tol=1e-10))
+        r = bessel_series(spec, 0.6, 0.4, 0.25, tol=1e-10)
         coefs = coefficient_array(spec, 4 * r.terms)
         ns = np.arange(1, 4 * r.terms + 1, dtype=float)
         full = np.sum(coefs[1:] * ns ** 0.125
@@ -228,16 +225,16 @@ class TestCohenTailSeries:
 
 class TestAdaptiveIntegral:
     def test_polynomial(self):
-        val = adaptive_integral(lambda t: t * t, QuadratureSpec(0.5, 1.5))
+        val = adaptive_integral(lambda t: t * t, 0.5, 1.5)
         assert abs(val - 13.0 / 12.0) < 1e-13
 
     def test_log(self):
-        val = adaptive_integral(lambda t: 1.0 / t, QuadratureSpec(1.0, 2.0))
+        val = adaptive_integral(lambda t: 1.0 / t, 1.0, 2.0)
         assert abs(val - math.log(2)) < 1e-12
 
     def test_oscillatory_against_dense_grid(self):
-        val = adaptive_integral(lambda t: math.cos(40 * math.sqrt(t)),
-                                QuadratureSpec(0.5, 3.0, tol=1e-12))
+        val = adaptive_integral(lambda t: math.cos(40 * math.sqrt(t)), 0.5, 3.0,
+                                tol=1e-12)
         ts = np.linspace(0.5, 3.0, 100001)
         dense = np.trapezoid(np.cos(40 * np.sqrt(ts)), ts)
         assert abs(val - dense) < 1e-9
@@ -245,10 +242,9 @@ class TestAdaptiveIntegral:
     def test_depth_exhaustion(self, monkeypatch):
         from tblab import series
         monkeypatch.setattr(series, "_MAX_DEPTH", 3)
-        spec = QuadratureSpec(0.0, 1.0, tol=1e-14)
         with pytest.raises(QuadratureError):
             adaptive_integral(lambda t: abs(t - 0.123456) ** -0.5 if t != 0.123456 else 1e8,
-                              spec)
+                              0.0, 1.0, tol=1e-14)
 
 
 class TestVoronoiKernel:
@@ -260,31 +256,32 @@ class TestVoronoiKernel:
             a = PI / 4
             main = math.cos(a) if trig == "cos" else math.sin(a)
             cot = math.sin(a) if trig == "cos" else math.cos(a)
-            for u in np.linspace(0.3, 40, 50):
-                kh = math.sqrt(PI / (2 * u)) * math.exp(-u)
-                yh = -math.sqrt(2 / (PI * u)) * math.cos(u)
-                jh = math.sqrt(2 / (PI * u)) * math.sin(u)
-                closed = (2 / PI * kh + sgn_y * yh) * main + sgn_j * jh * cot
-                assert abs(voronoi_kernel(variant, 0.5, u) - closed) < 1e-11
+            u = np.linspace(0.3, 40, 50)
+            kh = np.sqrt(PI / (2 * u)) * np.exp(-u)
+            yh = -np.sqrt(2 / (PI * u)) * np.cos(u)
+            jh = np.sqrt(2 / (PI * u)) * np.sin(u)
+            closed = (2 / PI * kh + sgn_y * yh) * main + sgn_j * jh * cot
+            assert np.max(np.abs(voronoi_kernel_values(variant, 0.5, u) - closed)) < 1e-11
 
     def test_large_argument_decay(self):
         u = 400.0
         for variant in ("even-cos", "odd-sin", "plus-y-sin", "plus-y-cos"):
-            assert abs(voronoi_kernel(variant, 0.25, u)) < 1.0 / math.sqrt(u)
+            assert abs(voronoi_kernel_values(variant, 0.25, np.array([u]))[0]) < 1.0 / math.sqrt(u)
 
     def test_unknown_variant_fails(self):
         with pytest.raises(DomainError):
-            voronoi_kernel("unmapped", 0.25, 1.0)
+            voronoi_kernel_values("unmapped", 0.25, np.array([1.0]))
         with pytest.raises(DomainError):
-            voronoi_kernel("even-cos", 0.25, -1.0)
+            voronoi_kernel_values("even-cos", 0.25, np.array([-1.0]))
 
     def test_oscillatory_integral_against_adaptive(self):
         f = lambda t: np.exp(-np.asarray(t, dtype=float))
         c = 4 * PI * math.sqrt(12.0 / 5.0)
         fast = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, [c], -0.125, "even-cos")[0]
         slow = adaptive_integral(
-            lambda t: math.exp(-t) * t ** -0.125 * voronoi_kernel("even-cos", 0.25, c * math.sqrt(t)),
-            QuadratureSpec(0.5, 3.4, tol=1e-11))
+            lambda t: math.exp(-t) * t ** -0.125
+            * voronoi_kernel_values("even-cos", 0.25, np.array([c * math.sqrt(t)]))[0],
+            0.5, 3.4, tol=1e-11)
         assert abs(fast - slow) < 1e-9
 
 
@@ -349,8 +346,8 @@ def test_oscillatory_integrals_split_at_the_cut_and_the_certificate():
 def test_tolerance_monotonicity(chi5e):
     # tightening tol never moves the result by more than the looser tol
     spec = DivisorSumSpec(TWISTED, 0, chi5e)
-    loose = bessel_series(spec, SeriesParams(1.0, 2.0, 0.0, tol=1e-6, rel_tol=1e-6))
-    tight = bessel_series(spec, SeriesParams(1.0, 2.0, 0.0, tol=1e-13, rel_tol=1e-13))
+    loose = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-6, rel_tol=1e-6)
+    tight = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-13, rel_tol=1e-13)
     assert abs(loose.value - tight.value) <= 1e-6
     l2 = log_kernel_series(spec, 0.8, tol=1e-6)
     t2 = log_kernel_series(spec, 0.8, tol=1e-13)
@@ -361,4 +358,4 @@ def test_term_cap_env(monkeypatch, chi5e):
     monkeypatch.setenv("TBL_MAX_TERMS", "300")
     spec = DivisorSumSpec(TWISTED, 0, chi5e)
     with pytest.raises(ConvergenceError):
-        bessel_series(spec, SeriesParams(0.2, 0.3, 0.0, tol=1e-12))
+        bessel_series(spec, 0.2, 0.3, 0.0, tol=1e-12)
