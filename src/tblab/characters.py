@@ -3,9 +3,11 @@
 A character value is stored as a rational exponent r with the meaning
 chi(n) = e^{2*pi*i*r}; multiplication, conjugation and parity are exact
 rational arithmetic, and complex doubles only appear when a value is
-realized numerically.  Each character realizes its values once, as a
-table of q complex numbers shared by every equal Character, and `value`
-reads that table.  The unit group (Z/qZ)* is built by CRT over the
+realized numerically.  Each character realizes its values once, from
+integer exponents, as a table of q complex numbers shared by every equal
+Character, and `value` reads that table; its Gauss sum, conductor and
+inducing primitive character are formed once too, and the characters of
+each modulus once per process.  The unit group (Z/qZ)* is built by CRT over the
 prime-power factors of q: a primitive root generates each odd prime-power
 factor, and the pair {-1, 5} generates the 2-adic part for 2^k, k >= 3.
 
@@ -203,20 +205,23 @@ class Character:
 
 @lru_cache(maxsize=4096)
 def _value_table(chi: Character) -> tuple[complex, ...]:
-    """chi(0), ..., chi(q-1), realized from the exact exponents: 0 off the
-    units, exactly +-1 at r = 0 and 1/2, e^{2*pi*i*r} otherwise.  Keyed by
-    value, so every enumeration of the same character shares one table."""
-    out = []
-    for n in range(chi.modulus):
-        r = chi.log_value(n)
-        if r is None:
-            out.append(0j)
-        elif r == 0:
-            out.append(1 + 0j)
-        elif 2 * r == 1:
-            out.append(-1 + 0j)
+    """chi(0), ..., chi(q-1): 0 off the units, and at a unit with exponent
+    vector l, k = sum_i c_i l_i E/m_i mod E for E = lcm(m_i) gives exactly
+    +-1 at k = 0 and E/2, else e^{2*pi*i*k/E}, k/E being log_value's rational
+    correctly rounded.  Keyed by value, so every enumeration of the same
+    character shares one table."""
+    grp = _unit_group(chi.modulus)
+    E = math.lcm(*grp.orders)
+    weights = [c * (E // m) for c, m in zip(chi.exponents, grp.orders)]
+    out = [0j] * chi.modulus
+    for u, vec in grp.dlog.items():
+        k = sum(w * l for w, l in zip(weights, vec)) % E
+        if k == 0:
+            out[u] = 1 + 0j
+        elif 2 * k == E:
+            out[u] = -1 + 0j
         else:
-            out.append(cmath.exp(2j * cmath.pi * float(r)))
+            out[u] = cmath.exp(2j * cmath.pi * (k / E))
     return tuple(out)
 
 
@@ -230,6 +235,20 @@ def _conductor(chi: Character) -> int:
                 if all(chi.log_value(u) == 0
                        for u in range(1, q + 1)
                        if (u - 1) % f == 0 and math.gcd(u, q) == 1))
+
+
+@lru_cache(maxsize=4096)
+def _primitive(chi: Character) -> Character:
+    """The primitive character mod the conductor f that induces chi: its
+    exponent on each generator g of (Z/fZ)* is chi's at a lift of g that is
+    prime to q."""
+    q, f = chi.modulus, _conductor(chi)
+    if f == q:
+        return chi
+    grp = _unit_group(f)
+    lifts = [next(n for n in range(g, g + q, f) if math.gcd(n, q) == 1) for g in grp.generators]
+    exps = tuple(int(chi.log_value(n) * m) for n, m in zip(lifts, grp.orders))
+    return Character(f, _index_of(grp, exps), exps)
 
 
 def _divisors(q: int) -> list[int]:
@@ -262,9 +281,14 @@ def enumerate_characters(q: int) -> list[Character]:
         raise InvalidModulus(f"modulus must be a positive integer, got {q}")
     if q > term_cap():  # each character's value table has q entries
         raise ConvergenceError(f"modulus {q} is over the term budget of {term_cap()}")
+    return list(_characters(q))
+
+
+@lru_cache(maxsize=256)
+def _characters(q: int) -> tuple[Character, ...]:
     grp = _unit_group(q)
-    return [Character(q, idx, _digits(idx, grp.orders))
-            for idx in range(math.prod(grp.orders))]
+    return tuple(Character(q, idx, _digits(idx, grp.orders))
+                 for idx in range(math.prod(grp.orders)))
 
 
 class GaussSumValue(NamedTuple):
@@ -272,8 +296,9 @@ class GaussSumValue(NamedTuple):
     character: Character
 
 
+@lru_cache(maxsize=4096)
 def gauss_sum(chi: Character) -> GaussSumValue:
-    """tau(chi) = sum_{h=1}^{q} chi(h) e^{2*pi*i*h/q}."""
+    """tau(chi) = sum_{h=1}^{q} chi(h) e^{2*pi*i*h/q}, once per character."""
     q = chi.modulus
     total = 0j
     for h in range(1, q + 1):

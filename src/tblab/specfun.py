@@ -13,15 +13,18 @@ An L-value does its s-dependent work once.  The Euler-Maclaurin routine
 takes one s and a batch of arguments a, forming the head length, the
 exponents and the correction coefficients once per batch (the scalar
 hurwitz_zeta is a batch of one), and all units a of the modulus go into
-one batch.  Left of the reflection threshold the reflection route takes
-the same batch, and its prefactor and q conjugate values zeta(1-s, b/q)
-are computed once per L-value and shared by every a.
+one batch.  Left of the reflection threshold, L(s, chi) is
+E(s) F(s) L(1-s, conj chi*): chi* mod q* is the primitive character that
+induces chi, E(s) = prod (1 - chi*(p) p^{-s}) over the primes p | q not
+dividing q* (Montgomery-Vaughan, Multiplicative Number Theory I, 9.1), F
+is the factor of chi*'s functional equation (Davenport, ch. 9), and
+L(1-s, conj chi*) is one cached Euler-Maclaurin value.
 
 L'(s0) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0) takes L(s0)
 from the cache and the Hurwitz derivatives from one batch: the
 Euler-Maclaurin sum differentiated term by term in s (Johansson, Numer.
-Algorithms 69, 2015), or left of the reflection threshold the reflected
-expansion differentiated by the product rule.
+Algorithms 69, 2015).  Left of the reflection threshold L' is the product
+rule on E F L(1-s, conj chi*), with psi(1-s) and L'(1-s, conj chi*).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import Character, _value_table, enumerate_characters, gauss_sum
+from .characters import (Character, _factorize, _primitive, _value_table,
+                         enumerate_characters, gauss_sum)
 from .errors import DomainError, PoleError, term_cap
 
 __all__ = [
@@ -235,11 +239,11 @@ def _digamma(z: complex) -> complex:
         float(bernoulli_number(2 * k)) / (2 * k * z ** (2 * k)) for k in range(1, 9))
 
 
-def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
-    """zeta(s, r/q) for each r of rs, for Re s < 0, via the expansion over
-    conjugate arguments: zeta(s, r/q) = 2 Gamma(1-s)/(2 pi q)^{1-s}
-    * sum_b zeta(1-s, b/q) sin(pi s/2 + 2 pi b r / q).  The prefactor and
-    the q conjugate values are formed once for the batch.
+def _hurwitz_reflected(s: complex, r: int, q: int) -> complex:
+    """zeta(s, r/q) for Re s < 0, via the expansion over conjugate
+    arguments: zeta(s, r/q) = 2 Gamma(1-s)/(2 pi q)^{1-s}
+    * sum_b zeta(1-s, b/q) sin(pi s/2 + 2 pi b r / q), the q conjugate
+    values in one batch.
 
     Every piece is evaluated in the cancellation-free right half-plane, so
     the result carries relative (not just absolute) accuracy.
@@ -247,32 +251,10 @@ def _hurwitz_reflected(s: complex, rs, q: int) -> list[complex]:
     pref = 2.0 * gamma(1.0 - s) * (2.0 * math.pi * q) ** (s - 1.0)
     conj = _hurwitz_em(1.0 - s, [b / q for b in range(1, q + 1)], regularized=False)
     phase = cmath.pi * s / 2.0
-    out = []
-    for r in rs:
-        acc = 0j
-        for b in range(1, q + 1):
-            acc += conj[b - 1] * cmath.sin(phase + 2.0 * math.pi * b * r / q)
-        out.append(pref * acc)
-    return out
-
-
-def _hurwitz_reflected_derivative(s: complex, rs, q: int) -> list[complex]:
-    """d/ds zeta(s, r/q) for each r of rs, for Re s < 0, by the product rule
-    from psi(1-s) and the q conjugate values and derivatives at 1-s."""
-    u = 1.0 - s
-    bs = [b / q for b in range(1, q + 1)]
-    pref = 2.0 * gamma(u) * (2.0 * math.pi * q) ** (s - 1.0)
-    dlog = math.log(2.0 * math.pi * q) - _digamma(u)  # pref'/pref
-    conj = list(zip(_hurwitz_em(u, bs, False), _hurwitz_em_derivative(u, bs, False)))
-    phase = cmath.pi * s / 2.0
-    out = []
-    for r in rs:
-        acc = 0j
-        for b, (c, dc) in enumerate(conj, 1):
-            t = phase + 2.0 * math.pi * b * r / q
-            acc += (dlog * c - dc) * cmath.sin(t) + 0.5 * math.pi * c * cmath.cos(t)
-        out.append(pref * acc)
-    return out
+    acc = 0j
+    for b, c in enumerate(conj, 1):
+        acc += c * cmath.sin(phase + 2.0 * math.pi * b * r / q)
+    return pref * acc
 
 
 def _rationalize(a: float) -> tuple[int, int] | None:
@@ -300,7 +282,7 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> 
     if s.real < _REFLECT_RE and a <= 1.0:
         rq = _rationalize(a)
         if rq is not None and s.real < _reflect_threshold(rq[1]):
-            val = _hurwitz_reflected(s, [rq[0]], rq[1])[0]
+            val = _hurwitz_reflected(s, rq[0], rq[1])
             return val - 1.0 / (s - 1.0) if regularized else val
     try:
         return _hurwitz_em(s, [a], regularized)[0]
@@ -323,25 +305,59 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
     q = chi.modulus
     if chi.is_principal and abs(s - 1.0) < 1e-12:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
-    return _assemble(s, chi, _hurwitz_em, _hurwitz_reflected)
+    if s.real < _reflect_threshold(q):
+        return _reflected(s, chi, derivative=False)
+    return _assemble(s, chi, _hurwitz_em)
 
 
-def _assemble(s: complex, chi: Character, em, reflected) -> complex:
+def _assemble(s: complex, chi: Character, em) -> complex:
     """q^{-s} sum_a chi(a) f(s, a/q) over the units a, the batch of f (zeta
-    or its s-derivative) from em, or from reflected left of the threshold."""
+    or its s-derivative) from em."""
     q = chi.modulus
     table = _value_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
-    if s.real < _reflect_threshold(q):
-        hzs = reflected(s, units, q)
-    else:
-        # for a non-principal chi the regularized pole terms cancel, since
-        # sum_a chi(a) = 0
-        hzs = em(s, [a / q for a in units], regularized=not chi.is_principal)
+    # for a non-principal chi the regularized pole terms cancel, since
+    # sum_a chi(a) = 0
+    hzs = em(s, [a / q for a in units], regularized=not chi.is_principal)
     acc = 0j
     for a, hz in zip(units, hzs):
         acc += table[a % q] * hz
     return acc * q ** (-s)
+
+
+def _fe_factor(s: complex, chi: Character) -> tuple[complex, complex, complex]:
+    """P = (-i)^kappa tau/pi (2pi/q)^s for a primitive chi mod q, and sin and
+    cos of pi(s+kappa)/2: L(s, chi) = P Gamma(1-s) sin L(1-s, conj chi).
+    Re(s+kappa) is reduced exactly to its nearest integer n first and n
+    taken in quarter turns, so a trivial zero is exactly 0."""
+    kappa = 0 if chi.is_even else 1
+    n = round(s.real)
+    half = cmath.pi * complex(s.real - n, s.imag) / 2.0
+    sn, cn = cmath.sin(half), cmath.cos(half)
+    for _ in range((n + kappa) % 4):
+        sn, cn = cn, -sn
+    P = (-1j) ** kappa * gauss_sum(chi).value / math.pi * (2.0 * math.pi / chi.modulus) ** s
+    return P, sn, cn
+
+
+def _reflected(s: complex, chi: Character, derivative: bool) -> complex:
+    """L(s, chi), or L'(s, chi) by the product rule if derivative, left of
+    the reflection threshold: E(s) P Gamma(1-s) sin L(1-s, conj chi*), as
+    in the module docstring, with P and sin from _fe_factor."""
+    star = _primitive(chi)
+    table = _value_table(star)
+    e, de = 1.0, 0.0
+    for p, _ in _factorize(chi.modulus):
+        if star.modulus % p:
+            c = table[p % star.modulus] * p ** (-s)
+            e, de = e * (1.0 - c), de * (1.0 - c) + e * c * math.log(p)
+    u, bar = 1.0 - s, star.conjugate()
+    P, sn, cn = _fe_factor(s, star)
+    A, value = P * gamma(u), dirichlet_L(u, bar)
+    if not derivative:
+        return e * A * sn * value
+    dF = A * ((math.log(2.0 * math.pi / star.modulus) - _digamma(u)) * sn + 0.5 * math.pi * cn)
+    return (de * A * sn + e * dF) * value - e * A * sn * L_derivative(u, bar)
 
 
 def dirichlet_L(s: complex | float, chi: Character) -> complex:
@@ -378,14 +394,17 @@ def generalized_bernoulli(n: int, chi: Character) -> complex:
 
 def L_derivative(s0: complex | float, chi: Character) -> complex:
     """L'(s0, chi) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0, chi),
-    with L(s0, chi) from dirichlet_L's cache.  For a principal chi, an s0
+    with L(s0, chi) from dirichlet_L's cache; left of the reflection
+    threshold, the product rule of _reflected.  For a principal chi, an s0
     within 1e-9 of the pole raises PoleError."""
     s0 = complex(s0)
     if chi.is_principal and abs(s0 - 1.0) < 1e-9:
         raise PoleError("derivative requested at the pole s=1")
-    value = dirichlet_L(s0, chi)
+    value = dirichlet_L(s0, chi)  # refuses what L refuses
     try:
-        acc = _assemble(s0, chi, _hurwitz_em_derivative, _hurwitz_reflected_derivative)
+        if s0.real < _reflect_threshold(chi.modulus):
+            return _reflected(s0, chi, derivative=True)
+        acc = _assemble(s0, chi, _hurwitz_em_derivative)
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"L'({s0:g}, chi) overflows the double range") from None
     return acc - math.log(chi.modulus) * value
@@ -405,10 +424,9 @@ def functional_equation_residual(s: complex | float, chi: Character) -> float:
     if not chi.is_primitive:
         raise DomainError("functional equation holds for primitive characters")
     s = complex(s)
-    q = chi.modulus
     kappa = 0 if chi.is_even else 1
-    tau = gauss_sum(chi).value
     lhs = dirichlet_L(s, chi)
+    P, sn, _ = _fe_factor(s, chi)
     chibar = chi.conjugate()
     u = 1.0 - s
     m = -round(u.real)
@@ -417,15 +435,11 @@ def functional_equation_residual(s: complex | float, chi: Character) -> float:
         # zero of L(u, conj chi) (when m = kappa mod 2) or by the zero of
         # sin(pi(s+kappa)/2) (otherwise).  Take the limit explicitly.
         if (m - kappa) % 2 == 0:
-            gl = (cmath.sin(cmath.pi * (s + kappa) / 2.0)
-                  * (-1.0) ** m / math.factorial(m)
-                  * L_derivative(-m, chibar))
+            gl = sn * (-1.0) ** m / math.factorial(m) * L_derivative(-m, chibar)
         else:
             r = (1 + m + kappa) // 2
             gl = (-(-1.0) ** (m + r) * math.pi / (2.0 * math.factorial(m))
                   * dirichlet_L(-m, chibar))
     else:
-        gl = (gamma(u) * cmath.sin(cmath.pi * (s + kappa) / 2.0)
-              * dirichlet_L(u, chibar))
-    rhs = (-1j) ** kappa * tau / math.pi * (2.0 * math.pi / q) ** s * gl
-    return abs(lhs - rhs)
+        gl = gamma(u) * sn * dirichlet_L(u, chibar)
+    return abs(lhs - P * gl)

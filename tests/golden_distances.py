@@ -8,9 +8,11 @@ For every record outside voronoi whose rhs differs from
 tests/data/registry_golden.jsonl it prints how far the rhs moved, and the
 old (golden) and new rhs's distance to a reference run that takes L' and
 zeta' from mpmath (the run of test_registry_rhs_matches_mpmath_derivatives),
-all divided by |lhs|.  Below each record it lists the L' inputs the record
-takes, with their relative errors against mpmath.  A record that moved by
-more than 1e-14 |lhs|, the golden test's bound, is marked with "*".
+all divided by |lhs|.  Below each record it lists the L inputs left of
+Re s = -1.75 (zeta as L for the character mod 1) and the L' inputs the
+record takes, with their relative errors against mpmath (absolute where
+the value is 0).  A record that moved by more than 1e-14 |lhs|, the golden
+test's bound, is marked with "*".
 
 The name does not start with test_, so pytest does not collect it.
 """
@@ -31,25 +33,37 @@ GOLDEN_BOUND = 1e-14
 ZETA = enumerate_characters(1)[0]
 
 
-def mp_L_derivative(s0, chi) -> complex:
-    """L'(s0, chi) from mpmath at 30 digits and exact character values."""
+def mp_L(s, chi, derivative=0) -> complex:
+    """L(s, chi), or L'(s, chi) if derivative=1, from mpmath at 30 digits
+    and exact character values."""
     values = [0 if r is None else mpmath.expjpi(2 * mpmath.mpf(r.numerator) / r.denominator)
               for r in map(chi.log_value, range(chi.modulus))]
     with mpmath.workdps(30):
-        return complex(mpmath.dirichlet(mpmath.mpc(s0), values, 1))
+        return complex(mpmath.dirichlet(mpmath.mpc(s), values, derivative))
 
 
-def _run(cases, L_derivative) -> list[tuple[complex, complex]]:
-    """(lhs, rhs) of each case with L_derivative in place of the library's."""
+def _run(cases, L_derivative, L=None) -> list[tuple[complex, complex]]:
+    """(lhs, rhs) of each case with L_derivative in place of the library's,
+    and L, if given, in place of dirichlet_L where the registry calls it."""
     saved = {m: (m.L_derivative, m.zeta_derivative) for m in (specfun, arith, identities)}
+    saved_L = {m: (m.dirichlet_L, m.riemann_zeta) for m in (arith, identities)}
     try:
         for m in saved:
             m.L_derivative = L_derivative
             m.zeta_derivative = lambda s0: L_derivative(s0, ZETA)
+        for m in saved_L if L else ():
+            m.dirichlet_L = L
+            m.riemann_zeta = lambda s: L(s, ZETA)
         return [(r.lhs, r.rhs) for r in map(identities.verify, cases)]
     finally:
         for m, (d, z) in saved.items():
             m.L_derivative, m.zeta_derivative = d, z
+        for m, (f, z) in saved_L.items():
+            m.dirichlet_L, m.riemann_zeta = f, z
+
+
+def _error(got, value) -> float:
+    return abs(got - value) / abs(value) if value else abs(got)
 
 
 def main() -> int:
@@ -62,14 +76,19 @@ def main() -> int:
     library = specfun.L_derivative
 
     def recording(s0, chi):
-        inputs[-1].add((complex(s0), chi))
+        inputs[-1].add((complex(s0), chi, 1))
         return library(s0, chi)
+
+    def recording_L(s, chi):
+        if complex(s).real < -1.75:
+            inputs[-1].add((complex(s), chi, 0))
+        return specfun.dirichlet_L(s, chi)
 
     ours = []
     for case in cases:
         inputs.append(set())
-        ours += _run([case], recording)
-    reference = _run(cases, mp_L_derivative)
+        ours += _run([case], recording, recording_L)
+    reference = _run(cases, lambda s0, chi: mp_L(s0, chi, 1))
 
     moved = 0
     print(f"  {'moved':>9} {'old':>9} {'new':>9}  record")
@@ -83,11 +102,11 @@ def main() -> int:
         params = ", ".join(f"{k}={v}" for k, v in case.params().items())
         print(f"{'*' if shift > GOLDEN_BOUND else ' '} {shift:9.2e} {abs(old - ref) / abs(lhs):9.2e}",
               f"{abs(rhs - ref) / abs(lhs):9.2e}  {case.theorem} ({params})")
-        for s0, chi in sorted(used, key=lambda u: (u[1].modulus, u[1].index, u[0].real)):
-            value = mp_L_derivative(s0, chi)
-            err = abs(library(s0, chi) - value) / abs(value)
-            point = s0.real if s0.imag == 0 else s0
-            print(f"    L'({point:g}, chi mod {chi.modulus} index {chi.index}): {err:.2e}")
+        for s, chi, d in sorted(used, key=lambda u: (u[2], u[1].modulus, u[1].index, u[0].real)):
+            name, got = ("L'", library(s, chi)) if d else ("L", specfun.dirichlet_L(s, chi))
+            point = s.real if s.imag == 0 else s
+            print(f"    {name}({point:g}, chi mod {chi.modulus} index {chi.index}):",
+                  f"{_error(got, mp_L(s, chi, d)):.2e}")
     print(f"{moved} records moved by more than {GOLDEN_BOUND:g} |lhs|")
     return 0
 

@@ -26,6 +26,14 @@ def test_lvalue(capsys):
     assert f"{math.pi / 4:.8f}"[:8] in out
 
 
+def test_lvalue_left_of_the_reflection_line_for_an_imprimitive_character(capsys):
+    # L(s, chi_0 mod 128) = zeta(s) (1 - 2^{-s}), from mpmath at 30 digits
+    assert main(["lvalue", "--q", "128", "--char", "0", "--s=-5.984,-4.448"]) == 0
+    got = complex(capsys.readouterr().out.rsplit("= ", 1)[1])
+    value = complex(-12.6081680816974, 28.3236979548176)
+    assert abs(got - value) < 1e-13 * abs(value)
+
+
 def test_bessel(capsys):
     assert main(["bessel", "--kind", "K", "--nu", "0.5", "--x", "1"]) == 0
     assert "0.4610685" in capsys.readouterr().out
