@@ -1,15 +1,15 @@
 """Exact Dirichlet-character arithmetic modulo q.
 
-A character value is stored as a rational exponent r with the meaning
-chi(n) = e^{2*pi*i*r}; multiplication, conjugation and parity are exact
-rational arithmetic, and complex doubles only appear when a value is
-realized numerically.  Each character realizes its values once, from
-integer exponents, as a table of q complex numbers shared by every equal
-Character, and `value` reads that table; its Gauss sum, conductor and
-inducing primitive character are formed once too, and the characters of
-each modulus once per process.  The unit group (Z/qZ)* is built by CRT over the
-prime-power factors of q: a primitive root generates each odd prime-power
-factor, and the pair {-1, 5} generates the 2-adic part for 2^k, k >= 3.
+Each character holds one exact table of integer exponents: chi(n) =
+e^{2*pi*i*k(n)/E} at a unit n, with E the lcm of the generator orders.
+Its complex values, `log_value`, parity, conductor and inducing primitive
+character all read that table, so complex doubles only appear when a
+value is realized numerically.  The table, the values (shared by every
+equal Character), the Gauss sum and the inducing character are formed
+once per character, and the characters of each modulus once per process.
+The unit group (Z/qZ)* is built by CRT over the prime-power factors of q:
+a primitive root generates each odd prime-power factor, and the pair
+{-1, 5} generates the 2-adic part for 2^k, k >= 3.
 
 Characters are enumerated deterministically: index 0 is always the
 principal character, and the ordering follows the mixed-radix counting of
@@ -94,8 +94,6 @@ def _crt_lift(r: int, m: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _unit_group(q: int) -> _UnitGroup:
-    if q < 1:
-        raise InvalidModulus(f"modulus must be a positive integer, got {q}")
     gens: list[int] = []
     orders: list[int] = []
     local: list[tuple[int, list[int], list[int]]] = []  # (p^e, gens mod p^e, orders)
@@ -142,14 +140,9 @@ class Character:
 
     def log_value(self, n: int) -> Fraction | None:
         """Rational r with chi(n)=e^{2*pi*i*r}, or None when chi(n)=0."""
-        grp = _unit_group(self.modulus)
-        vec = grp.dlog.get(n % self.modulus)
-        if vec is None:
-            return None
-        r = Fraction(0)
-        for c, l, m in zip(self.exponents, vec, grp.orders):
-            r += Fraction(c * l, m)
-        return r % 1
+        E, ks = _exponent_table(self)
+        k = ks[n % self.modulus]
+        return None if k is None else Fraction(k, E)
 
     def value(self, n: int) -> complex:
         return _value_table(self)[n % self.modulus]
@@ -163,9 +156,7 @@ class Character:
     @property
     def parity(self) -> str:
         """'even' if chi(-1)=1 else 'odd'."""
-        if self.modulus <= 2:
-            return "even"
-        return "even" if self.log_value(self.modulus - 1) == 0 else "odd"
+        return "even" if _exponent_table(self)[1][self.modulus - 1] == 0 else "odd"
 
     @property
     def is_odd(self) -> bool:
@@ -177,12 +168,8 @@ class Character:
 
     @property
     def order(self) -> int:
-        grp = _unit_group(self.modulus)
-        o = 1
-        for c, m in zip(self.exponents, grp.orders):
-            if c:
-                o = math.lcm(o, m // math.gcd(c, m))
-        return o
+        E, ks = _exponent_table(self)
+        return E // math.gcd(E, *(k for k in ks if k is not None))
 
     @property
     def is_real(self) -> bool:
@@ -191,7 +178,7 @@ class Character:
     @property
     def conductor(self) -> int:
         """Smallest f | q from which the character is induced."""
-        return _conductor(self)
+        return _primitive(self).modulus
 
     @property
     def is_primitive(self) -> bool:
@@ -204,50 +191,47 @@ class Character:
 
 
 @lru_cache(maxsize=4096)
-def _value_table(chi: Character) -> tuple[complex, ...]:
-    """chi(0), ..., chi(q-1): 0 off the units, and at a unit with exponent
-    vector l, k = sum_i c_i l_i E/m_i mod E for E = lcm(m_i) gives exactly
-    +-1 at k = 0 and E/2, else e^{2*pi*i*k/E}, k/E being log_value's rational
-    correctly rounded.  Keyed by value, so every enumeration of the same
+def _exponent_table(chi: Character) -> tuple[int, tuple[int | None, ...]]:
+    """E = lcm(m_i) and k(0), ..., k(q-1) with chi(n) = e^{2*pi*i*k(n)/E}:
+    at a unit with exponent vector l, k = sum_i c_i l_i E/m_i mod E, and
+    None off the units.  Keyed by value, so every enumeration of the same
     character shares one table."""
     grp = _unit_group(chi.modulus)
     E = math.lcm(*grp.orders)
     weights = [c * (E // m) for c, m in zip(chi.exponents, grp.orders)]
-    out = [0j] * chi.modulus
+    ks: list[int | None] = [None] * chi.modulus
     for u, vec in grp.dlog.items():
-        k = sum(w * l for w, l in zip(weights, vec)) % E
-        if k == 0:
-            out[u] = 1 + 0j
-        elif 2 * k == E:
-            out[u] = -1 + 0j
-        else:
-            out[u] = cmath.exp(2j * cmath.pi * (k / E))
-    return tuple(out)
+        ks[u] = sum(w * l for w, l in zip(weights, vec)) % E
+    return E, tuple(ks)
+
+
+def _root_of_unity(k: int, E: int) -> complex:
+    """e^{2*pi*i*k/E}, exactly 1 at k = 0 and -1 at k = E/2."""
+    return 1 + 0j if k == 0 else -1 + 0j if 2 * k == E else cmath.exp(2j * cmath.pi * (k / E))
 
 
 @lru_cache(maxsize=4096)
-def _conductor(chi: Character) -> int:
-    """The conductor, by a scan of the divisors of q; keyed by value like
-    _value_table, so every enumeration of the same character finds it
-    once."""
-    q = chi.modulus
-    return next(f for f in _divisors(q)
-                if all(chi.log_value(u) == 0
-                       for u in range(1, q + 1)
-                       if (u - 1) % f == 0 and math.gcd(u, q) == 1))
+def _value_table(chi: Character) -> tuple[complex, ...]:
+    """chi(0), ..., chi(q-1) from the exponent table, 0 off the units: each
+    value is log_value's rational k/E realized correctly rounded."""
+    E, ks = _exponent_table(chi)
+    return tuple(0j if k is None else _root_of_unity(k, E) for k in ks)
 
 
 @lru_cache(maxsize=4096)
 def _primitive(chi: Character) -> Character:
-    """The primitive character mod the conductor f that induces chi: its
-    exponent on each generator g of (Z/fZ)* is chi's at a lift of g that is
-    prime to q."""
-    q, f = chi.modulus, _conductor(chi)
+    """The primitive character mod the conductor f that induces chi.  f is
+    the least divisor of q with k(u) = 0 at every unit u = 1 mod f; the
+    exponent on each generator g of order m of (Z/fZ)* is k(n) m/E at a
+    lift n of g that is prime to q."""
+    q = chi.modulus
+    E, ks = _exponent_table(chi)
+    f = next(f for f in _divisors(q) if all(not k for k in ks[1::f]))  # k is 0 or None
     if f == q:
         return chi
     grp = _unit_group(f)
-    lifts = [next(n for n in range(g, g + q, f) if math.gcd(n, q) == 1) for g in grp.generators]
-    exps = tuple(int(chi.log_value(n) * m) for n, m in zip(lifts, grp.orders))
+    lifts = [next(n for n in range(g, g + q, f) if ks[n % q] is not None) for g in grp.generators]
+    exps = tuple(ks[n % q] * m // E for n, m in zip(lifts, grp.orders))
     return Character(f, _index_of(grp, exps), exps)
 
 

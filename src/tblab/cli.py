@@ -18,6 +18,7 @@ from .characters import enumerate_characters
 from .errors import TblabError
 from .identities import (
     IdentityCase,
+    _get_char,
     positivity_scan,
     run_suite,
     verify,
@@ -133,12 +134,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "lvalue":
-        chars = enumerate_characters(args.q)
-        if not 0 <= args.char < len(chars):
-            raise TblabError(
-                f"character index {args.char} out of range (phi({args.q}) = {len(chars)})")
+        chi = _get_char(args.q, args.char, "lvalue")
         s = _parse_s(args.s)
-        val = dirichlet_L(s, chars[args.char])
+        val = dirichlet_L(s, chi)
         print(f"L({s:g}, chi({args.q},{args.char})) = {val:.15g}")
         return 0
 

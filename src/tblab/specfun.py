@@ -34,8 +34,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import (Character, _factorize, _primitive, _value_table,
-                         enumerate_characters, gauss_sum)
+from .characters import (Character, _exponent_table, _factorize, _primitive,
+                         _root_of_unity, _value_table, enumerate_characters, gauss_sum)
 from .errors import DomainError, PoleError, term_cap
 
 __all__ = [
@@ -114,17 +114,16 @@ def bernoulli_number(n: int) -> Fraction:
 
 _EM_TERMS = 12
 
-# Left of these lines the Euler-Maclaurin head loses eps*(M+a)^{|Re s|}
+# Left of this line the Euler-Maclaurin head loses eps*(M+a)^{|Re s|}
 # (amplified by q^{|Re s|} in an L-value assembly) to cancellation, so
-# rational-a evaluations switch to the reflection route.  The thresholds
-# sit left of the functional-equation test windows, which therefore
-# exercise the direct continuation.
-_REFLECT_RE_ZETA = -3.5   # a = 1: no modulus amplification
-_REFLECT_RE = -1.75       # a = r/q, q >= 2
-
-
-def _reflect_threshold(q: int) -> float:
-    return _REFLECT_RE_ZETA if q == 1 else _REFLECT_RE
+# zeta, every L and rational-a Hurwitz evaluations switch to the
+# reflection route.  It sits left of the functional-equation test windows
+# of L, which therefore exercise the direct continuation.
+_REFLECT_RE = -1.75
+# Left of this line an a that _rationalize does not recognise, which has no
+# reflection route, takes a longer head: some cancellation is traded for
+# correction-term decay.
+_EM_LONG_HEAD_RE = -3.5
 
 
 def _cexpm1(w: complex) -> complex:
@@ -145,10 +144,8 @@ def _em_head_length(s: complex) -> int:
         # cancellation; the Bernoulli corrections still decay (or terminate)
         return 5
     m = max(15, math.ceil(im) + 10)
-    if s.real < _REFLECT_RE_ZETA:
-        # only reachable for non-rational a (no reflection route): trade
-        # some cancellation for correction-term decay
-        m += 3 * math.ceil(_REFLECT_RE_ZETA - s.real)
+    if s.real < _EM_LONG_HEAD_RE:
+        m += 3 * math.ceil(_EM_LONG_HEAD_RE - s.real)
     return m
 
 
@@ -281,7 +278,7 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> 
         raise PoleError("hurwitz_zeta pole at s=1")
     if s.real < _REFLECT_RE and a <= 1.0:
         rq = _rationalize(a)
-        if rq is not None and s.real < _reflect_threshold(rq[1]):
+        if rq is not None:
             val = _hurwitz_reflected(s, rq[0], rq[1])
             return val - 1.0 / (s - 1.0) if regularized else val
     try:
@@ -305,7 +302,7 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
     q = chi.modulus
     if chi.is_principal and abs(s - 1.0) < 1e-12:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
-    if s.real < _reflect_threshold(q):
+    if s.real < _REFLECT_RE:
         return _reflected(s, chi, derivative=False)
     return _assemble(s, chi, _hurwitz_em)
 
@@ -377,19 +374,27 @@ def dirichlet_L(s: complex | float, chi: Character) -> complex:
 
 
 def generalized_bernoulli(n: int, chi: Character) -> complex:
-    """B_{n,chi} = q^{n-1} sum_a chi(a) B_n(a/q), each B_n(a/q) exact in
-    Fraction."""
+    """B_{n,chi} = q^{n-1} sum_a chi(a) B_n(a/q).  The exact B_n(a/q) are
+    summed in Fraction within each class of units of equal exponent k, the
+    class k + E/2 folded into the class k with a minus sign, as chi takes
+    opposite values there, and each class sum is rounded once."""
     if n < 1:
         raise DomainError("generalized Bernoulli number needs n >= 1")
     q = chi.modulus
-    acc = 0j
+    E, ks = _exponent_table(chi)
+    classes: dict[int, Fraction] = {}
     for a in range(1, q + 1):
-        v = chi.value(a)
-        if v:
+        k = ks[a % q]
+        if k is not None:
             x = Fraction(a, q)
-            acc += v * float(sum(math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
-                                 for k in range(n + 1)))
-    return acc * q ** (n - 1)
+            b = sum(math.comb(n, j) * bernoulli_number(j) * x ** (n - j) for j in range(n + 1))
+            if 2 * k >= E:  # chi(a) = -e^{2 pi i (k - E/2)/E}; E = 1 only for q <= 2
+                k, b = k - E // 2, -b
+            classes[k] = classes.get(k, 0) + b
+    acc = 0j
+    for k, b in classes.items():
+        acc += _root_of_unity(k, E) * float(b * q ** (n - 1))
+    return acc
 
 
 def L_derivative(s0: complex | float, chi: Character) -> complex:
@@ -402,7 +407,7 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
         raise PoleError("derivative requested at the pole s=1")
     value = dirichlet_L(s0, chi)  # refuses what L refuses
     try:
-        if s0.real < _reflect_threshold(chi.modulus):
+        if s0.real < _REFLECT_RE:
             return _reflected(s0, chi, derivative=True)
         acc = _assemble(s0, chi, _hurwitz_em_derivative)
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing

@@ -9,9 +9,9 @@ tests/data/registry_golden.jsonl it prints how far the rhs moved, and the
 old (golden) and new rhs's distance to a reference run that takes L' and
 zeta' from mpmath (the run of test_registry_rhs_matches_mpmath_derivatives),
 all divided by |lhs|.  Below each record it lists the L inputs left of
-Re s = -1.75 (zeta as L for the character mod 1) and the L' inputs the
-record takes, with their relative errors against mpmath (absolute where
-the value is 0).  A record that moved by more than 1e-14 |lhs|, the golden
+the reflection line specfun._REFLECT_RE (zeta as L for the character
+mod 1) and the L' inputs the record takes, with their relative errors
+against mpmath (absolute where the value is 0).  A record that moved by more than 1e-14 |lhs|, the golden
 test's bound, is marked with "*".
 
 The name does not start with test_, so pytest does not collect it.
@@ -80,7 +80,7 @@ def main() -> int:
         return library(s0, chi)
 
     def recording_L(s, chi):
-        if complex(s).real < -1.75:
+        if complex(s).real < specfun._REFLECT_RE:
             inputs[-1].add((complex(s), chi, 0))
         return specfun.dirichlet_L(s, chi)
 

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from tblab.characters import (
     Character,
     _factorize,
+    _primitive,
     _primitive_root,
+    _unit_group,
     enumerate_characters,
     euler_phi,
     gauss_sum,
@@ -88,6 +92,31 @@ def test_value_table_realizes_the_exact_exponents(monkeypatch):
             for n in range(q):
                 chi.value(n)
     assert calls == []
+
+
+def _exact_exponents(chi):
+    """n -> sum_i c_i l_i / m_i mod 1 at each unit n, from the discrete logs
+    l of n and the character's exponents c, without its exponent table."""
+    grp = _unit_group(chi.modulus)
+    return {n: sum((Fraction(c * l, m) for c, l, m in zip(chi.exponents, vec, grp.orders)),
+                   Fraction(0)) % 1
+            for n, vec in grp.dlog.items()}
+
+
+def test_exponent_table_against_the_discrete_logs():
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            r = _exact_exponents(chi)
+            assert [chi.log_value(n) for n in range(q)] == [r.get(n) for n in range(q)]
+            assert chi.parity == ("even" if r[(q - 1) % q] == 0 else "odd")
+            # the least f | q with chi(u) = 1 at every unit u = 1 mod f
+            f = next(f for f in range(1, q + 1)
+                     if q % f == 0 and all(r[u] == 0 for u in r if u % f == 1 % f))
+            assert chi.conductor == f, (q, chi.index)
+            star = _primitive(chi)
+            assert star.modulus == f and star == enumerate_characters(f)[star.index]
+            r_star = _exact_exponents(star)
+            assert all(r[n] == r_star[n % f] for n in r), (q, chi.index)
 
 
 def test_periodicity_and_multiplicativity():

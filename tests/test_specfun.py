@@ -82,7 +82,9 @@ class TestRiemannZeta:
         assert abs(riemann_zeta(-1.0) + 1.0 / 12.0) < 1e-13
 
     def test_functional_equation_grid(self):
-        # 20 points in -3 <= Re s <= 4 avoiding poles and trivial zeros
+        # 20 points in -3 <= Re s <= 4 avoiding poles and trivial zeros;
+        # zeta reflects left of Re s = -1.75, so the points -3.0, -2.6, -2.2
+        # and -2.8+1i compare the reflected route with itself
         grid = [-3.0, -2.6, -2.2, -1.7, -1.3, -0.7, -0.5, -0.1, 0.3, 0.6,
                 2.2, 2.5, 3.2, 3.7, 3.95,
                 complex(-2.8, 1.0), complex(-1.5, 2.0), complex(0.5, 3.0),

@@ -6,7 +6,9 @@ reflection threshold, where L and L' come from the functional equation of
 the primitive character that induces chi, a fixed table of mpmath values
 takes principal and imprimitive characters too, and L(1-n, chi) is checked
 against the exact -B_{n,chi}/n for every chi mod 32, 64, 81 and 128, both
-within 1e-13; the trivial zeros there are exactly 0.  Each error is
+within 1e-13; the trivial zeros there are exactly 0.  B_{n,chi} itself
+(every chi mod 64, 81 and 128), and zeta and zeta' on -3.5 <= Re s < -1.75,
+are held to 1e-13 too.  Each error is
 |got - value| / max(1, |value|): absolute where the function is small,
 as at its zeros, and relative elsewhere.  The draws are derandomized, so
 a run is repeatable.  Each bound is about 3 times the worst error of
@@ -31,7 +33,9 @@ from tblab.specfun import (
     _digamma,
     dirichlet_L,
     gamma,
+    generalized_bernoulli,
     hurwitz_zeta,
+    riemann_zeta,
     zeta_derivative,
 )
 
@@ -110,6 +114,23 @@ def test_hurwitz_zeta(s, a):
         assert abs(value) > 1e307  # only a value outside the double range
         return
     assert _error(got, value) < HURWITZ_BOUND
+
+
+# zeta and zeta' take the reflected route on -3.5 <= Re s < -1.75, like
+# every L; the Euler-Maclaurin route errs there by up to about 3e-10.
+# Re s = -1.75 itself is on the Euler-Maclaurin side, with the loss just
+# right of the line that PRINCIPAL_L_BOUND allows for.
+ZETA_STRIP_BOUND = 1e-13
+strip = st.builds(complex, st.integers(-7 * 512, -7 * 256 - 1).map(lambda k: k / 1024),
+                  st.integers(-10 * 1024, 10 * 1024).map(lambda k: k / 1024))
+
+
+@settings(oracle, max_examples=60)
+@given(strip)
+def test_zeta_and_zeta_derivative_left_of_the_reflection_line(s):
+    with mpmath.workdps(30):
+        assert _error(riemann_zeta(s), mpmath.zeta(s)) < ZETA_STRIP_BOUND
+        assert _error(zeta_derivative(s), mpmath.zeta(s, 1, 1)) < ZETA_STRIP_BOUND
 
 
 @settings(oracle, max_examples=25)
@@ -273,6 +294,7 @@ REFLECTED_TABLE = [
      complex(-60519.50001187419301428758, 0.0)),
 ]
 REFLECTED_BOUND = 1e-13
+BERNOULLI_BOUND = 1e-13
 
 
 @pytest.mark.parametrize("q, index, s, value, derivative", REFLECTED_TABLE,
@@ -298,6 +320,18 @@ def test_L_at_negative_integers_against_exact_bernoulli_numbers(q):
                     continue
                 value = -q ** (n - 1) * mpmath.fsum(v * b for v, b in zip(values, bern[n])) / n
                 assert _error(got, value) < REFLECTED_BOUND, (chi.index, n)
+
+
+@pytest.mark.parametrize("q", [64, 81, 128])
+def test_generalized_bernoulli_against_mpmath(q):
+    # B_{n,chi} = q^{n-1} sum_a chi(a) B_n(a/q) for n = 1..6 and every chi
+    with mpmath.workdps(40):
+        bern = {n: [mpmath.bernpoly(n, mpmath.mpf(a) / q) for a in range(q)] for n in range(1, 7)}
+        for chi in enumerate_characters(q):
+            values = _mp_values(chi)
+            for n in range(1, 7):
+                value = q ** (n - 1) * mpmath.fsum(v * b for v, b in zip(values, bern[n]))
+                assert _error(generalized_bernoulli(n, chi), value) < BERNOULLI_BOUND, (chi.index, n)
 
 
 def test_oracle_characters_and_its_functional_equation_branch():
