@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ConvergenceError, InvalidModulus, term_cap
+from .errors import InvalidModulus, within_budget
 
 __all__ = [
     "Character",
@@ -263,8 +263,7 @@ def enumerate_characters(q: int) -> list[Character]:
     """All phi(q) characters mod q in deterministic order, principal first."""
     if q < 1:
         raise InvalidModulus(f"modulus must be a positive integer, got {q}")
-    if q > term_cap():  # each character's value table has q entries
-        raise ConvergenceError(f"modulus {q} is over the term budget of {term_cap()}")
+    within_budget(q, f"the value table mod {q}")
     return list(_characters(q))
 
 

@@ -5,6 +5,9 @@ CLI) can distinguish usage/hypothesis problems from genuine bugs.
 
 An environment variable TBL_MAX_TERMS caps the term budget of every
 series operation and Euler-Maclaurin head; term_cap() is its one reader.
+within_budget() is the one check of a sum's length against it, made
+before the sum allocates; only the sums that clip their length to the cap
+(the Bessel and Voronoi kernel series) read term_cap() themselves.
 """
 
 import os
@@ -66,3 +69,12 @@ def term_cap() -> int:
     if cap < 1:
         raise DomainError(f"TBL_MAX_TERMS must be a positive integer, got {text!r}")
     return cap
+
+
+def within_budget(count: float, what: str) -> int:
+    """The length count of the sum what as an int, for the caller to allocate;
+    past term_cap(), inf and NaN included, ConvergenceError instead."""
+    cap = term_cap()
+    if not count <= cap:
+        raise ConvergenceError(f"{what} needs {count:.3g} terms, over the term budget of {cap}")
+    return int(count)

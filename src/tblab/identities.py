@@ -37,8 +37,8 @@ import numpy as np
 
 from .arith import BAR_TWISTED, TWISTED, TWO_CHAR, DivisorSumSpec, coefficient_array
 from .characters import Character, enumerate_characters, gauss_sum
-from .errors import (ConvergenceError, DomainError, ExcludedParameter, HypothesisError,
-                     TblabError, term_cap)
+from .errors import (DomainError, ExcludedParameter, HypothesisError, TblabError,
+                     term_cap, within_budget)
 from .series import (
     _refuse_integer,
     adaptive_integral,
@@ -333,18 +333,10 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     lam = 4.0 * PI * math.sqrt(x)
     root = 45.0 / lam
     # root * root is inf where root ** 2 raises OverflowError (x < ~1e-305)
-    _within_budget(max(64.0, root * root + 8), "the e^{-4 pi sqrt(n x)} sum")
-    n_max = max(64, int(root ** 2) + 8)
+    n_max = within_budget(max(64.0, root * root + 8), "the e^{-4 pi sqrt(n x)} sum")
     coef = coefficient_array(spec, n_max)[1:]
     ns = np.arange(1, n_max + 1, dtype=float)
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
-
-
-def _within_budget(count: float, what: str) -> None:
-    """Refuse, before allocating, a sum of more terms than term_cap()."""
-    cap = term_cap()
-    if count > cap:
-        raise ConvergenceError(f"{what} needs {count:.3g} terms, over the term budget of {cap}")
 
 
 def _with_trivial(twist: str, chi: Character, q: int) -> dict:
@@ -618,9 +610,9 @@ def _cohen_half(tol, twist, chi, q, x, **_):
 def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
                  over_j: bool) -> tuple[complex, int]:
     lo, hi = math.floor(alpha) + 1, math.ceil(beta)
-    _within_budget(hi - 1, "the finite sum over j < beta")
+    count = within_budget(max(hi - 1, 0), "the finite sum over j < beta")
     js = np.arange(lo, hi, dtype=float)
-    weights = coefficient_array(spec, max(hi - 1, 0))[lo:]
+    weights = coefficient_array(spec, count)[lo:]
     if over_j:
         weights = weights / js
     return complex(np.sum(weights * f(js))), len(js)

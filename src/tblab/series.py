@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +51,7 @@ from .errors import (
     ExcludedParameter,
     QuadratureError,
     term_cap,
+    within_budget,
 )
 
 __all__ = [
@@ -75,7 +77,8 @@ class SeriesResult:
 
 
 def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
-    """Bound on sum_{n>N} of the term bound, by integral comparison.
+    """The logarithm of a bound on sum_{n>N} of the term bound, by integral
+    comparison, or inf while the term bound has not begun to decay.
 
     The term bound n^{w+1+nu/2} K_nu(lam sqrt(n)) takes |f(n)| <= d(n) n^w
     <= n^{w+1}, and K_nu(y) <= 2 sqrt(pi/(2y)) exp(-y + nu^2/(2y)) from
@@ -83,20 +86,16 @@ def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
     <= e^{nu t}.  It is A e^{nu^2/(2 lam sqrt(t))} t^g e^{-lam sqrt(t)} with
     g = w + 3/4 + nu/2; past its peak the sum is dominated by
     2 A E int_{sqrt N}^inf u^{2g+1} e^{-lam u} du, and the remaining
-    incomplete-gamma integral by its leading term over a geometric factor.
+    incomplete-gamma integral by its leading term over a geometric factor,
+    all in logarithms, so that no power of sqrt N leaves the double range.
     """
     g = w + 0.75 + 0.5 * nu
     z = lam * math.sqrt(N)
     m = 2.0 * g + 1.0
     if z <= m + 1.0:
         return math.inf  # not yet past the decay regime
-    A = 2.0 * math.sqrt(0.5 * math.pi / lam)
-    try:
-        E = math.exp(nu * nu / (2.0 * z))
-        integral = (math.sqrt(N) ** m * math.exp(-z) / lam) / (1.0 - m / z)
-    except OverflowError:
-        return math.inf  # past the double range: treated as not yet decaying
-    return 2.0 * A * E * integral
+    return (math.log(4.0 * math.sqrt(0.5 * math.pi / lam)) + nu * nu / (2.0 * z)
+            + 0.5 * m * math.log(N) - z - math.log(lam) - math.log1p(-m / z))
 
 
 def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
@@ -107,7 +106,8 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     bound is below tol, or the term budget if that comes first.  Raises
     ConvergenceError if the bound at N is above max(tol, rel_tol * |sum|),
     which can only happen at the budget, and before any term is summed
-    when the term bound has not begun to decay by the budget.
+    when the term bound has not begun to decay by the budget; DomainError,
+    also before, when f_z(n) n^{nu/2} may leave the double range by N.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -119,14 +119,17 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
 
     # initial truncation estimate by doubling against the tail bound
     n_est = 256
-    while _bessel_tail_bound(n_est, w, nu, lam) > tol and n_est < cap:
+    while _bessel_tail_bound(n_est, w, nu, lam) > math.log(tol) and n_est < cap:
         n_est *= 2
-    if n_est >= cap and math.isinf(_bessel_tail_bound(cap, w, nu, lam)):
-        # the term bound has not begun to decay by the cap: fail before
-        # building any coefficient
+    n1 = min(n_est, cap)
+    log_tail = _bessel_tail_bound(n1, w, nu, lam)
+    if math.isinf(log_tail):  # only at the cap: fail before building any coefficient
         raise ConvergenceError(
             f"bessel_series: terms not yet decaying after the {cap}-term budget")
-    n1 = min(n_est, cap)
+    log_peak = (w + 1.0 + 0.5 * nu) * math.log(n1)  # of n^{w+1+nu/2} >= |f_z(n) n^{nu/2}|
+    if log_peak > math.log(sys.float_info.max):
+        raise DomainError(f"bessel_series: terms up to n = {n1} may reach "
+                          f"e^{log_peak:.4g}, outside the double range")
     cs = coefficient_array(spec, n1)[1:]
     ns = np.arange(1, n1 + 1, dtype=float)
     acc = 0j
@@ -135,11 +138,10 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
         kv = np.zeros_like(ns)
         kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
         acc += np.sum(cs * ns ** (0.5 * nu) * kv)
-    tail = _bessel_tail_bound(n1, w, nu, lam)
-    if tail <= max(tol, rel_tol * abs(acc)):
-        return SeriesResult(acc, n1, tail)
-    raise ConvergenceError(
-        f"bessel_series: tail bound {tail:.2e} above tolerance after {n1} terms")
+    if log_tail <= math.log(max(tol, rel_tol * abs(acc))):
+        return SeriesResult(acc, n1, math.exp(log_tail))
+    raise ConvergenceError(f"bessel_series: tail bound 10^{log_tail / math.log(10):.1f} "
+                           f"above tolerance after {n1} terms")
 
 
 # -- closed-form Dirichlet tails ----------------------------------------
@@ -150,61 +152,51 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
 _TAIL_RESOLUTION = 1e-15
 
 
-class _TailContinuation:
-    """The Dirichlet tail sum_{n>D} f(n) n^{-s}, which is F(s) - head, and
-    with log, sum_{n>D} f(n) ln(n) n^{-s} = -F'(s) - head."""
-
-    def __init__(self, spec: DivisorSumSpec, head: int):
-        self.spec = spec
-        self.D = head
-        self.coef = coefficient_array(spec, head)[1:]
-        self.ns = np.arange(1, head + 1, dtype=float)
-        self.logcoef = self.coef * np.log(self.ns)
-        self.w = spec.weight_real_max
-
-    def value(self, s: float, log: bool) -> complex:
-        head = complex(np.sum((self.logcoef if log else self.coef) * self.ns ** (-s)))
-        return (-closed_form_F_prime(self.spec, s) if log
-                else closed_form_F(self.spec, s)) - head
-
-    def bound(self, s: float, log: bool) -> float:
-        """Rigorous bound on the tail, from |f(n)| <= d(n) n^w and, with
-        log, ln n <= 4 n^{1/4}."""
-        if log:
-            return 4.0 * self.bound(s - 0.25, False)
-        sigma = s - self.w
-        if sigma <= 1.0:
-            return math.inf
-        g = sigma / (sigma - 1.0)
-        return g * self.D ** (1.0 - sigma) * (1.0 + math.log(self.D) + g)
-
-
 def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
                  orders) -> SeriesResult:
     """sum_n f(n) kernel(n): n <= D directly, n > D by the kernel's
     expansion in 1/n, which orders(shift / D) yields order by order as
     (scale, parts, ratio).  An order is scale * sum c * value(s, log) over
-    its parts (c, s, log), and ratio bounds how fast the orders after it
-    shrink.  Stops at the first order whose bound is below tol / 10 or
-    whose tails are below _TAIL_RESOLUTION; its bound, summed
-    geometrically, bounds the rest."""
-    D = max(DEFAULT_HEAD, int(math.ceil(2.5 * shift)) + 8)
-    if shift > 1.0:
-        # the expansion's coefficients grow like shift^m: a longer head
-        # reaches the unresolvable-tail floor at a small m, which bounds
-        # the noise they amplify
-        D = max(D, int(math.ceil(2500.0 * shift)))
-    if D > term_cap():
-        raise ConvergenceError("head length exceeds the term budget")
-    tc = _TailContinuation(spec, D)
-    head_val = complex(np.sum(tc.coef * kernel(tc.ns)))
+    its parts (c, s, log), where value is the Dirichlet tail
+    sum_{n>D} f(n) n^{-s} = F(s) - head or, with log,
+    sum_{n>D} f(n) ln(n) n^{-s} = -F'(s) - head; ratio bounds how fast
+    the orders after it shrink.  Stops at the first order whose bound is
+    below tol / 10 or whose tails are below _TAIL_RESOLUTION; its bound,
+    summed geometrically, bounds the rest."""
+    # past shift 1 the expansion's coefficients grow like shift^m: a longer
+    # head reaches the unresolvable-tail floor at a small m, which bounds
+    # the noise they amplify
+    length = DEFAULT_HEAD if shift <= 1.0 else max(DEFAULT_HEAD, 2500.0 * shift)
+    within_budget(length, "the head of a closed-form tail")  # before ceil, which inf breaks
+    D = math.ceil(length)
+    coef = coefficient_array(spec, D)[1:]
+    ns = np.arange(1, D + 1, dtype=float)
+    logcoef = coef * np.log(ns)
+    w = spec.weight_real_max
+
+    def value(s: float, log: bool) -> complex:
+        head = complex(np.sum((logcoef if log else coef) * ns ** (-s)))
+        return (-closed_form_F_prime(spec, s) if log else closed_form_F(spec, s)) - head
+
+    def bound(s: float, log: bool) -> float:
+        """Rigorous bound on the tail, from |f(n)| <= d(n) n^w and, with
+        log, ln n <= 4 n^{1/4}."""
+        if log:
+            return 4.0 * bound(s - 0.25, False)
+        sigma = s - w
+        if sigma <= 1.0:
+            return math.inf
+        g = sigma / (sigma - 1.0)
+        return g * D ** (1.0 - sigma) * (1.0 + math.log(D) + g)
+
+    head_val = complex(np.sum(coef * kernel(ns)))
     tail_val = 0j
     for scale, parts, ratio in itertools.islice(orders(shift / D), 200):
-        bound = abs(scale) * sum(abs(c) * tc.bound(s, log) for c, s, log in parts)
-        if (bound < 0.1 * tol
-                or tc.bound(min(s for _, s, _ in parts), False) < _TAIL_RESOLUTION):
-            return SeriesResult(head_val + tail_val, D, bound / max(1.0 - ratio, 0.5))
-        tail_val += scale * sum(c * tc.value(s, log) for c, s, log in parts)
+        tail_bound = abs(scale) * sum(abs(c) * bound(s, log) for c, s, log in parts)
+        if (tail_bound < 0.1 * tol
+                or bound(min(s for _, s, _ in parts), False) < _TAIL_RESOLUTION):
+            return SeriesResult(head_val + tail_val, D, tail_bound / max(1.0 - ratio, 0.5))
+        tail_val += scale * sum(c * value(s, log) for c, s, log in parts)
     raise ConvergenceError("tail expansion did not settle")
 
 

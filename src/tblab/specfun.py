@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .characters import (Character, _exponent_table, _factorize, _primitive,
                          _root_of_unity, _value_table, enumerate_characters, gauss_sum)
-from .errors import DomainError, PoleError, term_cap
+from .errors import DomainError, PoleError, within_budget
 
 __all__ = [
     "EULER_GAMMA",
@@ -79,7 +79,7 @@ def _is_nonpositive_integer(s: complex) -> bool:
 
 
 def gamma(s: complex | float) -> complex:
-    """Gamma(s) for complex s, poles excluded."""
+    """Gamma(s) for complex s, poles excluded; DomainError past the double range."""
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"gamma pole at s={s}")
@@ -91,7 +91,16 @@ def gamma(s: complex | float) -> complex:
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
-    out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    try:
+        out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:  # t^{z+1/2} overflows from Re s ~ 143, Gamma at 171.6
+        try:
+            p = t ** (0.5 * (z + 0.5))
+            out = math.sqrt(2.0 * math.pi) * p * (p * cmath.exp(-t)) * acc
+        except OverflowError:
+            out = cmath.inf
+    if not cmath.isfinite(out):
+        raise DomainError(f"gamma({s:g}) lies outside the double range")
     if abs(s.imag) == 0.0:
         return complex(out.real, 0.0)
     return out
@@ -150,14 +159,10 @@ def _em_head_length(s: complex) -> int:
 
 
 def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
-    """The head length M of an Euler-Maclaurin batch at s, refused past
-    term_cap() before any term is summed, and the correction coefficients
+    """The head length M of an Euler-Maclaurin batch at s, refused by
+    within_budget before any term is summed, and the correction coefficients
     B_{2j}/(2j)! (s)_{2j-1} of X^{-s-2j+1} with their s-derivatives."""
-    M = _em_head_length(s)
-    cap = term_cap()
-    if M > cap:
-        raise DomainError(f"zeta({s:g}, a) needs an Euler-Maclaurin head of {M:.3g} "
-                          f"terms, over the term budget of {cap}")
+    M = within_budget(_em_head_length(s), f"the Euler-Maclaurin head of zeta({s:g}, a)")
     coefs, dcoefs = [], []
     poch, dpoch = s, 1.0  # (s)_1 and its derivative
     for j in range(1, _EM_TERMS + 1):
@@ -276,15 +281,14 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> 
         raise DomainError(f"hurwitz_zeta needs a > 0, got {a}")
     if not regularized and abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_zeta pole at s=1")
-    if s.real < _REFLECT_RE and a <= 1.0:
-        rq = _rationalize(a)
-        if rq is not None:
-            val = _hurwitz_reflected(s, rq[0], rq[1])
-            return val - 1.0 / (s - 1.0) if regularized else val
+    rq = _rationalize(a) if s.real < _REFLECT_RE and a <= 1.0 else None
     try:
-        return _hurwitz_em(s, [a], regularized)[0]
+        if rq is None:
+            return _hurwitz_em(s, [a], regularized)[0]
+        val = _hurwitz_reflected(s, rq[0], rq[1])
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"zeta({s:g}, {a:g}) lies outside the double range") from None
+    return val - 1.0 / (s - 1.0) if regularized else val
 
 
 _EM_COEF = {j: float(bernoulli_number(2 * j) / math.factorial(2 * j))

@@ -1,6 +1,7 @@
 """Each input check of the library raises the TblabError subclass it names."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from tblab.arith import TWISTED, UNIT, DivisorSumSpec, divisors
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
-from tblab.errors import DivergenceError, DomainError
+from tblab.errors import ConvergenceError, DivergenceError, DomainError
 from tblab.identities import IdentityCase, verify
 from tblab.series import (
     adaptive_integral,
@@ -58,11 +59,49 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: bessel_I(0.5, math.nan), DomainError, "x >= 0"),
     (lambda: k_values(0.25, np.array([1.0, math.nan])), DomainError, "x > 0"),
     (lambda: jy_values(0.25, np.array([math.nan])), DomainError, "x > 0"),
-    (lambda: dirichlet_L(complex(1e308, 1e308), CHI5), DomainError,
-     "head of 1e\\+308 terms, over"),
+    (lambda: dirichlet_L(complex(1e308, 1e308), CHI5), ConvergenceError,
+     "head of .* 1e\\+308 terms, over the term budget of 1000000"),
     (lambda: shifted_power_series(UNIT_SPEC, 2.5, math.inf), DomainError, "finite, got inf"),
     (lambda: cohen_tail_series(UNIT_SPEC, -1.7, math.nan), DomainError, "Q = nan must be finite"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
+        call()
+
+
+
+def _refuse(*args):
+    raise AssertionError("allocated past the term budget")
+
+
+class _RefusingTable(dict):
+    def __getitem__(self, key):
+        _refuse()
+
+
+@pytest.mark.parametrize("call, cap, count, allocator, stand_in", [
+    # the e^{-4 pi sqrt(n x)} sum of C3_1, (45 / 4 pi sqrt x)^2 + 8 terms
+    (lambda: verify(IdentityCase("C3_1", q=5, char_index=2, x=0.001)), 1000, "1.28e+04",
+     "tblab.identities.coefficient_array", _refuse),
+    # the finite sum of T4_1, the 3,000 coefficients below beta
+    (lambda: verify(IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.5,
+                                 beta=3000.5, f="exp")), 1000, "3e+03",
+     "tblab.identities.coefficient_array", _refuse),
+    # a closed-form tail's head of 2,500 c terms for a shift c > 1
+    (lambda: shifted_power_series(UNIT_SPEC, 2.5, 1.5), 1000, "3.75e+03",
+     "tblab.series.coefficient_array", _refuse),
+    # an Euler-Maclaurin head of |Im s| + 10 terms, before its corrections
+    (lambda: dirichlet_L(complex(0.0, 1e9), CHI5), 1000, "1e+09",
+     "tblab.specfun._EM_COEF", _RefusingTable()),
+    # the q-entry value table of each character mod q, before the unit group
+    (lambda: enumerate_characters(101), 100, "101", "tblab.characters._unit_group", _refuse),
+], ids=["exp-half-sum", "finite-side", "closed-tail", "euler-maclaurin-head", "characters"])
+def test_sum_past_the_term_budget_is_refused_before_it_allocates(
+        monkeypatch, call, cap, count, allocator, stand_in):
+    # each sum is sized first and refused by errors.within_budget, which
+    # names its length and the budget
+    monkeypatch.setenv("TBL_MAX_TERMS", str(cap))
+    monkeypatch.setattr(allocator, stand_in)
+    with pytest.raises(ConvergenceError,
+                       match=f" needs {re.escape(count)} terms, over the term budget of {cap}$"):
         call()

@@ -20,7 +20,7 @@ from tblab.errors import (
     ExcludedParameter,
     QuadratureError,
 )
-from tblab.identities import TEST_FUNCTIONS
+from tblab.identities import TEST_FUNCTIONS, IdentityCase, verify
 from tblab.series import (
     HANKEL_CUT,
     VORONOI_VARIANTS,
@@ -31,6 +31,7 @@ from tblab.series import (
     oscillatory_kernel_integrals,
     shifted_power_series,
     voronoi_kernel_values,
+    _bessel_tail_bound,
     _EndpointExpansion,
     _panel_integrals,
 )
@@ -93,6 +94,28 @@ class TestBesselSeries:
         monkeypatch.setattr("tblab.series.coefficient_array", refuse)
         with pytest.raises(ConvergenceError):
             bessel_series(unit, 1.0, 1e-7)
+
+    @pytest.mark.parametrize("k", [101, 171])
+    def test_terms_past_the_double_range_fail_fast(self, k, monkeypatch):
+        # T2_5's coefficients grow like n^k and leave the double range long
+        # before the 10^6 terms its tail bound asks for, a bound that is
+        # finite (about 1e240 at k = 101) once taken in logarithms
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients built for terms outside the double range")
+
+        monkeypatch.setattr("tblab.series.coefficient_array", refuse)
+        with pytest.raises(DomainError, match="outside the double range"):
+            verify(IdentityCase("T2_5", q=5, char_index=2, k=k, nu=0.6, a=1.0, x=0.75))
+
+    def test_tail_bound_in_logarithms(self, unit):
+        # sqrt(256)^801 leaves the double range, the bound's logarithm does
+        # not; inf means only that the term bound is not yet decaying
+        assert _bessel_tail_bound(256, 0.0, 400.0, 500.0) == pytest.approx(-6881.69, abs=0.01)
+        assert math.isinf(_bessel_tail_bound(256, 0.0, 400.0, 1.0))
+        assert math.exp(_bessel_tail_bound(1024, 0.0, 0.0, 1.0)) == pytest.approx(
+            3.989324986038387e-10, rel=1e-14)
+        with pytest.raises(DomainError, match="outside the double range"):
+            bessel_series(unit, 500.0, 1.0, 400.0)  # no longer "not yet decaying"
 
     def test_honest_certificate(self, chi5e):
         spec = DivisorSumSpec(TWISTED, -0.25, chi5e)

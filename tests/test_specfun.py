@@ -5,7 +5,7 @@ import pytest
 
 from tblab import specfun
 from tblab.characters import enumerate_characters, euler_phi, gauss_sum
-from tblab.errors import DomainError, PoleError
+from tblab.errors import ConvergenceError, DomainError, PoleError
 from tblab.specfun import (
     L_derivative,
     bernoulli_number,
@@ -39,6 +39,14 @@ class TestGamma:
         for s in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma(s)
+
+    def test_finite_up_to_its_overflow(self):
+        # t^{s-1/2} alone leaves the double range from s ~ 143 on, Gamma
+        # itself only past 171.6
+        for s in [143.0 + 0.143 * i for i in range(201)]:
+            assert abs(gamma(s).real / math.gamma(s) - 1.0) < 1e-14, s
+        with pytest.raises(DomainError, match="outside the double range"):
+            gamma(172.0)
 
 
 class TestHurwitzZeta:
@@ -74,8 +82,24 @@ class TestHurwitzZeta:
         with pytest.raises(PoleError):
             hurwitz_zeta(1.0, 0.5)
 
+    def test_large_negative_s_on_the_reflected_route(self):
+        # Gamma(1 - s) of the reflected route is finite up to 1 - s = 171.6
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(-150, 0.3))
+        assert abs(hurwitz_zeta(-150.0, 0.3) / ref - 1.0) < 1e-13
+        with pytest.raises(DomainError, match="outside the double range"):
+            hurwitz_zeta(-200.0, 0.5)
+
 
 class TestRiemannZeta:
+    def test_large_negative_s(self):
+        mpmath = pytest.importorskip("mpmath")
+        assert riemann_zeta(-150.0) == 0  # a trivial zero
+        with mpmath.workdps(30):
+            ref = float(mpmath.zeta(-169))
+        assert abs(riemann_zeta(-169.0) / ref - 1.0) < 1e-13
+
     def test_known_values(self):
         assert abs(riemann_zeta(2.0) - PI * PI / 6) < 1e-13
         assert abs(riemann_zeta(0.0) + 0.5) < 1e-13
@@ -226,10 +250,12 @@ class TestDerivatives:
 
     def test_derivative_refuses_what_L_refuses_and_the_pole(self):
         chi = enumerate_characters(5)[1]
-        for s in (complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf, -400.0,
-                  complex(0.0, 1e9)):
+        for s in (complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf, -400.0):
             with pytest.raises(DomainError):
                 L_derivative(s, chi)
+        with pytest.raises(ConvergenceError, match="head of .* 1e\\+09 terms, over the term "
+                                                   "budget of 1000000"):
+            L_derivative(complex(0.0, 1e9), chi)
         for q in (1, 6):
             for s in (1.0, 1 + 5e-10, complex(1.0, -9e-10)):
                 with pytest.raises(PoleError):
