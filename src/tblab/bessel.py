@@ -22,7 +22,8 @@ nu and x (see _limits), so no order, integer or not, takes a path of its
 own.  An asymptotic expansion whose smallest term is still above 1e-12
 of its leading one (a large order just past its cut) raises DomainError
 instead of returning the truncated sum, as does a value outside the
-double range.  K is even in nu, so only |nu| is ever evaluated.
+double range.  K and Y refuse x below 1e-20, where their integrals lose
+accuracy.  K is even in nu, so only |nu| is ever evaluated.
 """
 
 from __future__ import annotations
@@ -55,11 +56,27 @@ JY_CUT = 14.0
 # An asymptotic sum whose smallest term is above this share of its leading
 # term is refused.
 _ASYM_REL = 1e-12
+# K and Y refuse arguments below this: their quadratures hold 5e-14 down
+# to about 1e-24 for orders up to 20, but K_0(1e-300) errs by 1.1e-7.
+_X_MIN = 1e-20
 
 
 def _refuse_order(nu: float) -> None:
     if not math.isfinite(nu):
         raise DomainError(f"the Bessel order must be finite, got {nu}")
+
+
+def _arguments(name: str, nu: float, xs) -> np.ndarray:
+    """xs as a float array; DomainError for a non-finite order or any x
+    below _X_MIN."""
+    _refuse_order(nu)
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(xs > 0):
+        raise DomainError(f"{name} needs x > 0, got {xs[~(xs > 0)][0]:g}")
+    if not np.all(xs >= _X_MIN):
+        raise DomainError(f"{name} needs x >= {_X_MIN:g}, where its quadrature holds; "
+                          f"got {xs.min():g}")
+    return xs
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -271,19 +288,14 @@ def bessel_I(nu: float, x: float) -> float:
 
 
 def bessel_K(nu: float, x: float) -> float:
-    """Modified Bessel function K_nu(x), x > 0; even in nu."""
-    if not x > 0:
-        raise DomainError(f"bessel_K needs x > 0, got {x}")
+    """Modified Bessel function K_nu(x), x >= 1e-20; even in nu."""
     return float(k_values(nu, np.array([x]))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized K_nu over an array of positive arguments."""
-    _refuse_order(nu)
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(xs > 0):
-        raise DomainError("k_values needs x > 0")
+    """Vectorized K_nu over an array of arguments x >= 1e-20."""
+    xs = _arguments("K", nu, xs)
     nu = abs(nu)
     out = np.empty_like(xs)
     big = xs >= K_ASYM_CUT
@@ -306,19 +318,14 @@ def bessel_J(nu: float, x: float) -> float:
 
 
 def bessel_Y(nu: float, x: float) -> float:
-    """Weber/Neumann Bessel function of the second kind, nu >= 0, x > 0."""
-    if not x > 0:
-        raise DomainError(f"bessel_Y needs x > 0, got {x}")
+    """Weber/Neumann Bessel function of the second kind, nu >= 0, x >= 1e-20."""
     return float(jy_values(nu, np.array([x]))[1][0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (J_nu, Y_nu) over an array of positive arguments."""
-    _refuse_order(nu)
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(xs > 0):
-        raise DomainError("jy_values needs x > 0")
+    """Vectorized (J_nu, Y_nu) over an array of arguments x >= 1e-20."""
+    xs = _arguments("J/Y", nu, xs)
     j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT
     if small.any():

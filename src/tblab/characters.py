@@ -13,7 +13,8 @@ a primitive root generates each odd prime-power factor, and the pair
 
 Characters are enumerated deterministically: index 0 is always the
 principal character, and the ordering follows the mixed-radix counting of
-generator-exponent tuples, so (q, index) is a stable address.
+generator-exponent tuples, so (q, index) is a stable address.  TRIVIAL,
+the character mod 1 (L = zeta), equals enumerate_characters(1)[0].
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import NamedTuple
 from .errors import InvalidModulus, within_budget
 
 __all__ = [
+    "TRIVIAL",
     "Character",
     "GaussSumValue",
     "enumerate_characters",
@@ -188,6 +190,9 @@ class Character:
         grp = _unit_group(self.modulus)
         exps = tuple((-c) % m for c, m in zip(self.exponents, grp.orders))
         return Character(self.modulus, _index_of(grp, exps), exps)
+
+
+TRIVIAL = Character(1, 0, ())
 
 
 @lru_cache(maxsize=4096)

@@ -9,14 +9,13 @@ the violated clause).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import typing
 
 from .bessel import bessel_I, bessel_J, bessel_K, bessel_Y
 from .characters import enumerate_characters
 from .errors import TblabError
 from .identities import (
+    _PARAM_TYPES,
     IdentityCase,
     _get_char,
     positivity_scan,
@@ -27,10 +26,8 @@ from .identities import (
 from .specfun import dirichlet_L
 
 
-# verify's flags are IdentityCase's parameter fields, each typed by its
-# annotation (T | None) and named --<field> but for these two
-_CASE_FIELDS = dataclasses.fields(IdentityCase)[1:]  # theorem, the required one, is first
-_CASE_TYPES = typing.get_type_hints(IdentityCase)
+# verify's flags are IdentityCase's parameter fields, each typed by the T
+# of its annotation T | None and named --<field> but for these two
 _FLAG_NAMES = {"char_index": "--char", "char2_index": "--char2"}
 
 
@@ -56,9 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one identity instance")
     p.add_argument("--theorem", required=True, metavar="ID")
-    for field in _CASE_FIELDS:
-        p.add_argument(_FLAG_NAMES.get(field.name, "--" + field.name), dest=field.name,
-                       type=typing.get_args(_CASE_TYPES[field.name])[0])
+    for name, kind in _PARAM_TYPES.items():
+        p.add_argument(_FLAG_NAMES.get(name, "--" + name), dest=name, type=kind)
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--out", type=str)
@@ -88,8 +84,7 @@ def _parse_s(text: str) -> complex:
 
 
 def _case_from_args(args) -> IdentityCase:
-    return IdentityCase(args.theorem, **{field.name: getattr(args, field.name)
-                                         for field in _CASE_FIELDS})
+    return IdentityCase(args.theorem, **{name: getattr(args, name) for name in _PARAM_TYPES})
 
 
 def _print_report(report) -> None:

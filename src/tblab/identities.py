@@ -28,15 +28,18 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import reprlib
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, TextIO
+from typing import Callable, TextIO, get_args, get_type_hints
 
 import numpy as np
 
-from .arith import BAR_TWISTED, TWISTED, TWO_CHAR, DivisorSumSpec, coefficient_array
-from .characters import Character, enumerate_characters, gauss_sum
+from .arith import DivisorSumSpec, coefficient_array
+from .characters import TRIVIAL, Character, enumerate_characters, gauss_sum
 from .errors import (DomainError, ExcludedParameter, HypothesisError, TblabError,
                      term_cap, within_budget)
 from .series import (
@@ -218,6 +221,13 @@ _EXCLUDED: dict[str, Callable[[dict], float]] = {
 }
 
 
+# T of each parameter field's annotation T | None, in field order (the
+# CLI's verify flags), and the values each T admits
+_PARAM_TYPES = {name: get_args(hint)[0]
+               for name, hint in get_type_hints(IdentityCase).items() if name != "theorem"}
+_ADMITS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
 class _Reads:
     """A case's fields, with a record of those that were read."""
 
@@ -234,11 +244,14 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     TheoremEntry list them, and return the resolved parameters by name;
     an evaluator takes those it uses and ignores the rest.  One character
     gives chi = chi1 = chi2 and p = q, so an equal-character corollary
-    reads as its two-character theorem.  A field the entry never reads
-    is refused."""
+    reads as its two-character theorem.  A field of the wrong type, and
+    one the entry never reads, is refused."""
     for name, val in given.params().items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise DomainError(f"{name} must be a finite number, got {val}")
+        want = _PARAM_TYPES[name]
+        if not isinstance(val, _ADMITS[want]):
+            raise DomainError(f"{name} must be of type {want.__name__}, got {reprlib.repr(val)}")
+        if want is not str and not abs(val) <= sys.float_info.max:  # exact for any int
+            raise DomainError(f"{name} must be a finite number, got {reprlib.repr(val)}")
     case = _Reads(given)
     r = {"twist": entry.twist}
     if len(entry.chars) == 1:
@@ -257,8 +270,7 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     if entry.k:
         parity, minimum = entry.k
         k = case.k
-        _req(k is not None and k == int(k) and k >= minimum,
-             f"k must be an integer >= {minimum}")
+        _req(k is not None and k >= minimum, f"k must be an integer >= {minimum}")
         _req(k % 2 == (parity == "odd"), f"k must be an {parity} integer")
         r["k"] = int(k)
     nu = case.nu if entry.nu in ("positive", "cohen", "voronoi") else None
@@ -302,9 +314,6 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
 # -- common building blocks ------------------------------------------------
 
 
-_OTHER_TWIST = {TWISTED: BAR_TWISTED, BAR_TWISTED: TWISTED}
-
-
 def _tau(chi: Character) -> complex:
     return gauss_sum(chi).value
 
@@ -339,14 +348,18 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
 
 
-def _with_trivial(twist: str, chi: Character, q: int) -> dict:
-    """The two-character slots of a one-character series side: chi as
-    chi1 (on d) under the plain twist, as chi2 (on n/d) under the bar
-    twist, and the trivial character mod 1 (L = zeta) in the other."""
-    one = enumerate_characters(1)[0]
-    if twist == TWISTED:
-        return dict(chi1=chi, chi2=one, p=q, q=1)
-    return dict(chi1=one, chi2=chi, p=1, q=q)
+# the twist of a one-character series side, which names its theorem
+_TWISTED, _BAR_TWISTED = "twisted", "bar-twisted"
+
+
+def _with_trivial(twist: str, chi: Character, q: int) -> tuple:
+    """(chi1, chi2, p, q) of a one-character series side, in the order the
+    pair evaluators take them: chi on d (chi1) under the plain twist, on
+    n/d (chi2) under the bar twist, and TRIVIAL, the character mod 1
+    (L = zeta), in the other slot."""
+    if twist == _TWISTED:
+        return chi, TRIVIAL, q, 1
+    return TRIVIAL, chi, 1, q
 
 
 # ===================== weight-k identities (nu > 0) ======================
@@ -355,9 +368,9 @@ def _with_trivial(twist: str, chi: Character, q: int) -> dict:
 def _pair_nu(tol, chi1, chi2, p, q, k, nu, a, x, **_):
     """T2_10, T2_14, and C2_1 with chi1 = chi2: weight-k series of two
     characters."""
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, nu, tol)
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, nu, tol)
     tail = shifted_power_series(
-        DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
+        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
         nu + k + 1.0, _c_shift(a, x, p * q))
     rhs = (-_unit(k) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
@@ -368,9 +381,9 @@ def _pair_nu(tol, chi1, chi2, p, q, k, nu, a, x, **_):
 def _single_nu(tol, twist, chi, q, k, nu, a, x, **_):
     """T2_1, T2_3, T2_5, T2_7: T2_10 and T2_14 with the trivial character
     in one slot, plus the terms of its zeta(s)."""
-    lhs, rhs, lterms, rterms = _pair_nu(tol, k=k, nu=nu, a=a, x=x,
-                                        **_with_trivial(twist, chi, q))
-    if twist == TWISTED:
+    lhs, rhs, lterms, rterms = _pair_nu(tol, *_with_trivial(twist, chi, q),
+                                        k=k, nu=nu, a=a, x=x)
+    if twist == _TWISTED:
         zeta_terms = (_unit(k) * q ** k / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
                       * gamma(nu) * _tau(chi) * math.factorial(k)
                       * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0))
@@ -390,17 +403,17 @@ def _single_nu(tol, twist, chi, q, k, nu, a, x, **_):
 def _single_nu0(tol, twist, chi, q, k, a, x, **_):
     """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7,
     whose zeta(s) terms replace the product-rule constant of T2_11."""
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(twist, k, chi), a, x, 0.0, tol)
+    chi1, chi2, p = _with_trivial(twist, chi, q)[:3]
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, 0.0, tol)
     tail = shifted_power_series(
-        DivisorSumSpec(_OTHER_TWIST[twist], k, chi.conjugate()), k + 1.0,
+        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()), k + 1.0,
         _c_shift(a, x, q), difference_form=True)
-    if twist == TWISTED:
+    if twist == _TWISTED:
         # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
         rhs = -0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
                        - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))
         if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
             rhs += 2.0 / (a * a * x) * dirichlet_L(1.0, chi)
-        qk = q ** k
     else:
         rhs = (2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
                * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0))
@@ -409,8 +422,7 @@ def _single_nu0(tol, twist, chi, q, k, a, x, **_):
         # the first does (L(0, chi) = 0)
         rhs += 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
                       + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
-        qk = 1
-    rhs += (_unit(k) * math.factorial(k) * qk
+    rhs += (_unit(k) * math.factorial(k) * p ** k
             / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi) * tail.value)
     return lhs, rhs, lterms, tail.terms
 
@@ -418,9 +430,9 @@ def _single_nu0(tol, twist, chi, q, k, a, x, **_):
 def _pair_nu0(tol, chi1, chi2, p, q, k, a, x, **_):
     """T2_11, T2_15, and C2_2 with chi1 = chi2: the nu = 0 forms of T2_10,
     T2_14 and C2_1."""
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, k, chi1, chi2), a, x, 0.0, tol)
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, 0.0, tol)
     tail = shifted_power_series(
-        DivisorSumSpec(TWO_CHAR, k, chi2.conjugate(), chi1.conjugate()),
+        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
         k + 1.0, _c_shift(a, x, p * q), difference_form=True)
     # of the product-rule constant L'(-k, chi1) L(0, chi2) + L(-k, chi1)
     # L'(0, chi2) one summand vanishes: L(0, chi2) = 0 for an even chi2,
@@ -439,17 +451,17 @@ def _pair_nu0(tol, chi1, chi2, p, q, k, a, x, **_):
 
 
 def _t2_12(tol, chi1, chi2, p, q, a, x, **_):
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, 0, chi1, chi2), a, x, 0.0, tol)
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(0, chi1, chi2), a, x, 0.0, tol)
     c = _c_shift(a, x, p * q)
     kernel = log_kernel_series(
-        DivisorSumSpec(TWO_CHAR, 0, chi1.conjugate(), chi2.conjugate()), c)
+        DivisorSumSpec(0, chi1.conjugate(), chi2.conjugate()), c)
     rhs = _tau(chi1) * _tau(chi2) * c / (2.0 * PI * PI) * kernel.value
     return lhs, rhs, lterms, kernel.terms
 
 
 def _t2_13(tol, chi, q, a, x, **_):
     """T2_12 with chi2 the trivial character, plus the terms of its zeta(s)."""
-    lhs, rhs, lterms, rterms = _t2_12(tol, a=a, x=x, **_with_trivial(TWISTED, chi, q))
+    lhs, rhs, lterms, rterms = _t2_12(tol, *_with_trivial(_TWISTED, chi, q), a=a, x=x)
     zeta_terms = (2.0 / (a * a * x) * dirichlet_L(1.0, chi)
                   - _tau(chi) / 8.0 * dirichlet_L(1.0, chi.conjugate()))
     return lhs, zeta_terms + rhs, lterms, rterms
@@ -457,9 +469,9 @@ def _t2_13(tol, chi, q, a, x, **_):
 
 def _t2_9(tol, chi1, chi2, p, q, a, x, **_):
     c = _c_shift(a, x, p * q)
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(TWO_CHAR, 0, chi1, chi2), a, x, 0.0, tol)
+    lhs, lterms = _lhs_bessel(DivisorSumSpec(0, chi1, chi2), a, x, 0.0, tol)
     kernel = log_kernel_series(
-        DivisorSumSpec(TWO_CHAR, 0, chi1.conjugate(), chi2.conjugate()), c,
+        DivisorSumSpec(0, chi1.conjugate(), chi2.conjugate()), c,
         over_n=True)
     l1, l2 = dirichlet_L(0.0, chi1), dirichlet_L(0.0, chi2)
     d1, d2 = L_derivative(0.0, chi1), L_derivative(0.0, chi2)
@@ -474,7 +486,7 @@ def _t2_9(tol, chi1, chi2, p, q, a, x, **_):
 
 
 def _p1_1(tol, nu, N, x, **_):
-    spec = DivisorSumSpec(TWISTED, -nu, enumerate_characters(1)[0])
+    spec = DivisorSumSpec(-nu)
     lhs, lterms = _cohen_lhs(spec, nu, x, tol)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     tail = cohen_tail_series(spec, nu - 2 * N, x)
@@ -511,17 +523,17 @@ def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
     stated; an odd chi takes cos for sin, a factor i and the odd ladder.
     """
     cb, odd = chi.conjugate(), chi.is_odd
-    if twist == TWISTED:
-        lhs, rhs, lterms, rterms = _cohen_pair(tol, nu=nu, N=N, x=x,
-                                               **_with_trivial(twist, chi, q))
+    if twist == _TWISTED:
+        lhs, rhs, lterms, rterms = _cohen_pair(tol, *_with_trivial(twist, chi, q),
+                                               nu=nu, N=N, x=x)
         pole = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
                 + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
                 / (TWO_PI ** (nu + 1.0) * x))
         return lhs, pole + rhs, lterms, rterms
-    lhs, lterms = _cohen_lhs(DivisorSumSpec(BAR_TWISTED, -nu, cb), nu, x, tol)
+    lhs, lterms = _cohen_lhs(DivisorSumSpec(-nu, TRIVIAL, cb), nu, x, tol)
     qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWISTED, -nu, chi), nu - 2 * N + int(odd), qx)
-    head, qlast = _cohen_head(chi, enumerate_characters(1)[0], nu, qx, N, odd)
+    tail = cohen_tail_series(DivisorSumSpec(-nu, chi), nu - 2 * N + int(odd), qx)
+    head, qlast = _cohen_head(chi, TRIVIAL, nu, qx, N, odd)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     trig, cotrig = (cs, sn) if odd else (sn, cs)
     inner = (dirichlet_L(nu, chi) * qx ** (nu - 1.0) / trig
@@ -547,9 +559,9 @@ def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
     and the 1/n tail.
     """
     lhs, lterms = _cohen_lhs(
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()), nu, x, tol)
+        DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()), nu, x, tol)
     pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1),
+    tail = cohen_tail_series(DivisorSumSpec(-nu, chi2, chi1),
                              nu - 2 * N + (int(chi1.is_odd) + int(chi2.is_odd)), pqx,
                              over_n=chi1.is_odd)
     head, plast = _cohen_head(chi2, chi1, nu, pqx, N, chi2.is_odd)
@@ -578,14 +590,15 @@ def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
 def _cohen_half(tol, twist, chi, q, x, **_):
     """C3_1..C3_4: the elementary nu = 1/2 forms of T3_1..T3_4."""
     cb, odd, tau = chi.conjugate(), chi.is_odd, _tau(chi)
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(twist, -0.5, cb), x)
+    chi1, chi2 = _with_trivial(twist, cb, q)[:2]
+    lhs, lterms = _exp_half_sum(DivisorSumSpec(-0.5, chi1, chi2), x)
     qx = q * x
     # C3_4 is stated with the minimal admissible truncation index; this
     # variant uses the first index for which the rational tail converges
-    tail = cohen_tail_series(DivisorSumSpec(_OTHER_TWIST[twist], -0.5, chi),
-                             0.5 - 2 * int(odd and twist == BAR_TWISTED) + int(odd), qx,
-                             over_n=odd and twist == TWISTED)
-    if twist == TWISTED:
+    tail = cohen_tail_series(DivisorSumSpec(-0.5, chi2.conjugate(), chi1.conjugate()),
+                             0.5 - 2 * int(odd and twist == _BAR_TWISTED) + int(odd), qx,
+                             over_n=odd and twist == _TWISTED)
+    if twist == _TWISTED:
         rhs = -PI * dirichlet_L(0.5, cb) + dirichlet_L(1.5, cb) / (4.0 * PI * x)
         if odd:  # C3_3
             rhs += 2.0j * q / tau * riemann_zeta(1.5) * dirichlet_L(1.0, chi) * math.sqrt(x)
@@ -681,11 +694,11 @@ def _voronoi_pair(tol, chi1, chi2, p, q, nu, alpha, beta, f, **_):
     variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
     pref = p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2))
     fin, n_j = _finite_side(f, alpha, beta,
-                            DivisorSumSpec(TWO_CHAR, -nu, chi2, chi1), over_j)
+                            DivisorSumSpec(-nu, chi2, chi1), over_j)
     lhs = pref * fin
     kern, n_terms = _kernel_expansion(
         f, alpha, beta, nu,
-        DivisorSumSpec(TWO_CHAR, -nu, chi1.conjugate(), chi2.conjugate()),
+        DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()),
         4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if over_j else 0.0), variant)
     rhs = series_pref * kern
     return lhs, rhs, n_j, n_terms
@@ -698,9 +711,9 @@ def _voronoi_single(tol, twist, chi, q, nu, alpha, beta, f, **_):
     twist is that of the kernel series; the finite sum takes the other
     one, and with it the q^{1 -+ nu/2} prefactor and L(1 -+ nu, chi).
     """
-    lhs, rhs, n_j, n_terms = _voronoi_pair(tol, nu=nu, alpha=alpha, beta=beta, f=f,
-                                           **_with_trivial(twist, chi, q))
-    bar_side = twist == TWISTED
+    lhs, rhs, n_j, n_terms = _voronoi_pair(tol, *_with_trivial(twist, chi, q),
+                                           nu=nu, alpha=alpha, beta=beta, f=f)
+    bar_side = twist == _TWISTED
     over_j = bar_side and chi.is_odd
     pref = q ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
     main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
@@ -729,8 +742,9 @@ class TheoremEntry:
       required for "positive" and "zero", x for all but "voronoi".
     excluded: the expression, a key of _EXCLUDED, that must not be a
       positive integer.
-    twist: the twist of a one-character series side, passed to the
-      evaluator with the resolved parameters.
+    twist: the twist of a one-character series side, _TWISTED or
+      _BAR_TWISTED, passed to the evaluator with the resolved parameters;
+      _with_trivial turns it into the side's two character slots.
     """
 
     tid: str
@@ -774,7 +788,7 @@ _register("T2_1", "sec2",
               dict(q=3, char_index=1, k=2, nu=0.25, a=1.0, x=0.3),
               dict(q=5, char_index=1, k=2, nu=1.3, a=2.0, x=1.9),
               dict(q=7, char_index=3, k=4, nu=0.5, a=2.0, x=0.3)),
-          chars=("odd",), k=("even", 0), nu="positive", twist=TWISTED)
+          chars=("odd",), k=("even", 0), nu="positive", twist=_TWISTED)
 _register("T2_2", "sec2",
           "weight-k series, odd chi, even k >= 0, nu = 0: difference tail",
           _single_nu0, (
@@ -782,21 +796,21 @@ _register("T2_2", "sec2",
               dict(q=3, char_index=1, k=2, a=0.5, x=1.9),
               dict(q=7, char_index=3, k=4, a=2.0, x=0.75),
               dict(q=5, char_index=3, k=6, a=2.0, x=1.9)),
-          chars=("odd",), k=("even", 0), twist=TWISTED)
+          chars=("odd",), k=("even", 0), twist=_TWISTED)
 _register("T2_3", "sec2",
           "bar-twist series, odd chi, even k >= 2, nu > 0",
           _single_nu, (
               dict(q=4, char_index=1, k=2, nu=0.25, a=1.0, x=0.75),
               dict(q=3, char_index=1, k=2, nu=0.7, a=0.5, x=1.9),
               dict(q=5, char_index=1, k=4, nu=1.0, a=2.0, x=0.3)),
-          chars=("odd",), k=("even", 2), nu="positive", twist=BAR_TWISTED)
+          chars=("odd",), k=("even", 2), nu="positive", twist=_BAR_TWISTED)
 _register("T2_4", "sec2",
           "bar-twist series, odd chi, even k >= 2, nu = 0",
           _single_nu0, (
               dict(q=4, char_index=1, k=2, a=1.0, x=0.3),
               dict(q=3, char_index=1, k=4, a=1.0, x=0.75),
               dict(q=7, char_index=3, k=6, a=2.0, x=1.9)),
-          chars=("odd",), k=("even", 2), twist=BAR_TWISTED)
+          chars=("odd",), k=("even", 2), twist=_BAR_TWISTED)
 _register("T2_5", "sec2",
           "weight-k series, even chi, odd k >= 1, nu > 0",
           _single_nu, (
@@ -804,28 +818,28 @@ _register("T2_5", "sec2",
               dict(q=8, char_index=1, k=3, nu=0.25, a=1.0, x=0.3),
               dict(q=7, char_index=2, k=5, nu=1.3, a=2.0, x=1.9),
               dict(q=7, char_index=4, k=1, nu=0.5, a=0.5, x=0.75)),
-          chars=("even",), k=("odd", 1), nu="positive", twist=TWISTED)
+          chars=("even",), k=("odd", 1), nu="positive", twist=_TWISTED)
 _register("T2_6", "sec2",
           "weight-k series, even chi, odd k >= 1, nu = 0",
           _single_nu0, (
               dict(q=5, char_index=2, k=1, a=1.0, x=0.3),
               dict(q=8, char_index=1, k=3, a=0.5, x=1.9),
               dict(q=7, char_index=2, k=5, a=2.0, x=0.75)),
-          chars=("even",), k=("odd", 1), twist=TWISTED)
+          chars=("even",), k=("odd", 1), twist=_TWISTED)
 _register("T2_7", "sec2",
           "bar-twist series, even chi, odd k >= 1, nu > 0",
           _single_nu, (
               dict(q=5, char_index=2, k=1, nu=0.25, a=1.0, x=0.75),
               dict(q=8, char_index=1, k=3, nu=0.7, a=2.0, x=0.3),
               dict(q=7, char_index=4, k=5, nu=0.5, a=2.0, x=1.9)),
-          chars=("even",), k=("odd", 1), nu="positive", twist=BAR_TWISTED)
+          chars=("even",), k=("odd", 1), nu="positive", twist=_BAR_TWISTED)
 _register("T2_8", "sec2",
           "bar-twist series, even chi, odd k >= 1, nu = 0",
           _single_nu0, (
               dict(q=5, char_index=2, k=1, a=1.0, x=0.75),
               dict(q=8, char_index=1, k=3, a=0.5, x=1.9),
               dict(q=7, char_index=2, k=5, a=2.0, x=0.3)),
-          chars=("even",), k=("odd", 1), twist=BAR_TWISTED)
+          chars=("even",), k=("odd", 1), twist=_BAR_TWISTED)
 _register("T2_9", "sec2",
           "two odd characters, k = 0, nu = 0: log kernel over n(n^2-c^2)",
           _t2_9, (
@@ -901,19 +915,19 @@ _register("P1_1", "classical",
 _register("T3_1", "cohen",
           "weight -nu series, even chi: zeta * L head and rational tail",
           _cohen_single, _cohen_points(dict(q=5, char_index=2, x=0.21)),
-          chars=("even",), nu="cohen", excluded="q*x", twist=TWISTED)
+          chars=("even",), nu="cohen", excluded="q*x", twist=_TWISTED)
 _register("T3_2", "cohen",
           "bar-twist weight -nu series, even chi",
           _cohen_single, _cohen_points(dict(q=5, char_index=2, x=0.21)),
-          chars=("even",), nu="cohen", excluded="q*x", twist=BAR_TWISTED)
+          chars=("even",), nu="cohen", excluded="q*x", twist=_BAR_TWISTED)
 _register("T3_3", "cohen",
           "weight -nu series, odd chi",
           _cohen_single, _cohen_points(dict(q=5, char_index=1, x=0.21)),
-          chars=("odd",), nu="cohen", excluded="q*x", twist=TWISTED)
+          chars=("odd",), nu="cohen", excluded="q*x", twist=_TWISTED)
 _register("T3_4", "cohen",
           "bar-twist weight -nu series, odd chi",
           _cohen_single, _cohen_points(dict(q=3, char_index=1, x=0.41)),
-          chars=("odd",), nu="cohen", excluded="q*x", twist=BAR_TWISTED)
+          chars=("odd",), nu="cohen", excluded="q*x", twist=_BAR_TWISTED)
 _register("T3_5", "cohen",
           "two even characters, weight -nu",
           _cohen_pair, _cohen_points(dict(p=5, char_index=2, q=7, char2_index=2, x=0.021)),
@@ -936,28 +950,28 @@ _register("C3_1", "cohen-half",
               dict(q=5, char_index=2, x=0.21),
               dict(q=7, char_index=2, x=0.13),
               dict(q=8, char_index=1, x=0.33)),
-          chars=("even",), nu="half", excluded="q*x", twist=TWISTED)
+          chars=("even",), nu="half", excluded="q*x", twist=_TWISTED)
 _register("C3_2", "cohen-half",
           "nu = 1/2 exponential form, even chi, bar twist",
           _cohen_half, (
               dict(q=5, char_index=2, x=0.21),
               dict(q=7, char_index=4, x=0.13),
               dict(q=8, char_index=1, x=0.33)),
-          chars=("even",), nu="half", excluded="q*x", twist=BAR_TWISTED)
+          chars=("even",), nu="half", excluded="q*x", twist=_BAR_TWISTED)
 _register("C3_3", "cohen-half",
           "nu = 1/2 exponential form, odd chi, plain twist",
           _cohen_half, (
               dict(q=5, char_index=1, x=0.21),
               dict(q=4, char_index=1, x=0.13),
               dict(q=3, char_index=1, x=0.33)),
-          chars=("odd",), nu="half", excluded="q*x", twist=TWISTED)
+          chars=("odd",), nu="half", excluded="q*x", twist=_TWISTED)
 _register("C3_4", "cohen-half",
           "nu = 1/2 exponential form, odd chi, bar twist",
           _cohen_half, (
               dict(q=5, char_index=1, x=0.21),
               dict(q=4, char_index=1, x=0.13),
               dict(q=3, char_index=1, x=0.33)),
-          chars=("odd",), nu="half", excluded="q*x", twist=BAR_TWISTED)
+          chars=("odd",), nu="half", excluded="q*x", twist=_BAR_TWISTED)
 _register("C3_5", "cohen",
           "equal even characters, weight -nu",
           _cohen_pair, tuple(dict(q=5, char_index=2, x=0.021, nu=nuv, N=Nv)
@@ -971,19 +985,19 @@ _register("C3_6", "cohen",
 _register("T4_1", "voronoi",
           "summation formula, even chi, bar-twist finite sum",
           _voronoi_single, _voronoi_points(dict(q=5, char_index=2)),
-          chars=("even",), nu="voronoi", twist=TWISTED)
+          chars=("even",), nu="voronoi", twist=_TWISTED)
 _register("T4_2", "voronoi",
           "summation formula, even chi, plain-twist finite sum",
           _voronoi_single, _voronoi_points(dict(q=5, char_index=2)),
-          chars=("even",), nu="voronoi", twist=BAR_TWISTED)
+          chars=("even",), nu="voronoi", twist=_BAR_TWISTED)
 _register("T4_3", "voronoi",
           "summation formula, odd chi, bar twist over j",
           _voronoi_single, _voronoi_points(dict(q=5, char_index=1)),
-          chars=("odd",), nu="voronoi", twist=TWISTED)
+          chars=("odd",), nu="voronoi", twist=_TWISTED)
 _register("T4_4", "voronoi",
           "summation formula, odd chi, plain twist",
           _voronoi_single, _voronoi_points(dict(q=5, char_index=1)),
-          chars=("odd",), nu="voronoi", twist=BAR_TWISTED)
+          chars=("odd",), nu="voronoi", twist=_BAR_TWISTED)
 _register("T4_5", "voronoi",
           "summation formula, two even characters",
           _voronoi_pair, _voronoi_points(dict(p=5, char_index=2, q=7, char2_index=2)),

@@ -34,8 +34,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import (Character, _exponent_table, _factorize, _primitive,
-                         _root_of_unity, _value_table, enumerate_characters, gauss_sum)
+from .characters import (TRIVIAL, Character, _exponent_table, _factorize, _primitive,
+                         _root_of_unity, _value_table, gauss_sum)
 from .errors import DomainError, PoleError, within_budget
 
 __all__ = [
@@ -297,7 +297,7 @@ _EM_COEF = {j: float(bernoulli_number(2 * j) / math.factorial(2 * j))
 
 def riemann_zeta(s: complex | float) -> complex:
     """zeta(s), continued everywhere except the pole at s = 1."""
-    return dirichlet_L(s, enumerate_characters(1)[0])
+    return dirichlet_L(s, TRIVIAL)
 
 
 @lru_cache(maxsize=65536)
@@ -421,8 +421,7 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
 
 def zeta_derivative(s0: complex | float) -> complex:
     """zeta'(s0) away from s0 = 1."""
-    trivial = enumerate_characters(1)[0]
-    return L_derivative(s0, trivial)
+    return L_derivative(s0, TRIVIAL)
 
 
 def functional_equation_residual(s: complex | float, chi: Character) -> float:

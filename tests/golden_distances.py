@@ -6,15 +6,16 @@ Run it from the repository root as
 
 For every record outside voronoi whose rhs differs from
 tests/data/registry_golden.jsonl it prints how far the rhs moved, and the
-old (golden) and new rhs's distance to a reference run that takes L' and
-zeta' from mpmath (the run of test_registry_rhs_matches_mpmath_derivatives),
+old (golden) and new rhs's distance to a reference run that takes L'
+from mpmath (the run of test_registry_rhs_matches_mpmath_derivatives),
 all divided by |lhs|.  Below each record it lists the L inputs left of
 the reflection line specfun._REFLECT_RE (zeta as L for the character
 mod 1) and the L' inputs the record takes, with their relative errors
 against mpmath (absolute where the value is 0).  A record that moved by more than 1e-14 |lhs|, the golden
 test's bound, is marked with "*".
 
-The name does not start with test_, so pytest does not collect it.
+The name does not start with test_, so pytest does not collect it;
+tests/test_golden_distances.py runs it.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from pathlib import Path
 import mpmath
 
 from tblab import arith, identities, specfun
-from tblab.characters import enumerate_characters
+from tblab.characters import TRIVIAL
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"
 GOLDEN_BOUND = 1e-14
-ZETA = enumerate_characters(1)[0]
 
 
 def mp_L(s, chi, derivative=0) -> complex:
@@ -43,23 +43,21 @@ def mp_L(s, chi, derivative=0) -> complex:
 
 
 def _run(cases, L_derivative, L=None) -> list[tuple[complex, complex]]:
-    """(lhs, rhs) of each case with L_derivative in place of the library's,
-    and L, if given, in place of dirichlet_L where the registry calls it."""
-    saved = {m: (m.L_derivative, m.zeta_derivative) for m in (specfun, arith, identities)}
-    saved_L = {m: (m.dirichlet_L, m.riemann_zeta) for m in (arith, identities)}
+    """(lhs, rhs) of each case with L_derivative in place of the library's
+    (zeta' calls it by name), and L, if given, in place of dirichlet_L and
+    zeta where the registry calls them."""
+    swaps = [(m, "L_derivative", L_derivative) for m in (specfun, arith, identities)]
+    if L:
+        swaps += [(arith, "dirichlet_L", L), (identities, "dirichlet_L", L),
+                  (identities, "riemann_zeta", lambda s: L(s, TRIVIAL))]
+    saved = [(m, name, getattr(m, name)) for m, name, _ in swaps]
     try:
-        for m in saved:
-            m.L_derivative = L_derivative
-            m.zeta_derivative = lambda s0: L_derivative(s0, ZETA)
-        for m in saved_L if L else ():
-            m.dirichlet_L = L
-            m.riemann_zeta = lambda s: L(s, ZETA)
+        for m, name, value in swaps:
+            setattr(m, name, value)
         return [(r.lhs, r.rhs) for r in map(identities.verify, cases)]
     finally:
-        for m, (d, z) in saved.items():
-            m.L_derivative, m.zeta_derivative = d, z
-        for m, (f, z) in saved_L.items():
-            m.dirichlet_L, m.riemann_zeta = f, z
+        for m, name, value in saved:
+            setattr(m, name, value)
 
 
 def _error(got, value) -> float:

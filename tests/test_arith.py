@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tblab.arith import (
-    BAR_TWISTED,
-    TWISTED,
-    TWO_CHAR,
-    UNIT,
     DivisorSumSpec,
     closed_form_F,
     closed_form_F_prime,
@@ -17,7 +13,7 @@ from tblab.arith import (
     divisor_sum,
     divisors,
 )
-from tblab.characters import enumerate_characters
+from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import DomainError
 
 
@@ -37,36 +33,37 @@ def test_divisor_enumeration():
 
 
 def test_twisted_examples(chi4):
-    spec = DivisorSumSpec(TWISTED, 0, chi4)
+    # chi on d, the trivial character on n/d: sum_{d|n} d^z chi(d)
+    spec = DivisorSumSpec(0, chi4)
     assert divisor_sum(spec, 5) == 2  # chi(1) + chi(5)
-    spec2 = DivisorSumSpec(TWISTED, 2, chi4)
+    spec2 = DivisorSumSpec(2, chi4)
     assert divisor_sum(spec2, 6) == -8  # 1*1 + 4*0 + 9*(-1) + 36*0
-    bar2 = DivisorSumSpec(BAR_TWISTED, 2, chi4)
+    # and on n/d: sum_{d|n} d^z chi(n/d)
+    bar2 = DivisorSumSpec(2, TRIVIAL, chi4)
     assert divisor_sum(bar2, 6) == 32  # 1*0 + 4*(-1) + 9*0 + 36*1
     # n = 1 always gives chi(1) = 1
-    for kind in (TWISTED, BAR_TWISTED):
-        assert divisor_sum(DivisorSumSpec(kind, 3.7, chi4), 1) == 1
+    for spec in (DivisorSumSpec(3.7, chi4), DivisorSumSpec(3.7, TRIVIAL, chi4)):
+        assert divisor_sum(spec, 1) == 1
+    # both slots trivial: sigma_z(n)
+    assert divisor_sum(DivisorSumSpec(), 12) == 6
+    assert divisor_sum(DivisorSumSpec(2), 6) == 50
 
 
-def test_spec_validation(chi4, chi3):
+def test_spec_validation():
     with pytest.raises(DomainError):
-        DivisorSumSpec(TWO_CHAR, 1, chi4)  # missing second character
-    with pytest.raises(DomainError):
-        DivisorSumSpec(TWISTED, 1, chi4, chi3)  # extra character
-    with pytest.raises(DomainError):
-        divisor_sum(DivisorSumSpec(UNIT), 0)
+        divisor_sum(DivisorSumSpec(), 0)
 
 
 # counts on both sides of a square, where the sweep's split isqrt(count)
 # moves: 8 | 9, 10; 399 | 400, 401, 420
 @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 10, 399, 400, 401, 420, 1009])
 def test_coefficient_array_matches_direct(chi4, chi3, count):
-    specs = [DivisorSumSpec(TWISTED, 2, chi4),
-             DivisorSumSpec(BAR_TWISTED, 1, chi3),
-             DivisorSumSpec(TWO_CHAR, 0, chi3, chi4),
-             DivisorSumSpec(TWISTED, -0.3, chi4),
-             DivisorSumSpec(TWO_CHAR, 0.3 + 0.7j, chi4, enumerate_characters(5)[1]),
-             DivisorSumSpec(UNIT)]
+    specs = [DivisorSumSpec(2, chi4),
+             DivisorSumSpec(1, TRIVIAL, chi3),
+             DivisorSumSpec(0, chi3, chi4),
+             DivisorSumSpec(-0.3, chi4),
+             DivisorSumSpec(0.3 + 0.7j, chi4, enumerate_characters(5)[1]),
+             DivisorSumSpec()]
     for spec in specs:
         arr = coefficient_array(spec, count)
         assert len(arr) == count + 1
@@ -74,15 +71,16 @@ def test_coefficient_array_matches_direct(chi4, chi3, count):
             assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
 
 
-def test_one_character_kinds_are_two_char_with_a_trivial_slot(chi4, chi3):
-    # the trivial character mod 1 fills the slot a twist leaves empty, so
-    # both specs are the same computation, to the last bit
+def test_trivial_is_the_character_mod_1(chi4, chi3):
+    # TRIVIAL equals the enumerated character mod 1, so a sum with either
+    # in a slot is the same computation, to the last bit, and shares its
+    # value-keyed caches
     one = enumerate_characters(1)[0]
+    assert TRIVIAL == one and hash(TRIVIAL) == hash(one) and TRIVIAL.conjugate() == one
     for weight in (2, -0.25, 0.3 + 0.7j):
-        for spec, same in ((DivisorSumSpec(TWISTED, weight, chi4),
-                            DivisorSumSpec(TWO_CHAR, weight, chi4, one)),
-                           (DivisorSumSpec(BAR_TWISTED, weight, chi3),
-                            DivisorSumSpec(TWO_CHAR, weight, one, chi3))):
+        for spec, same in ((DivisorSumSpec(weight, chi4), DivisorSumSpec(weight, chi4, one)),
+                           (DivisorSumSpec(weight, TRIVIAL, chi3),
+                            DivisorSumSpec(weight, one, chi3))):
             assert np.array_equal(coefficient_array(spec, 500), coefficient_array(same, 500))
             for s in (2.5, 3.1 + 0.4j):
                 assert closed_form_F(spec, s) == closed_form_F(same, s)
@@ -92,9 +90,8 @@ def test_one_character_kinds_are_two_char_with_a_trivial_slot(chi4, chi3):
 def test_trivial_character_slot_matches_direct(chi4, chi3):
     # a two-character sum with the trivial character mod 1 in one slot;
     # the sweep and the direct sum both keep the two slots
-    one = enumerate_characters(1)[0]
-    for spec in (DivisorSumSpec(TWO_CHAR, 2, chi4, one),
-                 DivisorSumSpec(TWO_CHAR, -0.3, one, chi3)):
+    for spec in (DivisorSumSpec(2, chi4, TRIVIAL),
+                 DivisorSumSpec(-0.3, TRIVIAL, chi3)):
         arr = coefficient_array(spec, 400)
         for n in (1, 2, 17, 36, 399, 400):
             assert abs(arr[n] - divisor_sum(spec, n)) < 1e-12
@@ -125,19 +122,19 @@ def dirichlet_series_check(spec: DivisorSumSpec, s: complex,
 def test_dirichlet_series_checks(chi4, chi3):
     # the residual is the genuine series tail (~4e-9 at 1e4 terms), always
     # inside the analytic bound returned alongside it
-    resid, bound = dirichlet_series_check(DivisorSumSpec(TWISTED, 0, chi4), 3.0, 10 ** 4)
+    resid, bound = dirichlet_series_check(DivisorSumSpec(0, chi4), 3.0, 10 ** 4)
     assert resid < 1e-8 and resid <= bound
-    resid, bound = dirichlet_series_check(DivisorSumSpec(BAR_TWISTED, 2, chi3), 5.0, 10 ** 4)
+    resid, bound = dirichlet_series_check(DivisorSumSpec(2, TRIVIAL, chi3), 5.0, 10 ** 4)
     assert resid < 1e-8 and resid <= bound
-    resid, bound = dirichlet_series_check(DivisorSumSpec(TWISTED, 0, chi4), 4.0, 10 ** 5)
+    resid, bound = dirichlet_series_check(DivisorSumSpec(0, chi4), 4.0, 10 ** 5)
     assert resid < 1e-9 and resid <= bound
     with pytest.raises(DomainError):
-        dirichlet_series_check(DivisorSumSpec(TWISTED, 2, chi4), 3.0, 100)
+        dirichlet_series_check(DivisorSumSpec(2, chi4), 3.0, 100)
 
 
 def test_equal_characters_collapse(chi4):
     # sigma_{k,chi,chi}(n) = chi(n) sigma_k(n)
-    spec = DivisorSumSpec(TWO_CHAR, 2, chi4, chi4)
+    spec = DivisorSumSpec(2, chi4, chi4)
     for n in range(1, 1001):
         sigma_k = sum(d ** 2 for d in divisors(n))
         assert abs(divisor_sum(spec, n) - chi4.value(n) * sigma_k) < 1e-9
@@ -148,15 +145,15 @@ def test_equal_characters_collapse(chi4):
        st.sampled_from([0.25, 0.5, 1.3]))
 def test_reflection(n, nu):
     chi = enumerate_characters(5)[2]
-    lhs = n ** nu * divisor_sum(DivisorSumSpec(TWISTED, -nu, chi), n)
-    rhs = divisor_sum(DivisorSumSpec(BAR_TWISTED, nu, chi), n)
+    lhs = n ** nu * divisor_sum(DivisorSumSpec(-nu, chi), n)
+    rhs = divisor_sum(DivisorSumSpec(nu, TRIVIAL, chi), n)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_nonnegativity_for_real_primitive():
     for q, idx in ((3, 1), (4, 1), (5, 2), (8, 1)):
         chi = enumerate_characters(q)[idx]
-        arr = coefficient_array(DivisorSumSpec(TWISTED, 0, chi), 10 ** 4)
+        arr = coefficient_array(DivisorSumSpec(0, chi), 10 ** 4)
         assert np.all(arr[1:].real >= -1e-12)
         assert np.all(np.abs(arr[1:].imag) < 1e-12)
         squares = np.arange(1, 100) ** 2
@@ -170,9 +167,9 @@ def test_multiplicative_over_coprime(m, n):
     if math.gcd(m, n) != 1:
         return
     chi = enumerate_characters(4)[1]
-    for spec in (DivisorSumSpec(TWISTED, 1, chi),
-                 DivisorSumSpec(BAR_TWISTED, 2, chi),
-                 DivisorSumSpec(TWO_CHAR, 1, chi, enumerate_characters(3)[1])):
+    for spec in (DivisorSumSpec(1, chi),
+                 DivisorSumSpec(2, TRIVIAL, chi),
+                 DivisorSumSpec(1, chi, enumerate_characters(3)[1])):
         fm, fn = divisor_sum(spec, m), divisor_sum(spec, n)
         fmn = divisor_sum(spec, m * n)
         assert abs(fmn - fm * fn) < 1e-9 * max(1.0, abs(fm * fn))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tblab import identities
-from tblab.characters import enumerate_characters
+from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
 from tblab.identities import (
     THEOREMS,
@@ -118,10 +118,10 @@ def test_residual_tracks_requested_tolerance():
 
 def test_voronoi_finite_side_shifts_by_exact_term():
     # moving beta across the integer 4 adds exactly the j = 4 term
-    from tblab.arith import BAR_TWISTED, DivisorSumSpec, divisor_sum
+    from tblab.arith import DivisorSumSpec, divisor_sum
     from tblab.identities import TEST_FUNCTIONS, _finite_side
     chi = enumerate_characters(5)[2]
-    spec = DivisorSumSpec(BAR_TWISTED, -0.25, chi)
+    spec = DivisorSumSpec(-0.25, TRIVIAL, chi)
     f = TEST_FUNCTIONS["exp"]
     before, n1 = _finite_side(f, 0.5, 3.4, spec, False)
     after, n2 = _finite_side(f, 0.5, 4.2, spec, False)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tblab.arith import TWISTED, UNIT, DivisorSumSpec, divisors
+from tblab.arith import DivisorSumSpec, divisors
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
@@ -21,23 +21,23 @@ from tblab.series import (
 )
 from tblab.specfun import dirichlet_L, generalized_bernoulli, hurwitz_zeta
 
-UNIT_SPEC = DivisorSumSpec(UNIT)
+SPEC = DivisorSumSpec()  # d(n), both slots trivial
 CHI5 = enumerate_characters(5)[2]
 T2_13 = {"a": 1.0, "x": 0.3}
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: bessel_series(UNIT_SPEC, 0.0, 1.0), DomainError, "a > 0 and x > 0"),
-    (lambda: bessel_series(UNIT_SPEC, 1.0, -1.0), DomainError, "a > 0 and x > 0"),
-    (lambda: bessel_series(UNIT_SPEC, 1.0, 1.0, tol=0.0), DomainError,
+    (lambda: bessel_series(SPEC, 0.0, 1.0), DomainError, "a > 0 and x > 0"),
+    (lambda: bessel_series(SPEC, 1.0, -1.0), DomainError, "a > 0 and x > 0"),
+    (lambda: bessel_series(SPEC, 1.0, 1.0, tol=0.0), DomainError,
      "tolerance must be positive"),
     (lambda: adaptive_integral(lambda t: t, 2.0, 2.0), DomainError, "alpha < beta"),
     (lambda: adaptive_integral(lambda t: math.inf, 0.0, 1.0), DomainError, "not finite"),
-    (lambda: shifted_power_series(UNIT_SPEC, 2.5, -0.1), DomainError, "c must be >= 0"),
-    (lambda: log_kernel_series(UNIT_SPEC, 0.0), DomainError, "c > 0"),
-    (lambda: log_kernel_series(DivisorSumSpec(TWISTED, 1, CHI5), 0.7), DivergenceError,
+    (lambda: shifted_power_series(SPEC, 2.5, -0.1), DomainError, "c must be >= 0"),
+    (lambda: log_kernel_series(SPEC, 0.0), DomainError, "c > 0"),
+    (lambda: log_kernel_series(DivisorSumSpec(1, CHI5), 0.7), DivergenceError,
      "weight below 1 \\+ delta"),
-    (lambda: cohen_tail_series(UNIT_SPEC, -1.7, 0.0), DomainError, "Q > 0"),
+    (lambda: cohen_tail_series(SPEC, -1.7, 0.0), DomainError, "Q > 0"),
     (lambda: voronoi_kernel_values("even-cos", 0.25, np.array([0.0])), DomainError, "u > 0"),
     (lambda: k_values(0.25, np.array([1.0, 0.0])), DomainError, "x > 0"),
     (lambda: jy_values(0.25, np.array([-1.0])), DomainError, "x > 0"),
@@ -61,13 +61,32 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: jy_values(0.25, np.array([math.nan])), DomainError, "x > 0"),
     (lambda: dirichlet_L(complex(1e308, 1e308), CHI5), ConvergenceError,
      "head of .* 1e\\+308 terms, over the term budget of 1000000"),
-    (lambda: shifted_power_series(UNIT_SPEC, 2.5, math.inf), DomainError, "finite, got inf"),
-    (lambda: cohen_tail_series(UNIT_SPEC, -1.7, math.nan), DomainError, "Q = nan must be finite"),
+    (lambda: shifted_power_series(SPEC, 2.5, math.inf), DomainError, "finite, got inf"),
+    (lambda: cohen_tail_series(SPEC, -1.7, math.nan), DomainError, "Q = nan must be finite"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
 
+
+T2_1 = dict(q=4, char_index=1, k=0, nu=0.6, a=1.0, x=0.75)
+P1_1 = dict(nu=0.3, N=2, x=0.75)
+
+
+@pytest.mark.parametrize("theorem, point, field, value, message", [
+    ("T2_1", T2_1, "x", 10 ** 400, "x must be a finite number, got 1000"),
+    ("T2_1", T2_1, "x", "1", "x must be of type float, got '1'"),
+    ("T2_1", T2_1, "q", 4.0, "q must be of type int, got 4.0"),
+    ("T2_1", T2_1, "char_index", 1.5, "char_index must be of type int, got 1.5"),
+    ("T2_1", T2_1, "nu", 0.6 + 0j, "nu must be of type float, got (0.6+0j)"),
+    # which would run, and pass, as N = 2
+    ("P1_1", P1_1, "N", 2.7, "N must be of type int, got 2.7"),
+], ids=["huge-x", "string-x", "float-q", "float-char-index", "complex-nu", "float-N"])
+def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, message):
+    # each given field is checked against its IdentityCase annotation
+    # before any hypothesis reads it
+    with pytest.raises(DomainError, match=re.escape(message)):
+        verify(IdentityCase(theorem, **dict(point, **{field: value})))
 
 
 def _refuse(*args):
@@ -88,7 +107,7 @@ class _RefusingTable(dict):
                                  beta=3000.5, f="exp")), 1000, "3e+03",
      "tblab.identities.coefficient_array", _refuse),
     # a closed-form tail's head of 2,500 c terms for a shift c > 1
-    (lambda: shifted_power_series(UNIT_SPEC, 2.5, 1.5), 1000, "3.75e+03",
+    (lambda: shifted_power_series(SPEC, 2.5, 1.5), 1000, "3.75e+03",
      "tblab.series.coefficient_array", _refuse),
     # an Euler-Maclaurin head of |Im s| + 10 terms, before its corrections
     (lambda: dirichlet_L(complex(0.0, 1e9), CHI5), 1000, "1e+09",

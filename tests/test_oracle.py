@@ -5,13 +5,15 @@ and 18, over orders at, next to and between the integers, and on to
 x = 5000 (K to 300, as it underflows to 0 from about 700 on), where the
 expansions drop an argument after a few steps.  Orders 6 and 8 skip the
 points just past the asymptotic cuts: there their expansions cannot
-reach 1e-12 and raise DomainError instead.
+reach 1e-12 and raise DomainError instead.  K and Y are also checked at
+1e-16 and at 1e-20, the least argument they take; below it they refuse.
 """
 
 import numpy as np
 import pytest
 
 from tblab.bessel import JY_CUT, K_ASYM_CUT, jy_values, k_values
+from tblab.errors import DomainError
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -97,6 +99,25 @@ def test_large_order_over_tiny_argument(nu, x):
         k_ref, y_ref = mpmath.besselk(nu, x), mpmath.bessely(nu, x)
     assert float(abs(k_values(nu, xs)[0] / k_ref - 1)) < BOUND
     assert float(abs(jy_values(nu, xs)[1][0] / y_ref - 1)) < BOUND
+
+
+@pytest.mark.parametrize("x", [1e-16, 1e-20])
+def test_k_and_y_at_tiny_arguments(x):
+    xs = np.array([x])
+    for nu in NUS:
+        with mpmath.workdps(30):
+            k_ref, y_ref = mpmath.besselk(nu, x), mpmath.bessely(nu, x)
+        assert float(abs(k_values(nu, xs)[0] / k_ref - 1)) < BOUND, nu
+        assert float(abs(jy_values(nu, xs)[1][0] / y_ref - 1)) < BOUND, nu
+
+
+@pytest.mark.parametrize("x", [1e-21, 1e-100, 1e-320])
+def test_k_and_y_refuse_arguments_below_1e_20(x):
+    # K_0(1e-300) came out 1.1e-7 off, and K_0(1e-320) = 736.9 was refused
+    # as outside the double range
+    for values in (k_values, jy_values):
+        with pytest.raises(DomainError, match="needs x >= 1e-20"):
+            values(0.0, np.array([1.0, x]))
 
 
 # The leading term exp(nu ln(x/2) - ln Gamma(nu+1)) of the ascending

@@ -4,15 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tblab.arith import (
-    BAR_TWISTED,
-    TWISTED,
-    UNIT,
-    DivisorSumSpec,
-    coefficient_array,
-)
+from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import k_values
-from tblab.characters import enumerate_characters
+from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import (
     ConvergenceError,
     DivergenceError,
@@ -45,13 +39,22 @@ def chi5e():
 
 
 @pytest.fixture(scope="module")
+def divisor_count():
+    """d(n), both slots trivial: an argument or fail-fast check's series."""
+    return DivisorSumSpec()
+
+
+@pytest.fixture(scope="module")
 def unit():
-    return DivisorSumSpec(UNIT)
+    """Coefficient 1 at every n: sigma_{-60}(n) = 1 + O(2^-60) rounds to
+    1, and L(s + 60) L(s) = zeta(s) (1 + O(2^-60)), so the closed values
+    below are those of sum_n n^{-s}."""
+    return DivisorSumSpec(-60.0)
 
 
 class TestBesselSeries:
     def test_doubled_truncation_consistency(self, chi5e):
-        spec = DivisorSumSpec(TWISTED, 0, chi5e)
+        spec = DivisorSumSpec(0, chi5e)
         r1 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-12)
         r2 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-16, rel_tol=1e-16)
         assert abs(r1.value - r2.value) < 1e-12
@@ -59,8 +62,7 @@ class TestBesselSeries:
 
     def test_half_order_reduces_to_exponentials(self):
         # nu = 1/2, weight -1/2: each term is an elementary exponential
-        triv = enumerate_characters(1)[0]
-        spec = DivisorSumSpec(TWISTED, -0.5, triv)
+        spec = DivisorSumSpec(-0.5)
         a, x = 2.0, 1.3
         r = bessel_series(spec, a, x, 0.5, tol=1e-14)
         lam = a * math.sqrt(x)
@@ -72,8 +74,7 @@ class TestBesselSeries:
         assert abs(r.value.real - elementary) < 1e-12
 
     def test_plain_divisor_function_brute_reference(self):
-        triv = enumerate_characters(1)[0]
-        spec = DivisorSumSpec(TWISTED, 0, triv)
+        spec = DivisorSumSpec()
         r = bessel_series(spec, 1.0, 1.0, 0.3, tol=1e-12)
         coefs = coefficient_array(spec, 10 ** 5)[1:].real
         ns = np.arange(1, 10 ** 5 + 1, dtype=float)
@@ -82,18 +83,18 @@ class TestBesselSeries:
 
     def test_budget_exhaustion(self, chi5e, monkeypatch):
         monkeypatch.setenv("TBL_MAX_TERMS", "500")
-        spec = DivisorSumSpec(TWISTED, 0, chi5e)
+        spec = DivisorSumSpec(0, chi5e)
         with pytest.raises(ConvergenceError):
             bessel_series(spec, 0.05, 0.05, 0.0, tol=1e-12)
 
-    def test_hopeless_budget_fails_fast(self, unit, monkeypatch):
+    def test_hopeless_budget_fails_fast(self, divisor_count, monkeypatch):
         # at x = 1e-7 the term bound has not begun to decay by the 10^6-term cap
         def refuse(*args, **kwargs):
             raise AssertionError("coefficients built for a hopeless series")
 
         monkeypatch.setattr("tblab.series.coefficient_array", refuse)
         with pytest.raises(ConvergenceError):
-            bessel_series(unit, 1.0, 1e-7)
+            bessel_series(divisor_count, 1.0, 1e-7)
 
     @pytest.mark.parametrize("k", [101, 171])
     def test_terms_past_the_double_range_fail_fast(self, k, monkeypatch):
@@ -107,7 +108,7 @@ class TestBesselSeries:
         with pytest.raises(DomainError, match="outside the double range"):
             verify(IdentityCase("T2_5", q=5, char_index=2, k=k, nu=0.6, a=1.0, x=0.75))
 
-    def test_tail_bound_in_logarithms(self, unit):
+    def test_tail_bound_in_logarithms(self, divisor_count):
         # sqrt(256)^801 leaves the double range, the bound's logarithm does
         # not; inf means only that the term bound is not yet decaying
         assert _bessel_tail_bound(256, 0.0, 400.0, 500.0) == pytest.approx(-6881.69, abs=0.01)
@@ -115,10 +116,10 @@ class TestBesselSeries:
         assert math.exp(_bessel_tail_bound(1024, 0.0, 0.0, 1.0)) == pytest.approx(
             3.989324986038387e-10, rel=1e-14)
         with pytest.raises(DomainError, match="outside the double range"):
-            bessel_series(unit, 500.0, 1.0, 400.0)  # no longer "not yet decaying"
+            bessel_series(divisor_count, 500.0, 1.0, 400.0)  # no longer "not yet decaying"
 
     def test_honest_certificate(self, chi5e):
-        spec = DivisorSumSpec(TWISTED, -0.25, chi5e)
+        spec = DivisorSumSpec(-0.25, chi5e)
         r = bessel_series(spec, 0.6, 0.4, 0.25, tol=1e-10)
         coefs = coefficient_array(spec, 4 * r.terms)
         ns = np.arange(1, 4 * r.terms + 1, dtype=float)
@@ -136,7 +137,7 @@ class TestShiftedPowerSeries:
         assert abs(r.value - float(mpmath.zeta(1.25, 1.7))) < 1e-11
 
     def test_difference_form_vanishes_at_zero_shift(self, chi5e):
-        spec = DivisorSumSpec(BAR_TWISTED, 0, chi5e)
+        spec = DivisorSumSpec(0, TRIVIAL, chi5e)
         r = shifted_power_series(spec, 1.0, 0.0, difference_form=True)
         assert r.value == 0
 
@@ -159,21 +160,21 @@ class TestShiftedPowerSeries:
 
     def test_difference_form_brute(self):
         chi3 = enumerate_characters(3)[1]
-        spec = DivisorSumSpec(TWISTED, 2, chi3)
+        spec = DivisorSumSpec(2, chi3)
         r = shifted_power_series(spec, 3.0, 0.37, difference_form=True)
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
         ns = np.arange(1, 2 * 10 ** 6 + 1, dtype=float)
         brute = np.sum(coefs * (ns ** -3.0 - (ns + 0.37) ** -3.0))
         assert abs(r.value - brute) < 1e-11
 
-    def test_divergent(self, unit):
+    def test_divergent(self, divisor_count):
         with pytest.raises(DivergenceError):
-            shifted_power_series(unit, 1.0, 0.5)
+            shifted_power_series(divisor_count, 1.0, 0.5)
 
 
 class TestLogKernelSeries:
     def test_excluded_parameter(self, chi5e):
-        spec = DivisorSumSpec(TWISTED, 0, chi5e)
+        spec = DivisorSumSpec(0, chi5e)
         with pytest.raises(ExcludedParameter):
             log_kernel_series(spec, 2.0)
 
@@ -195,7 +196,7 @@ class TestLogKernelSeries:
         assert abs(r.value.real - (brute + tail)) < 1e-9
 
     def test_twisted_brute_reference(self, chi5e):
-        spec = DivisorSumSpec(TWISTED, 0, chi5e.conjugate())
+        spec = DivisorSumSpec(0, chi5e.conjugate())
         c = 3.2
         r = log_kernel_series(spec, c)
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
@@ -219,12 +220,12 @@ class TestCohenTailSeries:
         tail = -(Q ** w) / 1e6  # dominant integral tail
         assert abs(r.value.real - (brute + tail)) < 1e-9
 
-    def test_excluded(self, unit):
+    def test_excluded(self, divisor_count):
         with pytest.raises(ExcludedParameter):
-            cohen_tail_series(unit, 0.3 - 2, 1.0)
+            cohen_tail_series(divisor_count, 0.3 - 2, 1.0)
 
     def test_divergent_combination(self, chi5e):
-        spec = DivisorSumSpec(TWISTED, -0.5, chi5e)
+        spec = DivisorSumSpec(-0.5, chi5e)
         with pytest.raises(DivergenceError):
             cohen_tail_series(spec, 0.5 + 1, 1.3)
 
@@ -237,7 +238,7 @@ class TestCohenTailSeries:
         assert abs(r.value.real - (brute + tail)) < 1e-9
 
     def test_twisted_brute_reference(self, chi5e):
-        spec = DivisorSumSpec(BAR_TWISTED, -0.25, chi5e)
+        spec = DivisorSumSpec(-0.25, TRIVIAL, chi5e)
         w = 0.25 - 2
         r = cohen_tail_series(spec, w, 1.05)
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
@@ -368,7 +369,7 @@ def test_oscillatory_integrals_split_at_the_cut_and_the_certificate():
 
 def test_tolerance_monotonicity(chi5e):
     # tightening tol never moves the result by more than the looser tol
-    spec = DivisorSumSpec(TWISTED, 0, chi5e)
+    spec = DivisorSumSpec(0, chi5e)
     loose = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-6, rel_tol=1e-6)
     tight = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-13, rel_tol=1e-13)
     assert abs(loose.value - tight.value) <= 1e-6
@@ -379,6 +380,6 @@ def test_tolerance_monotonicity(chi5e):
 
 def test_term_cap_env(monkeypatch, chi5e):
     monkeypatch.setenv("TBL_MAX_TERMS", "300")
-    spec = DivisorSumSpec(TWISTED, 0, chi5e)
+    spec = DivisorSumSpec(0, chi5e)
     with pytest.raises(ConvergenceError):
         bessel_series(spec, 0.2, 0.3, 0.0, tol=1e-12)
