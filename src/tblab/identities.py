@@ -4,8 +4,9 @@ Every registered identity equates a K-Bessel-weighted twisted divisor
 series (or, for the summation formulas, a finite weighted sum) with a
 closed-form side built from Gamma/zeta/L values, Gauss sums and an
 auxiliary rational-tail series.  verify() assembles the two sides along
-independent code paths - the Bessel machinery never touches the
-closed-form side, and vice versa - and reports the residual.
+independent code paths - _divisor_side builds every divisor side from
+two character slots, and the entry's evaluator the closed-form side,
+which never sees the case's tol - and reports the residual.
 
 Identity tags:
 
@@ -21,7 +22,7 @@ Identity tags:
 Hypotheses are registry data, checked before any numerics run: violating
 a parity, primitivity, range or excluded-parameter clause raises
 HypothesisError or ExcludedParameter naming the clause, never a silent
-wrong answer.  Each formula family shares one evaluator.
+wrong answer.  Each formula family shares one closed-form evaluator.
 """
 
 from __future__ import annotations
@@ -205,27 +206,21 @@ def _req_pair(relation: str, chi1: Character, chi2: Character) -> None:
         _req(not even.is_principal, "the even character must be non-principal")
 
 
-def _c_shift(a: float, x: float, modulus_product: int) -> float:
-    return a * a * modulus_product * x / (16.0 * PI * PI)
-
-
-# each excluded-parameter clause, by the expression it names
-_EXCLUDED: dict[str, Callable[[dict], float]] = {
-    "x": lambda r: r["x"],
-    "q*x": lambda r: r["q"] * r["x"],
-    "q^2*x": lambda r: r["q"] * r["q"] * r["x"],
-    "p^2*x": lambda r: r["p"] * r["p"] * r["x"],
-    "p*q*x": lambda r: r["p"] * r["q"] * r["x"],
-    "a^2*q*x/(16*pi^2)": lambda r: _c_shift(r["a"], r["x"], r["q"]),
-    "a^2*p*q*x/(16*pi^2)": lambda r: _c_shift(r["a"], r["x"], r["p"] * r["q"]),
-}
-
-
 # T of each parameter field's annotation T | None, in field order (the
 # CLI's verify flags), and the values each T admits
 _PARAM_TYPES = {name: get_args(hint)[0]
                for name, hint in get_type_hints(IdentityCase).items() if name != "theorem"}
 _ADMITS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _admit(name: str, val, want: type, positive: bool = False) -> None:
+    """Refuse val unless it is a want (int, float or str) and, if a
+    number, finite (exactly, for any int) and, if positive, > 0."""
+    if not isinstance(val, _ADMITS[want]):
+        raise DomainError(f"{name} must be of type {want.__name__}, got {reprlib.repr(val)}")
+    if want is not str and not (abs(val) <= sys.float_info.max and (val > 0 or not positive)):
+        bound = " > 0" if positive else ""
+        raise DomainError(f"{name} must be a finite number{bound}, got {reprlib.repr(val)}")
 
 
 class _Reads:
@@ -242,23 +237,21 @@ class _Reads:
 def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     """Enforce entry's hypotheses on case, in the order the fields of
     TheoremEntry list them, and return the resolved parameters by name;
-    an evaluator takes those it uses and ignores the rest.  One character
-    gives chi = chi1 = chi2 and p = q, so an equal-character corollary
-    reads as its two-character theorem.  A field of the wrong type, and
-    one the entry never reads, is refused."""
+    the divisor side and the evaluator take those they use and ignore the
+    rest.  Every entry resolves to the two character slots chi1, chi2 with
+    moduli p, q: an equal-character corollary takes chi in both, a
+    one-character theorem chi and TRIVIAL as its twist places them, and
+    P1_1 TRIVIAL in both.  A field of the wrong type, and one the entry
+    never reads, is refused."""
     for name, val in given.params().items():
-        want = _PARAM_TYPES[name]
-        if not isinstance(val, _ADMITS[want]):
-            raise DomainError(f"{name} must be of type {want.__name__}, got {reprlib.repr(val)}")
-        if want is not str and not abs(val) <= sys.float_info.max:  # exact for any int
-            raise DomainError(f"{name} must be a finite number, got {reprlib.repr(val)}")
+        _admit(name, val, _PARAM_TYPES[name])
     case = _Reads(given)
     r = {"twist": entry.twist}
     if len(entry.chars) == 1:
         m = getattr(case, entry.modulus)
-        chi = _get_char(m, case.char_index, entry.tid)
+        r["chi"] = chi = _get_char(m, case.char_index, entry.tid)
         _req_character(chi, entry.chars[0], "chi")
-        r.update(chi=chi, chi1=chi, chi2=chi, p=m, q=m)
+        slots = _with_trivial(entry.twist, chi, m) if entry.twist else (chi, chi, m, m)
     elif entry.chars:
         chi1 = _get_char(case.p, case.char_index, entry.tid + " (chi1)")
         chi2 = _get_char(case.q, case.char2_index, entry.tid + " (chi2)")
@@ -266,7 +259,10 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
         _req_character(chi2, entry.chars[1], "chi2")
         if entry.pair:
             _req_pair(entry.pair, chi1, chi2)
-        r.update(chi1=chi1, chi2=chi2, p=case.p, q=case.q)
+        slots = (chi1, chi2, case.p, case.q)
+    else:
+        slots = (TRIVIAL, TRIVIAL, 1, 1)
+    r.update(zip(("chi1", "chi2", "p", "q"), slots))
     if entry.k:
         parity, minimum = entry.k
         k = case.k
@@ -303,8 +299,10 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
     if entry.nu != "voronoi":
         _req(case.x is not None and case.x > 0, "x must be positive")
         r["x"] = float(case.x)
-    if entry.excluded:
-        _refuse_integer(_EXCLUDED[entry.excluded](r), entry.excluded)
+    if "a" in r:  # the shift of the closed-form tails
+        r["c"] = r["a"] * r["a"] * (r["p"] * r["q"]) * r["x"] / (16.0 * PI * PI)
+    if entry.excluded:  # c, or p q x where no a is given
+        _refuse_integer(r["c"] if "c" in r else r["p"] * r["q"] * r["x"], entry.excluded)
     unread = [name for name in given.params() if name not in case.read]
     if unread:
         raise DomainError(f"{entry.tid} does not take the parameter(s) {', '.join(unread)}")
@@ -323,20 +321,6 @@ def _unit(k: int) -> complex:
     return (-1.0) ** (k // 2) * (1j if k % 2 == 0 else 1.0)
 
 
-def _lhs_bessel(spec: DivisorSumSpec, a: float, x: float, nu: float,
-                tol: float) -> tuple[complex, int]:
-    res = bessel_series(spec, a, x, nu, tol=min(1e-12, tol * 1e-3),
-                        rel_tol=min(1e-11, tol * 1e-3))
-    return res.value, res.terms
-
-
-def _cohen_lhs(spec: DivisorSumSpec, nu: float, x: float,
-               tol: float) -> tuple[complex, int]:
-    """8 pi x^{nu/2} sum f(n) n^{nu/2} K_nu(4 pi sqrt(n x))."""
-    series, terms = _lhs_bessel(spec, 4.0 * PI, x, nu, tol)
-    return 8.0 * PI * x ** (nu / 2.0) * series, terms
-
-
 def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     """2 pi sum f(n) e^{-4 pi sqrt(n x)}: the elementary nu = 1/2 shape."""
     lam = 4.0 * PI * math.sqrt(x)
@@ -348,43 +332,72 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
     return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
 
 
+def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
+                 over_j: bool) -> tuple[complex, int]:
+    lo, hi = math.floor(alpha) + 1, math.ceil(beta)
+    count = within_budget(max(hi - 1, 0), "the finite sum over j < beta")
+    js = np.arange(lo, hi, dtype=float)
+    weights = coefficient_array(spec, count)[lo:]
+    if over_j:
+        weights = weights / js
+    return complex(np.sum(weights * f(js))), len(js)
+
+
+def _divisor_side(shape: str, tol: float, chi1, chi2, p, q, nu, k=0, a=None, x=None,
+                  alpha=None, beta=None, f=None, **_) -> tuple[complex, int]:
+    """The divisor side of every identity, and its terms, by the shape its
+    nu clause names: sum f(n) n^{nu/2} K_nu(a sqrt(n x)), f = (k, chi1, chi2),
+    for "positive" and "zero"; 8 pi x^{nu/2} times that sum at a = 4 pi with
+    f = (-nu, chi1-bar, chi2-bar) for "cohen", and its elementary form for
+    "half"; p^{1-nu/2} q^{1+nu/2}/(tau1 tau2) sum_{alpha<j<beta} f(j) g(j),
+    g = (-nu, chi2, chi1), over j when chi1 is odd, for "voronoi"."""
+    if shape == "voronoi":
+        fin, n_j = _finite_side(f, alpha, beta, DivisorSumSpec(-nu, chi2, chi1), chi1.is_odd)
+        return p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2)) * fin, n_j
+    tols = dict(tol=min(1e-12, tol * 1e-3), rel_tol=min(1e-11, tol * 1e-3))
+    if shape in ("positive", "zero"):
+        res = bessel_series(DivisorSumSpec(k, chi1, chi2), a, x, nu, **tols)
+        return res.value, res.terms
+    spec = DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate())
+    if shape == "half":
+        return _exp_half_sum(spec, x)
+    res = bessel_series(spec, 4.0 * PI, x, nu, **tols)
+    return 8.0 * PI * x ** (nu / 2.0) * res.value, res.terms
+
+
 # the twist of a one-character series side, which names its theorem
 _TWISTED, _BAR_TWISTED = "twisted", "bar-twisted"
 
 
 def _with_trivial(twist: str, chi: Character, q: int) -> tuple:
-    """(chi1, chi2, p, q) of a one-character series side, in the order the
-    pair evaluators take them: chi on d (chi1) under the plain twist, on
-    n/d (chi2) under the bar twist, and TRIVIAL, the character mod 1
-    (L = zeta), in the other slot."""
-    if twist == _TWISTED:
-        return chi, TRIVIAL, q, 1
-    return TRIVIAL, chi, 1, q
+    """(chi1, chi2, p, q) of a one-character series side: chi on d (chi1)
+    under the plain twist, on n/d (chi2) under the bar twist, and TRIVIAL,
+    the character mod 1 (L = zeta), in the other slot."""
+    return (chi, TRIVIAL, q, 1) if twist == _TWISTED else (TRIVIAL, chi, 1, q)
 
 
 # ===================== weight-k identities (nu > 0) ======================
 
 
-def _pair_nu(tol, chi1, chi2, p, q, k, nu, a, x, **_):
+def _pair_nu(chi1, chi2, p, q, k, nu, a, x, c, **_):
     """T2_10, T2_14, and C2_1 with chi1 = chi2: weight-k series of two
     characters."""
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, nu, tol)
     tail = shifted_power_series(
         DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
-        nu + k + 1.0, _c_shift(a, x, p * q))
+        nu + k + 1.0, c)
     rhs = (-_unit(k) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
            / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
            * gamma(nu + k + 1.0) * _tau(chi1) * _tau(chi2) * tail.value)
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
-def _single_nu(tol, twist, chi, q, k, nu, a, x, **_):
+def _single_nu(twist, chi, k, nu, a, x, **slots):
     """T2_1, T2_3, T2_5, T2_7: T2_10 and T2_14 with the trivial character
     in one slot, plus the terms of its zeta(s)."""
-    lhs, rhs, lterms, rterms = _pair_nu(tol, *_with_trivial(twist, chi, q),
-                                        k=k, nu=nu, a=a, x=x)
+    rhs, rterms = _pair_nu(k=k, nu=nu, a=a, x=x, **slots)
     if twist == _TWISTED:
-        zeta_terms = (_unit(k) * q ** k / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
+        zeta_terms = (_unit(k) * chi.modulus ** k
+                      / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
                       * gamma(nu) * _tau(chi) * math.factorial(k)
                       * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0))
         if k == 0:  # T2_1: the pole term, proportional to L(1, chi)
@@ -394,20 +407,18 @@ def _single_nu(tol, twist, chi, q, k, nu, a, x, **_):
         zeta_terms = (2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
                       * math.factorial(k) * gamma(nu + k + 1.0)
                       * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0))
-    return lhs, zeta_terms + rhs, lterms, rterms
+    return zeta_terms + rhs, rterms
 
 
 # ===================== weight-k identities (nu = 0) ======================
 
 
-def _single_nu0(tol, twist, chi, q, k, a, x, **_):
+def _single_nu0(twist, chi, chi1, chi2, p, k, a, x, c, **_):
     """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7,
     whose zeta(s) terms replace the product-rule constant of T2_11."""
-    chi1, chi2, p = _with_trivial(twist, chi, q)[:3]
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, 0.0, tol)
     tail = shifted_power_series(
-        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()), k + 1.0,
-        _c_shift(a, x, q), difference_form=True)
+        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()), k + 1.0, c,
+        difference_form=True)
     if twist == _TWISTED:
         # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
         rhs = -0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
@@ -424,16 +435,15 @@ def _single_nu0(tol, twist, chi, q, k, a, x, **_):
                       + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
     rhs += (_unit(k) * math.factorial(k) * p ** k
             / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi) * tail.value)
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
-def _pair_nu0(tol, chi1, chi2, p, q, k, a, x, **_):
+def _pair_nu0(chi1, chi2, p, k, c, **_):
     """T2_11, T2_15, and C2_2 with chi1 = chi2: the nu = 0 forms of T2_10,
     T2_14 and C2_1."""
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(k, chi1, chi2), a, x, 0.0, tol)
     tail = shifted_power_series(
         DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
-        k + 1.0, _c_shift(a, x, p * q), difference_form=True)
+        k + 1.0, c, difference_form=True)
     # of the product-rule constant L'(-k, chi1) L(0, chi2) + L(-k, chi1)
     # L'(0, chi2) one summand vanishes: L(0, chi2) = 0 for an even chi2,
     # and L(-k, chi1) = 0 (a trivial zero) for an odd one
@@ -444,32 +454,28 @@ def _pair_nu0(tol, chi1, chi2, p, q, k, a, x, **_):
     rhs = 0.5 * const
     rhs += (_unit(k) * math.factorial(k) * p ** k
             / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)) * tail.value)
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
 # ================== log-kernel identities (k = 0, nu = 0) ================
 
 
-def _t2_12(tol, chi1, chi2, p, q, a, x, **_):
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(0, chi1, chi2), a, x, 0.0, tol)
-    c = _c_shift(a, x, p * q)
+def _t2_12(chi1, chi2, c, **_):
     kernel = log_kernel_series(
         DivisorSumSpec(0, chi1.conjugate(), chi2.conjugate()), c)
     rhs = _tau(chi1) * _tau(chi2) * c / (2.0 * PI * PI) * kernel.value
-    return lhs, rhs, lterms, kernel.terms
+    return rhs, kernel.terms
 
 
-def _t2_13(tol, chi, q, a, x, **_):
+def _t2_13(chi, a, x, **slots):
     """T2_12 with chi2 the trivial character, plus the terms of its zeta(s)."""
-    lhs, rhs, lterms, rterms = _t2_12(tol, *_with_trivial(_TWISTED, chi, q), a=a, x=x)
+    rhs, rterms = _t2_12(**slots)
     zeta_terms = (2.0 / (a * a * x) * dirichlet_L(1.0, chi)
                   - _tau(chi) / 8.0 * dirichlet_L(1.0, chi.conjugate()))
-    return lhs, zeta_terms + rhs, lterms, rterms
+    return zeta_terms + rhs, rterms
 
 
-def _t2_9(tol, chi1, chi2, p, q, a, x, **_):
-    c = _c_shift(a, x, p * q)
-    lhs, lterms = _lhs_bessel(DivisorSumSpec(0, chi1, chi2), a, x, 0.0, tol)
+def _t2_9(chi1, chi2, a, x, c, **_):
     kernel = log_kernel_series(
         DivisorSumSpec(0, chi1.conjugate(), chi2.conjugate()), c,
         over_n=True)
@@ -479,17 +485,15 @@ def _t2_9(tol, chi1, chi2, p, q, a, x, **_):
                  + d1 * l2 + l1 * d2)
     # proof-consistent constant: tau1 tau2 c^2/(2 pi^2) on log(c/n)
     rhs -= _tau(chi1) * _tau(chi2) * c * c / (2.0 * PI * PI) * kernel.value
-    return lhs, rhs, lterms, kernel.terms
+    return rhs, kernel.terms
 
 
 # =================== weight -nu identities (Cohen type) ==================
 
 
-def _p1_1(tol, nu, N, x, **_):
-    spec = DivisorSumSpec(-nu)
-    lhs, lterms = _cohen_lhs(spec, nu, x, tol)
+def _p1_1(nu, N, x, **_):
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
-    tail = cohen_tail_series(spec, nu - 2 * N, x)
+    tail = cohen_tail_series(DivisorSumSpec(-nu), nu - 2 * N, x)
     rhs = (-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0)
            + gamma(1.0 + nu) * riemann_zeta(1.0 + nu)
            / (PI ** (nu + 1.0) * 2.0 ** nu * x))
@@ -498,7 +502,7 @@ def _p1_1(tol, nu, N, x, **_):
                           * x ** (2 * j - 1) for j in range(1, N + 1))
     rhs -= PI * riemann_zeta(nu + 1.0) * x ** nu / cs
     rhs += 2.0 / sn * x ** (2 * N + 1) * tail.value
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
 def _cohen_head(chi2: Character, chi1: Character, nu: float, Q: float, N: int,
@@ -513,7 +517,7 @@ def _cohen_head(chi2: Character, chi1: Character, nu: float, Q: float, N: int,
                 for s in ladder), Q ** last)
 
 
-def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
+def _cohen_single(twist, chi, nu, N, x, **slots):
     """T3_1..T3_4: weight -nu series of one character.
 
     The plain twist (T3_1, T3_3) is T3_5..T3_8 with chi2 the trivial
@@ -522,15 +526,13 @@ def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
     bracket, which cancels to far below its terms, so it is summed as
     stated; an odd chi takes cos for sin, a factor i and the odd ladder.
     """
-    cb, odd = chi.conjugate(), chi.is_odd
+    cb, odd, q = chi.conjugate(), chi.is_odd, chi.modulus
     if twist == _TWISTED:
-        lhs, rhs, lterms, rterms = _cohen_pair(tol, *_with_trivial(twist, chi, q),
-                                               nu=nu, N=N, x=x)
+        rhs, rterms = _cohen_pair(nu=nu, N=N, x=x, **slots)
         pole = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
                 + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
                 / (TWO_PI ** (nu + 1.0) * x))
-        return lhs, pole + rhs, lterms, rterms
-    lhs, lterms = _cohen_lhs(DivisorSumSpec(-nu, TRIVIAL, cb), nu, x, tol)
+        return pole + rhs, rterms
     qx = q * x
     tail = cohen_tail_series(DivisorSumSpec(-nu, chi), nu - 2 * N + int(odd), qx)
     head, qlast = _cohen_head(chi, TRIVIAL, nu, qx, N, odd)
@@ -546,10 +548,10 @@ def _cohen_single(tol, twist, chi, q, nu, N, x, **_):
         rhs += 1j * q / _tau(chi) * inner
     else:  # T3_2
         rhs = q / _tau(chi) * inner
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
-def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
+def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
     """T3_5..T3_8, and C3_5, C3_6 with chi1 = chi2: weight -nu series of
     two characters.
 
@@ -558,8 +560,6 @@ def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
     L(0, chi2-bar) term; an odd chi1 the L(1 + nu, chi2) L(1, chi1) term
     and the 1/n tail.
     """
-    lhs, lterms = _cohen_lhs(
-        DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()), nu, x, tol)
     pqx = p * q * x
     tail = cohen_tail_series(DivisorSumSpec(-nu, chi2, chi1),
                              nu - 2 * N + (int(chi1.is_odd) + int(chi2.is_odd)), pqx,
@@ -581,21 +581,19 @@ def _cohen_pair(tol, chi1, chi2, p, q, nu, N, x, **_):
     else:
         rhs += (2.0j * p ** (1.0 - nu) * q
                 / (_tau(chi1) * _tau(chi2) * math.cos(PI * nu / 2.0)) * inner)
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
 # ---- elementary nu = 1/2 specializations --------------------------------
 
 
-def _cohen_half(tol, twist, chi, q, x, **_):
+def _cohen_half(twist, chi, chi1, chi2, x, **_):
     """C3_1..C3_4: the elementary nu = 1/2 forms of T3_1..T3_4."""
-    cb, odd, tau = chi.conjugate(), chi.is_odd, _tau(chi)
-    chi1, chi2 = _with_trivial(twist, cb, q)[:2]
-    lhs, lterms = _exp_half_sum(DivisorSumSpec(-0.5, chi1, chi2), x)
+    cb, odd, tau, q = chi.conjugate(), chi.is_odd, _tau(chi), chi.modulus
     qx = q * x
     # C3_4 is stated with the minimal admissible truncation index; this
     # variant uses the first index for which the rational tail converges
-    tail = cohen_tail_series(DivisorSumSpec(-0.5, chi2.conjugate(), chi1.conjugate()),
+    tail = cohen_tail_series(DivisorSumSpec(-0.5, chi2, chi1),
                              0.5 - 2 * int(odd and twist == _BAR_TWISTED) + int(odd), qx,
                              over_n=odd and twist == _TWISTED)
     if twist == _TWISTED:
@@ -614,21 +612,10 @@ def _cohen_half(tol, twist, chi, q, x, **_):
         rhs = (q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
                - PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
                + 2.0 * q * q * x / tau * tail.value)
-    return lhs, rhs, lterms, tail.terms
+    return rhs, tail.terms
 
 
 # ====================== summation formulas (section 4) ====================
-
-
-def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
-                 over_j: bool) -> tuple[complex, int]:
-    lo, hi = math.floor(alpha) + 1, math.ceil(beta)
-    count = within_budget(max(hi - 1, 0), "the finite sum over j < beta")
-    js = np.arange(lo, hi, dtype=float)
-    weights = coefficient_array(spec, count)[lo:]
-    if over_j:
-        weights = weights / js
-    return complex(np.sum(weights * f(js))), len(js)
 
 
 def _riesz_mean(terms: np.ndarray, order: float) -> complex:
@@ -678,7 +665,7 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
 
 
 # the kernel variant and prefactor of the expansion, by the parities
-# (chi1 odd, chi2 odd); an odd chi1 also puts 1/j on the finite sum
+# (chi1 odd, chi2 odd)
 _VORONOI_KERNELS = {
     (False, False): ("even-cos", TWO_PI),
     (True, True): ("plus-y-cos", -TWO_PI),
@@ -687,40 +674,33 @@ _VORONOI_KERNELS = {
 }
 
 
-def _voronoi_pair(tol, chi1, chi2, p, q, nu, alpha, beta, f, **_):
+def _voronoi_pair(chi1, chi2, p, q, nu, alpha, beta, f, **_):
     """T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2: summation formulas of
     two characters."""
-    over_j = chi1.is_odd
     variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
-    pref = p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2))
-    fin, n_j = _finite_side(f, alpha, beta,
-                            DivisorSumSpec(-nu, chi2, chi1), over_j)
-    lhs = pref * fin
     kern, n_terms = _kernel_expansion(
         f, alpha, beta, nu,
         DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if over_j else 0.0), variant)
-    rhs = series_pref * kern
-    return lhs, rhs, n_j, n_terms
+        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant)
+    return series_pref * kern, n_terms
 
 
-def _voronoi_single(tol, twist, chi, q, nu, alpha, beta, f, **_):
+def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
     """T4_1..T4_4: T4_5..T4_8 with the trivial character in one slot,
     plus the main term from the pole of its zeta(s).
 
     twist is that of the kernel series; the finite sum takes the other
     one, and with it the q^{1 -+ nu/2} prefactor and L(1 -+ nu, chi).
     """
-    lhs, rhs, n_j, n_terms = _voronoi_pair(tol, *_with_trivial(twist, chi, q),
-                                           nu=nu, alpha=alpha, beta=beta, f=f)
+    rhs, n_terms = _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, **slots)
     bar_side = twist == _TWISTED
     over_j = bar_side and chi.is_odd
-    pref = q ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
+    pref = chi.modulus ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
     main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
     lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
     main = adaptive_integral(lambda t: float(f(np.array([t]))[0]) * t ** main_power,
                              alpha, beta, tol=1e-11)
-    return lhs, pref * lmain * main + rhs, n_j, n_terms
+    return pref * lmain * main + rhs, n_terms
 
 
 # ========================== registry and driver ==========================
@@ -739,12 +719,13 @@ class TheoremEntry:
     nu: "positive", "zero" or "half" (nu > 0 as given, 0 or 1/2), "cohen"
       (non-integer, with N >= floor((nu + 1)/2)) or "voronoi" (0 < nu <
       1/2, a non-integer interval and a known test function).  a is
-      required for "positive" and "zero", x for all but "voronoi".
-    excluded: the expression, a key of _EXCLUDED, that must not be a
-      positive integer.
-    twist: the twist of a one-character series side, _TWISTED or
-      _BAR_TWISTED, passed to the evaluator with the resolved parameters;
-      _with_trivial turns it into the side's two character slots.
+      required for "positive" and "zero", x for all but "voronoi".  It
+      also names the shape of the divisor side (_divisor_side).
+    excluded: the name, for the message, of the expression that must not
+      be a positive integer: c = a^2 p q x/(16 pi^2) where a is given,
+      else p q x, with the resolved moduli.
+    twist: the twist of a one-character theorem (T2_13's included),
+      _TWISTED or _BAR_TWISTED; _check turns it into the two slots.
     """
 
     tid: str
@@ -875,7 +856,7 @@ _register("T2_13", "sec2",
               dict(q=8, char_index=1, a=0.5, x=1.9),
               dict(q=7, char_index=2, a=1.0, x=0.75),
               dict(q=7, char_index=4, a=2.0, x=0.3)),
-          chars=("even",), excluded="a^2*q*x/(16*pi^2)")
+          chars=("even",), excluded="a^2*q*x/(16*pi^2)", twist=_TWISTED)
 _register("T2_14", "sec2",
           "two mixed-parity characters, even k >= 0, nu > 0",
           _pair_nu, (
@@ -1040,10 +1021,11 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     entry = _entry(case.theorem)
     if tol is None:
         tol = DEFAULT_TOLERANCES[entry.section]
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
+    _admit("tol", tol, float, positive=True)
     t0 = time.perf_counter()
-    lhs, rhs, lterms, rterms = entry.evaluate(tol, **_check(entry, case))
+    r = _check(entry, case)
+    lhs, lterms = _divisor_side(entry.nu, tol, **r)
+    rhs, rterms = entry.evaluate(**r)
     wall = (time.perf_counter() - t0) * 1000.0
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(lhs) if lhs != 0 else math.inf
@@ -1092,8 +1074,10 @@ def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
     evaluation raises a TblabError gets a failed report whose error names
     it.  Results keep the deterministic registry ordering regardless of
     worker count.  workers > 1 runs the cases in a pool of at most
-    min(workers, cases) processes; workers < 1 raises DomainError.
+    min(workers, cases) processes; a workers that is not an int >= 1
+    raises DomainError.
     """
+    _admit("workers", workers, int)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     term_cap()  # a bad TBL_MAX_TERMS fails the suite, not each case

@@ -1,13 +1,15 @@
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tblab import identities
-from tblab.characters import TRIVIAL, enumerate_characters
+from tblab.arith import DivisorSumSpec, divisor_sum
+from tblab.characters import TRIVIAL, enumerate_characters, gauss_sum
 from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
 from tblab.identities import (
     THEOREMS,
@@ -118,7 +120,6 @@ def test_residual_tracks_requested_tolerance():
 
 def test_voronoi_finite_side_shifts_by_exact_term():
     # moving beta across the integer 4 adds exactly the j = 4 term
-    from tblab.arith import DivisorSumSpec, divisor_sum
     from tblab.identities import TEST_FUNCTIONS, _finite_side
     chi = enumerate_characters(5)[2]
     spec = DivisorSumSpec(-0.25, TRIVIAL, chi)
@@ -128,6 +129,40 @@ def test_voronoi_finite_side_shifts_by_exact_term():
     assert n2 == n1 + 1
     expected = divisor_sum(spec, 4) * math.exp(-4.0)
     assert abs((after - before) - expected) < 1e-14
+
+
+def _stated_finite_sum(case):
+    """(g, prefactor, over_j) of a summation formula's finite sum
+    prefactor * sum_{alpha<j<beta} f(j) g(j) j^{-over_j}, as its theorem
+    states it."""
+    nu, q = case.nu, case.q
+    if case.theorem in ("T4_1", "T4_2", "T4_3", "T4_4"):
+        chi = enumerate_characters(q)[case.char_index]
+        tau = gauss_sum(chi).value
+        if case.theorem in ("T4_1", "T4_3"):  # the bar twist, over j for an odd chi
+            return DivisorSumSpec(-nu, TRIVIAL, chi), q ** (1 - nu / 2) / tau, chi.is_odd
+        return DivisorSumSpec(-nu, chi, TRIVIAL), q ** (1 + nu / 2) / tau, False
+    # T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2 and p = q
+    p = case.p or q
+    chi1 = enumerate_characters(p)[case.char_index]
+    chi2 = enumerate_characters(q)[case.char2_index if case.p else case.char_index]
+    pref = p ** (1 - nu / 2) * q ** (1 + nu / 2) / (gauss_sum(chi1).value
+                                                    * gauss_sum(chi2).value)
+    return DivisorSumSpec(-nu, chi2, chi1), pref, chi1.is_odd
+
+
+@pytest.mark.parametrize("theorem", [f"T4_{i}" for i in range(1, 9)] + ["C4_1", "C4_2"])
+def test_voronoi_divisor_side_is_its_brute_force_sum(theorem):
+    # verify's lhs against the finite sum written out term by term, with
+    # each f_z(j) from its divisors
+    for case in default_cases([theorem]):
+        g, pref, over_j = _stated_finite_sum(case)
+        js = range(math.floor(case.alpha) + 1, math.ceil(case.beta))
+        assert 0 < len(js) <= 5
+        f = identities.TEST_FUNCTIONS[case.f]
+        brute = pref * sum(complex(f(np.array([float(j)]))[0]) * divisor_sum(g, j)
+                           / (j if over_j else 1) for j in js)
+        assert abs(verify(case).lhs - brute) <= 1e-14 * abs(brute), case
 
 
 @pytest.mark.parametrize("n_terms", [1000, 3000, 20000])
@@ -320,6 +355,24 @@ class TestHypothesisEnforcement:
             verify(IdentityCase("T2_13", q=5, char_index=2, a=1.0, x=x))
         with pytest.raises(ExcludedParameter):
             verify(IdentityCase("T3_1", q=5, char_index=2, nu=0.3, N=1, x=0.4))
+
+    @pytest.mark.parametrize("theorem, point, message", [
+        ("C3_5", dict(q=5, char_index=2, x=0.08, nu=0.25, N=1), "q^2*x = 2"),
+        ("C3_6", dict(p=4, char_index=1, x=0.125, nu=0.25, N=1), "p^2*x = 2"),
+        ("T3_1", dict(q=5, char_index=2, x=0.4, nu=0.25, N=1), "q*x = 2"),
+        ("T3_5", dict(p=5, char_index=2, q=7, char2_index=2, x=2 / 35, nu=0.25, N=1),
+         "p*q*x = 2"),
+        ("P1_1", dict(x=2.0, nu=0.25, N=1), "x = 2"),
+        ("T2_13", dict(q=5, char_index=2, a=1.0, x=16 * PI * PI / 5),
+         "a^2*q*x/(16*pi^2) = 1"),
+        ("T2_12", dict(p=5, char_index=2, q=8, char2_index=1, a=1.0, x=16 * PI * PI / 40),
+         "a^2*p*q*x/(16*pi^2) = 1"),
+    ], ids=["C3_5", "C3_6", "T3_1", "T3_5", "P1_1", "T2_13", "T2_12"])
+    def test_each_excluded_clause_is_named(self, theorem, point, message):
+        # each point puts its clause's expression on an integer
+        with pytest.raises(ExcludedParameter,
+                           match=f"^{re.escape(message)} must not be a positive integer$"):
+            verify(IdentityCase(theorem, **point))
 
     def test_voronoi_interval(self):
         with pytest.raises(ExcludedParameter, match="alpha"):

@@ -10,7 +10,7 @@ from tblab.arith import DivisorSumSpec, divisors
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
-from tblab.identities import IdentityCase, verify
+from tblab.identities import IdentityCase, run_suite, verify
 from tblab.series import (
     adaptive_integral,
     bessel_series,
@@ -87,6 +87,23 @@ def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, mess
     # before any hypothesis reads it
     with pytest.raises(DomainError, match=re.escape(message)):
         verify(IdentityCase(theorem, **dict(point, **{field: value})))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol="1"),
+     "tol must be of type float, got '1'"),
+    (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=1e-3 + 0j),
+     "tol must be of type float, got (0.001+0j)"),
+    (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=10 ** 400),
+     "tol must be a finite number > 0, got 1000"),
+    (lambda: run_suite(["T2_13"], workers=2.5), "workers must be of type int, got 2.5"),
+    (lambda: run_suite(["T2_13"], workers="2"), "workers must be of type int, got '2'"),
+], ids=["string-tol", "complex-tol", "huge-tol", "float-workers", "string-workers"])
+def test_tol_and_workers_are_checked_like_a_field(call, message):
+    # verify's tol is checked as a float field, then > 0; run_suite's
+    # workers as an int field, then >= 1
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def _refuse(*args):
