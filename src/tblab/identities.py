@@ -641,11 +641,11 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     the smaller term_cap()).
 
     All N integrals I_n, at scales c = kernel_scale sqrt(n), come from
-    one oscillatory_kernel_integrals call: by quadrature while
-    c sqrt(alpha) < series.HANKEL_CUT (the first few hundred n), and in
-    closed form beyond, from the Hankel and endpoint expansions, which
-    take every scale whose truncation they certify below 1e-13 of the
-    leading term (for the registered points, all of them).
+    one oscillatory_kernel_integrals call: in closed form, from the
+    Hankel and endpoint expansions, at every scale whose truncation they
+    certify below 5e-14 of the leading term (for the registered points,
+    from c sqrt(alpha) of about 17 to 40 on), and by quadrature below
+    (the first few hundred n at most).
 
     The weights damp the endpoint oscillation of the partial sums
     (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly

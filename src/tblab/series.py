@@ -14,17 +14,17 @@ whose certified bound is below tol/10.  That reaches ~1e-12 where plain
 truncation of exponents as low as 1.25 could not reach 1e-9.
 
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
-[alpha, beta] for a batch of scales c, have two regimes split at
-c sqrt(alpha) = HANKEL_CUT = 40.  Below it they are Gauss-Legendre
+[alpha, beta] for a batch of scales c, have two regimes, split where the
+expansions' certificate begins.  Small scales are Gauss-Legendre
 quadrature in r = sqrt(t), which evaluates J, Y and K at every node.
-From it on K is negligible, and they come in closed form from the Hankel
-expansion of J + iY and the endpoint expansion of each Fourier integral,
-whose c-independent endpoint derivatives are read once from an FFT of
-the integrand on two circles; no Bessel function is evaluated.  The sum
-over the triangle k + j <= 27 (Hankel order k, endpoint order j) is
-certified: a scale is expanded only if every term of its last diagonal
-is below 1e-13 of the leading term, and otherwise stays with the
-quadrature.
+The rest come in closed form from the Hankel expansions of J + iY and of
+K and the endpoint expansion of each Fourier or Laplace integral, whose
+c-independent endpoint derivatives are read once from an FFT of the
+integrand on two circles; no Bessel function is evaluated.  The sum over
+the triangle k + j <= 27 (Hankel order k, endpoint order j) is
+certified: a scale is expanded only if every term of its last two
+diagonals is below 5e-14 of the leading term, and otherwise stays with
+the quadrature.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .arith import (
     closed_form_F_prime,
     coefficient_array,
 )
-from .bessel import jy_values, k_values
+from .bessel import _ASYM_TINY, jy_values, k_values
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -420,9 +420,25 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
     return ((2.0 / math.pi) * k + ys * y) * main + jc * j
 
 
-# each panel of the r-grid spans at most 10 radians of kernel phase
-_PHASE_PER_PANEL = 10.0
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
+# each panel of the r-grid spans at most 16 radians of kernel phase, so
+# the 16-point rule takes one node per radian.  Against panels of 4
+# radians, over the registered test functions, intervals and orders, at
+# every scale below least_scale where each panel spans the full phase,
+# the error is below 2e-15 of the integral of the integrand's envelope
+# |f(t) t^e| (c sqrt(t))^{-1/2}; at 20 radians it reaches 3e-13.
+_PHASE_PER_PANEL = 16.0
+# The 16-point Gauss-Legendre rule of the panels: the output of numpy's
+# leggauss(16), its positive nodes and their weights as hex floats; the
+# rule is symmetric.  Held as a table for the reason bessel holds its
+# 128-point rule, and so that numpy.polynomial is not imported.
+_PANEL_POS = np.array([float.fromhex(h) for h in """
+    0x1.852bd6676a9f9p-4 0x1.205cae642337cp-2 0x1.d50259a43a772p-2 0x1.3c5a466d5e8b8p-1
+    0x1.82c45dda4726bp-1 0x1.bb3403514e483p-1 0x1.e39f56616f9b0p-1 0x1.fa92c264d787ep-1
+    0x1.83feae80e4e01p-3 0x1.75f8c77e0c011p-3 0x1.5a6ebbb5a7600p-3 0x1.325f61bca3cbep-3
+    0x1.fe7af2bad3878p-4 0x1.85c4ee79cc24bp-4 0x1.fdfb1a2c1261ep-5 0x1.bcddab4b7c228p-6
+""".split()]).reshape(2, 8)
+_PANEL_X = np.concatenate([-_PANEL_POS[0, ::-1], _PANEL_POS[0]])
+_PANEL_W = np.concatenate([_PANEL_POS[1, ::-1], _PANEL_POS[1]])
 # scales per shared grid
 _PANEL_BLOCK = 512
 # kernel values per Bessel evaluation: 8192 doubles are 64 kB, below
@@ -463,15 +479,11 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
     return out
 
 
-# Scales with c sqrt(alpha) below HANKEL_CUT are integrated by quadrature;
-# above it K is below 1e-17 of J and Y, and the Hankel and endpoint
-# expansions take every scale their certificate covers.
-HANKEL_CUT = 40.0
 # the expansions sum the triangle k + j <= _HANKEL_ORDER (Hankel order k,
 # endpoint order j); they serve a scale only if every term on its last
-# diagonal is below _HANKEL_REL of the leading term there
+# two diagonals is below _HANKEL_REL of the leading term there
 _HANKEL_ORDER = 27
-_HANKEL_REL = 1e-13
+_HANKEL_REL = 5e-14
 # points on each Cauchy circle; the circle's radius is half the distance
 # to the branch point r = 0, so aliasing scales a coefficient by 2^-64
 _CAUCHY_POINTS = 64
@@ -482,26 +494,39 @@ class _EndpointExpansion:
     """The integrals of oscillatory_kernel_integrals in closed form, for
     large scales c.
 
-    Without K, the kernel is Re[C H1_nu(c r)], C = jc - i main ys, and
-    H1_nu(u) = sqrt(2/pi) e^{-i phi} sum_k i^k a_k(nu) u^{-k-1/2} e^{iu}
-    (DLMF 10.17.5).  With h_k(r) = 2 f(r^2) r^{2e + 1/2 - k}, each term
-    is c^{-k-1/2} int h_k(r) e^{icr} dr over [sqrt(alpha), sqrt(beta)],
-    and that integral is its endpoint series
-    sum_j (-1)^j (ic)^{-j-1} [h_k^{(j)}(r) e^{icr}] (integration by parts).
+    The kernel is main (2/pi) K_nu(c r) + Re[C H1_nu(c r)],
+    C = jc - i main ys.  H1_nu(u) = sqrt(2/pi) e^{-i phi}
+    sum_k i^k a_k(nu) u^{-k-1/2} e^{iu} (DLMF 10.17.5), and K_nu has the
+    same a_k: (2/pi) K_nu(u) = sqrt(2/pi) sum_k a_k(nu) u^{-k-1/2} e^{-u}
+    (DLMF 10.40.2).  With h_k(r) = 2 f(r^2) r^{2e + 1/2 - k}, each term is
+    c^{-k-1/2} times int h_k(r) e^{icr} dr or int h_k(r) e^{-cr} dr over
+    [sqrt(alpha), sqrt(beta)], whose endpoint series are
+    sum_j (-1)^j (ic)^{-j-1} [h_k^{(j)}(r) e^{icr}] and
+    sum_j -c^{-j-1} [h_k^{(j)}(r) e^{-cr}] (integration by parts).
     The derivatives do not depend on c: they come once, from the FFT of
     h_k on a circle of radius sqrt(alpha)/2 about each endpoint (Cauchy's
-    formula).  Term (k, j) carries i^{k+j-1} c^{-k-j-3/2}, so each
-    endpoint's triangle k + j <= L is a polynomial in 1/c, and a scale
-    costs O(L) flops.
+    formula).  Term (k, j) carries c^{-k-j-3/2}, times i^{k+j-1} for
+    J + iY, so each endpoint's triangle k + j <= L is a polynomial in
+    1/c, and a scale costs O(L) flops.  A block of scales sums only the
+    orders whose terms matter at its least scale, fewer as c grows, and
+    K's only while e^{-c sqrt(alpha)} leaves them any weight.
 
-    The certificate: the largest term of the last diagonal k + j = L over
-    the leading term falls like c^{-L}, so it is below _HANKEL_REL from
-    least_scale on.  least_scale is infinite unless f is finite and the
-    FFT resolves it: the mean of h_0 over each circle must match its value
-    at the centre to 1e-13 of its largest value there.  That fails for a
-    test function that is not analytic, cannot take complex arguments, or
-    grows too fast on the circle for the M points (gauss from alpha of
-    about 5 on).
+    The certificate: the largest term of each of the last two diagonals,
+    k + j = L - 1 and L, over the leading term falls like c^{-L+1} or
+    c^{-L}, and both are below _HANKEL_REL from least_scale on; K's
+    terms are the same times e^{-cr} <= 1.  One diagonal alone is not
+    enough: for gauss on (1.3, 5.7) at nu = 0.25, e = -0.125 the odd one
+    is 10 times smaller than its neighbours, and with it alone at 1e-13
+    the sum's error at least_scale was 1.3e-12 of lead c^{-3/2}, lead
+    the largest |h_0| at an end.  With two at 5e-14, the
+    error at least_scale is at most 4.4e-14 of lead c^{-3/2} (against
+    fine panels) for each of exp, t2, gauss, t, one and t3 on (0.5, 3.4)
+    and (1.3, 5.7) at the three (nu, e) of the tests.
+    least_scale is infinite unless f is finite and the FFT resolves it:
+    the mean of h_0 over each circle must match its value at the centre to
+    1e-13 of its largest value there.  That fails for a test function that
+    is not analytic, cannot take complex arguments, or grows too fast on
+    the circle for the M points (gauss from alpha of about 5 on).
     """
 
     def __init__(self, f, alpha: float, beta: float, nu: float, t_exponent: float):
@@ -517,16 +542,29 @@ class _EndpointExpansion:
         deriv = np.fft.fft(h, axis=-1)[..., :L + 1] * (factorials / (M * radius ** ks))
         h_ends = 2.0 * f(self.ends ** 2) * self.ends ** (2.0 * t_exponent + 0.5)
         hankel = np.cumprod(np.r_[1.0, (4.0 * nu * nu - (2 * ks[1:] - 1) ** 2) / (8.0 * ks[1:])])
-        # coefs[e, n] = i^{n-1} sum_{k + j = n} a_k h_k^{(j)}(end e)
-        self.coefs = np.zeros((2, L + 1), dtype=complex)
+        # sums[e, n] = sum_{k + j = n} a_k h_k^{(j)}(end e), K's coefficients;
+        # coefs[e, n] = i^{n-1} sums[e, n], those of J + iY
+        self.sums = np.zeros((2, L + 1), dtype=complex)
         for k in ks:
-            self.coefs[:, k:] += hankel[k] * deriv[k, :, :L + 1 - k]
-        self.coefs *= _I_POWERS[(ks - 1) % 4]
-        last = max(np.max(np.abs(hankel[k] * deriv[k, :, L - k])) for k in ks)
-        lead = np.max(np.abs(h_ends))
-        resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(h_ends)) and lead > 0
+            self.sums[:, k:] += hankel[k] * deriv[k, :, :L + 1 - k]
+        self.coefs = self.sums * _I_POWERS[(ks - 1) % 4]
+        self.sizes = np.max(np.abs(self.sums), axis=0)
+        self._powers = -ks.astype(float)
+        lasts = [max(np.max(np.abs(hankel[k] * deriv[k, :, n - k])) for k in range(n + 1))
+                 for n in (L - 1, L)]
+        self.lead = np.max(np.abs(h_ends))
+        resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(h_ends)) and self.lead > 0
                     and np.max(np.abs(deriv[0, :, 0] - h_ends)) <= 1e-13 * np.max(np.abs(h[0])))
-        self.least_scale = (last / (_HANKEL_REL * lead)) ** (1.0 / L) if resolved else math.inf
+        self.least_scale = max((last / (_HANKEL_REL * self.lead)) ** (1.0 / n)
+                               for n, last in zip((L - 1, L), lasts)) if resolved else math.inf
+
+    def _orders(self, c: float, damping: float = 1.0) -> int:
+        """How many leading orders of the series in 1/c matter from scale c
+        on: those after them, times damping, sum to below _ASYM_TINY of
+        the leading term there, and so do at every larger scale."""
+        terms = self.sizes * damping * c ** self._powers
+        after = np.cumsum(terms[::-1])[::-1]  # after[n] = sum of terms from n on
+        return int(np.count_nonzero(after >= _ASYM_TINY * self.lead))
 
     def integrals(self, cs: np.ndarray, variant: str) -> np.ndarray:
         """The integrals at scales cs, all at least least_scale; a smaller
@@ -539,15 +577,32 @@ class _EndpointExpansion:
         phi = (0.5 * self.nu + 0.25) * math.pi
         lead = ((jc - 1j * main * ys) * math.sqrt(2.0 / math.pi)
                 * complex(math.cos(phi), -math.sin(phi)))
+        k_lead = main * math.sqrt(2.0 / math.pi)
         out = np.empty(cs.size)
-        # in blocks whose (2 x scales) complex temporaries stay at 64 kB
+        # in blocks whose (2 x scales) complex temporaries stay at 64 kB,
+        # each summing only the orders that matter at its least scale
         for lo in range(0, cs.size, _KERNEL_POINTS // 4):
             c = cs[lo:lo + _KERNEL_POINTS // 4]
-            series = np.polynomial.polynomial.polyval(1.0 / c, self.coefs.T)
-            phases = np.exp(1j * np.outer(self.ends, c))
-            total = (series[1] * phases[1] - series[0] * phases[0]) * c ** -1.5
-            out[lo:lo + c.size] = (lead * total).real
+            x, least = 1.0 / c, float(c.min())
+            total = lead * self._endpoints(self.coefs, x, self._orders(least),
+                                           np.exp(1j * np.outer(self.ends, c)))
+            k_orders = self._orders(least, math.exp(-least * self.ends[0]))
+            if k_orders:
+                total -= k_lead * self._endpoints(self.sums, x, k_orders,
+                                                  np.exp(-np.outer(self.ends, c)))
+            out[lo:lo + c.size] = (total * (x * np.sqrt(x))).real
         return out
+
+    @staticmethod
+    def _endpoints(coefs: np.ndarray, x: np.ndarray, orders: int,
+                   phases: np.ndarray) -> np.ndarray:
+        """The difference of the two endpoints' series in x, by Horner's
+        rule over their first orders coefficients, each times its phase."""
+        acc = np.zeros((2, x.size), dtype=complex)
+        for n in range(orders - 1, -1, -1):
+            acc *= x
+            acc += coefs[:, n, None]
+        return acc[1] * phases[1] - acc[0] * phases[0]
 
 
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
@@ -558,16 +613,16 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
     for each kernel scale c in cs, 0 < alpha < beta, f real on the real
     axis.
 
-    Two regimes:
+    Two regimes, split at the expansions' least_scale alone:
     * Gauss-Legendre panels in r = sqrt(t) (_panel_integrals), whose
       kernel values cost one J, Y and K per node and scale;
-    * from c sqrt(alpha) = HANKEL_CUT (40) on, the Hankel and endpoint
-      expansions (_EndpointExpansion), which evaluate no Bessel function:
-      f is read on two circles once per call, and each scale then costs
-      O(L) flops.  They take only the scales their certificate covers
-      (last diagonal below 1e-13 of the leading term), which for the
-      registered test functions, intervals and orders is every scale
-      past the cut; the rest stay with the quadrature.
+    * from least_scale on, the Hankel expansions of J + iY and of K and
+      the endpoint expansions (_EndpointExpansion), which evaluate no
+      Bessel function: f is read on two circles once per call, and each
+      scale then costs O(L) flops.  least_scale is where their
+      certificate begins (last two diagonals below 5e-14 of the leading
+      term): c sqrt(alpha) of about 17 to 40 for the registered test
+      functions, intervals and orders.
     f must accept complex arrays.  Where its values there are not the
     analytic continuation of f (it drops the imaginary part, say), every
     scale stays with the quadrature.
@@ -576,12 +631,10 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
         raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta")
     cs = np.asarray(cs, dtype=float)
     out = np.zeros(cs.size)
-    far = cs * math.sqrt(alpha) >= HANKEL_CUT
+    expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
+    far = cs >= expansion.least_scale
     if far.any():
-        expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
-        far &= cs >= expansion.least_scale
-        if far.any():
-            out[far] = expansion.integrals(cs[far], variant)
+        out[far] = expansion.integrals(cs[far], variant)
     near = ~far
     if near.any():
         out[near] = _panel_integrals(f, alpha, beta, nu, cs[near], t_exponent, variant)

@@ -8,10 +8,14 @@ Records are matched by theorem id and parameters.  For each record that
 differs in anything but wall_ms it prints |delta lhs|/|lhs| and
 |delta rhs|/|lhs| (|lhs| from the old record), any change of pass or
 terms, and the names of the other fields that changed.  A record present
-in one file only is listed too.  Lines that are not JSON objects, such
-as the count line that `suite` prints after the records on standard
-output, are skipped.  The exit status is 0 when every record
-is identical apart from wall_ms, else 1.
+in one file only is listed too.  When more than one record moved, a line
+for each theorem-id prefix (T4, C4, ...) with moved records follows: how
+many moved, and the largest |delta lhs|/|lhs| and |delta rhs|/|lhs|
+among them, so that a change at the rounding level can be quoted by one
+number.  Lines that are not JSON objects, such as the count line that
+`suite` prints after the records on standard output, are skipped.  The
+exit status is 0 when every record is identical apart from wall_ms,
+else 1.
 
 The name does not start with test_, so pytest does not collect it.
 """
@@ -39,10 +43,15 @@ def _side(rec: dict, name: str) -> complex:
     return complex(math.nan if re is None else re, math.nan if im is None else im)
 
 
-def _describe(old: dict, new: dict) -> str:
+def _moves(old: dict, new: dict) -> tuple[float, float]:
+    """|delta lhs|/|lhs| and |delta rhs|/|lhs|, |lhs| from the old record."""
     scale = abs(_side(old, "lhs"))
-    parts = [f"|dlhs|/|lhs| = {abs(_side(new, 'lhs') - _side(old, 'lhs')) / scale:.3e}",
-             f"|drhs|/|lhs| = {abs(_side(new, 'rhs') - _side(old, 'rhs')) / scale:.3e}"]
+    return tuple(abs(_side(new, side) - _side(old, side)) / scale for side in ("lhs", "rhs"))
+
+
+def _describe(old: dict, new: dict) -> str:
+    dlhs, drhs = _moves(old, new)
+    parts = [f"|dlhs|/|lhs| = {dlhs:.3e}", f"|drhs|/|lhs| = {drhs:.3e}"]
     for field in ("pass", "terms"):
         if old[field] != new[field]:
             parts.append(f"{field} {old[field]} -> {new[field]}")
@@ -60,15 +69,23 @@ def main(argv: list[str]) -> int:
         print("usage: compare_suite.py OLD.jsonl NEW.jsonl", file=sys.stderr)
         return 2
     old, new = map(_load, argv)
-    moved = 0
+    # theorem-id prefix -> (dlhs, drhs) of each moved record, None for a
+    # record in one file only
+    moves: dict[str, list] = {}
     for key in sorted(old.keys() | new.keys()):
         tid, params = key
         if key not in new or key not in old:
             print(f"{tid} {params}: only in {'old' if key in old else 'new'}")
-            moved += 1
+            moves.setdefault(tid.split("_")[0], []).append(None)
         elif old[key] != new[key]:
             print(f"{tid} {params}: {_describe(old[key], new[key])}")
-            moved += 1
+            moves.setdefault(tid.split("_")[0], []).append(_moves(old[key], new[key]))
+    moved = sum(map(len, moves.values()))
+    if moved > 1:  # for one record this would repeat its line
+        for prefix, found in sorted(moves.items()):
+            largest = [f"{max(col):.3e}" for col in zip(*filter(None, found))] or ["n/a"] * 2
+            print(f"{prefix}: {len(found)} moved, largest |dlhs|/|lhs| = {largest[0]}, "
+                  f"|drhs|/|lhs| = {largest[1]}")
     print(f"{len(old.keys() | new.keys())} records, {moved} differ apart from wall_ms")
     return 1 if moved else 0
 

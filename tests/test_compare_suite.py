@@ -45,3 +45,22 @@ def test_a_record_in_one_file_only_is_printed_and_exits_one(tmp_path, capsys):
     first, last = capsys.readouterr().out.splitlines()
     assert first.startswith("C3_1 ") and first.endswith(": only in old")
     assert last == "2 records, 1 differ apart from wall_ms"
+
+
+def test_moved_records_are_summarised_by_theorem_prefix(tmp_path, capsys):
+    old = RECORDS + [dict(RECORDS[0], params=dict(RECORDS[0]["params"], k=2))]
+    new = [dict(old[0], rhs_re=old[0]["rhs_re"] * (1 + 1e-13)),
+           dict(old[1], lhs_re=old[1]["lhs_re"] + 2e-12 * abs(-0.125 + 0.5j)),
+           dict(old[2], lhs_re=old[2]["lhs_re"] * (1 + 3e-12)),
+           dict(RECORDS[1], theorem_id="P1_1")]
+    assert main([_write(tmp_path / "old", old), _write(tmp_path / "new", new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8  # four records, three prefixes, the count
+    c3, p1, t2 = lines[4:7]
+    assert c3 == "C3: 1 moved, largest |dlhs|/|lhs| = 2.000e-12, |drhs|/|lhs| = 0.000e+00"
+    # a record in one file only counts, but has no ratios
+    assert p1 == "P1: 1 moved, largest |dlhs|/|lhs| = n/a, |drhs|/|lhs| = n/a"
+    head, drhs = t2.rsplit(" = ", 1)
+    assert head == "T2: 2 moved, largest |dlhs|/|lhs| = 3.000e-12, |drhs|/|lhs|"
+    assert abs(float(drhs) - 1e-13) < 2e-15  # 1e-13 of rhs, rounded to rhs's ulp
+    assert lines[7] == "4 records, 4 differ apart from wall_ms"

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tblab import series
 from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import k_values
 from tblab.characters import TRIVIAL, enumerate_characters
@@ -16,7 +17,6 @@ from tblab.errors import (
 )
 from tblab.identities import TEST_FUNCTIONS, IdentityCase, verify
 from tblab.series import (
-    HANKEL_CUT,
     VORONOI_VARIANTS,
     adaptive_integral,
     bessel_series,
@@ -314,12 +314,38 @@ class TestVoronoiKernel:
 @pytest.mark.parametrize("alpha, beta", [(0.5, 3.4), (1.3, 5.7)])
 @pytest.mark.parametrize("nu, t_exp", [(0.25, -0.125), (0.25, -1.125), (0.45, 0.225)])
 def test_hankel_expansion_against_quadrature(variant, fname, alpha, beta, nu, t_exp):
-    # just above the cut, where the expansion's truncation is largest
+    # from least_scale on, where the expansion's truncation is largest and
+    # K's endpoint series matters most
     f = TEST_FUNCTIONS[fname]
-    cs = np.array([40.0, 40.5, 45.0, 52.0, 60.0]) / math.sqrt(alpha)
-    expanded = _EndpointExpansion(f, alpha, beta, nu, t_exp).integrals(cs, variant)
+    expansion = _EndpointExpansion(f, alpha, beta, nu, t_exp)
+    cs = np.array([1.0, 1.0125, 1.125, 1.3, 1.5]) * expansion.least_scale
+    expanded = expansion.integrals(cs, variant)
     quadrature = _panel_integrals(f, alpha, beta, nu, cs, t_exp, variant)
     assert np.max(np.abs(expanded - quadrature)) < 1e-13
+
+
+def test_endpoint_series_drops_only_orders_below_the_rounding_level(monkeypatch):
+    # t2 needs all 28 orders at least_scale, and fewer as the scale grows;
+    # the orders dropped move no integral by more than rounding
+    expansion = _EndpointExpansion(TEST_FUNCTIONS["t2"], 1.3, 5.7, 0.25, -1.125)
+    cs = expansion.least_scale * np.array([1.0, 1.5, 3.0, 10.0, 30.0])
+    assert [expansion._orders(c) for c in cs] == [28, 15, 11, 8, 6]
+    # K's terms carry e^{-c sqrt(alpha)}: six orders at least_scale, none at 3 times it
+    damped = [expansion._orders(c, math.exp(-c * math.sqrt(1.3))) for c in cs]
+    assert damped == [6, 3, 0, 0, 0]
+
+    def each(variant):
+        return np.array([expansion.integrals(cs[i:i + 1], variant)[0] for i in range(cs.size)])
+
+    dropped = {variant: each(variant) for variant in VORONOI_VARIANTS}
+    monkeypatch.setattr(series, "_ASYM_TINY", 0.0)
+    for variant, got in dropped.items():
+        assert np.all(np.abs(got - each(variant)) <= 2e-16 * expansion.lead * cs ** -1.5)
+
+
+def test_panel_rule_table_is_numpys_rule():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(series._PANEL_X, x) and np.array_equal(series._PANEL_W, w)
 
 
 def test_hankel_expansion_refuses_a_truncated_sum():
@@ -343,18 +369,18 @@ def test_oscillatory_integrals_keep_quadrature_when_f_cannot_be_expanded(f):
         assert np.array_equal(got, _panel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos"))
 
 
-def test_oscillatory_integrals_split_at_the_cut_and_the_certificate():
-    # one batch across the cut gives what each regime gives alone
+def test_oscillatory_integrals_split_at_the_certificate():
+    # one batch across least_scale gives what each regime gives alone
     f = TEST_FUNCTIONS["gauss"]
-    cs = np.array([5.0, 60.0, 30.0, 400.0]) / math.sqrt(1.3)
+    expansion = _EndpointExpansion(f, 1.3, 5.7, 0.25, -1.125)
+    cs = np.array([0.2, 1.01, 0.99, 10.0]) * expansion.least_scale
     both = oscillatory_kernel_integrals(f, 1.3, 5.7, 0.25, cs, -1.125, "odd-sin")
-    far = cs * math.sqrt(1.3) >= HANKEL_CUT
+    far = cs >= expansion.least_scale
     near = _panel_integrals(f, 1.3, 5.7, 0.25, cs[~far], -1.125, "odd-sin")
     assert np.array_equal(both[~far], near)
-    expansion = _EndpointExpansion(f, 1.3, 5.7, 0.25, -1.125)
     assert np.array_equal(both[far], expansion.integrals(cs[far], "odd-sin"))
-    # on (3, 4) gauss varies too fast for the expansion at the cut: the
-    # scales it does not certify stay with the quadrature
+    # on (3, 4) gauss varies too fast for the expansion at c sqrt(alpha)
+    # = 45: the scales it does not certify stay with the quadrature
     cs = np.array([45.0, 2000.0]) / math.sqrt(3.0)
     expansion = _EndpointExpansion(f, 3.0, 4.0, 0.25, -0.125)
     assert cs[0] < expansion.least_scale < cs[1]
