@@ -5,8 +5,9 @@ series (or, for the summation formulas, a finite weighted sum) with a
 closed-form side built from Gamma/zeta/L values, Gauss sums and an
 auxiliary rational-tail series.  verify() assembles the two sides along
 independent code paths - _divisor_side builds every divisor side from
-two character slots, and the entry's evaluator the closed-form side,
-which never sees the case's tol - and reports the residual.
+two character slots, the entry's evaluator lists the terms of the
+closed-form side, which never sees the case's tol, and _closed_side
+alone sums them - and reports the residual.
 
 Identity tags:
 
@@ -44,6 +45,7 @@ from .characters import TRIVIAL, Character, enumerate_characters, gauss_sum
 from .errors import (DomainError, ExcludedParameter, HypothesisError, TblabError,
                      term_cap, within_budget)
 from .series import (
+    SeriesResult,
     _refuse_integer,
     adaptive_integral,
     bessel_series,
@@ -365,6 +367,21 @@ def _divisor_side(shape: str, tol: float, chi1, chi2, p, q, nu, k=0, a=None, x=N
     return 8.0 * PI * x ** (nu / 2.0) * res.value, res.terms
 
 
+def _closed_side(terms: list) -> tuple[complex, int]:
+    """The closed-form side an evaluator lists, and its terms: the sum in
+    list order, from the first term on, of each plain value and each
+    prefactor times its part - a stage's SeriesResult, whose terms count,
+    or a nested list, summed the same way before the multiply."""
+    total, count = None, 0
+    for term in terms:
+        if isinstance(term, tuple):
+            pref, part = term
+            value, n = _closed_side(part) if isinstance(part, list) else (part.value, part.terms)
+            term, count = pref * value, count + n
+        total = term if total is None else total + term
+    return total, count
+
+
 # the twist of a one-character series side, which names its theorem
 _TWISTED, _BAR_TWISTED = "twisted", "bar-twisted"
 
@@ -385,29 +402,27 @@ def _pair_nu(chi1, chi2, p, q, k, nu, a, x, c, **_):
     tail = shifted_power_series(
         DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
         nu + k + 1.0, c)
-    rhs = (-_unit(k) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
-           / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
-           * gamma(nu + k + 1.0) * _tau(chi1) * _tau(chi2) * tail.value)
-    return rhs, tail.terms
+    return [(-_unit(k) * (a * q) ** nu * p ** (nu + k) * x ** (nu / 2.0)
+             / (2.0 ** (3.0 * nu + k + 2.0) * PI ** (2.0 * nu + k + 1.0))
+             * gamma(nu + k + 1.0) * _tau(chi1) * _tau(chi2), tail)]
 
 
 def _single_nu(twist, chi, k, nu, a, x, **slots):
     """T2_1, T2_3, T2_5, T2_7: T2_10 and T2_14 with the trivial character
     in one slot, plus the terms of its zeta(s)."""
-    rhs, rterms = _pair_nu(k=k, nu=nu, a=a, x=x, **slots)
-    if twist == _TWISTED:
-        zeta_terms = (_unit(k) * chi.modulus ** k
-                      / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
-                      * gamma(nu) * _tau(chi) * math.factorial(k)
-                      * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0))
-        if k == 0:  # T2_1: the pole term, proportional to L(1, chi)
-            zeta_terms += (2.0 ** (nu + 1.0) / a ** (nu + 2.0) * gamma(1.0 + nu)
-                           * dirichlet_L(1.0, chi) * x ** (-nu / 2.0 - 1.0))
-    else:
-        zeta_terms = (2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
-                      * math.factorial(k) * gamma(nu + k + 1.0)
-                      * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0))
-    return zeta_terms + rhs, rterms
+    pair = _pair_nu(k=k, nu=nu, a=a, x=x, **slots)
+    if twist != _TWISTED:
+        return [2.0 ** (nu + 2.0 * k + 1.0) / a ** (nu + 2.0 * k + 2.0)
+                * math.factorial(k) * gamma(nu + k + 1.0)
+                * dirichlet_L(1.0 + k, chi) * x ** (-nu / 2.0 - k - 1.0)] + pair
+    terms = [_unit(k) * chi.modulus ** k
+             / (a ** nu * 2.0 ** (k + 2.0 - nu) * PI ** (k + 1.0))
+             * gamma(nu) * _tau(chi) * math.factorial(k)
+             * dirichlet_L(k + 1.0, chi.conjugate()) * x ** (-nu / 2.0)]
+    if k == 0:  # T2_1: the pole term, proportional to L(1, chi)
+        terms.append(2.0 ** (nu + 1.0) / a ** (nu + 2.0) * gamma(1.0 + nu)
+                     * dirichlet_L(1.0, chi) * x ** (-nu / 2.0 - 1.0))
+    return terms + pair
 
 
 # ===================== weight-k identities (nu = 0) ======================
@@ -421,21 +436,20 @@ def _single_nu0(twist, chi, chi1, chi2, p, k, a, x, c, **_):
         difference_form=True)
     if twist == _TWISTED:
         # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
-        rhs = -0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
-                       - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))
+        terms = [-0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
+                          - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))]
         if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
-            rhs += 2.0 / (a * a * x) * dirichlet_L(1.0, chi)
+            terms.append(2.0 / (a * a * x) * dirichlet_L(1.0, chi))
     else:
-        rhs = (2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
-               * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0))
-        # full product-rule constant; for the odd-character case the second
-        # summand vanishes (zeta trivial zero), for the even-character case
-        # the first does (L(0, chi) = 0)
-        rhs += 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
-                      + riemann_zeta(-float(k)) * L_derivative(0.0, chi))
-    rhs += (_unit(k) * math.factorial(k) * p ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi) * tail.value)
-    return rhs, tail.terms
+        terms = [2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
+                 * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0),
+                 # full product-rule constant; for the odd-character case the
+                 # second summand vanishes (zeta trivial zero), for the
+                 # even-character case the first does (L(0, chi) = 0)
+                 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
+                        + riemann_zeta(-float(k)) * L_derivative(0.0, chi))]
+    return terms + [(_unit(k) * math.factorial(k) * p ** k
+                     / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi), tail)]
 
 
 def _pair_nu0(chi1, chi2, p, k, c, **_):
@@ -451,10 +465,8 @@ def _pair_nu0(chi1, chi2, p, k, c, **_):
         const = dirichlet_L(-float(k), chi1) * L_derivative(0.0, chi2)
     else:
         const = L_derivative(-float(k), chi1) * dirichlet_L(0.0, chi2)
-    rhs = 0.5 * const
-    rhs += (_unit(k) * math.factorial(k) * p ** k
-            / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)) * tail.value)
-    return rhs, tail.terms
+    return [0.5 * const, (_unit(k) * math.factorial(k) * p ** k
+                          / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)), tail)]
 
 
 # ================== log-kernel identities (k = 0, nu = 0) ================
@@ -463,16 +475,14 @@ def _pair_nu0(chi1, chi2, p, k, c, **_):
 def _t2_12(chi1, chi2, c, **_):
     kernel = log_kernel_series(
         DivisorSumSpec(0, chi1.conjugate(), chi2.conjugate()), c)
-    rhs = _tau(chi1) * _tau(chi2) * c / (2.0 * PI * PI) * kernel.value
-    return rhs, kernel.terms
+    return [(_tau(chi1) * _tau(chi2) * c / (2.0 * PI * PI), kernel)]
 
 
 def _t2_13(chi, a, x, **slots):
     """T2_12 with chi2 the trivial character, plus the terms of its zeta(s)."""
-    rhs, rterms = _t2_12(**slots)
-    zeta_terms = (2.0 / (a * a * x) * dirichlet_L(1.0, chi)
-                  - _tau(chi) / 8.0 * dirichlet_L(1.0, chi.conjugate()))
-    return zeta_terms + rhs, rterms
+    pair = _t2_12(**slots)
+    return [2.0 / (a * a * x) * dirichlet_L(1.0, chi),
+            -_tau(chi) / 8.0 * dirichlet_L(1.0, chi.conjugate())] + pair
 
 
 def _t2_9(chi1, chi2, a, x, c, **_):
@@ -481,11 +491,10 @@ def _t2_9(chi1, chi2, a, x, c, **_):
         over_n=True)
     l1, l2 = dirichlet_L(0.0, chi1), dirichlet_L(0.0, chi2)
     d1, d2 = L_derivative(0.0, chi1), L_derivative(0.0, chi2)
-    rhs = 0.5 * (l1 * l2 * (-2.0 * EULER_GAMMA + math.log(4.0 / (a * a * x)))
-                 + d1 * l2 + l1 * d2)
-    # proof-consistent constant: tau1 tau2 c^2/(2 pi^2) on log(c/n)
-    rhs -= _tau(chi1) * _tau(chi2) * c * c / (2.0 * PI * PI) * kernel.value
-    return rhs, kernel.terms
+    return [0.5 * (l1 * l2 * (-2.0 * EULER_GAMMA + math.log(4.0 / (a * a * x)))
+                   + d1 * l2 + l1 * d2),
+            # proof-consistent constant: tau1 tau2 c^2/(2 pi^2) on log(c/n)
+            (-_tau(chi1) * _tau(chi2) * c * c / (2.0 * PI * PI), kernel)]
 
 
 # =================== weight -nu identities (Cohen type) ==================
@@ -494,15 +503,13 @@ def _t2_9(chi1, chi2, a, x, c, **_):
 def _p1_1(nu, N, x, **_):
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     tail = cohen_tail_series(DivisorSumSpec(-nu), nu - 2 * N, x)
-    rhs = (-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0)
-           + gamma(1.0 + nu) * riemann_zeta(1.0 + nu)
-           / (PI ** (nu + 1.0) * 2.0 ** nu * x))
-    rhs += riemann_zeta(nu) * x ** (nu - 1.0) / sn
-    rhs += 2.0 / sn * sum(riemann_zeta(2.0 * j) * riemann_zeta(2.0 * j - nu)
-                          * x ** (2 * j - 1) for j in range(1, N + 1))
-    rhs -= PI * riemann_zeta(nu + 1.0) * x ** nu / cs
-    rhs += 2.0 / sn * x ** (2 * N + 1) * tail.value
-    return rhs, tail.terms
+    return [-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0),
+            gamma(1.0 + nu) * riemann_zeta(1.0 + nu) / (PI ** (nu + 1.0) * 2.0 ** nu * x),
+            riemann_zeta(nu) * x ** (nu - 1.0) / sn,
+            2.0 / sn * sum(riemann_zeta(2.0 * j) * riemann_zeta(2.0 * j - nu)
+                           * x ** (2 * j - 1) for j in range(1, N + 1)),
+            -PI * riemann_zeta(nu + 1.0) * x ** nu / cs,
+            (2.0 / sn * x ** (2 * N + 1), tail)]
 
 
 def _cohen_head(chi2: Character, chi1: Character, nu: float, Q: float, N: int,
@@ -527,28 +534,24 @@ def _cohen_single(twist, chi, nu, N, x, **slots):
     stated; an odd chi takes cos for sin, a factor i and the odd ladder.
     """
     cb, odd, q = chi.conjugate(), chi.is_odd, chi.modulus
-    if twist == _TWISTED:
-        rhs, rterms = _cohen_pair(nu=nu, N=N, x=x, **slots)
-        pole = (-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0)
-                + 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
-                / (TWO_PI ** (nu + 1.0) * x))
-        return pole + rhs, rterms
+    if twist == _TWISTED:  # the pair's chi2 is TRIVIAL, so its list is one bracket
+        pair = _cohen_pair(nu=nu, N=N, x=x, **slots)
+        return [-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0),
+                2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
+                / (TWO_PI ** (nu + 1.0) * x)] + pair
     qx = q * x
     tail = cohen_tail_series(DivisorSumSpec(-nu, chi), nu - 2 * N + int(odd), qx)
     head, qlast = _cohen_head(chi, TRIVIAL, nu, qx, N, odd)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     trig, cotrig = (cs, sn) if odd else (sn, cs)
-    inner = (dirichlet_L(nu, chi) * qx ** (nu - 1.0) / trig
-             + (1.0 if odd else -1.0) * PI * dirichlet_L(1.0 + nu, chi) * qx ** nu / cotrig)
-    inner += 2.0 / trig * head
-    inner += 2.0 / trig * qlast * tail.value
+    inner = [dirichlet_L(nu, chi) * qx ** (nu - 1.0) / trig,
+             (1.0 if odd else -1.0) * PI * dirichlet_L(1.0 + nu, chi) * qx ** nu / cotrig,
+             2.0 / trig * head,
+             (2.0 / trig * qlast, tail)]
     if odd:  # T3_4
-        rhs = (2.0 * gamma(nu) * riemann_zeta(nu) * dirichlet_L(0.0, cb)
-               / TWO_PI ** (nu - 1.0))
-        rhs += 1j * q / _tau(chi) * inner
-    else:  # T3_2
-        rhs = q / _tau(chi) * inner
-    return rhs, tail.terms
+        return [2.0 * gamma(nu) * riemann_zeta(nu) * dirichlet_L(0.0, cb) / TWO_PI ** (nu - 1.0),
+                (1j * q / _tau(chi), inner)]
+    return [(q / _tau(chi), inner)]  # T3_2
 
 
 def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
@@ -566,22 +569,15 @@ def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
                              over_n=chi1.is_odd)
     head, plast = _cohen_head(chi2, chi1, nu, pqx, N, chi2.is_odd)
     if chi1.is_odd:
-        inner = dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu
-        inner -= head
-        inner -= plast * tail.value
+        inner = [dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu,
+                 -head, (-plast, tail)]
     else:
-        inner = head + plast * tail.value
-    rhs = 0.0
-    if chi2.is_odd:
-        rhs = (2.0 * gamma(nu) * dirichlet_L(nu, chi1.conjugate())
-               * dirichlet_L(0.0, chi2.conjugate()) / TWO_PI ** (nu - 1.0))
-    if chi1.parity == chi2.parity:
-        rhs += (2.0 * p ** (1.0 - nu) * q
-                / (_tau(chi1) * _tau(chi2) * math.sin(PI * nu / 2.0)) * inner)
-    else:
-        rhs += (2.0j * p ** (1.0 - nu) * q
-                / (_tau(chi1) * _tau(chi2) * math.cos(PI * nu / 2.0)) * inner)
-    return rhs, tail.terms
+        inner = [head, (plast, tail)]
+    terms = [2.0 * gamma(nu) * dirichlet_L(nu, chi1.conjugate())
+             * dirichlet_L(0.0, chi2.conjugate()) / TWO_PI ** (nu - 1.0)] if chi2.is_odd else []
+    two, trig = (2.0, math.sin) if chi1.parity == chi2.parity else (2.0j, math.cos)
+    return terms + [(two * p ** (1.0 - nu) * q / (_tau(chi1) * _tau(chi2) * trig(PI * nu / 2.0)),
+                     inner)]
 
 
 # ---- elementary nu = 1/2 specializations --------------------------------
@@ -597,22 +593,20 @@ def _cohen_half(twist, chi, chi1, chi2, x, **_):
                              0.5 - 2 * int(odd and twist == _BAR_TWISTED) + int(odd), qx,
                              over_n=odd and twist == _TWISTED)
     if twist == _TWISTED:
-        rhs = -PI * dirichlet_L(0.5, cb) + dirichlet_L(1.5, cb) / (4.0 * PI * x)
+        terms = [-PI * dirichlet_L(0.5, cb), dirichlet_L(1.5, cb) / (4.0 * PI * x)]
         if odd:  # C3_3
-            rhs += 2.0j * q / tau * riemann_zeta(1.5) * dirichlet_L(1.0, chi) * math.sqrt(x)
-            rhs -= 2.0j * q ** 1.5 * x / tau * tail.value
-        else:  # C3_1
-            rhs += 2.0 * q ** 1.5 * x / tau * tail.value
-    elif odd:  # C3_4
-        rhs = (TWO_PI * riemann_zeta(0.5) * dirichlet_L(0.0, cb)
-               + 1j * q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
-               + 1j * PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
-               + 2.0j * q * qx * qx / tau * tail.value)
-    else:  # C3_2
-        rhs = (q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x)
-               - PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x)
-               + 2.0 * q * q * x / tau * tail.value)
-    return rhs, tail.terms
+            return terms + [
+                2.0j * q / tau * riemann_zeta(1.5) * dirichlet_L(1.0, chi) * math.sqrt(x),
+                (-2.0j * q ** 1.5 * x / tau, tail)]
+        return terms + [(2.0 * q ** 1.5 * x / tau, tail)]  # C3_1
+    if odd:  # C3_4
+        return [TWO_PI * riemann_zeta(0.5) * dirichlet_L(0.0, cb),
+                1j * q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x),
+                1j * PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x),
+                (2.0j * q * qx * qx / tau, tail)]
+    return [q ** 0.5 / tau * dirichlet_L(0.5, chi) / math.sqrt(x),  # C3_2
+            -PI * q ** 1.5 / tau * dirichlet_L(1.5, chi) * math.sqrt(x),
+            (2.0 * q * q * x / tau, tail)]
 
 
 # ====================== summation formulas (section 4) ====================
@@ -634,11 +628,12 @@ def _riesz_mean(terms: np.ndarray, order: float) -> complex:
 
 def _kernel_expansion(f, alpha: float, beta: float, nu: float,
                       spec: DivisorSumSpec, kernel_scale: float,
-                      t_exp: float, variant: str) -> tuple[complex, int]:
+                      t_exp: float, variant: str) -> SeriesResult:
     """Riesz mean sum_{n<=N} a_n (1 - n/N)^kappa of the conditionally
     convergent kernel series sum_n a_n, a_n = f(n) n^{nu/2} I_n, with
     kappa = VORONOI_RIESZ_ORDER and N = VORONOI_KERNEL_TERMS terms (or
-    the smaller term_cap()).
+    the smaller term_cap()), as a SeriesResult of N terms whose
+    tail_bound is inf: the mean's bias is not certified.
 
     All N integrals I_n, at scales c = kernel_scale sqrt(n), come from
     one oscillatory_kernel_integrals call: in closed form, from the
@@ -661,7 +656,7 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     terms = np.zeros(n_terms, dtype=complex)
     terms[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
         f, alpha, beta, nu, kernel_scale * np.sqrt(ns[live]), t_exp, variant)
-    return _riesz_mean(terms, VORONOI_RIESZ_ORDER), n_terms
+    return SeriesResult(_riesz_mean(terms, VORONOI_RIESZ_ORDER), n_terms, math.inf)
 
 
 # the kernel variant and prefactor of the expansion, by the parities
@@ -678,11 +673,10 @@ def _voronoi_pair(chi1, chi2, p, q, nu, alpha, beta, f, **_):
     """T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2: summation formulas of
     two characters."""
     variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
-    kern, n_terms = _kernel_expansion(
+    return [(series_pref, _kernel_expansion(
         f, alpha, beta, nu,
         DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant)
-    return series_pref * kern, n_terms
+        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant))]
 
 
 def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
@@ -692,7 +686,7 @@ def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
     twist is that of the kernel series; the finite sum takes the other
     one, and with it the q^{1 -+ nu/2} prefactor and L(1 -+ nu, chi).
     """
-    rhs, n_terms = _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, **slots)
+    pair = _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, **slots)
     bar_side = twist == _TWISTED
     over_j = bar_side and chi.is_odd
     pref = chi.modulus ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
@@ -700,7 +694,7 @@ def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
     lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
     main = adaptive_integral(lambda t: float(f(np.array([t]))[0]) * t ** main_power,
                              alpha, beta, tol=1e-11)
-    return pref * lmain * main + rhs, n_terms
+    return [pref * lmain * main] + pair
 
 
 # ========================== registry and driver ==========================
@@ -1024,8 +1018,11 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     _admit("tol", tol, float, positive=True)
     t0 = time.perf_counter()
     r = _check(entry, case)
-    lhs, lterms = _divisor_side(entry.nu, tol, **r)
-    rhs, rterms = entry.evaluate(**r)
+    try:
+        lhs, lterms = _divisor_side(entry.nu, tol, **r)
+        rhs, rterms = _closed_side(entry.evaluate(**r))
+    except OverflowError:  # a power or product past the double range
+        raise DomainError(f"{entry.tid}: an intermediate value leaves the double range") from None
     wall = (time.perf_counter() - t0) * 1000.0
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(lhs) if lhs != 0 else math.inf
@@ -1092,15 +1089,14 @@ def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
 
 def positivity_scan(q_max: int) -> list[tuple[int, int, float]]:
     """(q, index, L(1, chi)) for every real primitive non-principal chi
-    with modulus up to q_max."""
+    with modulus up to q_max, an int from 3 to term_cap()."""
+    _admit("q_max", q_max, int)
     if q_max < 3:
         raise DomainError("positivity scan needs q_max >= 3")
-    out = []
-    for q in range(3, q_max + 1):
-        for chi in enumerate_characters(q):
-            if chi.is_real and chi.is_primitive and not chi.is_principal:
-                out.append((q, chi.index, dirichlet_L(1.0, chi).real))
-    return out
+    within_budget(q_max, f"the value table mod {q_max}")  # before any modulus is scanned
+    return [(q, chi.index, dirichlet_L(1.0, chi).real)
+            for q in range(3, q_max + 1) for chi in enumerate_characters(q)
+            if chi.is_real and chi.is_primitive and not chi.is_principal]
 
 
 def _finite(x: float) -> float | None:

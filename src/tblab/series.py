@@ -290,9 +290,10 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
     """sum_n f(n) (n^w - Q^w)/(n^2 - Q^2), optionally with an extra 1/n.
 
     Terms decay like n^{w - 2 - [1/n]}, so w must leave that below -1;
-    otherwise the series diverges and DivergenceError is raised.  Q
-    within 1e-6 of a positive integer is excluded; near-coincident n uses
-    the difference-quotient expansion.  Beyond the head the kernel is
+    otherwise the series diverges and DivergenceError is raised.  A Q^w
+    outside the double range raises DomainError.  Q within 1e-6 of a
+    positive integer is excluded; near-coincident n uses the
+    difference-quotient expansion.  Beyond the head the kernel is
     expanded geometrically in (Q/n)^2.
     """
     if Q <= 0:
@@ -301,6 +302,8 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
     delta = 1 if over_n else 0
     if w + spec.weight_real_max - 2.0 - delta >= -1.0 - 1e-12:
         raise DivergenceError(f"cohen tail diverges: exponent {w} too large")
+    if w * math.log(Q) >= math.log(sys.float_info.max):  # Q < 1 with w far below 0
+        raise DomainError(f"cohen_tail_series: Q^w = {Q:.6g}^{w:.6g} is outside the double range")
     Qw = Q ** w
     binoms = np.cumprod((w - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
 

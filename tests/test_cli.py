@@ -126,6 +126,9 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
      "--a", "1e160", "--x", "0.75"],
     ["verify", "--theorem", "C3_1", "--q", "5", "--char", "2", "--x", "1e-320"],
+    # the Cohen tail's Q^w at Q = x < 1, and the head's x^{2j-1} at x > 1
+    ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "400", "--x", "0.3"],
+    ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "2000", "--x", "1.9"],
 ])
 def test_non_finite_or_overflowing_input_exit_two(capsys, argv):
     assert main(argv) == 2
@@ -231,6 +234,15 @@ def test_positivity(capsys):
     assert main(["positivity", "--qmax", "12"]) == 0
     out = capsys.readouterr().out
     assert "all positive: True" in out
+
+
+def test_positivity_past_the_term_budget_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("TBL_MAX_TERMS", "40")
+    assert main(["positivity", "--qmax", "45"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the value table mod 45 needs 45 terms, "
+                            "over the term budget of 40\n")
 
 
 def test_max_terms_env(monkeypatch, capsys):

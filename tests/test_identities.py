@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import numbers
 import re
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from tblab.identities import (
     verify,
     write_reports,
 )
+from tblab.series import SeriesResult
 from tblab.specfun import dirichlet_L, gamma
 
 PI = math.pi
@@ -57,6 +59,52 @@ def test_positive_order_identity_example():
     report = verify(IdentityCase("T2_1", q=4, char_index=1, k=0, nu=0.6,
                                  a=1.0, x=0.75))
     assert report.passed and report.rel_err < 1e-10
+
+
+def _stages(terms):
+    """The SeriesResults of an evaluator's term list, each checked to sit
+    as the part of a (prefactor, part) pair, never as a plain value."""
+    found = []
+    for term in terms:
+        assert not isinstance(term, (SeriesResult, list))
+        if isinstance(term, tuple):
+            pref, part = term
+            assert isinstance(pref, numbers.Number)
+            if isinstance(part, list):
+                found += _stages(part)
+            else:
+                assert isinstance(part, SeriesResult)
+                found.append(part)
+        else:
+            assert isinstance(term, numbers.Number)
+    return found
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_every_stage_keeps_its_prefactor(tid):
+    # items of a term list are plain numbers or (prefactor, part) pairs;
+    # every stage result stays the part of its pair, and the sum of the
+    # list is the rhs and terms verify reports
+    entry = THEOREMS[tid]
+    for point in entry.points:
+        case = IdentityCase(tid, **point)
+        terms = entry.evaluate(**identities._check(entry, case))
+        stages = _stages(terms)
+        assert stages
+        report = verify(case)
+        assert identities._closed_side(terms) == (report.rhs, report.rhs_terms)
+        assert report.rhs_terms == sum(stage.terms for stage in stages)
+
+
+def test_closed_side_sums_in_list_order():
+    closed_side = identities._closed_side
+    assert closed_side([1e16, 1.0, -1e16]) == (0.0, 0)  # regrouped it would be 1.0
+    assert closed_side([-1e16, 1e16, 1.0]) == (1.0, 0)
+    # a nested list is summed before its prefactor multiplies it, and the
+    # terms of its stages add to those outside it
+    inner = [3.0, (0.5, SeriesResult(4.0, 7, 0.0))]
+    assert closed_side([1.0, (2.0, inner), (-1.0, SeriesResult(2.0, 5, 0.0))]) == (9.0, 12)
+    assert closed_side([(1j, [(2.0, [1.0, (1.0, SeriesResult(1.0, 3, 0.0))])])]) == (4j, 3)
 
 
 def test_pole_term_gate():
@@ -236,6 +284,20 @@ def test_positivity_scan():
     assert abs(asdict[4] - PI / 4) < 1e-9
     with pytest.raises(DomainError):
         positivity_scan(2)
+
+
+def test_positivity_scan_refuses_a_q_max_that_is_not_an_int():
+    with pytest.raises(DomainError, match="q_max must be of type int"):
+        positivity_scan(4.5)
+
+
+def test_positivity_scan_refuses_a_q_max_past_the_budget_before_scanning(monkeypatch):
+    monkeypatch.setenv("TBL_MAX_TERMS", "40")
+    scanned = []
+    monkeypatch.setattr(identities, "enumerate_characters", scanned.append)
+    with pytest.raises(ConvergenceError, match="term budget of 40"):
+        positivity_scan(45)
+    assert scanned == []
 
 
 def _jsonl(reports, **loads) -> list[dict]:

@@ -229,6 +229,12 @@ class TestCohenTailSeries:
         with pytest.raises(DivergenceError):
             cohen_tail_series(spec, 0.5 + 1, 1.3)
 
+    def test_power_past_the_double_range(self, unit):
+        # Q^w = 0.3^-799.7 is about 10^418: refused, not an OverflowError
+        with pytest.raises(DomainError, match="outside the double range"):
+            cohen_tail_series(unit, 0.3 - 800, 0.3)
+        assert math.isfinite(cohen_tail_series(unit, 0.3 - 500, 0.3).value.real)
+
     def test_unit_brute_reference(self, unit):
         w = 0.3 - 2
         r = cohen_tail_series(unit, w, 0.7)
@@ -299,9 +305,9 @@ class TestVoronoiKernel:
             voronoi_kernel_values("even-cos", 0.25, np.array([-1.0]))
 
     def test_oscillatory_integral_against_adaptive(self):
-        f = lambda t: np.exp(-np.asarray(t, dtype=float))
         c = 4 * PI * math.sqrt(12.0 / 5.0)
-        fast = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, [c], -0.125, "even-cos")[0]
+        fast = oscillatory_kernel_integrals(TEST_FUNCTIONS["exp"], 0.5, 3.4, 0.25, [c], -0.125,
+                                            "even-cos")[0]
         slow = adaptive_integral(
             lambda t: math.exp(-t) * t ** -0.125
             * voronoi_kernel_values("even-cos", 0.25, np.array([c * math.sqrt(t)]))[0],
