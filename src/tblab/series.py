@@ -16,19 +16,21 @@ truncation of exponents as low as 1.25 could not reach 1e-9.
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
 expansions' certificate begins.  Small scales are Gauss-Legendre
-quadrature in r = sqrt(t), which evaluates J, Y and K at every node.
-The rest come in closed form from the Hankel expansions of J + iY and of
-K and the endpoint expansion of each Fourier or Laplace integral, whose
-c-independent endpoint derivatives are read once from an FFT of the
-integrand on two circles; no Bessel function is evaluated.  The sum over
-the triangle k + j <= 27 (Hankel order k, endpoint order j) is
-certified: a scale is expanded only if every term of its last two
-diagonals is below 5e-14 of the leading term, and otherwise stays with
-the quadrature.
+quadrature in r = sqrt(t), whose nodes read the kernel from a piecewise
+Chebyshev interpolant: J, Y and K are evaluated once per interpolation
+point, not once per node and scale.  The rest come in closed form from
+the Hankel expansions of J + iY and of K and the endpoint expansion of
+each Fourier or Laplace integral, whose c-independent endpoint
+derivatives are read once from an FFT of the integrand on two circles;
+no Bessel function is evaluated.  The sum over the triangle k + j <= 27
+(Hankel order k, endpoint order j) is certified: a scale is expanded
+only if every term of its last two diagonals is below 5e-14 of the
+leading term, and otherwise stays with the quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -43,7 +45,7 @@ from .arith import (
     closed_form_F_prime,
     coefficient_array,
 )
-from .bessel import _ASYM_TINY, jy_values, k_values
+from .bessel import _ASYM_TINY, JY_CUT, K_ASYM_CUT, jy_values, k_values
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -171,11 +173,12 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     D = math.ceil(length)
     coef = coefficient_array(spec, D)[1:]
     ns = np.arange(1, D + 1, dtype=float)
-    logcoef = coef * np.log(ns)
+    # only log_kernel_series has log parts: form f(n) ln n on first use
+    logcoef = functools.cache(lambda: coef * np.log(ns))
     w = spec.weight_real_max
 
     def value(s: float, log: bool) -> complex:
-        head = complex(np.sum((logcoef if log else coef) * ns ** (-s)))
+        head = complex(np.sum((logcoef() if log else coef) * ns ** (-s)))
         return (-closed_form_F_prime(spec, s) if log else closed_form_F(spec, s)) - head
 
     def bound(s: float, log: bool) -> float:
@@ -444,10 +447,65 @@ _PANEL_X = np.concatenate([-_PANEL_POS[0, ::-1], _PANEL_POS[0]])
 _PANEL_W = np.concatenate([_PANEL_POS[1, ::-1], _PANEL_POS[1]])
 # scales per shared grid
 _PANEL_BLOCK = 512
-# kernel values per Bessel evaluation: 8192 doubles are 64 kB, below
-# glibc's 128 kB mmap threshold, so the temporaries reuse heap memory
-# instead of faulting in fresh pages
+# kernel values per chunk of the panels and of the interpolant's Clenshaw
+# recurrence (the endpoint expansion takes a quarter as many scales per
+# block, for its 2 x scales complex temporaries): 8192 doubles are 64 kB,
+# below glibc's 128 kB mmap threshold, so the temporaries reuse heap
+# memory instead of faulting in fresh pages
 _KERNEL_POINTS = 8192
+# The panels read the kernel from a piecewise Chebyshev interpolant with
+# _CHEB_POINTS points of the first kind per piece.  A piece is at most
+# _CHEB_WIDTH wide and no wider than its left end, so the singularity of
+# K and Y at u = 0 is a full width away and the coefficients fall
+# geometrically (Trefethen, Approximation Theory and Approximation
+# Practice, ch. 8); no piece straddles a branch seam of bessel (JY_CUT,
+# K_ASYM_CUT), across which the kernel values are smooth only to their
+# rounding.
+_CHEB_WIDTH = 8.0
+_CHEB_POINTS = 25
+_CHEB_THETA = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+_CHEB_X = np.cos(_CHEB_THETA)
+# the DCT-II: coefficient k of a piece is sum_j _CHEB_DCT[k, j] * value_j
+_CHEB_DCT = (2.0 / _CHEB_POINTS) * np.cos(np.outer(np.arange(_CHEB_POINTS), _CHEB_THETA))
+_CHEB_DCT[0] *= 0.5
+
+
+class _KernelInterpolant:
+    """voronoi_kernel_values(variant, nu, u) for u in [lo, hi], 0 < lo < hi
+    < inf, from one Bessel evaluation per Chebyshev point of each piece."""
+
+    def __init__(self, variant: str, nu: float, lo: float, hi: float):
+        if not 0.0 < lo < hi < math.inf:
+            raise DomainError(f"the kernel interpolant needs 0 < lo < hi < inf, got [{lo}, {hi}]")
+        edges = [lo]
+        while edges[-1] < hi:
+            a = edges[-1]
+            b = min(a + min(_CHEB_WIDTH, a), hi)
+            edges.append(min([b] + [seam for seam in (JY_CUT, K_ASYM_CUT) if a < seam < b]))
+        self.edges = np.array(edges)
+        self._mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        self._inv_half = 1.0 / half
+        nodes = self._mid[:, None] + half[:, None] * _CHEB_X
+        values = voronoi_kernel_values(variant, nu, nodes.ravel()).reshape(nodes.shape)
+        # coefs[k, p]: coefficient of T_k on piece p
+        self.coefs = np.einsum("kj,pj->kp", _CHEB_DCT, values)
+
+    def __call__(self, us: np.ndarray) -> np.ndarray:
+        """The interpolant at each u, by Clenshaw's recurrence on its piece,
+        _KERNEL_POINTS values at a time."""
+        out = np.empty(us.size)
+        last = self.coefs.shape[1] - 1
+        for lo in range(0, us.size, _KERNEL_POINTS):
+            u = us[lo:lo + _KERNEL_POINTS]
+            p = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0, last)
+            x = (u - self._mid[p]) * self._inv_half[p]
+            x2 = 2.0 * x
+            b1 = b2 = np.zeros(u.size)
+            for k in range(_CHEB_POINTS - 1, 0, -1):
+                b1, b2 = self.coefs[k, p] + x2 * b1 - b2, b1
+            out[lo:lo + u.size] = self.coefs[0, p] + x * b1 - b2
+        return out
 
 
 def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
@@ -458,11 +516,14 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
     Gauss-Legendre panels sized by the phase derivative integrate each
     oscillation to near machine precision.  Each block of _PANEL_BLOCK
     scales shares one grid (sized for its largest scale) and the
-    non-kernel integrand factors on it; its kernel matrix is evaluated
-    _KERNEL_POINTS values at a time, and einsum sums each row against
-    them on the calling thread (see identities._riesz_mean).
+    non-kernel integrand factors on it; its kernel matrix is read from
+    one _KernelInterpolant over every node of every scale, so J, Y and K
+    are evaluated _CHEB_POINTS times per piece, not per node and scale,
+    and einsum sums each row against the shared factors on the calling
+    thread (see identities._riesz_mean).
     """
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
+    kernel = _KernelInterpolant(variant, nu, float(cs.min()) * ra, float(cs.max()) * rb)
     out = np.empty(cs.size)
     for lo in range(0, cs.size, _PANEL_BLOCK):
         block = cs[lo:lo + _PANEL_BLOCK]
@@ -476,7 +537,7 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
         rows = max(1, _KERNEL_POINTS // r.size)
         for i in range(0, block.size, rows):
             part = block[i:i + rows]
-            kern = voronoi_kernel_values(variant, nu, np.outer(part, r).ravel())
+            kern = kernel(np.outer(part, r).ravel())
             out[lo + i:lo + i + part.size] = np.einsum(
                 "ij,j->i", kern.reshape(part.size, r.size), shared)
     return out
@@ -553,8 +614,11 @@ class _EndpointExpansion:
         self.coefs = self.sums * _I_POWERS[(ks - 1) % 4]
         self.sizes = np.max(np.abs(self.sums), axis=0)
         self._powers = -ks.astype(float)
-        lasts = [max(np.max(np.abs(hankel[k] * deriv[k, :, n - k])) for k in range(n + 1))
-                 for n in (L - 1, L)]
+        # lasts[i] = max |a_k h_k^{(j)}| over both ends and k + j = diag[i]
+        # (j = -1, which diag L - 1 meets at k = L, is masked out)
+        diag = np.array([[L - 1], [L]])
+        terms = np.abs(hankel[:, None] * deriv[ks, :, diag - ks])
+        lasts = np.max(np.where((ks <= diag)[..., None], terms, 0.0), axis=(1, 2))
         self.lead = np.max(np.abs(h_ends))
         resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(h_ends)) and self.lead > 0
                     and np.max(np.abs(deriv[0, :, 0] - h_ends)) <= 1e-13 * np.max(np.abs(h[0])))
@@ -618,7 +682,9 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
 
     Two regimes, split at the expansions' least_scale alone:
     * Gauss-Legendre panels in r = sqrt(t) (_panel_integrals), whose
-      kernel values cost one J, Y and K per node and scale;
+      kernel values come from a piecewise Chebyshev interpolant: one J,
+      Y and K per interpolation point, and a Clenshaw recurrence per
+      node and scale;
     * from least_scale on, the Hankel expansions of J + iY and of K and
       the endpoint expansions (_EndpointExpansion), which evaluate no
       Bessel function: f is read on two circles once per call, and each

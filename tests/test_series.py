@@ -6,7 +6,7 @@ import pytest
 
 from tblab import series
 from tblab.arith import DivisorSumSpec, coefficient_array
-from tblab.bessel import k_values
+from tblab.bessel import JY_CUT, K_ASYM_CUT, k_values
 from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import (
     ConvergenceError,
@@ -27,6 +27,7 @@ from tblab.series import (
     voronoi_kernel_values,
     _bessel_tail_bound,
     _EndpointExpansion,
+    _KernelInterpolant,
     _panel_integrals,
 )
 
@@ -352,6 +353,35 @@ def test_endpoint_series_drops_only_orders_below_the_rounding_level(monkeypatch)
 def test_panel_rule_table_is_numpys_rule():
     x, w = np.polynomial.legendre.leggauss(16)
     assert np.array_equal(series._PANEL_X, x) and np.array_equal(series._PANEL_W, w)
+
+
+@pytest.mark.parametrize("variant", sorted(VORONOI_VARIANTS))
+@pytest.mark.parametrize("nu", [0.05, 0.25, 0.45])
+def test_kernel_interpolant_against_direct_values(variant, nu):
+    # errors relative to the envelope sqrt(2/(pi u)).  On 6 <= u <= 14 the
+    # direct J's ascending series carries its e^u eps cancellation
+    # (test_oracle's J_SEAM_BOUND), which the interpolant inherits at its
+    # points; past 14 both sides are within Hankel rounding of mpmath
+    kernel = _KernelInterpolant(variant, nu, 1.0, 120.0)
+    edges = kernel.edges
+    assert {JY_CUT, K_ASYM_CUT} <= set(edges)
+    assert np.all(np.diff(edges) <= np.minimum(series._CHEB_WIDTH, edges[:-1]))
+    u = np.linspace(1.0, 120.0, 20001)
+    err = np.abs(kernel(u) - voronoi_kernel_values(variant, nu, u)) * np.sqrt(PI * u / 2.0)
+    assert np.max(err[u < 6.0]) <= 1.5e-14
+    assert np.max(err[(u >= 6.0) & (u <= 14.0)]) <= 3.3e-11
+    assert np.max(err[u > 14.0]) <= 7.8e-14
+    # the coefficients have fallen to rounding by the last three
+    outside = (edges[1:] <= 6.0) | (edges[:-1] >= 14.0)
+    tails = np.max(np.abs(kernel.coefs[-3:]), axis=0) / np.max(np.abs(kernel.coefs), axis=0)
+    assert np.max(tails[outside]) <= 1e-14
+
+
+def test_kernel_interpolant_needs_a_positive_range():
+    # a piece is no wider than its left end, so lo = 0 would never end
+    for lo, hi in [(0.0, 1.0), (2.0, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            _KernelInterpolant("even-cos", 0.25, lo, hi)
 
 
 def test_hankel_expansion_refuses_a_truncated_sum():
