@@ -45,7 +45,7 @@ from .arith import (
     closed_form_F_prime,
     coefficient_array,
 )
-from .bessel import _ASYM_TINY, JY_CUT, K_ASYM_CUT, jy_values, k_values
+from .bessel import _ASYM_TINY, JY_CUT, K_ASYM_CUT, _asym_coefs, jy_values, k_values
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -165,6 +165,8 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     the orders after it shrink.  Stops at the first order whose bound is
     below tol / 10 or whose tails are below _TAIL_RESOLUTION; its bound,
     summed geometrically, bounds the rest."""
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     # past shift 1 the expansion's coefficients grow like shift^m: a longer
     # head reaches the unresolvable-tail floor at a small m, which bounds
     # the noise they amplify
@@ -333,62 +335,56 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
 # bisection levels adaptive_integral may take before QuadratureError
 _MAX_DEPTH = 28
 
-
-# Gauss-Kronrod 7/15 pair on [-1, 1]
-_K15_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_K15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
+# The 16-point Gauss-Legendre rule of adaptive_integral and of the
+# Voronoi panels: the output of numpy's leggauss(16), its positive nodes
+# and their weights as hex floats; the rule is symmetric.  Held as a
+# table for the reason bessel holds its 128-point rule, and so that
+# numpy.polynomial is not imported.
+_PANEL_POS = np.array([float.fromhex(h) for h in """
+    0x1.852bd6676a9f9p-4 0x1.205cae642337cp-2 0x1.d50259a43a772p-2 0x1.3c5a466d5e8b8p-1
+    0x1.82c45dda4726bp-1 0x1.bb3403514e483p-1 0x1.e39f56616f9b0p-1 0x1.fa92c264d787ep-1
+    0x1.83feae80e4e01p-3 0x1.75f8c77e0c011p-3 0x1.5a6ebbb5a7600p-3 0x1.325f61bca3cbep-3
+    0x1.fe7af2bad3878p-4 0x1.85c4ee79cc24bp-4 0x1.fdfb1a2c1261ep-5 0x1.bcddab4b7c228p-6
+""".split()]).reshape(2, 8)
+_PANEL_X = np.concatenate([-_PANEL_POS[0, ::-1], _PANEL_POS[0]])
+_PANEL_W = np.concatenate([_PANEL_POS[1, ::-1], _PANEL_POS[1]])
 
 
 def adaptive_integral(f: Callable[[float], float], alpha: float, beta: float,
                       tol: float = 1e-10) -> float:
-    """Integral of f over [alpha, beta] by adaptive bisection of an
-    embedded 7/15-point rule, to estimated error below tol."""
+    """Integral of f over [alpha, beta] by adaptive bisection of the
+    16-point Gauss-Legendre rule: an interval [a, b] contributes the rule
+    summed over its halves once that sum and the rule on [a, b] differ by
+    at most tol (b - a)/(beta - alpha), or not at all."""
     if not alpha < beta:
         raise DomainError("quadrature needs alpha < beta")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     total_len = beta - alpha
 
-    def rule(a: float, b: float) -> tuple[float, float]:
+    def rule(a: float, b: float) -> float:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        vals = np.array([f(mid + half * t) for t in _K15_NODES])
+        vals = np.array([f(mid + half * t) for t in _PANEL_X])
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand not finite on the interval")
-        k15 = half * float(np.dot(_K15_WEIGHTS, vals))
-        g7 = half * float(np.dot(_G7_WEIGHTS, vals[_G7_IDX]))
-        return k15, abs(k15 - g7)
+        return half * float(np.dot(_PANEL_W, vals))
 
     acc = 0.0
-    stack = [(alpha, beta, 0)]
+    stack = [(alpha, beta, rule(alpha, beta), 0)]
     while stack:
-        a, b, depth = stack.pop()
-        k15, err = rule(a, b)
+        a, b, whole, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        err = abs(left + right - whole)
         if err <= tol * (b - a) / total_len or err == 0.0:
-            acc += k15
+            acc += left + right
         elif depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"subdivision limit reached on [{a}, {b}] (err {err:.2e})")
         else:
-            mid = 0.5 * (a + b)
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
+            stack.append((a, mid, left, depth + 1))
+            stack.append((mid, b, right, depth + 1))
     return acc
 
 
@@ -433,18 +429,6 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
 # the error is below 2e-15 of the integral of the integrand's envelope
 # |f(t) t^e| (c sqrt(t))^{-1/2}; at 20 radians it reaches 3e-13.
 _PHASE_PER_PANEL = 16.0
-# The 16-point Gauss-Legendre rule of the panels: the output of numpy's
-# leggauss(16), its positive nodes and their weights as hex floats; the
-# rule is symmetric.  Held as a table for the reason bessel holds its
-# 128-point rule, and so that numpy.polynomial is not imported.
-_PANEL_POS = np.array([float.fromhex(h) for h in """
-    0x1.852bd6676a9f9p-4 0x1.205cae642337cp-2 0x1.d50259a43a772p-2 0x1.3c5a466d5e8b8p-1
-    0x1.82c45dda4726bp-1 0x1.bb3403514e483p-1 0x1.e39f56616f9b0p-1 0x1.fa92c264d787ep-1
-    0x1.83feae80e4e01p-3 0x1.75f8c77e0c011p-3 0x1.5a6ebbb5a7600p-3 0x1.325f61bca3cbep-3
-    0x1.fe7af2bad3878p-4 0x1.85c4ee79cc24bp-4 0x1.fdfb1a2c1261ep-5 0x1.bcddab4b7c228p-6
-""".split()]).reshape(2, 8)
-_PANEL_X = np.concatenate([-_PANEL_POS[0, ::-1], _PANEL_POS[0]])
-_PANEL_W = np.concatenate([_PANEL_POS[1, ::-1], _PANEL_POS[1]])
 # scales per shared grid
 _PANEL_BLOCK = 512
 # kernel values per chunk of the panels and of the interpolant's Clenshaw
@@ -605,7 +589,7 @@ class _EndpointExpansion:
         # deriv[k, e, j] = h_k^{(j)} at end e
         deriv = np.fft.fft(h, axis=-1)[..., :L + 1] * (factorials / (M * radius ** ks))
         h_ends = 2.0 * f(self.ends ** 2) * self.ends ** (2.0 * t_exponent + 0.5)
-        hankel = np.cumprod(np.r_[1.0, (4.0 * nu * nu - (2 * ks[1:] - 1) ** 2) / (8.0 * ks[1:])])
+        hankel = np.cumprod(np.r_[1.0, _asym_coefs(nu)[:L]])
         # sums[e, n] = sum_{k + j = n} a_k h_k^{(j)}(end e), K's coefficients;
         # coefs[e, n] = i^{n-1} sums[e, n], those of J + iY
         self.sums = np.zeros((2, L + 1), dtype=complex)

@@ -33,6 +33,12 @@ T2_13 = {"a": 1.0, "x": 0.3}
      "tolerance must be positive"),
     (lambda: adaptive_integral(lambda t: t, 2.0, 2.0), DomainError, "alpha < beta"),
     (lambda: adaptive_integral(lambda t: math.inf, 0.0, 1.0), DomainError, "not finite"),
+    (lambda: adaptive_integral(lambda t: t, 0.0, 1.0, tol=0.0), DomainError,
+     "tolerance must be positive"),
+    (lambda: adaptive_integral(lambda t: t, 0.0, 1.0, tol=math.nan), DomainError,
+     "tolerance must be positive"),
+    (lambda: shifted_power_series(SPEC, 2.5, 0.3, tol=math.nan), DomainError,
+     "tolerance must be positive"),
     (lambda: shifted_power_series(SPEC, 2.5, -0.1), DomainError, "c must be >= 0"),
     (lambda: log_kernel_series(SPEC, 0.0), DomainError, "c > 0"),
     (lambda: log_kernel_series(DivisorSumSpec(1, CHI5), 0.7), DivergenceError,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -269,6 +270,39 @@ class TestAdaptiveIntegral:
         ts = np.linspace(0.5, 3.0, 100001)
         dense = np.trapezoid(np.cos(40 * np.sqrt(ts)), ts)
         assert abs(val - dense) < 1e-9
+
+    def test_main_term_integrals_against_mpmath(self):
+        # the Voronoi main terms int_alpha^beta f(t) t^p dt of the registry,
+        # with the integrand _voronoi_single hands over, within 1e-15 of
+        # mpmath at 30 digits, in at most the 1,290 integrand calls that
+        # the Gauss-Kronrod 7/15 rule took before
+        mpmath = pytest.importorskip("mpmath")
+        nu = 0.25
+        exact = {"exp": lambda t: mpmath.exp(-t), "t2": lambda t: t * t,
+                 "gauss": lambda t: mpmath.exp(-t * t / 4)}
+        calls = 0
+
+        def integrand(f, p):
+            def call(t):
+                nonlocal calls
+                calls += 1
+                return float(f(np.array([t]))[0]) * t ** p
+            return call
+
+        worst = 0.0
+        with mpmath.workdps(30):
+            for fname, (alpha, beta), p in itertools.product(
+                    exact, [(0.5, 3.4), (1.3, 5.7)], (-nu, 0.0, -nu - 1.0)):
+                val = adaptive_integral(integrand(TEST_FUNCTIONS[fname], p), alpha, beta,
+                                        tol=1e-11)
+                ref = mpmath.quad(lambda t: exact[fname](t) * t ** p, [alpha, beta])
+                worst = max(worst, float(abs((val - ref) / ref)))
+            # from close to the integrable singularity at t = 0
+            val = adaptive_integral(lambda t: math.exp(-t) * t ** -0.25, 1e-8, 3.4, tol=1e-11)
+            ref = mpmath.quad(lambda t: mpmath.exp(-t) * t ** -0.25, [1e-8, 3.4])
+            worst = max(worst, float(abs((val - ref) / ref)))
+        assert worst < 1e-15
+        assert calls <= 1290
 
     def test_depth_exhaustion(self, monkeypatch):
         from tblab import series
