@@ -119,19 +119,24 @@ def _refuse_overflow(name: str, nu: float, xs: np.ndarray, *values: np.ndarray) 
                 f"{name}_{nu:g}({xs[bad][0]:g}) lies outside the double range")
 
 
-# arguments per block: an (arguments x nodes) temporary of 64 kB stays
-# below glibc's 128 kB mmap threshold, so a block reuses heap memory
-# instead of mapping and faulting in fresh pages, and OpenBLAS computes
-# a product this small on the calling thread
-_BLOCK = 64
+# The hot loops here and in series hold temporaries of at most this many
+# doubles: _on_grid 64 arguments x 128 nodes, the Voronoi panels (and the
+# Clenshaw recurrence of their kernel interpolant) scales x nodes, the
+# endpoint expansion a quarter as many scales, for its 2 x scales complex
+# values.  64 kB stays below glibc's 128 kB mmap threshold, so a
+# temporary reuses heap memory instead of mapping and faulting in fresh
+# pages, and OpenBLAS computes a product this small on the calling thread.
+_HOT_DOUBLES = 8192
 
 
 def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.ndarray:
     """int_lo^hi integrand(x, t) dt for each x, on the Gauss-Legendre grid
-    (_GL_U, _GL_W, at the end of the module)."""
+    (_GL_U, _GL_W, at the end of the module), in blocks of arguments whose
+    (arguments x nodes) temporaries hold _HOT_DOUBLES."""
     out = np.empty(xs.shape)
-    for i in range(0, xs.size, _BLOCK):
-        b = slice(i, i + _BLOCK)
+    block = _HOT_DOUBLES // _GL_U.size
+    for i in range(0, xs.size, block):
+        b = slice(i, i + block)
         span = hi[b] - lo[b]
         t = lo[b, None] + np.outer(span, _GL_U)
         out[b] = (integrand(xs[b, None], t) @ _GL_W) * span
@@ -191,8 +196,6 @@ def _refuse_short_expansion(name: str, nu: float, x: float, least: float) -> Non
 # 1/4, where half an ulp is 2.8e-17; in Q, whose sum may be small, it
 # moves J and Y by less than 1e-17 absolute.
 _ASYM_TINY = 1e-17
-# A window of at most this many arguments finishes one argument at a time.
-_ASYM_SCALAR = 8
 
 
 def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
@@ -201,11 +204,12 @@ def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
     each series stopped before its smallest term: row r of the result sums
     the d_k with k % rows == r.
 
-    The steps run over a window [lo, hi) of the ascending arguments.  An
-    argument is done once its term has grown, for good, or fallen below
-    _ASYM_TINY, and the window drops the done arguments at either end.
-    Each argument adds the terms of the same steps, in the same order, as
-    a loop over all arguments to the last step would."""
+    The steps run over a window [lo, hi) of the ascending arguments until
+    every argument is done, however few are left.  An argument is done
+    once its term has grown, for good, or fallen below _ASYM_TINY, and the
+    window drops the done arguments at either end.  Each argument adds the
+    terms of the same steps, in the same order, as a loop over all
+    arguments to the last step would."""
     order = np.argsort(xb, kind="stable") if (xb[1:] < xb[:-1]).any() else None
     xs = xb if order is None else xb[order]
     acc = np.zeros((rows, xs.size))
@@ -214,7 +218,7 @@ def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
     alive = np.ones(xs.size, dtype=bool)
     least = 1.0  # the last term of xs[0] while its terms fall
     lo, hi, k = 0, xs.size, 0
-    while k < len(coefs) and hi - lo > _ASYM_SCALAR:
+    while k < len(coefs):
         d *= coefs[k]
         d /= xs[lo:hi]
         k += 1
@@ -227,29 +231,10 @@ def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
         live = alive & (now >= _ASYM_TINY)
         first = int(live.argmax())
         if not live[first]:
-            lo = hi
             break
         last = live.size - int(live[::-1].argmax())
         d, prev, alive = d[first:last], now[first:last], alive[first:last]
         lo, hi = lo + first, lo + last
-    if k == len(coefs):
-        lo = hi  # every argument has added all its terms
-    for i in range(lo, hi):
-        if not alive[i - lo]:
-            continue
-        x, t, p = float(xs[i]), float(d[i - lo]), float(prev[i - lo])
-        a = acc[:, i].tolist()
-        for j in range(k, len(coefs)):
-            t = t * coefs[j] / x
-            if not abs(t) < p:
-                break
-            p = abs(t)
-            if i == 0:
-                least = p
-            a[(j + 1) % rows] += t
-            if p < _ASYM_TINY:
-                break
-        acc[:, i] = a
     _refuse_short_expansion(name, nu, xs[0], least)
     if order is not None:
         acc[:, order] = acc.copy()

@@ -45,7 +45,8 @@ from .arith import (
     closed_form_F_prime,
     coefficient_array,
 )
-from .bessel import _ASYM_TINY, JY_CUT, K_ASYM_CUT, _asym_coefs, jy_values, k_values
+from .bessel import (_ASYM_TINY, _HOT_DOUBLES, JY_CUT, K_ASYM_CUT, _asym_coefs, _refuse_order,
+                     jy_values, k_values)
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -109,14 +110,17 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     ConvergenceError if the bound at N is above max(tol, rel_tol * |sum|),
     which can only happen at the budget, and before any term is summed
     when the term bound has not begun to decay by the budget; DomainError,
-    also before, when f_z(n) n^{nu/2} may leave the double range by N.
+    also before, when f_z(n) n^{nu/2} may leave the double range by N, or
+    a, x or a sqrt(x) is not finite.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
+    lam = a * math.sqrt(x)
+    if not math.isfinite(lam):  # inf also where a or x is
+        raise DomainError(f"series parameters need a finite a sqrt(x), got a = {a:g}, x = {x:g}")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     cap = term_cap()
-    lam = a * math.sqrt(x)
     w = spec.weight_real_max
 
     # initial truncation estimate by doubling against the tail bound
@@ -356,8 +360,8 @@ def adaptive_integral(f: Callable[[float], float], alpha: float, beta: float,
     16-point Gauss-Legendre rule: an interval [a, b] contributes the rule
     summed over its halves once that sum and the rule on [a, b] differ by
     at most tol (b - a)/(beta - alpha), or not at all."""
-    if not alpha < beta:
-        raise DomainError("quadrature needs alpha < beta")
+    if not -math.inf < alpha < beta < math.inf:
+        raise DomainError(f"quadrature needs finite alpha < beta, got [{alpha}, {beta}]")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     total_len = beta - alpha
@@ -405,6 +409,7 @@ def _variant_coefs(variant: str, nu: float) -> tuple[float, float, float]:
         main_is_cos, ys, js = VORONOI_VARIANTS[variant]
     except KeyError:
         raise DomainError(f"unknown Voronoi kernel variant {variant!r}") from None
+    _refuse_order(nu)
     a = 0.5 * math.pi * nu
     main = math.cos(a) if main_is_cos else math.sin(a)
     cotrig = math.sin(a) if main_is_cos else math.cos(a)
@@ -431,12 +436,6 @@ def voronoi_kernel_values(variant: str, nu: float, us: np.ndarray) -> np.ndarray
 _PHASE_PER_PANEL = 16.0
 # scales per shared grid
 _PANEL_BLOCK = 512
-# kernel values per chunk of the panels and of the interpolant's Clenshaw
-# recurrence (the endpoint expansion takes a quarter as many scales per
-# block, for its 2 x scales complex temporaries): 8192 doubles are 64 kB,
-# below glibc's 128 kB mmap threshold, so the temporaries reuse heap
-# memory instead of faulting in fresh pages
-_KERNEL_POINTS = 8192
 # The panels read the kernel from a piecewise Chebyshev interpolant with
 # _CHEB_POINTS points of the first kind per piece.  A piece is at most
 # _CHEB_WIDTH wide and no wider than its left end, so the singularity of
@@ -477,19 +476,15 @@ class _KernelInterpolant:
 
     def __call__(self, us: np.ndarray) -> np.ndarray:
         """The interpolant at each u, by Clenshaw's recurrence on its piece,
-        _KERNEL_POINTS values at a time."""
-        out = np.empty(us.size)
-        last = self.coefs.shape[1] - 1
-        for lo in range(0, us.size, _KERNEL_POINTS):
-            u = us[lo:lo + _KERNEL_POINTS]
-            p = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0, last)
-            x = (u - self._mid[p]) * self._inv_half[p]
-            x2 = 2.0 * x
-            b1 = b2 = np.zeros(u.size)
-            for k in range(_CHEB_POINTS - 1, 0, -1):
-                b1, b2 = self.coefs[k, p] + x2 * b1 - b2, b1
-            out[lo:lo + u.size] = self.coefs[0, p] + x * b1 - b2
-        return out
+        in one pass over us: _panel_integrals passes one chunk of
+        _HOT_DOUBLES values at a time (or one scale's nodes, if more)."""
+        p = np.clip(np.searchsorted(self.edges, us, side="right") - 1, 0, self._mid.size - 1)
+        x = (us - self._mid[p]) * self._inv_half[p]
+        x2 = 2.0 * x
+        b1 = b2 = np.zeros(us.size)
+        for k in range(_CHEB_POINTS - 1, 0, -1):
+            b1, b2 = self.coefs[k, p] + x2 * b1 - b2, b1
+        return self.coefs[0, p] + x * b1 - b2
 
 
 def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
@@ -518,7 +513,7 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
         r = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
         t = r * r
         shared = (half[:, None] * _PANEL_W[None, :]).ravel() * f(t) * t ** t_exponent * 2.0 * r
-        rows = max(1, _KERNEL_POINTS // r.size)
+        rows = max(1, _HOT_DOUBLES // r.size)
         for i in range(0, block.size, rows):
             part = block[i:i + rows]
             kern = kernel(np.outer(part, r).ravel())
@@ -630,10 +625,10 @@ class _EndpointExpansion:
                 * complex(math.cos(phi), -math.sin(phi)))
         k_lead = main * math.sqrt(2.0 / math.pi)
         out = np.empty(cs.size)
-        # in blocks whose (2 x scales) complex temporaries stay at 64 kB,
+        # in blocks whose (2 x scales) complex temporaries hold _HOT_DOUBLES,
         # each summing only the orders that matter at its least scale
-        for lo in range(0, cs.size, _KERNEL_POINTS // 4):
-            c = cs[lo:lo + _KERNEL_POINTS // 4]
+        for lo in range(0, cs.size, _HOT_DOUBLES // 4):
+            c = cs[lo:lo + _HOT_DOUBLES // 4]
             x, least = 1.0 / c, float(c.min())
             total = lead * self._endpoints(self.coefs, x, self._orders(least),
                                            np.exp(1j * np.outer(self.ends, c)))
@@ -680,9 +675,12 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
     analytic continuation of f (it drops the imaginary part, say), every
     scale stays with the quadrature.
     """
-    if not 0.0 < alpha < beta:
-        raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta")
+    if not 0.0 < alpha < beta < math.inf:
+        raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta < inf")
+    _variant_coefs(variant, nu)  # refuses an unknown variant or order before any work
     cs = np.asarray(cs, dtype=float)
+    if not (math.isfinite(t_exponent) and np.all(np.isfinite(cs))):
+        raise DomainError("oscillatory_kernel_integrals needs a finite t_exponent and scales")
     out = np.zeros(cs.size)
     expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
     far = cs >= expansion.least_scale

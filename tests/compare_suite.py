@@ -14,8 +14,9 @@ many moved, and the largest |delta lhs|/|lhs| and |delta rhs|/|lhs|
 among them, so that a change at the rounding level can be quoted by one
 number.  Lines that are not JSON objects, such as the count line that
 `suite` prints after the records on standard output, are skipped.  The
-exit status is 0 when every record is identical apart from wall_ms,
-else 1.
+exit status is 0 when every record is identical apart from wall_ms, 1
+when any differs, and 2, naming the file, when an input file cannot be
+read or holds no record.
 
 The name does not start with test_, so pytest does not collect it.
 """
@@ -68,7 +69,18 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: compare_suite.py OLD.jsonl NEW.jsonl", file=sys.stderr)
         return 2
-    old, new = map(_load, argv)
+    loaded = []
+    for path in argv:
+        try:
+            records = _load(path)
+        except OSError as err:
+            print(f"compare_suite.py: cannot read {path}: {err.strerror}", file=sys.stderr)
+            return 2
+        if not records:
+            print(f"compare_suite.py: {path} holds no record", file=sys.stderr)
+            return 2
+        loaded.append(records)
+    old, new = loaded
     # theorem-id prefix -> (dlhs, drhs) of each moved record, None for a
     # record in one file only
     moves: dict[str, list] = {}

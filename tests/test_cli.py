@@ -125,6 +125,8 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     ["verify", "--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1e200", "--x", "1e200"],
     ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
      "--a", "1e160", "--x", "0.75"],
+    ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
+     "--a", "1e300", "--x", "1e300"],
     ["verify", "--theorem", "C3_1", "--q", "5", "--char", "2", "--x", "1e-320"],
     # the Cohen tail's Q^w at Q = x < 1, and the head's x^{2j-1} at x > 1
     ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "400", "--x", "0.3"],

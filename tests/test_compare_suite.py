@@ -64,3 +64,25 @@ def test_moved_records_are_summarised_by_theorem_prefix(tmp_path, capsys):
     assert head == "T2: 2 moved, largest |dlhs|/|lhs| = 3.000e-12, |drhs|/|lhs|"
     assert abs(float(drhs) - 1e-13) < 2e-15  # 1e-13 of rhs, rounded to rhs's ulp
     assert lines[7] == "4 records, 4 differ apart from wall_ms"
+
+
+def test_a_missing_file_exits_two_and_is_named(tmp_path, capsys):
+    # exit 1 means records moved, so a file that cannot be read must not say so
+    missing = str(tmp_path / "missing.jsonl")
+    assert main([_write(tmp_path / "old", RECORDS), missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"compare_suite.py: cannot read {missing}: No such file or directory\n"
+
+
+def test_a_file_without_records_exits_two_and_is_named(tmp_path, capsys):
+    # an empty file, or one with only suite's count line, compares nothing
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    counted = _write(tmp_path / "counted", [])
+    for files, named in [([str(empty), str(empty)], str(empty)),
+                         ([_write(tmp_path / "old", RECORDS), counted], counted)]:
+        assert main(files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"compare_suite.py: {named} holds no record\n"

@@ -16,6 +16,7 @@ from tblab.series import (
     bessel_series,
     cohen_tail_series,
     log_kernel_series,
+    oscillatory_kernel_integrals,
     shifted_power_series,
     voronoi_kernel_values,
 )
@@ -69,6 +70,25 @@ T2_13 = {"a": 1.0, "x": 0.3}
      "head of .* 1e\\+308 terms, over the term budget of 1000000"),
     (lambda: shifted_power_series(SPEC, 2.5, math.inf), DomainError, "finite, got inf"),
     (lambda: cohen_tail_series(SPEC, -1.7, math.nan), DomainError, "Q = nan must be finite"),
+    # before the tail bound takes the logarithm of 1 / (a sqrt(x))
+    (lambda: bessel_series(SPEC, 1e300, 1e300), DomainError, "finite a sqrt\\(x\\)"),
+    (lambda: bessel_series(SPEC, math.inf, 1.0), DomainError, "finite a sqrt\\(x\\)"),
+    (lambda: bessel_series(SPEC, 1.0, math.inf), DomainError, "finite a sqrt\\(x\\)"),
+    (lambda: adaptive_integral(math.exp, -math.inf, 0.0), DomainError, "finite alpha < beta"),
+    (lambda: adaptive_integral(lambda t: 1.0, 0.0, math.nan), DomainError, "finite alpha < beta"),
+    # the kernel integrals, before they build the endpoint expansion
+    (lambda: voronoi_kernel_values("even-cos", math.inf, np.array([1.0])), DomainError,
+     "order must be finite, got inf"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, math.inf, [20.0], -0.125,
+                                          "even-cos"), DomainError, "order must be finite"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, math.inf, 0.25, [20.0], -0.125,
+                                          "even-cos"), DomainError, "alpha < beta < inf"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [20.0, math.inf], -0.125,
+                                          "even-cos"), DomainError,
+     "finite t_exponent and scales"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [20.0], math.nan,
+                                          "even-cos"), DomainError,
+     "finite t_exponent and scales"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
