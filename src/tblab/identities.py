@@ -4,10 +4,10 @@ Every registered identity equates a K-Bessel-weighted twisted divisor
 series (or, for the summation formulas, a finite weighted sum) with a
 closed-form side built from Gamma/zeta/L values, Gauss sums and an
 auxiliary rational-tail series.  verify() assembles the two sides along
-independent code paths - _divisor_side builds every divisor side from
-two character slots, the entry's evaluator lists the terms of the
+independent code paths - _divisor_side lists the terms of every divisor
+side from two character slots, the entry's evaluator those of the
 closed-form side, which never sees the case's tol, and _closed_side
-alone sums them - and reports the residual.
+alone sums both lists - and reports the residual.
 
 Identity tags:
 
@@ -323,58 +323,58 @@ def _unit(k: int) -> complex:
     return (-1.0) ** (k // 2) * (1j if k % 2 == 0 else 1.0)
 
 
-def _exp_half_sum(spec: DivisorSumSpec, x: float) -> tuple[complex, int]:
-    """2 pi sum f(n) e^{-4 pi sqrt(n x)}: the elementary nu = 1/2 shape."""
+def _exp_half_sum(spec: DivisorSumSpec, x: float) -> SeriesResult:
+    """sum f(n) e^{-4 pi sqrt(n x)} (nu = 1/2), cut at e^{-45}, uncertified: tail_bound inf."""
     lam = 4.0 * PI * math.sqrt(x)
     root = 45.0 / lam
     # root * root is inf where root ** 2 raises OverflowError (x < ~1e-305)
     n_max = within_budget(max(64.0, root * root + 8), "the e^{-4 pi sqrt(n x)} sum")
     coef = coefficient_array(spec, n_max)[1:]
     ns = np.arange(1, n_max + 1, dtype=float)
-    return TWO_PI * complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max
+    return SeriesResult(complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max, math.inf)
 
 
 def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
-                 over_j: bool) -> tuple[complex, int]:
+                 over_j: bool) -> SeriesResult:
+    """sum_{alpha<j<beta} f(j) g(j), over j if over_j: exact, so tail_bound 0."""
     lo, hi = math.floor(alpha) + 1, math.ceil(beta)
     count = within_budget(max(hi - 1, 0), "the finite sum over j < beta")
     js = np.arange(lo, hi, dtype=float)
     weights = coefficient_array(spec, count)[lo:]
     if over_j:
         weights = weights / js
-    return complex(np.sum(weights * f(js))), len(js)
+    return SeriesResult(complex(np.sum(weights * f(js))), len(js), 0.0)
 
 
 def _divisor_side(shape: str, tol: float, chi1, chi2, p, q, nu, k=0, a=None, x=None,
-                  alpha=None, beta=None, f=None, **_) -> tuple[complex, int]:
-    """The divisor side of every identity, and its terms, by the shape its
-    nu clause names: sum f(n) n^{nu/2} K_nu(a sqrt(n x)), f = (k, chi1, chi2),
-    for "positive" and "zero"; 8 pi x^{nu/2} times that sum at a = 4 pi with
-    f = (-nu, chi1-bar, chi2-bar) for "cohen", and its elementary form for
+                  alpha=None, beta=None, f=None, **_) -> list:
+    """Every identity's divisor side, listed as an evaluator lists its terms,
+    by the shape its nu clause names: S = sum f(n) n^{nu/2} K_nu(a sqrt(n x)),
+    f = (k, chi1, chi2), for "positive" and "zero"; 8 pi x^{nu/2} S at a = 4 pi,
+    f = (-nu, chi1-bar, chi2-bar), for "cohen", and 2 pi S's elementary form for
     "half"; p^{1-nu/2} q^{1+nu/2}/(tau1 tau2) sum_{alpha<j<beta} f(j) g(j),
     g = (-nu, chi2, chi1), over j when chi1 is odd, for "voronoi"."""
     if shape == "voronoi":
-        fin, n_j = _finite_side(f, alpha, beta, DivisorSumSpec(-nu, chi2, chi1), chi1.is_odd)
-        return p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2)) * fin, n_j
+        return [(p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2)),
+                 _finite_side(f, alpha, beta, DivisorSumSpec(-nu, chi2, chi1), chi1.is_odd))]
     tols = dict(tol=min(1e-12, tol * 1e-3), rel_tol=min(1e-11, tol * 1e-3))
     if shape in ("positive", "zero"):
-        res = bessel_series(DivisorSumSpec(k, chi1, chi2), a, x, nu, **tols)
-        return res.value, res.terms
+        return [bessel_series(DivisorSumSpec(k, chi1, chi2), a, x, nu, **tols)]
     spec = DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate())
     if shape == "half":
-        return _exp_half_sum(spec, x)
-    res = bessel_series(spec, 4.0 * PI, x, nu, **tols)
-    return 8.0 * PI * x ** (nu / 2.0) * res.value, res.terms
+        return [(TWO_PI, _exp_half_sum(spec, x))]
+    return [(8.0 * PI * x ** (nu / 2.0), bessel_series(spec, 4.0 * PI, x, nu, **tols))]
 
 
 def _closed_side(terms: list) -> tuple[complex, int]:
-    """The closed-form side an evaluator lists, and its terms: the sum in
-    list order, from the first term on, of each plain value and each
-    prefactor times its part - a stage's SeriesResult, whose terms count,
-    or a nested list, summed the same way before the multiply."""
+    """A side _divisor_side or an evaluator lists, and its terms: from the first
+    term on, the sum of each plain value, bare stage (a SeriesResult; 1.0 * stage
+    could flip a signed zero) and prefactor times a stage or a nested list."""
     total, count = None, 0
     for term in terms:
-        if isinstance(term, tuple):
+        if isinstance(term, SeriesResult):
+            term, count = term.value, count + term.terms
+        elif isinstance(term, tuple):
             pref, part = term
             value, n = _closed_side(part) if isinstance(part, list) else (part.value, part.terms)
             term, count = pref * value, count + n
@@ -1019,7 +1019,7 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     t0 = time.perf_counter()
     r = _check(entry, case)
     try:
-        lhs, lterms = _divisor_side(entry.nu, tol, **r)
+        lhs, lterms = _closed_side(_divisor_side(entry.nu, tol, **r))
         rhs, rterms = _closed_side(entry.evaluate(**r))
     except OverflowError:  # a power or product past the double range
         raise DomainError(f"{entry.tid}: an intermediate value leaves the double range") from None

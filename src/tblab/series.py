@@ -656,7 +656,7 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
                                  cs: np.ndarray, t_exponent: float,
                                  variant: str) -> np.ndarray:
     """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta]
-    for each kernel scale c in cs, 0 < alpha < beta, f real on the real
+    for each kernel scale c > 0 in cs, 0 < alpha < beta, f real on the real
     axis.
 
     Two regimes, split at the expansions' least_scale alone:
@@ -679,8 +679,10 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
         raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta < inf")
     _variant_coefs(variant, nu)  # refuses an unknown variant or order before any work
     cs = np.asarray(cs, dtype=float)
-    if not (math.isfinite(t_exponent) and np.all(np.isfinite(cs))):
-        raise DomainError("oscillatory_kernel_integrals needs a finite t_exponent and scales")
+    bad = cs[~(np.isfinite(cs) & (cs > 0))]
+    if not math.isfinite(t_exponent) or bad.size:
+        raise DomainError("oscillatory_kernel_integrals needs a finite t_exponent and scales "
+                          f"> 0, got t_exponent = {t_exponent}, scale(s) {bad[:3].tolist()}")
     out = np.zeros(cs.size)
     expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
     far = cs >= expansion.least_scale

@@ -25,12 +25,18 @@ from the cache and the Hurwitz derivatives from one batch: the
 Euler-Maclaurin sum differentiated term by term in s (Johansson, Numer.
 Algorithms 69, 2015).  Left of the reflection threshold L' is the product
 rule on E F L(1-s, conj chi*), with psi(1-s) and L'(1-s, conj chi*).
+
+Where Re s log q passes log DBL_MAX, the assembly's q^{-s} would leave the
+double range, while the Dirichlet series converges like 2^{-Re s}.  There
+L and L' are sum chi(n) n^{-s} and -sum chi(n) log n n^{-s} themselves,
+summed until a term's bound falls below 1e-17 of the sum.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -133,6 +139,9 @@ _REFLECT_RE = -1.75
 # reflection route, takes a longer head: some cancellation is traded for
 # correction-term decay.
 _EM_LONG_HEAD_RE = -3.5
+# Past this Re s log q the assembly's q^{-s} leaves the double range, and L
+# and L' take the Dirichlet series.
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _cexpm1(w: complex) -> complex:
@@ -308,7 +317,27 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
     if s.real < _REFLECT_RE:
         return _reflected(s, chi, derivative=False)
+    if s.real * math.log(q) > _LOG_DBL_MAX:
+        return _dirichlet_series(s, chi, derivative=False)
     return _assemble(s, chi, _hurwitz_em)
+
+
+def _dirichlet_series(s: complex, chi: Character, derivative: bool) -> complex:
+    """sum chi(n) n^{-s}, or its s-derivative -sum chi(n) log n n^{-s}, for
+    Re s log q > _LOG_DBL_MAX: from n = 2 on, until the bound n^{-Re s} on
+    a term (times log n) falls to 1e-17 of the sum.  At an Re s this large
+    that bound is within a small factor of the bound on the whole tail."""
+    table, q = _value_table(chi), chi.modulus
+    acc, n = 0j if derivative else table[1], 2
+    while True:
+        log_n = math.log(n)
+        bound = n ** -s.real * (log_n if derivative else 1.0)
+        if bound <= 1e-17 * abs(acc):
+            return acc
+        if table[n % q]:
+            term = table[n % q] * n ** (-s)
+            acc += -log_n * term if derivative else term
+        n += 1
 
 
 def _assemble(s: complex, chi: Character, em) -> complex:
@@ -404,7 +433,8 @@ def generalized_bernoulli(n: int, chi: Character) -> complex:
 def L_derivative(s0: complex | float, chi: Character) -> complex:
     """L'(s0, chi) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0, chi),
     with L(s0, chi) from dirichlet_L's cache; left of the reflection
-    threshold, the product rule of _reflected.  For a principal chi, an s0
+    threshold, the product rule of _reflected, and where q^{Re s0} leaves
+    the double range, the Dirichlet series.  For a principal chi, an s0
     within 1e-9 of the pole raises PoleError."""
     s0 = complex(s0)
     if chi.is_principal and abs(s0 - 1.0) < 1e-9:
@@ -413,6 +443,8 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
     try:
         if s0.real < _REFLECT_RE:
             return _reflected(s0, chi, derivative=True)
+        if s0.real * math.log(chi.modulus) > _LOG_DBL_MAX:
+            return _dirichlet_series(s0, chi, derivative=True)
         acc = _assemble(s0, chi, _hurwitz_em_derivative)
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"L'({s0:g}, chi) overflows the double range") from None

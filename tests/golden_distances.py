@@ -7,12 +7,16 @@ Run it from the repository root as
 For every record outside voronoi whose rhs differs from
 tests/data/registry_golden.jsonl it prints how far the rhs moved, and the
 old (golden) and new rhs's distance to a reference run that takes L'
-from mpmath (the run of test_registry_rhs_matches_mpmath_derivatives),
-all divided by |lhs|.  Below each record it lists the L inputs left of
-the reflection line specfun._REFLECT_RE (zeta as L for the character
-mod 1) and the L' inputs the record takes, with their relative errors
-against mpmath (absolute where the value is 0).  A record that moved by more than 1e-14 |lhs|, the golden
-test's bound, is marked with "*".
+from mpmath, all divided by |lhs|.  Below each record it lists the L
+inputs left of the reflection line specfun._REFLECT_RE (zeta as L for
+the character mod 1) and the L' inputs the record takes, with their
+relative errors against mpmath (absolute where the value is 0).  A
+record that moved by more than 1e-14 |lhs|, the golden test's bound, is
+marked with "*".
+
+The reference run must call L' at 41 distinct inputs, leave every lhs as
+it is and keep every rhs within 1e-12 |lhs| of the library's, or an
+assertion fails.
 
 The name does not start with test_, so pytest does not collect it;
 tests/test_golden_distances.py runs it.
@@ -31,15 +35,20 @@ from tblab.characters import TRIVIAL
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"
 GOLDEN_BOUND = 1e-14
+REFERENCE_BOUND = 1e-12
 
 
-def mp_L(s, chi, derivative=0) -> complex:
-    """L(s, chi), or L'(s, chi) if derivative=1, from mpmath at 30 digits
+def mp_values(chi) -> list:
+    """chi(0), ..., chi(q-1) in mpmath, from the exact exponents."""
+    return [0 if r is None else mpmath.expjpi(2 * mpmath.mpf(r.numerator) / r.denominator)
+            for r in map(chi.log_value, range(chi.modulus))]
+
+
+def mp_L(s, chi, derivative=0, dps=30) -> complex:
+    """L(s, chi), or L'(s, chi) if derivative=1, from mpmath at dps digits
     and exact character values."""
-    values = [0 if r is None else mpmath.expjpi(2 * mpmath.mpf(r.numerator) / r.denominator)
-              for r in map(chi.log_value, range(chi.modulus))]
-    with mpmath.workdps(30):
-        return complex(mpmath.dirichlet(mpmath.mpc(s), values, derivative))
+    with mpmath.workdps(dps):
+        return complex(mpmath.dirichlet(mpmath.mpc(s), mp_values(chi), derivative))
 
 
 def _run(cases, L_derivative, L=None) -> list[tuple[complex, complex]]:
@@ -86,7 +95,16 @@ def main() -> int:
     for case in cases:
         inputs.append(set())
         ours += _run([case], recording, recording_L)
-    reference = _run(cases, lambda s0, chi: mp_L(s0, chi, 1))
+    points = set()
+
+    def reference_derivative(s0, chi):
+        points.add((complex(s0), chi.modulus, chi.index))
+        return mp_L(s0, chi, 1)
+
+    reference = _run(cases, reference_derivative)
+    assert len(points) == 41, len(points)
+    for case, (lhs, rhs), (ref_lhs, ref) in zip(cases, ours, reference):
+        assert ref_lhs == lhs and abs(rhs - ref) <= REFERENCE_BOUND * abs(lhs), case
 
     moved = 0
     print(f"  {'moved':>9} {'old':>9} {'new':>9}  record")

@@ -107,7 +107,7 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     ["lvalue", "--q", "5", "--char", "1", "--s", "abc"],
     ["lvalue", "--q", "5", "--char", "1", "--s", "nan"],
     ["lvalue", "--q", "5", "--char", "1", "--s", "inf"],
-    ["lvalue", "--q", "5", "--char", "1", "--s", "1e300"],
+    ["lvalue", "--q", "7", "--char", "1", "--s=-1e300"],  # (2 pi/7)^s in the reflection
     ["lvalue", "--q", "5", "--char", "1", "--s", "0,1e9"],  # a head past the term budget
     ["verify", "--theorem", "T2_1", "--q", "4", "--char", "1", "--k", "0", "--nu", "0.6",
      "--a", "1", "--x", "inf"],
@@ -213,6 +213,11 @@ def test_suite_text_output(capsys):
     assert lines[-1] == "4 cases, 4 passed, 0 failed"
     assert sum(line.startswith("T2_13 {") for line in lines) == 4
     assert sum(line.endswith(" ms)") and "[pass]" in line for line in lines) == 4
+
+
+def test_suite_filter_matching_no_case(capsys):
+    assert main(["suite", "--filter", "ZZ"]) == 0
+    assert capsys.readouterr().out == "no cases match the filter\n"
 
 
 def test_suite_text_line_of_a_raising_case(monkeypatch, capsys):

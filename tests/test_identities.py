@@ -82,18 +82,26 @@ def _stages(terms):
 
 @pytest.mark.parametrize("tid", sorted(THEOREMS))
 def test_every_stage_keeps_its_prefactor(tid):
-    # items of a term list are plain numbers or (prefactor, part) pairs;
-    # every stage result stays the part of its pair, and the sum of the
-    # list is the rhs and terms verify reports
+    # items of an evaluator's term list are plain numbers or (prefactor,
+    # part) pairs; every stage result stays the part of its pair, and the
+    # sum of the list is the rhs and terms verify reports.  The divisor
+    # side lists stages alone, bare or as the part of a pair, and the same
+    # assembler sums them to the lhs and its terms
     entry = THEOREMS[tid]
     for point in entry.points:
         case = IdentityCase(tid, **point)
-        terms = entry.evaluate(**identities._check(entry, case))
+        resolved = identities._check(entry, case)
+        terms = entry.evaluate(**resolved)
         stages = _stages(terms)
         assert stages
         report = verify(case)
         assert identities._closed_side(terms) == (report.rhs, report.rhs_terms)
         assert report.rhs_terms == sum(stage.terms for stage in stages)
+        lhs = identities._divisor_side(entry.nu, report.tol, **resolved)
+        lhs_stages = [term if isinstance(term, SeriesResult) else term[1] for term in lhs]
+        assert lhs_stages and all(isinstance(stage, SeriesResult) for stage in lhs_stages)
+        assert identities._closed_side(lhs) == (report.lhs, report.lhs_terms)
+        assert report.lhs_terms == sum(stage.terms for stage in lhs_stages)
 
 
 def test_closed_side_sums_in_list_order():
@@ -172,11 +180,11 @@ def test_voronoi_finite_side_shifts_by_exact_term():
     chi = enumerate_characters(5)[2]
     spec = DivisorSumSpec(-0.25, TRIVIAL, chi)
     f = TEST_FUNCTIONS["exp"]
-    before, n1 = _finite_side(f, 0.5, 3.4, spec, False)
-    after, n2 = _finite_side(f, 0.5, 4.2, spec, False)
-    assert n2 == n1 + 1
+    before = _finite_side(f, 0.5, 3.4, spec, False)
+    after = _finite_side(f, 0.5, 4.2, spec, False)
+    assert after.terms == before.terms + 1
     expected = divisor_sum(spec, 4) * math.exp(-4.0)
-    assert abs((after - before) - expected) < 1e-14
+    assert abs((after.value - before.value) - expected) < 1e-14
 
 
 def _stated_finite_sum(case):

@@ -66,7 +66,7 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: bessel_I(0.5, math.nan), DomainError, "x >= 0"),
     (lambda: k_values(0.25, np.array([1.0, math.nan])), DomainError, "x > 0"),
     (lambda: jy_values(0.25, np.array([math.nan])), DomainError, "x > 0"),
-    (lambda: dirichlet_L(complex(1e308, 1e308), CHI5), ConvergenceError,
+    (lambda: dirichlet_L(complex(2.0, 1e308), CHI5), ConvergenceError,
      "head of .* 1e\\+308 terms, over the term budget of 1000000"),
     (lambda: shifted_power_series(SPEC, 2.5, math.inf), DomainError, "finite, got inf"),
     (lambda: cohen_tail_series(SPEC, -1.7, math.nan), DomainError, "Q = nan must be finite"),
@@ -89,6 +89,10 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [20.0], math.nan,
                                           "even-cos"), DomainError,
      "finite t_exponent and scales"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [0.0], -0.125,
+                                          "even-cos"), DomainError, r"scales > 0, .*\[0\.0\]"),
+    (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [-1.0, 20.0], -0.125,
+                                          "even-cos"), DomainError, r"scales > 0, .*\[-1\.0\]"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):

@@ -41,6 +41,8 @@ from tblab.specfun import (
 
 mpmath = pytest.importorskip("mpmath")
 
+from golden_distances import mp_values  # noqa: E402  (after the mpmath check)
+
 CHARS = [chi for q in range(3, 41) for chi in enumerate_characters(q)
          if chi.is_primitive and not chi.is_principal]
 
@@ -65,18 +67,12 @@ def _error(got, value) -> float:
     return float(abs(got - complex(value)) / max(1, abs(value)))
 
 
-def _mp_values(chi):
-    """chi(0), ..., chi(q-1) in mpmath, from the exact exponents."""
-    return [0 if r is None else mpmath.expjpi(2 * mpmath.mpf(r.numerator) / r.denominator)
-            for r in map(chi.log_value, range(chi.modulus))]
-
-
 def _mp_L(chi):
     """s -> L(s, chi) in mpmath, from exact character values: summed over
     Hurwitz zeta for Re s >= 1/2, else by the functional equation, as
     mpmath's Hurwitz zeta takes seconds at Re s = -4."""
     q, kappa = chi.modulus, 1 if chi.is_odd else 0
-    values = _mp_values(chi)
+    values = mp_values(chi)
     conj = [mpmath.conj(v) for v in values]
     tau = sum(v * mpmath.expjpi(mpmath.mpf(2 * n) / q) for n, v in enumerate(values))
     root = tau / (mpmath.j ** kappa * mpmath.sqrt(q))
@@ -174,7 +170,7 @@ def test_principal_L_against_zeta_euler_factors(q):
 # the principal characters mod 32, 64, 81 and 128, and non-principal chi
 # mod q <= 40, all but two imprimitive; the rows at s = -3 and -3 + 7.5i
 # take a character of each modulus of test_specfun's per-residue test.  Made
-# by mpmath.dirichlet(s, _mp_values(chi), d) for d = 0 and 1 at 30 digits,
+# by mpmath.dirichlet(s, mp_values(chi), d) for d = 0 and 1 at 30 digits,
 # printed to 25 (about 5 minutes, 90 s of them at q = 128); mpmath's value
 # at a trivial zero can read about 1e-24 there.
 REFLECTED_TABLE = [
@@ -312,7 +308,7 @@ def test_L_at_negative_integers_against_exact_bernoulli_numbers(q):
     with mpmath.workdps(30):
         bern = {n: [mpmath.bernpoly(n, mpmath.mpf(a) / q) for a in range(q)] for n in range(3, 7)}
         for chi in enumerate_characters(q):
-            values = _mp_values(chi)
+            values = mp_values(chi)
             for n in range(3, 7):
                 got = dirichlet_L(1.0 - n, chi)
                 if (n - chi.is_odd) % 2:
@@ -328,7 +324,7 @@ def test_generalized_bernoulli_against_mpmath(q):
     with mpmath.workdps(40):
         bern = {n: [mpmath.bernpoly(n, mpmath.mpf(a) / q) for a in range(q)] for n in range(1, 7)}
         for chi in enumerate_characters(q):
-            values = _mp_values(chi)
+            values = mp_values(chi)
             for n in range(1, 7):
                 value = q ** (n - 1) * mpmath.fsum(v * b for v, b in zip(values, bern[n]))
                 assert _error(generalized_bernoulli(n, chi), value) < BERNOULLI_BOUND, (chi.index, n)
