@@ -97,17 +97,20 @@ def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
     each d <= S adds a(d) b(1..count/d) at the multiples of d, then each
     e <= count/(S+1), descending, adds a(S+1..count/e) b(e) at the
     multiples of e.  So every n gets its terms in ascending d, and the
-    work is 2 sqrt(count) slice updates.
+    work is 2 sqrt(count) slice updates.  For a trivial chi2, b = 1 + 0j,
+    a product with which is exact, is neither formed nor multiplied in.
     """
-    arr = np.zeros(count + 1, dtype=complex)
     a = _char_values(spec.chi1, count, complex(spec.weight))
-    b = _char_values(spec.chi2, count)
+    b = None if spec.chi2.modulus == 1 else _char_values(spec.chi2, count)
+    arr = np.zeros(count + 1, dtype=complex)
     root = math.isqrt(count)
     for d in range(1, root + 1):
         if a[d]:
-            arr[d::d] += a[d] * b[1:count // d + 1]
+            arr[d::d] += a[d] if b is None else a[d] * b[1:count // d + 1]
     for e in range(count // (root + 1), 0, -1):
-        if b[e]:
+        if b is None:
+            arr[(root + 1) * e::e] += a[root + 1:count // e + 1]
+        elif b[e]:
             arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
     return arr
 

@@ -17,17 +17,22 @@ at its first term below 1e-17 of its partial sum.  K and the Hankel P and
 Q sum the same expansion in 1/x (DLMF 10.40.2, 10.17.3) in one loop over
 a window of ascending arguments, which drops an argument once its terms
 grow or can no longer move its sums, so each argument forms only its own
-terms and stops before its smallest one.  The integration limits follow
-nu and x (see _limits), so no order, integer or not, takes a path of its
-own.  An asymptotic expansion whose smallest term is still above 1e-12
-of its leading one (a large order just past its cut) raises DomainError
-instead of returning the truncated sum, as does a value outside the
-double range.  K and Y refuse x below 1e-20, where their integrals lose
-accuracy.  K is even in nu, so only |nu| is ever evaluated.
+terms and stops before its smallest one.  Its steps round correctly, so a
+term can grow only where the step's coefficient nears x, and the terms
+fall weakly along the arguments: most steps are three array passes and a
+bisection for the window's right end; only the last few test for growth.
+The integration limits follow nu and x (see _limits), so no order,
+integer or not, takes a path of its own.  An asymptotic expansion whose
+smallest term is still above 1e-12 of its leading one (a large order
+just past its cut) raises DomainError instead of returning the truncated
+sum, as does a value outside the double range.  K and Y refuse x below
+1e-20, where their integrals lose accuracy.  K is even in nu, so only
+|nu| is ever evaluated.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -138,7 +143,9 @@ def _on_grid(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, integrand) -> np.nd
     for i in range(0, xs.size, block):
         b = slice(i, i + block)
         span = hi[b] - lo[b]
-        t = lo[b, None] + np.outer(span, _GL_U)
+        t = span[:, None] * _GL_U
+        if lo[b].any():
+            t += lo[b, None]
         out[b] = (integrand(xs[b, None], t) @ _GL_W) * span
     return out
 
@@ -157,10 +164,14 @@ def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]
 def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     """K_nu by its integral representation, vectorized.  Its integrand,
     like Y's, raises each exponent whole: e^{nu t} alone overflows once
-    nu t > 709, where the integrand need not."""
+    nu t > 709, where the integrand need not.  At nu = 0 both exponents
+    are e exactly, and one exponential, doubled, is their exact sum."""
     def integrand(x, t):
         e = -x * np.cosh(t)
-        return np.exp(e + nu * t) + np.exp(e - nu * t)
+        if not nu:
+            return 2.0 * np.exp(e)
+        nt = nu * t
+        return np.exp(e + nt) + np.exp(e - nt)
     return 0.5 * _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
 
 
@@ -196,6 +207,8 @@ def _refuse_short_expansion(name: str, nu: float, x: float, least: float) -> Non
 # 1/4, where half an ulp is 2.8e-17; in Q, whose sum may be small, it
 # moves J and Y by less than 1e-17 absolute.
 _ASYM_TINY = 1e-17
+# For |c| below this share of x, a rounded step keeps |d c (1+2^-53)^2 / x| < |d|.
+_GROWS = 0.999
 
 
 def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
@@ -209,32 +222,39 @@ def _asym_sums(name: str, nu: float, xb: np.ndarray, coefs: list[float],
     once its term has grown, for good, or fallen below _ASYM_TINY, and the
     window drops the done arguments at either end.  Each argument adds the
     terms of the same steps, in the same order, as a loop over all
-    arguments to the last step would."""
+    arguments to the last step would.  As each step rounds correctly, a
+    term can grow only where |coefs[k]| >= _GROWS x, so only such steps
+    test for growth, and mask the additions while a grown argument is in
+    the window; and |d_k| falls weakly along the arguments, so the terms
+    still >= _ASYM_TINY are a prefix of the window, found by bisection."""
     order = np.argsort(xb, kind="stable") if (xb[1:] < xb[:-1]).any() else None
     xs = xb if order is None else xb[order]
     acc = np.zeros((rows, xs.size))
     acc[0] = 1.0
-    d, prev = np.ones_like(xs), np.ones_like(xs)
+    d = np.ones_like(xs)
     alive = np.ones(xs.size, dtype=bool)
+    masked = False  # whether the window holds a grown argument
     least = 1.0  # the last term of xs[0] while its terms fall
     lo, hi, k = 0, xs.size, 0
     while k < len(coefs):
+        test = masked or abs(coefs[k]) >= _GROWS * xs[lo]
+        prev = np.abs(d) if test else None
         d *= coefs[k]
         d /= xs[lo:hi]
         k += 1
-        now = np.abs(d)
-        alive &= now < prev
-        if lo == 0 and alive[0]:
-            least = float(now[0])
+        if test:
+            alive &= np.abs(d) < prev
         row = acc[k % rows, lo:hi]
-        np.add(row, d, out=row, where=alive)
-        live = alive & (now >= _ASYM_TINY)
-        first = int(live.argmax())
-        if not live[first]:
+        np.add(row, d, out=row, where=alive if test else True)
+        if lo == 0 and alive[0]:
+            least = abs(float(d[0]))
+        last = d.size - bisect.bisect_left(d[::-1], _ASYM_TINY, key=abs)
+        first = int(alive[:last].argmax()) if test and last else 0
+        if not last or not alive[first]:
             break
-        last = live.size - int(live[::-1].argmax())
-        d, prev, alive = d[first:last], now[first:last], alive[first:last]
+        d, alive = d[first:last], alive[first:last]
         lo, hi = lo + first, lo + last
+        masked = test and not alive.all()
     _refuse_short_expansion(name, nu, xs[0], least)
     if order is not None:
         acc[:, order] = acc.copy()

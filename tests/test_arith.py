@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tblab.arith import (
     DivisorSumSpec,
+    _char_values,
     closed_form_F,
     closed_form_F_prime,
     coefficient_array,
@@ -85,6 +86,34 @@ def test_trivial_is_the_character_mod_1(chi4, chi3):
             for s in (2.5, 3.1 + 0.4j):
                 assert closed_form_F(spec, s) == closed_form_F(same, s)
                 assert closed_form_F_prime(spec, s) == closed_form_F_prime(same, s)
+
+
+def _multiplying_sweeps(spec: DivisorSumSpec, count: int) -> np.ndarray:
+    """coefficient_array's two sweeps with b = chi2 formed and multiplied
+    in, whatever chi2 is."""
+    arr = np.zeros(count + 1, dtype=complex)
+    a = _char_values(spec.chi1, count, complex(spec.weight))
+    b = _char_values(spec.chi2, count)
+    root = math.isqrt(count)
+    for d in range(1, root + 1):
+        if a[d]:
+            arr[d::d] += a[d] * b[1:count // d + 1]
+    for e in range(count // (root + 1), 0, -1):
+        if b[e]:
+            arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
+    return arr
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, 10, 99, 100, 101, 1024, 4095])
+def test_trivial_chi2_is_the_multiplying_sweeps_byte_for_byte(count):
+    # with a trivial chi2 the sweeps skip the products with b = 1 + 0j,
+    # which are exact
+    for q in range(1, 13):
+        for chi in enumerate_characters(q):
+            for weight in (0, 3, -0.25, 1.5 + 0.5j):
+                spec = DivisorSumSpec(weight, chi)
+                got = coefficient_array(spec, count)
+                assert got.tobytes() == _multiplying_sweeps(spec, count).tobytes()
 
 
 def test_trivial_character_slot_matches_direct(chi4, chi3):

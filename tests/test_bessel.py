@@ -219,6 +219,38 @@ def test_k_expansion_pinned_on_a_kernel_series_array():
         assert _same_k(nu, xs)
 
 
+def test_k_expansion_pinned_on_repeated_and_long_arrays():
+    # ties among the arguments, at the cut too, and the 65,536-term
+    # lam sqrt(n) array bessel_series sends when its tail bound needs 2^16
+    rng = np.random.default_rng(11)
+    tied = np.repeat(K_ASYM_CUT + 300.0 * rng.random(50), 4)
+    rng.shuffle(tied)
+    long = 18.5 * np.sqrt(np.arange(1, 65537, dtype=float))
+    for nu in (0.0, 0.5, 1.0, 2.25, 4.0):
+        for xs in (tied, np.full(7, 25.0), np.array([18.0, 19.5, 18.0, 18.0, 19.5]), long):
+            assert _same_k(nu, xs)
+
+
+def test_k_quadrature_pinned_on_its_two_exponentials():
+    # the integrand as the sum of its two exponentials, on a grid built as
+    # lo + an outer product: at nu = 0 it is one exponential, doubled
+    xs = np.concatenate([np.geomspace(1e-20, 17.99, 301), [0.5, 0.5, 17.0]])
+    block = bessel._HOT_DOUBLES // bessel._GL_U.size
+    lifted = 0  # the orders whose grid's lower limit leaves 0 somewhere
+    for nu in (0.0, 0.3, 2.5, 12.0):
+        lo, hi = bessel._limits(nu, xs, np.arccosh)
+        want = np.empty_like(xs)
+        for i in range(0, xs.size, block):
+            b = slice(i, i + block)
+            span = hi[b] - lo[b]
+            t = lo[b, None] + np.outer(span, bessel._GL_U)
+            e = -xs[b, None] * np.cosh(t)
+            want[b] = ((np.exp(e + nu * t) + np.exp(e - nu * t)) @ bessel._GL_W) * span
+        assert k_values(nu, xs).tobytes() == (0.5 * want).tobytes(), nu
+        lifted += lo.any()
+    assert lifted
+
+
 def test_k_expansion_refusal_keeps_its_text():
     # just past its cut: nu = 9 needs x > 40.4 for its first term to fall
     for xs in (np.array([19.0]), np.array([60.0, 40.0, 200.0, 41.0, 39.5, 90.0,
