@@ -94,7 +94,7 @@ def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
     _refuse_order(nu)
     try:
         log_gamma = math.lgamma(nu + 1.0)
-    except ValueError:  # a pole
+    except (ValueError, OverflowError):  # a pole, or an order from about 2.6e305 on
         raise DomainError(f"the ascending series of order {nu:g} needs "
                           f"Gamma({nu + 1.0:g}), which is not finite") from None
     # Gamma is negative on (-1, 0), (-3, -2), ...
@@ -161,33 +161,34 @@ def _limits(nu: float, xs: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
-    """K_nu by its integral representation, vectorized.  Its integrand,
-    like Y's, raises each exponent whole: e^{nu t} alone overflows once
-    nu t > 709, where the integrand need not.  At nu = 0 both exponents
-    are e exactly, and one exponential, doubled, is their exact sum."""
+def _exp_pair(nu: float, c: float, rate):
+    """e^{nu t - x rate(t)} + c e^{-nu t - x rate(t)}, K's integrand (cosh,
+    c = 1) and Y's decaying one (sinh, c = cos(nu pi)), each exponent raised
+    whole: e^{nu t} alone overflows once nu t > 709, where the sum need not.
+    At nu = 0 one exponential times (1 + c) is the sum, exactly."""
     def integrand(x, t):
-        e = -x * np.cosh(t)
+        e = -x * rate(t)
         if not nu:
-            return 2.0 * np.exp(e)
+            return (1.0 + c) * np.exp(e)
         nt = nu * t
-        return np.exp(e + nt) + np.exp(e - nt)
-    return 0.5 * _on_grid(*_limits(nu, xs, np.arccosh), xs, integrand)
+        pair = np.exp(e - nt)
+        return np.exp(e + nt) + (pair if c == 1.0 else c * pair)
+    return integrand
+
+
+def _k_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
+    """K_nu by its integral representation, vectorized."""
+    return 0.5 * _on_grid(*_limits(nu, xs, np.arccosh), xs, _exp_pair(nu, 1.0, np.cosh))
 
 
 def _y_bridge_arr(nu: float, xs: np.ndarray) -> np.ndarray:
     """Y_nu by Schlaefli's integral, vectorized."""
-    c = math.cos(math.pi * nu)
-
-    def decaying(x, t):
-        e = -x * np.sinh(t)
-        return np.exp(e + nu * t) + c * np.exp(e - nu * t)
-
     def oscillating(x, th):
         return np.sin(x * np.sin(th) - nu * th)
 
     osc = _on_grid(np.zeros(xs.shape), np.full(xs.shape, math.pi), xs, oscillating)
-    tail = _on_grid(*_limits(nu, xs, np.arcsinh), xs, decaying)
+    tail = _on_grid(*_limits(nu, xs, np.arcsinh), xs,
+                    _exp_pair(nu, math.cos(math.pi * nu), np.sinh))
     return (osc - tail) / math.pi
 
 

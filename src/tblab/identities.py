@@ -428,36 +428,18 @@ def _single_nu(twist, chi, k, nu, a, x, **slots):
 # ===================== weight-k identities (nu = 0) ======================
 
 
-def _single_nu0(twist, chi, chi1, chi2, p, k, a, x, c, **_):
-    """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7,
-    whose zeta(s) terms replace the product-rule constant of T2_11."""
-    tail = shifted_power_series(
-        DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()), k + 1.0, c,
-        difference_form=True)
-    if twist == _TWISTED:
-        # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]
-        terms = [-0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
-                          - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))]
-        if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
-            terms.append(2.0 / (a * a * x) * dirichlet_L(1.0, chi))
-    else:
-        terms = [2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
-                 * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0),
-                 # full product-rule constant; for the odd-character case the
-                 # second summand vanishes (zeta trivial zero), for the
-                 # even-character case the first does (L(0, chi) = 0)
-                 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
-                        + riemann_zeta(-float(k)) * L_derivative(0.0, chi))]
-    return terms + [(_unit(k) * math.factorial(k) * p ** k
-                     / (2.0 * TWO_PI ** (k + 1.0)) * _tau(chi), tail)]
-
-
-def _pair_nu0(chi1, chi2, p, k, c, **_):
-    """T2_11, T2_15, and C2_2 with chi1 = chi2: the nu = 0 forms of T2_10,
-    T2_14 and C2_1."""
+def _nu0_tail(chi1, chi2, p, k, c, **_):
+    """The difference tail of T2_11, T2_15 and C2_2, with its prefactor."""
     tail = shifted_power_series(
         DivisorSumSpec(k, chi2.conjugate(), chi1.conjugate()),
         k + 1.0, c, difference_form=True)
+    return (_unit(k) * math.factorial(k) * p ** k
+            / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)), tail)
+
+
+def _pair_nu0(chi1, chi2, k, **slots):
+    """T2_11, T2_15, and C2_2 with chi1 = chi2: the nu = 0 forms of T2_10,
+    T2_14 and C2_1."""
     # of the product-rule constant L'(-k, chi1) L(0, chi2) + L(-k, chi1)
     # L'(0, chi2) one summand vanishes: L(0, chi2) = 0 for an even chi2,
     # and L(-k, chi1) = 0 (a trivial zero) for an odd one
@@ -465,8 +447,33 @@ def _pair_nu0(chi1, chi2, p, k, c, **_):
         const = dirichlet_L(-float(k), chi1) * L_derivative(0.0, chi2)
     else:
         const = L_derivative(-float(k), chi1) * dirichlet_L(0.0, chi2)
-    return [0.5 * const, (_unit(k) * math.factorial(k) * p ** k
-                          / (2.0 * TWO_PI ** (k + 1.0)) * (_tau(chi1) * _tau(chi2)), tail)]
+    return [0.5 * const, _nu0_tail(chi1=chi1, chi2=chi2, k=k, **slots)]
+
+
+def _single_nu0(twist, chi, k, a, x, **slots):
+    """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7.
+    T2_4 is T2_15 with the trivial character in one slot, plus the pole
+    term of its zeta(s); the others keep their stated constant and take
+    the pair's tail."""
+    if twist == _TWISTED:
+        # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]; as the pair's
+        # constant it moved 6 of 7 records off the true rhs (T2_2 k = 6: 1.3e-13 to 8.4e-13)
+        terms = [-0.25 * (dirichlet_L(-float(k), chi) * (math.log(8.0 * PI / (a * a))
+                          - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))]
+        if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
+            terms.append(2.0 / (a * a * x) * dirichlet_L(1.0, chi))
+        return terms + [_nu0_tail(k=k, **slots)]
+    terms = [2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
+             * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0)]
+    if chi.is_odd:  # T2_4: zeta(-k), a trivial zero, is exactly 0, so bit for bit
+        return terms + _pair_nu0(k=k, **slots)
+    # T2_8: the full product rule, whose first summand, L(0, chi) = 5.3e-15
+    # at q = 5, partly cancels the error of L'(0, chi) (-2.2e-14): T2_11's
+    # constant moved 5 of 24 domain-map neighbours farther from mpmath's
+    # (q = 5, k = 1, a = 4, x = 0.75: 1.6e-14 to 3.1e-14 |lhs|)
+    return terms + [0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
+                           + riemann_zeta(-float(k)) * L_derivative(0.0, chi)),
+                    _nu0_tail(k=k, **slots)]
 
 
 # ================== log-kernel identities (k = 0, nu = 0) ================
@@ -500,31 +507,32 @@ def _t2_9(chi1, chi2, a, x, c, **_):
 # =================== weight -nu identities (Cohen type) ==================
 
 
-def _p1_1(nu, N, x, **_):
+def _cohen_stages(chi1, chi2, p, q, nu, N, x, **_):
+    """Q = p q x, the head sum of L(s, chi2) L(s - nu, chi1) Q^{s-1} over
+    s = 2j, j <= N (s = 2j + 1, j < N, for an odd chi2), Q^last on the tail
+    (last = 2N + 1, or 2N) and the tail sum f(n) (n^w - Q^w)/(n^2 - Q^2),
+    f = (-nu, chi2, chi1), over n too for an odd chi1, w = nu - 2N + [odd chis]."""
+    Q, odd = p * q * x, int(chi2.is_odd)
+    tail = cohen_tail_series(DivisorSumSpec(-nu, chi2, chi1),
+                             nu - 2 * N + (int(chi1.is_odd) + odd), Q, over_n=chi1.is_odd)
+    head = sum(dirichlet_L(s, chi2) * dirichlet_L(s - nu, chi1) * Q ** (s - 1.0)
+               for s in range(2 + odd, 2 * N + 1, 2))
+    return Q, head, Q ** (2 * N + 1 - odd), tail
+
+
+def _p1_1(nu, x, **slots):
+    """P1_1: _cohen_stages with the trivial character in both slots."""
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
-    tail = cohen_tail_series(DivisorSumSpec(-nu), nu - 2 * N, x)
+    _, head, xlast, tail = _cohen_stages(nu=nu, x=x, **slots)
     return [-gamma(nu) * riemann_zeta(nu) / TWO_PI ** (nu - 1.0),
             gamma(1.0 + nu) * riemann_zeta(1.0 + nu) / (PI ** (nu + 1.0) * 2.0 ** nu * x),
             riemann_zeta(nu) * x ** (nu - 1.0) / sn,
-            2.0 / sn * sum(riemann_zeta(2.0 * j) * riemann_zeta(2.0 * j - nu)
-                           * x ** (2 * j - 1) for j in range(1, N + 1)),
+            2.0 / sn * head,
             -PI * riemann_zeta(nu + 1.0) * x ** nu / cs,
-            (2.0 / sn * x ** (2 * N + 1), tail)]
+            (2.0 / sn * xlast, tail)]
 
 
-def _cohen_head(chi2: Character, chi1: Character, nu: float, Q: float, N: int,
-                odd: bool) -> tuple[complex, float]:
-    """The head sum of L(s, chi2) L(s - nu, chi1) Q^{s-1} over s = 2j, j <= N
-    (or s = 2j + 1, j < N, when odd), and the power of Q on the tail."""
-    if odd:
-        ladder, last = [2.0 * j + 1.0 for j in range(1, N)], 2 * N
-    else:
-        ladder, last = [2.0 * j for j in range(1, N + 1)], 2 * N + 1
-    return (sum(dirichlet_L(s, chi2) * dirichlet_L(s - nu, chi1) * Q ** (s - 1.0)
-                for s in ladder), Q ** last)
-
-
-def _cohen_single(twist, chi, nu, N, x, **slots):
+def _cohen_single(twist, chi, nu, x, **slots):
     """T3_1..T3_4: weight -nu series of one character.
 
     The plain twist (T3_1, T3_3) is T3_5..T3_8 with chi2 the trivial
@@ -535,13 +543,11 @@ def _cohen_single(twist, chi, nu, N, x, **slots):
     """
     cb, odd, q = chi.conjugate(), chi.is_odd, chi.modulus
     if twist == _TWISTED:  # the pair's chi2 is TRIVIAL, so its list is one bracket
-        pair = _cohen_pair(nu=nu, N=N, x=x, **slots)
+        pair = _cohen_pair(nu=nu, x=x, **slots)
         return [-gamma(nu) * dirichlet_L(nu, cb) / TWO_PI ** (nu - 1.0),
                 2.0 * gamma(1.0 + nu) * dirichlet_L(1.0 + nu, cb)
                 / (TWO_PI ** (nu + 1.0) * x)] + pair
-    qx = q * x
-    tail = cohen_tail_series(DivisorSumSpec(-nu, chi), nu - 2 * N + int(odd), qx)
-    head, qlast = _cohen_head(chi, TRIVIAL, nu, qx, N, odd)
+    qx, head, qlast, tail = _cohen_stages(nu=nu, x=x, **slots)
     sn, cs = math.sin(PI * nu / 2.0), math.cos(PI * nu / 2.0)
     trig, cotrig = (cs, sn) if odd else (sn, cs)
     inner = [dirichlet_L(nu, chi) * qx ** (nu - 1.0) / trig,
@@ -554,7 +560,7 @@ def _cohen_single(twist, chi, nu, N, x, **slots):
     return [(q / _tau(chi), inner)]  # T3_2
 
 
-def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
+def _cohen_pair(chi1, chi2, p, q, nu, **slots):
     """T3_5..T3_8, and C3_5, C3_6 with chi1 = chi2: weight -nu series of
     two characters.
 
@@ -563,11 +569,7 @@ def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
     L(0, chi2-bar) term; an odd chi1 the L(1 + nu, chi2) L(1, chi1) term
     and the 1/n tail.
     """
-    pqx = p * q * x
-    tail = cohen_tail_series(DivisorSumSpec(-nu, chi2, chi1),
-                             nu - 2 * N + (int(chi1.is_odd) + int(chi2.is_odd)), pqx,
-                             over_n=chi1.is_odd)
-    head, plast = _cohen_head(chi2, chi1, nu, pqx, N, chi2.is_odd)
+    pqx, head, plast, tail = _cohen_stages(chi1, chi2, p, q, nu, **slots)
     if chi1.is_odd:
         inner = [dirichlet_L(nu + 1.0, chi2) * dirichlet_L(1.0, chi1) * pqx ** nu,
                  -head, (-plast, tail)]
@@ -583,15 +585,12 @@ def _cohen_pair(chi1, chi2, p, q, nu, N, x, **_):
 # ---- elementary nu = 1/2 specializations --------------------------------
 
 
-def _cohen_half(twist, chi, chi1, chi2, x, **_):
-    """C3_1..C3_4: the elementary nu = 1/2 forms of T3_1..T3_4."""
+def _cohen_half(twist, chi, x, **slots):
+    """C3_1..C3_4: the elementary nu = 1/2 forms of T3_1..T3_4, with the
+    tail of _cohen_stages at N = 0, but C3_4's at N = 1: it is stated with
+    the least admissible N, and its tail converges only from N = 1 on."""
     cb, odd, tau, q = chi.conjugate(), chi.is_odd, _tau(chi), chi.modulus
-    qx = q * x
-    # C3_4 is stated with the minimal admissible truncation index; this
-    # variant uses the first index for which the rational tail converges
-    tail = cohen_tail_series(DivisorSumSpec(-0.5, chi2, chi1),
-                             0.5 - 2 * int(odd and twist == _BAR_TWISTED) + int(odd), qx,
-                             over_n=odd and twist == _TWISTED)
+    qx, _, _, tail = _cohen_stages(N=int(odd and twist == _BAR_TWISTED), x=x, **slots)
     if twist == _TWISTED:
         terms = [-PI * dirichlet_L(0.5, cb), dirichlet_L(1.5, cb) / (4.0 * PI * x)]
         if odd:  # C3_3

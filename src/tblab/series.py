@@ -6,12 +6,13 @@ exponential bound).  Algebraically decaying sums (shifted powers, log
 kernels, rational Cohen tails) share one loop, _closed_tail: it sums the
 kernel directly up to a head length and completes the rest in closed
 form.  Each of the three expands its kernel in 1/n beyond the head
-(binomially or geometrically) and hands the loop the expansion order by
-order; the loop turns each order into Dirichlet-tail values
-F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings, from
--F'), with F given by its zeta/L product, and stops at the first order
-whose certified bound is below tol/10.  That reaches ~1e-12 where plain
-truncation of exponents as low as 1.25 could not reach 1e-9.
+(binomially, or, for the log and Cohen kernels, geometrically in one
+_geometric_tail) and hands the loop the expansion order by order; the
+loop turns each order into Dirichlet-tail values F(s) - sum_{n<=head}
+f(n) n^{-s} (or their log-weighted siblings, from -F'), with F given by
+its zeta/L product, and stops at the first order whose certified bound
+is below tol/10.  That reaches ~1e-12 where plain truncation of
+exponents as low as 1.25 could not reach 1e-9.
 
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
@@ -217,18 +218,6 @@ def _refuse_integer(value: float, name: str) -> None:
         raise ExcludedParameter(f"{name} = {value:.6g} must not be a positive integer")
 
 
-def _near_pole(ns: np.ndarray, c: float, exact, expansion) -> np.ndarray:
-    """exact(n), but expansion((n - c)/c) for n within 1e-3 max(1, c) of
-    the removable singularity at n = c."""
-    g = np.empty(ns.shape)
-    near = np.abs(ns - c) < 1e-3 * max(1.0, c)
-    far = ~near
-    g[far] = exact(ns[far])
-    if near.any():
-        g[near] = expansion((ns[near] - c) / c)
-    return g
-
-
 def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
                          difference_form: bool = False, tol: float = 1e-12) -> SeriesResult:
     """sum_n f_z(n)/(n+c)^p, or sum_n f_z(n)(n^{-p} - (n+c)^{-p}).
@@ -260,6 +249,30 @@ def shifted_power_series(spec: DivisorSumSpec, p: float, c: float, *,
     return _closed_tail(spec, c, tol, kernel, orders)
 
 
+def _geometric_tail(spec: DivisorSumSpec, Q: float, delta: int, exact, expansion, parts,
+                    tol: float) -> SeriesResult:
+    """sum_n f(n) g(n) / n^delta for a kernel g with a removable singularity
+    at n = Q: exact(n), but expansion((n - Q)/Q) for n within 1e-3 max(1, Q)
+    of Q.  Beyond the head, g(n) n^{-delta} = sum_m Q^{2m} sum of
+    c n^{-s} (or, with log, c ln(n) n^{-s}) over parts(s) = [(c, s, log)],
+    s = 2m + 2 + delta: the geometric expansion in (Q/n)^2."""
+    def kernel(ns):
+        g = np.empty(ns.shape)
+        near = np.abs(ns - Q) < 1e-3 * max(1.0, Q)
+        g[~near] = exact(ns[~near])
+        if near.any():
+            g[near] = expansion((ns[near] - Q) / Q)
+        return g / ns ** delta
+
+    def orders(t):
+        q2m = 1.0
+        for m in itertools.count():
+            yield q2m, parts(2.0 * m + 2.0 + delta), t ** 2
+            q2m *= Q * Q
+
+    return _closed_tail(spec, Q, tol, kernel, orders)
+
+
 def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
                       tol: float = 1e-12) -> SeriesResult:
     """sum_n f(n) log(n/c) / (n^2 - c^2), optionally with an extra 1/n.
@@ -276,22 +289,12 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
     if spec.weight_real_max >= 1.0 + delta:
         raise DivergenceError("log_kernel_series needs weight below 1 + delta")
     logc = math.log(c)
-
-    def kernel(ns):
+    return _geometric_tail(
+        spec, c, delta, lambda n: np.log(n / c) / (n ** 2 - c * c),
         # log(1+u)/u / (c^2 (2+u)), series in u
-        return _near_pole(
-            ns, c, lambda n: np.log(n / c) / (n ** 2 - c * c),
-            lambda u: (1.0 - u / 2 + u ** 2 / 3 - u ** 3 / 4 + u ** 4 / 5 - u ** 5 / 6)
-            / (c * c * (2.0 + u))) / ns ** delta
-
-    def orders(t):
-        c2m = 1.0
-        for m in itertools.count():
-            s = 2.0 * m + 2.0 + delta
-            yield c2m, [(1.0, s, True), (-logc, s, False)], t ** 2
-            c2m *= c * c
-
-    return _closed_tail(spec, c, tol, kernel, orders)
+        lambda u: (1.0 - u / 2 + u ** 2 / 3 - u ** 3 / 4 + u ** 4 / 5 - u ** 5 / 6)
+        / (c * c * (2.0 + u)),
+        lambda s: [(1.0, s, True), (-logc, s, False)], tol)
 
 
 def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool = False,
@@ -315,22 +318,11 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
         raise DomainError(f"cohen_tail_series: Q^w = {Q:.6g}^{w:.6g} is outside the double range")
     Qw = Q ** w
     binoms = np.cumprod((w - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
-
-    def kernel(ns):
+    return _geometric_tail(
+        spec, Q, delta, lambda n: (n ** w - Qw) / (n ** 2 - Q * Q),
         # ((1+u)^w - 1)/u / (Q^{2-w} (2+u)) by the binomial series near n = Q
-        return _near_pole(
-            ns, Q, lambda n: (n ** w - Qw) / (n ** 2 - Q * Q),
-            lambda u: Q ** (w - 2.0) * sum(b * u ** i for i, b in enumerate(binoms))
-            / (2.0 + u)) / ns ** delta
-
-    def orders(t):
-        q2m = 1.0
-        for m in itertools.count():
-            s = 2.0 * m + 2.0 + delta
-            yield q2m, [(1.0, s - w, False), (-Qw, s, False)], t ** 2
-            q2m *= Q * Q
-
-    return _closed_tail(spec, Q, tol, kernel, orders)
+        lambda u: Q ** (w - 2.0) * sum(b * u ** i for i, b in enumerate(binoms)) / (2.0 + u),
+        lambda s: [(1.0, s - w, False), (-Qw, s, False)], tol)
 
 
 # -- quadrature ----------------------------------------------------------

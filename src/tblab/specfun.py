@@ -331,18 +331,21 @@ def _dirichlet_series(s: complex, chi: Character, derivative: bool) -> complex:
     """sum chi(n) n^{-s}, or its s-derivative -sum chi(n) log n n^{-s}, for
     Re s log q > _LOG_DBL_MAX, or the derivative from _DERIVATIVE_SERIES_RE:
     from n = 2 on, until the bound n^{-Re s} on a term (times log n) falls
-    to 1e-17 of the sum, within N / (Re s - 1) (20 at Re s = 8) of the
-    bound on the whole tail."""
+    to 1e-17 of the running sum, within N / (Re s - 1) (20 at Re s = 8) of
+    the bound on the whole tail.  The value is the math.fsum of the terms'
+    real and imaginary parts; the running sum only decides when to stop."""
     table, q = _value_table(chi), chi.modulus
-    acc, n = 0j if derivative else table[1], 2
+    terms = [] if derivative else [table[1]]
+    acc, n = sum(terms, 0j), 2
     while True:
         log_n = math.log(n)
         bound = n ** -s.real * (log_n if derivative else 1.0)
         if bound <= 1e-17 * abs(acc):
-            return acc
+            return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         if table[n % q]:
             term = table[n % q] * n ** (-s)
-            acc += -log_n * term if derivative else term
+            terms.append(-log_n * term if derivative else term)
+            acc += terms[-1]
         n += 1
 
 

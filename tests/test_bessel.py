@@ -231,23 +231,38 @@ def test_k_expansion_pinned_on_repeated_and_long_arrays():
             assert _same_k(nu, xs)
 
 
-def test_k_quadrature_pinned_on_its_two_exponentials():
-    # the integrand as the sum of its two exponentials, on a grid built as
-    # lo + an outer product: at nu = 0 it is one exponential, doubled
-    xs = np.concatenate([np.geomspace(1e-20, 17.99, 301), [0.5, 0.5, 17.0]])
+def _on_gl_grid(lo, hi, xs, integrand):
+    """int_lo^hi integrand(x, t) dt on bessel's grid, built as lo + an
+    outer product, in _on_grid's blocks of arguments."""
     block = bessel._HOT_DOUBLES // bessel._GL_U.size
+    out = np.empty_like(xs)
+    for i in range(0, xs.size, block):
+        b = slice(i, i + block)
+        span = hi[b] - lo[b]
+        t = lo[b, None] + np.outer(span, bessel._GL_U)
+        out[b] = (integrand(xs[b, None], t) @ bessel._GL_W) * span
+    return out
+
+
+def test_k_quadrature_pinned_on_its_two_exponentials():
+    # K's integrand, and Y's decaying one, as the sum of its two
+    # exponentials: at nu = 0 that sum is one exponential times 2
+    xs = np.concatenate([np.geomspace(1e-20, 17.99, 301), [0.5, 0.5, 17.0]])
+    ys = np.concatenate([np.geomspace(1e-20, JY_CUT, 301), [0.5, 0.5, JY_CUT]])
     lifted = 0  # the orders whose grid's lower limit leaves 0 somewhere
     for nu in (0.0, 0.3, 2.5, 12.0):
         lo, hi = bessel._limits(nu, xs, np.arccosh)
-        want = np.empty_like(xs)
-        for i in range(0, xs.size, block):
-            b = slice(i, i + block)
-            span = hi[b] - lo[b]
-            t = lo[b, None] + np.outer(span, bessel._GL_U)
-            e = -xs[b, None] * np.cosh(t)
-            want[b] = ((np.exp(e + nu * t) + np.exp(e - nu * t)) @ bessel._GL_W) * span
+        want = _on_gl_grid(lo, hi, xs, lambda x, t: np.exp(-x * np.cosh(t) + nu * t)
+                           + np.exp(-x * np.cosh(t) - nu * t))
         assert k_values(nu, xs).tobytes() == (0.5 * want).tobytes(), nu
         lifted += lo.any()
+        c = math.cos(math.pi * nu)
+        osc = _on_gl_grid(np.zeros(ys.shape), np.full(ys.shape, math.pi), ys,
+                          lambda x, t: np.sin(x * np.sin(t) - nu * t))
+        tail = _on_gl_grid(*bessel._limits(nu, ys, np.arcsinh), ys,
+                           lambda x, t: np.exp(-x * np.sinh(t) + nu * t)
+                           + c * np.exp(-x * np.sinh(t) - nu * t))
+        assert jy_values(nu, ys)[1].tobytes() == ((osc - tail) / math.pi).tobytes(), nu
     assert lifted
 
 

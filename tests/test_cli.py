@@ -131,6 +131,8 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     # the Cohen tail's Q^w at Q = x < 1, and the head's x^{2j-1} at x > 1
     ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "400", "--x", "0.3"],
     ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "2000", "--x", "1.9"],
+    # an order whose ln Gamma(nu + 1) leaves the double range
+    ["bessel", "--kind", "I", "--nu", "1e308", "--x", "1"],
 ])
 def test_non_finite_or_overflowing_input_exit_two(capsys, argv):
     assert main(argv) == 2
