@@ -165,11 +165,12 @@ def _exp_pair(nu: float, c: float, rate):
     """e^{nu t - x rate(t)} + c e^{-nu t - x rate(t)}, K's integrand (cosh,
     c = 1) and Y's decaying one (sinh, c = cos(nu pi)), each exponent raised
     whole: e^{nu t} alone overflows once nu t > 709, where the sum need not.
-    At nu = 0 one exponential times (1 + c) is the sum, exactly."""
+    At nu = 0, where c = 1, one exponential, doubled, is the sum, exactly;
+    K skips the product by c = 1, which would cost it 7-10%."""
     def integrand(x, t):
         e = -x * rate(t)
         if not nu:
-            return (1.0 + c) * np.exp(e)
+            return 2.0 * np.exp(e)
         nt = nu * t
         pair = np.exp(e - nt)
         return np.exp(e + nt) + (pair if c == 1.0 else c * pair)

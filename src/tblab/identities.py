@@ -158,6 +158,12 @@ DEFAULT_TOLERANCES = {
 _ABS_CUTOFF = {"voronoi": 1.0}
 _ABS_CUTOFF_DEFAULT = 1e-6
 
+
+def _graded_err(section: str, lhs: complex, abs_err: float, rel_err: float) -> float:
+    """What the pass rule compares with tol: rel_err, or abs_err where
+    |lhs| is below the section's cutoff."""
+    return abs_err if abs(lhs) < _ABS_CUTOFF.get(section, _ABS_CUTOFF_DEFAULT) else rel_err
+
 VORONOI_KERNEL_TERMS = 20000
 VORONOI_RIESZ_ORDER = 3
 
@@ -451,10 +457,9 @@ def _pair_nu0(chi1, chi2, k, **slots):
 
 
 def _single_nu0(twist, chi, k, a, x, **slots):
-    """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7.
-    T2_4 is T2_15 with the trivial character in one slot, plus the pole
-    term of its zeta(s); the others keep their stated constant and take
-    the pair's tail."""
+    """T2_2, T2_4, T2_6, T2_8: the nu = 0 forms of T2_1, T2_3, T2_5, T2_7,
+    whose zeta(s) terms replace the product-rule constant of T2_11; they
+    take the pair's tail."""
     if twist == _TWISTED:
         # -(1/4)[L(-k,chi)(log(8 pi/a^2) - 2 gamma - log x) + L'(-k,chi)]; as the pair's
         # constant it moved 6 of 7 records off the true rhs (T2_2 k = 6: 1.3e-13 to 8.4e-13)
@@ -462,18 +467,15 @@ def _single_nu0(twist, chi, k, a, x, **slots):
                           - 2.0 * EULER_GAMMA - math.log(x)) + L_derivative(-float(k), chi))]
         if k == 0:  # T2_2: the pole term, proportional to L(1, chi)
             terms.append(2.0 / (a * a * x) * dirichlet_L(1.0, chi))
-        return terms + [_nu0_tail(k=k, **slots)]
-    terms = [2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
-             * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0)]
-    if chi.is_odd:  # T2_4: zeta(-k), a trivial zero, is exactly 0, so bit for bit
-        return terms + _pair_nu0(k=k, **slots)
-    # T2_8: the full product rule, whose first summand, L(0, chi) = 5.3e-15
-    # at q = 5, partly cancels the error of L'(0, chi) (-2.2e-14): T2_11's
-    # constant moved 5 of 24 domain-map neighbours farther from mpmath's
-    # (q = 5, k = 1, a = 4, x = 0.75: 1.6e-14 to 3.1e-14 |lhs|)
-    return terms + [0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
-                           + riemann_zeta(-float(k)) * L_derivative(0.0, chi)),
-                    _nu0_tail(k=k, **slots)]
+    else:
+        terms = [2.0 ** (2 * k + 1) / a ** (2 * k + 2) * math.factorial(k) ** 2
+                 * dirichlet_L(k + 1.0, chi) / x ** (k + 1.0),
+                 # full product-rule constant; for the odd-character case the
+                 # second summand vanishes (zeta trivial zero), for the
+                 # even-character case the first does (L(0, chi) = 0)
+                 0.5 * (zeta_derivative(-float(k)) * dirichlet_L(0.0, chi)
+                        + riemann_zeta(-float(k)) * L_derivative(0.0, chi))]
+    return terms + [_nu0_tail(k=k, **slots)]
 
 
 # ================== log-kernel identities (k = 0, nu = 0) ================
@@ -1025,10 +1027,9 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     wall = (time.perf_counter() - t0) * 1000.0
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(lhs) if lhs != 0 else math.inf
-    cutoff = _ABS_CUTOFF.get(entry.section, _ABS_CUTOFF_DEFAULT)
-    err = abs_err if abs(lhs) < cutoff else rel_err
+    passed = _graded_err(entry.section, lhs, abs_err, rel_err) <= tol
     return VerificationReport(case, lhs, rhs, abs_err, rel_err,
-                              lterms, rterms, bool(err <= tol), tol, wall)
+                              lterms, rterms, bool(passed), tol, wall)
 
 
 def default_cases(selector=None) -> list[IdentityCase]:

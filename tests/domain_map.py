@@ -12,8 +12,10 @@ strict JSON, through identities.write_reports; a point refused with a
 TblabError is a failed record whose "error" names it.  Standard error
 gets a summary: per theorem, the points, the passes, the refusals by
 error class and the worst err/tol with its point, where err is what
-verify's pass rule compares (rel_err, or abs_err below the section's
-|lhs| cutoff); then the passes, refusals and failures per section.
+verify's pass rule compares (identities._graded_err); then the passes,
+refusals and failures per section.  A TBL_MAX_TERMS that is not a
+positive integer fails the map once, with exit status 2, before any
+point runs.
 
 Two maps, say of two commits, diff as two suite outputs do:
 
@@ -32,6 +34,7 @@ import sys
 from collections import Counter
 
 from tblab import identities
+from tblab.errors import DomainError, term_cap
 from tblab.identities import IdentityCase, VerificationReport
 
 SCALES = tuple(2.0 ** u for u in (-2, -1, 1, 2))
@@ -60,9 +63,7 @@ def run(cases: list[IdentityCase]) -> list[VerificationReport]:
 def _err_over_tol(report: VerificationReport) -> float:
     """What verify's pass rule compares with tol, over tol; nan if refused."""
     section = identities.THEOREMS[report.case.theorem].section
-    cutoff = identities._ABS_CUTOFF.get(section, identities._ABS_CUTOFF_DEFAULT)
-    err = report.abs_err if abs(report.lhs) < cutoff else report.rel_err
-    return err / report.tol
+    return identities._graded_err(section, report.lhs, report.abs_err, report.rel_err) / report.tol
 
 
 def summary(reports: list[VerificationReport]) -> list[str]:
@@ -97,6 +98,11 @@ def summary(reports: list[VerificationReport]) -> list[str]:
 def main(argv: list[str]) -> int:
     if argv:
         print("usage: domain_map.py (it takes no flags)", file=sys.stderr)
+        return 2
+    try:
+        term_cap()  # a bad TBL_MAX_TERMS fails the map, not each point
+    except DomainError as exc:
+        print(f"domain_map.py: {exc}", file=sys.stderr)
         return 2
     tids = [tid for tid, entry in identities.THEOREMS.items() if entry.section != "voronoi"]
     reports = run([case for tid in tids for case in grid(tid)])

@@ -39,3 +39,10 @@ def test_one_theorem_grid_gives_strict_json_records_and_a_summary():
 def test_flags_are_refused(capsys):
     assert domain_map.main(["--all"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_bad_term_cap_fails_the_map_once(monkeypatch, capsys):
+    monkeypatch.setenv("TBL_MAX_TERMS", "many")
+    assert domain_map.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "TBL_MAX_TERMS must be a positive integer" in err
