@@ -12,7 +12,6 @@ from .characters import (
     Character,
     GaussSumValue,
     enumerate_characters,
-    euler_phi,
     gauss_sum,
 )
 from .errors import (

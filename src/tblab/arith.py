@@ -28,7 +28,6 @@ from .specfun import L_derivative, dirichlet_L
 __all__ = [
     "DivisorSumSpec",
     "divisor_sum",
-    "divisors",
     "coefficient_array",
     "closed_form_F",
     "closed_form_F_prime",
@@ -49,13 +48,6 @@ class DivisorSumSpec:
         return max(complex(self.weight).real, 0.0)
 
 
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending."""
-    if n < 1:
-        raise DomainError(f"divisors needs n >= 1, got {n}")
-    return _divisors(n)
-
-
 def _dpow(d: int, z: complex) -> complex:
     z = complex(z)
     return complex(d ** z.real) if z.imag == 0.0 else cmath.exp(z * math.log(d))
@@ -66,7 +58,7 @@ def divisor_sum(spec: DivisorSumSpec, n: int) -> complex:
     if n < 1:
         raise DomainError(f"divisor sums need n >= 1, got {n}")
     acc = 0j
-    for d in divisors(n):
+    for d in _divisors(n):
         w = spec.chi1.value(d) * spec.chi2.value(n // d)
         if w:
             acc += _dpow(d, spec.weight) * w

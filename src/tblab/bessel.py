@@ -1,4 +1,4 @@
-"""Bessel functions I, K, J, Y of real order nu >= 0 on positive reals.
+"""Bessel functions I, K, J, Y of real order nu on positive reals.
 
 Branch layout per function:
 
@@ -27,7 +27,8 @@ smallest term is still above 1e-12 of its leading one (a large order
 just past its cut) raises DomainError instead of returning the truncated
 sum, as does a value outside the double range.  K and Y refuse x below
 1e-20, where their integrals lose accuracy.  K is even in nu, so only
-|nu| is ever evaluated.
+|nu| is ever evaluated; a negative integer order -n of I, J and Y is
+reflected to n (DLMF 10.27.1, 10.4.1).
 """
 
 from __future__ import annotations
@@ -87,11 +88,15 @@ def _arguments(name: str, nu: float, xs) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ascending(nu: float, xs: np.ndarray, sign: float) -> np.ndarray:
     """sum_k sign^k (x/2)^{nu+2k} / (k! Gamma(nu+k+1)), vectorized over
-    x >= 0: I_nu for sign +1, J_nu for sign -1 (nu not a negative
-    integer).  The leading term is exp(nu ln(x/2) - ln|Gamma(nu+1)|), as
-    both factors of (x/2)^nu / Gamma(nu+1) leave the double range on
-    their own from nu of about 171 on."""
+    x >= 0: I_nu for sign +1, J_nu for sign -1; I_{-n} = I_n and
+    J_{-n} = (-1)^n J_n at a negative integer order.  The leading term is
+    exp(nu ln(x/2) - ln|Gamma(nu+1)|), as both factors of
+    (x/2)^nu / Gamma(nu+1) leave the double range on their own from nu of
+    about 171 on."""
     _refuse_order(nu)
+    if nu < 0 and nu == math.floor(nu):
+        acc = _ascending(-nu, xs, sign)
+        return -acc if sign < 0 and nu % 2 else acc
     try:
         log_gamma = math.lgamma(nu + 1.0)
     except (ValueError, OverflowError):  # a pole, or an order from about 2.6e305 on
@@ -288,7 +293,7 @@ def _jy_hankel_arr(nu: float, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bessel_I(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x), nu >= 0, x >= 0."""
+    """Modified Bessel function I_nu(x), x >= 0."""
     if not x >= 0:
         raise DomainError(f"bessel_I needs x >= 0, got {x}")
     return float(_ascending(nu, np.array([float(x)]), 1.0)[0])
@@ -316,7 +321,7 @@ def k_values(nu: float, xs: np.ndarray) -> np.ndarray:
 
 
 def bessel_J(nu: float, x: float) -> float:
-    """Bessel function of the first kind, nu >= 0, x >= 0."""
+    """Bessel function of the first kind J_nu(x), x >= 0."""
     if not x >= 0:
         raise DomainError(f"bessel_J needs x >= 0, got {x}")
     if x <= JY_CUT:
@@ -325,14 +330,18 @@ def bessel_J(nu: float, x: float) -> float:
 
 
 def bessel_Y(nu: float, x: float) -> float:
-    """Weber/Neumann Bessel function of the second kind, nu >= 0, x >= 1e-20."""
+    """Weber/Neumann Bessel function of the second kind, x >= 1e-20."""
     return float(jy_values(nu, np.array([x]))[1][0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (J_nu, Y_nu) over an array of arguments x >= 1e-20."""
+    """Vectorized (J_nu, Y_nu) over an array of arguments x >= 1e-20;
+    J_{-n}, Y_{-n} = (-1)^n (J_n, Y_n) at a negative integer order."""
     xs = _arguments("J/Y", nu, xs)
+    if nu < 0 and nu == math.floor(nu):
+        j, y = jy_values(-nu, xs)
+        return (-j, -y) if nu % 2 else (j, y)
     j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT
     if small.any():

@@ -34,7 +34,6 @@ __all__ = [
     "GaussSumValue",
     "enumerate_characters",
     "gauss_sum",
-    "euler_phi",
 ]
 
 
@@ -54,13 +53,6 @@ def _factorize(q: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def euler_phi(q: int) -> int:
-    phi = 1
-    for p, e in _factorize(q):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def _primitive_root(p: int, e: int) -> int:

@@ -132,14 +132,10 @@ _EM_TERMS = 12
 
 # Left of this line the Euler-Maclaurin head loses eps*(M+a)^{|Re s|}
 # (amplified by q^{|Re s|} in an L-value assembly) to cancellation, so
-# zeta, every L and rational-a Hurwitz evaluations switch to the
-# reflection route.  It sits left of the functional-equation test windows
-# of L, which therefore exercise the direct continuation.
+# zeta and every L switch to the reflection route, and hurwitz_zeta is
+# refused.  It sits left of the functional-equation test windows of L,
+# which therefore exercise the direct continuation.
 _REFLECT_RE = -1.75
-# Left of this line an a that _rationalize does not recognise, which has no
-# reflection route, takes a longer head: some cancellation is traded for
-# correction-term decay.
-_EM_LONG_HEAD_RE = -3.5
 # Past this Re s log q the assembly's q^{-s} leaves the double range, and L
 # and L' take the Dirichlet series.
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -166,10 +162,7 @@ def _em_head_length(s: complex) -> int:
         # negative real-ish s: a short head caps the eps*(M+a)^{|Re s|}
         # cancellation; the Bernoulli corrections still decay (or terminate)
         return 5
-    m = max(15, math.ceil(im) + 10)
-    if s.real < _EM_LONG_HEAD_RE:
-        m += 3 * math.ceil(_EM_LONG_HEAD_RE - s.real)
-    return m
+    return max(15, math.ceil(im) + 10)
 
 
 def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
@@ -255,54 +248,28 @@ def _digamma(z: complex) -> complex:
         float(bernoulli_number(2 * k)) / (2 * k * z ** (2 * k)) for k in range(1, 9))
 
 
-def _hurwitz_reflected(s: complex, r: int, q: int) -> complex:
-    """zeta(s, r/q) for Re s < 0, via the expansion over conjugate
-    arguments: zeta(s, r/q) = 2 Gamma(1-s)/(2 pi q)^{1-s}
-    * sum_b zeta(1-s, b/q) sin(pi s/2 + 2 pi b r / q), the q conjugate
-    values in one batch.
-
-    Every piece is evaluated in the cancellation-free right half-plane, so
-    the result carries relative (not just absolute) accuracy.
-    """
-    pref = 2.0 * gamma(1.0 - s) * (2.0 * math.pi * q) ** (s - 1.0)
-    conj = _hurwitz_em(1.0 - s, [b / q for b in range(1, q + 1)], regularized=False)
-    phase = cmath.pi * s / 2.0
-    acc = 0j
-    for b, c in enumerate(conj, 1):
-        acc += c * cmath.sin(phase + 2.0 * math.pi * b * r / q)
-    return pref * acc
-
-
-def _rationalize(a: float) -> tuple[int, int] | None:
-    fr = Fraction(a).limit_denominator(256)
-    if fr > 0 and abs(float(fr) - a) <= 4e-16 * abs(a):
-        return fr.numerator, fr.denominator
-    return None
-
-
 def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> complex:
-    """zeta(s, a) for a > 0, continued everywhere except s = 1.
+    """zeta(s, a) for a finite a > 0 and finite s with Re s >= -1.75, s != 1.
 
-    Euler-Maclaurin summation with a head of leading terms set by s and
-    12 Bernoulli corrections; for Re s below the cancellation threshold
-    and a recognizably rational a, the reflection route takes over.  With
-    regularized=True returns zeta(s, a) - 1/(s-1), entire in s.  A value
-    outside the double range (a^{-s} alone is, for a tiny a) raises
-    DomainError.
+    The Euler-Maclaurin batch of one that every L value takes right of the
+    reflection threshold: a head of leading terms set by s and 12
+    Bernoulli corrections.  With regularized=True returns
+    zeta(s, a) - 1/(s-1), entire in s.  Left of the threshold the head
+    cancels, so DomainError is raised there (dirichlet_L reflects), as it
+    is for a value outside the double range (a^{-s} alone is, for a tiny a).
     """
     s = complex(s)
-    if a <= 0:
-        raise DomainError(f"hurwitz_zeta needs a > 0, got {a}")
+    if not (cmath.isfinite(s) and 0 < a < math.inf):
+        raise DomainError(f"hurwitz_zeta needs a finite s and a finite a > 0, got s={s}, a={a}")
+    if s.real < _REFLECT_RE:
+        raise DomainError(f"hurwitz_zeta needs Re s >= {_REFLECT_RE}, got s={s}; "
+                          "left of that line dirichlet_L takes the reflected route")
     if not regularized and abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_zeta pole at s=1")
-    rq = _rationalize(a) if s.real < _REFLECT_RE and a <= 1.0 else None
     try:
-        if rq is None:
-            return _hurwitz_em(s, [a], regularized)[0]
-        val = _hurwitz_reflected(s, rq[0], rq[1])
+        return _hurwitz_em(s, [a], regularized)[0]
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
         raise DomainError(f"zeta({s:g}, {a:g}) lies outside the double range") from None
-    return val - 1.0 / (s - 1.0) if regularized else val
 
 
 _EM_COEF = {j: float(bernoulli_number(2 * j) / math.factorial(2 * j))

@@ -39,6 +39,13 @@ def test_bessel(capsys):
     assert "0.4610685" in capsys.readouterr().out
 
 
+def test_bessel_negative_integer_order(capsys):
+    # J_{-1}(1) = -J_1(1), from mpmath at 30 digits
+    assert main(["bessel", "--kind", "J", "--nu", "-1", "--x", "1"]) == 0
+    got = float(capsys.readouterr().out.rsplit("= ", 1)[1])
+    assert abs(got + 0.440050585744933) < 5e-14
+
+
 def test_verify_pass_exit_zero(capsys):
     rc = main(["verify", "--theorem", "T2_13", "--q", "5", "--char", "2",
                "--a", "1", "--x", "0.3"])

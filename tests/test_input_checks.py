@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tblab.arith import DivisorSumSpec, divisors
+from tblab.arith import DivisorSumSpec
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
@@ -51,8 +51,11 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: bessel_I(0.25, -1.0), DomainError, "x >= 0"),
     (lambda: bessel_J(0.25, -1.0), DomainError, "x >= 0"),
     (lambda: hurwitz_zeta(2.0, 0.0), DomainError, "a > 0"),
+    (lambda: hurwitz_zeta(2.0, math.nan), DomainError, "finite a > 0, got .* a=nan"),
+    (lambda: hurwitz_zeta(2.0, math.inf), DomainError, "finite a > 0, got .* a=inf"),
+    (lambda: hurwitz_zeta(math.nan, 0.5), DomainError, "finite s .* got s=\\(nan"),
+    (lambda: hurwitz_zeta(math.inf, 0.5), DomainError, "finite s .* got s=\\(inf"),
     (lambda: generalized_bernoulli(0, CHI5), DomainError, "n >= 1"),
-    (lambda: divisors(0), DomainError, "n >= 1"),
     (lambda: verify(IdentityCase("T2_13", char_index=2, **T2_13)), DomainError,
      "modulus and character index are required"),
     (lambda: verify(IdentityCase("T2_13", q=0, char_index=0, **T2_13)), DomainError,

@@ -12,7 +12,7 @@ reach 1e-12 and raise DomainError instead.  K and Y are also checked at
 import numpy as np
 import pytest
 
-from tblab.bessel import JY_CUT, K_ASYM_CUT, jy_values, k_values
+from tblab.bessel import JY_CUT, K_ASYM_CUT, bessel_I, bessel_J, bessel_Y, jy_values, k_values
 from tblab.errors import DomainError
 
 mpmath = pytest.importorskip("mpmath")
@@ -87,6 +87,20 @@ def test_j_at_the_seam(nu):
     got = jy_values(nu, xs)[0]
     worst = max(float(abs(g - r)) for g, r in zip(got, ref))
     assert worst < J_SEAM_BOUND
+
+
+@pytest.mark.parametrize("nu", [-1.0, -2.0, -3.0])
+def test_negative_integer_orders(nu):
+    # I_{-n} = I_n, and J_{-n}, Y_{-n} = (-1)^n (J_n, Y_n) (DLMF 10.27.1,
+    # 10.4.1), where the ascending series would need Gamma(1 - n); at x = 1,
+    # J_{-1} = -0.440050585744933, I_{-2} = 0.135747669767038 and
+    # Y_{-1} = 0.781212821300289
+    for f, ref in ((bessel_I, mpmath.besseli), (bessel_J, mpmath.besselj),
+                   (bessel_Y, mpmath.bessely)):
+        for x in (0.5, 1.0, 5.0, 20.0):
+            with mpmath.workdps(30):
+                value = float(ref(nu, x))
+            assert abs(f(nu, x) - value) < BOUND * max(1, abs(value)), (f.__name__, x)
 
 
 @pytest.mark.parametrize("nu, x", [(3.0, 1e-15), (3.0, 1e-12), (12.5, 1e-15),

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from tblab import specfun
-from tblab.characters import enumerate_characters, euler_phi, gauss_sum
+from tblab.characters import enumerate_characters, gauss_sum
 from tblab.errors import ConvergenceError, DomainError, PoleError
 from tblab.specfun import (
     L_derivative,
@@ -19,6 +19,10 @@ from tblab.specfun import (
 )
 
 PI = math.pi
+
+
+def euler_phi(q):
+    return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
 
 class TestGamma:
@@ -82,14 +86,14 @@ class TestHurwitzZeta:
         with pytest.raises(PoleError):
             hurwitz_zeta(1.0, 0.5)
 
-    def test_large_negative_s_on_the_reflected_route(self):
-        # Gamma(1 - s) of the reflected route is finite up to 1 - s = 171.6
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(30):
-            ref = complex(mpmath.zeta(-150, 0.3))
-        assert abs(hurwitz_zeta(-150.0, 0.3) / ref - 1.0) < 1e-13
-        with pytest.raises(DomainError, match="outside the double range"):
-            hurwitz_zeta(-200.0, 0.5)
+    def test_refused_left_of_the_reflection_line(self):
+        # Re s = -1.75 itself is the Euler-Maclaurin route's; left of it
+        # only L values, by dirichlet_L's reflected route, are served
+        assert hurwitz_zeta(-1.75, 0.5) == specfun._hurwitz_em(-1.75, [0.5], False)[0]
+        for s, a in ((-1.7500001, 0.5), (-150.0, 0.3), (complex(-4.0, 6.9), 0.861)):
+            for regularized in (False, True):
+                with pytest.raises(DomainError, match="Re s >= -1.75, got .* dirichlet_L"):
+                    hurwitz_zeta(s, a, regularized=regularized)
 
 
 class TestRiemannZeta:
