@@ -27,8 +27,9 @@ smallest term is still above 1e-12 of its leading one (a large order
 just past its cut) raises DomainError instead of returning the truncated
 sum, as does a value outside the double range.  K and Y refuse x below
 1e-20, where their integrals lose accuracy.  K is even in nu, so only
-|nu| is ever evaluated; a negative integer order -n of I, J and Y is
-reflected to n (DLMF 10.27.1, 10.4.1).
+|nu| is ever evaluated; a negative integer order -n of I is reflected
+to n (DLMF 10.27.1), and every negative order of J and Y to its
+positive one (DLMF 10.4.7-10.4.8).
 """
 
 from __future__ import annotations
@@ -336,12 +337,18 @@ def bessel_Y(nu: float, x: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (J_nu, Y_nu) over an array of arguments x >= 1e-20;
-    J_{-n}, Y_{-n} = (-1)^n (J_n, Y_n) at a negative integer order."""
+    """Vectorized (J_nu, Y_nu) over an array of arguments x >= 1e-20; a
+    negative order is reflected, J_{-mu} = cos(mu pi) J_mu - sin(mu pi) Y_mu
+    and Y_{-mu} = sin(mu pi) J_mu + cos(mu pi) Y_mu (DLMF 10.4.7-10.4.8)."""
     xs = _arguments("J/Y", nu, xs)
-    if nu < 0 and nu == math.floor(nu):
+    if nu < 0:  # mu pi taken in exact quarter turns, so cos(4.5 pi) is 0
+        n = round(-2.0 * nu)
+        rest = math.pi * (-nu - 0.5 * n)
+        sn, cn = math.sin(rest), math.cos(rest)
+        for _ in range(n % 4):
+            sn, cn = cn, -sn
         j, y = jy_values(-nu, xs)
-        return (-j, -y) if nu % 2 else (j, y)
+        return cn * j - sn * y, sn * j + cn * y
     j, y = np.empty_like(xs), np.empty_like(xs)
     small = xs <= JY_CUT
     if small.any():

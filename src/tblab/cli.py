@@ -101,12 +101,16 @@ def _print_report(report) -> None:
           f"[{verdict}] ({report.wall_ms:.0f} ms)")
 
 
-def _emit_records(reports, path: str | None) -> None:
-    """Structured output: JSON lines into path, or onto stdout."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _emit(reports, args) -> None:
+    """The records as JSON lines into --out if given, whatever --format
+    says; onto stdout the text reports, or the records if there is no --out."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             write_reports(reports, fh)
-    else:
+    if args.format == "text":
+        for report in reports:
+            _print_report(report)
+    elif not args.out:
         write_reports(reports, sys.stdout)
 
 
@@ -143,10 +147,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         case = _case_from_args(args)
         report = verify(case, tol=args.tol)
-        if args.format == "structured":
-            _emit_records([report], args.out)
-        else:
-            _print_report(report)
+        _emit([report], args)
         return 0 if report.passed else 1
 
     if args.command == "suite":
@@ -154,11 +155,7 @@ def _dispatch(args) -> int:
         if not reports:
             print("no cases match the filter")
             return 0
-        if args.format == "structured":
-            _emit_records(reports, args.out)
-        else:
-            for report in reports:
-                _print_report(report)
+        _emit(reports, args)
         failed = sum(not r.passed for r in reports)
         print(f"{len(reports)} cases, {len(reports) - failed} passed, {failed} failed")
         return 0 if failed == 0 else 1

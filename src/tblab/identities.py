@@ -292,7 +292,7 @@ def _check(entry: TheoremEntry, given: IdentityCase) -> dict:
         _req(alpha is not None and beta is not None and 0 < alpha < beta,
              "the interval must satisfy 0 < alpha < beta")
         for val, name in ((alpha, "alpha"), (beta, "beta")):
-            if abs(val - round(val)) <= 1e-9:
+            if abs(val - round(val)) <= 1e-9 and round(val) >= 1:
                 raise ExcludedParameter(f"{name} = {val} must not be an integer")
         if case.f not in TEST_FUNCTIONS:
             raise DomainError(
@@ -363,13 +363,13 @@ def _divisor_side(shape: str, tol: float, chi1, chi2, p, q, nu, k=0, a=None, x=N
     if shape == "voronoi":
         return [(p ** (1.0 - nu / 2.0) * q ** (1.0 + nu / 2.0) / (_tau(chi1) * _tau(chi2)),
                  _finite_side(f, alpha, beta, DivisorSumSpec(-nu, chi2, chi1), chi1.is_odd))]
-    tols = dict(tol=min(1e-12, tol * 1e-3), rel_tol=min(1e-11, tol * 1e-3))
+    tol = min(1e-12, tol * 1e-3)
     if shape in ("positive", "zero"):
-        return [bessel_series(DivisorSumSpec(k, chi1, chi2), a, x, nu, **tols)]
+        return [bessel_series(DivisorSumSpec(k, chi1, chi2), a, x, nu, tol=tol)]
     spec = DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate())
     if shape == "half":
         return [(TWO_PI, _exp_half_sum(spec, x))]
-    return [(8.0 * PI * x ** (nu / 2.0), bessel_series(spec, 4.0 * PI, x, nu, **tols))]
+    return [(8.0 * PI * x ** (nu / 2.0), bessel_series(spec, 4.0 * PI, x, nu, tol=tol))]
 
 
 def _closed_side(terms: list) -> tuple[complex, int]:

@@ -103,16 +103,15 @@ def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
 
 
 def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
-                  tol: float = 1e-12, rel_tol: float = 1e-12) -> SeriesResult:
+                  tol: float = 1e-12) -> SeriesResult:
     """sum_{n>=1} f_z(n) n^{nu/2} K_nu(a sqrt(n x)), certified to tolerance.
 
     Sums once up to N, the first of 256, 512, ... whose analytic tail
-    bound is below tol, or the term budget if that comes first.  Raises
-    ConvergenceError if the bound at N is above max(tol, rel_tol * |sum|),
-    which can only happen at the budget, and before any term is summed
-    when the term bound has not begun to decay by the budget; DomainError,
-    also before, when f_z(n) n^{nu/2} may leave the double range by N, or
-    a, x or a sqrt(x) is not finite.
+    bound is below tol, or the term budget if that comes first.  Before
+    any term is summed, raises ConvergenceError when the term bound has
+    not begun to decay by the budget; DomainError when f_z(n) n^{nu/2}
+    may leave the double range by N, or a, x or a sqrt(x) is not finite;
+    and ConvergenceError when the bound at the budget is above tol.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -137,6 +136,9 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     if log_peak > math.log(sys.float_info.max):
         raise DomainError(f"bessel_series: terms up to n = {n1} may reach "
                           f"e^{log_peak:.4g}, outside the double range")
+    if log_tail > math.log(tol):  # only at the cap
+        raise ConvergenceError(f"bessel_series: tail bound 10^{log_tail / math.log(10):.1f} "
+                               f"above tolerance after {n1} terms")
     cs = coefficient_array(spec, n1)[1:]
     ns = np.arange(1, n1 + 1, dtype=float)
     acc = 0j
@@ -145,10 +147,7 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
         kv = np.zeros_like(ns)
         kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
         acc += np.sum(cs * ns ** (0.5 * nu) * kv)
-    if log_tail <= math.log(max(tol, rel_tol * abs(acc))):
-        return SeriesResult(acc, n1, math.exp(log_tail))
-    raise ConvergenceError(f"bessel_series: tail bound 10^{log_tail / math.log(10):.1f} "
-                           f"above tolerance after {n1} terms")
+    return SeriesResult(acc, n1, math.exp(log_tail))
 
 
 # -- closed-form Dirichlet tails ----------------------------------------

@@ -46,6 +46,14 @@ def test_bessel_negative_integer_order(capsys):
     assert abs(got + 0.440050585744933) < 5e-14
 
 
+def test_bessel_negative_order(capsys):
+    # Y_{-5.7}(1) = sin(5.7 pi) J_{5.7}(1) + cos(5.7 pi) Y_{5.7}(1), from
+    # mpmath at 30 digits
+    assert main(["bessel", "--kind", "Y", "--nu", "-5.7", "--x", "1"]) == 0
+    got = float(capsys.readouterr().out.rsplit("= ", 1)[1])
+    assert abs(got + 744.243038783772) < 5e-14 * 744.243038783772
+
+
 def test_verify_pass_exit_zero(capsys):
     rc = main(["verify", "--theorem", "T2_13", "--q", "5", "--char", "2",
                "--a", "1", "--x", "0.3"])
@@ -214,6 +222,18 @@ def test_verify_structured_output(tmp_path, capsys):
     (saved,) = map(json.loads, path.read_text().splitlines())
     saved.pop("wall_ms"), record.pop("wall_ms")
     assert saved == record
+
+
+@pytest.mark.parametrize("argv, count", [(["verify", *T2_13], 1),
+                                         (["suite", "--filter", "T2_13"], 4)])
+def test_out_writes_records_under_text_format(tmp_path, capsys, argv, count):
+    # --out takes the records whatever --format says; stdout keeps the text
+    path = tmp_path / "report.jsonl"
+    assert main([*argv, "--out", str(path)]) == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == count and all(rec["pass"] for rec in records)
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("T2_13 {") for line in lines) == count
 
 
 def test_suite_text_output(capsys):

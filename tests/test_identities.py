@@ -45,6 +45,13 @@ def test_unknown_theorem():
         default_cases(["T9_9"])
 
 
+def test_default_cases_of_every_theorem():
+    # no selector and 'all' both take every registered point, in registry order
+    every = default_cases(list(THEOREMS))
+    assert default_cases() == default_cases("all") == every
+    assert len(every) == sum(len(entry.points) for entry in THEOREMS.values())
+
+
 def test_empty_filter():
     assert default_cases("Z") == []
     assert run_suite("Z") == []
@@ -451,6 +458,16 @@ class TestHypothesisEnforcement:
         with pytest.raises(HypothesisError, match="between 0 and 1/2"):
             verify(IdentityCase("T4_1", q=5, char_index=2, nu=0.7,
                                 alpha=0.5, beta=3.4, f="exp"))
+
+    @pytest.mark.parametrize("alpha", [5e-10, 1e-12])
+    def test_voronoi_alpha_near_zero_is_no_integer(self, alpha):
+        # only positive integers are excluded endpoints; 0 < alpha is its own clause
+        r = identities._check(THEOREMS["T4_1"], IdentityCase(
+            "T4_1", q=5, char_index=2, nu=0.25, alpha=alpha, beta=3.4, f="exp"))
+        assert r["alpha"] == alpha
+        with pytest.raises(ExcludedParameter, match="beta = 2.0000000005"):
+            identities._check(THEOREMS["T4_1"], IdentityCase(
+                "T4_1", q=5, char_index=2, nu=0.25, alpha=alpha, beta=2.0000000005, f="exp"))
 
     def test_integer_nu_rejected_for_cohen(self):
         with pytest.raises(HypothesisError, match="integer"):

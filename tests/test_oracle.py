@@ -103,6 +103,23 @@ def test_negative_integer_orders(nu):
             assert abs(f(nu, x) - value) < BOUND * max(1, abs(value)), (f.__name__, x)
 
 
+@pytest.mark.parametrize("nu", [-0.25, -0.5, -1.3, -2.5, -4.5, -5.7, -8.3])
+def test_negative_orders(nu):
+    # J_{-mu} = cos(mu pi) J_mu - sin(mu pi) Y_mu and Y_{-mu} = sin(mu pi) J_mu
+    # + cos(mu pi) Y_mu (DLMF 10.4.7-10.4.8); Y_{-4.5}(1e-3) = 2.67e-17 needs
+    # cos(4.5 pi) = 0 exactly.  Between 6 and 14 J_mu carries the ascending
+    # series' loss near its cut.  Absolute error, relative where |value| > 1
+    xs = np.array([x for x in XS + FAR_XS if x >= 1e-3 and (nu >= -5.0 or x <= JY_CUT
+                                                              or x >= 40.0)])
+    j, y = jy_values(nu, xs)
+    for x, got_j, got_y in zip(xs, j, y):
+        with mpmath.workdps(30):
+            refs = mpmath.besselj(nu, x), mpmath.bessely(nu, x)
+        bound = J_SEAM_BOUND if 6.0 <= x <= JY_CUT else BOUND
+        for got, ref in zip((got_j, got_y), refs):
+            assert float(abs(got - ref) / max(1, abs(ref))) < bound, x
+
+
 @pytest.mark.parametrize("nu, x", [(3.0, 1e-15), (3.0, 1e-12), (12.5, 1e-15),
                                    (20.0, 1e-12), (45.0, 1e-5), (60.0, 1e-3)])
 def test_large_order_over_tiny_argument(nu, x):

@@ -58,7 +58,7 @@ class TestBesselSeries:
     def test_doubled_truncation_consistency(self, chi5e):
         spec = DivisorSumSpec(0, chi5e)
         r1 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-12)
-        r2 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-16, rel_tol=1e-16)
+        r2 = bessel_series(spec, 1.0, 4.0, 0.0, tol=1e-16)
         assert abs(r1.value - r2.value) < 1e-12
         assert abs(r1.value - r2.value) <= r1.tail_bound + 1e-15
 
@@ -97,6 +97,19 @@ class TestBesselSeries:
         monkeypatch.setattr("tblab.series.coefficient_array", refuse)
         with pytest.raises(ConvergenceError):
             bessel_series(divisor_count, 1.0, 1e-7)
+
+    def test_budget_refusal_builds_no_coefficient(self, chi5e, monkeypatch):
+        # the tail bound at the budget decides before the sum: 10^-3.7 at
+        # 300 terms, and T2_13's 10^-2.5 at the 10^6-term cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients built for a refused series")
+
+        monkeypatch.setattr("tblab.series.coefficient_array", refuse)
+        with pytest.raises(ConvergenceError, match="above tolerance after 1000000 terms"):
+            verify(IdentityCase("T2_13", q=5, char_index=2, a=0.03, x=1.0))
+        monkeypatch.setenv("TBL_MAX_TERMS", "300")
+        with pytest.raises(ConvergenceError, match="above tolerance after 300 terms"):
+            bessel_series(DivisorSumSpec(0, chi5e), 1.0, 1.0)
 
     @pytest.mark.parametrize("k", [101, 171])
     def test_terms_past_the_double_range_fail_fast(self, k, monkeypatch):
@@ -179,6 +192,24 @@ class TestLogKernelSeries:
         spec = DivisorSumSpec(0, chi5e)
         with pytest.raises(ExcludedParameter):
             log_kernel_series(spec, 2.0)
+
+    def test_weight_where_the_first_log_order_has_no_bound(self):
+        # at weight 0.8 the first order's log part, sum_{n>D} sigma_0.8(n)
+        # ln(n) n^{-2}, has no tail bound (sigma - 1/4 - w <= 1); a later
+        # order stops the expansion.  sum_n sigma_w(n) n^{-s} = zeta(s)
+        # zeta(s - w), expanded in (c/n)^2, gives the value
+        mpmath = pytest.importorskip("mpmath")
+        w, c = 0.8, 0.8
+        r = log_kernel_series(DivisorSumSpec(w), c)
+        with mpmath.workdps(30):
+            def order(m):
+                s = 2 * m + 2
+                F = mpmath.zeta(s) * mpmath.zeta(s - w)
+                dF = (mpmath.zeta(s, 1, 1) * mpmath.zeta(s - w)
+                      + mpmath.zeta(s) * mpmath.zeta(s - w, 1, 1))
+                return c ** (2 * m) * (-dF - math.log(c) * F)
+            ref = float(mpmath.nsum(order, [0, mpmath.inf]))
+        assert abs(r.value - ref) < 1e-13 * abs(ref)
 
     def test_near_pole_expansion(self, unit):
         # n = 2 lies within 1e-3 c of c, so its head term comes from the
@@ -466,8 +497,8 @@ def test_oscillatory_integrals_split_at_the_certificate():
 def test_tolerance_monotonicity(chi5e):
     # tightening tol never moves the result by more than the looser tol
     spec = DivisorSumSpec(0, chi5e)
-    loose = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-6, rel_tol=1e-6)
-    tight = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-13, rel_tol=1e-13)
+    loose = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-6)
+    tight = bessel_series(spec, 1.0, 2.0, 0.0, tol=1e-13)
     assert abs(loose.value - tight.value) <= 1e-6
     l2 = log_kernel_series(spec, 0.8, tol=1e-6)
     t2 = log_kernel_series(spec, 0.8, tol=1e-13)

@@ -294,6 +294,13 @@ class TestFunctionalEquation:
         assert functional_equation_residual(0.5, chi5) < 1e-9
         assert functional_equation_residual(2.0, chi4) < 1e-9
 
+    def test_gamma_pole_cancelled_by_the_sine(self):
+        # at s = 2 for even chi and s = 1 for odd chi, Gamma(1 - s) has a pole
+        # that sin(pi (s + kappa)/2) cancels, not a trivial zero of L(1 - s)
+        assert functional_equation_residual(2.0, enumerate_characters(5)[2]) < 1e-13
+        assert functional_equation_residual(1.0, enumerate_characters(4)[1]) < 1e-13
+        assert functional_equation_residual(1.0, enumerate_characters(7)[1]) < 1e-13
+
     def test_imprimitive_rejected(self):
         from tblab.errors import DomainError
         with pytest.raises(DomainError):
