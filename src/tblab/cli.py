@@ -9,6 +9,7 @@ the violated clause).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bessel import bessel_I, bessel_J, bessel_K, bessel_Y
@@ -29,6 +30,21 @@ from .specfun import dirichlet_L
 # verify's flags are IdentityCase's parameter fields, each typed by the T
 # of its annotation T | None and named --<field> but for these two
 _FLAG_NAMES = {"char_index": "--char", "char2_index": "--char2"}
+
+# argparse takes a word after a flag for an option when it starts with "-"
+# and is not a plain number, as "-1.7,3", "-1e-3" and "-inf" are; such a
+# word is joined to the flag before, "--s=-1.7,3", so tblab parses it
+_SIGNED_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +131,7 @@ def _emit(reports, args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args)
     except TblabError as exc:

@@ -13,12 +13,17 @@ An L-value does its s-dependent work once.  The Euler-Maclaurin routine
 takes one s and a batch of arguments a, forming the head length, the
 exponents and the correction coefficients once per batch (the scalar
 hurwitz_zeta is a batch of one), and all units a of the modulus go into
-one batch.  Left of the reflection threshold, L(s, chi) is
-E(s) F(s) L(1-s, conj chi*): chi* mod q* is the primitive character that
-induces chi, E(s) = prod (1 - chi*(p) p^{-s}) over the primes p | q not
-dividing q* (Montgomery-Vaughan, Multiplicative Number Theory I, 9.1), F
-is the factor of chi*'s functional equation (Davenport, ch. 9), and
-L(1-s, conj chi*) is one cached Euler-Maclaurin value.
+one batch.  At a non-real s the batch is NumPy array work over the
+(units x head) grid, each unit's row summed by itself so that its value
+does not depend on the batch; at a real s, the only s the registry asks
+for, it is a scalar loop, on whose rounding the recorded values rest.
+Left of the reflection threshold, L(s, chi) is E(s) F(s) L(1-s, conj
+chi*): chi* mod q* is the primitive character that induces chi,
+E(s) = prod (1 - chi*(p) p^{-s}) over the primes p | q not dividing q*
+(Montgomery-Vaughan, Multiplicative Number Theory I, 9.1), F is the
+factor of chi*'s functional equation (Davenport, ch. 9), and
+L(1-s, conj chi*) is one cached Euler-Maclaurin value.  A value outside
+the double range, on any route, raises DomainError.
 
 L'(s0) = q^{-s0} sum_a chi(a) zeta'(s0, a/q) - log q L(s0) takes L(s0)
 from the cache and the Hurwitz derivatives from one batch: the
@@ -41,6 +46,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
+from .bessel import _HOT_DOUBLES
 from .characters import (TRIVIAL, Character, _exponent_table, _factorize, _primitive,
                          _root_of_unity, _value_table, gauss_sum)
 from .errors import DomainError, PoleError, within_budget
@@ -180,7 +188,23 @@ def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
     return M, coefs, dcoefs
 
 
+# A batch at a non-real s takes the array pass, and at a real s the scalar
+# loop.  The registry evaluates at real s only, and its recorded values
+# rest on the loops' rounding; the loops go once a truth file for those
+# values lets them move, and the array pass takes every s.
 def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
+    """zeta(s, a), or zeta(s, a) - 1/(s-1) if regularized, for each a of avals."""
+    return (_em_array(s, avals, regularized, derivative=False) if s.imag != 0.0
+            else _em_loop(s, avals, regularized))
+
+
+def _hurwitz_em_derivative(s: complex, avals, regularized: bool) -> list[complex]:
+    """The s-derivatives of _hurwitz_em's values."""
+    return (_em_array(s, avals, regularized, derivative=True) if s.imag != 0.0
+            else _em_loop_derivative(s, avals, regularized))
+
+
+def _em_loop(s: complex, avals, regularized: bool) -> list[complex]:
     """zeta(s, a) for each a of avals by Euler-Maclaurin summation; the
     head length, the powers' exponents and the correction coefficients
     depend on s alone and are formed once for the batch."""
@@ -208,9 +232,9 @@ def _hurwitz_em(s: complex, avals, regularized: bool) -> list[complex]:
     return out
 
 
-def _hurwitz_em_derivative(s: complex, avals, regularized: bool) -> list[complex]:
+def _em_loop_derivative(s: complex, avals, regularized: bool) -> list[complex]:
     """d/ds zeta(s, a), or of zeta(s, a) - 1/(s-1) if regularized, for each
-    a of avals: _hurwitz_em's batch differentiated term by term.  A real s
+    a of avals: _em_loop's batch differentiated term by term.  A real s
     takes float powers, rounded by libm within an ulp, where Python's complex
     power multiplies an integer exponent out."""
     s = s.real if s.imag == 0.0 else s
@@ -238,6 +262,55 @@ def _hurwitz_em_derivative(s: complex, avals, regularized: bool) -> list[complex
     return out
 
 
+# X^{1-s}, X^{-s} and the corrections' X^{-s-2j+1} are X^{-s-shift}
+_EM_SHIFTS = np.array([-1.0, 0.0] + [2.0 * j - 1.0 for j in range(1, _EM_TERMS + 1)])
+
+
+def _em_array(s: complex, avals, regularized: bool, derivative: bool) -> list[complex]:
+    """_em_loop, or _em_loop_derivative if derivative, as array work: log x
+    once over the (units x head) grid x = n + a, in blocks of _HOT_DOUBLES
+    doubles, each row's head summed by itself (so a unit's value does not
+    depend on its batch), and the pole, half and correction terms added to
+    it in the loops' order.  A non-finite value raises OverflowError, as
+    Python's complex power does in the loops."""
+    M, coefs, dcoefs = _em_setup(s)
+    a = np.array(avals, dtype=float)
+    cols = min(M, _HOT_DOUBLES // 2)  # complex values in a block
+    rows = max(1, _HOT_DOUBLES // 2 // cols)
+    terms = np.zeros((a.size, 3 + _EM_TERMS), complex)  # head, pole, half, corrections
+    with np.errstate(all="ignore"):
+        for j in range(0, M, cols):
+            n = np.arange(j, min(M, j + cols), dtype=float)
+            for i in range(0, a.size, rows):
+                lx = np.log(n + a[i:i + rows, None])
+                t = np.exp(lx * -s)
+                terms[i:i + rows, 0] += (t * -lx if derivative else t).sum(axis=1)
+        lx, ps = np.log(M + a), 1.0 - s
+        pw = np.exp(lx[:, None] * (-s - _EM_SHIFTS))
+        if not derivative:
+            terms[:, 1] = -np.expm1(ps * lx) / ps if regularized else pw[:, 0] / (s - 1.0)
+            terms[:, 2] = 0.5 * pw[:, 1]
+            terms[:, 3:] = pw[:, 2:] * np.array(coefs)
+        else:
+            pole = -pw[:, 0] / (s - 1.0) * (lx + 1.0 / (s - 1.0))
+            if regularized:
+                pole += 1.0 / (ps * ps)
+                w = ps * lx
+                small = abs(w) <= 2.0  # the loop's series branch, by Horner
+                if small.any():
+                    w, slope = w[small], 0.0
+                    for k in range(27, 0, -1):
+                        slope = slope * w + k / math.factorial(k + 1)
+                    pole[small] = lx[small] ** 2 * slope
+            terms[:, 1] = pole
+            terms[:, 2] = -0.5 * lx * pw[:, 1]
+            terms[:, 3:] = (np.array(dcoefs) - lx[:, None] * np.array(coefs)) * pw[:, 2:]
+        out = np.cumsum(terms, axis=1)[:, -1]
+    if not np.isfinite(out).all():
+        raise OverflowError(f"an Euler-Maclaurin sum at s = {s:g} leaves the double range")
+    return out.tolist()
+
+
 def _digamma(z: complex) -> complex:
     """psi(z): shifted to Re z >= 12 by psi(z) = psi(z + 1) - 1/z, then
     log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k}) (DLMF 5.11.2)."""
@@ -253,10 +326,12 @@ def hurwitz_zeta(s: complex | float, a: float, *, regularized: bool = False) -> 
 
     The Euler-Maclaurin batch of one that every L value takes right of the
     reflection threshold: a head of leading terms set by s and 12
-    Bernoulli corrections.  With regularized=True returns
-    zeta(s, a) - 1/(s-1), entire in s.  Left of the threshold the head
-    cancels, so DomainError is raised there (dirichlet_L reflects), as it
-    is for a value outside the double range (a^{-s} alone is, for a tiny a).
+    Bernoulli corrections, as NumPy array work at a non-real s and a
+    scalar loop at a real s, the same value as in any larger batch.  With
+    regularized=True returns zeta(s, a) - 1/(s-1), entire in s.  Left of
+    the threshold the head cancels, so DomainError is raised there
+    (dirichlet_L reflects), as it is for a value outside the double range
+    (a^{-s} alone is, for a tiny a).
     """
     s = complex(s)
     if not (cmath.isfinite(s) and 0 < a < math.inf):
@@ -377,9 +452,12 @@ def dirichlet_L(s: complex | float, chi: Character) -> complex:
     if not cmath.isfinite(s):
         raise DomainError(f"L(s, chi) needs a finite s, got {s}")
     try:
-        return _dirichlet_L_cached(s.real, s.imag, chi)
+        value = _dirichlet_L_cached(s.real, s.imag, chi)
+        if cmath.isfinite(value):  # else the reflection's product overflowed
+            return value
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
-        raise DomainError(f"L({s:g}, chi) overflows the double range") from None
+        pass
+    raise DomainError(f"L({s:g}, chi) overflows the double range")
 
 
 def generalized_bernoulli(n: int, chi: Character) -> complex:
@@ -417,15 +495,18 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
         raise PoleError("derivative requested at the pole s=1")
     value = dirichlet_L(s0, chi)  # refuses what L refuses
     try:
-        if s0.real < _REFLECT_RE:
-            return _reflected(s0, chi, derivative=True)
         log_q = math.log(chi.modulus)
-        if s0.real * log_q > _LOG_DBL_MAX or (log_q and s0.real >= _DERIVATIVE_SERIES_RE):
-            return _dirichlet_series(s0, chi, derivative=True)
-        acc = _assemble(s0, chi, _hurwitz_em_derivative)
+        if s0.real < _REFLECT_RE:
+            out = _reflected(s0, chi, derivative=True)
+        elif s0.real * log_q > _LOG_DBL_MAX or (log_q and s0.real >= _DERIVATIVE_SERIES_RE):
+            out = _dirichlet_series(s0, chi, derivative=True)
+        else:
+            out = _assemble(s0, chi, _hurwitz_em_derivative) - log_q * value
+        if cmath.isfinite(out):
+            return out
     except (OverflowError, ZeroDivisionError):  # Python's complex power overflowing
-        raise DomainError(f"L'({s0:g}, chi) overflows the double range") from None
-    return acc - log_q * value
+        pass
+    raise DomainError(f"L'({s0:g}, chi) overflows the double range")
 
 
 def zeta_derivative(s0: complex | float) -> complex:

@@ -28,10 +28,30 @@ def test_lvalue(capsys):
 
 def test_lvalue_left_of_the_reflection_line_for_an_imprimitive_character(capsys):
     # L(s, chi_0 mod 128) = zeta(s) (1 - 2^{-s}), from mpmath at 30 digits
-    assert main(["lvalue", "--q", "128", "--char", "0", "--s=-5.984,-4.448"]) == 0
+    assert main(["lvalue", "--q", "128", "--char", "0", "--s", "-5.984,-4.448"]) == 0
     got = complex(capsys.readouterr().out.rsplit("= ", 1)[1])
     value = complex(-12.6081680816974, 28.3236979548176)
     assert abs(got - value) < 1e-13 * abs(value)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["lvalue", "--q", "5", "--char", "1", "--s", "-1.7,3"], 0),
+    (["lvalue", "--q", "5", "--char", "1", "--s", "-1e-3"], 0),
+    (["bessel", "--kind", "K", "--nu", "-1e1", "--x", "1"], 0),
+    (["bessel", "--kind", "K", "--nu", "-inf", "--x", "1"], 2),
+    (["verify", "--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "-1e-3"], 2),
+    (["lvalue", "--q", "5", "--char", "1", "--s", "-nan"], 2),
+])
+def test_a_value_after_its_flag_may_start_with_a_minus_sign(capsys, argv, rc):
+    # argparse alone reads "-1.7,3", "-1e-3" or "-inf" as an unknown option
+    # and exits 2 with "expected one argument"; tblab reads the word as
+    # the flag's value, as it reads "--s=-1.7,3", and refuses it itself
+    assert main(argv) == rc
+    spaced = capsys.readouterr()
+    assert "expected one argument" not in spaced.err
+    assert spaced.err.startswith("error: ") if rc else spaced.err == ""
+    assert main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == rc
+    assert capsys.readouterr() == spaced
 
 
 def test_bessel(capsys):

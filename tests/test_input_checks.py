@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tblab.series import (
     shifted_power_series,
     voronoi_kernel_values,
 )
-from tblab.specfun import dirichlet_L, generalized_bernoulli, hurwitz_zeta
+from tblab.specfun import L_derivative, dirichlet_L, generalized_bernoulli, hurwitz_zeta
 
 SPEC = DivisorSumSpec()  # d(n), both slots trivial
 CHI5 = enumerate_characters(5)[2]
@@ -100,6 +101,21 @@ T2_13 = {"a": 1.0, "x": 0.3}
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# at a non-real s, where the Euler-Maclaurin sums are numpy array work: a
+# tiny a's a^{-s}, and L' of the reflection at -167 + i, where Gamma(168 - i)
+# and both parts of L are finite but L' passes the double range
+@pytest.mark.parametrize("call, match", [
+    (lambda: hurwitz_zeta(2 + 3j, 1e-300), r"zeta\(2\+3j, 1e-300\) lies outside the double range"),
+    (lambda: L_derivative(complex(-167, 1), enumerate_characters(7)[1]),
+     r"L'\(-167\+1j, chi\) overflows the double range"),
+])
+def test_a_value_past_the_double_range_at_a_non_real_s(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(DomainError, match=match):
+            call()
 
 
 T2_1 = dict(q=4, char_index=1, k=0, nu=0.6, a=1.0, x=0.75)
