@@ -6,8 +6,9 @@ closed-form side built from Gamma/zeta/L values, Gauss sums and an
 auxiliary rational-tail series.  verify() assembles the two sides along
 independent code paths - _divisor_side lists the terms of every divisor
 side from two character slots, the entry's evaluator those of the
-closed-form side, which never sees the case's tol, and _closed_side
-alone sums both lists - and reports the residual.
+closed-form side, which reads the case's tol only to size the Voronoi
+kernel series, and _closed_side alone sums both lists - and reports the
+residual.
 
 Identity tags:
 
@@ -34,7 +35,6 @@ import numbers
 import reprlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, TextIO, get_args, get_type_hints
 
@@ -42,8 +42,8 @@ import numpy as np
 
 from .arith import DivisorSumSpec, coefficient_array
 from .characters import TRIVIAL, Character, enumerate_characters, gauss_sum
-from .errors import (DomainError, ExcludedParameter, HypothesisError, TblabError,
-                     term_cap, within_budget)
+from .errors import (ConvergenceError, DomainError, ExcludedParameter, HypothesisError,
+                     TblabError, term_cap, within_budget)
 from .series import (
     SeriesResult,
     _refuse_integer,
@@ -164,7 +164,8 @@ def _graded_err(section: str, lhs: complex, abs_err: float, rel_err: float) -> f
     |lhs| is below the section's cutoff."""
     return abs_err if abs(lhs) < _ABS_CUTOFF.get(section, _ABS_CUTOFF_DEFAULT) else rel_err
 
-VORONOI_KERNEL_TERMS = 20000
+# the N of the kernel series' first round, which sums 2N terms
+VORONOI_KERNEL_TERMS = 2500
 VORONOI_RIESZ_ORDER = 3
 
 
@@ -629,15 +630,25 @@ def _riesz_mean(terms: np.ndarray, order: float) -> complex:
 
 def _kernel_expansion(f, alpha: float, beta: float, nu: float,
                       spec: DivisorSumSpec, kernel_scale: float,
-                      t_exp: float, variant: str) -> SeriesResult:
-    """Riesz mean sum_{n<=N} a_n (1 - n/N)^kappa of the conditionally
-    convergent kernel series sum_n a_n, a_n = f(n) n^{nu/2} I_n, with
-    kappa = VORONOI_RIESZ_ORDER and N = VORONOI_KERNEL_TERMS terms (or
-    the smaller term_cap()), as a SeriesResult of N terms whose
-    tail_bound is inf: the mean's bias is not certified.
+                      t_exp: float, variant: str, pref: complex, main: complex,
+                      tol: float) -> SeriesResult:
+    """The conditionally convergent kernel series sum_n a_n, a_n = f(n)
+    n^{nu/2} I_n, as the Richardson extrapolant x(M) = 2 R(M) - R(M/2) of
+    its Riesz means R(M) = sum_{n<=M} a_n (1 - n/M)^kappa, kappa =
+    VORONOI_RIESZ_ORDER.
 
-    All N integrals I_n, at scales c = kernel_scale sqrt(n), come from
-    one oscillatory_kernel_integrals call: in closed form, from the
+    R(M) misses the limit by a bias of order kappa/M, which x(M) cancels.
+    Rounds double N from min(VORONOI_KERNEL_TERMS, term_cap() // 2); a
+    round has the terms n <= 2N, and stops the series once
+    |pref| |x(2N) - x(N)| <= (tol/4) max(1, |main + pref x(2N)|), that is,
+    against the rhs the series is part of.  It returns x(2N), a
+    SeriesResult of 2N terms whose tail_bound |x(2N) - x(N)| is an
+    estimate, not a certificate.  Where the estimate could not meet the
+    target within term_cap() even if it fell like 1/N^2, ConvergenceError,
+    naming the estimate and the terms reached.
+
+    Each round integrates only its new scales c = kernel_scale sqrt(n),
+    in one oscillatory_kernel_integrals call: in closed form, from the
     Hankel and endpoint expansions, at every scale whose truncation they
     certify below 5e-14 of the leading term (for the registered points,
     from c sqrt(alpha) of about 17 to 40 on), and by quadrature below
@@ -645,19 +656,40 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
 
     The weights damp the endpoint oscillation of the partial sums
     (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly
-    to zero and leave a bias of order kappa/N.  Over every registered
-    point, and f = t, t^3 on (1.3, 5.7) for T4_3..T4_8 and C4_1,
-    kappa = 2 leaves oscillation of up to 7e-3 and kappa = 4 a bias of up
-    to 9.5e-4; kappa = 3 keeps both below 7.2e-4.
+    to zero.  Against the finite sum, the worst graded error at the
+    default tol is 1.4e-4, 2.9e-4 and 6.3e-4 at kappa = 3, 4 and 5 over
+    the registered points, and 1.2e-4, 6.8e-4 and 7.0e-5 with f = t, t^3
+    on (1.3, 5.7) for T4_3..T4_8 and C4_1.
     """
-    n_terms = min(VORONOI_KERNEL_TERMS, term_cap())
-    coef = coefficient_array(spec, n_terms)[1:]
-    ns = np.arange(1, n_terms + 1, dtype=float)
-    live = coef != 0
-    terms = np.zeros(n_terms, dtype=complex)
-    terms[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
-        f, alpha, beta, nu, kernel_scale * np.sqrt(ns[live]), t_exp, variant)
-    return SeriesResult(_riesz_mean(terms, VORONOI_RIESZ_ORDER), n_terms, math.inf)
+    cap = term_cap()
+    n = min(VORONOI_KERNEL_TERMS, cap // 2)  # >= 1: the value tables refuse a cap below 3
+    n_last = n
+    while 4 * n_last <= cap:
+        n_last *= 2
+    terms = np.zeros(0, dtype=complex)
+    means: dict[int, complex] = {}  # M -> R(M)
+    while True:
+        lo, hi = len(terms), 2 * n
+        coef = coefficient_array(spec, hi)[lo + 1:]
+        ns = np.arange(lo + 1, hi + 1, dtype=float)
+        live = coef != 0
+        fresh = np.zeros(hi - lo, dtype=complex)
+        fresh[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
+            f, alpha, beta, nu, kernel_scale * np.sqrt(ns[live]), t_exp, variant)
+        terms = np.concatenate((terms, fresh))
+        for m in (n // 2, n, hi):
+            if m not in means:
+                means[m] = _riesz_mean(terms[:m], VORONOI_RIESZ_ORDER)
+        x, x_half = (2.0 * means[m] - means[m // 2] for m in (hi, n))
+        estimate = abs(pref) * abs(x - x_half)
+        target = tol / 4.0 * max(1.0, abs(main + pref * x))
+        if estimate <= target:
+            return SeriesResult(x, hi, abs(x - x_half))
+        if estimate * (n / n_last) ** 2 > target:
+            raise ConvergenceError(
+                f"Voronoi kernel series: estimate {estimate:.3g} above {target:.3g} "
+                f"after {hi} terms, out of reach within the term budget of {cap}")
+        n *= 2
 
 
 # the kernel variant and prefactor of the expansion, by the parities
@@ -670,14 +702,17 @@ _VORONOI_KERNELS = {
 }
 
 
-def _voronoi_pair(chi1, chi2, p, q, nu, alpha, beta, f, **_):
+def _voronoi_pair(chi1, chi2, p, q, nu, alpha, beta, f,
+                  tol=DEFAULT_TOLERANCES["voronoi"], main=0.0, **_):
     """T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2: summation formulas of
-    two characters."""
+    two characters.  main is the rest of the rhs, which the kernel series
+    is summed against to tol."""
     variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
     return [(series_pref, _kernel_expansion(
         f, alpha, beta, nu,
         DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant))]
+        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant,
+        series_pref, main, tol))]
 
 
 def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
@@ -687,15 +722,14 @@ def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
     twist is that of the kernel series; the finite sum takes the other
     one, and with it the q^{1 -+ nu/2} prefactor and L(1 -+ nu, chi).
     """
-    pair = _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, **slots)
     bar_side = twist == _TWISTED
     over_j = bar_side and chi.is_odd
     pref = chi.modulus ** (1.0 - nu / 2.0 if bar_side else 1.0 + nu / 2.0) / _tau(chi)
     main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
     lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
-    main = adaptive_integral(lambda t: float(f(np.array([t]))[0]) * t ** main_power,
-                             alpha, beta, tol=1e-11)
-    return [pref * lmain * main] + pair
+    main = pref * lmain * adaptive_integral(
+        lambda t: float(f(np.array([t]))[0]) * t ** main_power, alpha, beta, tol=1e-11)
+    return [main] + _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, main=main, **slots)
 
 
 # ========================== registry and driver ==========================
@@ -1021,7 +1055,7 @@ def verify(case: IdentityCase, tol: float | None = None) -> VerificationReport:
     r = _check(entry, case)
     try:
         lhs, lterms = _closed_side(_divisor_side(entry.nu, tol, **r))
-        rhs, rterms = _closed_side(entry.evaluate(**r))
+        rhs, rterms = _closed_side(entry.evaluate(tol=tol, **r))
     except OverflowError:  # a power or product past the double range
         raise DomainError(f"{entry.tid}: an intermediate value leaves the double range") from None
     wall = (time.perf_counter() - t0) * 1000.0
@@ -1082,6 +1116,7 @@ def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
     jobs = [(case, DEFAULT_TOLERANCES[THEOREMS[case.theorem].section]) for case in cases]
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_for_pool, jobs))
     return [_verify_for_pool(job) for job in jobs]

@@ -31,8 +31,9 @@ Euler-Maclaurin sum differentiated term by term in s (Johansson, Numer.
 Algorithms 69, 2015).  Left of the reflection threshold L' is the product
 rule on E F L(1-s, conj chi*), with psi(1-s) and L'(1-s, conj chi*).
 
-Where Re s log q passes log DBL_MAX, the assembly's q^{-s} would leave the
-double range, while the Dirichlet series converges like 2^{-Re s}.  There
+Where Re s log max(q, 2) passes log DBL_MAX, the assembly's q^{-s} would
+leave the double range (for zeta, q = 1, its Euler-Maclaurin coefficients
+overflow instead), while the Dirichlet series converges like 2^{-Re s}.  There
 L and L' are sum chi(n) n^{-s} and -sum chi(n) log n n^{-s} themselves,
 summed until a term's bound falls below 1e-17 of the sum.  For q > 1, L'
 takes the series from Re s = 8 on too, where its assembly cancels.
@@ -144,8 +145,8 @@ _EM_TERMS = 12
 # refused.  It sits left of the functional-equation test windows of L,
 # which therefore exercise the direct continuation.
 _REFLECT_RE = -1.75
-# Past this Re s log q the assembly's q^{-s} leaves the double range, and L
-# and L' take the Dirichlet series.
+# Past this Re s log max(q, 2) the assembly's q^{-s} leaves the double range,
+# and L and L' take the Dirichlet series (zeta from Re s = 1024).
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 # From this Re s on L' for q > 1 takes the Dirichlet series too: its
 # assembly cancels, by 6.9e-12 relative at s = 8 for chi mod 40 index 3,
@@ -364,7 +365,7 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
     if s.real < _REFLECT_RE:
         return _reflected(s, chi, derivative=False)
-    if s.real * math.log(q) > _LOG_DBL_MAX:
+    if s.real * math.log(max(q, 2)) > _LOG_DBL_MAX:
         return _dirichlet_series(s, chi, derivative=False)
     return _assemble(s, chi, _hurwitz_em)
 
@@ -377,7 +378,7 @@ def _dirichlet_series(s: complex, chi: Character, derivative: bool) -> complex:
     the bound on the whole tail.  The value is the math.fsum of the terms'
     real and imaginary parts; the running sum only decides when to stop."""
     table, q = _value_table(chi), chi.modulus
-    terms = [] if derivative else [table[1]]
+    terms = [] if derivative else [table[1 % q]]
     acc, n = sum(terms, 0j), 2
     while True:
         log_n = math.log(n)
@@ -498,7 +499,8 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
         log_q = math.log(chi.modulus)
         if s0.real < _REFLECT_RE:
             out = _reflected(s0, chi, derivative=True)
-        elif s0.real * log_q > _LOG_DBL_MAX or (log_q and s0.real >= _DERIVATIVE_SERIES_RE):
+        elif (s0.real * math.log(max(chi.modulus, 2)) > _LOG_DBL_MAX
+              or (log_q and s0.real >= _DERIVATIVE_SERIES_RE)):
             out = _dirichlet_series(s0, chi, derivative=True)
         else:
             out = _assemble(s0, chi, _hurwitz_em_derivative) - log_q * value

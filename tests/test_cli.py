@@ -321,6 +321,13 @@ def test_sum_past_the_term_budget_exits_two(monkeypatch, capsys, case):
     assert "term budget of 1000" in capsys.readouterr().err
 
 
+def test_kernel_series_out_of_reach_exits_two(capsys):
+    argv = ["verify", "--theorem", "C4_2", "--q", "3", "--char", "1", "--nu", "0.25",
+            "--alpha", "1.3", "--beta", "5.7", "--f", "gauss", "--tol", "1e-12"]
+    assert main(argv) == 2
+    assert "Voronoi kernel series: estimate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("case", [
     ["--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1", "--x", "0.3"],

@@ -57,11 +57,14 @@ def test_moved_records_are_summarised_by_theorem_prefix(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8  # four records, three prefixes, the count
     c3, p1, t2 = lines[4:7]
-    assert c3 == "C3: 1 moved, largest |dlhs|/|lhs| = 2.000e-12, |drhs|/|lhs| = 0.000e+00"
+    assert c3 == ("C3: 1 moved (0 closer, 0 farther), "
+                  "largest |dlhs|/|lhs| = 2.000e-12, |drhs|/|lhs| = 0.000e+00")
     # a record in one file only counts, but has no ratios
-    assert p1 == "P1: 1 moved, largest |dlhs|/|lhs| = n/a, |drhs|/|lhs| = n/a"
+    assert p1 == ("P1: 1 moved (0 closer, 0 farther), "
+                  "largest |dlhs|/|lhs| = n/a, |drhs|/|lhs| = n/a")
     head, drhs = t2.rsplit(" = ", 1)
-    assert head == "T2: 2 moved, largest |dlhs|/|lhs| = 3.000e-12, |drhs|/|lhs|"
+    assert head == ("T2: 2 moved (0 closer, 0 farther), "
+                    "largest |dlhs|/|lhs| = 3.000e-12, |drhs|/|lhs|")
     assert abs(float(drhs) - 1e-13) < 2e-15  # 1e-13 of rhs, rounded to rhs's ulp
     assert lines[7] == "4 records, 4 differ apart from wall_ms"
 
@@ -86,3 +89,21 @@ def test_a_file_without_records_exits_two_and_is_named(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"compare_suite.py: {named} holds no record\n"
+
+
+def test_abs_err_of_each_moved_record_and_its_trend_by_prefix(tmp_path, capsys):
+    # the rhs of T2_1 moves toward its lhs, that of T2_1 k = 2 away from it,
+    # and C3_1's error is not finite after the move: neither closer nor farther
+    old = RECORDS + [dict(RECORDS[0], params=dict(RECORDS[0]["params"], k=2))]
+    new = [dict(old[0], rhs_re=old[0]["lhs_re"], abs_err=0.0),
+           dict(old[1], rhs_re=1.0, abs_err=None),
+           dict(old[2], rhs_re=old[2]["rhs_re"] - 1e-12, abs_err=1.2e-12)]
+    assert main([_write(tmp_path / "old", old), _write(tmp_path / "new", new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6  # three records, two prefixes, the count
+    assert "abs_err 0.000e+00 -> nan" in lines[0] and lines[0].startswith("C3_1 ")
+    assert "abs_err 1.900e-14 -> 0.000e+00" in lines[1]
+    assert "abs_err 1.900e-14 -> 1.200e-12" in lines[2]
+    assert all("also changed: abs_err" not in line for line in lines[:3])
+    assert lines[3].startswith("C3: 1 moved (0 closer, 0 farther), ")
+    assert lines[4].startswith("T2: 2 moved (1 closer, 1 farther), ")

@@ -1,8 +1,10 @@
+import concurrent.futures
 import io
 import json
 import math
 import numbers
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +247,26 @@ def test_riesz_mean_sums_conditionally_convergent_series(n_terms, order):
         assert abs(_riesz_mean(terms, order) - limit) < order / n_terms
 
 
+@pytest.mark.parametrize("n_half", [1000, 3000])
+def test_richardson_step_removes_the_riesz_mean_bias(n_half):
+    # 2 R(2N) - R(N) cancels the order/N bias of the mean: what is left is
+    # within order^2/N^2 (3.7e-7 and 1.6e-6 at N = 1,000), and below a
+    # tenth of the error of the plain mean R(2N)
+    from tblab.identities import _riesz_mean
+    order = identities.VORONOI_RIESZ_ORDER
+    assert order == 3
+    n = np.arange(1, 2 * n_half + 1, dtype=float)
+    known = (
+        ((-1.0) ** (n + 1) / n, math.log(2.0)),
+        (np.cos(n) / n, -math.log(2.0 * math.sin(0.5))),
+    )
+    for terms, limit in known:
+        plain = _riesz_mean(terms, order)
+        step = 2.0 * plain - _riesz_mean(terms[:n_half], order)
+        assert abs(step - limit) < order ** 2 / n_half ** 2
+        assert abs(step - limit) < 0.1 * abs(plain - limit)
+
+
 def test_kernel_series_mean_under_a_short_term_cap(monkeypatch):
     # a term cap shortens the kernel series but must not rescale it
     monkeypatch.setenv("TBL_MAX_TERMS", "3000")
@@ -252,6 +274,26 @@ def test_kernel_series_mean_under_a_short_term_cap(monkeypatch):
                               alpha=0.5, beta=3.4, f="exp"))
     assert rep.rhs_terms == 3000
     assert rep.passed, rep.rel_err
+
+
+def test_tolerance_sets_the_length_of_the_kernel_series():
+    # a looser tol never takes more kernel terms, a tighter one never fewer;
+    # T4_1's finite lhs over j = 1, 2, 3 holds each of them
+    case = IdentityCase("T4_1", q=5, char_index=2, nu=0.25, alpha=0.5, beta=3.4, f="exp")
+    reports = [verify(case, tol) for tol in (1e-2, 1e-3, 1e-5, 1e-7)]
+    terms = [rep.rhs_terms for rep in reports]
+    assert terms == sorted(terms) and terms[-1] > terms[0], terms
+    assert all(rep.passed for rep in reports), [rep.rel_err for rep in reports]
+
+
+def test_kernel_series_out_of_reach_fails_fast():
+    # at 5,000 terms the estimate is far above tol/4, and even falling like
+    # 1/N^2 it would stay above it within the term budget
+    case = IdentityCase("C4_2", q=3, char_index=1, nu=0.25, alpha=1.3, beta=5.7, f="gauss")
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"estimate \S+ above .* after \d+ terms"):
+        verify(case, 1e-12)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # a sum whose length the parameters fix: 12,831 terms at x = 0.001, and
@@ -366,7 +408,8 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("workers, pools", [(64, [4]), (3, [3]), (1, [])])
 def test_parallel_runner_starts_no_more_processes_than_cases(monkeypatch, workers, pools):
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _InProcessPool)
+    # run_suite imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "requested", [])
     reports = run_suite(["T2_13"], workers=workers)  # 4 cases
     assert len(reports) == 4 and all(r.passed for r in reports)

@@ -172,6 +172,15 @@ class TestDirichletL:
         for s in (1e300, complex(1e308, 1e308)):
             assert (dirichlet_L(s, chi), L_derivative(s, chi)) == (1, 0)
 
+    @pytest.mark.parametrize("value, s", [(riemann_zeta, 3e13), (zeta_derivative, 3e13),
+                                          (riemann_zeta, complex(1e20, 1.0))],
+                             ids=["zeta", "zeta'", "zeta at 1e20+i"])
+    def test_zeta_far_right_takes_the_dirichlet_series(self, value, s):
+        # log q = 0 for zeta, so the route test takes log 2: from Re s = 1024
+        # on, zeta is 1 and zeta' is 0 in double precision, where the
+        # Euler-Maclaurin coefficients would overflow
+        assert value(s) == (1 if value is riemann_zeta else 0)
+
     def test_principal_pole(self):
         with pytest.raises(PoleError):
             dirichlet_L(1.0, enumerate_characters(6)[0])
