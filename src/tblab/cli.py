@@ -99,6 +99,11 @@ def _parse_s(text: str) -> complex:
     raise TblabError(f"cannot parse s = {text!r}; expected re or re,im")
 
 
+def _echo(value: float | complex) -> str:
+    """value in :g if that reads back as value, else its shortest round-trip repr."""
+    return f"{value:g}" if type(value)(f"{value:g}") == value else repr(value).strip("()")
+
+
 def _case_from_args(args) -> IdentityCase:
     return IdentityCase(args.theorem, **{name: getattr(args, name) for name in _PARAM_TYPES})
 
@@ -152,12 +157,12 @@ def _dispatch(args) -> int:
         chi = _get_char(args.q, args.char, "lvalue")
         s = _parse_s(args.s)
         val = dirichlet_L(s, chi)
-        print(f"L({s:g}, chi({args.q},{args.char})) = {val:.15g}")
+        print(f"L({_echo(s)}, chi({args.q},{args.char})) = {val:.15g}")
         return 0
 
     if args.command == "bessel":
         fn = {"K": bessel_K, "I": bessel_I, "J": bessel_J, "Y": bessel_Y}[args.kind]
-        print(f"{args.kind}_{args.nu:g}({args.x:g}) = {fn(args.nu, args.x):.15g}")
+        print(f"{args.kind}_{_echo(args.nu)}({_echo(args.x)}) = {fn(args.nu, args.x):.15g}")
         return 0
 
     if args.command == "verify":

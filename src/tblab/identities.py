@@ -223,9 +223,9 @@ _ADMITS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _admit(name: str, val, want: type, positive: bool = False) -> None:
-    """Refuse val unless it is a want (int, float or str) and, if a
-    number, finite (exactly, for any int) and, if positive, > 0."""
-    if not isinstance(val, _ADMITS[want]):
+    """Refuse val unless it is a want (int, float or str), not a bool, and,
+    if a number, finite (exactly, for any int) and, if positive, > 0."""
+    if isinstance(val, bool) or not isinstance(val, _ADMITS[want]):
         raise DomainError(f"{name} must be of type {want.__name__}, got {reprlib.repr(val)}")
     if want is not str and not (abs(val) <= sys.float_info.max and (val > 0 or not positive)):
         bound = " > 0" if positive else ""
@@ -628,31 +628,39 @@ def _riesz_mean(terms: np.ndarray, order: float) -> complex:
     return complex(np.einsum("i,i->", terms, weights))
 
 
-def _kernel_expansion(f, alpha: float, beta: float, nu: float,
-                      spec: DivisorSumSpec, kernel_scale: float,
-                      t_exp: float, variant: str, pref: complex, main: complex,
-                      tol: float) -> SeriesResult:
-    """The conditionally convergent kernel series sum_n a_n, a_n = f(n)
-    n^{nu/2} I_n, as the Richardson extrapolant x(M) = 2 R(M) - R(M/2) of
-    its Riesz means R(M) = sum_{n<=M} a_n (1 - n/M)^kappa, kappa =
+# the Voronoi kernel stage's variant, series prefactor and shift [chi1 odd]
+# of the kernel exponent -nu/2, by the parities (chi1 odd, chi2 odd)
+_VORONOI_KERNELS = {
+    (False, False): ("even-cos", TWO_PI, 0.0),
+    (True, True): ("plus-y-cos", -TWO_PI, 1.0),
+    (False, True): ("plus-y-sin", 2j * PI, 0.0),
+    (True, False): ("odd-sin", -2j * PI, 1.0),
+}
+
+
+def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
+                      tol=DEFAULT_TOLERANCES["voronoi"], **_) -> tuple[complex, SeriesResult]:
+    """The Voronoi kernel stage: (pref, the series sum_n a_n), pref that of
+    the parities' _VORONOI_KERNELS row, a_n = g(n) n^{nu/2} I_n, g = (-nu,
+    chi1-bar, chi2-bar), I_n the integral of f(t) t^{-nu/2 - [chi1 odd]}
+    times the row's kernel at 4 pi sqrt(n t/(p q)) over (alpha, beta), and
+    the series the Richardson extrapolant x(M) = 2 R(M) - R(M/2) of its
+    Riesz means R(M) = sum_{n<=M} a_n (1 - n/M)^kappa, kappa =
     VORONOI_RIESZ_ORDER.
 
     R(M) misses the limit by a bias of order kappa/M, which x(M) cancels.
     Rounds double N from min(VORONOI_KERNEL_TERMS, term_cap() // 2); a
     round has the terms n <= 2N, and stops the series once
     |pref| |x(2N) - x(N)| <= (tol/4) max(1, |main + pref x(2N)|), that is,
-    against the rhs the series is part of.  It returns x(2N), a
+    against the rhs, of which main is the rest.  The series is x(2N), a
     SeriesResult of 2N terms whose tail_bound |x(2N) - x(N)| is an
     estimate, not a certificate.  Where the estimate could not meet the
-    target within term_cap() even if it fell like 1/N^2, ConvergenceError,
-    naming the estimate and the terms reached.
+    target within term_cap() even if it fell like 1/N^2,
+    ConvergenceError, naming the estimate and the terms reached.
 
-    Each round integrates only its new scales c = kernel_scale sqrt(n),
-    in one oscillatory_kernel_integrals call: in closed form, from the
-    Hankel and endpoint expansions, at every scale whose truncation they
-    certify below 5e-14 of the leading term (for the registered points,
-    from c sqrt(alpha) of about 17 to 40 on), and by quadrature below
-    (the first few hundred n at most).
+    Each round integrates only its new scales, in one
+    oscillatory_kernel_integrals call (by quadrature for the first few
+    hundred n at most, in closed form from there on).
 
     The weights damp the endpoint oscillation of the partial sums
     (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly
@@ -661,13 +669,15 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
     the registered points, and 1.2e-4, 6.8e-4 and 7.0e-5 with f = t, t^3
     on (1.3, 5.7) for T4_3..T4_8 and C4_1.
     """
+    variant, pref, shift = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
+    spec = DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate())
+    scale, t_exp = 4.0 * PI / math.sqrt(p * q), -nu / 2.0 - shift
     cap = term_cap()
     n = min(VORONOI_KERNEL_TERMS, cap // 2)  # >= 1: the value tables refuse a cap below 3
     n_last = n
     while 4 * n_last <= cap:
         n_last *= 2
     terms = np.zeros(0, dtype=complex)
-    means: dict[int, complex] = {}  # M -> R(M)
     while True:
         lo, hi = len(terms), 2 * n
         coef = coefficient_array(spec, hi)[lo + 1:]
@@ -675,16 +685,15 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
         live = coef != 0
         fresh = np.zeros(hi - lo, dtype=complex)
         fresh[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
-            f, alpha, beta, nu, kernel_scale * np.sqrt(ns[live]), t_exp, variant)
+            f, alpha, beta, nu, scale * np.sqrt(ns[live]), t_exp, variant)
         terms = np.concatenate((terms, fresh))
-        for m in (n // 2, n, hi):
-            if m not in means:
-                means[m] = _riesz_mean(terms[:m], VORONOI_RIESZ_ORDER)
-        x, x_half = (2.0 * means[m] - means[m // 2] for m in (hi, n))
+        r_quarter, r_half, r = (_riesz_mean(terms[:m], VORONOI_RIESZ_ORDER)
+                                for m in (n // 2, n, hi))
+        x, x_half = 2.0 * r - r_half, 2.0 * r_half - r_quarter
         estimate = abs(pref) * abs(x - x_half)
         target = tol / 4.0 * max(1.0, abs(main + pref * x))
         if estimate <= target:
-            return SeriesResult(x, hi, abs(x - x_half))
+            return pref, SeriesResult(x, hi, abs(x - x_half))
         if estimate * (n / n_last) ** 2 > target:
             raise ConvergenceError(
                 f"Voronoi kernel series: estimate {estimate:.3g} above {target:.3g} "
@@ -692,27 +701,10 @@ def _kernel_expansion(f, alpha: float, beta: float, nu: float,
         n *= 2
 
 
-# the kernel variant and prefactor of the expansion, by the parities
-# (chi1 odd, chi2 odd)
-_VORONOI_KERNELS = {
-    (False, False): ("even-cos", TWO_PI),
-    (True, True): ("plus-y-cos", -TWO_PI),
-    (False, True): ("plus-y-sin", 2j * PI),
-    (True, False): ("odd-sin", -2j * PI),
-}
-
-
-def _voronoi_pair(chi1, chi2, p, q, nu, alpha, beta, f,
-                  tol=DEFAULT_TOLERANCES["voronoi"], main=0.0, **_):
+def _voronoi_pair(**slots):
     """T4_5..T4_8, and C4_1, C4_2 with chi1 = chi2: summation formulas of
-    two characters.  main is the rest of the rhs, which the kernel series
-    is summed against to tol."""
-    variant, series_pref = _VORONOI_KERNELS[chi1.is_odd, chi2.is_odd]
-    return [(series_pref, _kernel_expansion(
-        f, alpha, beta, nu,
-        DivisorSumSpec(-nu, chi1.conjugate(), chi2.conjugate()),
-        4.0 * PI / math.sqrt(p * q), -nu / 2.0 - (1.0 if chi1.is_odd else 0.0), variant,
-        series_pref, main, tol))]
+    two characters, the kernel stage alone."""
+    return [_kernel_expansion(**slots)]
 
 
 def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
@@ -728,8 +720,8 @@ def _voronoi_single(twist, chi, nu, alpha, beta, f, **slots):
     main_power = (-nu if bar_side else 0.0) - (1.0 if over_j else 0.0)
     lmain = dirichlet_L(1.0 - nu if bar_side else 1.0 + nu, chi)
     main = pref * lmain * adaptive_integral(
-        lambda t: float(f(np.array([t]))[0]) * t ** main_power, alpha, beta, tol=1e-11)
-    return [main] + _voronoi_pair(nu=nu, alpha=alpha, beta=beta, f=f, main=main, **slots)
+        lambda t: f(t) * t ** main_power, alpha, beta, tol=1e-11)
+    return [main, _kernel_expansion(nu=nu, alpha=alpha, beta=beta, f=f, main=main, **slots)]
 
 
 # ========================== registry and driver ==========================

@@ -345,12 +345,13 @@ _PANEL_X = np.concatenate([-_PANEL_POS[0, ::-1], _PANEL_POS[0]])
 _PANEL_W = np.concatenate([_PANEL_POS[1, ::-1], _PANEL_POS[1]])
 
 
-def adaptive_integral(f: Callable[[float], float], alpha: float, beta: float,
+def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], alpha: float, beta: float,
                       tol: float = 1e-10) -> float:
     """Integral of f over [alpha, beta] by adaptive bisection of the
-    16-point Gauss-Legendre rule: an interval [a, b] contributes the rule
-    summed over its halves once that sum and the rule on [a, b] differ by
-    at most tol (b - a)/(beta - alpha), or not at all."""
+    16-point Gauss-Legendre rule, f taking a rule's 16 nodes as one array:
+    an interval [a, b] contributes the rule summed over its halves once
+    that sum and the rule on [a, b] differ by at most
+    tol (b - a)/(beta - alpha), or not at all."""
     if not -math.inf < alpha < beta < math.inf:
         raise DomainError(f"quadrature needs finite alpha < beta, got [{alpha}, {beta}]")
     if not tol > 0:
@@ -360,7 +361,7 @@ def adaptive_integral(f: Callable[[float], float], alpha: float, beta: float,
     def rule(a: float, b: float) -> float:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        vals = np.array([f(mid + half * t) for t in _PANEL_X])
+        vals = f(mid + half * _PANEL_X)
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand not finite on the interval")
         return half * float(np.dot(_PANEL_W, vals))

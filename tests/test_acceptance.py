@@ -98,7 +98,7 @@ def test_criterion_3_bessel_layer():
     worst_int = 0.0
     for x in np.linspace(0.4, 12.0, 10):
         T = math.acosh(1 + 50.0 / x)
-        quad = adaptive_integral(lambda t: math.exp(-x * math.cosh(t)),
+        quad = adaptive_integral(lambda t: np.exp(-x * np.cosh(t)),
                                  0.0, T, tol=1e-13)
         worst_int = max(worst_int, abs(bessel_K(0.0, float(x)) - quad))
     worst_w = 0.0

@@ -59,6 +59,22 @@ def test_bessel(capsys):
     assert "0.4610685" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, echo", [
+    (["lvalue", "--q", "1", "--char", "0", "--s", "1.0000001"], "L(1.0000001+0j, chi(1,0))"),
+    (["lvalue", "--q", "5", "--char", "1", "--s", "0.5,14.134725"],
+     "L(0.5+14.134725j, chi(5,1))"),
+    (["lvalue", "--q", "4", "--char", "1", "--s", "1"], "L(1+0j, chi(4,1))"),
+    (["bessel", "--kind", "Y", "--nu", "0.30000001", "--x", "2"], "Y_0.30000001(2)"),
+    (["bessel", "--kind", "K", "--nu", "0.5", "--x", "123456.5"], "K_0.5(123456.5)"),
+    (["bessel", "--kind", "J", "--nu", "200", "--x", "1"], "J_200(1)"),
+])
+def test_echoed_arguments_keep_their_digits(capsys, argv, echo):
+    # the short form where it reads back as the argument, else every
+    # digit that tells it apart: 1.0000001 is not echoed as 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(echo + " = ")
+
+
 def test_bessel_negative_integer_order(capsys):
     # J_{-1}(1) = -J_1(1), from mpmath at 30 digits
     assert main(["bessel", "--kind", "J", "--nu", "-1", "--x", "1"]) == 0

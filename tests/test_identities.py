@@ -296,6 +296,35 @@ def test_kernel_series_out_of_reach_fails_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+# the prefactor of the kernel series by the parities (chi1 odd, chi2 odd),
+# as T4_5..T4_8 state it
+_KERNEL_PREFACTORS = {(False, False): 2 * PI, (True, True): -2 * PI,
+                      (False, True): 2j * PI, (True, False): -2j * PI}
+_VORONOI_TIDS = [tid for tid, entry in THEOREMS.items() if entry.section == "voronoi"]
+
+
+@pytest.mark.parametrize("tid, tol", [(tid, None) for tid in _VORONOI_TIDS] + [("T4_1", 1e-5)])
+def test_kernel_stage_ends_the_list_and_meets_its_target(tid, tol):
+    # every Voronoi evaluator's list ends with its one (prefactor, stage)
+    # pair, the kernel series, whose estimate times the prefactor is within
+    # the stop rule's tol/4 of the rhs; at tol = 1e-5 on T4_1 exp (0.5, 3.4)
+    entry = THEOREMS[tid]
+    cases = default_cases([tid])
+    if tol is not None:
+        cases = [case for case in cases if (case.f, case.alpha, case.beta) == ("exp", 0.5, 3.4)]
+    assert cases
+    for case in cases:
+        report = verify(case, tol)
+        resolved = identities._check(entry, case)
+        terms = entry.evaluate(tol=report.tol, **resolved)
+        pairs = [term for term in terms if isinstance(term, tuple)]
+        assert len(pairs) == 1 and terms[-1] is pairs[0], case
+        pref, stage = pairs[0]
+        assert isinstance(stage, SeriesResult)
+        assert pref == _KERNEL_PREFACTORS[resolved["chi1"].is_odd, resolved["chi2"].is_odd]
+        assert abs(pref) * stage.tail_bound <= report.tol / 4 * max(1.0, abs(report.rhs)), case
+
+
 # a sum whose length the parameters fix: 12,831 terms at x = 0.001, and
 # 3,000 coefficients below beta = 3000.5
 _LONG_SUMS = (IdentityCase("C3_1", q=5, char_index=2, x=0.001),

@@ -11,7 +11,7 @@ from tblab.arith import DivisorSumSpec
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
-from tblab.identities import IdentityCase, run_suite, verify
+from tblab.identities import IdentityCase, positivity_scan, run_suite, verify
 from tblab.series import (
     adaptive_integral,
     bessel_series,
@@ -130,7 +130,12 @@ P1_1 = dict(nu=0.3, N=2, x=0.75)
     ("T2_1", T2_1, "nu", 0.6 + 0j, "nu must be of type float, got (0.6+0j)"),
     # which would run, and pass, as N = 2
     ("P1_1", P1_1, "N", 2.7, "N must be of type int, got 2.7"),
-], ids=["huge-x", "string-x", "float-q", "float-char-index", "complex-nu", "float-N"])
+    # bool is a subclass of int, so True would run as char_index 1 and False as k 0
+    ("T2_1", T2_1, "char_index", True, "char_index must be of type int, got True"),
+    ("T2_1", T2_1, "k", False, "k must be of type int, got False"),
+    ("T2_1", T2_1, "a", True, "a must be of type float, got True"),
+], ids=["huge-x", "string-x", "float-q", "float-char-index", "complex-nu", "float-N",
+        "bool-char-index", "bool-k", "bool-a"])
 def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, message):
     # each given field is checked against its IdentityCase annotation
     # before any hypothesis reads it
@@ -147,10 +152,15 @@ def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, mess
      "tol must be a finite number > 0, got 1000"),
     (lambda: run_suite(["T2_13"], workers=2.5), "workers must be of type int, got 2.5"),
     (lambda: run_suite(["T2_13"], workers="2"), "workers must be of type int, got '2'"),
-], ids=["string-tol", "complex-tol", "huge-tol", "float-workers", "string-workers"])
+    (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=True),
+     "tol must be of type float, got True"),
+    (lambda: run_suite(["T2_13"], workers=True), "workers must be of type int, got True"),
+    (lambda: positivity_scan(True), "q_max must be of type int, got True"),
+], ids=["string-tol", "complex-tol", "huge-tol", "float-workers", "string-workers",
+        "bool-tol", "bool-workers", "bool-q-max"])
 def test_tol_and_workers_are_checked_like_a_field(call, message):
     # verify's tol is checked as a float field, then > 0; run_suite's
-    # workers as an int field, then >= 1
+    # workers and positivity_scan's q_max as an int field, then >= 1 and >= 3
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
 

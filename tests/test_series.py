@@ -296,7 +296,7 @@ class TestAdaptiveIntegral:
         assert abs(val - math.log(2)) < 1e-12
 
     def test_oscillatory_against_dense_grid(self):
-        val = adaptive_integral(lambda t: math.cos(40 * math.sqrt(t)), 0.5, 3.0,
+        val = adaptive_integral(lambda t: np.cos(40 * np.sqrt(t)), 0.5, 3.0,
                                 tol=1e-12)
         ts = np.linspace(0.5, 3.0, 100001)
         dense = np.trapezoid(np.cos(40 * np.sqrt(ts)), ts)
@@ -305,19 +305,19 @@ class TestAdaptiveIntegral:
     def test_main_term_integrals_against_mpmath(self):
         # the Voronoi main terms int_alpha^beta f(t) t^p dt of the registry,
         # with the integrand _voronoi_single hands over, within 1e-15 of
-        # mpmath at 30 digits, in at most the 1,290 integrand calls that
-        # the Gauss-Kronrod 7/15 rule took before
+        # mpmath at 30 digits, at no more than the 1,290 nodes that the
+        # Gauss-Kronrod 7/15 rule took before
         mpmath = pytest.importorskip("mpmath")
         nu = 0.25
         exact = {"exp": lambda t: mpmath.exp(-t), "t2": lambda t: t * t,
                  "gauss": lambda t: mpmath.exp(-t * t / 4)}
-        calls = 0
+        nodes = 0
 
         def integrand(f, p):
             def call(t):
-                nonlocal calls
-                calls += 1
-                return float(f(np.array([t]))[0]) * t ** p
+                nonlocal nodes
+                nodes += len(t)
+                return f(t) * t ** p
             return call
 
         worst = 0.0
@@ -329,17 +329,35 @@ class TestAdaptiveIntegral:
                 ref = mpmath.quad(lambda t: exact[fname](t) * t ** p, [alpha, beta])
                 worst = max(worst, float(abs((val - ref) / ref)))
             # from close to the integrable singularity at t = 0
-            val = adaptive_integral(lambda t: math.exp(-t) * t ** -0.25, 1e-8, 3.4, tol=1e-11)
+            val = adaptive_integral(lambda t: np.exp(-t) * t ** -0.25, 1e-8, 3.4, tol=1e-11)
             ref = mpmath.quad(lambda t: mpmath.exp(-t) * t ** -0.25, [1e-8, 3.4])
             worst = max(worst, float(abs((val - ref) / ref)))
         assert worst < 1e-15
-        assert calls <= 1290
+        assert nodes <= 1290
+
+    def test_integrand_takes_each_rule_once_on_its_16_nodes(self):
+        # a cubic on [0, 1]: the rule on the interval and on each half, one
+        # call each, at numpy's 16 Gauss-Legendre nodes mapped onto it
+        seen = []
+
+        def cubic(t):
+            seen.append(np.array(t))
+            return t ** 3
+
+        assert abs(adaptive_integral(cubic, 0.0, 1.0) - 0.25) < 1e-15
+        nodes = np.polynomial.legendre.leggauss(16)[0]
+        expected = [(a + b) / 2 + (b - a) / 2 * nodes
+                    for a, b in ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0))]
+        assert len(seen) == 3
+        for got, want in zip(seen, expected):
+            assert got.shape == (16,)
+            assert np.max(np.abs(got - want)) < 1e-15
 
     def test_depth_exhaustion(self, monkeypatch):
         from tblab import series
         monkeypatch.setattr(series, "_MAX_DEPTH", 3)
         with pytest.raises(QuadratureError):
-            adaptive_integral(lambda t: abs(t - 0.123456) ** -0.5 if t != 0.123456 else 1e8,
+            adaptive_integral(lambda t: np.maximum(np.abs(t - 0.123456), 1e-16) ** -0.5,
                               0.0, 1.0, tol=1e-14)
 
 
@@ -375,8 +393,8 @@ class TestVoronoiKernel:
         fast = oscillatory_kernel_integrals(TEST_FUNCTIONS["exp"], 0.5, 3.4, 0.25, [c], -0.125,
                                             "even-cos")[0]
         slow = adaptive_integral(
-            lambda t: math.exp(-t) * t ** -0.125
-            * voronoi_kernel_values("even-cos", 0.25, np.array([c * math.sqrt(t)]))[0],
+            lambda t: np.exp(-t) * t ** -0.125 * voronoi_kernel_values("even-cos", 0.25,
+                                                                     c * np.sqrt(t)),
             0.5, 3.4, tol=1e-11)
         assert abs(fast - slow) < 1e-9
 
