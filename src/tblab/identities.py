@@ -29,6 +29,7 @@ wrong answer.  Each formula family shares one closed-form evaluator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -46,6 +47,7 @@ from .errors import (ConvergenceError, DomainError, ExcludedParameter, Hypothesi
                      TblabError, term_cap, within_budget)
 from .series import (
     SeriesResult,
+    _EndpointExpansion,
     _refuse_integer,
     adaptive_integral,
     bessel_series,
@@ -638,6 +640,12 @@ _VORONOI_KERNELS = {
 }
 
 
+# one endpoint expansion per (f, alpha, beta, nu, exponent) in a process:
+# the kernel stages repeat them round after round and record after
+# record, and every f here is one of the fixed TEST_FUNCTIONS
+_endpoint_expansion = functools.lru_cache(maxsize=64)(_EndpointExpansion)
+
+
 def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
                       tol=DEFAULT_TOLERANCES["voronoi"], **_) -> tuple[complex, SeriesResult]:
     """The Voronoi kernel stage: (pref, the series sum_n a_n), pref that of
@@ -660,7 +668,8 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
 
     Each round integrates only its new scales, in one
     oscillatory_kernel_integrals call (by quadrature for the first few
-    hundred n at most, in closed form from there on).
+    hundred n at most, in closed form from there on, from the endpoint
+    expansion that _endpoint_expansion keeps).
 
     The weights damp the endpoint oscillation of the partial sums
     (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly
@@ -677,6 +686,7 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     n_last = n
     while 4 * n_last <= cap:
         n_last *= 2
+    expansion = _endpoint_expansion(f, alpha, beta, nu, t_exp)
     terms = np.zeros(0, dtype=complex)
     while True:
         lo, hi = len(terms), 2 * n
@@ -685,7 +695,7 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
         live = coef != 0
         fresh = np.zeros(hi - lo, dtype=complex)
         fresh[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
-            f, alpha, beta, nu, scale * np.sqrt(ns[live]), t_exp, variant)
+            f, alpha, beta, nu, scale * np.sqrt(ns[live]), t_exp, variant, expansion=expansion)
         terms = np.concatenate((terms, fresh))
         r_quarter, r_half, r = (_riesz_mean(terms[:m], VORONOI_RIESZ_ORDER)
                                 for m in (n // 2, n, hi))

@@ -18,12 +18,17 @@ Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
 expansions' certificate begins.  Small scales are Gauss-Legendre
 quadrature in r = sqrt(t), whose nodes read the kernel from a piecewise
-Chebyshev interpolant: J, Y and K are evaluated once per interpolation
-point, not once per node and scale.  The rest come in closed form from
+Chebyshev interpolant on one fixed partition of (0, inf): the
+coefficients of K, Y and J on each piece are computed once per order and
+process, a fixed page of pieces per Bessel call, and kept in a bounded
+table that later calls only combine.  The rest come in closed form from
 the Hankel expansions of J + iY and of K and the endpoint expansion of
 each Fourier or Laplace integral, whose c-independent endpoint
-derivatives are read once from an FFT of the integrand on two circles;
-no Bessel function is evaluated.  The sum over the triangle k + j <= 27
+derivatives are read from an FFT of the integrand on two circles, once
+per expansion (a caller that repeats its test function, interval, order
+and exponent builds it once and passes it in); no Bessel function is
+evaluated, and for a real integrand the polynomials in 1/c are summed in
+real arithmetic.  The sum over the triangle k + j <= 27
 (Hankel order k, endpoint order j) is certified: a scale is expanded
 only if every term of its last two diagonals is below 5e-14 of the
 leading term, and otherwise stays with the quadrature.
@@ -31,6 +36,7 @@ leading term, and otherwise stays with the quadrature.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -364,6 +370,9 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], alpha: float, beta:
         vals = f(mid + half * _PANEL_X)
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand not finite on the interval")
+        if np.shape(vals) != _PANEL_X.shape:
+            raise DomainError(f"the integrand must give one value per node: {_PANEL_X.size} "
+                              f"nodes gave shape {np.shape(vals)}")
         return half * float(np.dot(_PANEL_W, vals))
 
     acc = 0.0
@@ -429,14 +438,20 @@ _PHASE_PER_PANEL = 16.0
 # scales per shared grid
 _PANEL_BLOCK = 512
 # The panels read the kernel from a piecewise Chebyshev interpolant with
-# _CHEB_POINTS points of the first kind per piece.  A piece is at most
-# _CHEB_WIDTH wide and no wider than its left end, so the singularity of
-# K and Y at u = 0 is a full width away and the coefficients fall
-# geometrically (Trefethen, Approximation Theory and Approximation
-# Practice, ch. 8); no piece straddles a branch seam of bessel (JY_CUT,
-# K_ASYM_CUT), across which the kernel values are smooth only to their
-# rounding.
+# _CHEB_POINTS points of the first kind per piece.  The pieces are fixed:
+# [2^k, 2^(k+1)] below _CHEB_WIDTH, those between the _CHEB_HEAD edges,
+# then _CHEB_WIDTH steps.  A piece is no wider than _CHEB_WIDTH or its
+# left end, so the singularity of K and Y at u = 0 is a full width away
+# and the coefficients fall geometrically (Trefethen, Approximation
+# Theory and Approximation Practice, ch. 8); no piece straddles a branch
+# seam of bessel (JY_CUT, K_ASYM_CUT), across which the kernel values are
+# smooth only to their rounding.  The pieces narrow into JY_CUT, below
+# which J's ascending series carries its e^u eps cancellation: with
+# [8, 14] as one piece, the t2 (1.3, 5.7) odd-sin oracle point at
+# c sqrt(alpha) = 13 erred by 4.36e-13 against its 1e-13 bound.
 _CHEB_WIDTH = 8.0
+_CHEB_HEAD = (_CHEB_WIDTH, JY_CUT - 2.0, JY_CUT - 1.0, JY_CUT, 2.0 * _CHEB_WIDTH, K_ASYM_CUT,
+              3.0 * _CHEB_WIDTH)
 _CHEB_POINTS = 25
 _CHEB_THETA = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
 _CHEB_X = np.cos(_CHEB_THETA)
@@ -445,26 +460,98 @@ _CHEB_DCT = (2.0 / _CHEB_POINTS) * np.cos(np.outer(np.arange(_CHEB_POINTS), _CHE
 _CHEB_DCT[0] *= 0.5
 
 
+def _piece_left(i: int) -> float:
+    """The left end of fixed piece i, which ends where piece i + 1 begins;
+    the pieces below _CHEB_WIDTH have negative i."""
+    if i < 0:
+        return math.ldexp(_CHEB_WIDTH, i)
+    if i < len(_CHEB_HEAD):
+        return _CHEB_HEAD[i]
+    return _CHEB_HEAD[-1] + _CHEB_WIDTH * (i - len(_CHEB_HEAD) + 1)
+
+
+def _piece_of(u: float) -> int:
+    """The fixed piece [_piece_left(i), _piece_left(i + 1)) that holds u > 0."""
+    if u < _CHEB_WIDTH:
+        return math.frexp(u / _CHEB_WIDTH)[1] - 1
+    if u < _CHEB_HEAD[-1]:
+        return bisect.bisect_right(_CHEB_HEAD, u) - 1
+    return len(_CHEB_HEAD) - 1 + int((u - _CHEB_HEAD[-1]) // _CHEB_WIDTH)
+
+
+# The coefficients are computed a page of pieces at a time, from one call
+# per function over all the page's points: a jy_values call costs about
+# as much as 30 more points below JY_CUT, or 1,000 more beyond
+# K_ASYM_CUT.  Page 0 holds the pieces on [_CHEB_WIDTH / 4, 88], most of
+# a laboratory range (c sqrt(alpha) from 1.5 to 6.5 up to 35 to 105); the
+# pages below it are two octaves, those above it _PAGE_PIECES pieces.
+# The pages are fixed, so a piece's values do not depend on which pieces
+# an earlier call left in the table: _on_grid rounds an argument's row
+# by its place in the block.
+_PAGE_PIECES = 16
+# pages per order in the table; a range of more than a quarter of this
+# many is evaluated in one call, outside the table, so no call can sweep it
+_PAGE_TABLE = 512
+
+
+def _page_of(i: int) -> int:
+    """The page that holds fixed piece i."""
+    return (i + 2) // (2 if i < -2 else _PAGE_PIECES)
+
+
+def _page_span(page: int) -> tuple[int, int]:
+    """The first piece of a page and the number of its pieces."""
+    if page < 0:
+        return 2 * page - 2, 2
+    return _PAGE_PIECES * page - 2, _PAGE_PIECES
+
+
+def _pieces_coefs(nu: float, first: int, count: int) -> np.ndarray:
+    """coefs[v, k, p]: the coefficient of T_k of (2/pi) K_nu (v = 0), Y_nu
+    (1) and J_nu (2) on fixed piece first + p, p < count, from one call per
+    function at the _CHEB_POINTS points of every piece."""
+    edges = np.array([_piece_left(first + p) for p in range(count + 1)])
+    us = (0.5 * (edges[1:] + edges[:-1])[:, None]
+          + 0.5 * (edges[1:] - edges[:-1])[:, None] * _CHEB_X).ravel()
+    j, y = jy_values(nu, us)
+    values = np.stack([(2.0 / math.pi) * k_values(nu, us), y, j]).reshape(3, count, _CHEB_POINTS)
+    return np.einsum("kj,vpj->vkp", _CHEB_DCT, values)
+
+
+@functools.lru_cache(maxsize=_PAGE_TABLE)
+def _page_coefs(nu: float, page: int) -> np.ndarray:
+    """_pieces_coefs of one page, computed once per order and process."""
+    coefs = _pieces_coefs(nu, *_page_span(page))
+    coefs.flags.writeable = False
+    return coefs
+
+
 class _KernelInterpolant:
     """voronoi_kernel_values(variant, nu, u) for u in [lo, hi], 0 < lo < hi
-    < inf, from one Bessel evaluation per Chebyshev point of each piece."""
+    < inf, on the fixed pieces that cover it, from the per-order table of
+    their K, Y and J coefficients (_page_coefs)."""
 
     def __init__(self, variant: str, nu: float, lo: float, hi: float):
         if not 0.0 < lo < hi < math.inf:
             raise DomainError(f"the kernel interpolant needs 0 < lo < hi < inf, got [{lo}, {hi}]")
-        edges = [lo]
+        main, ys, jc = _variant_coefs(variant, nu)
+        first = _piece_of(lo)
+        edges = [_piece_left(first)]
         while edges[-1] < hi:
-            a = edges[-1]
-            b = min(a + min(_CHEB_WIDTH, a), hi)
-            edges.append(min([b] + [seam for seam in (JY_CUT, K_ASYM_CUT) if a < seam < b]))
+            edges.append(_piece_left(first + len(edges)))
         self.edges = np.array(edges)
         self._mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        self._inv_half = 1.0 / half
-        nodes = self._mid[:, None] + half[:, None] * _CHEB_X
-        values = voronoi_kernel_values(variant, nu, nodes.ravel()).reshape(nodes.shape)
+        self._inv_half = 2.0 / (self.edges[1:] - self.edges[:-1])
+        count = len(edges) - 1
+        pages = range(_page_of(first), _page_of(first + count - 1) + 1)
+        if len(pages) > _PAGE_TABLE // 4:
+            k, y, j = _pieces_coefs(nu, first, count)
+        else:
+            skip = first - _page_span(pages[0])[0]
+            k, y, j = np.concatenate([_page_coefs(nu, g) for g in pages],
+                                     axis=-1)[..., skip:skip + count]
         # coefs[k, p]: coefficient of T_k on piece p
-        self.coefs = np.einsum("kj,pj->kp", _CHEB_DCT, values)
+        self.coefs = (k + ys * y) * main + jc * j
 
     def __call__(self, us: np.ndarray) -> np.ndarray:
         """The interpolant at each u, by Clenshaw's recurrence on its piece,
@@ -488,10 +575,12 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
     oscillation to near machine precision.  Each block of _PANEL_BLOCK
     scales shares one grid (sized for its largest scale) and the
     non-kernel integrand factors on it; its kernel matrix is read from
-    one _KernelInterpolant over every node of every scale, so J, Y and K
-    are evaluated _CHEB_POINTS times per piece, not per node and scale,
-    and einsum sums each row against the shared factors on the calling
-    thread (see identities._riesz_mean).
+    one _KernelInterpolant over every node of every scale, which combines
+    the tabled coefficients of its fixed pieces, so J, Y and K are
+    evaluated _CHEB_POINTS times per piece and order in a process (per
+    call, for a range wider than a quarter of the table), not per node
+    and scale, and einsum sums each row against the shared factors on
+    the calling thread (see identities._riesz_mean).
     """
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
     kernel = _KernelInterpolant(variant, nu, float(cs.min()) * ra, float(cs.max()) * rb)
@@ -522,7 +611,6 @@ _HANKEL_REL = 5e-14
 # points on each Cauchy circle; the circle's radius is half the distance
 # to the branch point r = 0, so aliasing scales a coefficient by 2^-64
 _CAUCHY_POINTS = 64
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 class _EndpointExpansion:
@@ -542,7 +630,10 @@ class _EndpointExpansion:
     h_k on a circle of radius sqrt(alpha)/2 about each endpoint (Cauchy's
     formula).  Term (k, j) carries c^{-k-j-3/2}, times i^{k+j-1} for
     J + iY, so each endpoint's triangle k + j <= L is a polynomial in
-    1/c, and a scale costs O(L) flops.  A block of scales sums only the
+    1/c, and a scale costs O(L) flops.  Its coefficients are real for a
+    real f, so J + iY's odd and even orders are the real and imaginary
+    parts of its polynomial, summed together by one real Horner loop in
+    1/c^2, and K's is real.  A block of scales sums only the
     orders whose terms matter at its least scale, fewer as c grows, and
     K's only while e^{-c sqrt(alpha)} leaves them any weight.
 
@@ -566,6 +657,7 @@ class _EndpointExpansion:
 
     def __init__(self, f, alpha: float, beta: float, nu: float, t_exponent: float):
         L, M = _HANKEL_ORDER, _CAUCHY_POINTS
+        self.key = (f, alpha, beta, nu, t_exponent)
         self.nu = nu
         self.ends = np.sqrt([alpha, beta])
         radius = 0.5 * self.ends[0]
@@ -577,12 +669,18 @@ class _EndpointExpansion:
         deriv = np.fft.fft(h, axis=-1)[..., :L + 1] * (factorials / (M * radius ** ks))
         h_ends = 2.0 * f(self.ends ** 2) * self.ends ** (2.0 * t_exponent + 0.5)
         hankel = np.cumprod(np.r_[1.0, _asym_coefs(nu)[:L]])
-        # sums[e, n] = sum_{k + j = n} a_k h_k^{(j)}(end e), K's coefficients;
-        # coefs[e, n] = i^{n-1} sums[e, n], those of J + iY
-        self.sums = np.zeros((2, L + 1), dtype=complex)
+        # sums[e, n] = sum_{k + j = n} a_k h_k^{(j)}(end e), real for a real f:
+        # the coefficients of K's polynomial in x = 1/c at end e.  Those of
+        # J + iY are i^{n-1} sums[e, n]: with y = x^2 its real part is
+        # x sum_m (-1)^m sums[e, 2m+1] y^m and its imaginary part
+        # -sum_m (-1)^m sums[e, 2m] y^m; jy[:, m] holds the coefficients of
+        # y^m, of the real parts at each end, then of the imaginary parts
+        sums = np.zeros((2, L + 1), dtype=complex)
         for k in ks:
-            self.sums[:, k:] += hankel[k] * deriv[k, :, :L + 1 - k]
-        self.coefs = self.sums * _I_POWERS[(ks - 1) % 4]
+            sums[:, k:] += hankel[k] * deriv[k, :, :L + 1 - k]
+        self.sums = sums.real
+        signs = (-1.0) ** np.arange((L + 2) // 2)
+        self.jy = np.concatenate([self.sums[:, 1::2], -self.sums[:, 0::2]]) * signs
         self.sizes = np.max(np.abs(self.sums), axis=0)
         self._powers = -ks.astype(float)
         # lasts[i] = max |a_k h_k^{(j)}| over both ends and k + j = diag[i]
@@ -617,55 +715,67 @@ class _EndpointExpansion:
                 * complex(math.cos(phi), -math.sin(phi)))
         k_lead = main * math.sqrt(2.0 / math.pi)
         out = np.empty(cs.size)
-        # in blocks whose (2 x scales) complex temporaries hold _HOT_DOUBLES,
-        # each summing only the orders that matter at its least scale
+        # in blocks whose (4 x scales) temporaries hold _HOT_DOUBLES, each
+        # summing only the orders that matter at its least scale, rounded
+        # up to whole pairs of J + iY's, and K's only while any matter
         for lo in range(0, cs.size, _HOT_DOUBLES // 4):
             c = cs[lo:lo + _HOT_DOUBLES // 4]
             x, least = 1.0 / c, float(c.min())
-            total = lead * self._endpoints(self.coefs, x, self._orders(least),
-                                           np.exp(1j * np.outer(self.ends, c)))
+            re, im = self._horner(self.jy[:, :(self._orders(least) + 1) // 2],
+                                  x * x).reshape(2, 2, -1)
+            re *= x
+            # Re[lead (re + i im) e^{i c r}] at each end, upper end less lower
+            theta = np.outer(self.ends, c)
+            a, b = lead.real * re - lead.imag * im, lead.real * im + lead.imag * re
+            total = a * np.cos(theta) - b * np.sin(theta)
+            total = total[1] - total[0]
             k_orders = self._orders(least, math.exp(-least * self.ends[0]))
             if k_orders:
-                total -= k_lead * self._endpoints(self.sums, x, k_orders,
-                                                  np.exp(-np.outer(self.ends, c)))
-            out[lo:lo + c.size] = (total * (x * np.sqrt(x))).real
+                k = self._horner(self.sums[:, :k_orders], x) * np.exp(-np.outer(self.ends, c))
+                total -= k_lead * (k[1] - k[0])
+            out[lo:lo + c.size] = total * (x * np.sqrt(x))
         return out
 
     @staticmethod
-    def _endpoints(coefs: np.ndarray, x: np.ndarray, orders: int,
-                   phases: np.ndarray) -> np.ndarray:
-        """The difference of the two endpoints' series in x, by Horner's
-        rule over their first orders coefficients, each times its phase."""
-        acc = np.zeros((2, x.size), dtype=complex)
-        for n in range(orders - 1, -1, -1):
+    def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Each row's polynomial in x, one row of values per row of coefs."""
+        acc = np.zeros((coefs.shape[0], x.size))
+        for n in range(coefs.shape[1] - 1, -1, -1):
             acc *= x
             acc += coefs[:, n, None]
-        return acc[1] * phases[1] - acc[0] * phases[0]
+        return acc
 
 
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
                                  alpha: float, beta: float, nu: float,
                                  cs: np.ndarray, t_exponent: float,
-                                 variant: str) -> np.ndarray:
+                                 variant: str, *,
+                                 expansion: _EndpointExpansion | None = None) -> np.ndarray:
     """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta]
     for each kernel scale c > 0 in cs, 0 < alpha < beta, f real on the real
     axis.
 
     Two regimes, split at the expansions' least_scale alone:
     * Gauss-Legendre panels in r = sqrt(t) (_panel_integrals), whose
-      kernel values come from a piecewise Chebyshev interpolant: one J,
-      Y and K per interpolation point, and a Clenshaw recurrence per
-      node and scale;
+      kernel values come from a piecewise Chebyshev interpolant on fixed
+      pieces: one J, Y and K per interpolation point, once per piece and
+      order in a process (the table _page_coefs), and a Clenshaw
+      recurrence per node and scale;
     * from least_scale on, the Hankel expansions of J + iY and of K and
       the endpoint expansions (_EndpointExpansion), which evaluate no
-      Bessel function: f is read on two circles once per call, and each
-      scale then costs O(L) flops.  least_scale is where their
+      Bessel function: f is read on two circles once per expansion, and
+      each scale then costs O(L) flops.  least_scale is where their
       certificate begins (last two diagonals below 5e-14 of the leading
       term): c sqrt(alpha) of about 17 to 40 for the registered test
       functions, intervals and orders.
     f must accept complex arrays.  Where its values there are not the
     analytic continuation of f (it drops the imaginary part, say), every
     scale stays with the quadrature.
+
+    expansion, if given, is _EndpointExpansion(f, alpha, beta, nu,
+    t_exponent) built by the caller, who repeats these arguments (the
+    Voronoi stages, round after round); otherwise each call builds its
+    own.
     """
     if not 0.0 < alpha < beta < math.inf:
         raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta < inf")
@@ -675,8 +785,12 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
     if not math.isfinite(t_exponent) or bad.size:
         raise DomainError("oscillatory_kernel_integrals needs a finite t_exponent and scales "
                           f"> 0, got t_exponent = {t_exponent}, scale(s) {bad[:3].tolist()}")
+    if expansion is None:
+        expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
+    elif expansion.key != (f, alpha, beta, nu, t_exponent):
+        raise DomainError("oscillatory_kernel_integrals was given an endpoint expansion "
+                          "built for other arguments")
     out = np.zeros(cs.size)
-    expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
     far = cs >= expansion.least_scale
     if far.any():
         out[far] = expansion.integrals(cs[far], variant)

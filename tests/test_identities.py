@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tblab import identities
+from tblab import identities, series
 from tblab.arith import DivisorSumSpec, divisor_sum
 from tblab.characters import TRIVIAL, enumerate_characters, gauss_sum
 from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
@@ -406,6 +406,32 @@ def test_determinism_modulo_wall_ms():
     for a, b in zip(rec0, rec1):
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+def test_voronoi_rhs_do_not_depend_on_the_order_the_records_run_in():
+    # the kernel tables fill as records run; each page of pieces and each
+    # endpoint expansion is built alone, so what earlier records left
+    # there moves no bit of a later one
+    cases = default_cases(_VORONOI_TIDS)
+
+    def clear():
+        series._page_coefs.cache_clear()
+        identities._endpoint_expansion.cache_clear()
+
+    def bits(order, clear_each):
+        clear()
+        out = {}
+        for i in order:
+            if clear_each:
+                clear()
+            rhs = verify(cases[i]).rhs
+            out[i] = (rhs.real.hex(), rhs.imag.hex())
+        return out
+
+    forward = bits(range(len(cases)), False)
+    assert len(forward) == 52
+    assert bits(reversed(range(len(cases))), False) == forward
+    assert bits(range(len(cases)), True) == forward
 
 
 def test_parallel_runner_matches_sequential():

@@ -13,6 +13,7 @@ from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
 from tblab.identities import IdentityCase, positivity_scan, run_suite, verify
 from tblab.series import (
+    _EndpointExpansion,
     adaptive_integral,
     bessel_series,
     cohen_tail_series,
@@ -80,6 +81,11 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: bessel_series(SPEC, 1.0, math.inf), DomainError, "finite a sqrt\\(x\\)"),
     (lambda: adaptive_integral(math.exp, -math.inf, 0.0), DomainError, "finite alpha < beta"),
     (lambda: adaptive_integral(lambda t: 1.0, 0.0, math.nan), DomainError, "finite alpha < beta"),
+    # an integrand that does not give one value per node
+    (lambda: adaptive_integral(lambda t: 1.0, 0.0, 1.0), DomainError,
+     r"one value per node: 16 nodes gave shape \(\)"),
+    (lambda: adaptive_integral(lambda t: t[:1], 0.0, 1.0), DomainError,
+     r"one value per node: 16 nodes gave shape \(1,\)"),
     # the kernel integrals, before they build the endpoint expansion
     (lambda: voronoi_kernel_values("even-cos", math.inf, np.array([1.0])), DomainError,
      "order must be finite, got inf"),
@@ -97,6 +103,11 @@ T2_13 = {"a": 1.0, "x": 0.3}
                                           "even-cos"), DomainError, r"scales > 0, .*\[0\.0\]"),
     (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [-1.0, 20.0], -0.125,
                                           "even-cos"), DomainError, r"scales > 0, .*\[-1\.0\]"),
+    # an endpoint expansion of another interval
+    (lambda: oscillatory_kernel_integrals(
+        np.exp, 0.5, 3.4, 0.25, [20.0], -0.125, "even-cos",
+        expansion=_EndpointExpansion(np.exp, 1.3, 5.7, 0.25, -0.125)),
+     DomainError, "built for other arguments"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):

@@ -9,13 +9,13 @@ at least two panels spans the full phase a panel may.  Each scale is
 integrated alone, so the quadrature's grid is the coarsest it takes
 there.  The values come from tests/kernel_integral_reference.py, which
 takes minutes, so they are held here as literals.  The worst error is
-1.6e-15, against the 5e-15 bound (1.4e-15 with the kernel evaluated at
+1.5e-15, against the 5e-15 bound (1.4e-15 with the kernel evaluated at
 every node, not interpolated; 5.1e-16 with a hand-over at c sqrt(alpha)
 = 40 and panels of 10 radians).
 
 The same six points at c sqrt(alpha) = 3 and 13 (SMALL_REFERENCE) reach
 the kernel interpolant's pieces nearest u = 0 and those on either side
-of bessel's seams at 14 and 18.  Their worst error is 4.4e-14 against
+of bessel's seams at 14 and 18.  Their worst error is 4.3e-14 against
 the 1e-13 bound, 7.8e-14 with the kernel evaluated at every node: at
 these scales the error is the kernel values' own, from the rounding of
 J's ascending series below 14.

@@ -467,6 +467,58 @@ def test_kernel_interpolant_needs_a_positive_range():
             _KernelInterpolant("even-cos", 0.25, lo, hi)
 
 
+def test_kernel_interpolant_reads_fixed_pieces():
+    # the pieces do not depend on lo and hi: powers of 2 below 8, the
+    # seams and the two edges that narrow into JY_CUT, then steps of 8
+    assert _KernelInterpolant("even-cos", 0.25, 0.3, 20.0).edges.tolist() == [
+        0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 13.0, 14.0, 16.0, 18.0, 24.0]
+    assert _KernelInterpolant("odd-sin", 0.25, 12.5, 40.0).edges.tolist() == [
+        12.0, 13.0, 14.0, 16.0, 18.0, 24.0, 32.0, 40.0]
+    assert _KernelInterpolant("odd-sin", 0.25, 100.0, 101.0).edges.tolist() == [96.0, 104.0]
+
+
+def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
+    # a second call over the same scales reads every piece's K, Y and J
+    # coefficients from the table and the integrals from the expansion it
+    # is given, bit for bit
+    series._page_coefs.cache_clear()
+    calls = []
+    for name in ("jy_values", "k_values"):
+        monkeypatch.setattr(series, name, lambda nu, us, real=getattr(series, name), name=name:
+                            calls.append(name) or real(nu, us))
+
+    def f(t):
+        calls.append("f" if np.iscomplexobj(t) else "f on the panels")
+        return np.exp(-t)
+
+    cs = 4 * PI / math.sqrt(5.0) * np.sqrt(np.arange(1.0, 5001.0))
+    expansion = _EndpointExpansion(f, 0.5, 3.4, 0.25, -0.125)
+    first = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos",
+                                         expansion=expansion)
+    assert {"jy_values", "k_values"} <= set(calls)
+    calls.clear()
+    second = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos",
+                                          expansion=expansion)
+    assert set(calls) == {"f on the panels"}
+    assert first.tobytes() == second.tobytes()
+    # without one, each call reads f afresh: the table keeps no caller's f
+    calls.clear()
+    third = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
+    assert set(calls) == {"f", "f on the panels"}
+    assert third.tobytes() == first.tobytes()
+
+
+def test_a_range_wider_than_a_quarter_of_the_table_stays_outside_it():
+    series._page_coefs.cache_clear()
+    wide = _KernelInterpolant("even-cos", 0.25, 1.0, 100.0 + 128.0 * series._PAGE_TABLE / 4)
+    assert series._page_coefs.cache_info().currsize == 0
+    narrow = _KernelInterpolant("even-cos", 0.25, 1.0, 500.0)
+    assert series._page_coefs.cache_info().currsize == 6
+    # the same pieces, rounded by their place in another call
+    shared = slice(0, narrow.coefs.shape[1])
+    assert np.allclose(wide.coefs[:, shared], narrow.coefs, rtol=0.0, atol=1e-15)
+
+
 def test_hankel_expansion_refuses_a_truncated_sum():
     # at c sqrt(alpha) = 10 the last diagonal reaches 6e-2 of the leading term
     expansion = _EndpointExpansion(TEST_FUNCTIONS["exp"], 0.5, 3.4, 0.25, -0.125)
