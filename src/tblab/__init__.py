@@ -42,4 +42,28 @@ from .specfun import (
     riemann_zeta,
 )
 
+from . import characters, identities, series, specfun
+
 __version__ = "0.1.0"
+
+# Every process-level cache of the library, each bounded by its lru_cache
+# maxsize but bernoulli_number's and _unit_group's, which grow with the
+# orders and moduli asked for.
+_CACHES = (
+    characters._unit_group,
+    characters._exponent_table,
+    characters._value_table,
+    characters._primitive,
+    characters._characters,
+    characters.gauss_sum,
+    specfun.bernoulli_number,
+    specfun._dirichlet_L_cached,
+    series._page_coefs,
+    identities._endpoint_expansion,
+)
+
+
+def clear_caches() -> None:
+    """Empty every cache of _CACHES, as in a fresh process."""
+    for cache in _CACHES:
+        cache.cache_clear()

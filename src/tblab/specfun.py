@@ -13,10 +13,13 @@ An L-value does its s-dependent work once.  The Euler-Maclaurin routine
 takes one s and a batch of arguments a, forming the head length, the
 exponents and the correction coefficients once per batch (the scalar
 hurwitz_zeta is a batch of one), and all units a of the modulus go into
-one batch.  At a non-real s the batch is NumPy array work over the
-(units x head) grid, each unit's row summed by itself so that its value
-does not depend on the batch; at a real s, the only s the registry asks
-for, it is a scalar loop, on whose rounding the recorded values rest.
+one batch.  At a non-real s the batch is NumPy array work: the head over
+the (units x head) grid, and the pole, half and correction terms from
+one power X^{-s} per unit (X = M + a), the corrections through one real
+(units x 12) matrix of the powers X^{1-2j}.  Each unit's rows are summed
+by themselves, so that its value does not depend on the batch.  At a
+real s, the only s the registry asks for, the batch is a scalar loop, on
+whose rounding the recorded values rest.
 Left of the reflection threshold, L(s, chi) is E(s) F(s) L(1-s, conj
 chi*): chi* mod q* is the primitive character that induces chi,
 E(s) = prod (1 - chi*(p) p^{-s}) over the primes p | q not dividing q*
@@ -31,12 +34,13 @@ Euler-Maclaurin sum differentiated term by term in s (Johansson, Numer.
 Algorithms 69, 2015).  Left of the reflection threshold L' is the product
 rule on E F L(1-s, conj chi*), with psi(1-s) and L'(1-s, conj chi*).
 
-Where Re s log max(q, 2) passes log DBL_MAX, the assembly's q^{-s} would
-leave the double range (for zeta, q = 1, its Euler-Maclaurin coefficients
-overflow instead), while the Dirichlet series converges like 2^{-Re s}.  There
-L and L' are sum chi(n) n^{-s} and -sum chi(n) log n n^{-s} themselves,
-summed until a term's bound falls below 1e-17 of the sum.  For q > 1, L'
-takes the series from Re s = 8 on too, where its assembly cancels.
+From Re s = 16 on, L is the Dirichlet series sum chi(n) n^{-s} itself,
+for every q, summed until a term's bound falls below 1e-17 of the sum:
+about 12 terms, exact to rounding, where the assembly loses about
+Re s eps.  L' is -sum chi(n) log n n^{-s} where Re s log max(q, 2) passes
+log DBL_MAX, so that the assembly's q^{-s} would leave the double range
+(for zeta', q = 1, its Euler-Maclaurin coefficients overflow instead),
+and for q > 1 from Re s = 8 on too, where its assembly cancels.
 """
 
 from __future__ import annotations
@@ -94,27 +98,50 @@ def _is_nonpositive_integer(s: complex) -> bool:
     return abs(s.imag) < 1e-12 and s.real <= 0.5 and abs(s.real - round(s.real)) < 1e-12
 
 
+def _lanczos(u: complex) -> tuple[complex, complex]:
+    """t = u + g - 1/2 and the rational sum A of Gamma(u) = sqrt(2 pi)
+    t^{u-1/2} e^{-t} A, for Re u >= 1/2."""
+    z = u - 1.0
+    acc = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[k] / (z + k)
+    return z + _LANCZOS_G + 0.5, acc
+
+
 def gamma(s: complex | float) -> complex:
-    """Gamma(s) for complex s, poles excluded; DomainError past the double range."""
+    """Gamma(s) for complex s, poles excluded; DomainError past the double range.
+
+    Left of Re s = 1/2 by reflection, pi / (sin(pi s) Gamma(1-s)).  Where
+    Gamma(1-s) overflows (from s ~ -170.6), the quotient divides by the two
+    halves of its power t^{1/2-s} in turn, so that it falls to a subnormal
+    or, past them, to a zero of the sign of sin(pi s)."""
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"gamma pole at s={s}")
     if s.real < 0.5:
         # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1-s))
-        return cmath.pi / (cmath.sin(cmath.pi * s) * gamma(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    try:
-        out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-    except OverflowError:  # t^{z+1/2} overflows from Re s ~ 143, Gamma at 171.6
+        sn = cmath.sin(cmath.pi * s)
         try:
-            p = t ** (0.5 * (z + 0.5))
-            out = math.sqrt(2.0 * math.pi) * p * (p * cmath.exp(-t)) * acc
-        except OverflowError:
-            out = cmath.inf
+            return cmath.pi / (sn * gamma(1.0 - s))
+        except DomainError:  # Gamma(1-s) overflows, from s ~ -170.6
+            pass
+        t, acc = _lanczos(1.0 - s)
+        try:
+            p = t ** (0.5 * (0.5 - s))  # half of Gamma(1-s)'s power
+            out = cmath.pi / (math.sqrt(2.0 * math.pi) * sn * cmath.exp(-t) * acc) / p / p
+        except (OverflowError, ZeroDivisionError):  # p or e^t overflows: below every subnormal
+            out = complex(math.copysign(0.0, sn.real), 0.0)
+    else:
+        t, acc = _lanczos(s)
+        z = s - 1.0
+        try:
+            out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+        except OverflowError:  # t^{z+1/2} overflows from Re s ~ 143, Gamma at 171.6
+            try:
+                p = t ** (0.5 * (z + 0.5))
+                out = math.sqrt(2.0 * math.pi) * p * (p * cmath.exp(-t)) * acc
+            except OverflowError:
+                out = cmath.inf
     if not cmath.isfinite(out):
         raise DomainError(f"gamma({s:g}) lies outside the double range")
     if abs(s.imag) == 0.0:
@@ -145,8 +172,12 @@ _EM_TERMS = 12
 # refused.  It sits left of the functional-equation test windows of L,
 # which therefore exercise the direct continuation.
 _REFLECT_RE = -1.75
+# From this Re s on L takes the Dirichlet series, for every q: the assembly
+# loses about Re s eps (1.1e-14 relative at s = 100 for chi mod 40 index 3),
+# where the series stops after about 12 terms, exact to rounding.
+_SERIES_RE = 16.0
 # Past this Re s log max(q, 2) the assembly's q^{-s} leaves the double range,
-# and L and L' take the Dirichlet series (zeta from Re s = 1024).
+# and L' takes the Dirichlet series (zeta' from Re s = 1024).
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 # From this Re s on L' for q > 1 takes the Dirichlet series too: its
 # assembly cancels, by 6.9e-12 relative at s = 8 for chi mod 40 index 3,
@@ -174,18 +205,21 @@ def _em_head_length(s: complex) -> int:
     return max(15, math.ceil(im) + 10)
 
 
-def _em_setup(s: complex) -> tuple[int, list[complex], list[complex]]:
+def _em_setup(s: complex, derivative: bool = False) -> tuple[int, list[complex], list[complex]]:
     """The head length M of an Euler-Maclaurin batch at s, refused by
     within_budget before any term is summed, and the correction coefficients
-    B_{2j}/(2j)! (s)_{2j-1} of X^{-s-2j+1} with their s-derivatives."""
+    B_{2j}/(2j)! (s)_{2j-1} of X^{-s-2j+1}, with their s-derivatives for a
+    derivative batch (else no derivatives)."""
     M = within_budget(_em_head_length(s), f"the Euler-Maclaurin head of zeta({s:g}, a)")
     coefs, dcoefs = [], []
     poch, dpoch = s, 1.0  # (s)_1 and its derivative
     for j in range(1, _EM_TERMS + 1):
         coefs.append(_EM_COEF[j] * poch)
-        dcoefs.append(_EM_COEF[j] * dpoch)
         step = (s + 2 * j - 1) * (s + 2 * j)
-        poch, dpoch = poch * step, dpoch * step + poch * (2.0 * s + 4 * j - 1)
+        if derivative:
+            dcoefs.append(_EM_COEF[j] * dpoch)
+            dpoch = dpoch * step + poch * (2.0 * s + 4 * j - 1)
+        poch *= step
     return M, coefs, dcoefs
 
 
@@ -239,7 +273,7 @@ def _em_loop_derivative(s: complex, avals, regularized: bool) -> list[complex]:
     takes float powers, rounded by libm within an ulp, where Python's complex
     power multiplies an integer exponent out."""
     s = s.real if s.imag == 0.0 else s
-    M, coefs, dcoefs = _em_setup(s)
+    M, coefs, dcoefs = _em_setup(s, derivative=True)
     ms, ps, ms1 = -s, 1.0 - s, -s - 1.0
     out = []
     for a in avals:
@@ -263,37 +297,35 @@ def _em_loop_derivative(s: complex, avals, regularized: bool) -> list[complex]:
     return out
 
 
-# X^{1-s}, X^{-s} and the corrections' X^{-s-2j+1} are X^{-s-shift}
-_EM_SHIFTS = np.array([-1.0, 0.0] + [2.0 * j - 1.0 for j in range(1, _EM_TERMS + 1)])
-
-
 def _em_array(s: complex, avals, regularized: bool, derivative: bool) -> list[complex]:
     """_em_loop, or _em_loop_derivative if derivative, as array work: log x
-    once over the (units x head) grid x = n + a, in blocks of _HOT_DOUBLES
-    doubles, each row's head summed by itself (so a unit's value does not
-    depend on its batch), and the pole, half and correction terms added to
-    it in the loops' order.  A non-finite value raises OverflowError, as
-    Python's complex power does in the loops."""
-    M, coefs, dcoefs = _em_setup(s)
+    over the (units x head) grid x = n + a in blocks of _HOT_DOUBLES doubles,
+    and one X^{-s} per unit (X = M + a) for the pole term X X^{-s}/(s-1), the
+    half term X^{-s}/2 and the corrections X^{-s} sum_j c_j X^{1-2j}, times
+    their log X factors for zeta'.  Each unit's head and correction row is
+    summed by itself, so its value does not depend on its batch.  A
+    non-finite value raises OverflowError, as the loops' complex power does."""
+    M, coefs, dcoefs = _em_setup(s, derivative)
     a = np.array(avals, dtype=float)
     cols = min(M, _HOT_DOUBLES // 2)  # complex values in a block
     rows = max(1, _HOT_DOUBLES // 2 // cols)
-    terms = np.zeros((a.size, 3 + _EM_TERMS), complex)  # head, pole, half, corrections
+    out = np.zeros(a.size, complex)
     with np.errstate(all="ignore"):
         for j in range(0, M, cols):
             n = np.arange(j, min(M, j + cols), dtype=float)
             for i in range(0, a.size, rows):
                 lx = np.log(n + a[i:i + rows, None])
                 t = np.exp(lx * -s)
-                terms[i:i + rows, 0] += (t * -lx if derivative else t).sum(axis=1)
-        lx, ps = np.log(M + a), 1.0 - s
-        pw = np.exp(lx[:, None] * (-s - _EM_SHIFTS))
+                out[i:i + rows] += (t * -lx if derivative else t).sum(axis=1)
+        X = M + a
+        lx, ps = np.log(X), 1.0 - s
+        xs = np.exp(lx * -s)  # X^{-s}
+        u = X[:, None] ** np.arange(-1.0, -2 * _EM_TERMS, -2.0)  # X^{1-2j}
         if not derivative:
-            terms[:, 1] = -np.expm1(ps * lx) / ps if regularized else pw[:, 0] / (s - 1.0)
-            terms[:, 2] = 0.5 * pw[:, 1]
-            terms[:, 3:] = pw[:, 2:] * np.array(coefs)
+            out += -np.expm1(ps * lx) / ps if regularized else X * xs / (s - 1.0)
+            out += 0.5 * xs + xs * (u * np.array(coefs)).sum(axis=1)
         else:
-            pole = -pw[:, 0] / (s - 1.0) * (lx + 1.0 / (s - 1.0))
+            pole = -X * xs / (s - 1.0) * (lx + 1.0 / (s - 1.0))
             if regularized:
                 pole += 1.0 / (ps * ps)
                 w = ps * lx
@@ -303,10 +335,8 @@ def _em_array(s: complex, avals, regularized: bool, derivative: bool) -> list[co
                     for k in range(27, 0, -1):
                         slope = slope * w + k / math.factorial(k + 1)
                     pole[small] = lx[small] ** 2 * slope
-            terms[:, 1] = pole
-            terms[:, 2] = -0.5 * lx * pw[:, 1]
-            terms[:, 3:] = (np.array(dcoefs) - lx[:, None] * np.array(coefs)) * pw[:, 2:]
-        out = np.cumsum(terms, axis=1)[:, -1]
+            dc = np.array(dcoefs) - lx[:, None] * np.array(coefs)
+            out += pole - 0.5 * lx * xs + xs * (u * dc).sum(axis=1)
     if not np.isfinite(out).all():
         raise OverflowError(f"an Euler-Maclaurin sum at s = {s:g} leaves the double range")
     return out.tolist()
@@ -365,18 +395,19 @@ def _dirichlet_L_cached(sre: float, sim: float, chi: Character) -> complex:
         raise PoleError(f"L(s, principal chi mod {q}) pole at s=1")
     if s.real < _REFLECT_RE:
         return _reflected(s, chi, derivative=False)
-    if s.real * math.log(max(q, 2)) > _LOG_DBL_MAX:
+    if s.real >= _SERIES_RE:
         return _dirichlet_series(s, chi, derivative=False)
     return _assemble(s, chi, _hurwitz_em)
 
 
 def _dirichlet_series(s: complex, chi: Character, derivative: bool) -> complex:
-    """sum chi(n) n^{-s}, or its s-derivative -sum chi(n) log n n^{-s}, for
-    Re s log q > _LOG_DBL_MAX, or the derivative from _DERIVATIVE_SERIES_RE:
-    from n = 2 on, until the bound n^{-Re s} on a term (times log n) falls
-    to 1e-17 of the running sum, within N / (Re s - 1) (20 at Re s = 8) of
-    the bound on the whole tail.  The value is the math.fsum of the terms'
-    real and imaginary parts; the running sum only decides when to stop."""
+    """sum chi(n) n^{-s} from Re s = _SERIES_RE, or its s-derivative
+    -sum chi(n) log n n^{-s} for Re s log q > _LOG_DBL_MAX or from
+    _DERIVATIVE_SERIES_RE: from n = 2 on, until the bound n^{-Re s} on a
+    term (times log n) falls to 1e-17 of the running sum, within
+    N / (Re s - 1) (20 at Re s = 8) of the bound on the whole tail.  The
+    value is the math.fsum of the terms' real and imaginary parts; the
+    running sum only decides when to stop."""
     table, q = _value_table(chi), chi.modulus
     terms = [] if derivative else [table[1 % q]]
     acc, n = sum(terms, 0j), 2

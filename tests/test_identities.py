@@ -1,8 +1,10 @@
 import concurrent.futures
+import importlib
 import io
 import json
 import math
 import numbers
+import pkgutil
 import re
 import time
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tblab import identities, series
+import tblab
+from tblab import clear_caches, identities
 from tblab.arith import DivisorSumSpec, divisor_sum
 from tblab.characters import TRIVIAL, enumerate_characters, gauss_sum
 from tblab.errors import ConvergenceError, DomainError, ExcludedParameter, HypothesisError
@@ -408,30 +411,39 @@ def test_determinism_modulo_wall_ms():
         assert a == b
 
 
-def test_voronoi_rhs_do_not_depend_on_the_order_the_records_run_in():
-    # the kernel tables fill as records run; each page of pieces and each
-    # endpoint expansion is built alone, so what earlier records left
-    # there moves no bit of a later one
-    cases = default_cases(_VORONOI_TIDS)
-
-    def clear():
-        series._page_coefs.cache_clear()
-        identities._endpoint_expansion.cache_clear()
+def test_no_record_depends_on_the_order_the_records_run_in():
+    # the caches fill as records run (character tables, L values, kernel
+    # pages, endpoint expansions); each entry is built alone, so what
+    # earlier records left there moves no bit of a later one's lhs or rhs
+    cases = default_cases()
 
     def bits(order, clear_each):
-        clear()
+        clear_caches()
         out = {}
         for i in order:
             if clear_each:
-                clear()
-            rhs = verify(cases[i]).rhs
-            out[i] = (rhs.real.hex(), rhs.imag.hex())
+                clear_caches()
+            r = verify(cases[i])
+            out[i] = tuple(x.hex() for v in (r.lhs, r.rhs) for x in (v.real, v.imag))
         return out
 
     forward = bits(range(len(cases)), False)
-    assert len(forward) == 52
+    assert len(forward) == 177
     assert bits(reversed(range(len(cases))), False) == forward
     assert bits(range(len(cases)), True) == forward
+
+
+def test_every_cache_of_the_library_is_in_one_list():
+    # clear_caches reaches every lru_cache wrapper of every tblab module,
+    # at module level or on a class
+    found = set()
+    for info in pkgutil.iter_modules(tblab.__path__):
+        module = importlib.import_module(f"tblab.{info.name}")
+        scopes = [vars(module)] + [vars(v) for v in vars(module).values() if isinstance(v, type)]
+        found |= {id(v) for scope in scopes for v in scope.values()
+                  if callable(getattr(v, "cache_clear", None))}
+    assert found == {id(cache) for cache in tblab._CACHES}
+    assert len(tblab._CACHES) == 10
 
 
 def test_parallel_runner_matches_sequential():

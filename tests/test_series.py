@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tblab import series
+from tblab import clear_caches, series
 from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import JY_CUT, K_ASYM_CUT, k_values
 from tblab.characters import TRIVIAL, enumerate_characters
@@ -481,7 +481,7 @@ def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
     # a second call over the same scales reads every piece's K, Y and J
     # coefficients from the table and the integrals from the expansion it
     # is given, bit for bit
-    series._page_coefs.cache_clear()
+    clear_caches()
     calls = []
     for name in ("jy_values", "k_values"):
         monkeypatch.setattr(series, name, lambda nu, us, real=getattr(series, name), name=name:
@@ -509,7 +509,7 @@ def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
 
 
 def test_a_range_wider_than_a_quarter_of_the_table_stays_outside_it():
-    series._page_coefs.cache_clear()
+    clear_caches()
     wide = _KernelInterpolant("even-cos", 0.25, 1.0, 100.0 + 128.0 * series._PAGE_TABLE / 4)
     assert series._page_coefs.cache_info().currsize == 0
     narrow = _KernelInterpolant("even-cos", 0.25, 1.0, 500.0)

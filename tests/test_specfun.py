@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from tblab import specfun
+from tblab import clear_caches, specfun
 from tblab.characters import enumerate_characters, gauss_sum
 from tblab.errors import ConvergenceError, DomainError, PoleError
 from tblab.specfun import (
@@ -165,6 +165,18 @@ class TestDirichletL:
             value = mp_L(s, chi, d, dps)
             assert abs(got - value) <= 1e-15 * abs(value), d
 
+    @pytest.mark.parametrize("q, index", [(1, 0), (3, 1), (40, 3)])
+    def test_L_from_re_s_16_is_its_dirichlet_series(self, q, index):
+        # the assembly loses about Re s eps there (1.1e-14 relative at
+        # s = 100 for chi mod 40 index 3), where the series stops after
+        # about 12 terms, exact to rounding
+        pytest.importorskip("mpmath")
+        from golden_distances import mp_L
+        chi = enumerate_characters(q)[index]
+        for s in (16.0, 30.0, 100.0, 600.0):
+            value = mp_L(s, chi, 0, 40)
+            assert abs(dirichlet_L(s, chi) - value) <= 2 * sys.float_info.epsilon * abs(value), s
+
     def test_L_and_derivative_far_past_the_double_range(self):
         # 2^{-Re s} underflows: L is 1 and L' is 0 in double precision, with
         # no Euler-Maclaurin head of |Im s| terms
@@ -222,7 +234,7 @@ class TestDirichletL:
             for s, count in ((complex(-2.718, 3.14), euler_phi(chi.conductor)),
                              (complex(0.577, -1.41), euler_phi(q))):
                 batches.clear()
-                specfun._dirichlet_L_cached.cache_clear()
+                clear_caches()
                 dirichlet_L(s, chi)
                 assert batches == [count], (q, idx, s)
 
@@ -259,11 +271,31 @@ def test_the_array_pass_agrees_with_the_loop(q):
     assert series_branch
 
 
+@pytest.mark.parametrize("s", [complex(2.2, 3.3), complex(0.4, -7.1), complex(4.1, -5.5),
+                               complex(0.5, 1e4)],
+                         ids=["right", "strip", "reflected", "blocks"])
+def test_each_unit_of_the_array_pass_is_the_same_bits_alone_as_in_its_batch(s):
+    # lvalue-scan's regions: Re s in [1.5, 3], the strip, and 1 - s for its
+    # reflected points; at |Im s| = 1e4 the head is summed in blocks.  The
+    # head, pole, half and correction terms of a unit all come from its own
+    # row, for zeta and zeta', regularized or not
+    avals = [a / 40 for a in range(1, 40) if math.gcd(a, 40) == 1]
+
+    def bits(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    for regularized in (False, True):
+        for derivative in (False, True):
+            batch = specfun._em_array(s, avals, regularized, derivative)
+            alone = [specfun._em_array(s, [a], regularized, derivative)[0] for a in avals]
+            assert bits(batch) == bits(alone), (regularized, derivative)
+
+
 def test_a_large_head_is_summed_in_blocks():
     # at s = 1e5 i the head is 100,010 terms for each of the 16 units mod
     # 40: a 25.6 MB grid if taken whole, about 0.27 MB in 64 kB blocks
     chi = enumerate_characters(40)[3]
-    specfun._dirichlet_L_cached.cache_clear()
+    clear_caches()
     for f in (dirichlet_L, L_derivative):  # L' takes L from the cache
         tracemalloc.start()
         try:

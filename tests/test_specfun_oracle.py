@@ -26,6 +26,7 @@ L' takes the Dirichlet series, it is held to 1e-15 relative on fixed
 points, against mpmath at 40 + 0.7 Re s digits.
 """
 
+import math
 import sys
 
 import pytest
@@ -102,6 +103,19 @@ def test_gamma(s):
         return
     with mpmath.workdps(30):
         assert _error(got, mpmath.gamma(s)) < GAMMA_BOUND
+
+
+@pytest.mark.parametrize("s", [-171.5, -175.25, -180.5])
+def test_gamma_where_gamma_1_minus_s_overflows(s):
+    # Gamma(1 - s) leaves the double range from s ~ -170.6, and Gamma(s)
+    # falls through the subnormals: 1.93e-310 at -171.5, 1.09e-318 at
+    # -175.25, and at -180.5 (-1.16e-330) a zero of its sign
+    got = gamma(s)
+    with mpmath.workdps(30):
+        value = float(mpmath.gamma(s))
+    assert got.imag == 0.0
+    assert abs(got.real - value) <= GAMMA_BOUND * abs(value) + 2.0 ** -1074
+    assert math.copysign(1.0, got.real) == math.copysign(1.0, value)
 
 
 # hurwitz_zeta evaluates right of the reflection threshold, Re s = -1.75
