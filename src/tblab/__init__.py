@@ -48,7 +48,9 @@ __version__ = "0.1.0"
 
 # Every process-level cache of the library, each bounded by its lru_cache
 # maxsize but bernoulli_number's and _unit_group's, which grow with the
-# orders and moduli asked for.
+# orders and moduli asked for.  specfun._units and specfun._em_grid hold the
+# s-independent parts of an L-value: each modulus's units, and the log
+# grid, X and X^{1-2j} of an Euler-Maclaurin batch per (unit set, head).
 _CACHES = (
     characters._unit_group,
     characters._exponent_table,
@@ -58,6 +60,8 @@ _CACHES = (
     characters.gauss_sum,
     specfun.bernoulli_number,
     specfun._dirichlet_L_cached,
+    specfun._units,
+    specfun._em_grid,
     series._page_coefs,
     identities._endpoint_expansion,
 )

@@ -13,13 +13,16 @@ An L-value does its s-dependent work once.  The Euler-Maclaurin routine
 takes one s and a batch of arguments a, forming the head length, the
 exponents and the correction coefficients once per batch (the scalar
 hurwitz_zeta is a batch of one), and all units a of the modulus go into
-one batch.  At a non-real s the batch is NumPy array work: the head over
-the (units x head) grid, and the pole, half and correction terms from
-one power X^{-s} per unit (X = M + a), the corrections through one real
-(units x 12) matrix of the powers X^{1-2j}.  Each unit's rows are summed
-by themselves, so that its value does not depend on the batch.  At a
-real s, the only s the registry asks for, the batch is a scalar loop, on
-whose rounding the recorded values rest.
+one batch.  At a non-real s the batch is NumPy array work: one complex
+exp over the (units x (head + 1)) grid of log(n + a) gives the head and
+one power X^{-s} per unit (X = M + a) for the pole, half and correction
+terms, the corrections through one real (units x 12) matrix of the
+powers X^{1-2j}.  The logs, X and X^{1-2j} do not depend on s: they are
+formed once per unit set and head length M and process (_em_grid), and
+each modulus's units and a/q once per q (_units).  Each unit's rows are
+summed by themselves, so that its value does not depend on the batch or
+the cache.  At a real s, the only s the registry asks for, the batch is
+a scalar loop, on whose rounding the recorded values rest.
 Left of the reflection threshold, L(s, chi) is E(s) F(s) L(1-s, conj
 chi*): chi* mod q* is the primitive character that induces chi,
 E(s) = prod (1 - chi*(p) p^{-s}) over the primes p | q not dividing q*
@@ -112,25 +115,38 @@ def gamma(s: complex | float) -> complex:
     """Gamma(s) for complex s, poles excluded; DomainError past the double range.
 
     Left of Re s = 1/2 by reflection, pi / (sin(pi s) Gamma(1-s)).  Where
-    Gamma(1-s) overflows (from s ~ -170.6), the quotient divides by the two
-    halves of its power t^{1/2-s} in turn, so that it falls to a subnormal
-    or, past them, to a zero of the sign of sin(pi s)."""
+    that product leaves the double range (Gamma(1-s) from s ~ -170.6, sin(pi
+    s) from |Im s| ~ 226), the quotient is formed in pieces whose divisors
+    are at least 1, so that it falls to a subnormal or, past them, to a zero
+    of the sign of sin(pi s)."""
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"gamma pole at s={s}")
     if s.real < 0.5:
         # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1-s))
-        sn = cmath.sin(cmath.pi * s)
         try:
-            return cmath.pi / (sn * gamma(1.0 - s))
-        except DomainError:  # Gamma(1-s) overflows, from s ~ -170.6
-            pass
-        t, acc = _lanczos(1.0 - s)
-        try:
-            p = t ** (0.5 * (0.5 - s))  # half of Gamma(1-s)'s power
-            out = cmath.pi / (math.sqrt(2.0 * math.pi) * sn * cmath.exp(-t) * acc) / p / p
-        except (OverflowError, ZeroDivisionError):  # p or e^t overflows: below every subnormal
-            out = complex(math.copysign(0.0, sn.real), 0.0)
+            out = cmath.pi / (cmath.sin(cmath.pi * s) * gamma(1.0 - s))
+        except (DomainError, OverflowError):  # Gamma(1-s) or sin(pi s) overflows
+            out = 0j
+        if out == 0 or not cmath.isfinite(out):  # Gamma has no zero: the product overflowed
+            # s = x + iy: sin(pi s) = e^{pi |y|} S, |S| <= 1, and Gamma(1-s) =
+            # sqrt(2 pi) t^{1/2-s} e^{-t} A, so pi / (sqrt(2 pi) S e^{-t} A)
+            # is divided twice by h, the square root of t^{1/2-s} e^{pi |y|}:
+            # |h| = |t|^{(1/2-x)/2} e^{(pi - |arg t|) |y|/2} >= 1, formed as
+            # Python's complex power forms t^{(1/2-s)/2}
+            y = abs(s.imag)
+            ipis = 1j * cmath.pi * s
+            S = (cmath.exp(ipis - cmath.pi * y) - cmath.exp(-ipis - cmath.pi * y)) / 2j
+            t, acc = _lanczos(1.0 - s)
+            w, r, arg = 0.5 * (0.5 - s), abs(t), cmath.phase(t)
+            try:
+                h = cmath.rect(r ** w.real * math.exp(0.5 * math.pi * y - arg * w.imag),
+                               arg * w.real + w.imag * math.log(r))
+                out = cmath.pi / (math.sqrt(2.0 * math.pi) * S * cmath.exp(-t) * acc) / h / h
+            except (OverflowError, ZeroDivisionError):  # h or e^t overflows
+                out = 0j
+            if out == 0 or not cmath.isfinite(out):  # below every subnormal
+                out = complex(math.copysign(0.0, S.real), 0.0)
     else:
         t, acc = _lanczos(s)
         z = s - 1.0
@@ -165,6 +181,7 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 _EM_TERMS = 12
+_EM_POWERS = np.arange(-1.0, -2 * _EM_TERMS, -2.0)  # the exponents 1 - 2j of X
 
 # Left of this line the Euler-Maclaurin head loses eps*(M+a)^{|Re s|}
 # (amplified by q^{|Re s|} in an L-value assembly) to cancellation, so
@@ -297,30 +314,61 @@ def _em_loop_derivative(s: complex, avals, regularized: bool) -> list[complex]:
     return out
 
 
-def _em_array(s: complex, avals, regularized: bool, derivative: bool) -> list[complex]:
-    """_em_loop, or _em_loop_derivative if derivative, as array work: log x
-    over the (units x head) grid x = n + a in blocks of _HOT_DOUBLES doubles,
-    and one X^{-s} per unit (X = M + a) for the pole term X X^{-s}/(s-1), the
-    half term X^{-s}/2 and the corrections X^{-s} sum_j c_j X^{1-2j}, times
-    their log X factors for zeta'.  Each unit's head and correction row is
-    summed by itself, so its value does not depend on its batch.  A
-    non-finite value raises OverflowError, as the loops' complex power does."""
-    M, coefs, dcoefs = _em_setup(s, derivative)
+@lru_cache(maxsize=256)
+def _em_grid(avals: tuple[float, ...], M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s-independent arrays of an Euler-Maclaurin batch with head
+    length M, once per (avals, M) and process, read-only: log(n + a) over
+    n = 0..M for each a of avals, whose column M is log X (X = M + a), X,
+    and the (units x 12) powers X^{1-2j}.  _em_array asks only for a grid
+    of at most _HOT_DOUBLES / 2 doubles, so an entry holds at most 32 kB
+    and the 256 entries at most 8 MB; lvalue-scan's grids (units <= 36,
+    M <= 20) hold under 10 kB each."""
     a = np.array(avals, dtype=float)
-    cols = min(M, _HOT_DOUBLES // 2)  # complex values in a block
-    rows = max(1, _HOT_DOUBLES // 2 // cols)
-    out = np.zeros(a.size, complex)
+    logs = np.log(np.arange(M + 1.0) + a[:, None])
+    X = M + a
+    powers = X[:, None] ** _EM_POWERS
+    for v in (logs, X, powers):
+        v.flags.writeable = False
+    return logs, X, powers
+
+
+def _em_array(s: complex, avals, regularized: bool, derivative: bool) -> list[complex]:
+    """_em_loop, or _em_loop_derivative if derivative, as array work: the
+    head (n + a)^{-s} over the (units x head) grid, and one X^{-s} per unit
+    (X = M + a) for the pole term X X^{-s}/(s-1), the half term X^{-s}/2 and
+    the corrections X^{-s} sum_j c_j X^{1-2j}, times their log X factors for
+    zeta'.  The logs, X and X^{1-2j} do not depend on s: where they fit in
+    _HOT_DOUBLES / 2 doubles they come from _em_grid, and one complex exp
+    over the log grid gives the head and X^{-s}; a larger head is summed in
+    blocks of _HOT_DOUBLES doubles, uncached.  Each unit's head and
+    correction row is summed by itself, and every log, power and exp is
+    taken element by element, so a unit's value does not depend on its
+    batch or on the cache.  A non-finite value raises OverflowError, as the
+    loops' complex power does."""
+    M, coefs, dcoefs = _em_setup(s, derivative)
     with np.errstate(all="ignore"):
-        for j in range(0, M, cols):
-            n = np.arange(j, min(M, j + cols), dtype=float)
-            for i in range(0, a.size, rows):
-                lx = np.log(n + a[i:i + rows, None])
-                t = np.exp(lx * -s)
-                out[i:i + rows] += (t * -lx if derivative else t).sum(axis=1)
-        X = M + a
-        lx, ps = np.log(X), 1.0 - s
-        xs = np.exp(lx * -s)  # X^{-s}
-        u = X[:, None] ** np.arange(-1.0, -2 * _EM_TERMS, -2.0)  # X^{1-2j}
+        if len(avals) * (M + 2 + _EM_TERMS) <= _HOT_DOUBLES // 2:  # the doubles of _em_grid
+            logs, X, u = _em_grid(tuple(avals), M)
+            t = logs * -s
+            np.exp(t, out=t)
+            out = (t[:, :M] * -logs[:, :M] if derivative else t[:, :M]).sum(axis=1)
+            lx, xs = logs[:, M], t[:, M]
+        else:
+            a = np.array(avals, dtype=float)
+            cols = min(M, _HOT_DOUBLES // 2)  # complex values in a block
+            rows = max(1, _HOT_DOUBLES // 2 // cols)
+            out = np.zeros(a.size, complex)
+            for j in range(0, M, cols):
+                n = np.arange(j, min(M, j + cols), dtype=float)
+                for i in range(0, a.size, rows):
+                    lx = np.log(n + a[i:i + rows, None])
+                    t = np.exp(lx * -s)
+                    out[i:i + rows] += (t * -lx if derivative else t).sum(axis=1)
+            X = M + a
+            lx = np.log(X)
+            xs = np.exp(lx * -s)  # X^{-s}
+            u = X[:, None] ** _EM_POWERS
+        ps = 1.0 - s
         if not derivative:
             out += -np.expm1(ps * lx) / ps if regularized else X * xs / (s - 1.0)
             out += 0.5 * xs + xs * (u * np.array(coefs)).sum(axis=1)
@@ -423,15 +471,23 @@ def _dirichlet_series(s: complex, chi: Character, derivative: bool) -> complex:
         n += 1
 
 
+@lru_cache(maxsize=128)
+def _units(q: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The units a in [1, q] and their a/q, once per modulus: about 70
+    bytes a unit, so 128 moduli below 1,000 hold under 9 MB."""
+    units = tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+    return units, tuple(a / q for a in units)
+
+
 def _assemble(s: complex, chi: Character, em) -> complex:
     """q^{-s} sum_a chi(a) f(s, a/q) over the units a, the batch of f (zeta
     or its s-derivative) from em."""
     q = chi.modulus
     table = _value_table(chi)
-    units = [a for a in range(1, q + 1) if table[a % q]]
+    units, avals = _units(q)
     # for a non-principal chi the regularized pole terms cancel, since
     # sum_a chi(a) = 0
-    hzs = em(s, [a / q for a in units], regularized=not chi.is_principal)
+    hzs = em(s, avals, regularized=not chi.is_principal)
     acc = 0j
     for a, hz in zip(units, hzs):
         acc += table[a % q] * hz

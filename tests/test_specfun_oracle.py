@@ -118,6 +118,26 @@ def test_gamma_where_gamma_1_minus_s_overflows(s):
     assert math.copysign(1.0, got.real) == math.copysign(1.0, value)
 
 
+# worst 4.7e-13 relative over 600 draws with Re s in [-200, 1/2) and
+# 150 <= |Im s| <= 1000, at s = -2.53 + 409.8i: the phase of t^{1/2-s},
+# |Im s| log |t| (about 2,500 rad there), is rounded to eps of itself
+GAMMA_FAR_BOUND = 1.5e-12
+
+
+@pytest.mark.parametrize("s", [complex(-100, 200), complex(-150, 100),
+                               complex(-1, 300), complex(0.3, 300)])
+def test_gamma_left_of_one_half_at_a_large_imaginary_part(s):
+    # sin(pi s) Gamma(1 - s) leaves the double range: Gamma is 5.5e-370 and
+    # 1.3e-385 in modulus (zeros in double) at the first two points, 1.1e-208
+    # and 1.8e-205 at the last two, where sin(pi s) overflows
+    got = gamma(s)
+    with mpmath.workdps(30):
+        value = mpmath.gamma(s)
+        size = float(abs(value))
+        err = float(abs(mpmath.mpc(got) - value))
+    assert err <= GAMMA_FAR_BOUND * size + 2.0 ** -1074, (got, size)
+
+
 # hurwitz_zeta evaluates right of the reflection threshold, Re s = -1.75
 # included, and refuses the strip left of it, below
 right = st.builds(complex, st.integers(-7 * 256, 3 * 1024).map(lambda k: k / 1024),
