@@ -42,7 +42,7 @@ from .specfun import (
     riemann_zeta,
 )
 
-from . import characters, identities, series, specfun
+from . import arith, characters, identities, series, specfun
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,9 @@ __version__ = "0.1.0"
 # orders and moduli asked for.  specfun._units and specfun._em_grid hold the
 # s-independent parts of an L-value: each modulus's units, and the log
 # grid, X and X^{1-2j} of an Euler-Maclaurin batch per (unit set, head).
+# arith._coefficient_table holds the coefficient arrays of up to 2,048
+# terms per (spec, count), and series._k_head the quadrature-branch values
+# K_nu(lam sqrt(n)) below K_ASYM_CUT per (nu, lam) of a Bessel-kernel series.
 _CACHES = (
     characters._unit_group,
     characters._exponent_table,
@@ -62,6 +65,8 @@ _CACHES = (
     specfun._dirichlet_L_cached,
     specfun._units,
     specfun._em_grid,
+    arith._coefficient_table,
+    series._k_head,
     series._page_coefs,
     identities._endpoint_expansion,
 )

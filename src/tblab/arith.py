@@ -8,7 +8,9 @@ sum_{d|n} d^z chi(d) is (z, chi), its bar twist sum_{d|n} d^z chi(n/d) is
 
 Values for a single n come from its divisors, found by trial division;
 whole coefficient ranges, which the series evaluators consume, from one
-convolution sweep in two halves split at sqrt(count).  The generating
+convolution sweep in two halves split at sqrt(count), as read-only
+arrays, of which those up to 2,048 coefficients are computed once per
+(spec, count) and process and kept in a bounded table.  The generating
 Dirichlet series L(s - z, chi1) L(s, chi2) anchors the tail continuation
 used by the series module.
 """
@@ -18,9 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .bessel import _HOT_DOUBLES
 from .characters import TRIVIAL, Character, _divisors
 from .errors import DomainError
 from .specfun import L_derivative, dirichlet_L
@@ -81,8 +85,23 @@ def _char_values(chi: Character, count: int, z: complex = 0) -> np.ndarray:
     return arr
 
 
+# coefficient arrays up to this count (32 kB) are tabled
+_TABLED_COUNT = _HOT_DOUBLES // 4
+
+
 def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
-    """f_z(1..count) as a complex array (index 0 unused).
+    """f_z(1..count) as a read-only complex array (index 0 unused).
+
+    Up to _TABLED_COUNT coefficients it is computed once per (spec,
+    count) and process (_coefficient_table), a longer one on each call;
+    either way by _coefficients, so the table moves no bit."""
+    return (_coefficient_table if count <= _TABLED_COUNT else _coefficients)(spec, count)
+
+
+def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
+    """coefficient_array, computed.  As _coefficient_table it keeps the
+    arrays of at most _TABLED_COUNT = _HOT_DOUBLES / 4 = 2,048
+    coefficients (32 kB) of the 256 latest (spec, count), at most 8 MB.
 
     The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) in two
     sweeps split at S = isqrt(count) (Dirichlet's hyperbola method):
@@ -104,7 +123,11 @@ def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
             arr[(root + 1) * e::e] += a[root + 1:count // e + 1]
         elif b[e]:
             arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
+    arr.flags.writeable = False
     return arr
+
+
+_coefficient_table = lru_cache(maxsize=256)(_coefficients)
 
 
 def closed_form_F(spec: DivisorSumSpec, s: complex) -> complex:

@@ -2,17 +2,20 @@
 
 Bessel-kernel sums are truncated against a certified analytic tail bound
 (coefficients bounded by d(n) n^w, the kernel by its Gaussian-majorant
-exponential bound).  Algebraically decaying sums (shifted powers, log
-kernels, rational Cohen tails) share one loop, _closed_tail: it sums the
-kernel directly up to a head length and completes the rest in closed
-form.  Each of the three expands its kernel in 1/n beyond the head
-(binomially, or, for the log and Cohen kernels, geometrically in one
-_geometric_tail) and hands the loop the expansion order by order; the
-loop turns each order into Dirichlet-tail values F(s) - sum_{n<=head}
-f(n) n^{-s} (or their log-weighted siblings, from -F'), with F given by
-its zeta/L product, and stops at the first order whose certified bound
-is below tol/10.  That reaches ~1e-12 where plain truncation of
-exponents as low as 1.25 could not reach 1e-9.
+exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
+against many coefficient sequences, so its quadrature head, the
+arguments below K_ASYM_CUT, is evaluated once per (nu, lam) and process
+and kept in a bounded table (_k_head).  Algebraically decaying sums
+(shifted powers, log kernels, rational Cohen tails) share one loop,
+_closed_tail: it sums the kernel directly up to a head length and
+completes the rest in closed form.  Each of the three expands its kernel
+in 1/n beyond the head (binomially, or, for the log and Cohen kernels,
+geometrically in one _geometric_tail) and hands the loop the expansion
+order by order; the loop turns each order into Dirichlet-tail values
+F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings, from
+-F'), with F given by its zeta/L product, and stops at the first order
+whose certified bound is below tol/10.  That reaches ~1e-12 where plain
+truncation of exponents as low as 1.25 could not reach 1e-9.
 
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
@@ -118,6 +121,12 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     not begun to decay by the budget; DomainError when f_z(n) n^{nu/2}
     may leave the double range by N, or a, x or a sqrt(x) is not finite;
     and ConvergenceError when the bound at the budget is above tol.
+
+    Where every coefficient is nonzero and the quadrature head fits in
+    the N terms, K_nu below K_ASYM_CUT is read from the table _k_head
+    and evaluated only past the cut.  Otherwise one k_values call takes
+    the terms with a nonzero coefficient: its quadrature rows fall in
+    other blocks than the table's, where they may round differently.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -149,11 +158,39 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     ns = np.arange(1, n1 + 1, dtype=float)
     acc = 0j
     mask = cs != 0
-    if mask.any():
+    head = _k_head(nu, lam) if mask.all() else None
+    if head is not None and head.size <= n1:
+        kv = np.empty_like(ns)
+        kv[:head.size] = head
+        kv[head.size:] = k_values(nu, lam * np.sqrt(ns[head.size:]))
+        acc += np.sum(cs * ns ** (0.5 * nu) * kv)
+    elif mask.any():
         kv = np.zeros_like(ns)
         kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
         acc += np.sum(cs * ns ** (0.5 * nu) * kv)
     return SeriesResult(acc, n1, math.exp(log_tail))
+
+
+@functools.lru_cache(maxsize=256)
+def _k_head(nu: float, lam: float) -> np.ndarray | None:
+    """K_nu(lam sqrt(n)) for the n = 1, 2, ... whose argument is below
+    K_ASYM_CUT, the quadrature branch, once per (nu, lam) and process,
+    read-only; None where more than _HOT_DOUBLES / 2 arguments are (lam
+    below about 0.28), so an entry holds at most 32 kB and the 256 entries
+    at most 8 MB.  The arguments rise with n, so the head is the prefix of
+    a series' arguments that k_values would integrate, in the same blocks
+    of _on_grid, and its values are that call's bits."""
+    limit = _HOT_DOUBLES // 2
+    if lam * math.sqrt(limit + 1) < K_ASYM_CUT:
+        return None
+    # the n below the cut are those below (K_ASYM_CUT / lam)^2 <= limit + 1,
+    # up to a rounding far below the one argument past them taken here
+    last = min(limit + 1, (K_ASYM_CUT / lam) ** 2 + 2)
+    args = lam * np.sqrt(np.arange(1.0, last + 1))
+    size = int(np.count_nonzero(args < K_ASYM_CUT))
+    head = k_values(nu, args[:size])
+    head.flags.writeable = False
+    return head
 
 
 # -- closed-form Dirichlet tails ----------------------------------------

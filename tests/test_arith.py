@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tblab import clear_caches
 from tblab.arith import (
+    _TABLED_COUNT,
     DivisorSumSpec,
     _char_values,
     closed_form_F,
@@ -108,6 +110,20 @@ def test_trivial_chi2_is_the_multiplying_sweeps_byte_for_byte(count):
                 spec = DivisorSumSpec(weight, chi)
                 got = coefficient_array(spec, count)
                 assert got.tobytes() == _multiplying_sweeps(spec, count).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 400, _TABLED_COUNT, _TABLED_COUNT + 1, 5000])
+def test_coefficient_array_is_read_only_and_the_same_bits_cold_and_warm(chi4, chi3, count):
+    # up to _TABLED_COUNT the array comes from a table, past it afresh;
+    # either way no caller can write into what another reads
+    spec = DivisorSumSpec(0.3 + 0.7j, chi4, chi3)
+    clear_caches()
+    cold = coefficient_array(spec, count)
+    warm = coefficient_array(spec, count)
+    assert (warm is cold) == (count <= _TABLED_COUNT)
+    assert cold.tobytes() == warm.tobytes() == _multiplying_sweeps(spec, count).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        warm[1] = 0.0
 
 
 def test_trivial_character_slot_matches_direct(chi4, chi3):

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tblab import clear_caches, series
+from tblab import clear_caches, identities, series
 from tblab.arith import DivisorSumSpec, coefficient_array
-from tblab.bessel import JY_CUT, K_ASYM_CUT, k_values
+from tblab.bessel import _HOT_DOUBLES, JY_CUT, K_ASYM_CUT, k_values
 from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import (
     ConvergenceError,
@@ -16,7 +16,7 @@ from tblab.errors import (
     ExcludedParameter,
     QuadratureError,
 )
-from tblab.identities import TEST_FUNCTIONS, IdentityCase, verify
+from tblab.identities import TEST_FUNCTIONS, THEOREMS, IdentityCase, verify
 from tblab.series import (
     VORONOI_VARIANTS,
     adaptive_integral,
@@ -517,6 +517,99 @@ def test_a_range_wider_than_a_quarter_of_the_table_stays_outside_it():
     # the same pieces, rounded by their place in another call
     shared = slice(0, narrow.coefs.shape[1])
     assert np.allclose(wide.coefs[:, shared], narrow.coefs, rtol=0.0, atol=1e-15)
+
+
+def _series_k_calls(monkeypatch) -> list:
+    """The argument arrays series passes to k_values, recorded from now on."""
+    calls = []
+    real = series.k_values
+    monkeypatch.setattr(series, "k_values", lambda nu, xs: calls.append(xs) or real(nu, xs))
+    return calls
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _one_k_call(spec, a, x, nu, terms) -> complex:
+    """bessel_series's sum as one k_values call over the nonzero terms."""
+    cs = coefficient_array(spec, terms)[1:]
+    ns = np.arange(1, terms + 1, dtype=float)
+    mask = cs != 0
+    kv = np.zeros_like(ns)
+    kv[mask] = k_values(nu, a * math.sqrt(x) * np.sqrt(ns[mask]))
+    return 0j + np.sum(cs * ns ** (0.5 * nu) * kv)
+
+
+def test_the_k_head_is_the_series_call_on_its_prefix(monkeypatch):
+    # for every (nu, a sqrt(x)) of the registered closed-form records, the
+    # tabled quadrature head holds the bits that one k_values call reaching
+    # past K_ASYM_CUT gives its prefix
+    seen = set()
+    real = identities.bessel_series
+    monkeypatch.setattr(identities, "bessel_series", lambda spec, a, x, nu=0.0, **kw:
+                        seen.add((nu, a * math.sqrt(x))) or real(spec, a, x, nu, **kw))
+    for tid, entry in THEOREMS.items():
+        if entry.section in ("sec2", "classical", "cohen", "cohen-half"):
+            for point in entry.points:
+                verify(IdentityCase(tid, **point))
+    assert len(seen) > 20
+    clear_caches()
+    for nu, lam in seen:
+        head = series._k_head(nu, lam)
+        assert (head is None) == (lam * math.sqrt(_HOT_DOUBLES // 2 + 1) < K_ASYM_CUT)
+        if head is None:
+            continue
+        assert not head.flags.writeable
+        # a call over more blocks of _on_grid than the head's
+        args = lam * np.sqrt(np.arange(1.0, 2 * head.size + 130.0))
+        assert (args[:head.size] < K_ASYM_CUT).all() and args[head.size] >= K_ASYM_CUT
+        assert head.tobytes() == k_values(nu, args)[:head.size].tobytes()
+
+
+def test_a_small_lambda_has_no_k_head_and_sums_directly(monkeypatch):
+    # below lam = 18/64 more than _HOT_DOUBLES / 2 arguments fall below
+    # K_ASYM_CUT: the series makes one k_values call, as without a table
+    clear_caches()
+    lam = 0.27
+    assert series._k_head(0.25, lam) is None
+    calls = _series_k_calls(monkeypatch)
+    r = bessel_series(DivisorSumSpec(), lam, 1.0, 0.25)
+    assert len(calls) == 1 and calls[0].size == r.terms and calls[0][0] < K_ASYM_CUT
+    assert _bits(r.value) == _bits(_one_k_call(DivisorSumSpec(), lam, 1.0, 0.25, r.terms))
+
+
+def test_a_spec_with_a_zero_coefficient_never_reads_the_k_head(monkeypatch):
+    # moduli 4 and 6 share the prime 2, so f(2) = chi1(1) chi2(2) +
+    # chi1(2) chi2(1) = 0; its k_values call skips that term and rounds
+    # its rows in other blocks than the table's
+    spec = DivisorSumSpec(0, enumerate_characters(4)[1], enumerate_characters(6)[1])
+    clear_caches()
+    calls = _series_k_calls(monkeypatch)
+    r = bessel_series(spec, 1.0, 1.0, 0.25)
+    info = series._k_head.cache_info()
+    assert info.hits == info.misses == 0
+    assert len(calls) == 1 and calls[0].size < r.terms
+    assert _bits(r.value) == _bits(_one_k_call(spec, 1.0, 1.0, 0.25, r.terms))
+
+
+def test_a_warm_k_head_evaluates_no_quadrature(monkeypatch):
+    # a second series at the same (nu, a, x) with other coefficients, all
+    # nonzero, reads its quadrature head from the table and evaluates K
+    # only past K_ASYM_CUT, with the bits of a cold table and of one call
+    first, second = DivisorSumSpec(0.5), DivisorSumSpec(-0.25)
+    calls = _series_k_calls(monkeypatch)
+    clear_caches()
+    cold = bessel_series(second, 1.0, 0.7, 0.3)
+    head = series._k_head(0.3, math.sqrt(0.7))
+    assert sum(int((xs < K_ASYM_CUT).sum()) for xs in calls) == head.size > 0
+    clear_caches()
+    bessel_series(first, 1.0, 0.7, 0.3)
+    calls.clear()
+    warm = bessel_series(second, 1.0, 0.7, 0.3)
+    assert calls and all(xs.min() >= K_ASYM_CUT for xs in calls)
+    assert _bits(warm.value) == _bits(cold.value) == _bits(
+        _one_k_call(second, 1.0, 0.7, 0.3, warm.terms))
 
 
 def test_hankel_expansion_refuses_a_truncated_sum():
