@@ -51,9 +51,10 @@ __version__ = "0.1.0"
 # orders and moduli asked for.  specfun._units and specfun._em_grid hold the
 # s-independent parts of an L-value: each modulus's units, and the log
 # grid, X and X^{1-2j} of an Euler-Maclaurin batch per (unit set, head).
-# arith._coefficient_table holds the coefficient arrays of up to 2,048
-# terms per (spec, count), and series._k_head the quadrature-branch values
-# K_nu(lam sqrt(n)) below K_ASYM_CUT per (nu, lam) of a Bessel-kernel series.
+# arith._coefficient_table holds coefficient arrays of up to 2,048 terms,
+# series._kernel the first 4,096 values K_nu(lam sqrt(n)) of a Bessel-kernel
+# series per (nu, lam, count), and series._dirichlet_tail the closed-form
+# tails at the default head per (spec, head, s, log).
 _CACHES = (
     characters._unit_group,
     characters._exponent_table,
@@ -66,7 +67,8 @@ _CACHES = (
     specfun._units,
     specfun._em_grid,
     arith._coefficient_table,
-    series._k_head,
+    series._kernel,
+    series._dirichlet_tail,
     series._page_coefs,
     identities._endpoint_expansion,
 )

@@ -10,9 +10,11 @@ Values for a single n come from its divisors, found by trial division;
 whole coefficient ranges, which the series evaluators consume, from one
 convolution sweep in two halves split at sqrt(count), as read-only
 arrays, of which those up to 2,048 coefficients are computed once per
-(spec, count) and process and kept in a bounded table.  The generating
-Dirichlet series L(s - z, chi1) L(s, chi2) anchors the tail continuation
-used by the series module.
+(spec, count) and process and kept in a bounded table; in real
+arithmetic where the weight and both characters are real, and over a
+segment of the n where asked, each with the bits of the complex sweep
+over the whole range.  The generating Dirichlet series L(s - z, chi1)
+L(s, chi2) anchors the tail continuation used by the series module.
 """
 
 from __future__ import annotations
@@ -69,12 +71,12 @@ def divisor_sum(spec: DivisorSumSpec, n: int) -> complex:
     return acc
 
 
-def _char_values(chi: Character, count: int, z: complex = 0) -> np.ndarray:
-    """d^z chi(d) for d = 0..count as a complex array (chi period-tiled;
-    entry 0 is chi(0))."""
-    arr = np.empty(count + 1, dtype=complex)
+def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> np.ndarray:
+    """d^z chi(d) for d = 0..count as a complex array, or a float one for
+    a real chi and z (chi period-tiled; entry 0 is chi(0))."""
+    arr = np.empty(count + 1, dtype=dtype)
     for r in range(chi.modulus):
-        arr[r::chi.modulus] = chi.value(r)
+        arr[r::chi.modulus] = chi.value(r) if dtype is complex else chi.value(r).real
     if z != 0:
         powers = np.arange(1, count + 1, dtype=float)
         if z.imag == 0.0:
@@ -89,40 +91,49 @@ def _char_values(chi: Character, count: int, z: complex = 0) -> np.ndarray:
 _TABLED_COUNT = _HOT_DOUBLES // 4
 
 
-def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
-    """f_z(1..count) as a read-only complex array (index 0 unused).
+def coefficient_array(spec: DivisorSumSpec, count: int, start: int = 0) -> np.ndarray:
+    """f_z(start + 1..count) as a read-only complex array (index 0 unused).
 
-    Up to _TABLED_COUNT coefficients it is computed once per (spec,
-    count) and process (_coefficient_table), a longer one on each call;
-    either way by _coefficients, so the table moves no bit."""
-    return (_coefficient_table if count <= _TABLED_COUNT else _coefficients)(spec, count)
+    A whole array (start = 0) of up to _TABLED_COUNT coefficients is
+    computed once per (spec, count) and process (_coefficient_table), a
+    longer one or a segment on each call; either way by _coefficients,
+    so the table moves no bit."""
+    return (_coefficient_table(spec, count) if start == 0 and count <= _TABLED_COUNT
+            else _coefficients(spec, count, start))
 
 
-def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
+def _coefficients(spec: DivisorSumSpec, count: int, start: int = 0) -> np.ndarray:
     """coefficient_array, computed.  As _coefficient_table it keeps the
     arrays of at most _TABLED_COUNT = _HOT_DOUBLES / 4 = 2,048
     coefficients (32 kB) of the 256 latest (spec, count), at most 8 MB.
 
-    The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) in two
-    sweeps split at S = isqrt(count) (Dirichlet's hyperbola method):
-    each d <= S adds a(d) b(1..count/d) at the multiples of d, then each
-    e <= count/(S+1), descending, adds a(S+1..count/e) b(e) at the
-    multiples of e.  So every n gets its terms in ascending d, and the
-    work is 2 sqrt(count) slice updates.  For a trivial chi2, b = 1 + 0j,
-    a product with which is exact, is neither formed nor multiplied in.
+    The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) at the n
+    in (start, count], in two sweeps split at S = isqrt(count)
+    (Dirichlet's hyperbola method): each d <= S adds a(d) b(n/d) at its
+    multiples n, then each e <= count/(S+1), descending, adds a(n/e) b(e)
+    at its multiples n = de, d > S.  So every n, in any segment, sums its
+    terms in ascending d from 0, in 2 sqrt(count) slice updates.  For a
+    trivial chi2, b = 1 + 0j, an exact factor, is not multiplied in.  For
+    real z and characters the sweeps run in float64, cast once: the
+    complex ones form the same real parts and +0 imaginary parts.
     """
-    a = _char_values(spec.chi1, count, complex(spec.weight))
-    b = None if spec.chi2.modulus == 1 else _char_values(spec.chi2, count)
-    arr = np.zeros(count + 1, dtype=complex)
+    real = complex(spec.weight).imag == 0.0 and spec.chi1.is_real and spec.chi2.is_real
+    dtype = float if real else complex
+    a = _char_values(spec.chi1, count, complex(spec.weight), dtype)
+    b = None if spec.chi2.modulus == 1 else _char_values(spec.chi2, count, 0, dtype)
+    arr = np.zeros(count - start + 1, dtype=dtype)  # arr[i] = f(start + i)
     root = math.isqrt(count)
     for d in range(1, root + 1):
         if a[d]:
-            arr[d::d] += a[d] if b is None else a[d] * b[1:count // d + 1]
+            first = start // d + 1  # the least e with de > start
+            arr[first * d - start::d] += a[d] if b is None else a[d] * b[first:count // d + 1]
     for e in range(count // (root + 1), 0, -1):
+        first = max(root, start // e) + 1  # the least d > S with de > start
         if b is None:
-            arr[(root + 1) * e::e] += a[root + 1:count // e + 1]
+            arr[first * e - start::e] += a[first:count // e + 1]
         elif b[e]:
-            arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
+            arr[first * e - start::e] += a[first:count // e + 1] * b[e]
+    arr = arr.astype(complex, copy=False)
     arr.flags.writeable = False
     return arr
 

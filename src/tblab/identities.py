@@ -666,7 +666,8 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     target within term_cap() even if it fell like 1/N^2,
     ConvergenceError, naming the estimate and the terms reached.
 
-    Each round integrates only its new scales, in one
+    Each round builds only its new coefficients, n in (N, 2N] (the
+    first, all of them), and integrates only its new scales, in one
     oscillatory_kernel_integrals call (by quadrature for the first few
     hundred n at most, in closed form from there on, from the endpoint
     expansion that _endpoint_expansion keeps).
@@ -690,7 +691,7 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     terms = np.zeros(0, dtype=complex)
     while True:
         lo, hi = len(terms), 2 * n
-        coef = coefficient_array(spec, hi)[lo + 1:]
+        coef = coefficient_array(spec, hi, lo)[1:]
         ns = np.arange(lo + 1, hi + 1, dtype=float)
         live = coef != 0
         fresh = np.zeros(hi - lo, dtype=complex)

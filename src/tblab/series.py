@@ -3,19 +3,20 @@
 Bessel-kernel sums are truncated against a certified analytic tail bound
 (coefficients bounded by d(n) n^w, the kernel by its Gaussian-majorant
 exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
-against many coefficient sequences, so its quadrature head, the
-arguments below K_ASYM_CUT, is evaluated once per (nu, lam) and process
-and kept in a bounded table (_k_head).  Algebraically decaying sums
-(shifted powers, log kernels, rational Cohen tails) share one loop,
-_closed_tail: it sums the kernel directly up to a head length and
-completes the rest in closed form.  Each of the three expands its kernel
-in 1/n beyond the head (binomially, or, for the log and Cohen kernels,
-geometrically in one _geometric_tail) and hands the loop the expansion
-order by order; the loop turns each order into Dirichlet-tail values
-F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings, from
--F'), with F given by its zeta/L product, and stops at the first order
-whose certified bound is below tol/10.  That reaches ~1e-12 where plain
-truncation of exponents as low as 1.25 could not reach 1e-9.
+against many coefficient sequences, so its first 4,096 values are
+evaluated once per (nu, lam, terms) and process and kept in a bounded
+table (_kernel).  Algebraically decaying sums (shifted powers, log
+kernels, rational Cohen tails) share one loop, _closed_tail: it sums the
+kernel directly up to a head length and completes the rest in closed
+form.  Each of the three expands its kernel in 1/n beyond the head
+(binomially, or, for the log and Cohen kernels, geometrically in one
+_geometric_tail) and hands the loop the expansion order by order; the
+loop turns each order into Dirichlet-tail values F(s) - sum_{n<=head}
+f(n) n^{-s} (or their log-weighted siblings, from -F'), with F given by
+its zeta/L product, and stops at the first order whose certified bound
+is below tol/10.  That reaches ~1e-12 where plain truncation of
+exponents as low as 1.25 could not reach 1e-9.  The tail values at the
+default head are kept per (spec, s) in a bounded table (_dirichlet_tail).
 
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
@@ -122,11 +123,11 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     may leave the double range by N, or a, x or a sqrt(x) is not finite;
     and ConvergenceError when the bound at the budget is above tol.
 
-    Where every coefficient is nonzero and the quadrature head fits in
-    the N terms, K_nu below K_ASYM_CUT is read from the table _k_head
-    and evaluated only past the cut.  Otherwise one k_values call takes
-    the terms with a nonzero coefficient: its quadrature rows fall in
-    other blocks than the table's, where they may round differently.
+    Where every coefficient is nonzero, K_nu(lam sqrt(n)) for the first
+    min(N, _HOT_DOUBLES / 2) = 4,096 terms is read from the table
+    _kernel and evaluated only past them.  Otherwise one k_values call
+    takes the terms with a nonzero coefficient: its quadrature rows fall
+    in other blocks than the table's, where they may round differently.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -156,41 +157,26 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
                                f"above tolerance after {n1} terms")
     cs = coefficient_array(spec, n1)[1:]
     ns = np.arange(1, n1 + 1, dtype=float)
-    acc = 0j
-    mask = cs != 0
-    head = _k_head(nu, lam) if mask.all() else None
-    if head is not None and head.size <= n1:
-        kv = np.empty_like(ns)
-        kv[:head.size] = head
-        kv[head.size:] = k_values(nu, lam * np.sqrt(ns[head.size:]))
-        acc += np.sum(cs * ns ** (0.5 * nu) * kv)
-    elif mask.any():
+    mask = cs != 0  # never all False: f_z(1) = 1
+    if mask.all():
+        kv = _kernel(nu, lam, min(n1, _HOT_DOUBLES // 2))
+        if kv.size < n1:
+            kv = np.concatenate((kv, k_values(nu, lam * np.sqrt(ns[kv.size:]))))
+    else:
         kv = np.zeros_like(ns)
         kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
-        acc += np.sum(cs * ns ** (0.5 * nu) * kv)
-    return SeriesResult(acc, n1, math.exp(log_tail))
+    return SeriesResult(0j + np.sum(cs * ns ** (0.5 * nu) * kv), n1, math.exp(log_tail))
 
 
 @functools.lru_cache(maxsize=256)
-def _k_head(nu: float, lam: float) -> np.ndarray | None:
-    """K_nu(lam sqrt(n)) for the n = 1, 2, ... whose argument is below
-    K_ASYM_CUT, the quadrature branch, once per (nu, lam) and process,
-    read-only; None where more than _HOT_DOUBLES / 2 arguments are (lam
-    below about 0.28), so an entry holds at most 32 kB and the 256 entries
-    at most 8 MB.  The arguments rise with n, so the head is the prefix of
-    a series' arguments that k_values would integrate, in the same blocks
-    of _on_grid, and its values are that call's bits."""
-    limit = _HOT_DOUBLES // 2
-    if lam * math.sqrt(limit + 1) < K_ASYM_CUT:
-        return None
-    # the n below the cut are those below (K_ASYM_CUT / lam)^2 <= limit + 1,
-    # up to a rounding far below the one argument past them taken here
-    last = min(limit + 1, (K_ASYM_CUT / lam) ** 2 + 2)
-    args = lam * np.sqrt(np.arange(1.0, last + 1))
-    size = int(np.count_nonzero(args < K_ASYM_CUT))
-    head = k_values(nu, args[:size])
-    head.flags.writeable = False
-    return head
+def _kernel(nu: float, lam: float, count: int) -> np.ndarray:
+    """K_nu(lam sqrt(n)) for n = 1..count, once per (nu, lam, count) and
+    process, read-only; count <= _HOT_DOUBLES / 2, so the 256 entries
+    hold at most 8 MB.  The _on_grid blocks start at n = 1, and a longer
+    series goes on past a whole block, so these are a longer call's bits."""
+    kv = k_values(nu, lam * np.sqrt(np.arange(1.0, count + 1)))
+    kv.flags.writeable = False
+    return kv
 
 
 # -- closed-form Dirichlet tails ----------------------------------------
@@ -209,7 +195,8 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     its parts (c, s, log), where value is the Dirichlet tail
     sum_{n>D} f(n) n^{-s} = F(s) - head or, with log,
     sum_{n>D} f(n) ln(n) n^{-s} = -F'(s) - head; ratio bounds how fast
-    the orders after it shrink.  Stops at the first order whose bound is
+    the orders after it shrink.  Up to shift 1, D = DEFAULT_HEAD and value
+    reads _dirichlet_tail.  Stops at the first order whose bound is
     below tol / 10 or whose tails are below _TAIL_RESOLUTION; its bound,
     summed geometrically, bounds the rest."""
     if not tol > 0:
@@ -227,8 +214,9 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     w = spec.weight_real_max
 
     def value(s: float, log: bool) -> complex:
-        head = complex(np.sum((logcoef() if log else coef) * ns ** (-s)))
-        return (-closed_form_F_prime(spec, s) if log else closed_form_F(spec, s)) - head
+        if D == DEFAULT_HEAD:
+            return _dirichlet_tail(spec, D, s, log)
+        return _tail_value(spec, s, log, logcoef() if log else coef, ns)
 
     def bound(s: float, log: bool) -> float:
         """Rigorous bound on the tail, from |f(n)| <= d(n) n^w and, with
@@ -250,6 +238,23 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
             return SeriesResult(head_val + tail_val, D, tail_bound / max(1.0 - ratio, 0.5))
         tail_val += scale * sum(c * value(s, log) for c, s, log in parts)
     raise ConvergenceError("tail expansion did not settle")
+
+
+def _tail_value(spec: DivisorSumSpec, s: float, log: bool, coef: np.ndarray,
+                ns: np.ndarray) -> complex:
+    """F(s) (with log, -F'(s)) - sum coef ns^{-s}, coef = f(ns) (f(ns) ln ns)."""
+    head = complex(np.sum(coef * ns ** (-s)))
+    return (-closed_form_F_prime(spec, s) if log else closed_form_F(spec, s)) - head
+
+
+@functools.lru_cache(maxsize=4096)
+def _dirichlet_tail(spec: DivisorSumSpec, D: int, s: float, log: bool) -> complex:
+    """_closed_tail's value(s, log) past the head D, once per (spec, D, s,
+    log) and process: read at D = DEFAULT_HEAD, where it does not depend
+    on the shift, and the registry asks for the same orders point after point."""
+    coef = coefficient_array(spec, D)[1:]
+    ns = np.arange(1, D + 1, dtype=float)
+    return _tail_value(spec, s, log, coef * np.log(ns) if log else coef, ns)
 
 
 def _refuse_integer(value: float, name: str) -> None:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import mpmath
 
+import tblab
 from tblab import arith, identities, specfun
 from tblab.characters import TRIVIAL
 
@@ -54,12 +55,15 @@ def mp_L(s, chi, derivative=0, dps=30) -> complex:
 def _run(cases, L_derivative, L=None) -> list[tuple[complex, complex]]:
     """(lhs, rhs) of each case with L_derivative in place of the library's
     (zeta' calls it by name), and L, if given, in place of dirichlet_L and
-    zeta where the registry calls them."""
+    zeta where the registry calls them.  The library's caches are cleared
+    before the swap and after it, so that no value computed outside the
+    swap is read inside it, and none computed inside outlives it."""
     swaps = [(m, "L_derivative", L_derivative) for m in (specfun, arith, identities)]
     if L:
         swaps += [(arith, "dirichlet_L", L), (identities, "dirichlet_L", L),
                   (identities, "riemann_zeta", lambda s: L(s, TRIVIAL))]
     saved = [(m, name, getattr(m, name)) for m, name, _ in swaps]
+    tblab.clear_caches()
     try:
         for m, name, value in swaps:
             setattr(m, name, value)
@@ -67,6 +71,7 @@ def _run(cases, L_derivative, L=None) -> list[tuple[complex, complex]]:
     finally:
         for m, name, value in saved:
             setattr(m, name, value)
+        tblab.clear_caches()
 
 
 def _error(got, value) -> float:

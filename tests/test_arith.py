@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tblab import clear_caches
+from tblab import arith, clear_caches
 from tblab.arith import (
     _TABLED_COUNT,
     DivisorSumSpec,
@@ -124,6 +124,51 @@ def test_coefficient_array_is_read_only_and_the_same_bits_cold_and_warm(chi4, ch
     assert cold.tobytes() == warm.tobytes() == _multiplying_sweeps(spec, count).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         warm[1] = 0.0
+
+
+def _real_specs():
+    """Every (chi1, chi2) of real characters with moduli <= 12 where chi2
+    is trivial or shares chi1's modulus, and chi1 trivial with any chi2."""
+    real = [chi for q in range(1, 13) for chi in enumerate_characters(q) if chi.is_real]
+    return [(chi1, chi2) for chi1 in real for chi2 in real
+            if chi1.modulus == 1 or chi2.modulus in (1, chi1.modulus)]
+
+
+@pytest.mark.parametrize("count", [1, 7, _TABLED_COUNT, _TABLED_COUNT + 1, 40000])
+def test_the_real_sweep_is_the_complex_sweep_byte_for_byte(count, monkeypatch):
+    # a real weight with real characters runs the sweeps in float64 and
+    # casts once: the real parts are the same products and sums, and the
+    # complex sweeps' imaginary parts stay +0.0
+    pairs = _real_specs()
+    assert len(pairs) > 80
+    dtypes = []
+    monkeypatch.setattr(arith, "_char_values", lambda chi, count, z=0, dtype=complex:
+                        dtypes.append(dtype) or _char_values(chi, count, z, dtype))
+    clear_caches()
+    for chi1, chi2 in pairs:
+        for weight in (0, 1, 3, 0.5, -0.25):
+            spec = DivisorSumSpec(weight, chi1, chi2)
+            dtypes.clear()
+            got = coefficient_array(spec, count)
+            assert dtypes and set(dtypes) == {float}
+            assert got.dtype == complex and not np.signbit(got.imag).any()
+            assert got.tobytes() == _multiplying_sweeps(spec, count).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 9, 100, 401, 4096, 5000])
+def test_a_segment_is_the_slice_of_the_whole_array(count):
+    # coefficient_array(spec, count, start) sweeps only n in (start, count];
+    # every n still gets its terms in ascending d, so its bits are those of
+    # the whole array, real sweep or complex
+    chi8, chi12 = enumerate_characters(8)[3], enumerate_characters(12)[2]
+    for spec in (DivisorSumSpec(), DivisorSumSpec(-0.5, chi8.conjugate(), chi8),
+                 DivisorSumSpec(0.3 + 0.7j, chi12, enumerate_characters(5)[1]),
+                 DivisorSumSpec(-1.25, enumerate_characters(7)[2], TRIVIAL)):
+        whole = coefficient_array(spec, count)
+        for start in sorted({0, 1, 2, count // 3, count // 2, count - 1, count}):
+            segment = coefficient_array(spec, count, start)
+            assert segment.size == count - start + 1 and not segment.flags.writeable
+            assert segment[1:].tobytes() == whole[start + 1:].tobytes()
 
 
 def test_trivial_character_slot_matches_direct(chi4, chi3):

@@ -443,7 +443,7 @@ def test_every_cache_of_the_library_is_in_one_list():
         found |= {id(v) for scope in scopes for v in scope.values()
                   if callable(getattr(v, "cache_clear", None))}
     assert found == {id(cache) for cache in tblab._CACHES}
-    assert len(tblab._CACHES) == 14
+    assert len(tblab._CACHES) == 15
 
 
 def test_parallel_runner_matches_sequential():

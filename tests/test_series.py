@@ -541,45 +541,47 @@ def _one_k_call(spec, a, x, nu, terms) -> complex:
     return 0j + np.sum(cs * ns ** (0.5 * nu) * kv)
 
 
-def test_the_k_head_is_the_series_call_on_its_prefix(monkeypatch):
-    # for every (nu, a sqrt(x)) of the registered closed-form records, the
-    # tabled quadrature head holds the bits that one k_values call reaching
-    # past K_ASYM_CUT gives its prefix
+def test_the_kernel_table_is_the_series_call_on_its_prefix(monkeypatch):
+    # for every (nu, a sqrt(x), terms) of the registered closed-form
+    # records, the tabled kernel holds the bits that one k_values call
+    # over more blocks of _on_grid gives its prefix
     seen = set()
     real = identities.bessel_series
-    monkeypatch.setattr(identities, "bessel_series", lambda spec, a, x, nu=0.0, **kw:
-                        seen.add((nu, a * math.sqrt(x))) or real(spec, a, x, nu, **kw))
+
+    def recording(spec, a, x, nu=0.0, **kw):
+        r = real(spec, a, x, nu, **kw)
+        seen.add((nu, a * math.sqrt(x), min(r.terms, _HOT_DOUBLES // 2)))
+        return r
+
+    monkeypatch.setattr(identities, "bessel_series", recording)
     for tid, entry in THEOREMS.items():
         if entry.section in ("sec2", "classical", "cohen", "cohen-half"):
             for point in entry.points:
                 verify(IdentityCase(tid, **point))
     assert len(seen) > 20
     clear_caches()
-    for nu, lam in seen:
-        head = series._k_head(nu, lam)
-        assert (head is None) == (lam * math.sqrt(_HOT_DOUBLES // 2 + 1) < K_ASYM_CUT)
-        if head is None:
-            continue
-        assert not head.flags.writeable
-        # a call over more blocks of _on_grid than the head's
-        args = lam * np.sqrt(np.arange(1.0, 2 * head.size + 130.0))
-        assert (args[:head.size] < K_ASYM_CUT).all() and args[head.size] >= K_ASYM_CUT
-        assert head.tobytes() == k_values(nu, args)[:head.size].tobytes()
+    for nu, lam, count in seen:
+        kernel = series._kernel(nu, lam, count)
+        assert not kernel.flags.writeable and kernel.size == count
+        args = lam * np.sqrt(np.arange(1.0, 2 * count + 130.0))
+        assert kernel.tobytes() == k_values(nu, args)[:count].tobytes()
 
 
-def test_a_small_lambda_has_no_k_head_and_sums_directly(monkeypatch):
-    # below lam = 18/64 more than _HOT_DOUBLES / 2 arguments fall below
-    # K_ASYM_CUT: the series makes one k_values call, as without a table
+def test_a_small_lambda_reads_the_kernel_table_across_the_quadrature(monkeypatch):
+    # at lam = 0.27 the arguments pass K_ASYM_CUT only after n = 4,096:
+    # the table ends inside the quadrature branch, on a block boundary
+    # of _on_grid, and the rest is one more call
     clear_caches()
     lam = 0.27
-    assert series._k_head(0.25, lam) is None
     calls = _series_k_calls(monkeypatch)
     r = bessel_series(DivisorSumSpec(), lam, 1.0, 0.25)
-    assert len(calls) == 1 and calls[0].size == r.terms and calls[0][0] < K_ASYM_CUT
+    table = _HOT_DOUBLES // 2
+    assert [xs.size for xs in calls] == [table, r.terms - table]
+    assert calls[0][-1] < calls[1][0] < K_ASYM_CUT
     assert _bits(r.value) == _bits(_one_k_call(DivisorSumSpec(), lam, 1.0, 0.25, r.terms))
 
 
-def test_a_spec_with_a_zero_coefficient_never_reads_the_k_head(monkeypatch):
+def test_a_spec_with_a_zero_coefficient_never_reads_the_kernel_table(monkeypatch):
     # moduli 4 and 6 share the prime 2, so f(2) = chi1(1) chi2(2) +
     # chi1(2) chi2(1) = 0; its k_values call skips that term and rounds
     # its rows in other blocks than the table's
@@ -587,29 +589,83 @@ def test_a_spec_with_a_zero_coefficient_never_reads_the_k_head(monkeypatch):
     clear_caches()
     calls = _series_k_calls(monkeypatch)
     r = bessel_series(spec, 1.0, 1.0, 0.25)
-    info = series._k_head.cache_info()
+    info = series._kernel.cache_info()
     assert info.hits == info.misses == 0
     assert len(calls) == 1 and calls[0].size < r.terms
     assert _bits(r.value) == _bits(_one_k_call(spec, 1.0, 1.0, 0.25, r.terms))
 
 
-def test_a_warm_k_head_evaluates_no_quadrature(monkeypatch):
-    # a second series at the same (nu, a, x) with other coefficients, all
-    # nonzero, reads its quadrature head from the table and evaluates K
-    # only past K_ASYM_CUT, with the bits of a cold table and of one call
+def test_a_warm_kernel_table_evaluates_no_bessel_function(monkeypatch):
+    # a second series of at most 4,096 terms at the same (nu, a, x, N)
+    # with other coefficients, all nonzero, reads its whole kernel from
+    # the table, with the bits of a cold table and of one call
     first, second = DivisorSumSpec(0.5), DivisorSumSpec(-0.25)
     calls = _series_k_calls(monkeypatch)
     clear_caches()
     cold = bessel_series(second, 1.0, 0.7, 0.3)
-    head = series._k_head(0.3, math.sqrt(0.7))
-    assert sum(int((xs < K_ASYM_CUT).sum()) for xs in calls) == head.size > 0
+    assert [xs.size for xs in calls] == [cold.terms] and cold.terms <= _HOT_DOUBLES // 2
     clear_caches()
-    bessel_series(first, 1.0, 0.7, 0.3)
+    assert bessel_series(first, 1.0, 0.7, 0.3).terms == cold.terms
     calls.clear()
     warm = bessel_series(second, 1.0, 0.7, 0.3)
-    assert calls and all(xs.min() >= K_ASYM_CUT for xs in calls)
+    assert calls == []
     assert _bits(warm.value) == _bits(cold.value) == _bits(
         _one_k_call(second, 1.0, 0.7, 0.3, warm.terms))
+
+
+@pytest.mark.parametrize("lam, weight, nu", [
+    (0.15, 0, 0.25), (0.2, 0.5, 1.5), (0.27, -0.25, 0.0), (1.0, 3, 2.5)])
+def test_a_long_series_evaluates_only_past_the_kernel_table(monkeypatch, lam, weight, nu):
+    # past _HOT_DOUBLES / 2 = 4,096 terms the series evaluates K only on
+    # the rest, cold and warm, with the bits of one k_values call
+    spec = DivisorSumSpec(weight)
+    table = _HOT_DOUBLES // 2
+    calls = _series_k_calls(monkeypatch)
+    clear_caches()
+    cold = bessel_series(spec, lam, 1.0, nu)
+    assert cold.terms > table
+    assert [xs.size for xs in calls] == [table, cold.terms - table]
+    calls.clear()
+    warm = bessel_series(spec, lam, 1.0, nu)
+    assert [xs.size for xs in calls] == [warm.terms - table]
+    assert _bits(warm.value) == _bits(cold.value) == _bits(
+        _one_k_call(spec, lam, 1.0, nu, cold.terms))
+
+
+def _tail_calls(monkeypatch) -> list:
+    """The s at which series evaluates F or F', recorded from now on."""
+    calls = []
+    for name in ("closed_form_F", "closed_form_F_prime"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda spec, s, real=real: calls.append(s) or real(spec, s))
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda spec, c: shifted_power_series(spec, 2.5, c),
+    lambda spec, c: log_kernel_series(spec, c, over_n=True),
+    lambda spec, c: cohen_tail_series(spec, 0.5, c),
+])
+def test_a_dirichlet_tail_has_the_same_bits_cold_and_warm(monkeypatch, chi5e, make):
+    # a tail of shift at most 1 reads its Dirichlet tails at DEFAULT_HEAD
+    # from _dirichlet_tail: they do not depend on the shift, so after a
+    # larger shift, which takes at least as many orders, it evaluates no
+    # L-product, and its sum keeps the bits it has with a cold table
+    spec = DivisorSumSpec(0.25, chi5e)
+    calls = _tail_calls(monkeypatch)
+    clear_caches()
+    cold = make(spec, 0.6)
+    assert calls and cold.terms == series.DEFAULT_HEAD
+    clear_caches()
+    make(spec, 0.9)
+    calls.clear()
+    warm = make(spec, 0.6)
+    assert calls == [] and _bits(warm.value) == _bits(cold.value)
+    coef = coefficient_array(spec, series.DEFAULT_HEAD)[1:]
+    ns = np.arange(1, series.DEFAULT_HEAD + 1, dtype=float)
+    for s in (2.5, 3.5, 4.0):
+        assert _bits(series._dirichlet_tail(spec, series.DEFAULT_HEAD, s, False)) == _bits(
+            series.closed_form_F(spec, s) - complex(np.sum(coef * ns ** (-s))))
 
 
 def test_hankel_expansion_refuses_a_truncated_sum():
