@@ -70,7 +70,7 @@ _CACHES = (
     series._kernel,
     series._dirichlet_tail,
     series._page_coefs,
-    identities._endpoint_expansion,
+    series._endpoint_expansion,
 )
 
 

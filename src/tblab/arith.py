@@ -11,9 +11,8 @@ whole coefficient ranges, which the series evaluators consume, from one
 convolution sweep in two halves split at sqrt(count), as read-only
 arrays, of which those up to 2,048 coefficients are computed once per
 (spec, count) and process and kept in a bounded table; in real
-arithmetic where the weight and both characters are real, and over a
-segment of the n where asked, each with the bits of the complex sweep
-over the whole range.  The generating Dirichlet series L(s - z, chi1)
+arithmetic where the weight and both characters are real, with the bits
+of the complex sweep.  The generating Dirichlet series L(s - z, chi1)
 L(s, chi2) anchors the tail continuation used by the series module.
 """
 
@@ -91,54 +90,54 @@ def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> n
 _TABLED_COUNT = _HOT_DOUBLES // 4
 
 
-def coefficient_array(spec: DivisorSumSpec, count: int, start: int = 0) -> np.ndarray:
-    """f_z(start + 1..count) as a read-only complex array (index 0 unused).
+def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
+    """f_z(1..count) as a read-only complex array (index 0 unused).
 
-    A whole array (start = 0) of up to _TABLED_COUNT coefficients is
-    computed once per (spec, count) and process (_coefficient_table), a
-    longer one or a segment on each call; either way by _coefficients,
-    so the table moves no bit."""
-    return (_coefficient_table(spec, count) if start == 0 and count <= _TABLED_COUNT
-            else _coefficients(spec, count, start))
+    Up to _TABLED_COUNT coefficients it is computed once per (spec,
+    count) and process (_coefficient_table), a longer one on each call;
+    either way by _coefficients, so the table moves no bit."""
+    return (_coefficient_table if count <= _TABLED_COUNT else _coefficients)(spec, count)
 
 
-def _coefficients(spec: DivisorSumSpec, count: int, start: int = 0) -> np.ndarray:
+def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
     """coefficient_array, computed.  As _coefficient_table it keeps the
     arrays of at most _TABLED_COUNT = _HOT_DOUBLES / 4 = 2,048
-    coefficients (32 kB) of the 256 latest (spec, count), at most 8 MB.
+    coefficients (32 kB) of the 256 latest (spec, count), at most 8 MB,
+    typed: a bool count, refused here, reads no int count's entry.
 
-    The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) at the n
-    in (start, count], in two sweeps split at S = isqrt(count)
-    (Dirichlet's hyperbola method): each d <= S adds a(d) b(n/d) at its
-    multiples n, then each e <= count/(S+1), descending, adds a(n/e) b(e)
-    at its multiples n = de, d > S.  So every n, in any segment, sums its
-    terms in ascending d from 0, in 2 sqrt(count) slice updates.  For a
+    The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) in two
+    sweeps split at S = isqrt(count) (Dirichlet's hyperbola method):
+    each d <= S adds a(d) b(1..count/d) at the multiples of d, then each
+    e <= count/(S+1), descending, adds a(S+1..count/e) b(e) at the
+    multiples of e.  So every n gets its terms in ascending d, and a
+    shorter array is the prefix of a longer one, bit for bit; the work
+    is 2 sqrt(count) slice updates.  For a
     trivial chi2, b = 1 + 0j, an exact factor, is not multiplied in.  For
     real z and characters the sweeps run in float64, cast once: the
     complex ones form the same real parts and +0 imaginary parts.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
     real = complex(spec.weight).imag == 0.0 and spec.chi1.is_real and spec.chi2.is_real
     dtype = float if real else complex
     a = _char_values(spec.chi1, count, complex(spec.weight), dtype)
     b = None if spec.chi2.modulus == 1 else _char_values(spec.chi2, count, 0, dtype)
-    arr = np.zeros(count - start + 1, dtype=dtype)  # arr[i] = f(start + i)
+    arr = np.zeros(count + 1, dtype=dtype)
     root = math.isqrt(count)
     for d in range(1, root + 1):
         if a[d]:
-            first = start // d + 1  # the least e with de > start
-            arr[first * d - start::d] += a[d] if b is None else a[d] * b[first:count // d + 1]
+            arr[d::d] += a[d] if b is None else a[d] * b[1:count // d + 1]
     for e in range(count // (root + 1), 0, -1):
-        first = max(root, start // e) + 1  # the least d > S with de > start
         if b is None:
-            arr[first * e - start::e] += a[first:count // e + 1]
+            arr[(root + 1) * e::e] += a[root + 1:count // e + 1]
         elif b[e]:
-            arr[first * e - start::e] += a[first:count // e + 1] * b[e]
+            arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
     arr = arr.astype(complex, copy=False)
     arr.flags.writeable = False
     return arr
 
 
-_coefficient_table = lru_cache(maxsize=256)(_coefficients)
+_coefficient_table = lru_cache(maxsize=256, typed=True)(_coefficients)
 
 
 def closed_form_F(spec: DivisorSumSpec, s: complex) -> complex:

@@ -342,8 +342,9 @@ def jy_values(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and Y_{-mu} = sin(mu pi) J_mu + cos(mu pi) Y_mu (DLMF 10.4.7-10.4.8)."""
     xs = _arguments("J/Y", nu, xs)
     if nu < 0:  # mu pi taken in exact quarter turns, so cos(4.5 pi) is 0
-        n = round(-2.0 * nu)
-        rest = math.pi * (-nu - 0.5 * n)
+        mu = math.fmod(-nu, 2.0)  # exact, and 2 mu stays finite
+        n = round(2.0 * mu)
+        rest = math.pi * (mu - 0.5 * n)
         sn, cn = math.sin(rest), math.cos(rest)
         for _ in range(n % 4):
             sn, cn = cn, -sn

@@ -29,7 +29,6 @@ wrong answer.  Each formula family shares one closed-form evaluator.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -47,7 +46,6 @@ from .errors import (ConvergenceError, DomainError, ExcludedParameter, Hypothesi
                      TblabError, term_cap, within_budget)
 from .series import (
     SeriesResult,
-    _EndpointExpansion,
     _refuse_integer,
     adaptive_integral,
     bessel_series,
@@ -640,12 +638,6 @@ _VORONOI_KERNELS = {
 }
 
 
-# one endpoint expansion per (f, alpha, beta, nu, exponent) in a process:
-# the kernel stages repeat them round after round and record after
-# record, and every f here is one of the fixed TEST_FUNCTIONS
-_endpoint_expansion = functools.lru_cache(maxsize=64)(_EndpointExpansion)
-
-
 def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
                       tol=DEFAULT_TOLERANCES["voronoi"], **_) -> tuple[complex, SeriesResult]:
     """The Voronoi kernel stage: (pref, the series sum_n a_n), pref that of
@@ -666,11 +658,11 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     target within term_cap() even if it fell like 1/N^2,
     ConvergenceError, naming the estimate and the terms reached.
 
-    Each round builds only its new coefficients, n in (N, 2N] (the
-    first, all of them), and integrates only its new scales, in one
-    oscillatory_kernel_integrals call (by quadrature for the first few
-    hundred n at most, in closed form from there on, from the endpoint
-    expansion that _endpoint_expansion keeps).
+    Each round keeps the new n of the whole coefficient array up to 2N,
+    n in (N, 2N] (the first, all of them), and integrates only their
+    scales, in one oscillatory_kernel_integrals call (by quadrature for
+    the first few hundred n at most, in closed form from there on, from
+    the endpoint expansion series keeps for the stage's f and interval).
 
     The weights damp the endpoint oscillation of the partial sums
     (quasi-period ~ sqrt(n q / alpha) terms near the truncation) smoothly
@@ -687,16 +679,15 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     n_last = n
     while 4 * n_last <= cap:
         n_last *= 2
-    expansion = _endpoint_expansion(f, alpha, beta, nu, t_exp)
     terms = np.zeros(0, dtype=complex)
     while True:
         lo, hi = len(terms), 2 * n
-        coef = coefficient_array(spec, hi, lo)[1:]
+        coef = coefficient_array(spec, hi)[lo + 1:]
         ns = np.arange(lo + 1, hi + 1, dtype=float)
         live = coef != 0
         fresh = np.zeros(hi - lo, dtype=complex)
         fresh[live] = coef[live] * ns[live] ** (nu / 2.0) * oscillatory_kernel_integrals(
-            f, alpha, beta, nu, scale * np.sqrt(ns[live]), t_exp, variant, expansion=expansion)
+            f, alpha, beta, nu, scale * np.sqrt(ns[live]), t_exp, variant)
         terms = np.concatenate((terms, fresh))
         r_quarter, r_half, r = (_riesz_mean(terms[:m], VORONOI_RIESZ_ORDER)
                                 for m in (n // 2, n, hi))

@@ -29,10 +29,10 @@ table that later calls only combine.  The rest come in closed form from
 the Hankel expansions of J + iY and of K and the endpoint expansion of
 each Fourier or Laplace integral, whose c-independent endpoint
 derivatives are read from an FFT of the integrand on two circles, once
-per expansion (a caller that repeats its test function, interval, order
-and exponent builds it once and passes it in); no Bessel function is
-evaluated, and for a real integrand the polynomials in 1/c are summed in
-real arithmetic.  The sum over the triangle k + j <= 27
+per (test function, interval, order, exponent) and process, kept in a
+bounded table (_endpoint_expansion); no Bessel function is evaluated,
+and for a real integrand the polynomials in 1/c are summed in real
+arithmetic.  The sum over the triangle k + j <= 27
 (Hankel order k, endpoint order j) is certified: a scale is expanded
 only if every term of its last two diagonals is below 5e-14 of the
 leading term, and otherwise stays with the quadrature.
@@ -209,14 +209,12 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     D = math.ceil(length)
     coef = coefficient_array(spec, D)[1:]
     ns = np.arange(1, D + 1, dtype=float)
-    # only log_kernel_series has log parts: form f(n) ln n on first use
-    logcoef = functools.cache(lambda: coef * np.log(ns))
     w = spec.weight_real_max
 
     def value(s: float, log: bool) -> complex:
         if D == DEFAULT_HEAD:
             return _dirichlet_tail(spec, D, s, log)
-        return _tail_value(spec, s, log, logcoef() if log else coef, ns)
+        return _tail_value(spec, s, log, coef, ns)
 
     def bound(s: float, log: bool) -> float:
         """Rigorous bound on the tail, from |f(n)| <= d(n) n^w and, with
@@ -242,7 +240,9 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
 
 def _tail_value(spec: DivisorSumSpec, s: float, log: bool, coef: np.ndarray,
                 ns: np.ndarray) -> complex:
-    """F(s) (with log, -F'(s)) - sum coef ns^{-s}, coef = f(ns) (f(ns) ln ns)."""
+    """F(s) - sum coef ns^{-s}, with log -F'(s) - sum coef ln(ns) ns^{-s}; coef = f(ns)."""
+    if log:
+        coef = coef * np.log(ns)
     head = complex(np.sum(coef * ns ** (-s)))
     return (-closed_form_F_prime(spec, s) if log else closed_form_F(spec, s)) - head
 
@@ -252,9 +252,8 @@ def _dirichlet_tail(spec: DivisorSumSpec, D: int, s: float, log: bool) -> comple
     """_closed_tail's value(s, log) past the head D, once per (spec, D, s,
     log) and process: read at D = DEFAULT_HEAD, where it does not depend
     on the shift, and the registry asks for the same orders point after point."""
-    coef = coefficient_array(spec, D)[1:]
-    ns = np.arange(1, D + 1, dtype=float)
-    return _tail_value(spec, s, log, coef * np.log(ns) if log else coef, ns)
+    return _tail_value(spec, s, log, coefficient_array(spec, D)[1:],
+                       np.arange(1, D + 1, dtype=float))
 
 
 def _refuse_integer(value: float, name: str) -> None:
@@ -531,8 +530,8 @@ def _piece_of(u: float) -> int:
 # an earlier call left in the table: _on_grid rounds an argument's row
 # by its place in the block.
 _PAGE_PIECES = 16
-# pages per order in the table; a range of more than a quarter of this
-# many is evaluated in one call, outside the table, so no call can sweep it
+# pages in the table, 9.6 kB each; a wider range evicts its own first
+# pages, which a later call computes again to the same bits
 _PAGE_TABLE = 512
 
 
@@ -548,22 +547,18 @@ def _page_span(page: int) -> tuple[int, int]:
     return _PAGE_PIECES * page - 2, _PAGE_PIECES
 
 
-def _pieces_coefs(nu: float, first: int, count: int) -> np.ndarray:
-    """coefs[v, k, p]: the coefficient of T_k of (2/pi) K_nu (v = 0), Y_nu
-    (1) and J_nu (2) on fixed piece first + p, p < count, from one call per
-    function at the _CHEB_POINTS points of every piece."""
+@functools.lru_cache(maxsize=_PAGE_TABLE)
+def _page_coefs(nu: float, page: int) -> np.ndarray:
+    """coefs[v, k, p], read-only: the coefficient of T_k of (2/pi) K_nu (v =
+    0), Y_nu (1) and J_nu (2) on piece p of the page, once per order and
+    process, from one call per function at all the page's points."""
+    first, count = _page_span(page)
     edges = np.array([_piece_left(first + p) for p in range(count + 1)])
     us = (0.5 * (edges[1:] + edges[:-1])[:, None]
           + 0.5 * (edges[1:] - edges[:-1])[:, None] * _CHEB_X).ravel()
     j, y = jy_values(nu, us)
     values = np.stack([(2.0 / math.pi) * k_values(nu, us), y, j]).reshape(3, count, _CHEB_POINTS)
-    return np.einsum("kj,vpj->vkp", _CHEB_DCT, values)
-
-
-@functools.lru_cache(maxsize=_PAGE_TABLE)
-def _page_coefs(nu: float, page: int) -> np.ndarray:
-    """_pieces_coefs of one page, computed once per order and process."""
-    coefs = _pieces_coefs(nu, *_page_span(page))
+    coefs = np.einsum("kj,vpj->vkp", _CHEB_DCT, values)
     coefs.flags.writeable = False
     return coefs
 
@@ -586,12 +581,9 @@ class _KernelInterpolant:
         self._inv_half = 2.0 / (self.edges[1:] - self.edges[:-1])
         count = len(edges) - 1
         pages = range(_page_of(first), _page_of(first + count - 1) + 1)
-        if len(pages) > _PAGE_TABLE // 4:
-            k, y, j = _pieces_coefs(nu, first, count)
-        else:
-            skip = first - _page_span(pages[0])[0]
-            k, y, j = np.concatenate([_page_coefs(nu, g) for g in pages],
-                                     axis=-1)[..., skip:skip + count]
+        skip = first - _page_span(pages[0])[0]
+        k, y, j = np.concatenate([_page_coefs(nu, g) for g in pages],
+                                 axis=-1)[..., skip:skip + count]
         # coefs[k, p]: coefficient of T_k on piece p
         self.coefs = (k + ys * y) * main + jc * j
 
@@ -619,10 +611,9 @@ def _panel_integrals(f, alpha: float, beta: float, nu: float, cs: np.ndarray,
     non-kernel integrand factors on it; its kernel matrix is read from
     one _KernelInterpolant over every node of every scale, which combines
     the tabled coefficients of its fixed pieces, so J, Y and K are
-    evaluated _CHEB_POINTS times per piece and order in a process (per
-    call, for a range wider than a quarter of the table), not per node
-    and scale, and einsum sums each row against the shared factors on
-    the calling thread (see identities._riesz_mean).
+    evaluated _CHEB_POINTS times per piece and order in a process, not
+    per node and scale, and einsum sums each row against the shared
+    factors on the calling thread (see identities._riesz_mean).
     """
     ra, rb = math.sqrt(alpha), math.sqrt(beta)
     kernel = _KernelInterpolant(variant, nu, float(cs.min()) * ra, float(cs.max()) * rb)
@@ -699,7 +690,6 @@ class _EndpointExpansion:
 
     def __init__(self, f, alpha: float, beta: float, nu: float, t_exponent: float):
         L, M = _HANKEL_ORDER, _CAUCHY_POINTS
-        self.key = (f, alpha, beta, nu, t_exponent)
         self.nu = nu
         self.ends = np.sqrt([alpha, beta])
         radius = 0.5 * self.ends[0]
@@ -788,11 +778,15 @@ class _EndpointExpansion:
         return acc
 
 
+# one endpoint expansion per (f, alpha, beta, nu, exponent) and process: the
+# Voronoi stages repeat them round after round and record after record
+_endpoint_expansion = functools.lru_cache(maxsize=64)(_EndpointExpansion)
+
+
 def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
                                  alpha: float, beta: float, nu: float,
                                  cs: np.ndarray, t_exponent: float,
-                                 variant: str, *,
-                                 expansion: _EndpointExpansion | None = None) -> np.ndarray:
+                                 variant: str) -> np.ndarray:
     """integral of f(t) t^{t_exponent} kernel(c sqrt(t)) over [alpha, beta]
     for each kernel scale c > 0 in cs, 0 < alpha < beta, f real on the real
     axis.
@@ -805,19 +799,15 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
       recurrence per node and scale;
     * from least_scale on, the Hankel expansions of J + iY and of K and
       the endpoint expansions (_EndpointExpansion), which evaluate no
-      Bessel function: f is read on two circles once per expansion, and
-      each scale then costs O(L) flops.  least_scale is where their
-      certificate begins (last two diagonals below 5e-14 of the leading
-      term): c sqrt(alpha) of about 17 to 40 for the registered test
-      functions, intervals and orders.
+      Bessel function: f is read on two circles once per argument tuple
+      and process (_endpoint_expansion; per call for an f that cannot be
+      hashed), and each scale then costs O(L) flops.  least_scale is
+      where their certificate begins (last two diagonals below 5e-14 of
+      the leading term): c sqrt(alpha) of about 17 to 40 for the
+      registered test functions, intervals and orders.
     f must accept complex arrays.  Where its values there are not the
     analytic continuation of f (it drops the imaginary part, say), every
     scale stays with the quadrature.
-
-    expansion, if given, is _EndpointExpansion(f, alpha, beta, nu,
-    t_exponent) built by the caller, who repeats these arguments (the
-    Voronoi stages, round after round); otherwise each call builds its
-    own.
     """
     if not 0.0 < alpha < beta < math.inf:
         raise DomainError("oscillatory_kernel_integrals needs 0 < alpha < beta < inf")
@@ -827,11 +817,10 @@ def oscillatory_kernel_integrals(f: Callable[[np.ndarray], np.ndarray],
     if not math.isfinite(t_exponent) or bad.size:
         raise DomainError("oscillatory_kernel_integrals needs a finite t_exponent and scales "
                           f"> 0, got t_exponent = {t_exponent}, scale(s) {bad[:3].tolist()}")
-    if expansion is None:
+    try:
+        expansion = _endpoint_expansion(f, alpha, beta, nu, t_exponent)
+    except TypeError:  # f cannot be hashed
         expansion = _EndpointExpansion(f, alpha, beta, nu, t_exponent)
-    elif expansion.key != (f, alpha, beta, nu, t_exponent):
-        raise DomainError("oscillatory_kernel_integrals was given an endpoint expansion "
-                          "built for other arguments")
     out = np.zeros(cs.size)
     far = cs >= expansion.least_scale
     if far.any():

@@ -15,7 +15,7 @@ from tblab.bessel import (
     k_values,
 )
 from tblab.errors import DomainError
-from tblab.series import adaptive_integral
+from tblab.series import adaptive_integral, voronoi_kernel_values
 
 
 def k_half(x):
@@ -154,6 +154,38 @@ def test_asymptotic_branches_refuse_orders_too_large():
     assert np.all(np.isfinite(k_values(5, np.array([K_ASYM_CUT, 25.0]))))
     for x in (14.01, 18.0):
         assert all(np.isfinite(v[0]) for v in jy_values(5, [x]))
+
+
+
+def _reflected(nu, xs):
+    """jy_values at order -nu < 0 by DLMF 10.4.7-10.4.8, the order taken
+    in quarter turns from round(2 nu) as a whole."""
+    n = round(2.0 * nu)
+    rest = math.pi * (nu - 0.5 * n)
+    sn, cn = math.sin(rest), math.cos(rest)
+    for _ in range(n % 4):
+        sn, cn = cn, -sn
+    j, y = jy_values(nu, xs)
+    return cn * j - sn * y, sn * j + cn * y
+
+
+@pytest.mark.parametrize("nu", [0.25, 1.5, 2.0, 2.3, 5.7, 7.25, 11.75])
+def test_a_negative_order_is_reduced_mod_two_to_the_same_bits(nu):
+    xs = np.array([0.5, 3.0, 13.0, 500.0])
+    for got, want in zip(jy_values(-nu, xs), _reflected(nu, xs)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [-1e308, -1.7976931348623157e308])
+def test_a_negative_order_whose_double_overflows_is_refused(nu):
+    # 2 nu is -inf: the reflected order's own refusal ends the call
+    with pytest.raises(DomainError, match="too large"):
+        jy_values(nu, [20.0])
+
+
+def test_a_kernel_of_a_negative_order_whose_double_overflows_is_refused():
+    with pytest.raises(DomainError, match="not finite"):
+        voronoi_kernel_values("even-cos", -1e308, np.array([1.0, 20.0]))
 
 
 def _k_asym_reference(nu, xb):

@@ -184,6 +184,9 @@ def test_bessel_below_the_double_range_underflows(capsys, kind):
     ["verify", "--theorem", "P1_1", "--nu", "0.3", "--N", "2000", "--x", "1.9"],
     # an order whose ln Gamma(nu + 1) leaves the double range
     ["bessel", "--kind", "I", "--nu", "1e308", "--x", "1"],
+    # negative orders whose double 2 nu overflows
+    ["bessel", "--kind", "Y", "--nu", "-1e308", "--x", "20"],
+    ["bessel", "--kind", "J", "--nu", "-1e308", "--x", "20"],
 ])
 def test_non_finite_or_overflowing_input_exit_two(capsys, argv):
     assert main(argv) == 2

@@ -7,13 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tblab.arith import DivisorSumSpec
+from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
 from tblab.identities import IdentityCase, positivity_scan, run_suite, verify
 from tblab.series import (
-    _EndpointExpansion,
     adaptive_integral,
     bessel_series,
     cohen_tail_series,
@@ -103,11 +102,12 @@ T2_13 = {"a": 1.0, "x": 0.3}
                                           "even-cos"), DomainError, r"scales > 0, .*\[0\.0\]"),
     (lambda: oscillatory_kernel_integrals(np.exp, 0.5, 3.4, 0.25, [-1.0, 20.0], -0.125,
                                           "even-cos"), DomainError, r"scales > 0, .*\[-1\.0\]"),
-    # an endpoint expansion of another interval
-    (lambda: oscillatory_kernel_integrals(
-        np.exp, 0.5, 3.4, 0.25, [20.0], -0.125, "even-cos",
-        expansion=_EndpointExpansion(np.exp, 1.3, 5.7, 0.25, -0.125)),
-     DomainError, "built for other arguments"),
+    # a count that is not an int >= 0; a bool reads no int's table entry
+    (lambda: coefficient_array(SPEC, -1), DomainError, "int count >= 0, got -1"),
+    (lambda: coefficient_array(SPEC, 2.5), DomainError, "int count >= 0, got 2.5"),
+    (lambda: coefficient_array(SPEC, 5000.0), DomainError, "int count >= 0, got 5000.0"),
+    (lambda: (coefficient_array(SPEC, 1), coefficient_array(SPEC, True)), DomainError,
+     "int count >= 0, got True"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):

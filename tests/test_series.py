@@ -479,8 +479,7 @@ def test_kernel_interpolant_reads_fixed_pieces():
 
 def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
     # a second call over the same scales reads every piece's K, Y and J
-    # coefficients from the table and the integrals from the expansion it
-    # is given, bit for bit
+    # coefficients and the endpoint expansion from the tables, bit for bit
     clear_caches()
     calls = []
     for name in ("jy_values", "k_values"):
@@ -492,31 +491,32 @@ def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
         return np.exp(-t)
 
     cs = 4 * PI / math.sqrt(5.0) * np.sqrt(np.arange(1.0, 5001.0))
-    expansion = _EndpointExpansion(f, 0.5, 3.4, 0.25, -0.125)
-    first = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos",
-                                         expansion=expansion)
-    assert {"jy_values", "k_values"} <= set(calls)
+    first = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
+    assert {"jy_values", "k_values", "f"} <= set(calls)
     calls.clear()
-    second = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos",
-                                          expansion=expansion)
+    second = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
     assert set(calls) == {"f on the panels"}
     assert first.tobytes() == second.tobytes()
-    # without one, each call reads f afresh: the table keeps no caller's f
+    # an expansion built afresh reads f on its circles again, to the same bits
+    series._endpoint_expansion.cache_clear()
     calls.clear()
     third = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
     assert set(calls) == {"f", "f on the panels"}
     assert third.tobytes() == first.tobytes()
 
 
-def test_a_range_wider_than_a_quarter_of_the_table_stays_outside_it():
+def test_a_range_wider_than_a_quarter_of_the_table_reads_its_pages():
     clear_caches()
     wide = _KernelInterpolant("even-cos", 0.25, 1.0, 100.0 + 128.0 * series._PAGE_TABLE / 4)
-    assert series._page_coefs.cache_info().currsize == 0
+    pages = series._page_coefs.cache_info().currsize
+    assert pages > series._PAGE_TABLE // 4
     narrow = _KernelInterpolant("even-cos", 0.25, 1.0, 500.0)
-    assert series._page_coefs.cache_info().currsize == 6
-    # the same pieces, rounded by their place in another call
+    assert series._page_coefs.cache_info().currsize == pages
+    # the same pieces, whichever range asked for them first
     shared = slice(0, narrow.coefs.shape[1])
-    assert np.allclose(wide.coefs[:, shared], narrow.coefs, rtol=0.0, atol=1e-15)
+    assert np.array_equal(wide.coefs[:, shared], narrow.coefs)
+    clear_caches()
+    assert np.array_equal(_KernelInterpolant("even-cos", 0.25, 1.0, 500.0).coefs, narrow.coefs)
 
 
 def _series_k_calls(monkeypatch) -> list:
@@ -711,6 +711,25 @@ def test_oscillatory_integrals_split_at_the_certificate():
     assert _EndpointExpansion(f, 20.0, 21.0, 0.25, -0.125).least_scale == math.inf
     with pytest.raises(DomainError):
         oscillatory_kernel_integrals(f, 0.0, 5.7, 0.25, cs, -1.125, "odd-sin")
+
+
+def test_an_f_that_cannot_be_hashed_is_integrated_without_the_table():
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, t):
+            return np.exp(-t)
+
+    f = Unhashable()
+    series._endpoint_expansion.cache_clear()
+    expansion = _EndpointExpansion(f, 0.5, 3.4, 0.25, -0.125)
+    cs = np.array([0.5, 0.9, 1.5, 4.0]) * expansion.least_scale
+    got = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "plus-y-sin")
+    far = cs >= expansion.least_scale
+    assert np.array_equal(got[~far], _panel_integrals(f, 0.5, 3.4, 0.25, cs[~far], -0.125,
+                                                      "plus-y-sin"))
+    assert np.array_equal(got[far], expansion.integrals(cs[far], "plus-y-sin"))
+    assert series._endpoint_expansion.cache_info().currsize == 0
 
 
 def test_tolerance_monotonicity(chi5e):
