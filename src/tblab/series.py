@@ -3,20 +3,21 @@
 Bessel-kernel sums are truncated against a certified analytic tail bound
 (coefficients bounded by d(n) n^w, the kernel by its Gaussian-majorant
 exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
-against many coefficient sequences, so its first 4,096 values are
-evaluated once per (nu, lam, terms) and process and kept in a bounded
-table (_kernel).  Algebraically decaying sums (shifted powers, log
-kernels, rational Cohen tails) share one loop, _closed_tail: it sums the
-kernel directly up to a head length and completes the rest in closed
-form.  Each of the three expands its kernel in 1/n beyond the head
-(binomially, or, for the log and Cohen kernels, geometrically in one
-_geometric_tail) and hands the loop the expansion order by order; the
-loop turns each order into Dirichlet-tail values F(s) - sum_{n<=head}
-f(n) n^{-s} (or their log-weighted siblings, from -F'), with F given by
-its zeta/L product, and stops at the first order whose certified bound
-is below tol/10.  That reaches ~1e-12 where plain truncation of
-exponents as low as 1.25 could not reach 1e-9.  The tail values at the
-default head are kept per (spec, s) in a bounded table (_dirichlet_tail).
+against many coefficient sequences, zero or not, so its first 4,096
+values are evaluated once per (nu, lam, terms) and process and kept in a
+bounded table (_kernel) that every such series reads.  Algebraically
+decaying sums (shifted powers, log kernels, rational Cohen tails) share
+one loop, _closed_tail: it sums the kernel directly up to a head length
+and completes the rest in closed form.  Each of the three expands its
+kernel in 1/n beyond the head (binomially, or, for the log and Cohen
+kernels, geometrically in one _geometric_tail) and hands the loop the
+expansion order by order; the loop turns each order into Dirichlet-tail
+values F(s) - sum_{n<=head} f(n) n^{-s} (or their log-weighted siblings,
+from -F'), with F given by its zeta/L product, and stops at the first
+order whose certified bound is below tol/10.  That reaches ~1e-12 where
+plain truncation of exponents as low as 1.25 could not reach 1e-9.  The
+tail values at the default head are kept per (spec, s) in a bounded
+table (_dirichlet_tail).
 
 Voronoi kernel integrals, int f(t) t^e kernel(c sqrt(t)) dt over
 [alpha, beta] for a batch of scales c, have two regimes, split where the
@@ -123,11 +124,9 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     may leave the double range by N, or a, x or a sqrt(x) is not finite;
     and ConvergenceError when the bound at the budget is above tol.
 
-    Where every coefficient is nonzero, K_nu(lam sqrt(n)) for the first
-    min(N, _HOT_DOUBLES / 2) = 4,096 terms is read from the table
-    _kernel and evaluated only past them.  Otherwise one k_values call
-    takes the terms with a nonzero coefficient: its quadrature rows fall
-    in other blocks than the table's, where they may round differently.
+    K_nu(lam sqrt(n)) for the first min(N, _HOT_DOUBLES / 2) = 4,096
+    terms is read from the table _kernel and evaluated only past them,
+    whatever the coefficients: a term whose f_z(n) is 0 adds exactly 0.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -157,14 +156,9 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
                                f"above tolerance after {n1} terms")
     cs = coefficient_array(spec, n1)[1:]
     ns = np.arange(1, n1 + 1, dtype=float)
-    mask = cs != 0  # never all False: f_z(1) = 1
-    if mask.all():
-        kv = _kernel(nu, lam, min(n1, _HOT_DOUBLES // 2))
-        if kv.size < n1:
-            kv = np.concatenate((kv, k_values(nu, lam * np.sqrt(ns[kv.size:]))))
-    else:
-        kv = np.zeros_like(ns)
-        kv[mask] = k_values(nu, lam * np.sqrt(ns[mask]))
+    kv = _kernel(nu, lam, min(n1, _HOT_DOUBLES // 2))
+    if kv.size < n1:
+        kv = np.concatenate((kv, k_values(nu, lam * np.sqrt(ns[kv.size:]))))
     return SeriesResult(0j + np.sum(cs * ns ** (0.5 * nu) * kv), n1, math.exp(log_tail))
 
 
@@ -173,7 +167,8 @@ def _kernel(nu: float, lam: float, count: int) -> np.ndarray:
     """K_nu(lam sqrt(n)) for n = 1..count, once per (nu, lam, count) and
     process, read-only; count <= _HOT_DOUBLES / 2, so the 256 entries
     hold at most 8 MB.  The _on_grid blocks start at n = 1, and a longer
-    series goes on past a whole block, so these are a longer call's bits."""
+    series goes on past a whole block, so these are a longer call's bits.
+    Every bessel_series reads it, including those with a zero f_z(n)."""
     kv = k_values(nu, lam * np.sqrt(np.arange(1.0, count + 1)))
     kv.flags.writeable = False
     return kv
@@ -453,6 +448,8 @@ def _variant_coefs(variant: str, nu: float) -> tuple[float, float, float]:
         raise DomainError(f"unknown Voronoi kernel variant {variant!r}") from None
     _refuse_order(nu)
     a = 0.5 * math.pi * nu
+    if not math.isfinite(a):  # |nu| above about 1.14e308
+        raise DomainError(f"the Voronoi kernel's phase pi nu / 2 is not finite at nu = {nu}")
     main = math.cos(a) if main_is_cos else math.sin(a)
     cotrig = math.sin(a) if main_is_cos else math.cos(a)
     return main, ys, js * cotrig

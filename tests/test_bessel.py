@@ -15,7 +15,7 @@ from tblab.bessel import (
     k_values,
 )
 from tblab.errors import DomainError
-from tblab.series import adaptive_integral, voronoi_kernel_values
+from tblab.series import adaptive_integral, oscillatory_kernel_integrals, voronoi_kernel_values
 
 
 def k_half(x):
@@ -183,9 +183,14 @@ def test_a_negative_order_whose_double_overflows_is_refused(nu):
         jy_values(nu, [20.0])
 
 
-def test_a_kernel_of_a_negative_order_whose_double_overflows_is_refused():
+@pytest.mark.parametrize("nu", [-1e308, -1.7976931348623157e308, 1.5e308])
+def test_a_kernel_of_a_negative_order_whose_double_overflows_is_refused(nu):
+    # past |nu| of about 1.14e308 the phase pi nu / 2 is itself infinite
     with pytest.raises(DomainError, match="not finite"):
-        voronoi_kernel_values("even-cos", -1e308, np.array([1.0, 20.0]))
+        voronoi_kernel_values("even-cos", nu, np.array([1.0, 20.0]))
+    if abs(nu) > 1.2e308:
+        with pytest.raises(DomainError, match="not finite"):
+            oscillatory_kernel_integrals(np.exp, 1.0, 2.0, nu, [1.0], 0.0, "even-cos")
 
 
 def _k_asym_reference(nu, xb):

@@ -7,13 +7,20 @@ expansions drop an argument after a few steps.  Orders 6 and 8 skip the
 points just past the asymptotic cuts: there their expansions cannot
 reach 1e-12 and raise DomainError instead.  K and Y are also checked at
 1e-16 and at 1e-20, the least argument they take; below it they refuse.
+One K-Bessel series, whose coefficients include zeros, is checked against
+the 30-digit sum of the same terms.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from tblab.arith import DivisorSumSpec
 from tblab.bessel import JY_CUT, K_ASYM_CUT, bessel_I, bessel_J, bessel_Y, jy_values, k_values
+from tblab.characters import enumerate_characters
 from tblab.errors import DomainError
+from tblab.series import bessel_series
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -165,3 +172,39 @@ def test_orders_whose_gamma_overflows(nu, x):
         j_ref, y_ref = mpmath.besselj(nu, x), mpmath.bessely(nu, x)
     assert float(abs(j[0] / j_ref - 1)) < LARGE_ORDER_BOUND
     assert float(abs(y[0] / y_ref - 1)) < LARGE_ORDER_BOUND
+
+
+def _k_30_digits(nu, z):
+    """K_nu(z) at 30 digits for a non-integer nu.  Below z = 52 mpmath's
+    besselk leaves its asymptotic 2F0 for a route about 20 times slower;
+    there (pi/2)(I_-nu - I_nu)/sin(nu pi) is taken at the 2z/ln 10 extra
+    digits its difference cancels."""
+    if z >= 52:
+        return mpmath.besselk(nu, z)
+    with mpmath.workdps(35 + int(2 * z / math.log(10))):
+        k = mpmath.pi / 2 * (mpmath.besseli(-nu, z) - mpmath.besseli(nu, z)) / mpmath.sinpi(nu)
+    return +k
+
+
+def test_a_series_with_zero_coefficients_against_an_exact_sum():
+    # C2_1's lhs with chi mod 4 in both slots, k = 3, nu = 0.25, a = 1,
+    # x = 1.2: f(n) = chi(n) sigma_3(n) is an integer, 0 at every even n.
+    # mpmath sums the same N terms at 30 digits, and the library's sum
+    # must be within eps of the sum of the terms' magnitudes
+    chi = enumerate_characters(4)[1]
+    nu, a, x = 0.25, 1.0, 1.2
+    r = bessel_series(DivisorSumSpec(3, chi, chi), a, x, nu)
+    assert r.terms == 4096
+    sigma = [0] * (r.terms + 1)
+    for d in range(1, r.terms + 1):
+        for m in range(d, r.terms + 1, d):
+            sigma[m] += d ** 3
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(a) * mpmath.sqrt(mpmath.mpf(x))
+        terms = [int(chi.value(n).real) * sigma[n] * mpmath.mpf(n) ** (nu / 2)
+                 * _k_30_digits(nu, lam * mpmath.sqrt(n))
+                 for n in range(1, r.terms + 1) if chi.value(n) != 0]
+        truth = mpmath.fsum(terms)
+        magnitude = mpmath.fsum(abs(t) for t in terms)
+    assert r.value.imag == 0.0
+    assert abs(r.value.real - truth) <= np.finfo(float).eps * magnitude

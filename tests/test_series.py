@@ -532,12 +532,10 @@ def _bits(z: complex) -> tuple[str, str]:
 
 
 def _one_k_call(spec, a, x, nu, terms) -> complex:
-    """bessel_series's sum as one k_values call over the nonzero terms."""
+    """bessel_series's sum as one k_values call over all its terms."""
     cs = coefficient_array(spec, terms)[1:]
     ns = np.arange(1, terms + 1, dtype=float)
-    mask = cs != 0
-    kv = np.zeros_like(ns)
-    kv[mask] = k_values(nu, a * math.sqrt(x) * np.sqrt(ns[mask]))
+    kv = k_values(nu, a * math.sqrt(x) * np.sqrt(ns))
     return 0j + np.sum(cs * ns ** (0.5 * nu) * kv)
 
 
@@ -581,18 +579,36 @@ def test_a_small_lambda_reads_the_kernel_table_across_the_quadrature(monkeypatch
     assert _bits(r.value) == _bits(_one_k_call(DivisorSumSpec(), lam, 1.0, 0.25, r.terms))
 
 
-def test_a_spec_with_a_zero_coefficient_never_reads_the_kernel_table(monkeypatch):
+def _zero_coefficient_spec(j: int) -> DivisorSumSpec:
     # moduli 4 and 6 share the prime 2, so f(2) = chi1(1) chi2(2) +
-    # chi1(2) chi2(1) = 0; its k_values call skips that term and rounds
-    # its rows in other blocks than the table's
-    spec = DivisorSumSpec(0, enumerate_characters(4)[1], enumerate_characters(6)[1])
+    # chi1(2) chi2(1) = 0 for every chi1 mod 4 and chi2 mod 6
+    return DivisorSumSpec(0, enumerate_characters(4)[1], enumerate_characters(6)[j])
+
+
+def test_a_spec_with_a_zero_coefficient_reads_the_kernel_table(monkeypatch):
+    # a zero f(n) multiplies its tabled K value, and the term adds 0
+    spec = _zero_coefficient_spec(1)
     clear_caches()
     calls = _series_k_calls(monkeypatch)
     r = bessel_series(spec, 1.0, 1.0, 0.25)
+    assert (coefficient_array(spec, r.terms)[1:] == 0).any()
     info = series._kernel.cache_info()
-    assert info.hits == info.misses == 0
-    assert len(calls) == 1 and calls[0].size < r.terms
+    assert (info.hits, info.misses) == (0, 1)
+    assert [xs.size for xs in calls] == [r.terms] and r.terms <= _HOT_DOUBLES // 2
     assert _bits(r.value) == _bits(_one_k_call(spec, 1.0, 1.0, 0.25, r.terms))
+
+
+def test_a_warm_kernel_table_serves_a_second_spec_with_zero_coefficients(monkeypatch):
+    # another zero-coefficient series at the same (nu, a, x, N) reads its
+    # whole kernel from the table the first one left
+    first, second = _zero_coefficient_spec(1), _zero_coefficient_spec(0)
+    clear_caches()
+    cold = bessel_series(first, 1.0, 0.7, 0.3)
+    calls = _series_k_calls(monkeypatch)
+    warm = bessel_series(second, 1.0, 0.7, 0.3)
+    assert warm.terms == cold.terms and (coefficient_array(second, warm.terms)[1:] == 0).any()
+    assert calls == []
+    assert _bits(warm.value) == _bits(_one_k_call(second, 1.0, 0.7, 0.3, warm.terms))
 
 
 def test_a_warm_kernel_table_evaluates_no_bessel_function(monkeypatch):
