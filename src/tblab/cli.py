@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--filter", type=str, metavar="PREFIX")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--out", type=str)
 
@@ -172,7 +171,7 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "suite":
-        reports = run_suite("all" if args.all else args.filter, workers=args.workers)
+        reports = run_suite("all" if args.all else args.filter)
         if not reports:
             print("no cases match the filter")
             return 0

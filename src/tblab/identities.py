@@ -1079,9 +1079,8 @@ def default_cases(selector=None) -> list[IdentityCase]:
     return out
 
 
-def _verify_for_pool(args):
+def _report(case: IdentityCase, tol: float) -> VerificationReport:
     """verify, with a TblabError turned into a failed report naming it."""
-    case, tol = args
     t0 = time.perf_counter()
     try:
         return verify(case, tol)
@@ -1092,28 +1091,14 @@ def _verify_for_pool(args):
                                   error=f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(selector=None, workers: int = 1) -> list[VerificationReport]:
-    """Verify every registered case matching the selector.
-
-    Individual failures are reported, not raised: a case whose
-    evaluation raises a TblabError gets a failed report whose error names
-    it.  Results keep the deterministic registry ordering regardless of
-    worker count.  workers > 1 runs the cases in a pool of at most
-    min(workers, cases) processes; a workers that is not an int >= 1
-    raises DomainError.
-    """
-    _admit("workers", workers, int)
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+def run_suite(selector=None) -> list[VerificationReport]:
+    """Verify every registered case matching the selector, in registry
+    order, each at its section's default tolerance.  Failures are reported,
+    not raised: a case whose evaluation raises a TblabError gets a failed
+    report whose error names it."""
     term_cap()  # a bad TBL_MAX_TERMS fails the suite, not each case
-    cases = default_cases(selector)
-    jobs = [(case, DEFAULT_TOLERANCES[THEOREMS[case.theorem].section]) for case in cases]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_for_pool, jobs))
-    return [_verify_for_pool(job) for job in jobs]
+    return [_report(case, DEFAULT_TOLERANCES[THEOREMS[case.theorem].section])
+            for case in default_cases(selector)]
 
 
 def positivity_scan(q_max: int) -> list[tuple[int, int, float]]:

@@ -685,6 +685,7 @@ class _EndpointExpansion:
     the circle for the M points (gauss from alpha of about 5 on).
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # an order whose a_k leave the double range
     def __init__(self, f, alpha: float, beta: float, nu: float, t_exponent: float):
         L, M = _HANKEL_ORDER, _CAUCHY_POINTS
         self.nu = nu
@@ -718,7 +719,8 @@ class _EndpointExpansion:
         terms = np.abs(hankel[:, None] * deriv[ks, :, diag - ks])
         lasts = np.max(np.where((ks <= diag)[..., None], terms, 0.0), axis=(1, 2))
         self.lead = np.max(np.abs(h_ends))
-        resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(h_ends)) and self.lead > 0
+        resolved = (np.all(np.isfinite(deriv)) and np.all(np.isfinite(self.sums))
+                    and np.all(np.isfinite(h_ends)) and self.lead > 0
                     and np.max(np.abs(deriv[0, :, 0] - h_ends)) <= 1e-13 * np.max(np.abs(h[0])))
         self.least_scale = max((last / (_HANKEL_REL * self.lead)) ** (1.0 / n)
                                for n, last in zip((L - 1, L), lasts)) if resolved else math.inf

@@ -55,8 +55,8 @@ def grid(tid: str) -> list[IdentityCase]:
 def run(cases: list[IdentityCase]) -> list[VerificationReport]:
     """A report for each case at its section's default tolerance; a case
     refused with a TblabError gets a failed report whose error names it."""
-    return [identities._verify_for_pool(
-        (case, identities.DEFAULT_TOLERANCES[identities.THEOREMS[case.theorem].section]))
+    return [identities._report(
+        case, identities.DEFAULT_TOLERANCES[identities.THEOREMS[case.theorem].section])
         for case in cases]
 
 

@@ -5,9 +5,7 @@ Run it from the repository root as
     PYTHONPATH=src python3 tests/reach.py
 
 It takes no flags.  Under a line tracer it imports tblab, runs
-`tblab suite --all` (and
-`suite --filter T2_1 --workers 2`, whose cases run in the pool, out of the
-tracer's sight), every other CLI subcommand, `bessel` with each kind, one
+`tblab suite --all`, every other CLI subcommand, `bessel` with each kind, one
 refused `verify`, and one pass of each benchmark workload of
 bench/workloads.py, seed 0, each op checked as the benchmark checks it.
 Then it prints each function of src/tblab that was never entered, with
@@ -154,7 +152,7 @@ def _cli_runs(tmp: str) -> list[list[str]]:
     t2_13 = ["verify", "--theorem", "T2_13", "--q", "5", "--char", "2", "--a", "1"]
     return [
         ["suite", "--all"],
-        ["suite", "--filter", "T2_1", "--workers", "2", "--format", "structured", "--out", out],
+        ["suite", "--filter", "T2_1", "--format", "structured", "--out", out],
         ["suite", "--filter", "T9"],
         ["list-characters", "--q", "12"],
         ["lvalue", "--q", "5", "--char", "1", "--s", "0.5,14.134725"],

@@ -185,12 +185,20 @@ def test_a_negative_order_whose_double_overflows_is_refused(nu):
 
 @pytest.mark.parametrize("nu", [-1e308, -1.7976931348623157e308, 1.5e308])
 def test_a_kernel_of_a_negative_order_whose_double_overflows_is_refused(nu):
-    # past |nu| of about 1.14e308 the phase pi nu / 2 is itself infinite
+    # past |nu| of about 1.14e308 the phase pi nu / 2 is itself infinite;
+    # at -1e308 the kernel integrals' ascending series needs Gamma(1e308)
     with pytest.raises(DomainError, match="not finite"):
         voronoi_kernel_values("even-cos", nu, np.array([1.0, 20.0]))
-    if abs(nu) > 1.2e308:
-        with pytest.raises(DomainError, match="not finite"):
-            oscillatory_kernel_integrals(np.exp, 1.0, 2.0, nu, [1.0], 0.0, "even-cos")
+    with pytest.raises(DomainError, match="not finite"):
+        oscillatory_kernel_integrals(np.exp, 1.0, 2.0, nu, [1.0, 30.0, 500.0], 0.0, "even-cos")
+
+
+@pytest.mark.parametrize("nu", [1e8, 1e20, 1e154])
+def test_a_kernel_integral_of_a_large_order_is_refused(nu):
+    # the Hankel coefficients a_k(nu) of the endpoint expansion overflow,
+    # so no scale is left to it, and the panels refuse the kernel
+    with pytest.raises(DomainError, match="outside the double range"):
+        oscillatory_kernel_integrals(np.exp, 1.0, 2.0, nu, [1.0, 30.0, 500.0], 0.0, "even-cos")
 
 
 def _k_asym_reference(nu, xb):

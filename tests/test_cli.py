@@ -298,11 +298,13 @@ def test_suite_text_line_of_a_raising_case(monkeypatch, capsys):
     assert all("ConvergenceError: " in line and "[FAIL]" in line for line in errors)
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_suite_fewer_than_one_worker_exits_two(capsys, workers):
-    assert main(["suite", "--filter", "T2_13", "--workers", workers]) == 2
+def test_suite_refuses_a_workers_flag(capsys):
+    # the suite runs its cases in this process and takes no worker count
+    with pytest.raises(SystemExit) as exited:
+        main(["suite", "--all", "--workers", "2"])
+    assert exited.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "workers must be at least 1" in captured.err
+    assert captured.out == "" and "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_positivity(capsys):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib
 import io
 import json
@@ -444,44 +443,6 @@ def test_every_cache_of_the_library_is_in_one_list():
                   if callable(getattr(v, "cache_clear", None))}
     assert found == {id(cache) for cache in tblab._CACHES}
     assert len(tblab._CACHES) == 15
-
-
-def test_parallel_runner_matches_sequential():
-    seq = run_suite(["T2_13"])
-    par = run_suite(["T2_13"], workers=2)
-    assert [r.case for r in seq] == [r.case for r in par]
-    for a, b in zip(seq, par):
-        assert abs(a.lhs - b.lhs) < 1e-13 and abs(a.rhs - b.rhs) < 1e-13
-
-
-class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that records max_workers and
-    maps in this process, starting none."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize("workers, pools", [(64, [4]), (3, [3]), (1, [])])
-def test_parallel_runner_starts_no_more_processes_than_cases(monkeypatch, workers, pools):
-    # run_suite imports the pool class when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "requested", [])
-    reports = run_suite(["T2_13"], workers=workers)  # 4 cases
-    assert len(reports) == 4 and all(r.passed for r in reports)
-    assert _InProcessPool.requested == pools
-
 
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"

@@ -11,7 +11,7 @@ from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
-from tblab.identities import IdentityCase, positivity_scan, run_suite, verify
+from tblab.identities import IdentityCase, positivity_scan, verify
 from tblab.series import (
     adaptive_integral,
     bessel_series,
@@ -161,17 +161,13 @@ def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, mess
      "tol must be of type float, got (0.001+0j)"),
     (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=10 ** 400),
      "tol must be a finite number > 0, got 1000"),
-    (lambda: run_suite(["T2_13"], workers=2.5), "workers must be of type int, got 2.5"),
-    (lambda: run_suite(["T2_13"], workers="2"), "workers must be of type int, got '2'"),
     (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=True),
      "tol must be of type float, got True"),
-    (lambda: run_suite(["T2_13"], workers=True), "workers must be of type int, got True"),
     (lambda: positivity_scan(True), "q_max must be of type int, got True"),
-], ids=["string-tol", "complex-tol", "huge-tol", "float-workers", "string-workers",
-        "bool-tol", "bool-workers", "bool-q-max"])
+], ids=["string-tol", "complex-tol", "huge-tol", "bool-tol", "bool-q-max"])
 def test_tol_and_workers_are_checked_like_a_field(call, message):
-    # verify's tol is checked as a float field, then > 0; run_suite's
-    # workers and positivity_scan's q_max as an int field, then >= 1 and >= 3
+    # verify's tol is checked as a float field, then > 0; positivity_scan's
+    # q_max as an int field, then >= 3
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
 
