@@ -298,6 +298,17 @@ def test_suite_text_line_of_a_raising_case(monkeypatch, capsys):
     assert all("ConvergenceError: " in line and "[FAIL]" in line for line in errors)
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_suite_fewer_than_one_worker_exits_two(capsys, workers):
+    # a worker count is a usage error, as every count is: the suite takes none
+    with pytest.raises(SystemExit) as exited:
+        main(["suite", "--filter", "T2_13", "--workers", workers])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    # argparse prints a value that starts with "-" as --workers=-2
+    assert captured.out == "" and "unrecognized arguments: --workers" in captured.err
+
+
 def test_suite_refuses_a_workers_flag(capsys):
     # the suite runs its cases in this process and takes no worker count
     with pytest.raises(SystemExit) as exited:

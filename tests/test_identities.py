@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import io
 import json
 import math
@@ -443,6 +444,40 @@ def test_every_cache_of_the_library_is_in_one_list():
                   if callable(getattr(v, "cache_clear", None))}
     assert found == {id(cache) for cache in tblab._CACHES}
     assert len(tblab._CACHES) == 15
+
+
+def test_run_suite_is_verify_case_by_case_in_registry_order():
+    # each report is verify's at the section's default tolerance, in the
+    # order default_cases lists the cases
+    cases = default_cases(["T2_13", "C3_1"])
+    reports = run_suite(["T2_13", "C3_1"])
+    assert [r.case for r in reports] == cases
+    for case, rep in zip(cases, reports):
+        ref = verify(case)
+        assert (rep.lhs, rep.rhs, rep.passed, rep.tol) == (ref.lhs, ref.rhs, ref.passed, ref.tol)
+
+
+def test_run_suite_takes_only_a_selector():
+    assert list(inspect.signature(run_suite).parameters) == ["selector"]
+    with pytest.raises(TypeError):
+        run_suite(["T2_13"], workers=2)
+
+
+def test_run_suite_starts_no_process(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+    import os
+    import subprocess
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    reports = run_suite("T2_13")
+    assert len(reports) == 4 and all(r.passed for r in reports)
 
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"

@@ -164,7 +164,10 @@ def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, mess
     (lambda: verify(IdentityCase("T2_13", q=5, char_index=2, **T2_13), tol=True),
      "tol must be of type float, got True"),
     (lambda: positivity_scan(True), "q_max must be of type int, got True"),
-], ids=["string-tol", "complex-tol", "huge-tol", "bool-tol", "bool-q-max"])
+    (lambda: positivity_scan("7"), "q_max must be of type int, got '7'"),
+    (lambda: positivity_scan(50.0), "q_max must be of type int, got 50.0"),
+], ids=["string-tol", "complex-tol", "huge-tol", "bool-tol", "bool-q-max",
+        "string-q-max", "float-q-max"])
 def test_tol_and_workers_are_checked_like_a_field(call, message):
     # verify's tol is checked as a float field, then > 0; positivity_scan's
     # q_max as an int field, then >= 3
