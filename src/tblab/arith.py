@@ -27,7 +27,7 @@ import numpy as np
 
 from .bessel import _HOT_DOUBLES
 from .characters import TRIVIAL, Character, _divisors
-from .errors import DomainError
+from .errors import DomainError, within_budget
 from .specfun import L_derivative, dirichlet_L
 
 __all__ = [
@@ -118,6 +118,7 @@ def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
+    within_budget(count, "a coefficient array")
     real = complex(spec.weight).imag == 0.0 and spec.chi1.is_real and spec.chi2.is_real
     dtype = float if real else complex
     a = _char_values(spec.chi1, count, complex(spec.weight), dtype)

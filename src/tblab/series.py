@@ -5,7 +5,8 @@ Bessel-kernel sums are truncated against a certified analytic tail bound
 exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
 against many coefficient sequences, zero or not, so its first 4,096
 values are evaluated once per (nu, lam, terms) and process and kept in a
-bounded table (_kernel) that every such series reads.  Algebraically
+bounded table (_kernel) that every such series reads; past them K and
+the terms are formed in chunks of _HOT_DOUBLES arguments.  Algebraically
 decaying sums (shifted powers, log kernels, rational Cohen tails) share
 one loop, _closed_tail: it sums the kernel directly up to a head length
 and completes the rest in closed form.  Each of the three expands its
@@ -127,6 +128,9 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     K_nu(lam sqrt(n)) for the first min(N, _HOT_DOUBLES / 2) = 4,096
     terms is read from the table _kernel and evaluated only past them,
     whatever the coefficients: a term whose f_z(n) is 0 adds exactly 0.
+    The terms are formed chunk by chunk, the table's and then
+    _HOT_DOUBLES each, into one array that is summed once; a chunk is
+    a whole number of _on_grid's blocks, so K keeps the bits of one call.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -155,11 +159,16 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
         raise ConvergenceError(f"bessel_series: tail bound 10^{log_tail / math.log(10):.1f} "
                                f"above tolerance after {n1} terms")
     cs = coefficient_array(spec, n1)[1:]
-    ns = np.arange(1, n1 + 1, dtype=float)
-    kv = _kernel(nu, lam, min(n1, _HOT_DOUBLES // 2))
-    if kv.size < n1:
-        kv = np.concatenate((kv, k_values(nu, lam * np.sqrt(ns[kv.size:]))))
-    return SeriesResult(0j + np.sum(cs * ns ** (0.5 * nu) * kv), n1, math.exp(log_tail))
+    terms = np.empty(n1, dtype=complex)
+    lo, hi = 0, min(n1, _HOT_DOUBLES // 2)
+    while lo < n1:  # the table's chunk, then chunks of _HOT_DOUBLES
+        ns = np.arange(lo + 1, hi + 1, dtype=float)
+        kv = _kernel(nu, lam, hi) if lo == 0 else k_values(nu, lam * np.sqrt(ns))
+        part = terms[lo:hi]
+        np.multiply(cs[lo:hi], ns ** (0.5 * nu), out=part)
+        part *= kv
+        lo, hi = hi, min(hi + _HOT_DOUBLES, n1)
+    return SeriesResult(0j + np.sum(terms), n1, math.exp(log_tail))
 
 
 @functools.lru_cache(maxsize=256)

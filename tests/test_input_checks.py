@@ -108,6 +108,11 @@ T2_13 = {"a": 1.0, "x": 0.3}
     (lambda: coefficient_array(SPEC, 5000.0), DomainError, "int count >= 0, got 5000.0"),
     (lambda: (coefficient_array(SPEC, 1), coefficient_array(SPEC, True)), DomainError,
      "int count >= 0, got True"),
+    # a count past the term budget, refused before the array is allocated
+    (lambda: coefficient_array(SPEC, 10 ** 12), ConvergenceError,
+     r"a coefficient array needs 1e\+12 terms, over the term budget of 1000000$"),
+    (lambda: coefficient_array(SPEC, 10 ** 19), ConvergenceError,
+     r"a coefficient array needs 1e\+19 terms, over the term budget of 1000000$"),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):

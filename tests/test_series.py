@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,10 +174,11 @@ class TestShiftedPowerSeries:
         tail = (ns[-1] + 0.7) ** -0.25 / 0.25
         assert abs(r.value.real - (brute + tail)) < 1e-8
 
-    def test_difference_form_brute(self):
+    def test_difference_form_brute(self, monkeypatch):
         chi3 = enumerate_characters(3)[1]
         spec = DivisorSumSpec(2, chi3)
         r = shifted_power_series(spec, 3.0, 0.37, difference_form=True)
+        monkeypatch.setenv("TBL_MAX_TERMS", "2000000")  # for the brute-force reference
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
         ns = np.arange(1, 2 * 10 ** 6 + 1, dtype=float)
         brute = np.sum(coefs * (ns ** -3.0 - (ns + 0.37) ** -3.0))
@@ -228,10 +230,11 @@ class TestLogKernelSeries:
         tail = (math.log(2e6) + 1) / 1e6  # integral tail of log(t/.5)/t^2
         assert abs(r.value.real - (brute + tail)) < 1e-9
 
-    def test_twisted_brute_reference(self, chi5e):
+    def test_twisted_brute_reference(self, chi5e, monkeypatch):
         spec = DivisorSumSpec(0, chi5e.conjugate())
         c = 3.2
         r = log_kernel_series(spec, c)
+        monkeypatch.setenv("TBL_MAX_TERMS", "2000000")  # for the brute-force reference
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
         ns = np.arange(1, 2 * 10 ** 6 + 1, dtype=float)
         brute = np.sum(coefs * np.log(ns / c) / (ns * ns - c * c))
@@ -276,10 +279,11 @@ class TestCohenTailSeries:
         tail = -(0.7 ** w) / 1e6  # dominant integral tail
         assert abs(r.value.real - (brute + tail)) < 1e-9
 
-    def test_twisted_brute_reference(self, chi5e):
+    def test_twisted_brute_reference(self, chi5e, monkeypatch):
         spec = DivisorSumSpec(-0.25, TRIVIAL, chi5e)
         w = 0.25 - 2
         r = cohen_tail_series(spec, w, 1.05)
+        monkeypatch.setenv("TBL_MAX_TERMS", "2000000")  # for the brute-force reference
         coefs = coefficient_array(spec, 2 * 10 ** 6)[1:]
         ns = np.arange(1, 2 * 10 ** 6 + 1, dtype=float)
         brute = np.sum(coefs * (ns ** w - 1.05 ** w) / (ns * ns - 1.05 ** 2))
@@ -565,16 +569,21 @@ def test_the_kernel_table_is_the_series_call_on_its_prefix(monkeypatch):
         assert kernel.tobytes() == k_values(nu, args)[:count].tobytes()
 
 
+def _chunk_sizes(terms: int) -> list[int]:
+    """The sizes of bessel_series's k_values calls past its kernel table."""
+    return [min(_HOT_DOUBLES, terms - lo) for lo in range(_HOT_DOUBLES // 2, terms, _HOT_DOUBLES)]
+
+
 def test_a_small_lambda_reads_the_kernel_table_across_the_quadrature(monkeypatch):
     # at lam = 0.27 the arguments pass K_ASYM_CUT only after n = 4,096:
     # the table ends inside the quadrature branch, on a block boundary
-    # of _on_grid, and the rest is one more call
+    # of _on_grid, and the rest comes in chunks of _HOT_DOUBLES
     clear_caches()
     lam = 0.27
     calls = _series_k_calls(monkeypatch)
     r = bessel_series(DivisorSumSpec(), lam, 1.0, 0.25)
     table = _HOT_DOUBLES // 2
-    assert [xs.size for xs in calls] == [table, r.terms - table]
+    assert [xs.size for xs in calls] == [table] + _chunk_sizes(r.terms)
     assert calls[0][-1] < calls[1][0] < K_ASYM_CUT
     assert _bits(r.value) == _bits(_one_k_call(DivisorSumSpec(), lam, 1.0, 0.25, r.terms))
 
@@ -633,19 +642,77 @@ def test_a_warm_kernel_table_evaluates_no_bessel_function(monkeypatch):
     (0.15, 0, 0.25), (0.2, 0.5, 1.5), (0.27, -0.25, 0.0), (1.0, 3, 2.5)])
 def test_a_long_series_evaluates_only_past_the_kernel_table(monkeypatch, lam, weight, nu):
     # past _HOT_DOUBLES / 2 = 4,096 terms the series evaluates K only on
-    # the rest, cold and warm, with the bits of one k_values call
+    # the rest, in chunks of _HOT_DOUBLES, cold and warm, with the bits
+    # of one k_values call
     spec = DivisorSumSpec(weight)
     table = _HOT_DOUBLES // 2
     calls = _series_k_calls(monkeypatch)
     clear_caches()
     cold = bessel_series(spec, lam, 1.0, nu)
     assert cold.terms > table
-    assert [xs.size for xs in calls] == [table, cold.terms - table]
+    assert [xs.size for xs in calls] == [table] + _chunk_sizes(cold.terms)
     calls.clear()
     warm = bessel_series(spec, lam, 1.0, nu)
-    assert [xs.size for xs in calls] == [warm.terms - table]
+    assert [xs.size for xs in calls] == _chunk_sizes(warm.terms)
     assert _bits(warm.value) == _bits(cold.value) == _bits(
         _one_k_call(spec, lam, 1.0, nu, cold.terms))
+
+
+def _one_shot(spec, lam, nu, terms) -> complex:
+    """bessel_series's sum formed whole: the kernel table's prefix, one
+    k_values call past it and one product of all the terms."""
+    cs = coefficient_array(spec, terms)[1:]
+    ns = np.arange(1, terms + 1, dtype=float)
+    table = min(terms, _HOT_DOUBLES // 2)
+    kv = np.concatenate((series._kernel(nu, lam, table), k_values(nu, lam * np.sqrt(ns[table:]))))
+    return 0j + np.sum(cs * ns ** (nu / 2) * kv)
+
+
+@pytest.mark.parametrize("lam, weight, nu, cap, terms", [
+    # below 18 / sqrt(4097) = 0.281 the quadrature runs past the table
+    (0.2, 0, 0.0, None, 65536), (0.2, 0, 0.25, None, 65536), (0.2, 0.5, 1.3, None, 131072),
+    # above it the table reaches the expansion
+    (0.3, 1, 0.0, None, 65536), (0.3, 2, 0.25, None, 65536), (0.3, 1, 1.3, None, 65536),
+    # a budget that ends the series 1,328 terms into a chunk
+    (0.27, 0, 0.25, 30000, 30000),
+])
+def test_the_chunked_series_has_the_bits_of_the_whole_sum(monkeypatch, lam, weight, nu, cap,
+                                                           terms):
+    if cap is not None:
+        monkeypatch.setenv("TBL_MAX_TERMS", str(cap))
+    spec = DivisorSumSpec(weight)
+    r = bessel_series(spec, lam, 1.0, nu)
+    assert r.terms == terms
+    assert _bits(r.value) == _bits(_one_shot(spec, lam, nu, terms))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 1.3])
+def test_k_values_over_aligned_chunks_is_one_call(nu):
+    # chunks that start on a block of _on_grid (64 arguments) give the
+    # bits of one call, in the quadrature and in the expansion
+    xs = 0.2 * np.sqrt(np.arange(1.0, 30001.0))
+    assert xs[0] < K_ASYM_CUT < xs[-1]
+    edges = [0, 64, 4096, 4096 + _HOT_DOUBLES, 4096 + 2 * _HOT_DOUBLES, 28992, xs.size]
+    chunks = [k_values(nu, xs[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    assert np.concatenate(chunks).tobytes() == k_values(nu, xs).tobytes()
+
+
+def test_a_long_series_holds_its_terms_and_chunks_of_64_kb(monkeypatch):
+    # past the kernel table, K and the terms are formed in chunks of
+    # _HOT_DOUBLES arguments: besides the coefficients it is given and its
+    # 16 N bytes of terms, a series of N = 131,072 holds at most 1 MiB
+    spec, lam, nu = DivisorSumSpec(), 0.15, 0.25
+    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel table
+    assert terms == 131072
+    cs = coefficient_array(spec, terms)
+    monkeypatch.setattr(series, "coefficient_array", lambda spec, count: cs)
+    tracemalloc.start()
+    try:
+        bessel_series(spec, lam, 1.0, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * terms + 2 ** 20
 
 
 def _tail_calls(monkeypatch) -> list:
