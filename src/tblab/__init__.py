@@ -51,7 +51,9 @@ __version__ = "0.1.0"
 # orders and moduli asked for.  specfun._units and specfun._em_grid hold the
 # s-independent parts of an L-value: each modulus's units, and the log
 # grid, X and X^{1-2j} of an Euler-Maclaurin batch per (unit set, head).
-# arith._coefficient_table holds coefficient arrays of up to 2,048 terms,
+# arith._coefficient_table, a dict with a cache_clear, holds per spec the
+# longest coefficient array of up to 8,192 terms built so far, float64 for
+# a real spec, at most 8 MB in all, least-recently-used specs leaving first;
 # series._kernel the first 4,096 values K_nu(lam sqrt(n)) of a Bessel-kernel
 # series per (nu, lam, count), and series._dirichlet_tail the closed-form
 # tails at the default head per (spec, head, s, log).

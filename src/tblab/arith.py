@@ -9,11 +9,13 @@ sum_{d|n} d^z chi(d) is (z, chi), its bar twist sum_{d|n} d^z chi(n/d) is
 Values for a single n come from its divisors, found by trial division;
 whole coefficient ranges, which the series evaluators consume, from one
 convolution sweep in two halves split at sqrt(count), as read-only
-arrays, of which those up to 2,048 coefficients are computed once per
-(spec, count) and process and kept in a bounded table; in real
-arithmetic where the weight and both characters are real, with the bits
-of the complex sweep.  The generating Dirichlet series L(s - z, chi1)
-L(s, chi2) anchors the tail continuation used by the series module.
+arrays: float64 where the weight and both characters are real, with the
+real parts of the complex sweep, complex otherwise.  A table keeps one
+array per spec, the longest of up to 8,192 coefficients built so far,
+and serves a shorter count as a view of its prefix; it holds at most
+8 MB, least-recently-used specs leaving first.  The generating
+Dirichlet series L(s - z, chi1) L(s, chi2) anchors the tail continuation
+used by the series module.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,24 +87,49 @@ def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> n
     return arr
 
 
-# coefficient arrays up to this count (32 kB) are tabled
-_TABLED_COUNT = _HOT_DOUBLES // 4
+class _Table(dict):
+    """spec -> its longest coefficient array of up to _HOT_DOUBLES terms,
+    at most _TABLE_BYTES together, in the order of last use: a read pops
+    its spec and inserts it again.  A dict, whose values() hashes no key
+    as an OrderedDict's does, with an lru_cache's cache_clear for
+    tblab.clear_caches."""
+
+    cache_clear = dict.clear
+
+
+_coefficient_table = _Table()
+_TABLE_BYTES = 8 << 20  # 256 x 32 kB
 
 
 def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
-    """f_z(1..count) as a read-only complex array (index 0 unused).
+    """f_z(1..count) as a read-only array (index 0 unused): float64 where
+    the weight and both characters are real, complex otherwise.
 
-    Up to _TABLED_COUNT coefficients it is computed once per (spec,
-    count) and process (_coefficient_table), a longer one on each call;
-    either way by _coefficients, so the table moves no bit."""
-    return (_coefficient_table if count <= _TABLED_COUNT else _coefficients)(spec, count)
+    The count is checked, and held to the term budget, on every call.  Up
+    to _HOT_DOUBLES = 8,192 it is a view of the prefix of the spec's
+    entry in _coefficient_table, which is rebuilt at count when shorter;
+    a longer array is computed on each call.  Either way the values are
+    _coefficients', so the table moves no bit.  A reader that sums it
+    takes it as complex: a float sum pairs its terms differently."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
+    within_budget(count, "a coefficient array")
+    if count > _HOT_DOUBLES:
+        return _coefficients(spec, count)
+    arr = _coefficient_table.pop(spec, None)
+    if arr is None or arr.size <= count:
+        arr = _coefficients(spec, count)
+        held = arr.nbytes + sum(a.nbytes for a in _coefficient_table.values())
+        while held > _TABLE_BYTES:
+            held -= _coefficient_table.pop(next(iter(_coefficient_table))).nbytes
+    _coefficient_table[spec] = arr
+    return arr[:count + 1]
 
 
 def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
-    """coefficient_array, computed.  As _coefficient_table it keeps the
-    arrays of at most _TABLED_COUNT = _HOT_DOUBLES / 4 = 2,048
-    coefficients (32 kB) of the 256 latest (spec, count), at most 8 MB,
-    typed: a bool count, refused here, reads no int count's entry.
+    """coefficient_array, computed for a checked count: float64 for a real
+    weight and characters, complex otherwise.  coefficient_array keeps one
+    per spec of up to 8,192 terms in _coefficient_table, at most 8 MB.
 
     The convolution of a(d) = d^z chi1(d) with b(e) = chi2(e) in two
     sweeps split at S = isqrt(count) (Dirichlet's hyperbola method):
@@ -113,12 +139,9 @@ def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
     shorter array is the prefix of a longer one, bit for bit; the work
     is 2 sqrt(count) slice updates.  For a
     trivial chi2, b = 1 + 0j, an exact factor, is not multiplied in.  For
-    real z and characters the sweeps run in float64, cast once: the
+    real z and characters the sweeps run in float64 and stay so: the
     complex ones form the same real parts and +0 imaginary parts.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
-    within_budget(count, "a coefficient array")
     real = complex(spec.weight).imag == 0.0 and spec.chi1.is_real and spec.chi2.is_real
     dtype = float if real else complex
     a = _char_values(spec.chi1, count, complex(spec.weight), dtype)
@@ -133,12 +156,8 @@ def _coefficients(spec: DivisorSumSpec, count: int) -> np.ndarray:
             arr[(root + 1) * e::e] += a[root + 1:count // e + 1]
         elif b[e]:
             arr[(root + 1) * e::e] += a[root + 1:count // e + 1] * b[e]
-    arr = arr.astype(complex, copy=False)
     arr.flags.writeable = False
     return arr
-
-
-_coefficient_table = lru_cache(maxsize=256, typed=True)(_coefficients)
 
 
 def closed_form_F(spec: DivisorSumSpec, s: complex) -> complex:

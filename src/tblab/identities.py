@@ -336,7 +336,7 @@ def _exp_half_sum(spec: DivisorSumSpec, x: float) -> SeriesResult:
     root = 45.0 / lam
     # root * root is inf where root ** 2 raises OverflowError (x < ~1e-305)
     n_max = within_budget(max(64.0, root * root + 8), "the e^{-4 pi sqrt(n x)} sum")
-    coef = coefficient_array(spec, n_max)[1:]
+    coef = np.asarray(coefficient_array(spec, n_max)[1:], dtype=complex)
     ns = np.arange(1, n_max + 1, dtype=float)
     return SeriesResult(complex(np.sum(coef * np.exp(-lam * np.sqrt(ns)))), n_max, math.inf)
 
@@ -347,7 +347,7 @@ def _finite_side(f, alpha: float, beta: float, spec: DivisorSumSpec,
     lo, hi = math.floor(alpha) + 1, math.ceil(beta)
     count = within_budget(max(hi - 1, 0), "the finite sum over j < beta")
     js = np.arange(lo, hi, dtype=float)
-    weights = coefficient_array(spec, count)[lo:]
+    weights = np.asarray(coefficient_array(spec, count)[lo:], dtype=complex)
     if over_j:
         weights = weights / js
     return SeriesResult(complex(np.sum(weights * f(js))), len(js), 0.0)
@@ -682,7 +682,7 @@ def _kernel_expansion(chi1, chi2, p, q, nu, alpha, beta, f, main=0.0,
     terms = np.zeros(0, dtype=complex)
     while True:
         lo, hi = len(terms), 2 * n
-        coef = coefficient_array(spec, hi)[lo + 1:]
+        coef = np.asarray(coefficient_array(spec, hi)[lo + 1:], dtype=complex)
         ns = np.arange(lo + 1, hi + 1, dtype=float)
         live = coef != 0
         fresh = np.zeros(hi - lo, dtype=complex)

@@ -211,7 +211,7 @@ def _closed_tail(spec: DivisorSumSpec, shift: float, tol: float, kernel,
     length = DEFAULT_HEAD if shift <= 1.0 else max(DEFAULT_HEAD, 2500.0 * shift)
     within_budget(length, "the head of a closed-form tail")  # before ceil, which inf breaks
     D = math.ceil(length)
-    coef = coefficient_array(spec, D)[1:]
+    coef = np.asarray(coefficient_array(spec, D)[1:], dtype=complex)
     ns = np.arange(1, D + 1, dtype=float)
     w = spec.weight_real_max
 
@@ -256,7 +256,7 @@ def _dirichlet_tail(spec: DivisorSumSpec, D: int, s: float, log: bool) -> comple
     """_closed_tail's value(s, log) past the head D, once per (spec, D, s,
     log) and process: read at D = DEFAULT_HEAD, where it does not depend
     on the shift, and the registry asks for the same orders point after point."""
-    return _tail_value(spec, s, log, coefficient_array(spec, D)[1:],
+    return _tail_value(spec, s, log, np.asarray(coefficient_array(spec, D)[1:], dtype=complex),
                        np.arange(1, D + 1, dtype=float))
 
 

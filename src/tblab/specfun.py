@@ -118,7 +118,14 @@ def gamma(s: complex | float) -> complex:
     that product leaves the double range (Gamma(1-s) from s ~ -170.6, sin(pi
     s) from |Im s| ~ 226), the quotient is formed in pieces whose divisors
     are at least 1, so that it falls to a subnormal or, past them, to a zero
-    of the sign of sin(pi s)."""
+    of the sign of sin(pi s).
+
+    At a large |Im s| the value is good to about eps |Im s| log|t| relative
+    (t = 1 - s + g - 1/2 for the reflection), on either route: the phase of
+    t^{1/2-s} is rounded once.  Against 30-digit values it errs by 1.4e-13
+    relative at -0.5 + 225i and by 4.7e-13 at -2.53 + 409.8i; test_gamma
+    holds 1e-13 only for |Im s| <= 10, and no laboratory path takes Gamma
+    at a larger |Im s|."""
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"gamma pole at s={s}")

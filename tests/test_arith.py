@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from tblab import arith, clear_caches
 from tblab.arith import (
-    _TABLED_COUNT,
     DivisorSumSpec,
     _char_values,
+    _coefficients,
     closed_form_F,
     closed_form_F_prime,
     coefficient_array,
     divisor_sum,
 )
+from tblab.bessel import _HOT_DOUBLES
 from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import DomainError
 
@@ -100,6 +102,20 @@ def _multiplying_sweeps(spec: DivisorSumSpec, count: int) -> np.ndarray:
     return arr
 
 
+def _is_real(spec: DivisorSumSpec) -> bool:
+    return complex(spec.weight).imag == 0.0 and spec.chi1.is_real and spec.chi2.is_real
+
+
+def _expected(spec: DivisorSumSpec, count: int) -> np.ndarray:
+    """_multiplying_sweeps in coefficient_array's dtype: for a real weight
+    and characters its real parts, its imaginary parts being all +0.0."""
+    ref = _multiplying_sweeps(spec, count)
+    if not _is_real(spec):
+        return ref
+    assert not ref.imag.any() and not np.signbit(ref.imag).any()
+    return ref.real
+
+
 @pytest.mark.parametrize("count", [1, 2, 4, 10, 99, 100, 101, 1024, 4095])
 def test_trivial_chi2_is_the_multiplying_sweeps_byte_for_byte(count):
     # with a trivial chi2 the sweeps skip the products with b = 1 + 0j,
@@ -109,21 +125,65 @@ def test_trivial_chi2_is_the_multiplying_sweeps_byte_for_byte(count):
             for weight in (0, 3, -0.25, 1.5 + 0.5j):
                 spec = DivisorSumSpec(weight, chi)
                 got = coefficient_array(spec, count)
-                assert got.tobytes() == _multiplying_sweeps(spec, count).tobytes()
+                assert got.tobytes() == _expected(spec, count).tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 400, _TABLED_COUNT, _TABLED_COUNT + 1, 5000])
+@pytest.mark.parametrize("count", [1, 400, 2048, 2049, 5000, _HOT_DOUBLES, _HOT_DOUBLES + 1])
 def test_coefficient_array_is_read_only_and_the_same_bits_cold_and_warm(chi4, chi3, count):
-    # up to _TABLED_COUNT the array comes from a table, past it afresh;
-    # either way no caller can write into what another reads
+    # up to _HOT_DOUBLES the array is a view of a table entry, past it
+    # afresh; either way no caller can write into what another reads
     spec = DivisorSumSpec(0.3 + 0.7j, chi4, chi3)
     clear_caches()
     cold = coefficient_array(spec, count)
     warm = coefficient_array(spec, count)
-    assert (warm is cold) == (count <= _TABLED_COUNT)
+    assert np.shares_memory(warm, cold) == (count <= _HOT_DOUBLES)
     assert cold.tobytes() == warm.tobytes() == _multiplying_sweeps(spec, count).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         warm[1] = 0.0
+
+
+def test_the_table_serves_every_count_in_any_order_with_the_bits_of_a_fresh_array():
+    # one entry per spec, the longest array of up to _HOT_DOUBLES terms
+    # built so far: ascending, descending or shuffled counts, cold or
+    # warm, each read is a fresh array's bytes, in its dtype, read-only
+    chi4, chi3 = enumerate_characters(4)[1], enumerate_characters(3)[1]
+    chi5, chi8 = enumerate_characters(5)[1], enumerate_characters(8)[3]
+    specs = [DivisorSumSpec(2, chi4), DivisorSumSpec(1, chi3, chi4),
+             DivisorSumSpec(-0.25, TRIVIAL, chi8), DivisorSumSpec(1.5, chi5),
+             DivisorSumSpec(0.3 + 0.7j, chi4, chi3), DivisorSumSpec(0, chi3, chi5)]
+    assert [_is_real(spec) for spec in specs] == [True] * 3 + [False] * 3
+    counts = [0, 1, 9, 400, 2049, 5000, _HOT_DOUBLES, _HOT_DOUBLES + 1, 9000]
+    shuffled = counts[:]
+    random.Random(0).shuffle(shuffled)
+    for order in (counts, counts[::-1], shuffled):
+        clear_caches()
+        for _ in ("cold", "warm"):
+            for spec in specs:
+                for count in order:
+                    got = coefficient_array(spec, count)
+                    assert got.dtype == (np.float64 if _is_real(spec) else np.complex128)
+                    assert got.size == count + 1 and not got.flags.writeable
+                    assert got.tobytes() == _coefficients(spec, count).tobytes()
+        assert set(arith._coefficient_table) == set(specs)
+        assert all(a.size == _HOT_DOUBLES + 1 for a in arith._coefficient_table.values())
+    clear_caches()
+    assert not arith._coefficient_table
+
+
+def test_the_table_holds_at_most_8_mb_and_the_latest_spec():
+    # 80 complex arrays of _HOT_DOUBLES terms are 10 MB: the least
+    # recently used specs leave, and a read moves its spec to the back
+    chi5 = enumerate_characters(5)[1]
+    specs = [DivisorSumSpec(complex(0.5, k / 100), chi5) for k in range(80)]
+    clear_caches()
+    for i, spec in enumerate(specs):
+        coefficient_array(spec, _HOT_DOUBLES)
+        coefficient_array(specs[0], 1)
+        assert sum(a.nbytes for a in arith._coefficient_table.values()) <= 8 << 20
+        assert list(arith._coefficient_table)[-2:] == [spec, specs[0]][-min(i + 1, 2):]
+    assert len(arith._coefficient_table) < len(specs)
+    assert arith._coefficient_table[specs[0]].size == _HOT_DOUBLES + 1
+    clear_caches()
 
 
 def _real_specs():
@@ -134,11 +194,11 @@ def _real_specs():
             if chi1.modulus == 1 or chi2.modulus in (1, chi1.modulus)]
 
 
-@pytest.mark.parametrize("count", [1, 7, _TABLED_COUNT, _TABLED_COUNT + 1, 40000])
+@pytest.mark.parametrize("count", [1, 7, 2048, 2049, _HOT_DOUBLES, _HOT_DOUBLES + 1, 40000])
 def test_the_real_sweep_is_the_complex_sweep_byte_for_byte(count, monkeypatch):
     # a real weight with real characters runs the sweeps in float64 and
-    # casts once: the real parts are the same products and sums, and the
-    # complex sweeps' imaginary parts stay +0.0
+    # keeps them so: the real parts are the same products and sums, and
+    # the complex sweeps' imaginary parts stay +0.0
     pairs = _real_specs()
     assert len(pairs) > 80
     dtypes = []
@@ -151,8 +211,8 @@ def test_the_real_sweep_is_the_complex_sweep_byte_for_byte(count, monkeypatch):
             dtypes.clear()
             got = coefficient_array(spec, count)
             assert dtypes and set(dtypes) == {float}
-            assert got.dtype == complex and not np.signbit(got.imag).any()
-            assert got.tobytes() == _multiplying_sweeps(spec, count).tobytes()
+            assert got.dtype == np.float64
+            assert got.tobytes() == _expected(spec, count).tobytes()
 
 
 @pytest.mark.parametrize("count", [1, 2, 9, 100, 401, 2048, 2049, 4096, 5000])

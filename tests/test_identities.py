@@ -435,13 +435,15 @@ def test_no_record_depends_on_the_order_the_records_run_in():
 
 def test_every_cache_of_the_library_is_in_one_list():
     # clear_caches reaches every lru_cache wrapper of every tblab module,
-    # at module level or on a class
+    # at module level or on a class, and every other table with a
+    # cache_clear, such as arith._coefficient_table (its class is no cache)
     found = set()
     for info in pkgutil.iter_modules(tblab.__path__):
         module = importlib.import_module(f"tblab.{info.name}")
         scopes = [vars(module)] + [vars(v) for v in vars(module).values() if isinstance(v, type)]
         found |= {id(v) for scope in scopes for v in scope.values()
-                  if callable(getattr(v, "cache_clear", None))}
+                  if callable(getattr(v, "cache_clear", None)) and not isinstance(v, type)}
+    assert id(tblab.arith._coefficient_table) in found
     assert found == {id(cache) for cache in tblab._CACHES}
     assert len(tblab._CACHES) == 15
 

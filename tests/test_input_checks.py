@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tblab import clear_caches
 from tblab.arith import DivisorSumSpec, coefficient_array
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
@@ -117,6 +118,19 @@ T2_13 = {"a": 1.0, "x": 0.3}
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_a_tabled_count_past_the_term_budget_is_refused(monkeypatch):
+    # the budget is checked before the coefficient table is read: a count
+    # the table could serve is refused as one it would have to build
+    spec = DivisorSumSpec(0.5)
+    clear_caches()
+    coefficient_array(spec, 2000)
+    monkeypatch.setenv("TBL_MAX_TERMS", "100")
+    for count in (2000, 1999):
+        with pytest.raises(ConvergenceError, match=re.escape(f"needs {count:.3g} terms, over the "
+                                                             "term budget of 100")):
+            coefficient_array(spec, count)
 
 
 # at a non-real s, where the Euler-Maclaurin sums are numpy array work: a

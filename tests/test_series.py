@@ -536,8 +536,9 @@ def _bits(z: complex) -> tuple[str, str]:
 
 
 def _one_k_call(spec, a, x, nu, terms) -> complex:
-    """bessel_series's sum as one k_values call over all its terms."""
-    cs = coefficient_array(spec, terms)[1:]
+    """bessel_series's sum as one k_values call over all its terms, whose
+    coefficients are complex."""
+    cs = np.asarray(coefficient_array(spec, terms)[1:], dtype=complex)
     ns = np.arange(1, terms + 1, dtype=float)
     kv = k_values(nu, a * math.sqrt(x) * np.sqrt(ns))
     return 0j + np.sum(cs * ns ** (0.5 * nu) * kv)
@@ -660,8 +661,9 @@ def test_a_long_series_evaluates_only_past_the_kernel_table(monkeypatch, lam, we
 
 def _one_shot(spec, lam, nu, terms) -> complex:
     """bessel_series's sum formed whole: the kernel table's prefix, one
-    k_values call past it and one product of all the terms."""
-    cs = coefficient_array(spec, terms)[1:]
+    k_values call past it and one product of all the terms, whose
+    coefficients are complex."""
+    cs = np.asarray(coefficient_array(spec, terms)[1:], dtype=complex)
     ns = np.arange(1, terms + 1, dtype=float)
     table = min(terms, _HOT_DOUBLES // 2)
     kv = np.concatenate((series._kernel(nu, lam, table), k_values(nu, lam * np.sqrt(ns[table:]))))
@@ -744,7 +746,7 @@ def test_a_dirichlet_tail_has_the_same_bits_cold_and_warm(monkeypatch, chi5e, ma
     calls.clear()
     warm = make(spec, 0.6)
     assert calls == [] and _bits(warm.value) == _bits(cold.value)
-    coef = coefficient_array(spec, series.DEFAULT_HEAD)[1:]
+    coef = np.asarray(coefficient_array(spec, series.DEFAULT_HEAD)[1:], dtype=complex)
     ns = np.arange(1, series.DEFAULT_HEAD + 1, dtype=float)
     for s in (2.5, 3.5, 4.0):
         assert _bits(series._dirichlet_tail(spec, series.DEFAULT_HEAD, s, False)) == _bits(
