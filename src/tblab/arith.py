@@ -29,7 +29,7 @@ import numpy as np
 from .bessel import _HOT_DOUBLES
 from .characters import TRIVIAL, Character, _divisors
 from .errors import DomainError, within_budget
-from .specfun import L_derivative, dirichlet_L
+from .specfun import _LOG_DBL_MAX, L_derivative, dirichlet_L
 
 __all__ = [
     "DivisorSumSpec",
@@ -105,7 +105,9 @@ def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
     """f_z(1..count) as a read-only array (index 0 unused): float64 where
     the weight and both characters are real, complex otherwise.
 
-    The count is checked, and held to the term budget, on every call.  Up
+    The count is checked, and held to the term budget, on every call, as
+    is the bound n^(max(Re z, 0) + 1) at n = count: DomainError where it
+    leaves the double range, before any power is formed.  Up
     to _HOT_DOUBLES = 8,192 it is a view of the prefix of the spec's
     entry in _coefficient_table, which is rebuilt at count when shorter;
     a longer array is computed on each call.  Either way the values are
@@ -114,6 +116,9 @@ def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
     within_budget(count, "a coefficient array")
+    if not (spec.weight_real_max + 1.0) * math.log(max(count, 1)) <= _LOG_DBL_MAX:
+        raise DomainError(f"a coefficient array of {count} terms at weight {spec.weight:g} "
+                          f"may leave the double range")
     if count > _HOT_DOUBLES:
         return _coefficients(spec, count)
     arr = _coefficient_table.pop(spec, None)

@@ -148,6 +148,8 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
         n_est *= 2
     n1 = min(n_est, cap)
     log_tail = _bessel_tail_bound(n1, w, nu, lam)
+    if math.isnan(log_tail):  # its terms are inf - inf: no bound at this order and weight
+        raise DomainError(f"bessel_series: no tail bound at nu = {nu:g}, weight {spec.weight:g}")
     if math.isinf(log_tail):  # only at the cap: fail before building any coefficient
         raise ConvergenceError(
             f"bessel_series: terms not yet decaying after the {cap}-term budget")

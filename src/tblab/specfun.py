@@ -125,7 +125,8 @@ def gamma(s: complex | float) -> complex:
     t^{1/2-s} is rounded once.  Against 30-digit values it errs by 1.4e-13
     relative at -0.5 + 225i and by 4.7e-13 at -2.53 + 409.8i; test_gamma
     holds 1e-13 only for |Im s| <= 10, and no laboratory path takes Gamma
-    at a larger |Im s|."""
+    at a larger |Im s|.  Where Gamma underflows there (as at 7.9 - 1e308i),
+    the value is a zero, not an error."""
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"gamma pole at s={s}")
@@ -159,6 +160,8 @@ def gamma(s: complex | float) -> complex:
         z = s - 1.0
         try:
             out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+        except ZeroDivisionError:  # Python's complex power underflowing: Gamma is below it
+            out = 0j
         except OverflowError:  # t^{z+1/2} overflows from Re s ~ 143, Gamma at 171.6
             try:
                 p = t ** (0.5 * (z + 0.5))
@@ -542,6 +545,11 @@ def dirichlet_L(s: complex | float, chi: Character) -> complex:
     Entire for non-principal chi; for the principal character the simple
     pole at s = 1 raises PoleError.  An s that is not finite, or a value
     outside the double range, raises DomainError.
+
+    At a large |Im s| the value loses digits, as the phase of each of the
+    |Im s| + 10 Euler-Maclaurin head terms is rounded once: against
+    30-digit values L(1e5 i, chi mod 40 index 3) errs by 2.4e-9 relative.
+    The laboratory takes L at |Im s| <= 10 only (lvalue-scan).
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -586,9 +594,9 @@ def L_derivative(s0: complex | float, chi: Character) -> complex:
     that difference cancels (q > 1, Re s0 >= 8) or q^{Re s0} overflows.
     For a principal chi, an s0 within 1e-9 of the pole raises PoleError."""
     s0 = complex(s0)
+    value = dirichlet_L(s0, chi)  # refuses what L refuses, before |s0 - 1| can overflow
     if chi.is_principal and abs(s0 - 1.0) < 1e-9:
         raise PoleError("derivative requested at the pole s=1")
-    value = dirichlet_L(s0, chi)  # refuses what L refuses
     try:
         log_q = math.log(chi.modulus)
         if s0.real < _REFLECT_RE:

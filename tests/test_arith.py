@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from tblab import arith, clear_caches
 from tblab.arith import (
     DivisorSumSpec,
     _char_values,
-    _coefficients,
     closed_form_F,
     closed_form_F_prime,
     coefficient_array,
@@ -128,64 +126,6 @@ def test_trivial_chi2_is_the_multiplying_sweeps_byte_for_byte(count):
                 assert got.tobytes() == _expected(spec, count).tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 400, 2048, 2049, 5000, _HOT_DOUBLES, _HOT_DOUBLES + 1])
-def test_coefficient_array_is_read_only_and_the_same_bits_cold_and_warm(chi4, chi3, count):
-    # up to _HOT_DOUBLES the array is a view of a table entry, past it
-    # afresh; either way no caller can write into what another reads
-    spec = DivisorSumSpec(0.3 + 0.7j, chi4, chi3)
-    clear_caches()
-    cold = coefficient_array(spec, count)
-    warm = coefficient_array(spec, count)
-    assert np.shares_memory(warm, cold) == (count <= _HOT_DOUBLES)
-    assert cold.tobytes() == warm.tobytes() == _multiplying_sweeps(spec, count).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        warm[1] = 0.0
-
-
-def test_the_table_serves_every_count_in_any_order_with_the_bits_of_a_fresh_array():
-    # one entry per spec, the longest array of up to _HOT_DOUBLES terms
-    # built so far: ascending, descending or shuffled counts, cold or
-    # warm, each read is a fresh array's bytes, in its dtype, read-only
-    chi4, chi3 = enumerate_characters(4)[1], enumerate_characters(3)[1]
-    chi5, chi8 = enumerate_characters(5)[1], enumerate_characters(8)[3]
-    specs = [DivisorSumSpec(2, chi4), DivisorSumSpec(1, chi3, chi4),
-             DivisorSumSpec(-0.25, TRIVIAL, chi8), DivisorSumSpec(1.5, chi5),
-             DivisorSumSpec(0.3 + 0.7j, chi4, chi3), DivisorSumSpec(0, chi3, chi5)]
-    assert [_is_real(spec) for spec in specs] == [True] * 3 + [False] * 3
-    counts = [0, 1, 9, 400, 2049, 5000, _HOT_DOUBLES, _HOT_DOUBLES + 1, 9000]
-    shuffled = counts[:]
-    random.Random(0).shuffle(shuffled)
-    for order in (counts, counts[::-1], shuffled):
-        clear_caches()
-        for _ in ("cold", "warm"):
-            for spec in specs:
-                for count in order:
-                    got = coefficient_array(spec, count)
-                    assert got.dtype == (np.float64 if _is_real(spec) else np.complex128)
-                    assert got.size == count + 1 and not got.flags.writeable
-                    assert got.tobytes() == _coefficients(spec, count).tobytes()
-        assert set(arith._coefficient_table) == set(specs)
-        assert all(a.size == _HOT_DOUBLES + 1 for a in arith._coefficient_table.values())
-    clear_caches()
-    assert not arith._coefficient_table
-
-
-def test_the_table_holds_at_most_8_mb_and_the_latest_spec():
-    # 80 complex arrays of _HOT_DOUBLES terms are 10 MB: the least
-    # recently used specs leave, and a read moves its spec to the back
-    chi5 = enumerate_characters(5)[1]
-    specs = [DivisorSumSpec(complex(0.5, k / 100), chi5) for k in range(80)]
-    clear_caches()
-    for i, spec in enumerate(specs):
-        coefficient_array(spec, _HOT_DOUBLES)
-        coefficient_array(specs[0], 1)
-        assert sum(a.nbytes for a in arith._coefficient_table.values()) <= 8 << 20
-        assert list(arith._coefficient_table)[-2:] == [spec, specs[0]][-min(i + 1, 2):]
-    assert len(arith._coefficient_table) < len(specs)
-    assert arith._coefficient_table[specs[0]].size == _HOT_DOUBLES + 1
-    clear_caches()
-
-
 def _real_specs():
     """Every (chi1, chi2) of real characters with moduli <= 12 where chi2
     is trivial or shares chi1's modulus, and chi1 trivial with any chi2."""
@@ -213,20 +153,6 @@ def test_the_real_sweep_is_the_complex_sweep_byte_for_byte(count, monkeypatch):
             assert dtypes and set(dtypes) == {float}
             assert got.dtype == np.float64
             assert got.tobytes() == _expected(spec, count).tobytes()
-
-
-@pytest.mark.parametrize("count", [1, 2, 9, 100, 401, 2048, 2049, 4096, 5000])
-def test_a_shorter_array_is_the_prefix_of_a_longer_one(count):
-    # every n gets its terms in ascending d whatever the count, real sweep
-    # or complex, tabled or not: the Voronoi kernel rounds keep the new n
-    # of each longer array and concatenate them
-    chi8, chi12 = enumerate_characters(8)[3], enumerate_characters(12)[2]
-    for spec in (DivisorSumSpec(), DivisorSumSpec(-0.5, chi8.conjugate(), chi8),
-                 DivisorSumSpec(0.3 + 0.7j, chi12, enumerate_characters(5)[1]),
-                 DivisorSumSpec(-1.25, enumerate_characters(7)[2], TRIVIAL)):
-        short, whole = coefficient_array(spec, count), coefficient_array(spec, 10 ** 4)
-        assert short.size == count + 1 and not short.flags.writeable
-        assert short[1:].tobytes() == whole[1:count + 1].tobytes()
 
 
 def test_trivial_character_slot_matches_direct(chi4, chi3):

@@ -22,7 +22,7 @@ from tblab.series import (
     shifted_power_series,
     voronoi_kernel_values,
 )
-from tblab.specfun import L_derivative, dirichlet_L, generalized_bernoulli, hurwitz_zeta
+from tblab.specfun import L_derivative, dirichlet_L, gamma, generalized_bernoulli, hurwitz_zeta
 
 SPEC = DivisorSumSpec()  # d(n), both slots trivial
 CHI5 = enumerate_characters(5)[2]
@@ -114,6 +114,16 @@ T2_13 = {"a": 1.0, "x": 0.3}
      r"a coefficient array needs 1e\+12 terms, over the term budget of 1000000$"),
     (lambda: coefficient_array(SPEC, 10 ** 19), ConvergenceError,
      r"a coefficient array needs 1e\+19 terms, over the term budget of 1000000$"),
+    # n^(Re z + 1) past the double range, before any power is formed; and a
+    # tail bound of inf - inf, before any coefficient is built
+    (lambda: coefficient_array(DivisorSumSpec(9.740598742493492e57), 100), DomainError,
+     "100 terms at weight 9.7406e\\+57 may leave the double range"),
+    (lambda: bessel_series(DivisorSumSpec(1e20, CHI5), 1.26759308430862e239, 1e20, -1e308),
+     DomainError, "no tail bound at nu = -1e\\+308"),
+    # L' at an s that L refuses, before the pole check takes |s - 1|
+    *((lambda q=q: L_derivative(-1e308 + 1.7976931348623157e308j, enumerate_characters(q)[0]),
+       DomainError, r"L\(-1e\+308\+1.79769e\+308j, chi\) overflows")
+      for q in (1, 3, 4, 5, 7, 8, 12)),
 ])
 def test_input_check_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
@@ -146,6 +156,13 @@ def test_a_value_past_the_double_range_at_a_non_real_s(call, match):
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         with pytest.raises(DomainError, match=match):
             call()
+
+
+def test_a_gamma_below_every_subnormal_is_a_zero():
+    # at 7.9 - 1e308i the direct route's complex power t^{s-1/2} raises
+    # ZeroDivisionError: Gamma is a zero there, as at 1 + 1e300i
+    for s in (7.908262328084312 - 1e308j, 1 + 1e300j, 2 + 1e200j):
+        assert gamma(s) == 0
 
 
 T2_1 = dict(q=4, char_index=1, k=0, nu=0.6, a=1.0, x=0.75)
@@ -187,7 +204,7 @@ def test_a_field_of_the_wrong_type_is_refused(theorem, point, field, value, mess
     (lambda: positivity_scan(50.0), "q_max must be of type int, got 50.0"),
 ], ids=["string-tol", "complex-tol", "huge-tol", "bool-tol", "bool-q-max",
         "string-q-max", "float-q-max"])
-def test_tol_and_workers_are_checked_like_a_field(call, message):
+def test_tol_and_q_max_are_checked_like_a_field(call, message):
     # verify's tol is checked as a float field, then > 0; positivity_scan's
     # q_max as an int field, then >= 3
     with pytest.raises(DomainError, match=re.escape(message)):

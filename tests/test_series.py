@@ -1,14 +1,13 @@
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from tblab import clear_caches, identities, series
+from tblab import series
 from tblab.arith import DivisorSumSpec, coefficient_array
-from tblab.bessel import _HOT_DOUBLES, JY_CUT, K_ASYM_CUT, k_values
+from tblab.bessel import JY_CUT, K_ASYM_CUT, k_values
 from tblab.characters import TRIVIAL, enumerate_characters
 from tblab.errors import (
     ConvergenceError,
@@ -17,7 +16,7 @@ from tblab.errors import (
     ExcludedParameter,
     QuadratureError,
 )
-from tblab.identities import TEST_FUNCTIONS, THEOREMS, IdentityCase, verify
+from tblab.identities import TEST_FUNCTIONS, IdentityCase, verify
 from tblab.series import (
     VORONOI_VARIANTS,
     adaptive_integral,
@@ -479,278 +478,6 @@ def test_kernel_interpolant_reads_fixed_pieces():
     assert _KernelInterpolant("odd-sin", 0.25, 12.5, 40.0).edges.tolist() == [
         12.0, 13.0, 14.0, 16.0, 18.0, 24.0, 32.0, 40.0]
     assert _KernelInterpolant("odd-sin", 0.25, 100.0, 101.0).edges.tolist() == [96.0, 104.0]
-
-
-def test_a_warm_table_evaluates_no_bessel_function(monkeypatch):
-    # a second call over the same scales reads every piece's K, Y and J
-    # coefficients and the endpoint expansion from the tables, bit for bit
-    clear_caches()
-    calls = []
-    for name in ("jy_values", "k_values"):
-        monkeypatch.setattr(series, name, lambda nu, us, real=getattr(series, name), name=name:
-                            calls.append(name) or real(nu, us))
-
-    def f(t):
-        calls.append("f" if np.iscomplexobj(t) else "f on the panels")
-        return np.exp(-t)
-
-    cs = 4 * PI / math.sqrt(5.0) * np.sqrt(np.arange(1.0, 5001.0))
-    first = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
-    assert {"jy_values", "k_values", "f"} <= set(calls)
-    calls.clear()
-    second = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
-    assert set(calls) == {"f on the panels"}
-    assert first.tobytes() == second.tobytes()
-    # an expansion built afresh reads f on its circles again, to the same bits
-    series._endpoint_expansion.cache_clear()
-    calls.clear()
-    third = oscillatory_kernel_integrals(f, 0.5, 3.4, 0.25, cs, -0.125, "even-cos")
-    assert set(calls) == {"f", "f on the panels"}
-    assert third.tobytes() == first.tobytes()
-
-
-def test_a_range_wider_than_a_quarter_of_the_table_reads_its_pages():
-    clear_caches()
-    wide = _KernelInterpolant("even-cos", 0.25, 1.0, 100.0 + 128.0 * series._PAGE_TABLE / 4)
-    pages = series._page_coefs.cache_info().currsize
-    assert pages > series._PAGE_TABLE // 4
-    narrow = _KernelInterpolant("even-cos", 0.25, 1.0, 500.0)
-    assert series._page_coefs.cache_info().currsize == pages
-    # the same pieces, whichever range asked for them first
-    shared = slice(0, narrow.coefs.shape[1])
-    assert np.array_equal(wide.coefs[:, shared], narrow.coefs)
-    clear_caches()
-    assert np.array_equal(_KernelInterpolant("even-cos", 0.25, 1.0, 500.0).coefs, narrow.coefs)
-
-
-def _series_k_calls(monkeypatch) -> list:
-    """The argument arrays series passes to k_values, recorded from now on."""
-    calls = []
-    real = series.k_values
-    monkeypatch.setattr(series, "k_values", lambda nu, xs: calls.append(xs) or real(nu, xs))
-    return calls
-
-
-def _bits(z: complex) -> tuple[str, str]:
-    return z.real.hex(), z.imag.hex()
-
-
-def _one_k_call(spec, a, x, nu, terms) -> complex:
-    """bessel_series's sum as one k_values call over all its terms, whose
-    coefficients are complex."""
-    cs = np.asarray(coefficient_array(spec, terms)[1:], dtype=complex)
-    ns = np.arange(1, terms + 1, dtype=float)
-    kv = k_values(nu, a * math.sqrt(x) * np.sqrt(ns))
-    return 0j + np.sum(cs * ns ** (0.5 * nu) * kv)
-
-
-def test_the_kernel_table_is_the_series_call_on_its_prefix(monkeypatch):
-    # for every (nu, a sqrt(x), terms) of the registered closed-form
-    # records, the tabled kernel holds the bits that one k_values call
-    # over more blocks of _on_grid gives its prefix
-    seen = set()
-    real = identities.bessel_series
-
-    def recording(spec, a, x, nu=0.0, **kw):
-        r = real(spec, a, x, nu, **kw)
-        seen.add((nu, a * math.sqrt(x), min(r.terms, _HOT_DOUBLES // 2)))
-        return r
-
-    monkeypatch.setattr(identities, "bessel_series", recording)
-    for tid, entry in THEOREMS.items():
-        if entry.section in ("sec2", "classical", "cohen", "cohen-half"):
-            for point in entry.points:
-                verify(IdentityCase(tid, **point))
-    assert len(seen) > 20
-    clear_caches()
-    for nu, lam, count in seen:
-        kernel = series._kernel(nu, lam, count)
-        assert not kernel.flags.writeable and kernel.size == count
-        args = lam * np.sqrt(np.arange(1.0, 2 * count + 130.0))
-        assert kernel.tobytes() == k_values(nu, args)[:count].tobytes()
-
-
-def _chunk_sizes(terms: int) -> list[int]:
-    """The sizes of bessel_series's k_values calls past its kernel table."""
-    return [min(_HOT_DOUBLES, terms - lo) for lo in range(_HOT_DOUBLES // 2, terms, _HOT_DOUBLES)]
-
-
-def test_a_small_lambda_reads_the_kernel_table_across_the_quadrature(monkeypatch):
-    # at lam = 0.27 the arguments pass K_ASYM_CUT only after n = 4,096:
-    # the table ends inside the quadrature branch, on a block boundary
-    # of _on_grid, and the rest comes in chunks of _HOT_DOUBLES
-    clear_caches()
-    lam = 0.27
-    calls = _series_k_calls(monkeypatch)
-    r = bessel_series(DivisorSumSpec(), lam, 1.0, 0.25)
-    table = _HOT_DOUBLES // 2
-    assert [xs.size for xs in calls] == [table] + _chunk_sizes(r.terms)
-    assert calls[0][-1] < calls[1][0] < K_ASYM_CUT
-    assert _bits(r.value) == _bits(_one_k_call(DivisorSumSpec(), lam, 1.0, 0.25, r.terms))
-
-
-def _zero_coefficient_spec(j: int) -> DivisorSumSpec:
-    # moduli 4 and 6 share the prime 2, so f(2) = chi1(1) chi2(2) +
-    # chi1(2) chi2(1) = 0 for every chi1 mod 4 and chi2 mod 6
-    return DivisorSumSpec(0, enumerate_characters(4)[1], enumerate_characters(6)[j])
-
-
-def test_a_spec_with_a_zero_coefficient_reads_the_kernel_table(monkeypatch):
-    # a zero f(n) multiplies its tabled K value, and the term adds 0
-    spec = _zero_coefficient_spec(1)
-    clear_caches()
-    calls = _series_k_calls(monkeypatch)
-    r = bessel_series(spec, 1.0, 1.0, 0.25)
-    assert (coefficient_array(spec, r.terms)[1:] == 0).any()
-    info = series._kernel.cache_info()
-    assert (info.hits, info.misses) == (0, 1)
-    assert [xs.size for xs in calls] == [r.terms] and r.terms <= _HOT_DOUBLES // 2
-    assert _bits(r.value) == _bits(_one_k_call(spec, 1.0, 1.0, 0.25, r.terms))
-
-
-def test_a_warm_kernel_table_serves_a_second_spec_with_zero_coefficients(monkeypatch):
-    # another zero-coefficient series at the same (nu, a, x, N) reads its
-    # whole kernel from the table the first one left
-    first, second = _zero_coefficient_spec(1), _zero_coefficient_spec(0)
-    clear_caches()
-    cold = bessel_series(first, 1.0, 0.7, 0.3)
-    calls = _series_k_calls(monkeypatch)
-    warm = bessel_series(second, 1.0, 0.7, 0.3)
-    assert warm.terms == cold.terms and (coefficient_array(second, warm.terms)[1:] == 0).any()
-    assert calls == []
-    assert _bits(warm.value) == _bits(_one_k_call(second, 1.0, 0.7, 0.3, warm.terms))
-
-
-def test_a_warm_kernel_table_evaluates_no_bessel_function(monkeypatch):
-    # a second series of at most 4,096 terms at the same (nu, a, x, N)
-    # with other coefficients, all nonzero, reads its whole kernel from
-    # the table, with the bits of a cold table and of one call
-    first, second = DivisorSumSpec(0.5), DivisorSumSpec(-0.25)
-    calls = _series_k_calls(monkeypatch)
-    clear_caches()
-    cold = bessel_series(second, 1.0, 0.7, 0.3)
-    assert [xs.size for xs in calls] == [cold.terms] and cold.terms <= _HOT_DOUBLES // 2
-    clear_caches()
-    assert bessel_series(first, 1.0, 0.7, 0.3).terms == cold.terms
-    calls.clear()
-    warm = bessel_series(second, 1.0, 0.7, 0.3)
-    assert calls == []
-    assert _bits(warm.value) == _bits(cold.value) == _bits(
-        _one_k_call(second, 1.0, 0.7, 0.3, warm.terms))
-
-
-@pytest.mark.parametrize("lam, weight, nu", [
-    (0.15, 0, 0.25), (0.2, 0.5, 1.5), (0.27, -0.25, 0.0), (1.0, 3, 2.5)])
-def test_a_long_series_evaluates_only_past_the_kernel_table(monkeypatch, lam, weight, nu):
-    # past _HOT_DOUBLES / 2 = 4,096 terms the series evaluates K only on
-    # the rest, in chunks of _HOT_DOUBLES, cold and warm, with the bits
-    # of one k_values call
-    spec = DivisorSumSpec(weight)
-    table = _HOT_DOUBLES // 2
-    calls = _series_k_calls(monkeypatch)
-    clear_caches()
-    cold = bessel_series(spec, lam, 1.0, nu)
-    assert cold.terms > table
-    assert [xs.size for xs in calls] == [table] + _chunk_sizes(cold.terms)
-    calls.clear()
-    warm = bessel_series(spec, lam, 1.0, nu)
-    assert [xs.size for xs in calls] == _chunk_sizes(warm.terms)
-    assert _bits(warm.value) == _bits(cold.value) == _bits(
-        _one_k_call(spec, lam, 1.0, nu, cold.terms))
-
-
-def _one_shot(spec, lam, nu, terms) -> complex:
-    """bessel_series's sum formed whole: the kernel table's prefix, one
-    k_values call past it and one product of all the terms, whose
-    coefficients are complex."""
-    cs = np.asarray(coefficient_array(spec, terms)[1:], dtype=complex)
-    ns = np.arange(1, terms + 1, dtype=float)
-    table = min(terms, _HOT_DOUBLES // 2)
-    kv = np.concatenate((series._kernel(nu, lam, table), k_values(nu, lam * np.sqrt(ns[table:]))))
-    return 0j + np.sum(cs * ns ** (nu / 2) * kv)
-
-
-@pytest.mark.parametrize("lam, weight, nu, cap, terms", [
-    # below 18 / sqrt(4097) = 0.281 the quadrature runs past the table
-    (0.2, 0, 0.0, None, 65536), (0.2, 0, 0.25, None, 65536), (0.2, 0.5, 1.3, None, 131072),
-    # above it the table reaches the expansion
-    (0.3, 1, 0.0, None, 65536), (0.3, 2, 0.25, None, 65536), (0.3, 1, 1.3, None, 65536),
-    # a budget that ends the series 1,328 terms into a chunk
-    (0.27, 0, 0.25, 30000, 30000),
-])
-def test_the_chunked_series_has_the_bits_of_the_whole_sum(monkeypatch, lam, weight, nu, cap,
-                                                           terms):
-    if cap is not None:
-        monkeypatch.setenv("TBL_MAX_TERMS", str(cap))
-    spec = DivisorSumSpec(weight)
-    r = bessel_series(spec, lam, 1.0, nu)
-    assert r.terms == terms
-    assert _bits(r.value) == _bits(_one_shot(spec, lam, nu, terms))
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.25, 1.3])
-def test_k_values_over_aligned_chunks_is_one_call(nu):
-    # chunks that start on a block of _on_grid (64 arguments) give the
-    # bits of one call, in the quadrature and in the expansion
-    xs = 0.2 * np.sqrt(np.arange(1.0, 30001.0))
-    assert xs[0] < K_ASYM_CUT < xs[-1]
-    edges = [0, 64, 4096, 4096 + _HOT_DOUBLES, 4096 + 2 * _HOT_DOUBLES, 28992, xs.size]
-    chunks = [k_values(nu, xs[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    assert np.concatenate(chunks).tobytes() == k_values(nu, xs).tobytes()
-
-
-def test_a_long_series_holds_its_terms_and_chunks_of_64_kb(monkeypatch):
-    # past the kernel table, K and the terms are formed in chunks of
-    # _HOT_DOUBLES arguments: besides the coefficients it is given and its
-    # 16 N bytes of terms, a series of N = 131,072 holds at most 1 MiB
-    spec, lam, nu = DivisorSumSpec(), 0.15, 0.25
-    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel table
-    assert terms == 131072
-    cs = coefficient_array(spec, terms)
-    monkeypatch.setattr(series, "coefficient_array", lambda spec, count: cs)
-    tracemalloc.start()
-    try:
-        bessel_series(spec, lam, 1.0, nu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * terms + 2 ** 20
-
-
-def _tail_calls(monkeypatch) -> list:
-    """The s at which series evaluates F or F', recorded from now on."""
-    calls = []
-    for name in ("closed_form_F", "closed_form_F_prime"):
-        real = getattr(series, name)
-        monkeypatch.setattr(series, name, lambda spec, s, real=real: calls.append(s) or real(spec, s))
-    return calls
-
-
-@pytest.mark.parametrize("make", [
-    lambda spec, c: shifted_power_series(spec, 2.5, c),
-    lambda spec, c: log_kernel_series(spec, c, over_n=True),
-    lambda spec, c: cohen_tail_series(spec, 0.5, c),
-])
-def test_a_dirichlet_tail_has_the_same_bits_cold_and_warm(monkeypatch, chi5e, make):
-    # a tail of shift at most 1 reads its Dirichlet tails at DEFAULT_HEAD
-    # from _dirichlet_tail: they do not depend on the shift, so after a
-    # larger shift, which takes at least as many orders, it evaluates no
-    # L-product, and its sum keeps the bits it has with a cold table
-    spec = DivisorSumSpec(0.25, chi5e)
-    calls = _tail_calls(monkeypatch)
-    clear_caches()
-    cold = make(spec, 0.6)
-    assert calls and cold.terms == series.DEFAULT_HEAD
-    clear_caches()
-    make(spec, 0.9)
-    calls.clear()
-    warm = make(spec, 0.6)
-    assert calls == [] and _bits(warm.value) == _bits(cold.value)
-    coef = np.asarray(coefficient_array(spec, series.DEFAULT_HEAD)[1:], dtype=complex)
-    ns = np.arange(1, series.DEFAULT_HEAD + 1, dtype=float)
-    for s in (2.5, 3.5, 4.0):
-        assert _bits(series._dirichlet_tail(spec, series.DEFAULT_HEAD, s, False)) == _bits(
-            series.closed_form_F(spec, s) - complex(np.sum(coef * ns ** (-s))))
 
 
 def test_hankel_expansion_refuses_a_truncated_sum():

@@ -1,7 +1,6 @@
 import cmath
 import math
 import sys
-import tracemalloc
 
 import pytest
 
@@ -269,73 +268,6 @@ def test_the_array_pass_agrees_with_the_loop(q):
                     series_branch += derivative and regularized and any(
                         abs((1 - s) * math.log(M + a)) <= 2.0 for a in avals)
     assert series_branch
-
-
-@pytest.mark.parametrize("s", [complex(2.2, 3.3), complex(0.4, -7.1), complex(4.1, -5.5),
-                               complex(0.5, 1e4)],
-                         ids=["right", "strip", "reflected", "blocks"])
-def test_each_unit_of_the_array_pass_is_the_same_bits_alone_as_in_its_batch(s):
-    # lvalue-scan's regions: Re s in [1.5, 3], the strip, and 1 - s for its
-    # reflected points; at |Im s| = 1e4 the head is summed in blocks.  The
-    # head, pole, half and correction terms of a unit all come from its own
-    # row, for zeta and zeta', regularized or not
-    avals = [a / 40 for a in range(1, 40) if math.gcd(a, 40) == 1]
-
-    def bits(values):
-        return [(v.real.hex(), v.imag.hex()) for v in values]
-
-    for regularized in (False, True):
-        for derivative in (False, True):
-            batch = specfun._em_array(s, avals, regularized, derivative)
-            alone = [specfun._em_array(s, [a], regularized, derivative)[0] for a in avals]
-            assert bits(batch) == bits(alone), (regularized, derivative)
-
-
-def test_L_at_a_non_real_s_is_the_same_bits_with_a_cold_or_warm_grid_cache():
-    # lvalue-scan's regions (right, strip, reflected) for every primitive
-    # chi mod 3, 37 and 40: L and L' with every cache cleared before each
-    # call, then with only the L-values cleared: while the Euler-Maclaurin
-    # grids of _em_grid fill, and with all of them warm, forward and in
-    # reverse
-    cases = [(f, s, chi) for q in (3, 37, 40) for chi in enumerate_characters(q)
-             if chi.is_primitive
-             for s in (complex(2.2, 3.3), complex(0.4, -7.1), complex(-3.1, 5.5))
-             for f in (dirichlet_L, L_derivative)]
-
-    def bits(order, cold):
-        out = {}
-        for i in order:
-            if cold:
-                clear_caches()
-            else:
-                specfun._dirichlet_L_cached.cache_clear()
-            f, s, chi = cases[i]
-            value = f(s, chi)
-            out[i] = (value.real.hex(), value.imag.hex())
-        return out
-
-    cold = bits(range(len(cases)), True)
-    assert bits(range(len(cases)), False) == cold  # fills the grid cache
-    misses = specfun._em_grid.cache_info().misses
-    assert bits(range(len(cases)), False) == cold
-    assert bits(reversed(range(len(cases))), False) == cold
-    info = specfun._em_grid.cache_info()
-    assert info.misses == misses and info.hits >= 2 * len(cases), info
-
-
-def test_a_large_head_is_summed_in_blocks():
-    # at s = 1e5 i the head is 100,010 terms for each of the 16 units mod
-    # 40: a 25.6 MB grid if taken whole, about 0.27 MB in 64 kB blocks
-    chi = enumerate_characters(40)[3]
-    clear_caches()
-    for f in (dirichlet_L, L_derivative):  # L' takes L from the cache
-        tracemalloc.start()
-        try:
-            value = f(1e5j, chi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cmath.isfinite(value) and peak < 2 ** 20, (f.__name__, peak)
 
 
 class TestGeneralizedBernoulli:
