@@ -59,10 +59,22 @@ def _dpow(d: int, z: complex) -> complex:
     return complex(d ** z.real) if z.imag == 0.0 else cmath.exp(z * math.log(d))
 
 
+def _refuse_weight(spec: DivisorSumSpec, n: int, what: str) -> None:
+    """DomainError naming what.format(n), before any power is formed, where
+    the weight is not finite or the bound n^(max(Re z, 0) + 1) on |f_z(n)|
+    leaves the double range: a NaN in Im z raises no floating-point flag,
+    and d^(Re z) overflows once it does."""
+    if not cmath.isfinite(complex(spec.weight)):
+        raise DomainError(f"{what.format(n)} needs a finite weight, got {spec.weight}")
+    if not (spec.weight_real_max + 1.0) * math.log(max(n, 1)) <= _LOG_DBL_MAX:
+        raise DomainError(f"{what.format(n)} at weight {spec.weight:g} may leave the double range")
+
+
 def divisor_sum(spec: DivisorSumSpec, n: int) -> complex:
     """f_z(n) = sum_{d|n} d^z chi1(d) chi2(n/d) by direct divisor enumeration."""
     if n < 1:
         raise DomainError(f"divisor sums need n >= 1, got {n}")
+    _refuse_weight(spec, n, "f_z({})")
     acc = 0j
     for d in _divisors(n):
         w = spec.chi1.value(d) * spec.chi2.value(n // d)
@@ -88,17 +100,28 @@ def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> n
 
 
 class _Table(dict):
-    """spec -> its longest coefficient array of up to _HOT_DOUBLES terms,
-    at most _TABLE_BYTES together, in the order of last use: a read pops
-    its spec and inserts it again.  A dict, whose values() hashes no key
-    as an OrderedDict's does, with an lru_cache's cache_clear for
-    tblab.clear_caches."""
+    """key -> value, values of at most bound bytes together, in the order
+    of last use: a reader pops its key and inserts it again, after
+    make_room has evicted the least recently used keys.  A dict, whose
+    values() hashes no key as an OrderedDict's does, with an lru_cache's
+    cache_clear for tblab.clear_caches."""
 
     cache_clear = dict.clear
 
+    def __init__(self, bound: int, nbytes=lambda value: value.nbytes):
+        super().__init__()
+        self.bound, self.nbytes = bound, nbytes
 
-_coefficient_table = _Table()
-_TABLE_BYTES = 8 << 20  # 256 x 32 kB
+    def make_room(self, size: int) -> None:
+        """Evict the least recently used keys until a value of size bytes
+        fits beside the rest; size is at most the bound."""
+        held = size + sum(map(self.nbytes, self.values()))
+        while held > self.bound:
+            held -= self.nbytes(self.pop(next(iter(self))))
+
+
+# spec -> its longest coefficient array of up to _HOT_DOUBLES terms
+_coefficient_table = _Table(8 << 20)  # 256 x 32 kB
 
 
 def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
@@ -116,17 +139,13 @@ def coefficient_array(spec: DivisorSumSpec, count: int) -> np.ndarray:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise DomainError(f"a coefficient array needs an int count >= 0, got {count!r}")
     within_budget(count, "a coefficient array")
-    if not (spec.weight_real_max + 1.0) * math.log(max(count, 1)) <= _LOG_DBL_MAX:
-        raise DomainError(f"a coefficient array of {count} terms at weight {spec.weight:g} "
-                          f"may leave the double range")
+    _refuse_weight(spec, count, "a coefficient array of {} terms")
     if count > _HOT_DOUBLES:
         return _coefficients(spec, count)
     arr = _coefficient_table.pop(spec, None)
     if arr is None or arr.size <= count:
         arr = _coefficients(spec, count)
-        held = arr.nbytes + sum(a.nbytes for a in _coefficient_table.values())
-        while held > _TABLE_BYTES:
-            held -= _coefficient_table.pop(next(iter(_coefficient_table))).nbytes
+        _coefficient_table.make_room(arr.nbytes)
     _coefficient_table[spec] = arr
     return arr[:count + 1]
 

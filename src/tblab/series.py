@@ -6,7 +6,9 @@ exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
 against many coefficient sequences, zero or not, so its first 4,096
 values are evaluated once per (nu, lam, terms) and process and kept in a
 bounded table (_kernel) that every such series reads; past them K and
-the terms are formed in chunks of _HOT_DOUBLES arguments.  Algebraically
+the terms are formed in chunks of _HOT_DOUBLES arguments, whose K are
+kept per (nu, lam) in a second bounded table (_kernel_chunks, 2 MB in
+all) that a longer series extends.  Algebraically
 decaying sums (shifted powers, log kernels, rational Cohen tails) share
 one loop, _closed_tail: it sums the kernel directly up to a head length
 and completes the rest in closed form.  Each of the three expands its
@@ -54,12 +56,13 @@ import numpy as np
 
 from .arith import (
     DivisorSumSpec,
+    _Table,
     closed_form_F,
     closed_form_F_prime,
     coefficient_array,
 )
-from .bessel import (_ASYM_TINY, _HOT_DOUBLES, JY_CUT, K_ASYM_CUT, _asym_coefs, _refuse_order,
-                     jy_values, k_values)
+from .bessel import (_ASYM_TINY, _GL_U, _HOT_DOUBLES, JY_CUT, K_ASYM_CUT, _asym_coefs,
+                     _refuse_order, jy_values, k_values)
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -126,11 +129,13 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     and ConvergenceError when the bound at the budget is above tol.
 
     K_nu(lam sqrt(n)) for the first min(N, _HOT_DOUBLES / 2) = 4,096
-    terms is read from the table _kernel and evaluated only past them,
-    whatever the coefficients: a term whose f_z(n) is 0 adds exactly 0.
-    The terms are formed chunk by chunk, the table's and then
-    _HOT_DOUBLES each, into one array that is summed once; a chunk is
-    a whole number of _on_grid's blocks, so K keeps the bits of one call.
+    terms is read from the table _kernel, whatever the coefficients: a
+    term whose f_z(n) is 0 adds exactly 0.  Past them it comes from
+    _kernels in chunks of _HOT_DOUBLES arguments, which _kernel_chunks
+    keeps per (nu, lam), up to 32 in all: a series forms only the chunks
+    that no series at its (nu, lam) has formed before.  The terms are
+    formed chunk by chunk into one array that is summed once; a chunk
+    starts on one of _on_grid's blocks, so K keeps the bits of one call.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -162,25 +167,90 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
                                f"above tolerance after {n1} terms")
     cs = coefficient_array(spec, n1)[1:]
     terms = np.empty(n1, dtype=complex)
-    lo, hi = 0, min(n1, _HOT_DOUBLES // 2)
-    while lo < n1:  # the table's chunk, then chunks of _HOT_DOUBLES
+    lo = 0
+    for kv in _kernels(nu, lam, n1):
+        hi = lo + kv.size
         ns = np.arange(lo + 1, hi + 1, dtype=float)
-        kv = _kernel(nu, lam, hi) if lo == 0 else k_values(nu, lam * np.sqrt(ns))
         part = terms[lo:hi]
         np.multiply(cs[lo:hi], ns ** (0.5 * nu), out=part)
         part *= kv
-        lo, hi = hi, min(hi + _HOT_DOUBLES, n1)
+        lo = hi
     return SeriesResult(0j + np.sum(terms), n1, math.exp(log_tail))
+
+
+# the terms whose K bessel_series reads from _kernel
+_TABLE_TERMS = _HOT_DOUBLES // 2
+# _on_grid's block of arguments: a call's bits hold up to its last whole block
+_BLOCK = _HOT_DOUBLES // _GL_U.size
+# chunks of _HOT_DOUBLES arguments that _kernel_chunks holds, 2 MB
+_CHUNKS = 32
 
 
 @functools.lru_cache(maxsize=256)
 def _kernel(nu: float, lam: float, count: int) -> np.ndarray:
     """K_nu(lam sqrt(n)) for n = 1..count, once per (nu, lam, count) and
-    process, read-only; count <= _HOT_DOUBLES / 2, so the 256 entries
-    hold at most 8 MB.  The _on_grid blocks start at n = 1, and a longer
-    series goes on past a whole block, so these are a longer call's bits.
-    Every bessel_series reads it, including those with a zero f_z(n)."""
-    kv = k_values(nu, lam * np.sqrt(np.arange(1.0, count + 1)))
+    process, read-only; count <= _TABLE_TERMS, so the 256 entries hold at
+    most 8 MB.  The _on_grid blocks start at n = 1, and a longer series
+    goes on past a whole block, so these are a longer call's bits.  Every
+    bessel_series reads it, including those with a zero f_z(n)."""
+    return _k_range(nu, lam, 0, count)
+
+
+def _k_range(nu: float, lam: float, lo: int, hi: int) -> np.ndarray:
+    """K_nu(lam sqrt(n)) for n = lo + 1..hi from one k_values call, read-only."""
+    kv = k_values(nu, lam * np.sqrt(np.arange(lo + 1, hi + 1, dtype=float)))
+    kv.flags.writeable = False
+    return kv
+
+
+# (nu, lam) -> the K of bessel_series past _TABLE_TERMS, as its chunks
+_kernel_chunks = _Table(_CHUNKS * _HOT_DOUBLES * 8, lambda chunks: sum(c.nbytes for c in chunks))
+
+
+def _kernels(nu: float, lam: float, count: int):
+    """K_nu(lam sqrt(n)) for n = 1..count: _kernel's array of the first
+    min(count, _TABLE_TERMS), then one array per chunk of _HOT_DOUBLES
+    arguments, the last cut at count.
+
+    Up to _CHUNKS chunks they come from the entry of (nu, lam) in
+    _kernel_chunks, which keeps the longest run of chunks formed so far:
+    only the chunks it lacks are formed, after the least recently used
+    entries have made room, and a cut last chunk is completed from its
+    last whole _on_grid block.  A series that ends inside a block the
+    entry holds whole forms that block's part again, so every K has the
+    bits of one call from n = 1.  A longer series forms its chunks one at
+    a time and keeps none."""
+    table = _kernel(nu, lam, min(count, _TABLE_TERMS))
+    if count <= _TABLE_TERMS:
+        return (table,)
+    starts = range(_TABLE_TERMS, count, _HOT_DOUBLES)
+    if len(starts) > _CHUNKS:
+        return itertools.chain((table,), (_k_range(nu, lam, lo, min(lo + _HOT_DOUBLES, count))
+                                          for lo in starts))
+    chunks = _kernel_chunks.pop((nu, lam), [])
+    held = _TABLE_TERMS + sum(c.size for c in chunks)
+    if count > held:
+        _kernel_chunks.make_room(8 * (count - _TABLE_TERMS))
+        if chunks and chunks[-1].size < _HOT_DOUBLES:  # complete the cut chunk
+            lo = held - chunks[-1].size
+            chunks[-1] = _completed(nu, lam, lo, chunks[-1], min(lo + _HOT_DOUBLES, count))
+        chunks += [_k_range(nu, lam, lo, min(lo + _HOT_DOUBLES, count))
+                   for lo in starts[len(chunks):]]
+    _kernel_chunks[nu, lam] = chunks
+    out = [table] + [c[:count - lo] for c, lo in zip(chunks, starts)]
+    last, lo = chunks[len(starts) - 1], starts[-1]
+    if (count - lo) % _BLOCK and last.size > count - lo:  # ends inside a whole block
+        out[-1] = _completed(nu, lam, lo, last, count)
+    return out
+
+
+def _completed(nu: float, lam: float, lo: int, chunk: np.ndarray, hi: int) -> np.ndarray:
+    """K_nu(lam sqrt(n)) for n = lo + 1..hi, read-only: chunk's values, those
+    from n = lo + 1 on, up to its last whole _on_grid block below hi, and
+    the rest formed."""
+    keep = min(chunk.size, hi - lo)
+    keep -= keep % _BLOCK
+    kv = np.concatenate([chunk[:keep], _k_range(nu, lam, lo + keep, hi)])
     kv.flags.writeable = False
     return kv
 
@@ -332,11 +402,14 @@ def log_kernel_series(spec: DivisorSumSpec, c: float, *, over_n: bool = False,
     c within 1e-6 of a positive integer is excluded (the summand has a
     pole there); terms with n near c switch to the removable-singularity
     expansion.  Beyond the head the kernel is expanded geometrically in
-    (c/n)^2.
+    (c/n)^2.  A c so small that n / c of the head overflows raises
+    DomainError.
     """
     if c <= 0:
         raise DomainError("log_kernel_series needs c > 0")
     _refuse_integer(c, "log-kernel parameter c")
+    if c < DEFAULT_HEAD / sys.float_info.max:  # n / c of the head overflows
+        raise DomainError(f"log_kernel_series: n / c leaves the double range at c = {c:g}")
     delta = 1 if over_n else 0
     if spec.weight_real_max >= 1.0 + delta:
         raise DivergenceError("log_kernel_series needs weight below 1 + delta")
@@ -354,8 +427,9 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
     """sum_n f(n) (n^w - Q^w)/(n^2 - Q^2), optionally with an extra 1/n.
 
     Terms decay like n^{w - 2 - [1/n]}, so w must leave that below -1;
-    otherwise the series diverges and DivergenceError is raised.  A Q^w
-    outside the double range raises DomainError.  Q within 1e-6 of a
+    otherwise the series diverges and DivergenceError is raised.  A Q^w,
+    or a binomial coefficient (w choose j) of the near-Q expansion, outside
+    the double range raises DomainError.  Q within 1e-6 of a
     positive integer is excluded; near-coincident n uses the
     difference-quotient expansion.  Beyond the head the kernel is
     expanded geometrically in (Q/n)^2.
@@ -368,6 +442,10 @@ def cohen_tail_series(spec: DivisorSumSpec, w: float, Q: float, *, over_n: bool 
         raise DivergenceError(f"cohen tail diverges: exponent {w} too large")
     if w * math.log(Q) >= math.log(sys.float_info.max):  # Q < 1 with w far below 0
         raise DomainError(f"cohen_tail_series: Q^w = {Q:.6g}^{w:.6g} is outside the double range")
+    # |w choose j| <= (|w| + 5)^6 / 6! for j <= 6, the binomials below
+    if 6.0 * math.log(abs(w) + 5.0) - math.log(720.0) > math.log(sys.float_info.max):
+        raise DomainError(f"cohen_tail_series: (w choose j), j <= 6, may leave the double range "
+                          f"at w = {w:g}")
     Qw = Q ** w
     binoms = np.cumprod((w - np.arange(6)) / np.arange(1, 7))  # (w choose j), j <= 6
     return _geometric_tail(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tblab import clear_caches
-from tblab.arith import DivisorSumSpec, coefficient_array
+from tblab.arith import DivisorSumSpec, coefficient_array, divisor_sum
 from tblab.bessel import bessel_I, bessel_J, bessel_K, bessel_Y, jy_values, k_values
 from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
@@ -120,6 +120,21 @@ T2_13 = {"a": 1.0, "x": 0.3}
      "100 terms at weight 9.7406e\\+57 may leave the double range"),
     (lambda: bessel_series(DivisorSumSpec(1e20, CHI5), 1.26759308430862e239, 1e20, -1e308),
      DomainError, "no tail bound at nu = -1e\\+308"),
+    # a weight that is not finite, or whose d^(Re z) leaves the double
+    # range in a single divisor sum, before any power is formed
+    (lambda: coefficient_array(DivisorSumSpec(complex(0.5, math.nan)), 5), DomainError,
+     r"5 terms needs a finite weight, got \(0.5\+nanj\)"),
+    (lambda: divisor_sum(DivisorSumSpec(9.740598742493492e57), 2), DomainError,
+     "f_z\\(2\\) at weight 9.7406e\\+57 may leave the double range"),
+    # a tail whose kernel would overflow, before it is formed: the head's
+    # n / c, the near-Q expansion's binomial coefficients, and a head of
+    # coefficients at a weight past the double range
+    (lambda: log_kernel_series(DivisorSumSpec(-5.015546536990222), 1e-320), DomainError,
+     "n / c leaves the double range at c = 9.99989e-321"),
+    (lambda: cohen_tail_series(DivisorSumSpec(-0.5), -7.009643299435613e277, 23.838289510984936),
+     DomainError, "\\(w choose j\\), j <= 6, may leave the double range at w = -7.00964e\\+277"),
+    (lambda: shifted_power_series(DivisorSumSpec(1.9631792461219351e142), 1e154, 0.0),
+     DomainError, "1000 terms at weight 1.96318e\\+142 may leave the double range"),
     # L' at an s that L refuses, before the pole check takes |s - 1|
     *((lambda q=q: L_derivative(-1e308 + 1.7976931348623157e308j, enumerate_characters(q)[0]),
        DomainError, r"L\(-1e\+308\+1.79769e\+308j, chi\) overflows")

@@ -163,8 +163,9 @@ def _coefficient_orders(monkeypatch):
 
 def _kernel_table(monkeypatch, long, spec, a, x, nu, first=None):
     # K of the first min(N, TABLE) terms comes from _kernel whatever the
-    # coefficients (a zero f(n) times its K adds 0), the rest in chunks of
-    # _HOT_DOUBLES; with first, the warm table is another spec's series
+    # coefficients (a zero f(n) times its K adds 0), the rest from
+    # _kernel_chunks in chunks of _HOT_DOUBLES: a warm series forms no K;
+    # with first, the warm tables are another spec's series
     calls = _record(monkeypatch, series, "k_values")
     clear_caches()
     cold = bessel_series(spec, a, x, nu)
@@ -180,8 +181,31 @@ def _kernel_table(monkeypatch, long, spec, a, x, nu, first=None):
         assert bessel_series(first, a, x, nu).terms == cold.terms
     calls.clear()
     warm = bessel_series(spec, a, x, nu)
-    assert warm.terms == cold.terms and [args[1].size for _, args in calls] == chunks
+    assert warm.terms == cold.terms and calls == []
     return [cold.value, warm.value], [warm.value, _one_sum(spec, a * math.sqrt(x), nu, cold.terms)]
+
+
+def _kernel_store(monkeypatch, lam, nu, first, then, formed):
+    # after a series of another length at the same (nu, lam), one forms
+    # past the kernel table only the K it lacks: the chunks, a cut chunk
+    # again from its last whole _on_grid block, or the part of a block it
+    # ends inside; first and then are (term budget or None, tol)
+    calls = _record(monkeypatch, series, "k_values")
+
+    def run(cap, tol):
+        monkeypatch.delenv("TBL_MAX_TERMS", raising=False)
+        if cap is not None:
+            monkeypatch.setenv("TBL_MAX_TERMS", str(cap))
+        return bessel_series(DivisorSumSpec(), lam, 1.0, nu, tol=tol)
+
+    clear_caches()
+    cold = run(*then)
+    clear_caches()
+    run(*first)
+    calls.clear()
+    warm = run(*then)
+    assert warm.terms == cold.terms and [args[1].size for _, args in calls] == formed
+    return [cold.value, warm.value], [warm.value, _one_sum(DivisorSumSpec(), lam, nu, cold.terms)]
 
 
 def _voronoi_tables(monkeypatch):
@@ -274,6 +298,15 @@ WARM = {
                                            DivisorSumSpec(0.5))),
     **{f"kernel-long-{lam}-{w}-{nu}": (_kernel_table, (True, DivisorSumSpec(w), lam, 1.0, nu))
        for lam, w, nu in ((0.15, 0, 0.25), (0.2, 0.5, 1.5), (0.27, -0.25, 0.0), (1.0, 3, 2.5))},
+    # at 0.27 the quadrature runs past the table; a budget of 30,000 cuts
+    # the series 1,328 terms into its fourth chunk, 48 into a block
+    "kernel-store-after-cut": (_kernel_store, (0.27, 0.25, (30000, 1e-12), (None, 1e-12),
+                                               [32768 - 29952])),
+    "kernel-store-cut-after-longer": (_kernel_store, (0.27, 0.25, (None, 1e-12), (30000, 1e-12),
+                                                      [48])),
+    "kernel-store-longer": (_kernel_store, (0.15, 0.25, (None, 1e-4), (None, 1e-12),
+                                            [4096] + [_HOT_DOUBLES] * 7 + [4096])),
+    "kernel-store-shorter": (_kernel_store, (0.2, 1.3, (None, 1e-12), (None, 1e-4), [])),
     **{f"dirichlet-tail-{name}": (_dirichlet_tails, (make,)) for name, make in (
         ("shifted-power", lambda spec, c: series.shifted_power_series(spec, 2.5, c)),
         ("log-kernel", lambda spec, c: series.log_kernel_series(spec, c, over_n=True)),
@@ -315,14 +348,18 @@ def _coefficient_table_bytes(monkeypatch):
 
 
 def _series_bytes(monkeypatch):
-    # a series of N = 131,072 forms K and its terms past the kernel table in
-    # chunks of _HOT_DOUBLES: at most 1 MiB besides coefficients and terms
+    # a series of N = 131,072 forms its terms, and K past the kernel table,
+    # in chunks of _HOT_DOUBLES: at most 1 MiB besides coefficients, terms
+    # and the K chunks it leaves in _kernel_chunks, if any
     spec, lam, nu = DivisorSumSpec(), 0.15, 0.25
-    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel table
+    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel tables
     cs = coefficient_array(spec, terms)
     monkeypatch.setattr(series, "coefficient_array", lambda spec, count: cs)
     assert terms == 131072
-    return [_peak(lambda: bessel_series(spec, lam, 1.0, nu))[1]], 16 * terms + 2 ** 20
+    warm = _peak(lambda: bessel_series(spec, lam, 1.0, nu))[1]
+    series._kernel_chunks.cache_clear()
+    chunks = _peak(lambda: bessel_series(spec, lam, 1.0, nu))[1] - 8 * (terms - TABLE)
+    return [warm, chunks], 16 * terms + 2 ** 20
 
 
 def _em_head_bytes(monkeypatch):
@@ -335,8 +372,36 @@ def _em_head_bytes(monkeypatch):
     return [peak for _, peak in peaks], 2 ** 20 - 1
 
 
+def _kernel_chunk_bytes(monkeypatch):
+    # series of 32,768 to 131,072 terms hold at most 32 chunks of
+    # _HOT_DOUBLES arguments past the kernel table: the least recently used
+    # (nu, lam) leave, and a read moves its (nu, lam) to the back; one of
+    # 10^6 terms keeps none, one of 262,144 all but 4,096 arguments
+    spec, lams = DivisorSumSpec(), (0.15, 0.2, 0.25, 0.18, 0.22, 0.27, 0.16)
+    clear_caches()
+    held = []
+    for i, lam in enumerate(lams):
+        bessel_series(spec, lam, 1.0, 0.25)
+        bessel_series(spec, lams[0], 1.0, 0.25)
+        held.append(sum(8 * c.size for v in series._kernel_chunks.values() for c in v))
+        assert list(series._kernel_chunks)[-2:] == [(0.25, lam), (0.25, lams[0])][-min(i + 1, 2):]
+    assert len(series._kernel_chunks) < len(lams)
+    def entries(table):  # alive in kept, so no id is reused
+        return [(key, [id(c) for c in v]) for key, v in table]
+
+    kept = [(key, list(v)) for key, v in series._kernel_chunks.items()]
+    assert bessel_series(spec, 0.07, 1.0, 0.25).terms == 10 ** 6
+    assert entries(series._kernel_chunks.items()) == entries(kept)
+    assert bessel_series(spec, 0.1, 1.0, 0.25).terms == 262144
+    assert [(key, sum(c.size for c in v)) for key, v in series._kernel_chunks.items()] == [
+        ((0.25, 0.1), 262144 - TABLE)]
+    clear_caches()
+    return held, 2 << 20
+
+
 BOUNDS = {"coefficient-table-8-mb": _coefficient_table_bytes,
-          "series-16n-plus-1-mib": _series_bytes, "em-head-1-mib": _em_head_bytes}
+          "series-16n-plus-1-mib": _series_bytes, "em-head-1-mib": _em_head_bytes,
+          "kernel-chunks-2-mb": _kernel_chunk_bytes}
 
 
 @pytest.mark.parametrize("row", BOUNDS.values(), ids=BOUNDS.keys())
