@@ -54,12 +54,11 @@ __version__ = "0.1.0"
 # arith._coefficient_table, a dict with a cache_clear, holds per spec the
 # longest coefficient array of up to 8,192 terms built so far, float64 for
 # a real spec, at most 8 MB in all, least-recently-used specs leaving first;
-# series._kernel the first 4,096 values K_nu(lam sqrt(n)) of a Bessel-kernel
-# series per (nu, lam, count), series._kernel_chunks, a _Table too, the
-# values past them per (nu, lam), as the longest run of 8,192-argument
-# chunks formed so far, at most 2 MB in all, least-recently-used (nu, lam)
-# leaving first, and series._dirichlet_tail the closed-form tails at the
-# default head per (spec, head, s, log).
+# series._kernel_store, a _Table too, the values K_nu(lam sqrt(n)) of a
+# Bessel-kernel series per (nu, lam), as the longest run of 8,192-argument
+# chunks from n = 1 formed so far, at most 4 MB in all, least-recently-used
+# (nu, lam) leaving first, and series._dirichlet_tail the closed-form tails
+# at the default head per (spec, head, s, log).
 _CACHES = (
     characters._unit_group,
     characters._exponent_table,
@@ -72,8 +71,7 @@ _CACHES = (
     specfun._units,
     specfun._em_grid,
     arith._coefficient_table,
-    series._kernel,
-    series._kernel_chunks,
+    series._kernel_store,
     series._dirichlet_tail,
     series._page_coefs,
     series._endpoint_expansion,

@@ -102,22 +102,33 @@ def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> n
 class _Table(dict):
     """key -> value, values of at most bound bytes together, in the order
     of last use: a reader pops its key and inserts it again, after
-    make_room has evicted the least recently used keys.  A dict, whose
-    values() hashes no key as an OrderedDict's does, with an lru_cache's
-    cache_clear for tblab.clear_caches."""
-
-    cache_clear = dict.clear
+    make_room has evicted the least recently used keys.  held counts the
+    values' bytes as they go in and out, so make_room costs only its
+    evictions.  A dict, whose values() hashes no key as an OrderedDict's
+    does, with an lru_cache's cache_clear for tblab.clear_caches."""
 
     def __init__(self, bound: int, nbytes=lambda value: value.nbytes):
         super().__init__()
-        self.bound, self.nbytes = bound, nbytes
+        self.bound, self.nbytes, self.held = bound, nbytes, 0
+
+    def __setitem__(self, key, value) -> None:  # of a key popped or absent
+        super().__setitem__(key, value)
+        self.held += self.nbytes(value)
+
+    def pop(self, key, *default):
+        if key in self:
+            self.held -= self.nbytes(self[key])
+        return super().pop(key, *default)
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.held = 0
 
     def make_room(self, size: int) -> None:
         """Evict the least recently used keys until a value of size bytes
         fits beside the rest; size is at most the bound."""
-        held = size + sum(map(self.nbytes, self.values()))
-        while held > self.bound:
-            held -= self.nbytes(self.pop(next(iter(self))))
+        while self.held + size > self.bound:
+            self.pop(next(iter(self)))
 
 
 # spec -> its longest coefficient array of up to _HOT_DOUBLES terms

@@ -134,10 +134,10 @@ def _refuse_overflow(name: str, nu: float, xs: np.ndarray, *values: np.ndarray) 
 # doubles: _on_grid 64 arguments x 128 nodes, the Voronoi panels (and the
 # Clenshaw recurrence of their kernel interpolant) scales x nodes, the
 # endpoint expansion a quarter as many scales, for its 2 x scales complex
-# values, bessel_series a chunk of arguments past its kernel table.  64 kB
-# stays below glibc's 128 kB mmap threshold, so a temporary reuses heap
-# memory instead of mapping and faulting in fresh pages, and OpenBLAS
-# computes a product this small on the calling thread.
+# values, bessel_series a chunk of arguments.  64 kB stays below glibc's
+# 128 kB mmap threshold, so a temporary reuses heap memory instead of
+# mapping and faulting in fresh pages, and OpenBLAS computes a product
+# this small on the calling thread.
 _HOT_DOUBLES = 8192
 
 

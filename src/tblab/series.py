@@ -3,12 +3,10 @@
 Bessel-kernel sums are truncated against a certified analytic tail bound
 (coefficients bounded by d(n) n^w, the kernel by its Gaussian-majorant
 exponential bound).  The registry sums one kernel K_nu(lam sqrt(n))
-against many coefficient sequences, zero or not, so its first 4,096
-values are evaluated once per (nu, lam, terms) and process and kept in a
-bounded table (_kernel) that every such series reads; past them K and
-the terms are formed in chunks of _HOT_DOUBLES arguments, whose K are
-kept per (nu, lam) in a second bounded table (_kernel_chunks, 2 MB in
-all) that a longer series extends.  Algebraically
+against many coefficient sequences, zero or not, so K and the terms are
+formed in chunks of _HOT_DOUBLES arguments from n = 1, whose K are kept
+per (nu, lam) in one bounded table (_kernel_store, 4 MB in all) that
+every such series reads and a longer one extends.  Algebraically
 decaying sums (shifted powers, log kernels, rational Cohen tails) share
 one loop, _closed_tail: it sums the kernel directly up to a head length
 and completes the rest in closed form.  Each of the three expands its
@@ -128,14 +126,13 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     may leave the double range by N, or a, x or a sqrt(x) is not finite;
     and ConvergenceError when the bound at the budget is above tol.
 
-    K_nu(lam sqrt(n)) for the first min(N, _HOT_DOUBLES / 2) = 4,096
-    terms is read from the table _kernel, whatever the coefficients: a
-    term whose f_z(n) is 0 adds exactly 0.  Past them it comes from
-    _kernels in chunks of _HOT_DOUBLES arguments, which _kernel_chunks
-    keeps per (nu, lam), up to 32 in all: a series forms only the chunks
-    that no series at its (nu, lam) has formed before.  The terms are
-    formed chunk by chunk into one array that is summed once; a chunk
-    starts on one of _on_grid's blocks, so K keeps the bits of one call.
+    K_nu(lam sqrt(n)) comes from _kernels in chunks of _HOT_DOUBLES
+    arguments, whatever the coefficients (a term whose f_z(n) is 0 adds
+    exactly 0), which _kernel_store keeps per (nu, lam), up to 64 in all:
+    a series forms only the K that no series at its (nu, lam) has formed
+    before.  The terms are formed chunk by chunk into one array that is
+    summed once; a chunk starts on one of _on_grid's blocks, so K keeps
+    the bits of one call.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -178,22 +175,10 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     return SeriesResult(0j + np.sum(terms), n1, math.exp(log_tail))
 
 
-# the terms whose K bessel_series reads from _kernel
-_TABLE_TERMS = _HOT_DOUBLES // 2
 # _on_grid's block of arguments: a call's bits hold up to its last whole block
 _BLOCK = _HOT_DOUBLES // _GL_U.size
-# chunks of _HOT_DOUBLES arguments that _kernel_chunks holds, 2 MB
-_CHUNKS = 32
-
-
-@functools.lru_cache(maxsize=256)
-def _kernel(nu: float, lam: float, count: int) -> np.ndarray:
-    """K_nu(lam sqrt(n)) for n = 1..count, once per (nu, lam, count) and
-    process, read-only; count <= _TABLE_TERMS, so the 256 entries hold at
-    most 8 MB.  The _on_grid blocks start at n = 1, and a longer series
-    goes on past a whole block, so these are a longer call's bits.  Every
-    bessel_series reads it, including those with a zero f_z(n)."""
-    return _k_range(nu, lam, 0, count)
+# chunks of _HOT_DOUBLES arguments that _kernel_store holds, 4 MB
+_CHUNKS = 64
 
 
 def _k_range(nu: float, lam: float, lo: int, hi: int) -> np.ndarray:
@@ -203,44 +188,43 @@ def _k_range(nu: float, lam: float, lo: int, hi: int) -> np.ndarray:
     return kv
 
 
-# (nu, lam) -> the K of bessel_series past _TABLE_TERMS, as its chunks
-_kernel_chunks = _Table(_CHUNKS * _HOT_DOUBLES * 8, lambda chunks: sum(c.nbytes for c in chunks))
+# (nu, lam) -> the K of bessel_series from n = 1, as its chunks
+_kernel_store = _Table(_CHUNKS * _HOT_DOUBLES * 8, lambda chunks: sum(c.nbytes for c in chunks))
 
 
 def _kernels(nu: float, lam: float, count: int):
-    """K_nu(lam sqrt(n)) for n = 1..count: _kernel's array of the first
-    min(count, _TABLE_TERMS), then one array per chunk of _HOT_DOUBLES
-    arguments, the last cut at count.
+    """K_nu(lam sqrt(n)) for n = 1..count, one read-only array per chunk of
+    _HOT_DOUBLES arguments, the last cut at count.
 
-    Up to _CHUNKS chunks they come from the entry of (nu, lam) in
-    _kernel_chunks, which keeps the longest run of chunks formed so far:
-    only the chunks it lacks are formed, after the least recently used
-    entries have made room, and a cut last chunk is completed from its
-    last whole _on_grid block.  A series that ends inside a block the
-    entry holds whole forms that block's part again, so every K has the
-    bits of one call from n = 1.  A longer series forms its chunks one at
-    a time and keeps none."""
-    table = _kernel(nu, lam, min(count, _TABLE_TERMS))
-    if count <= _TABLE_TERMS:
-        return (table,)
-    starts = range(_TABLE_TERMS, count, _HOT_DOUBLES)
-    if len(starts) > _CHUNKS:
-        return itertools.chain((table,), (_k_range(nu, lam, lo, min(lo + _HOT_DOUBLES, count))
-                                          for lo in starts))
-    chunks = _kernel_chunks.pop((nu, lam), [])
-    held = _TABLE_TERMS + sum(c.size for c in chunks)
-    if count > held:
-        _kernel_chunks.make_room(8 * (count - _TABLE_TERMS))
-        if chunks and chunks[-1].size < _HOT_DOUBLES:  # complete the cut chunk
-            lo = held - chunks[-1].size
-            chunks[-1] = _completed(nu, lam, lo, chunks[-1], min(lo + _HOT_DOUBLES, count))
-        chunks += [_k_range(nu, lam, lo, min(lo + _HOT_DOUBLES, count))
-                   for lo in starts[len(chunks):]]
-    _kernel_chunks[nu, lam] = chunks
-    out = [table] + [c[:count - lo] for c, lo in zip(chunks, starts)]
-    last, lo = chunks[len(starts) - 1], starts[-1]
-    if (count - lo) % _BLOCK and last.size > count - lo:  # ends inside a whole block
-        out[-1] = _completed(nu, lam, lo, last, count)
+    They come from the entry of (nu, lam) in _kernel_store, which keeps
+    the longest run of chunks formed so far: only the K it lacks is
+    formed, and a cut last chunk is completed from its last whole _on_grid
+    block.  A series that ends inside a block the entry holds whole forms
+    that block's part again, so every K has the bits of one call from
+    n = 1.  Up to _CHUNKS chunks the entry grows to count, after the least
+    recently used entries have made room; a longer series forms the rest
+    one chunk at a time and keeps nothing new."""
+    chunks = range(-(-count // _HOT_DOUBLES))
+    keep = len(chunks) <= _CHUNKS
+    held = _kernel_store.pop((nu, lam), []) if keep else _kernel_store.get((nu, lam), [])
+
+    def chunk(i: int) -> np.ndarray:
+        lo = i * _HOT_DOUBLES
+        hi = min(lo + _HOT_DOUBLES, count)
+        if i >= len(held):
+            return _k_range(nu, lam, lo, hi)
+        kv = held[i]
+        if kv.size > hi - lo and (hi - lo) % _BLOCK == 0:
+            return kv[:hi - lo]
+        return kv if kv.size == hi - lo else _completed(nu, lam, lo, kv, hi)
+
+    if not keep:
+        return map(chunk, chunks)
+    grows = count > sum(kv.size for kv in held)
+    if grows:
+        _kernel_store.make_room(8 * count)
+    out = [chunk(i) for i in chunks]
+    _kernel_store[nu, lam] = out if grows else held
     return out
 
 

@@ -445,7 +445,7 @@ def test_every_cache_of_the_library_is_in_one_list():
                   if callable(getattr(v, "cache_clear", None)) and not isinstance(v, type)}
     assert id(tblab.arith._coefficient_table) in found
     assert found == {id(cache) for cache in tblab._CACHES}
-    assert len(tblab._CACHES) == 16
+    assert len(tblab._CACHES) == 15
 
 
 def test_run_suite_is_verify_case_by_case_in_registry_order():

@@ -21,7 +21,6 @@ from tblab.series import _KernelInterpolant, bessel_series
 from tblab.specfun import L_derivative, dirichlet_L
 from test_arith import _is_real, _multiplying_sweeps
 
-TABLE = _HOT_DOUBLES // 2  # the terms of bessel_series' kernel table
 # f(2) = chi1(1) chi2(2) + chi1(2) chi2(1) = 0: moduli 4 and 6 share the prime 2
 ZERO = [DivisorSumSpec(0, enumerate_characters(4)[1], chi) for chi in enumerate_characters(6)]
 
@@ -59,18 +58,20 @@ def _coefficient_prefix(monkeypatch, count):
 
 
 def _kernel_prefix(monkeypatch):
-    # at every (nu, a sqrt(x), count) of the registered closed-form records
-    kernel, calls = series._kernel, _record(monkeypatch, series, "_kernel")
+    # at every (nu, a sqrt(x), count) of the registered closed-form records,
+    # each (nu, lam)'s counts ascending from a cold store, so each extends it
+    kernels, calls = series._kernels, _record(monkeypatch, series, "_kernels")
     for tid, entry in THEOREMS.items():
         if entry.section in ("sec2", "classical", "cohen", "cohen-half"):
             for point in entry.points:
                 verify(IdentityCase(tid, **point))
     seen = sorted({args for _, args in calls})
     clear_caches()
-    tables = [kernel(*args) for args in seen]
-    assert len(seen) > 20 and all(not t.flags.writeable for t in tables)
-    return tables, [k_values(nu, lam * np.sqrt(np.arange(1.0, 2 * count + 130.0)))[:count]
-                    for nu, lam, count in seen]
+    chunks = [list(kernels(*args)) for args in seen]
+    assert len(seen) > 20 and not any(c.flags.writeable for cs in chunks for c in cs)
+    return [np.concatenate(cs) for cs in chunks], [
+        k_values(nu, lam * np.sqrt(np.arange(1.0, 2 * count + 130.0)))[:count]
+        for nu, lam, count in seen]
 
 
 def _aligned_chunks(monkeypatch, values, nu):
@@ -104,9 +105,9 @@ PARTS = {
     **{f"{name}-chunks-{nu}": (_aligned_chunks, (values, nu)) for nu in (0.0, 0.25, 1.3)
        for name, values in (("k_values", lambda nu, xs: [k_values(nu, xs)]),
                             ("jy_values", jy_values))},
-    # below 18 / sqrt(4097) = 0.281 the quadrature runs past the kernel
-    # table, above it the table reaches the expansion; the last series is
-    # cut by the term budget 1,328 terms into a chunk
+    # above 18 / sqrt(8193) = 0.199 the first chunk reaches the expansion
+    # (below it, kernel-long-0.15-0-0.25 has the quadrature run past it);
+    # the last series is cut by the term budget 5,424 terms into a chunk
     **{"series-chunks-{}-{}-{}".format(*args): (_chunked_series, args) for args in (
         (0.2, 0, 0.0, None, 65536), (0.2, 0, 0.25, None, 65536), (0.2, 0.5, 1.3, None, 131072),
         (0.3, 1, 0.0, None, 65536), (0.3, 2, 0.25, None, 65536), (0.3, 1, 1.3, None, 65536),
@@ -157,23 +158,23 @@ def _coefficient_orders(monkeypatch):
         assert set(arith._coefficient_table) == set(specs)
         assert all(a.size == _HOT_DOUBLES + 1 for a in arith._coefficient_table.values())
     clear_caches()
-    assert not arith._coefficient_table
+    assert not arith._coefficient_table and arith._coefficient_table.held == 0
     return got, fresh
 
 
-def _kernel_table(monkeypatch, long, spec, a, x, nu, first=None):
-    # K of the first min(N, TABLE) terms comes from _kernel whatever the
-    # coefficients (a zero f(n) times its K adds 0), the rest from
-    # _kernel_chunks in chunks of _HOT_DOUBLES: a warm series forms no K;
-    # with first, the warm tables are another spec's series
+def _kernel_table(monkeypatch, terms, spec, a, x, nu, first=None):
+    # K comes from _kernel_store in chunks of _HOT_DOUBLES from n = 1
+    # whatever the coefficients (a zero f(n) times its K adds 0): a warm
+    # series forms no K; with first, the warm store is another spec's series
     calls = _record(monkeypatch, series, "k_values")
     clear_caches()
     cold = bessel_series(spec, a, x, nu)
-    chunks = [min(_HOT_DOUBLES, cold.terms - lo) for lo in range(TABLE, cold.terms, _HOT_DOUBLES)]
     xs = [args[1] for _, args in calls]
-    assert (cold.terms > TABLE) == long and series._kernel.cache_info()[:2] == (0, 1)
-    assert [v.size for v in xs] == [min(cold.terms, TABLE)] + chunks
-    if a * math.sqrt(x) < 0.28:  # below 18 / sqrt(4097) the table ends in the quadrature
+    held = [(key, sum(c.size for c in v)) for key, v in series._kernel_store.items()]
+    assert cold.terms == terms and held == [((nu, a * math.sqrt(x)), terms)]
+    assert [v.size for v in xs] == [min(_HOT_DOUBLES, terms - lo)
+                                    for lo in range(0, terms, _HOT_DOUBLES)]
+    if a * math.sqrt(x) < 0.199:  # below 18 / sqrt(8193) the first chunk ends in the quadrature
         assert xs[0][-1] < xs[1][0] < K_ASYM_CUT
     assert (coefficient_array(spec, cold.terms)[1:] == 0).any() == (spec in ZERO)
     if first is not None:
@@ -187,9 +188,9 @@ def _kernel_table(monkeypatch, long, spec, a, x, nu, first=None):
 
 def _kernel_store(monkeypatch, lam, nu, first, then, formed):
     # after a series of another length at the same (nu, lam), one forms
-    # past the kernel table only the K it lacks: the chunks, a cut chunk
-    # again from its last whole _on_grid block, or the part of a block it
-    # ends inside; first and then are (term budget or None, tol)
+    # only the K it lacks: the chunks, a cut chunk again from its last
+    # whole _on_grid block, or the part of a block it ends inside; first
+    # and then are (term budget or None, tol)
     calls = _record(monkeypatch, series, "k_values")
 
     def run(cap, tol):
@@ -291,22 +292,28 @@ WARM = {
     "coefficient-any-order": (_coefficient_orders, ()),
     "voronoi-pages-and-expansions": (_voronoi_tables, ()),
     "voronoi-wide-range": (_voronoi_pages, ()),
-    "kernel-small-lambda": (_kernel_table, (True, DivisorSumSpec(), 0.27, 1.0, 0.25)),
-    "kernel-zero-coefficient": (_kernel_table, (False, ZERO[1], 1.0, 1.0, 0.25)),
-    "kernel-second-zero-spec": (_kernel_table, (False, ZERO[0], 1.0, 0.7, 0.3, ZERO[1])),
-    "kernel-second-spec": (_kernel_table, (False, DivisorSumSpec(-0.25), 1.0, 0.7, 0.3,
+    "kernel-small-lambda": (_kernel_table, (32768, DivisorSumSpec(), 0.27, 1.0, 0.25)),
+    "kernel-zero-coefficient": (_kernel_table, (2048, ZERO[1], 1.0, 1.0, 0.25)),
+    "kernel-second-zero-spec": (_kernel_table, (4096, ZERO[0], 1.0, 0.7, 0.3, ZERO[1])),
+    "kernel-second-spec": (_kernel_table, (4096, DivisorSumSpec(-0.25), 1.0, 0.7, 0.3,
                                            DivisorSumSpec(0.5))),
-    **{f"kernel-long-{lam}-{w}-{nu}": (_kernel_table, (True, DivisorSumSpec(w), lam, 1.0, nu))
-       for lam, w, nu in ((0.15, 0, 0.25), (0.2, 0.5, 1.5), (0.27, -0.25, 0.0), (1.0, 3, 2.5))},
-    # at 0.27 the quadrature runs past the table; a budget of 30,000 cuts
-    # the series 1,328 terms into its fourth chunk, 48 into a block
+    **{f"kernel-long-{lam}-{w}-{nu}": (_kernel_table, (terms, DivisorSumSpec(w), lam, 1.0, nu))
+       for lam, w, nu, terms in ((0.15, 0, 0.25, 131072), (0.2, 0.5, 1.5, 131072),
+                                 (0.27, -0.25, 0.0, 32768), (1.0, 3, 2.5, 8192))},
+    # a budget of 30,000 cuts the series at 0.27 5,424 terms into its
+    # fourth chunk, 48 into a block
     "kernel-store-after-cut": (_kernel_store, (0.27, 0.25, (30000, 1e-12), (None, 1e-12),
                                                [32768 - 29952])),
     "kernel-store-cut-after-longer": (_kernel_store, (0.27, 0.25, (None, 1e-12), (30000, 1e-12),
                                                       [48])),
     "kernel-store-longer": (_kernel_store, (0.15, 0.25, (None, 1e-4), (None, 1e-12),
-                                            [4096] + [_HOT_DOUBLES] * 7 + [4096])),
+                                            [_HOT_DOUBLES] * 8)),
     "kernel-store-shorter": (_kernel_store, (0.2, 1.3, (None, 1e-12), (None, 1e-4), [])),
+    # 256 and 4,096 terms at the same (nu, lam), inside the first chunk
+    "kernel-store-longer-in-a-chunk": (_kernel_store, (0.8, 0.25, (None, 0.1), (None, 1e-12),
+                                                       [4096 - 256])),
+    "kernel-store-shorter-in-a-chunk": (_kernel_store, (0.8, 0.25, (None, 1e-12), (None, 0.1),
+                                                        [])),
     **{f"dirichlet-tail-{name}": (_dirichlet_tails, (make,)) for name, make in (
         ("shifted-power", lambda spec, c: series.shifted_power_series(spec, 2.5, c)),
         ("log-kernel", lambda spec, c: series.log_kernel_series(spec, c, over_n=True)),
@@ -340,6 +347,7 @@ def _coefficient_table_bytes(monkeypatch):
         coefficient_array(spec, _HOT_DOUBLES)
         coefficient_array(specs[0], 1)
         held.append(sum(a.nbytes for a in arith._coefficient_table.values()))
+        assert arith._coefficient_table.held == held[-1]
         assert list(arith._coefficient_table)[-2:] == [spec, specs[0]][-min(i + 1, 2):]
     assert len(arith._coefficient_table) < len(specs)
     assert arith._coefficient_table[specs[0]].size == _HOT_DOUBLES + 1
@@ -348,17 +356,17 @@ def _coefficient_table_bytes(monkeypatch):
 
 
 def _series_bytes(monkeypatch):
-    # a series of N = 131,072 forms its terms, and K past the kernel table,
-    # in chunks of _HOT_DOUBLES: at most 1 MiB besides coefficients, terms
-    # and the K chunks it leaves in _kernel_chunks, if any
+    # a series of N = 131,072 forms its terms and K in chunks of
+    # _HOT_DOUBLES: at most 1 MiB besides coefficients, terms and the K
+    # chunks it leaves in _kernel_store, if any
     spec, lam, nu = DivisorSumSpec(), 0.15, 0.25
-    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel tables
+    terms = bessel_series(spec, lam, 1.0, nu).terms  # and fills the kernel store
     cs = coefficient_array(spec, terms)
     monkeypatch.setattr(series, "coefficient_array", lambda spec, count: cs)
     assert terms == 131072
     warm = _peak(lambda: bessel_series(spec, lam, 1.0, nu))[1]
-    series._kernel_chunks.cache_clear()
-    chunks = _peak(lambda: bessel_series(spec, lam, 1.0, nu))[1] - 8 * (terms - TABLE)
+    series._kernel_store.cache_clear()
+    chunks = _peak(lambda: bessel_series(spec, lam, 1.0, nu))[1] - 8 * terms
     return [warm, chunks], 16 * terms + 2 ** 20
 
 
@@ -372,36 +380,45 @@ def _em_head_bytes(monkeypatch):
     return [peak for _, peak in peaks], 2 ** 20 - 1
 
 
-def _kernel_chunk_bytes(monkeypatch):
-    # series of 32,768 to 131,072 terms hold at most 32 chunks of
-    # _HOT_DOUBLES arguments past the kernel table: the least recently used
-    # (nu, lam) leave, and a read moves its (nu, lam) to the back; one of
-    # 10^6 terms keeps none, one of 262,144 all but 4,096 arguments
+def _kernel_store_bytes(monkeypatch):
+    # series of 32,768 to 131,072 terms hold at most 64 chunks of
+    # _HOT_DOUBLES arguments: the least recently used (nu, lam) leave, and a
+    # read moves its (nu, lam) to the back; one of 524,288 keeps all its
+    # arguments and nothing else, and one of 10^6 terms keeps nothing new:
+    # it reads what its entry holds, in the bits of a cold one
     spec, lams = DivisorSumSpec(), (0.15, 0.2, 0.25, 0.18, 0.22, 0.27, 0.16)
     clear_caches()
     held = []
     for i, lam in enumerate(lams):
         bessel_series(spec, lam, 1.0, 0.25)
         bessel_series(spec, lams[0], 1.0, 0.25)
-        held.append(sum(8 * c.size for v in series._kernel_chunks.values() for c in v))
-        assert list(series._kernel_chunks)[-2:] == [(0.25, lam), (0.25, lams[0])][-min(i + 1, 2):]
-    assert len(series._kernel_chunks) < len(lams)
+        held.append(sum(8 * c.size for v in series._kernel_store.values() for c in v))
+        assert series._kernel_store.held == held[-1]
+        assert list(series._kernel_store)[-2:] == [(0.25, lam), (0.25, lams[0])][-min(i + 1, 2):]
+    assert len(series._kernel_store) < len(lams)
     def entries(table):  # alive in kept, so no id is reused
         return [(key, [id(c) for c in v]) for key, v in table]
 
-    kept = [(key, list(v)) for key, v in series._kernel_chunks.items()]
-    assert bessel_series(spec, 0.07, 1.0, 0.25).terms == 10 ** 6
-    assert entries(series._kernel_chunks.items()) == entries(kept)
-    assert bessel_series(spec, 0.1, 1.0, 0.25).terms == 262144
-    assert [(key, sum(c.size for c in v)) for key, v in series._kernel_chunks.items()] == [
-        ((0.25, 0.1), 262144 - TABLE)]
+    kept = [(key, list(v)) for key, v in series._kernel_store.items()]
+    cold = bessel_series(spec, 0.07, 1.0, 0.25)
+    assert cold.terms == 10 ** 6 and entries(series._kernel_store.items()) == entries(kept)
+    assert bessel_series(spec, 0.07, 1.0, 0.25, tol=1e-8).terms == 524288
+    assert [(key, sum(c.size for c in v)) for key, v in series._kernel_store.items()] == [
+        ((0.25, 0.07), 524288)] and series._kernel_store.held == 4 << 20
+    kept = [(key, list(v)) for key, v in series._kernel_store.items()]
+    calls = _record(monkeypatch, series, "k_values")
+    warm = bessel_series(spec, 0.07, 1.0, 0.25)
+    sizes = [args[1].size for _, args in calls]  # n past 64 chunks
+    assert sizes == [_HOT_DOUBLES] * 58 + [10 ** 6 - 122 * _HOT_DOUBLES]
+    assert entries(series._kernel_store.items()) == entries(kept)
+    assert _bits([warm.value]) == _bits([cold.value])
     clear_caches()
-    return held, 2 << 20
+    return held, 4 << 20
 
 
 BOUNDS = {"coefficient-table-8-mb": _coefficient_table_bytes,
           "series-16n-plus-1-mib": _series_bytes, "em-head-1-mib": _em_head_bytes,
-          "kernel-chunks-2-mb": _kernel_chunk_bytes}
+          "kernel-store-4-mb": _kernel_store_bytes}
 
 
 @pytest.mark.parametrize("row", BOUNDS.values(), ids=BOUNDS.keys())
