@@ -54,11 +54,11 @@ __version__ = "0.1.0"
 # arith._coefficient_table, a dict with a cache_clear, holds per spec the
 # longest coefficient array of up to 8,192 terms built so far, float64 for
 # a real spec, at most 8 MB in all, least-recently-used specs leaving first;
-# series._kernel_store, a _Table too, the values K_nu(lam sqrt(n)) of a
-# Bessel-kernel series per (nu, lam), as the longest run of 8,192-argument
-# chunks from n = 1 formed so far, at most 4 MB in all, least-recently-used
-# (nu, lam) leaving first, and series._dirichlet_tail the closed-form tails
-# at the default head per (spec, head, s, log).
+# series._kernel_store, a _Table too, the values K_nu(lam sqrt(n)) of
+# bessel_series per (nu, lam), the longest run of 8,192-argument chunks
+# from n = 1 formed so far, at most 4 MB, least-recently-used (nu, lam) cut
+# to their quadrature-regime chunks, then leaving; series._dirichlet_tail
+# the closed-form tails at the default head per (spec, head, s, log).
 _CACHES = (
     characters._unit_group,
     characters._exponent_table,

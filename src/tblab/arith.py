@@ -102,14 +102,13 @@ def _char_values(chi: Character, count: int, z: complex = 0, dtype=complex) -> n
 class _Table(dict):
     """key -> value, values of at most bound bytes together, in the order
     of last use: a reader pops its key and inserts it again, after
-    make_room has evicted the least recently used keys.  held counts the
-    values' bytes as they go in and out, so make_room costs only its
-    evictions.  A dict, whose values() hashes no key as an OrderedDict's
-    does, with an lru_cache's cache_clear for tblab.clear_caches."""
+    make_room.  held counts the values' bytes as they go in and out, so
+    make_room costs only what it cuts.  A dict, whose values() hashes no
+    key as an OrderedDict's does, with an lru_cache's cache_clear."""
 
-    def __init__(self, bound: int, nbytes=lambda value: value.nbytes):
+    def __init__(self, bound: int, nbytes=lambda value: value.nbytes, trim=None):
         super().__init__()
-        self.bound, self.nbytes, self.held = bound, nbytes, 0
+        self.bound, self.nbytes, self.trim, self.held = bound, nbytes, trim, 0
 
     def __setitem__(self, key, value) -> None:  # of a key popped or absent
         super().__setitem__(key, value)
@@ -125,8 +124,16 @@ class _Table(dict):
         self.held = 0
 
     def make_room(self, size: int) -> None:
-        """Evict the least recently used keys until a value of size bytes
-        fits beside the rest; size is at most the bound."""
+        """Trim, least recently used first and in place, then evict, till size more bytes fit."""
+        for key, old in list(self.items()) if self.trim else ():
+            if self.held + size <= self.bound:
+                return
+            value = self.trim(key, old)  # old itself where it cuts nothing
+            if not value:
+                self.pop(key)
+            elif value is not old:
+                self.held -= self.nbytes(old)
+                self[key] = value  # a key already in keeps its place
         while self.held + size > self.bound:
             self.pop(next(iter(self)))
 

@@ -92,6 +92,10 @@ class SeriesResult:
     terms: int
     tail_bound: float
 
+    def __post_init__(self):  # every stage's one check: a finite value, a bound >= 0
+        if not (np.isfinite(self.value) and self.tail_bound >= 0.0):
+            raise DomainError(f"a series stage gave {self.value} with bound {self.tail_bound}")
+
 
 def _bessel_tail_bound(N: int, w: float, nu: float, lam: float) -> float:
     """The logarithm of a bound on sum_{n>N} of the term bound, by integral
@@ -129,10 +133,9 @@ def bessel_series(spec: DivisorSumSpec, a: float, x: float, nu: float = 0.0, *,
     K_nu(lam sqrt(n)) comes from _kernels in chunks of _HOT_DOUBLES
     arguments, whatever the coefficients (a term whose f_z(n) is 0 adds
     exactly 0), which _kernel_store keeps per (nu, lam), up to 64 in all:
-    a series forms only the K that no series at its (nu, lam) has formed
-    before.  The terms are formed chunk by chunk into one array that is
-    summed once; a chunk starts on one of _on_grid's blocks, so K keeps
-    the bits of one call.
+    a series forms only the K its entry lacks.  The terms are formed chunk
+    by chunk into one array that is summed once; a chunk starts on one of
+    _on_grid's blocks, so K keeps the bits of one call.
     """
     if not (a > 0 and x > 0):
         raise DomainError("series parameters need a > 0 and x > 0")
@@ -188,22 +191,27 @@ def _k_range(nu: float, lam: float, lo: int, hi: int) -> np.ndarray:
     return kv
 
 
+def _quadrature_chunks(key: tuple, chunks: list) -> list:
+    """_kernel_store's trim: the chunks with a lam sqrt(n) < K_ASYM_CUT, whose K cost 17x."""
+    keep = len(chunks)
+    while keep and key[1] * math.sqrt((keep - 1) * _HOT_DOUBLES + 1) >= K_ASYM_CUT:
+        keep -= 1
+    return chunks if keep == len(chunks) else chunks[:keep]
+
+
 # (nu, lam) -> the K of bessel_series from n = 1, as its chunks
-_kernel_store = _Table(_CHUNKS * _HOT_DOUBLES * 8, lambda chunks: sum(c.nbytes for c in chunks))
+_kernel_store = _Table(_CHUNKS * _HOT_DOUBLES * 8, lambda chunks: sum(c.nbytes for c in chunks),
+                       _quadrature_chunks)
 
 
 def _kernels(nu: float, lam: float, count: int):
     """K_nu(lam sqrt(n)) for n = 1..count, one read-only array per chunk of
-    _HOT_DOUBLES arguments, the last cut at count.
-
-    They come from the entry of (nu, lam) in _kernel_store, which keeps
-    the longest run of chunks formed so far: only the K it lacks is
-    formed, and a cut last chunk is completed from its last whole _on_grid
-    block.  A series that ends inside a block the entry holds whole forms
-    that block's part again, so every K has the bits of one call from
-    n = 1.  Up to _CHUNKS chunks the entry grows to count, after the least
-    recently used entries have made room; a longer series forms the rest
-    one chunk at a time and keeps nothing new."""
+    _HOT_DOUBLES arguments, the last cut at count, from (nu, lam)'s entry
+    in _kernel_store, its longest run of chunks or what make_room kept:
+    only the K it lacks is formed, from the last whole _on_grid block on
+    where the entry or the series ends inside a block, so every K has the
+    bits of one call from n = 1.  Past _CHUNKS chunks a series keeps
+    nothing new."""
     chunks = range(-(-count // _HOT_DOUBLES))
     keep = len(chunks) <= _CHUNKS
     held = _kernel_store.pop((nu, lam), []) if keep else _kernel_store.get((nu, lam), [])

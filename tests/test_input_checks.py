@@ -14,6 +14,7 @@ from tblab.characters import enumerate_characters
 from tblab.errors import ConvergenceError, DivergenceError, DomainError
 from tblab.identities import IdentityCase, positivity_scan, verify
 from tblab.series import (
+    SeriesResult,
     adaptive_integral,
     bessel_series,
     cohen_tail_series,
@@ -135,6 +136,12 @@ T2_13 = {"a": 1.0, "x": 0.3}
      DomainError, "\\(w choose j\\), j <= 6, may leave the double range at w = -7.00964e\\+277"),
     (lambda: shifted_power_series(DivisorSumSpec(1.9631792461219351e142), 1e154, 0.0),
      DomainError, "1000 terms at weight 1.96318e\\+142 may leave the double range"),
+    # the one check of every stage's result: a value that is not finite, or
+    # a bound that is NaN or negative, goes no further than where it is built
+    *((lambda args=args: SeriesResult(*args), DomainError,
+       re.escape(f"a series stage gave {args[0]} with bound {args[2]}"))
+      for args in ((complex(math.nan, 0.0), 3, 0.0), (complex(1.0, -math.inf), 3, 1e-3),
+                   (1.0 + 0j, 3, math.nan), (1.0 + 0j, 3, -1e-300))),
     # L' at an s that L refuses, before the pole check takes |s - 1|
     *((lambda q=q: L_derivative(-1e308 + 1.7976931348623157e308j, enumerate_characters(q)[0]),
        DomainError, r"L\(-1e\+308\+1.79769e\+308j, chi\) overflows")

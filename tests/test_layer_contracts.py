@@ -209,6 +209,38 @@ def _kernel_store(monkeypatch, lam, nu, first, then, formed):
     return [cold.value, warm.value], [warm.value, _one_sum(DivisorSumSpec(), lam, nu, cold.terms)]
 
 
+def _kernel_store_trimmed(monkeypatch):
+    # making room cuts the least recently used entries back to their chunks
+    # that hold an argument below K_ASYM_CUT, in their place: one at lam >=
+    # K_ASYM_CUT, which holds none, leaves whole, and later the series at
+    # 0.15 keeps 2 of its 16 chunks; read again, each forms exactly the
+    # chunks it lost, no argument below the cut, in the bits of a cold one
+    calls = _record(monkeypatch, series, "k_values")
+
+    def run(lam, tol=1e-12):
+        return bessel_series(DivisorSumSpec(), lam, 1.0, 0.25, tol=tol)
+
+    def store():
+        return [(key[1], len(v)) for key, v in series._kernel_store.items()]
+
+    clear_caches()
+    colds = [run(20.0), run(0.15)]
+    assert [cold.terms for cold in colds] == [256, 16 * _HOT_DOUBLES]
+    run(0.1), run(0.11, 1e-8)  # 32 and 16 chunks
+    assert store() == [(0.15, 16), (0.1, 32), (0.11, 16)]
+    run(0.2)  # 8 chunks
+    assert store() == [(0.15, 2), (0.1, 32), (0.11, 16), (0.2, 8)]
+    calls.clear()
+    warm_long = run(0.15)
+    xs = [args[1] for _, args in calls]
+    assert [x.size for x in xs] == [_HOT_DOUBLES] * 14 and xs[0][0] >= K_ASYM_CUT
+    assert _bits([np.concatenate(xs)]) == _bits([0.15 * np.sqrt(np.arange(16385.0, 131073.0))])
+    calls.clear()
+    warm_short = run(20.0)
+    assert [args[1].size for _, args in calls] == [256]
+    return [cold.value for cold in colds], [warm_short.value, warm_long.value]
+
+
 def _voronoi_tables(monkeypatch):
     # a warm call reads every piece's K, Y and J coefficients and the
     # endpoint expansion from the tables; a new expansion reads f again
@@ -314,6 +346,8 @@ WARM = {
                                                        [4096 - 256])),
     "kernel-store-shorter-in-a-chunk": (_kernel_store, (0.8, 0.25, (None, 1e-12), (None, 0.1),
                                                         [])),
+    # an entry cut back to its quadrature chunks, and one at lam >= 18 that leaves
+    "kernel-store-trimmed": (_kernel_store_trimmed, ()),
     **{f"dirichlet-tail-{name}": (_dirichlet_tails, (make,)) for name, make in (
         ("shifted-power", lambda spec, c: series.shifted_power_series(spec, 2.5, c)),
         ("log-kernel", lambda spec, c: series.log_kernel_series(spec, c, over_n=True)),
@@ -380,22 +414,34 @@ def _em_head_bytes(monkeypatch):
     return [peak for _, peak in peaks], 2 ** 20 - 1
 
 
+def _quadrature_chunks(lam) -> int:
+    """The chunks of _HOT_DOUBLES arguments that hold one lam sqrt(n) < K_ASYM_CUT."""
+    return sum(lam * math.sqrt(lo + 1) < K_ASYM_CUT for lo in range(0, 10 ** 6, _HOT_DOUBLES))
+
+
 def _kernel_store_bytes(monkeypatch):
     # series of 32,768 to 131,072 terms hold at most 64 chunks of
-    # _HOT_DOUBLES arguments: the least recently used (nu, lam) leave, and a
-    # read moves its (nu, lam) to the back; one of 524,288 keeps all its
-    # arguments and nothing else, and one of 10^6 terms keeps nothing new:
-    # it reads what its entry holds, in the bits of a cold one
+    # _HOT_DOUBLES arguments: the least recently used (nu, lam) are cut
+    # back to their quadrature chunks, in their place, and none leaves
+    # while that makes room; a read moves its (nu, lam) to the back; one
+    # of 524,288 keeps all its arguments and nothing else, and one of 10^6
+    # terms keeps nothing new: it reads what its entry holds, in the bits
+    # of a cold one
     spec, lams = DivisorSumSpec(), (0.15, 0.2, 0.25, 0.18, 0.22, 0.27, 0.16)
     clear_caches()
-    held = []
+    held, terms = [], {}
     for i, lam in enumerate(lams):
-        bessel_series(spec, lam, 1.0, 0.25)
+        terms[0.25, lam] = bessel_series(spec, lam, 1.0, 0.25).terms
         bessel_series(spec, lams[0], 1.0, 0.25)
         held.append(sum(8 * c.size for v in series._kernel_store.values() for c in v))
         assert series._kernel_store.held == held[-1]
         assert list(series._kernel_store)[-2:] == [(0.25, lam), (0.25, lams[0])][-min(i + 1, 2):]
-    assert len(series._kernel_store) < len(lams)
+        sizes = {key: sum(c.size for c in v) for key, v in series._kernel_store.items()}
+        trimmed = [size < terms[key] for key, size in sizes.items()]
+        assert trimmed == sorted(trimmed, reverse=True)  # the least recently used first
+        assert all(size in (terms[key], _HOT_DOUBLES * _quadrature_chunks(key[1]))
+                   for key, size in sizes.items())
+    assert len(series._kernel_store) == len(lams) and any(trimmed)
     def entries(table):  # alive in kept, so no id is reused
         return [(key, [id(c) for c in v]) for key, v in table]
 
